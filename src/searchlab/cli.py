@@ -61,7 +61,12 @@ RUNTIME_ERRORS = (StepLimitExceeded, QuadratureNonConvergence,
 
 
 def _default_workers() -> int:
-    return int(os.environ.get("SEARCHLAB_WORKERS", "1"))
+    raw = os.environ.get("SEARCHLAB_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"SEARCHLAB_WORKERS must be an integer, got {raw!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser):

@@ -8,6 +8,7 @@ Gaussian noise whose variance grows with the probed width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,15 +175,17 @@ def new_config(width: float, resolution: float, sigma2: float, epsilon: float,
     snapped to the nearest integer); epsilon must lie strictly inside (0, 1);
     the noise multiplier must be positive and non-decreasing over 1..M.
     """
-    if not width > 0:
-        raise ValueError(f"interval width must be positive, got {width}")
-    if not resolution > 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    if not 0 < width < math.inf:
+        raise ValueError(f"interval width must be positive and finite, got {width}")
+    if not 0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     if not 0 < epsilon < 1:
         raise InvalidEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
     m_real = width / resolution
+    if not math.isfinite(m_real):
+        raise ValueError(f"B/delta = {m_real!r} overflows")
     m = int(round(m_real))
     if m < 1 or abs(m_real - m) > M_SNAP_RTOL * max(1.0, abs(m_real)):
         raise NonIntegerLocationCount(

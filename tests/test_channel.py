@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from searchlab.channel import (
     solve_a_eta,
 )
 from searchlab.errors import QuadratureNonConvergence
-from searchlab.model import new_config
+from searchlab.model import NoiseModel, new_config
 
 # Frozen quadrature goldens; independently cross-checked against a
 # Monte Carlo mixture-entropy estimator before being pinned here.
@@ -106,6 +107,10 @@ class TestCapacity:
         with pytest.raises(QuadratureNonConvergence):
             bawgn_capacity(0.37, 0.33, tol=1e-16, max_panels=64)
 
+    def test_infinite_variance_rejected(self):
+        with pytest.raises(ValueError):
+            bawgn_capacity(0.5, math.inf)
+
     def test_capacity_point_record(self):
         pt = capacity_point(0.5, 0.25)
         assert pt.q == 0.5 and pt.variance == 0.25
@@ -160,6 +165,36 @@ class TestPsi:
         y = np.linspace(0.5, 0.5 + 12 * math.sqrt(v), 200_001)
         ref = np.trapezoid(gaussian_pdf(y, 0.0, v) * (2 * y - 1) / (2 * v), y)
         assert val == pytest.approx(ref, abs=1e-6)
+
+    def test_closed_form_matches_quad_reference(self):
+        # quad of the truncated score over [y0, inf), cut 40 sd from the
+        # mean, beyond which the Gaussian's mass is below 1e-300
+        for v in np.geomspace(1e-3, 1e3, 9):
+            s = math.sqrt(v)
+            for a in (-1e9, -1e3, -30.0, -3.0, -0.5, 0.0, 0.5, 3.0, 30.0, 1e3):
+                y0 = a * v + 0.5
+                ref, _ = scipy.integrate.quad(
+                    lambda y: gaussian_pdf(y, 0.0, v) * (2 * y - 1) / (2 * v),
+                    max(y0, -40 * s), max(y0, 0.5) + 40 * s,
+                    epsabs=1e-14, epsrel=1e-13, limit=200)
+                assert abs(psi_component(a, v) - ref) <= 1e-12, (v, a)
+
+    def test_component_accepts_variance_array(self):
+        vs = np.array([0.01, 0.25, 4.0])
+        got = psi_component(0.3, vs)
+        assert got.shape == vs.shape
+        for v, g in zip(vs, got):
+            assert g == psi_component(0.3, float(v))
+
+    @pytest.mark.parametrize("noise", [NoiseModel.linear(),
+                                       NoiseModel.power(0.5),
+                                       NoiseModel.power(2.0)])
+    def test_psi_is_max_of_scalar_components(self, noise):
+        cfg = new_config(24, 1, 0.25, 1e-4, noise=noise)
+        for a in (-50.0, -1.0, 0.0, 0.7, 7.0, 40.0):
+            want = max(psi_component(a, cfg.noise_variance(k))
+                       for k in range(1, cfg.M + 1))
+            assert psi(a, cfg) == want
 
 
 class TestAEta:

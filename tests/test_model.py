@@ -50,6 +50,14 @@ class TestNewConfig:
         with pytest.raises(ValueError):
             new_config(b, d, s, 1e-4)
 
+    @pytest.mark.parametrize("b,d,s", [(float("inf"), 1, 0.25),
+                                       (16, float("nan"), 0.25),
+                                       (16, 1, float("inf")),
+                                       (1e308, 1e-10, 0.25)])
+    def test_non_finite_parameters_rejected(self, b, d, s):
+        with pytest.raises(ValueError):
+            new_config(b, d, s, 1e-4)
+
     def test_single_cell_config_is_legal(self):
         assert new_config(1, 1, 0.25, 1e-4).M == 1
 

@@ -366,6 +366,33 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--B", "inf"), ("--delta", "nan"),
+                                            ("--sigma2", "inf")])
+    def test_non_finite_config_exits_two(self, tmp_path, capsys, flag, value):
+        args = {"--B": "16", "--delta": "1", "--sigma2": "0.25"}
+        args[flag] = value
+        rc = main(["bounds", *(x for kv in args.items() for x in kv),
+                   "--epsilon", "1e-4", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_tiny_variance_capacity_exits_three(self, tmp_path, capsys):
+        # refused before the Simpson grid is allocated, so this is instant
+        rc = main(["capacity", "--q", "0.5", "--variance", "1e-300",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert "panels" in capsys.readouterr().err
+
+    def test_bad_worker_env_names_the_variable(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setenv("SEARCHLAB_WORKERS", "abc")
+        rc = main(["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
+                   "--epsilon", "0.01", "--strategy", "sorted_pm",
+                   "--trials", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "SEARCHLAB_WORKERS" in capsys.readouterr().err
+
     def test_missing_plan_file_exits_three(self, tmp_path, capsys):
         rc = main(["sweep", "--plan", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path)])
