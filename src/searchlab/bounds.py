@@ -28,7 +28,7 @@ from .channel import (
     solve_a_eta,
 )
 from .errors import EtaTooLarge, InvalidAlpha, NoFeasibleAlpha
-from .model import SearchConfig
+from .model import SearchConfig, sections_from_alpha
 
 VACUOUS = "Vacuous"
 ASYMPTOTIC = "Asymptotic"
@@ -79,14 +79,6 @@ def _loglog2(x: float) -> tuple[float, bool]:
     return math.log2(math.log2(x)), False
 
 
-def _sections(alpha: float, m: int) -> int:
-    s_real = 1.0 / alpha
-    s = int(round(s_real))
-    if s < 2 or abs(s_real - s) > 1e-9 * s or m % s != 0:
-        raise InvalidAlpha(f"alpha = {alpha} is not 1/s with s | {m}, s >= 2")
-    return s
-
-
 def feasible_alphas(config: SearchConfig) -> list[float]:
     """Section fractions 1/s for every divisor s of M with 2 <= s <= M,
     in decreasing order of alpha."""
@@ -107,7 +99,9 @@ def stage1_upper_bound(config: SearchConfig, alpha: float, eta: float,
                        a_eta: float) -> float:
     """Expected time for the coarse stage to localize the target to one of
     the 1/alpha sections with reliability eps/2."""
-    _sections(alpha, config.M)
+    s = sections_from_alpha(alpha)
+    if config.M % s != 0:
+        raise InvalidAlpha(f"1/alpha = {s} does not divide M = {config.M}")
     _, c1 = optimal_composition(config)
     if not 0.0 < eta < c1:
         raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C1 = {c1})")
@@ -120,7 +114,9 @@ def stage2_upper_bound(config: SearchConfig, alpha: float, eta: float,
                        a_eta: float) -> float:
     """Expected time for the refine stage over the alpha*M cells of the
     winning section; singleton sections need no second stage."""
-    s = _sections(alpha, config.M)
+    s = sections_from_alpha(alpha)
+    if config.M % s != 0:
+        raise InvalidAlpha(f"1/alpha = {s} does not divide M = {config.M}")
     am = config.M // s
     if am == 1:
         return 0.0
@@ -189,7 +185,7 @@ def adaptivity_gain_lower_bound(config: SearchConfig, eta: float) -> BoundReport
     best_gain, best_alpha = -math.inf, None
     best_sum, best_sum_alpha = math.inf, None
     for alpha in alphas:
-        s = _sections(alpha, config.M)
+        s = sections_from_alpha(alpha)
         am = config.M // s
         # the refine capacity is defined from the continuous variance
         # extension even for singleton sections, where it only enters h
@@ -245,7 +241,7 @@ def _principal_gain(config: SearchConfig, eta: float):
     best_gain, best_alpha = -math.inf, None
     best_dom = math.inf
     for alpha in alphas:
-        s = _sections(alpha, config.M)
+        s = sections_from_alpha(alpha)
         am = config.M // s
         c2 = bawgn_capacity(0.5, config.variance_at(am / 2.0))
         if not eta < c2:

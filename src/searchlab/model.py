@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvalidAlpha,
     InvalidEpsilon,
     InvalidNoiseModel,
     NonIntegerLocationCount,
@@ -23,6 +24,8 @@ from .errors import (
 
 # Relative tolerance for snapping B/delta to an integer cell count.
 M_SNAP_RTOL = 1e-9
+# Largest cell count new_config accepts; presets stop at M = 128.
+MAX_CELLS = 1 << 20
 
 LINEAR = "linear"
 POWER = "power"
@@ -172,8 +175,8 @@ def new_config(width: float, resolution: float, sigma2: float, epsilon: float,
     """Validate parameters and build a SearchConfig.
 
     B/delta must be an integer to within a relative tolerance of 1e-9 (it is
-    snapped to the nearest integer); epsilon must lie strictly inside (0, 1);
-    the noise multiplier must be positive and non-decreasing over 1..M.
+    snapped to the nearest integer) and at most MAX_CELLS; epsilon must lie
+    strictly inside (0, 1); the variance of an M-cell probe must be finite.
     """
     if not 0 < width < math.inf:
         raise ValueError(f"interval width must be positive and finite, got {width}")
@@ -190,18 +193,33 @@ def new_config(width: float, resolution: float, sigma2: float, epsilon: float,
     if m < 1 or abs(m_real - m) > M_SNAP_RTOL * max(1.0, abs(m_real)):
         raise NonIntegerLocationCount(
             f"B/delta = {m_real!r} is not an integer cell count")
+    if m > MAX_CELLS:
+        raise ValueError(f"B/delta = {m} cells exceeds the cap of {MAX_CELLS}")
     if noise is None:
         noise = NoiseModel.linear()
     if noise.kind == TABLE and len(noise.table) < m:
         raise InvalidNoiseModel(
             f"noise table has {len(noise.table)} entries but M = {m}")
-    mults = np.array([noise.multiplier(k) for k in range(1, m + 1)])
-    if not np.all(mults > 0) or np.any(np.diff(mults) < 0):
-        raise NonMonotoneNoise(
-            "noise multiplier must be positive and non-decreasing over 1..M")
+    # NoiseModel keeps f positive and non-decreasing, so f(M) bounds them all
+    try:
+        v_max = noise.multiplier(m) * resolution * sigma2
+    except OverflowError:
+        v_max = math.inf
+    if not math.isfinite(v_max):
+        raise InvalidNoiseModel(f"noise variance of an M = {m} cell probe overflows")
     return SearchConfig(B=float(width), delta=float(resolution),
                         sigma2=float(sigma2), epsilon=float(epsilon),
                         noise=noise, M=m)
+
+
+def sections_from_alpha(alpha: float) -> int:
+    """Section count s of a section fraction alpha = 1/s, s an integer >= 2.
+    Callers check that s divides their M."""
+    s_real = 1.0 / alpha if alpha > 0 else math.nan
+    s = round(s_real) if math.isfinite(s_real) else 0
+    if s < 2 or abs(s_real - s) > 1e-9 * s:
+        raise InvalidAlpha(f"alpha = {alpha} is not 1/s for an integer s >= 2")
+    return s
 
 
 @dataclass(eq=False)

@@ -351,7 +351,7 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1, fmt: str = "csv",
 
     Returns the written paths.  If execution fails partway, a
     '<id>.partial' marker file describing the failure is left in out_dir
-    and the error re-raised.
+    and the error re-raised; a successful run removes a stale marker.
     """
     if fmt not in ("csv", "json", "both"):
         raise ValidationError(f"format must be csv, json, or both, got {fmt!r}")
@@ -359,13 +359,13 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1, fmt: str = "csv",
     out.mkdir(parents=True, exist_ok=True)
     n_trials = trials_override if trials_override is not None else plan.n_trials
     master_seed = seed_override if seed_override is not None else plan.master_seed
+    marker = out / f"{plan.id}.partial"
     try:
         written: list[Path] = []
         if plan.capacity_mode is not None:
             rows = _capacity_rows(plan)
             written += _write_rows(out / f"{plan.id}_capacity", CAPACITY_COLUMNS,
                                    rows, fmt)
-            return written
         if plan.strategies:
             rows = _sim_rows(plan, workers, n_trials, master_seed)
             written += _write_rows(out / f"{plan.id}_sim", SIM_COLUMNS, rows, fmt)
@@ -373,8 +373,8 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1, fmt: str = "csv",
             rows = _bound_rows(plan)
             written += _write_rows(out / f"{plan.id}_bounds", BOUND_COLUMNS,
                                    rows, fmt)
-        return written
     except Exception as exc:
-        marker = out / f"{plan.id}.partial"
         marker.write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
         raise
+    marker.unlink(missing_ok=True)
+    return written

@@ -23,6 +23,7 @@ from .model import SearchConfig, TrialRecord
 from .strategies import (
     FIXED_COMPOSITION,
     SORTED_PM,
+    STEP_LIMIT,
     StrategySpec,
     random_composition_mask,
     run_strategy,
@@ -129,8 +130,9 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     """
     if kind not in (FIXED_COMPOSITION, SORTED_PM):
         raise ValueError(f"drift probe supports fixed_composition or sorted_pm, got {kind!r}")
-    if n_steps < MIN_DRIFT_STEPS:
-        raise ValueError(f"n_steps must be >= {MIN_DRIFT_STEPS}, got {n_steps}")
+    if not MIN_DRIFT_STEPS <= n_steps <= STEP_LIMIT:
+        raise ValueError(f"n_steps must lie in [{MIN_DRIFT_STEPS}, {STEP_LIMIT}], "
+                         f"got {n_steps}")
     m = config.M
     if m < 2:
         raise ValueError("drift probe needs at least 2 cells")

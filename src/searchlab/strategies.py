@@ -1,8 +1,15 @@
-"""Search strategies: probe selection rules and complete trial runners.
+"""Search strategies: probe rules, stopping rules and complete trial runners.
 
 Each runner simulates one full search: draw the target, take measurements
 until the stopping rule fires, and report the stopping time tau together
 with whether the final estimate found the target.
+
+Fixed composition, sorted-PM and exhaustive search share one engine,
+`_search`: a probe rule maps the log-posterior to a probed set and its
+noise variance, each observation is folded in by Bayes' rule, and the
+search stops once one cell holds posterior mass 1 - eps.  Two-stage search
+chains two such searches.  The bisection strategies stop level by level
+instead and keep their own loops.
 
 Strategies
 ----------
@@ -24,8 +31,8 @@ import numpy as np
 
 from .channel import gaussian_tail_inverse, optimal_composition
 from .errors import InvalidAlpha, StepLimitExceeded
-from .inference import Posterior, renormalize_log_probs, update_log_probs
-from .model import MeasurementVector, SearchConfig, TrialRecord
+from .inference import renormalize_log_probs, update_log_probs
+from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
 
@@ -54,29 +61,12 @@ class StrategySpec:
         if self.kind == TWO_STAGE:
             if self.alpha is None:
                 raise ValueError("two_stage requires alpha")
-            _sections_from_alpha(self.alpha)  # validate the 1/s shape early
+            sections_from_alpha(self.alpha)  # validate the 1/s shape early
 
     def label(self) -> str:
         if self.kind == TWO_STAGE:
-            return f"two_stage(alpha=1/{_sections_from_alpha(self.alpha)})"
+            return f"two_stage(alpha=1/{sections_from_alpha(self.alpha)})"
         return self.kind
-
-
-@dataclass(eq=False)
-class SearchState:
-    """Posterior plus bookkeeping carried between steps."""
-
-    posterior: Posterior
-    step_count: int = 0
-    active_window: range | None = None
-
-
-def _sections_from_alpha(alpha: float) -> int:
-    s_real = 1.0 / alpha
-    s = int(round(s_real))
-    if s < 2 or abs(s_real - s) > 1e-9 * s:
-        raise InvalidAlpha(f"alpha = {alpha} is not 1/s for an integer s >= 2")
-    return s
 
 
 def random_composition_mask(size: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,74 +100,68 @@ def sorted_pm_mask(probs: np.ndarray) -> tuple[np.ndarray, int]:
     return mask, k
 
 
-def fixed_composition_step(state: SearchState, probe_count: int,
-                           rng: np.random.Generator) -> MeasurementVector:
-    """One non-adaptive probe: a uniformly random probe_count-subset."""
-    size = state.posterior.size
-    mask = random_composition_mask(size, probe_count, rng)
-    return MeasurementVector(mask=mask, count=int(probe_count))
-
-
-def sorted_pm_step(rho: Posterior) -> MeasurementVector:
-    """One sorted-PM probe chosen from the current posterior."""
-    mask, k = sorted_pm_mask(rho.probs)
-    return MeasurementVector(mask=mask, count=k)
-
-
 def _check_step_limit(steps: int, label: str):
     if steps >= STEP_LIMIT:
         raise StepLimitExceeded(f"{label} exceeded {STEP_LIMIT} steps")
 
 
-def _fixed_composition_search(config: SearchConfig, grid: int, cells_per_unit: int,
-                              eps_stage: float, true_unit: int,
-                              rng: np.random.Generator) -> tuple[int, int, float]:
-    """Fixed-composition search over `grid` units of cells_per_unit cells
-    each.  Returns (steps, MAP unit, final max posterior)."""
-    if grid == 1:
-        return 0, 0, 1.0
-    q_star, _ = optimal_composition(config)
-    k_units = min(max(int(round(q_star * grid)), 1), grid - 1)
-    v = config.noise_variance(k_units * cells_per_unit)
-    sd = math.sqrt(v)
-    log_thresh = math.log1p(-eps_stage)
-    lp = np.full(grid, -math.log(grid))
+def _observe(lp: np.ndarray, mask: np.ndarray, hit: bool, v: float,
+             rng: np.random.Generator):
+    """Draw y = 1{hit} + N(0, v) for the probed mask and fold it into lp."""
+    y = (1.0 if hit else 0.0) + rng.normal(0.0, math.sqrt(v))
+    update_log_probs(lp, mask, y, v)
+
+
+def _search(size: int, probe, target: int, eps: float,
+            rng: np.random.Generator, label: str) -> tuple[int, int, float]:
+    """Probe `size` cells from a uniform prior until one holds posterior
+    mass 1 - eps.  probe(lp, step) -> (mask, variance) is the probe rule.  A
+    target outside [0, size) is never hit (a failed first stage): the search
+    still stops at its threshold, on a wrong cell.  Returns
+    (steps, MAP cell, final max posterior)."""
+    log_thresh = math.log1p(-eps)
+    lp = np.full(size, -math.log(size))
     steps = 0
     while lp.max() < log_thresh:
-        _check_step_limit(steps, "fixed_composition")
-        mask = random_composition_mask(grid, k_units, rng)
-        x = 1.0 if mask[true_unit] else 0.0
-        y = x + rng.normal(0.0, sd)
-        update_log_probs(lp, mask, y, v)
+        _check_step_limit(steps, label)
+        mask, v = probe(lp, steps)
+        _observe(lp, mask, 0 <= target < size and mask[target], v, rng)
         steps += 1
     idx = int(np.argmax(lp))
     return steps, idx, float(math.exp(lp[idx]))
 
 
-def _sorted_pm_search(config: SearchConfig, start: int, size: int,
-                      eps_stage: float, true_cell: int,
-                      rng: np.random.Generator) -> tuple[int, int, float]:
-    """Sorted-PM search over the cell window [start, start+size).  The true
-    cell may lie outside the window (a failed first stage); the search still
-    terminates at its threshold, just on a wrong cell.  Returns
-    (steps, MAP cell in absolute coordinates, final max posterior)."""
-    if size == 1:
-        return 0, start, 1.0
-    rel = true_cell - start
-    in_window = 0 <= rel < size
-    log_thresh = math.log1p(-eps_stage)
-    lp = np.full(size, -math.log(size))
-    steps = 0
-    while lp.max() < log_thresh:
-        _check_step_limit(steps, "sorted_pm")
+def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int,
+                      rng: np.random.Generator):
+    """Non-adaptive rule over `grid` units of cells_per_unit cells each: a
+    uniformly random set of round(q* grid) units, clamped to [1, grid-1]."""
+    k = 1
+    if grid > 1:
+        q_star, _ = optimal_composition(config)
+        k = min(max(int(round(q_star * grid)), 1), grid - 1)
+    v = config.noise_variance(k * cells_per_unit)
+    return lambda lp, step: (random_composition_mask(grid, k, rng), v)
+
+
+def _sorted_pm_rule(config: SearchConfig):
+    """Adaptive rule: the top cells holding about half the posterior mass."""
+    def probe(lp, step):
         mask, k = sorted_pm_mask(np.exp(lp))
-        v = config.noise_variance(k)
-        x = 1.0 if in_window and mask[rel] else 0.0
-        y = x + rng.normal(0.0, math.sqrt(v))
-        update_log_probs(lp, mask, y, v)
-        steps += 1
-    idx = int(np.argmax(lp))
-    return steps, start + idx, float(math.exp(lp[idx]))
+        return mask, config.noise_variance(k)
+    return probe
+
+
+def _round_robin_rule(config: SearchConfig):
+    """Single cells in turn: 0, 1, ..., M-1, 0, ..."""
+    cells, v = np.arange(config.M), config.noise_variance(1)
+    return lambda lp, step: (cells == step % config.M, v)
+
+
+def _record(label: str, tau: int, cell: int, target: int, max_prob: float,
+            trial_seed: int, tau_stage1: int = 0) -> TrialRecord:
+    return TrialRecord(strategy_id=label, tau=tau, tau_stage1=tau_stage1,
+                       success=cell == target, trial_seed=trial_seed,
+                       final_max_prob=max_prob)
 
 
 def run_fixed_composition(config: SearchConfig, grid: int, eps_stage: float,
@@ -186,12 +170,10 @@ def run_fixed_composition(config: SearchConfig, grid: int, eps_stage: float,
     (grid = M probes single cells).  grid must divide M."""
     if grid < 1 or config.M % grid != 0:
         raise ValueError(f"grid {grid} does not divide M = {config.M}")
-    true_unit = int(rng.integers(grid))
-    steps, idx, pmax = _fixed_composition_search(
-        config, grid, config.M // grid, eps_stage, true_unit, rng)
-    return TrialRecord(strategy_id=FIXED_COMPOSITION, tau=steps, tau_stage1=0,
-                       success=idx == true_unit, trial_seed=trial_seed,
-                       final_max_prob=pmax)
+    target = int(rng.integers(grid))
+    rule = _composition_rule(config, grid, config.M // grid, rng)
+    steps, idx, pmax = _search(grid, rule, target, eps_stage, rng, FIXED_COMPOSITION)
+    return _record(FIXED_COMPOSITION, steps, idx, target, pmax, trial_seed)
 
 
 def run_sorted_pm(config: SearchConfig, window: range, eps_stage: float,
@@ -200,12 +182,10 @@ def run_sorted_pm(config: SearchConfig, window: range, eps_stage: float,
     start, size = window.start, len(window)
     if size < 1 or start < 0 or start + size > config.M or window.step != 1:
         raise ValueError(f"window {window} is not a contiguous block in [0, {config.M})")
-    true_cell = start + int(rng.integers(size))
-    steps, idx, pmax = _sorted_pm_search(config, start, size, eps_stage,
-                                         true_cell, rng)
-    return TrialRecord(strategy_id=SORTED_PM, tau=steps, tau_stage1=0,
-                       success=idx == true_cell, trial_seed=trial_seed,
-                       final_max_prob=pmax)
+    target = int(rng.integers(size))
+    steps, idx, pmax = _search(size, _sorted_pm_rule(config), target, eps_stage,
+                               rng, SORTED_PM)
+    return _record(SORTED_PM, steps, idx, target, pmax, trial_seed)
 
 
 def run_two_stage(config: SearchConfig, alpha: float, rng: np.random.Generator,
@@ -213,29 +193,36 @@ def run_two_stage(config: SearchConfig, alpha: float, rng: np.random.Generator,
     """Two-stage search: stage 1 runs fixed composition over 1/alpha coarse
     sections at reliability eps/2; stage 2 runs sorted-PM inside the winning
     section, again at eps/2.  alpha must be 1/s with s dividing M, s >= 2."""
-    s = _sections_from_alpha(alpha)
-    if s > config.M or config.M % s != 0:
+    s = sections_from_alpha(alpha)
+    if config.M % s != 0:
         raise InvalidAlpha(f"1/alpha = {s} does not divide M = {config.M}")
     section = config.M // s
     eps_half = config.epsilon / 2.0
     target = int(rng.integers(config.M))
-    t1, sec_hat, p1 = _fixed_composition_search(
-        config, s, section, eps_half, target // section, rng)
-    if section == 1:
-        return TrialRecord(strategy_id=f"two_stage(alpha=1/{s})", tau=t1,
-                           tau_stage1=t1, success=sec_hat == target,
-                           trial_seed=trial_seed, final_max_prob=p1)
-    t2, cell_hat, p2 = _sorted_pm_search(
-        config, sec_hat * section, section, eps_half, target, rng)
-    return TrialRecord(strategy_id=f"two_stage(alpha=1/{s})", tau=t1 + t2,
-                       tau_stage1=t1, success=cell_hat == target,
-                       trial_seed=trial_seed, final_max_prob=p2)
+    t1, sec_hat, p1 = _search(s, _composition_rule(config, s, section, rng),
+                              target // section, eps_half, rng, FIXED_COMPOSITION)
+    start = sec_hat * section
+    t2, idx, p2 = _search(section, _sorted_pm_rule(config), target - start,
+                          eps_half, rng, SORTED_PM)
+    # a singleton section takes no stage-2 step; stage 1 holds the final posterior
+    return _record(f"two_stage(alpha=1/{s})", t1 + t2, start + idx, target,
+                   p2 if section > 1 else p1, trial_seed, tau_stage1=t1)
 
 
 def _logsumexp_slice(lp: np.ndarray, lo: int, hi: int) -> float:
     seg = lp[lo:hi]
     m = seg.max()
     return float(m + math.log(np.exp(seg - m).sum()))
+
+
+def _halves(lp: np.ndarray, lo: int, hi: int) -> tuple[tuple[int, int], float]:
+    """Split the window [lo, hi) in two (the first half takes the odd cell)
+    and return the half holding more posterior mass, the first on ties,
+    with that half's log share of the window's mass."""
+    mid = lo + (hi - lo + 1) // 2
+    first, second = _logsumexp_slice(lp, lo, mid), _logsumexp_slice(lp, mid, hi)
+    share = max(first, second) - np.logaddexp(first, second)
+    return ((lo, mid) if first >= second else (mid, hi)), share
 
 
 def run_noisy_binary_fixed(config: SearchConfig, rng: np.random.Generator,
@@ -250,8 +237,7 @@ def run_noisy_binary_fixed(config: SearchConfig, rng: np.random.Generator,
     """
     m = config.M
     if m == 1:
-        return TrialRecord(strategy_id=NOISY_BINARY_FIXED, tau=0, tau_stage1=0,
-                           success=True, trial_seed=trial_seed, final_max_prob=1.0)
+        return _record(NOISY_BINARY_FIXED, 0, 0, 0, 1.0, trial_seed)
     z = max(0.0, gaussian_tail_inverse(config.epsilon / math.log2(m)))
     target = int(rng.integers(m))
     lp = np.full(m, -math.log(m))
@@ -259,30 +245,19 @@ def run_noisy_binary_fixed(config: SearchConfig, rng: np.random.Generator,
     steps = 0
     while hi - lo > 1:
         _check_step_limit(steps, NOISY_BINARY_FIXED)
-        half = (hi - lo + 1) // 2
-        mass_first = _logsumexp_slice(lp, lo, lo + half)
-        mass_second = _logsumexp_slice(lp, lo + half, hi)
-        if mass_first >= mass_second:
-            p_lo, p_hi = lo, lo + half
-        else:
-            p_lo, p_hi = lo + half, hi
+        (p_lo, p_hi), _ = _halves(lp, lo, hi)
         v = config.noise_variance(p_hi - p_lo)
         r = max(1, math.ceil(4.0 * v * z * z))
         x = 1.0 if p_lo <= target < p_hi else 0.0
         ys = x + rng.normal(0.0, math.sqrt(v), size=r)
-        mask = np.zeros(m, dtype=bool)
-        mask[p_lo:p_hi] = True
         # r log-likelihood ratios collapse into one additive update
-        lp[mask] += float(np.sum((2.0 * ys - 1.0) / (2.0 * v)))
+        lp[p_lo:p_hi] += float(np.sum((2.0 * ys - 1.0) / (2.0 * v)))
         renormalize_log_probs(lp)
         steps += r
-        mass_first = _logsumexp_slice(lp, lo, lo + half)
-        mass_second = _logsumexp_slice(lp, lo + half, hi)
-        lo, hi = (lo, lo + half) if mass_first >= mass_second else (lo + half, hi)
+        (lo, hi), _ = _halves(lp, lo, hi)
     idx = int(np.argmax(lp))
-    return TrialRecord(strategy_id=NOISY_BINARY_FIXED, tau=steps, tau_stage1=0,
-                       success=idx == target, trial_seed=trial_seed,
-                       final_max_prob=float(math.exp(lp[idx])))
+    return _record(NOISY_BINARY_FIXED, steps, idx, target, math.exp(lp[idx]),
+                   trial_seed)
 
 
 def run_noisy_binary_variable(config: SearchConfig, rng: np.random.Generator,
@@ -296,8 +271,7 @@ def run_noisy_binary_variable(config: SearchConfig, rng: np.random.Generator,
     """
     m = config.M
     if m == 1:
-        return TrialRecord(strategy_id=NOISY_BINARY_VARIABLE, tau=0, tau_stage1=0,
-                           success=True, trial_seed=trial_seed, final_max_prob=1.0)
+        return _record(NOISY_BINARY_VARIABLE, 0, 0, 0, 1.0, trial_seed)
     eps_level = config.epsilon / math.log2(m)
     log_thresh = math.log1p(-min(eps_level, 0.5))
     target = int(rng.integers(m))
@@ -305,62 +279,29 @@ def run_noisy_binary_variable(config: SearchConfig, rng: np.random.Generator,
     steps = 0
     lo, hi = 0, m
     while hi - lo > 1:
-        half = (hi - lo + 1) // 2
-        mass_first = _logsumexp_slice(lp, lo, lo + half)
-        mass_second = _logsumexp_slice(lp, lo + half, hi)
-        if mass_first >= mass_second:
-            p_lo, p_hi = lo, lo + half
-        else:
-            p_lo, p_hi = lo + half, hi
+        (p_lo, p_hi), _ = _halves(lp, lo, hi)
         v = config.noise_variance(p_hi - p_lo)
-        sd = math.sqrt(v)
-        x = 1.0 if p_lo <= target < p_hi else 0.0
         mask = np.zeros(m, dtype=bool)
         mask[p_lo:p_hi] = True
-        while True:
+        share = -math.inf
+        while share < log_thresh:
             _check_step_limit(steps, NOISY_BINARY_VARIABLE)
-            y = x + rng.normal(0.0, sd)
-            update_log_probs(lp, mask, y, v)
+            _observe(lp, mask, p_lo <= target < p_hi, v, rng)
             steps += 1
-            mass_first = _logsumexp_slice(lp, lo, lo + half)
-            mass_second = _logsumexp_slice(lp, lo + half, hi)
-            total = np.logaddexp(mass_first, mass_second)
-            if max(mass_first, mass_second) - total >= log_thresh:
-                break
-        lo, hi = (lo, lo + half) if mass_first >= mass_second else (lo + half, hi)
+            half, share = _halves(lp, lo, hi)
+        lo, hi = half
     idx = int(np.argmax(lp))
-    return TrialRecord(strategy_id=NOISY_BINARY_VARIABLE, tau=steps, tau_stage1=0,
-                       success=idx == target, trial_seed=trial_seed,
-                       final_max_prob=float(math.exp(lp[idx])))
+    return _record(NOISY_BINARY_VARIABLE, steps, idx, target, math.exp(lp[idx]),
+                   trial_seed)
 
 
 def run_exhaustive(config: SearchConfig, rng: np.random.Generator,
                    trial_seed: int = 0) -> TrialRecord:
     """Round-robin single-cell probes until one cell reaches 1 - epsilon."""
-    m = config.M
-    if m == 1:
-        return TrialRecord(strategy_id=EXHAUSTIVE, tau=0, tau_stage1=0,
-                           success=True, trial_seed=trial_seed, final_max_prob=1.0)
-    v = config.noise_variance(1)
-    sd = math.sqrt(v)
-    log_thresh = math.log1p(-config.epsilon)
-    target = int(rng.integers(m))
-    lp = np.full(m, -math.log(m))
-    mask = np.zeros(m, dtype=bool)
-    steps = 0
-    while lp.max() < log_thresh:
-        _check_step_limit(steps, EXHAUSTIVE)
-        cell = steps % m
-        mask[:] = False
-        mask[cell] = True
-        x = 1.0 if cell == target else 0.0
-        y = x + rng.normal(0.0, sd)
-        update_log_probs(lp, mask, y, v)
-        steps += 1
-    idx = int(np.argmax(lp))
-    return TrialRecord(strategy_id=EXHAUSTIVE, tau=steps, tau_stage1=0,
-                       success=idx == target, trial_seed=trial_seed,
-                       final_max_prob=float(math.exp(lp[idx])))
+    target = int(rng.integers(config.M))
+    steps, idx, pmax = _search(config.M, _round_robin_rule(config), target,
+                               config.epsilon, rng, EXHAUSTIVE)
+    return _record(EXHAUSTIVE, steps, idx, target, pmax, trial_seed)
 
 
 def run_strategy(spec: StrategySpec, config: SearchConfig,

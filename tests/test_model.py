@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from searchlab.errors import (
+    InvalidAlpha,
     InvalidEpsilon,
     InvalidNoiseModel,
     NonIntegerLocationCount,
@@ -13,12 +14,14 @@ from searchlab.errors import (
     ProbeCountOutOfRange,
 )
 from searchlab.model import (
+    MAX_CELLS,
     MeasurementVector,
     NoiseModel,
     SearchConfig,
     TrialRecord,
     new_config,
     sample_target,
+    sections_from_alpha,
 )
 
 
@@ -58,6 +61,19 @@ class TestNewConfig:
         with pytest.raises(ValueError):
             new_config(b, d, s, 1e-4)
 
+    def test_cell_count_capped(self):
+        assert new_config(MAX_CELLS, 1, 0.25, 1e-4).M == MAX_CELLS
+        with pytest.raises(ValueError, match="cap"):
+            new_config(MAX_CELLS + 1, 1, 0.25, 1e-4)
+        with pytest.raises(ValueError, match="cap"):
+            new_config(1e9, 1, 0.25, 1e-4)
+
+    @pytest.mark.parametrize("gamma,sigma2", [(1000.0, 1.0), (500.0, 1e10)])
+    def test_overflowing_noise_variance_rejected(self, gamma, sigma2):
+        # 4**1000 overflows a float; 4**500 * 1e10 overflows the variance
+        with pytest.raises(InvalidNoiseModel, match="overflows"):
+            new_config(4, 1, sigma2, 0.1, noise=NoiseModel.power(gamma))
+
     def test_single_cell_config_is_legal(self):
         assert new_config(1, 1, 0.25, 1e-4).M == 1
 
@@ -65,6 +81,19 @@ class TestNewConfig:
     def test_exact_ratio_always_snaps(self, m, scale):
         cfg = new_config(m * scale, scale, 0.25, 1e-3)
         assert cfg.M == m
+
+
+class TestSectionsFromAlpha:
+    @pytest.mark.parametrize("alpha,s", [(0.5, 2), (0.25, 4), (1 / 3, 3),
+                                         (1 / 128, 128)])
+    def test_reciprocal_integers_accepted(self, alpha, s):
+        assert sections_from_alpha(alpha) == s
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.25, float("nan"), float("inf"),
+                                       -float("inf"), 1e-320, 1.0, 0.7, 0.3])
+    def test_other_values_rejected(self, alpha):
+        with pytest.raises(InvalidAlpha):
+            sections_from_alpha(alpha)
 
 
 class TestNoiseModel:

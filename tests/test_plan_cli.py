@@ -287,6 +287,20 @@ class TestRunPlan:
         assert marker.exists()
         assert "InvalidAlpha" in marker.read_text()
 
+    def test_success_clears_stale_partial_marker(self, tmp_path):
+        axes = (("B", (16.0,)), ("delta", (1.0,)), ("sigma2", (0.25,)),
+                ("epsilon", (1e-2,)))
+        with pytest.raises(InvalidAlpha):
+            run_plan(ExperimentPlan(id="redo", axes=axes, n_trials=2,
+                                    strategies=(StrategySpec("two_stage", 1 / 3),)),
+                     tmp_path)
+        assert (tmp_path / "redo.partial").exists()
+        run_plan(ExperimentPlan(id="redo", axes=axes, n_trials=2,
+                                strategies=(StrategySpec("two_stage", 1 / 4),)),
+                 tmp_path)
+        assert not (tmp_path / "redo.partial").exists()
+        assert (tmp_path / "redo_sim.csv").exists()
+
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="format"):
             run_plan(parse_plan(MINIMAL), tmp_path, fmt="xml")
@@ -376,6 +390,43 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["0", "nan", "-0.25", "inf"])
+    def test_bad_alpha_exits_two(self, tmp_path, capsys, alpha):
+        rc = main(["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
+                   "--epsilon", "0.01", "--strategy", "two_stage",
+                   "--alpha", alpha, "--trials", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "alpha" in err and "Traceback" not in err
+
+    def test_plan_alpha_zero_exits_two(self, tmp_path, capsys):
+        plan_file = tmp_path / "p.json"
+        plan_file.write_text(plan_doc(strategies=[{"kind": "two_stage",
+                                                   "alpha": 0}]))
+        rc = main(["sweep", "--plan", str(plan_file), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "alpha" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [["--B", "4", "--gamma", "1000"],
+                                       ["--B", "1e9"]])
+    def test_oversized_config_exits_two(self, tmp_path, capsys, extra):
+        # 4**1000 overflows a float; 1e9 cells exceed the cell-count cap
+        rc = main(["bounds", "--delta", "1", "--sigma2", "1", "--epsilon", "0.1",
+                   *extra, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_drift_probe_steps_above_step_limit_exit_two(self, capsys):
+        # refused before the 8-byte-per-step increment array is allocated
+        rc = main(["drift-probe", "--B", "16", "--delta", "1", "--sigma2",
+                   "0.25", "--epsilon", "1e-4", "--strategy", "sorted_pm",
+                   "--steps", "10000000000000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "n_steps" in err and "Traceback" not in err
 
     def test_tiny_variance_capacity_exits_three(self, tmp_path, capsys):
         # refused before the Simpson grid is allocated, so this is instant

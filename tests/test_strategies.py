@@ -8,8 +8,8 @@ import pytest
 
 import searchlab.strategies as strat
 from searchlab.errors import InvalidAlpha, StepLimitExceeded
-from searchlab.inference import init_uniform
-from searchlab.model import new_config
+from searchlab.model import NoiseModel, new_config
+from searchlab.sim import trial_seed_for
 from searchlab.strategies import (
     EXHAUSTIVE,
     FIXED_COMPOSITION,
@@ -19,8 +19,6 @@ from searchlab.strategies import (
     SORTED_PM,
     TWO_STAGE,
     StrategySpec,
-    SearchState,
-    fixed_composition_step,
     random_composition_mask,
     run_exhaustive,
     run_fixed_composition,
@@ -30,7 +28,6 @@ from searchlab.strategies import (
     run_strategy,
     run_two_stage,
     sorted_pm_mask,
-    sorted_pm_step,
 )
 
 NB_FIXED_TAU_REFERENCE = 248  # deterministic at B=16, delta=1, sigma2=0.25, eps=1e-4
@@ -75,11 +72,6 @@ class TestCompositionMask:
         # each cell expected 750 times, binomial sd ~ 24
         assert np.all(np.abs(hits - 750) < 150)
 
-    def test_step_wrapper_returns_measurement(self):
-        state = SearchState(posterior=init_uniform(8))
-        mv = fixed_composition_step(state, 3, np.random.default_rng(0))
-        assert mv.count == 3 and mv.mask.sum() == 3
-
 
 class TestSortedPMMask:
     def test_descending_example(self):
@@ -93,6 +85,11 @@ class TestSortedPMMask:
     def test_unsorted_input_probes_top_cells(self):
         mask, k = sorted_pm_mask(np.array([0.1, 0.55, 0.05, 0.3]))
         assert k == 1 and list(mask) == [False, True, False, False]
+
+    def test_uniform_six_cells_probes_three(self):
+        # prefixes hold 1/6, 2/6, 3/6, ...: 3/6 is exactly half
+        mask, k = sorted_pm_mask(np.full(6, 1 / 6))
+        assert k == 3 and list(mask) == [True] * 3 + [False] * 3
 
     def test_tie_in_distance_takes_smaller_prefix(self):
         # prefixes hit 0.25, 0.50, 0.75, 1.00: k=2 is exact
@@ -112,10 +109,6 @@ class TestSortedPMMask:
             assert dists[k - 1] <= best + 1e-15
             assert np.all(dists[: k - 1] > best)  # smallest optimal prefix
             assert mask.sum() == k
-
-    def test_step_wrapper(self):
-        mv = sorted_pm_step(init_uniform(6))
-        assert mv.count == 3  # uniform: closest prefix to 1/2 is 3/6
 
 
 class TestFixedComposition:
@@ -295,3 +288,128 @@ class TestDispatcherAndLimits:
         rec = run_strategy(StrategySpec(SORTED_PM), config16,
                            np.random.default_rng(1), trial_seed=42)
         assert rec.trial_seed == 42
+
+
+# (tau, tau_stage1, success, final_max_prob.hex()) of trials
+# trial_seed_for(GOLDEN_MASTER_SEED, 0..4), recorded from the per-strategy
+# loops before they were folded into one search engine.
+GOLDEN_MASTER_SEED = 2024
+GOLDEN_CONFIGS = {
+    "M1": new_config(1, 1, 0.25, 1e-4),
+    "M16": new_config(16, 1, 0.25, 1e-4),
+    "M32_power": new_config(32, 1, 0.05, 0.2, noise=NoiseModel.power(1.5)),
+}
+GOLDEN_SPECS = {spec.label(): spec for spec in
+                [StrategySpec(kind) for kind in KINDS if kind != TWO_STAGE]
+                + [StrategySpec(TWO_STAGE, alpha=1.0 / s) for s in (4, 8, 16)]}
+TRIAL_GOLDEN = {
+    **{("M1", kind): [(0, 0, True, "0x1.0000000000000p+0")] * 5
+       for kind in KINDS if kind != TWO_STAGE},
+    ("M16", "fixed_composition"): [
+        (73, 0, True, "0x1.ffffada7a90bep-1"),
+        (27, 0, True, "0x1.fffae1e741ae2p-1"),
+        (183, 0, True, "0x1.fffeab8627e50p-1"),
+        (80, 0, True, "0x1.fff734d2caa8dp-1"),
+        (29, 0, True, "0x1.fff6ae1fa449ap-1"),
+    ],
+    ("M16", "sorted_pm"): [
+        (16, 0, True, "0x1.fffae7b9ddd63p-1"),
+        (19, 0, True, "0x1.fffa9b76048a7p-1"),
+        (33, 0, True, "0x1.fffe970bb04dcp-1"),
+        (9, 0, True, "0x1.ffff3679f9582p-1"),
+        (14, 0, True, "0x1.fff37be1a3a19p-1"),
+    ],
+    ("M16", "noisy_binary_fixed"): [
+        (248, 0, True, "0x1.fffffffed2480p-1"),
+        (248, 0, True, "0x1.0000000000000p+0"),
+        (248, 0, True, "0x1.ffffffffffd52p-1"),
+        (248, 0, True, "0x1.ffffffffe6402p-1"),
+        (248, 0, True, "0x1.0000000000000p+0"),
+    ],
+    ("M16", "noisy_binary_variable"): [
+        (93, 0, True, "0x1.fffb710c480adp-1"),
+        (111, 0, True, "0x1.fffff921c44d9p-1"),
+        (96, 0, True, "0x1.fffe3e072ac84p-1"),
+        (122, 0, True, "0x1.fffd667980701p-1"),
+        (65, 0, True, "0x1.ffffb793f4f66p-1"),
+    ],
+    ("M16", "exhaustive"): [
+        (52, 0, True, "0x1.fffe489a1675ap-1"),
+        (113, 0, True, "0x1.fff51dc72c04bp-1"),
+        (65, 0, True, "0x1.fff41a4bf5593p-1"),
+        (123, 0, True, "0x1.fff8e4ff7d21bp-1"),
+        (91, 0, True, "0x1.fffc631c0f928p-1"),
+    ],
+    ("M16", "two_stage(alpha=1/4)"): [
+        (74, 64, True, "0x1.fffdf80b64b87p-1"),
+        (42, 27, True, "0x1.ffffb470d02bap-1"),
+        (122, 115, True, "0x1.fff9a4b2d3d40p-1"),
+        (101, 89, True, "0x1.fffefdfec878ep-1"),
+        (30, 25, True, "0x1.fffba75e07157p-1"),
+    ],
+    ("M16", "two_stage(alpha=1/16)"): [
+        (73, 73, True, "0x1.ffffada7a90bep-1"),
+        (27, 27, True, "0x1.fffae1e741ae2p-1"),
+        (183, 183, True, "0x1.fffeab8627e50p-1"),
+        (81, 81, True, "0x1.fffbf5f1eba30p-1"),
+        (65, 65, True, "0x1.fffc86fd647cap-1"),
+    ],
+    ("M32_power", "fixed_composition"): [
+        (39, 0, True, "0x1.fd91bb441c502p-1"),
+        (12, 0, True, "0x1.edc647ed3041fp-1"),
+        (30, 0, True, "0x1.eb3b509434aeap-1"),
+        (27, 0, True, "0x1.9cc985eaab05dp-1"),
+        (21, 0, True, "0x1.ba61e1c539b9bp-1"),
+    ],
+    ("M32_power", "sorted_pm"): [
+        (8, 0, True, "0x1.b95d2abceb4dcp-1"),
+        (28, 0, True, "0x1.f7e9c32ce5667p-1"),
+        (49, 0, True, "0x1.fe67c8b2f0898p-1"),
+        (7, 0, True, "0x1.fc3fecac5c507p-1"),
+        (10, 0, True, "0x1.f89dd80ed6476p-1"),
+    ],
+    ("M32_power", "noisy_binary_fixed"): [
+        (62, 0, True, "0x1.ffff4936f860dp-1"),
+        (62, 0, True, "0x1.f7dbcab6d0c69p-1"),
+        (62, 0, True, "0x1.ff1deefc6502cp-1"),
+        (62, 0, False, "0x1.45f3711699bb1p-3"),
+        (62, 0, True, "0x1.d2fc2c348aeabp-1"),
+    ],
+    ("M32_power", "noisy_binary_variable"): [
+        (32, 0, True, "0x1.f31e3d825d72cp-1"),
+        (39, 0, True, "0x1.ffdf1226bcb34p-1"),
+        (46, 0, True, "0x1.f1173a647a361p-1"),
+        (44, 0, False, "0x1.2b5a8e627de26p-1"),
+        (23, 0, True, "0x1.fbd1945f18a3cp-1"),
+    ],
+    ("M32_power", "exhaustive"): [
+        (7, 0, True, "0x1.f98c3475fe598p-1"),
+        (1, 0, True, "0x1.ffffb79cc3ca6p-1"),
+        (44, 0, True, "0x1.fffff08d48d0fp-1"),
+        (22, 0, True, "0x1.ffff033583814p-1"),
+        (22, 0, True, "0x1.fffe27cddeeecp-1"),
+    ],
+    ("M32_power", "two_stage(alpha=1/8)"): [
+        (19, 17, True, "0x1.ffffff97d1015p-1"),
+        (25, 23, True, "0x1.fffffc9deb6c6p-1"),
+        (21, 19, True, "0x1.e57902d7486ffp-1"),
+        (31, 29, True, "0x1.e941c1699c7b1p-1"),
+        (27, 25, True, "0x1.fb3c147eaac9cp-1"),
+    ],
+}
+
+
+class TestTrialGolden:
+    @pytest.mark.parametrize("case, label", list(TRIAL_GOLDEN),
+                             ids=[f"{c}-{lab}" for c, lab in TRIAL_GOLDEN])
+    def test_trials_match_recorded_stream(self, case, label):
+        spec = GOLDEN_SPECS[label]
+        got = []
+        for i in range(5):
+            seed = trial_seed_for(GOLDEN_MASTER_SEED, i)
+            rec = run_strategy(spec, GOLDEN_CONFIGS[case],
+                               np.random.default_rng(seed), seed)
+            assert rec.strategy_id == label and rec.trial_seed == seed
+            got.append((rec.tau, rec.tau_stage1, rec.success,
+                        float(rec.final_max_prob).hex()))
+        assert got == TRIAL_GOLDEN[case, label]
