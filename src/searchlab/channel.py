@@ -182,7 +182,7 @@ def psi_component(a: float, variance):
 
 
 @lru_cache(maxsize=512)
-def _probe_variances(config) -> np.ndarray:
+def probe_variances(config) -> np.ndarray:
     """noise_variance(k) for k = 1..M; shared by the cache, never mutated."""
     return np.array([config.noise_variance(k) for k in range(1, config.M + 1)])
 
@@ -190,7 +190,7 @@ def _probe_variances(config) -> np.ndarray:
 def psi(a: float, config) -> float:
     """Largest truncated-score integral over feasible probe sizes:
     max over k = 1..M of psi_component(a, noise_variance(k))."""
-    return float(psi_component(a, _probe_variances(config)).max())
+    return float(psi_component(a, probe_variances(config)).max())
 
 
 @dataclass(frozen=True)

@@ -60,13 +60,20 @@ RUNTIME_ERRORS = (StepLimitExceeded, QuadratureNonConvergence,
                   NoRootInBracket, DegeneratePosterior, OSError)
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("SEARCHLAB_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"SEARCHLAB_WORKERS must be an integer, got {raw!r}") from None
+def _workers(args) -> int:
+    """--workers, else SEARCHLAB_WORKERS, else 1; below 1 is bad input."""
+    if args.workers is not None:
+        name, workers = "--workers", args.workers
+    else:
+        name, raw = "SEARCHLAB_WORKERS", os.environ.get("SEARCHLAB_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValidationError(
+                f"SEARCHLAB_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValidationError(f"{name} must be at least 1, got {workers}")
+    return workers
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -186,8 +193,7 @@ def _cmd_simulate(args) -> int:
     spec = StrategySpec(kind=args.strategy, alpha=args.alpha)
     plan = _one_point_plan(args, "cli_simulate", strategies=(spec,),
                            n_trials=args.trials, master_seed=args.seed)
-    workers = args.workers if args.workers is not None else _default_workers()
-    for path in run_plan(plan, args.out, workers=workers, fmt=args.format):
+    for path in run_plan(plan, args.out, workers=_workers(args), fmt=args.format):
         print(f"wrote {path}")
     return 0
 
@@ -202,8 +208,7 @@ def _cmd_sweep(args) -> int:
         plan = dataclasses.replace(plan, eta_frac=args.eta_frac)
     out = args.out if args.out != "out" or plan.output_path is None \
         else plan.output_path
-    workers = args.workers if args.workers is not None else _default_workers()
-    for path in run_plan(plan, out, workers=workers, fmt=args.format,
+    for path in run_plan(plan, out, workers=_workers(args), fmt=args.format,
                          trials_override=args.trials,
                          seed_override=args.seed):
         print(f"wrote {path}")

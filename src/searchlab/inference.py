@@ -3,7 +3,9 @@
 The posterior over the M cells is the sufficient statistic for every
 strategy here.  Updates happen in natural-log space: add log-likelihoods,
 shift so the maximum is zero, clamp at LOG_FLOOR_NATS (keeping every entry
-finite), and renormalize.  The potential U(rho) = sum_i rho_i log2(rho_i /
+finite), and renormalize.  The update acts along the last axis, so a
+(rows, M) block of posteriors takes one call, each row bit-identical to
+updating it alone.  The potential U(rho) = sum_i rho_i log2(rho_i /
 (1 - rho_i)) is the Lyapunov functional whose per-step drift the bound
 arguments control; it is computed with expm1/logsumexp guards so posteriors
 within a whisker of certainty do not overflow.
@@ -45,23 +47,41 @@ def init_uniform(size: int) -> Posterior:
     return Posterior(log_probs=np.full(size, -math.log(size)))
 
 
-def renormalize_log_probs(lp: np.ndarray) -> np.ndarray:
-    """Shift so max is 0, clamp at the floor, renormalize in place."""
-    lp -= lp.max()
+def renormalize_log_probs(lp: np.ndarray) -> float | np.ndarray:
+    """Shift so the max is 0, clamp at the floor, renormalize in place; a
+    2-D array is renormalized row by row.  Returns the new maximum log
+    probability (an array of row maxima for a 2-D array): the shifted max
+    is exactly 0, so it is minus the log normalizer."""
+    lp -= lp.max(axis=-1, keepdims=True)
     np.maximum(lp, LOG_FLOOR_NATS, out=lp)
-    lp -= math.log(np.exp(lp).sum())
-    return lp
+    sums = np.exp(lp).sum(axis=-1)
+    # math.log, not np.log: numpy's vector log can differ from libm in the
+    # last bit, and a row must match the same posterior updated on its own
+    if lp.ndim == 1:
+        top = -math.log(sums)
+        lp += top
+    else:
+        top = np.array([-math.log(s) for s in sums.tolist()])
+        lp += top[:, None]
+    return top
 
 
-def update_log_probs(lp: np.ndarray, mask: np.ndarray, y: float,
-                     variance: float) -> np.ndarray:
+def update_log_probs(lp: np.ndarray, mask: np.ndarray, y,
+                     variance) -> float | np.ndarray:
     """In-place Bayes update for observation y of a probed mask.
 
     Adds the log-likelihood ratio (2y-1)/(2v) on probed cells (the common
     unprobed term cancels in normalization), then renormalizes with the
-    floor.  This is the hot path used inside strategy loops.
+    floor and returns the new maximum log probability.  For a (rows, M)
+    block, y holds one value per row, variance one per row or one for all,
+    mask is (rows, M) or one M-mask for every row, and the row maxima are
+    returned.  This is the hot path of every strategy loop.
     """
-    lp[mask] += (2.0 * y - 1.0) / (2.0 * variance)
+    llr = (2.0 * y - 1.0) / (2.0 * variance)
+    if lp.ndim == 1:
+        lp[mask] += llr
+    else:
+        np.add(lp, llr[:, None], out=lp, where=mask)
     return renormalize_log_probs(lp)
 
 

@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -22,7 +23,7 @@ from . import bounds as bounds_mod
 from .channel import bawgn_capacity, optimal_composition, solve_a_eta
 from .errors import ParseError, SearchLabError, ValidationError
 from .model import NoiseModel, SearchConfig, new_config
-from .sim import run_trials, trial_seed_for
+from .sim import MAX_TRIALS, run_trials, trial_seed_for
 from .strategies import KINDS, TWO_STAGE, StrategySpec
 
 PARAM_NAMES = ("B", "delta", "sigma2", "epsilon", "gamma", "q")
@@ -176,8 +177,8 @@ def parse_plan(text: str) -> ExperimentPlan:
                  "capacity-table plans take no strategies or bounds")
 
     n_trials = doc.get("n_trials", 2000)
-    _require(isinstance(n_trials, int) and n_trials >= 1,
-             f"n_trials must be a positive integer, got {n_trials!r}")
+    _require(isinstance(n_trials, int) and 1 <= n_trials <= MAX_TRIALS,
+             f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n_trials!r}")
     master_seed = doc.get("master_seed", 0)
     _require(isinstance(master_seed, int) and 0 <= master_seed < 2 ** 64,
              f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
@@ -325,22 +326,36 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_atomic(path: Path, newline: str | None, write) -> Path:
+    """Write through write(fh) to a temp file beside path, then rename it
+    into place: path is either absent, its old self, or complete."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def _write_rows(stem: Path, columns, rows: list[dict], fmt: str) -> list[Path]:
+    def write_csv(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_format_cell(row[c]) for c in columns])
+
+    def write_json(fh):
+        json.dump([{c: row[c] for c in columns} for row in rows], fh, indent=2)
+        fh.write("\n")
+
     written = []
     if fmt in ("csv", "both"):
-        path = stem.with_suffix(".csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_cell(row[c]) for c in columns])
-        written.append(path)
+        written.append(_write_atomic(stem.with_suffix(".csv"), "", write_csv))
     if fmt in ("json", "both"):
-        path = stem.with_suffix(".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([{c: row[c] for c in columns} for row in rows], fh, indent=2)
-            fh.write("\n")
-        written.append(path)
+        written.append(_write_atomic(stem.with_suffix(".json"), None, write_json))
     return written
 
 

@@ -2,22 +2,27 @@
 drift probes for the potential functional.
 
 Reproducibility contract: trial i of a batch uses the 64-bit seed derived
-from (master_seed, i) through numpy's SeedSequence mixing, so results do not
-depend on scheduling.  Batches are reduced in trial order whatever the
-worker count, making summaries bit-identical between serial and parallel
-runs.
+from (master_seed, i) through numpy's SeedSequence mixing, and its own
+generator seeded with it, so results do not depend on scheduling.  Trials
+run in lockstep blocks (`strategies.run_rows`) of at most BLOCK_CELLS
+posterior cells and BLOCK_ROWS generators, so the engine's working memory
+is the same for any batch size (the results take 17 bytes a trial); each
+trial's record is the one it gets when run alone.  workers > 1 splits the
+batch into contiguous chunks, one process each, and the per-trial arrays
+are reduced in trial order, making summaries bit-identical between serial
+and parallel runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import optimal_composition, bawgn_capacity
-from .errors import StepLimitExceeded
 from .inference import u_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord
 from .strategies import (
@@ -26,6 +31,7 @@ from .strategies import (
     STEP_LIMIT,
     StrategySpec,
     random_composition_mask,
+    run_rows,
     run_strategy,
     sorted_pm_mask,
 )
@@ -33,6 +39,11 @@ from .strategies import (
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_SAMPLE_N = 100
 MIN_DRIFT_STEPS = 10_000
+MAX_TRIALS = 10_000_000
+# A lockstep block holds at most BLOCK_CELLS posterior cells and
+# BLOCK_ROWS trial generators.
+BLOCK_CELLS = 1 << 16
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -73,12 +84,21 @@ def run_single_trial(spec: StrategySpec, config: SearchConfig,
     return run_strategy(spec, config, rng, trial_seed)
 
 
-def _trial_task(args) -> TrialRecord:
-    spec, config, seed, index = args
-    try:
-        return run_single_trial(spec, config, seed)
-    except StepLimitExceeded as exc:
-        raise StepLimitExceeded(f"trial {index}: {exc}") from exc
+def _run_span(spec: StrategySpec, config: SearchConfig, master_seed: int,
+              lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tau, tau_stage1, success) of trials lo..hi-1, in lockstep blocks."""
+    taus, tau1s = np.empty(hi - lo), np.empty(hi - lo)
+    success = np.empty(hi - lo, dtype=bool)
+    rows = max(1, min(BLOCK_ROWS, BLOCK_CELLS // config.M))
+    for first in range(lo, hi, rows):
+        last = min(first + rows, hi)
+        rngs = [np.random.default_rng(trial_seed_for(master_seed, i))
+                for i in range(first, last)]
+        tau, tau1, ok, _ = run_rows(spec, config, rngs, first)
+        taus[first - lo:last - lo] = tau
+        tau1s[first - lo:last - lo] = tau1
+        success[first - lo:last - lo] = ok
+    return taus, tau1s, success
 
 
 def run_trials(spec: StrategySpec, config: SearchConfig, n_trials: int,
@@ -87,23 +107,25 @@ def run_trials(spec: StrategySpec, config: SearchConfig, n_trials: int,
 
     The 95% confidence half-width uses the normal approximation; a single
     trial gets half-width 0 and batches under 100 trials are flagged
-    LowSample.  workers > 1 fans trials out to processes; the reduction is
-    in trial order either way, so the output is identical to a serial run.
+    LowSample.  workers > 1 runs min(workers, cpu count, n_trials)
+    contiguous chunks in processes; the reduction is in trial order either
+    way, so the output is identical to a serial run.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    tasks = [(spec, config, trial_seed_for(master_seed, i), i)
-             for i in range(n_trials)]
-    if workers <= 1:
-        records = [_trial_task(t) for t in tasks]
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    chunks = min(workers, os.cpu_count() or 1, n_trials)
+    if chunks == 1:
+        taus, tau1s, success = _run_span(spec, config, master_seed, 0, n_trials)
     else:
-        chunk = max(1, n_trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_task, tasks, chunksize=chunk))
+        edges = [n_trials * c // chunks for c in range(chunks + 1)]
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            parts = list(pool.map(_run_span, [spec] * chunks, [config] * chunks,
+                                  [master_seed] * chunks, edges[:-1], edges[1:]))
+        taus, tau1s, success = (np.concatenate(a) for a in zip(*parts))
 
-    taus = np.array([r.tau for r in records], dtype=float)
-    tau1s = np.array([r.tau_stage1 for r in records], dtype=float)
-    errs = np.array([0.0 if r.success else 1.0 for r in records])
+    errs = np.where(success, 0.0, 1.0)
     mean_tau = float(taus.mean())
     if n_trials >= 2:
         hw = Z95 * float(taus.std(ddof=1)) / math.sqrt(n_trials)
@@ -161,10 +183,10 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
             sd = math.sqrt(v)
         x = 1.0 if mask[target] else 0.0
         y = x + rng.normal(0.0, sd)
-        update_log_probs(lp, mask, y, v)
+        top = update_log_probs(lp, mask, y, v)
         u_now = u_log_probs(lp)
         increments[i] = u_now - u_prev
-        if lp.max() >= log_thresh:
+        if top >= log_thresh:
             lp = np.full(m, -math.log(m))
             target = int(rng.integers(m))
             u_prev = u_log_probs(lp)

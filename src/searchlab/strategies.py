@@ -5,11 +5,16 @@ until the stopping rule fires, and report the stopping time tau together
 with whether the final estimate found the target.
 
 Fixed composition, sorted-PM and exhaustive search share one engine,
-`_search`: a probe rule maps the log-posterior to a probed set and its
-noise variance, each observation is folded in by Bayes' rule, and the
-search stops once one cell holds posterior mass 1 - eps.  Two-stage search
+`_search`: a probe rule maps the log-posteriors to probed sets and their
+noise variances, each observation is folded in by Bayes' rule, and a
+search stops once one cell holds posterior mass 1 - eps.  The engine runs
+trials in lockstep: `run_rows` takes one generator per trial, keeps their
+posteriors as the rows of one (rows, size) array, advances every live row
+by one probe per step and retires rows as they cross the threshold.  Each
+row makes the draws, in the same order, and the arithmetic of a trial run
+alone, so `run_strategy` is simply the batch of one.  Two-stage search
 chains two such searches.  The bisection strategies stop level by level
-instead and keep their own loops.
+instead and keep their own per-trial loops.
 
 Strategies
 ----------
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import gaussian_tail_inverse, optimal_composition
+from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
 from .errors import InvalidAlpha, StepLimitExceeded
 from .inference import renormalize_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord, sections_from_alpha
@@ -69,6 +74,19 @@ class StrategySpec:
         return self.kind
 
 
+def _partial_shuffle(size: int, k: int, rng: np.random.Generator) -> list[int]:
+    """The first k entries of a partial Fisher-Yates shuffle of range(size),
+    one scalar draw each; swapped entries are kept in a dict, so the cost is
+    O(k) whatever the size."""
+    moved: dict[int, int] = {}
+    cells = []
+    for i in range(k):
+        j = i + int(rng.integers(size - i))
+        cells.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return cells
+
+
 def random_composition_mask(size: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random k-subset of [0, size) as a boolean mask, drawn by a
     partial Fisher-Yates shuffle (k draws from the stream).  k = size short
@@ -76,33 +94,42 @@ def random_composition_mask(size: int, k: int, rng: np.random.Generator) -> np.n
     mask = np.zeros(size, dtype=bool)
     if k >= size:
         mask[:] = True
-        return mask
-    arr = np.arange(size)
-    for i in range(k):
-        j = i + int(rng.integers(size - i))
-        arr[i], arr[j] = arr[j], arr[i]
-    mask[arr[:k]] = True
+    else:
+        mask[_partial_shuffle(size, k, rng)] = True
     return mask
 
 
-def sorted_pm_mask(probs: np.ndarray) -> tuple[np.ndarray, int]:
+def sorted_pm_mask(probs: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     """Probe mask of the sorted-PM rule.
 
     Sort cells by posterior descending (stable, so ties keep ascending
     index), then probe the shortest prefix whose cumulative mass is closest
-    to 1/2; ties in the distance pick the smaller prefix.
+    to 1/2; ties in the distance pick the smaller prefix.  A (rows, size)
+    array is handled row by row, and k is then an array of prefix lengths.
     """
-    order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
-    k = int(np.argmin(np.abs(csum - 0.5))) + 1
-    mask = np.zeros(probs.size, dtype=bool)
-    mask[order[:k]] = True
+    order = np.argsort(-probs, axis=-1, kind="stable")
+    mask = np.zeros(probs.shape, dtype=bool)
+    if probs.ndim == 1:
+        csum = np.cumsum(probs[order])
+        k = int(np.argmin(np.abs(csum - 0.5))) + 1
+        mask[order[:k]] = True
+        return mask, k
+    rows = np.arange(probs.shape[0])[:, None]
+    csum = np.cumsum(probs[rows, order], axis=1)
+    k = np.argmin(np.abs(csum - 0.5), axis=1) + 1
+    mask[rows, order] = np.arange(probs.shape[1]) < k[:, None]
     return mask, k
+
+
+def _step_limit(label: str, first_trial: int | None = None,
+                row: int = 0) -> StepLimitExceeded:
+    where = "" if first_trial is None else f"trial {first_trial + row}: "
+    return StepLimitExceeded(f"{where}{label} exceeded {STEP_LIMIT} steps")
 
 
 def _check_step_limit(steps: int, label: str):
     if steps >= STEP_LIMIT:
-        raise StepLimitExceeded(f"{label} exceeded {STEP_LIMIT} steps")
+        raise _step_limit(label)
 
 
 def _observe(lp: np.ndarray, mask: np.ndarray, hit: bool, v: float,
@@ -112,56 +139,148 @@ def _observe(lp: np.ndarray, mask: np.ndarray, hit: bool, v: float,
     update_log_probs(lp, mask, y, v)
 
 
-def _search(size: int, probe, target: int, eps: float,
-            rng: np.random.Generator, label: str) -> tuple[int, int, float]:
-    """Probe `size` cells from a uniform prior until one holds posterior
-    mass 1 - eps.  probe(lp, step) -> (mask, variance) is the probe rule.  A
-    target outside [0, size) is never hit (a failed first stage): the search
-    still stops at its threshold, on a wrong cell.  Returns
-    (steps, MAP cell, final max posterior)."""
+def _search(size: int, probe, targets, eps: float, rngs: list, label: str,
+            first_trial: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lockstep search: one row per generator, each probing `size` cells
+    from a uniform prior until one cell holds posterior mass 1 - eps.
+
+    probe(lp, step, gens) -> (masks, variances) is the probe rule over the
+    live rows' log posteriors lp (rows, size); it may draw from each live
+    row's generator before that row's one normal.  A target outside
+    [0, size) is never hit (a failed first stage): that row still stops at
+    its threshold, on a wrong cell.  Rows that cross the threshold retire;
+    each row sees the same draws and arithmetic as if it ran alone.  A lone
+    row (a batch of one, or the last live row of a block) is kept as a 1-D
+    posterior: the same arithmetic, without the per-call cost of 2-D numpy
+    operations on one row.  Returns per-row (steps, MAP cell, final max
+    posterior) arrays."""
+    n = len(rngs)
     log_thresh = math.log1p(-eps)
-    lp = np.full(size, -math.log(size))
-    steps = 0
-    while lp.max() < log_thresh:
-        _check_step_limit(steps, label)
-        mask, v = probe(lp, steps)
-        _observe(lp, mask, 0 <= target < size and mask[target], v, rng)
-        steps += 1
-    idx = int(np.argmax(lp))
-    return steps, idx, float(math.exp(lp[idx]))
+    start = -math.log(size)
+    steps = np.zeros(n, dtype=np.int64)
+    cells = np.zeros(n, dtype=np.int64)
+    top = np.full(n, start)
+    live = np.arange(n if start < log_thresh else 0)
+    lp = np.full((n, size) if n > 1 else size, start)
+    targets = np.asarray(targets, dtype=np.int64)
+    on_grid = (targets >= 0) & (targets < size)
+    hit_cell = np.where(on_grid, targets, 0)
+    gens = list(rngs)
+    step = 0
+    while live.size:
+        if step >= STEP_LIMIT:
+            raise _step_limit(label, first_trial, int(live[0]))
+        masks, v = probe(lp, step, gens)
+        if lp.ndim == 1:
+            hit = masks[hit_cell[0]] and on_grid[0]
+            y = (1.0 if hit else 0.0) + math.sqrt(v) * gens[0].standard_normal()
+        else:
+            hit = masks[np.arange(live.size), hit_cell] & on_grid
+            y = hit + np.sqrt(v) * np.array([g.standard_normal() for g in gens])
+        row_top = update_log_probs(lp, masks, y, v)
+        step += 1
+        done = row_top >= log_thresh
+        if lp.ndim == 1:
+            if done:
+                row = live[0]
+                steps[row], top[row], cells[row] = step, row_top, np.argmax(lp)
+                break
+        elif done.any():
+            ended = live[done]
+            steps[ended] = step
+            top[ended] = row_top[done]
+            cells[ended] = lp[done].argmax(axis=1)
+            keep = ~done
+            live, lp = live[keep], lp[keep]
+            hit_cell, on_grid = hit_cell[keep], on_grid[keep]
+            gens = [g for g, d in zip(gens, done.tolist()) if not d]
+            if live.size == 1:
+                lp = lp[0]
+    # math.exp per row, as a lone trial computes it (np.exp may differ in
+    # the last bit)
+    return steps, cells, np.array([math.exp(t) for t in top.tolist()])
 
 
-def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int,
-                      rng: np.random.Generator):
+def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
     """Non-adaptive rule over `grid` units of cells_per_unit cells each: a
-    uniformly random set of round(q* grid) units, clamped to [1, grid-1]."""
+    uniformly random set of round(q* grid) units, clamped to [1, grid-1].
+    Never probed for grid = 1: one unit is found before any probe."""
     k = 1
     if grid > 1:
         q_star, _ = optimal_composition(config)
         k = min(max(int(round(q_star * grid)), 1), grid - 1)
     v = config.noise_variance(k * cells_per_unit)
-    return lambda lp, step: (random_composition_mask(grid, k, rng), v)
+
+    def probe(lp, step, gens):
+        masks = np.zeros(lp.shape, dtype=bool)
+        # flat indices, so one row (1-D) and a block (2-D) are set alike
+        masks.ravel()[[row * grid + c for row, g in enumerate(gens)
+                       for c in _partial_shuffle(grid, k, g)]] = True
+        return masks, v
+    return probe
 
 
 def _sorted_pm_rule(config: SearchConfig):
     """Adaptive rule: the top cells holding about half the posterior mass."""
-    def probe(lp, step):
-        mask, k = sorted_pm_mask(np.exp(lp))
-        return mask, config.noise_variance(k)
+    variances = np.concatenate(([math.nan], probe_variances(config)))
+
+    def probe(lp, step, gens):
+        masks, k = sorted_pm_mask(np.exp(lp))
+        return masks, variances[k]
     return probe
 
 
 def _round_robin_rule(config: SearchConfig):
     """Single cells in turn: 0, 1, ..., M-1, 0, ..."""
-    cells, v = np.arange(config.M), config.noise_variance(1)
-    return lambda lp, step: (cells == step % config.M, v)
+    v = config.noise_variance(1)
+
+    def probe(lp, step, gens):
+        masks = np.zeros(lp.shape, dtype=bool)
+        masks[..., step % config.M] = True
+        return masks, v
+    return probe
+
+
+# Per-row outcome of a batch: (tau, tau_stage1, success, final_max_prob).
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _one_stage(size: int, probe, eps: float, rngs: list, label: str,
+               first_trial: int | None = None) -> Rows:
+    """Draw each row's target uniformly from [0, size), then search."""
+    targets = np.array([int(g.integers(size)) for g in rngs], dtype=np.int64)
+    steps, cells, pmax = _search(size, probe, targets, eps, rngs, label, first_trial)
+    return steps, np.zeros_like(steps), cells == targets, pmax
+
+
+def _two_stage_rows(config: SearchConfig, s: int, rngs: list,
+                    first_trial: int | None = None) -> Rows:
+    section = config.M // s
+    eps_half = config.epsilon / 2.0
+    targets = np.array([int(g.integers(config.M)) for g in rngs], dtype=np.int64)
+    t1, sec_hat, p1 = _search(s, _composition_rule(config, s, section),
+                              targets // section, eps_half, rngs,
+                              FIXED_COMPOSITION, first_trial)
+    start = sec_hat * section
+    t2, idx, p2 = _search(section, _sorted_pm_rule(config), targets - start,
+                          eps_half, rngs, SORTED_PM, first_trial)
+    # a singleton section takes no stage-2 step; stage 1 holds the final posterior
+    return t1 + t2, t1, start + idx == targets, p2 if section > 1 else p1
 
 
 def _record(label: str, tau: int, cell: int, target: int, max_prob: float,
-            trial_seed: int, tau_stage1: int = 0) -> TrialRecord:
-    return TrialRecord(strategy_id=label, tau=tau, tau_stage1=tau_stage1,
+            trial_seed: int) -> TrialRecord:
+    return TrialRecord(strategy_id=label, tau=tau, tau_stage1=0,
                        success=cell == target, trial_seed=trial_seed,
                        final_max_prob=max_prob)
+
+
+def _row_record(label: str, rows: Rows, trial_seed: int) -> TrialRecord:
+    """TrialRecord of the first (in a batch of one, the only) row."""
+    tau, tau_stage1, success, max_prob = (a[0] for a in rows)
+    return TrialRecord(strategy_id=label, tau=int(tau), tau_stage1=int(tau_stage1),
+                       success=bool(success), trial_seed=trial_seed,
+                       final_max_prob=float(max_prob))
 
 
 def run_fixed_composition(config: SearchConfig, grid: int, eps_stage: float,
@@ -170,10 +289,9 @@ def run_fixed_composition(config: SearchConfig, grid: int, eps_stage: float,
     (grid = M probes single cells).  grid must divide M."""
     if grid < 1 or config.M % grid != 0:
         raise ValueError(f"grid {grid} does not divide M = {config.M}")
-    target = int(rng.integers(grid))
-    rule = _composition_rule(config, grid, config.M // grid, rng)
-    steps, idx, pmax = _search(grid, rule, target, eps_stage, rng, FIXED_COMPOSITION)
-    return _record(FIXED_COMPOSITION, steps, idx, target, pmax, trial_seed)
+    rule = _composition_rule(config, grid, config.M // grid)
+    rows = _one_stage(grid, rule, eps_stage, [rng], FIXED_COMPOSITION)
+    return _row_record(FIXED_COMPOSITION, rows, trial_seed)
 
 
 def run_sorted_pm(config: SearchConfig, window: range, eps_stage: float,
@@ -182,10 +300,15 @@ def run_sorted_pm(config: SearchConfig, window: range, eps_stage: float,
     start, size = window.start, len(window)
     if size < 1 or start < 0 or start + size > config.M or window.step != 1:
         raise ValueError(f"window {window} is not a contiguous block in [0, {config.M})")
-    target = int(rng.integers(size))
-    steps, idx, pmax = _search(size, _sorted_pm_rule(config), target, eps_stage,
-                               rng, SORTED_PM)
-    return _record(SORTED_PM, steps, idx, target, pmax, trial_seed)
+    rows = _one_stage(size, _sorted_pm_rule(config), eps_stage, [rng], SORTED_PM)
+    return _row_record(SORTED_PM, rows, trial_seed)
+
+
+def _sections(config: SearchConfig, alpha: float) -> int:
+    s = sections_from_alpha(alpha)
+    if config.M % s != 0:
+        raise InvalidAlpha(f"1/alpha = {s} does not divide M = {config.M}")
+    return s
 
 
 def run_two_stage(config: SearchConfig, alpha: float, rng: np.random.Generator,
@@ -193,20 +316,9 @@ def run_two_stage(config: SearchConfig, alpha: float, rng: np.random.Generator,
     """Two-stage search: stage 1 runs fixed composition over 1/alpha coarse
     sections at reliability eps/2; stage 2 runs sorted-PM inside the winning
     section, again at eps/2.  alpha must be 1/s with s dividing M, s >= 2."""
-    s = sections_from_alpha(alpha)
-    if config.M % s != 0:
-        raise InvalidAlpha(f"1/alpha = {s} does not divide M = {config.M}")
-    section = config.M // s
-    eps_half = config.epsilon / 2.0
-    target = int(rng.integers(config.M))
-    t1, sec_hat, p1 = _search(s, _composition_rule(config, s, section, rng),
-                              target // section, eps_half, rng, FIXED_COMPOSITION)
-    start = sec_hat * section
-    t2, idx, p2 = _search(section, _sorted_pm_rule(config), target - start,
-                          eps_half, rng, SORTED_PM)
-    # a singleton section takes no stage-2 step; stage 1 holds the final posterior
-    return _record(f"two_stage(alpha=1/{s})", t1 + t2, start + idx, target,
-                   p2 if section > 1 else p1, trial_seed, tau_stage1=t1)
+    s = _sections(config, alpha)
+    return _row_record(f"two_stage(alpha=1/{s})", _two_stage_rows(config, s, [rng]),
+                       trial_seed)
 
 
 def _logsumexp_slice(lp: np.ndarray, lo: int, hi: int) -> float:
@@ -298,23 +410,48 @@ def run_noisy_binary_variable(config: SearchConfig, rng: np.random.Generator,
 def run_exhaustive(config: SearchConfig, rng: np.random.Generator,
                    trial_seed: int = 0) -> TrialRecord:
     """Round-robin single-cell probes until one cell reaches 1 - epsilon."""
-    target = int(rng.integers(config.M))
-    steps, idx, pmax = _search(config.M, _round_robin_rule(config), target,
-                               config.epsilon, rng, EXHAUSTIVE)
-    return _record(EXHAUSTIVE, steps, idx, target, pmax, trial_seed)
+    return run_strategy(StrategySpec(EXHAUSTIVE), config, rng, trial_seed)
+
+
+def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
+             first_trial: int | None = None) -> Rows:
+    """Run one trial per generator at the config's epsilon, all in lockstep
+    (the bisection strategies one after another), and return per-row
+    (tau, tau_stage1, success, final_max_prob) arrays.  Every row's record
+    equals run_strategy on its generator alone.  With first_trial set, a
+    StepLimitExceeded names the lowest row still running as trial
+    first_trial + row."""
+    m, eps = config.M, config.epsilon
+    if spec.kind == FIXED_COMPOSITION:
+        return _one_stage(m, _composition_rule(config, m, 1), eps, rngs,
+                          FIXED_COMPOSITION, first_trial)
+    if spec.kind == SORTED_PM:
+        return _one_stage(m, _sorted_pm_rule(config), eps, rngs, SORTED_PM,
+                          first_trial)
+    if spec.kind == EXHAUSTIVE:
+        return _one_stage(m, _round_robin_rule(config), eps, rngs, EXHAUSTIVE,
+                          first_trial)
+    if spec.kind == TWO_STAGE:
+        return _two_stage_rows(config, _sections(config, spec.alpha), rngs,
+                               first_trial)
+    runner = (run_noisy_binary_fixed if spec.kind == NOISY_BINARY_FIXED
+              else run_noisy_binary_variable)
+    records = []
+    for row, rng in enumerate(rngs):
+        try:
+            records.append(runner(config, rng))
+        except StepLimitExceeded:
+            if first_trial is None:
+                raise
+            raise _step_limit(spec.kind, first_trial, row) from None
+    return (np.array([r.tau for r in records], dtype=np.int64),
+            np.zeros(len(records), dtype=np.int64),
+            np.array([r.success for r in records], dtype=bool),
+            np.array([r.final_max_prob for r in records]))
 
 
 def run_strategy(spec: StrategySpec, config: SearchConfig,
                  rng: np.random.Generator, trial_seed: int = 0) -> TrialRecord:
-    """Run one trial of the given strategy at the config's epsilon."""
-    if spec.kind == FIXED_COMPOSITION:
-        return run_fixed_composition(config, config.M, config.epsilon, rng, trial_seed)
-    if spec.kind == SORTED_PM:
-        return run_sorted_pm(config, range(config.M), config.epsilon, rng, trial_seed)
-    if spec.kind == TWO_STAGE:
-        return run_two_stage(config, spec.alpha, rng, trial_seed)
-    if spec.kind == NOISY_BINARY_FIXED:
-        return run_noisy_binary_fixed(config, rng, trial_seed)
-    if spec.kind == NOISY_BINARY_VARIABLE:
-        return run_noisy_binary_variable(config, rng, trial_seed)
-    return run_exhaustive(config, rng, trial_seed)
+    """Run one trial of the given strategy at the config's epsilon: the
+    batch of one."""
+    return _row_record(spec.label(), run_rows(spec, config, [rng]), trial_seed)

@@ -14,8 +14,10 @@ from searchlab.inference import (
     bayes_update,
     init_uniform,
     map_estimate,
+    renormalize_log_probs,
     u_functional,
     u_log_probs,
+    update_log_probs,
 )
 from searchlab.model import MeasurementVector
 
@@ -105,6 +107,36 @@ class TestBayesUpdate:
         assert abs(out.probs.sum() - 1.0) <= 1e-12
         assert out.log_probs.min() == pytest.approx(LOG_FLOOR_NATS, abs=1e-6)
         assert np.isfinite(u_functional(out))
+
+
+class TestRowUpdates:
+    def test_block_update_matches_row_by_row(self):
+        rng = np.random.default_rng(17)
+        for rows, m in ((1, 1), (3, 2), (40, 16), (25, 128)):
+            lp = rng.normal(0.0, 30.0, (rows, m))
+            lp[rng.random((rows, m)) < 0.2] = -2000.0  # below the floor
+            mask = rng.random((rows, m)) < 0.5
+            y = rng.normal(0.5, 1.0, rows)
+            v = rng.uniform(0.05, 3.0, rows)
+            block = lp.copy()
+            tops = update_log_probs(block, mask, y, v)
+            for r in range(rows):
+                row = lp[r].copy()
+                top = update_log_probs(row, mask[r], float(y[r]), float(v[r]))
+                assert np.array_equal(block[r], row)
+                assert tops[r] == top == row.max()
+
+    def test_one_mask_for_every_row(self):
+        lp = np.log(np.full((4, 8), 1.0 / 8))
+        mask = np.arange(8) == 2
+        update_log_probs(lp, mask, np.full(4, 1.0), 0.25)
+        assert np.all(np.argmax(lp, axis=1) == 2)
+
+    def test_renormalize_returns_new_maximum(self):
+        lp = np.array([[0.5, -3.0, 2.0], [-1.0, -1.0, -1.0]])
+        tops = renormalize_log_probs(lp)
+        np.testing.assert_array_equal(tops, lp.max(axis=1))
+        np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, rtol=1e-15)
 
 
 class TestMapEstimate:

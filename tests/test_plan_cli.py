@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from searchlab.channel import bawgn_capacity
+import searchlab.plan as plan_mod
 from searchlab.cli import main
 from searchlab.errors import InvalidAlpha, ParseError, ValidationError
 from searchlab.model import new_config
@@ -21,7 +22,7 @@ from searchlab.plan import (
     parse_plan,
     run_plan,
 )
-from searchlab.sim import run_trials, trial_seed_for
+from searchlab.sim import MAX_TRIALS, run_trials, trial_seed_for
 from searchlab.strategies import StrategySpec
 
 MINIMAL = """
@@ -301,6 +302,25 @@ class TestRunPlan:
         assert not (tmp_path / "redo.partial").exists()
         assert (tmp_path / "redo_sim.csv").exists()
 
+    def test_failed_write_leaves_no_data_file(self, tmp_path, monkeypatch):
+        format_cell = plan_mod._format_cell
+        calls = []
+
+        def failing_after_one_row(value):
+            calls.append(value)
+            if len(calls) > len(SIM_COLUMNS) + 3:  # inside the second row
+                raise OSError("disk full")
+            return format_cell(value)
+
+        monkeypatch.setattr(plan_mod, "_format_cell", failing_after_one_row)
+        plan = parse_plan(plan_doc(id="cut", n_trials=3, strategies=[
+            {"kind": "sorted_pm"}, {"kind": "exhaustive"}, {"kind": "sorted_pm"}]))
+        with pytest.raises(OSError, match="disk full"):
+            run_plan(plan, tmp_path)
+        # neither a truncated cut_sim.csv nor its temp file is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.partial"]
+        assert "disk full" in (tmp_path / "cut.partial").read_text()
+
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="format"):
             run_plan(parse_plan(MINIMAL), tmp_path, fmt="xml")
@@ -434,6 +454,46 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 3
         assert "panels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
+         "--epsilon", "0.01", "--strategy", "sorted_pm",
+         "--trials", "10000000000"],
+        ["sweep", "--preset", "fig6", "--trials", "10000000000"],
+    ])
+    def test_trial_count_above_cap_exits_two(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "n_trials" in err and "Traceback" not in err
+
+    def test_plan_trial_count_above_cap_exits_two(self, tmp_path, capsys):
+        plan_file = tmp_path / "p.json"
+        plan_file.write_text(plan_doc(strategies=[{"kind": "sorted_pm"}],
+                                      n_trials=MAX_TRIALS + 1))
+        rc = main(["sweep", "--plan", str(plan_file), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "n_trials" in err and "Traceback" not in err
+        assert not (tmp_path / "t.partial").exists()  # refused while parsing
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_flag_exits_two(self, tmp_path, capsys, workers):
+        rc = main(["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
+                   "--epsilon", "0.01", "--strategy", "sorted_pm",
+                   "--trials", "2", "--workers", workers, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "Traceback" not in err
+
+    def test_nonpositive_worker_env_exits_two(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("SEARCHLAB_WORKERS", "0")
+        rc = main(["sweep", "--preset", "fig6", "--trials", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "SEARCHLAB_WORKERS" in err and "Traceback" not in err
 
     def test_bad_worker_env_names_the_variable(self, tmp_path, capsys,
                                                monkeypatch):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import searchlab.sim as sim
 from searchlab.channel import bawgn_capacity, optimal_composition
 from searchlab.model import new_config
 from searchlab.sim import (
+    MAX_TRIALS,
     DriftReport,
     SummaryStats,
     drift_probe,
@@ -74,6 +76,57 @@ class TestRunTrials:
         serial = run_trials(spec, config16, 80, 20260825, workers=1)
         parallel = run_trials(spec, config16, 80, 20260825, workers=4)
         assert serial == parallel
+
+    def test_trial_count_capped_before_any_work(self, config16):
+        with pytest.raises(ValueError, match="n_trials"):
+            run_trials(StrategySpec(SORTED_PM), config16, MAX_TRIALS + 1, 7)
+
+    def test_nonpositive_workers_rejected(self, config16):
+        with pytest.raises(ValueError, match="workers"):
+            run_trials(StrategySpec(SORTED_PM), config16, 10, 7, workers=0)
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_block_size_does_not_change_summary(self, config16, monkeypatch,
+                                                rows):
+        spec = StrategySpec(TWO_STAGE, alpha=0.25)
+        whole = run_trials(spec, config16, 40, 11)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
+        assert run_trials(spec, config16, 40, 11) == whole
+
+    @pytest.mark.parametrize("workers, cpus, n_trials, want", [
+        (64, 3, 80, 3),   # capped by the cpu count
+        (8, 64, 2, 2),    # capped by the trial count
+        (2, 64, 80, 2),
+    ])
+    def test_worker_fan_out_capped(self, config16, monkeypatch, workers, cpus,
+                                   n_trials, want):
+        started = []
+
+        class InlineExecutor:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        spec = StrategySpec(FIXED_COMPOSITION)
+        got = run_trials(spec, config16, n_trials, 5, workers=workers)
+        assert started == [want]
+        assert got == run_trials(spec, config16, n_trials, 5)
+
+    def test_single_worker_starts_no_pool(self, config16, monkeypatch):
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", None)
+        run_trials(StrategySpec(SORTED_PM), config16, 10, 7, workers=1)
 
     def test_mean_matches_recomputation_from_seeds(self, config16):
         spec = StrategySpec(SORTED_PM)

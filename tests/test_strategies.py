@@ -9,7 +9,7 @@ import pytest
 import searchlab.strategies as strat
 from searchlab.errors import InvalidAlpha, StepLimitExceeded
 from searchlab.model import NoiseModel, new_config
-from searchlab.sim import trial_seed_for
+from searchlab.sim import run_trials, trial_seed_for
 from searchlab.strategies import (
     EXHAUSTIVE,
     FIXED_COMPOSITION,
@@ -24,6 +24,7 @@ from searchlab.strategies import (
     run_fixed_composition,
     run_noisy_binary_fixed,
     run_noisy_binary_variable,
+    run_rows,
     run_sorted_pm,
     run_strategy,
     run_two_stage,
@@ -72,6 +73,21 @@ class TestCompositionMask:
         # each cell expected 750 times, binomial sd ~ 24
         assert np.all(np.abs(hits - 750) < 150)
 
+    @pytest.mark.parametrize("size, k", [(2, 1), (16, 1), (16, 2), (16, 15),
+                                         (128, 2), (128, 64), (7, 3)])
+    def test_same_draws_as_in_place_shuffle(self, size, k):
+        # reference: swap entries of arange(size) in place, k draws
+        for seed in range(20):
+            rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            arr = np.arange(size)
+            for i in range(k):
+                j = i + int(rng_ref.integers(size - i))
+                arr[i], arr[j] = arr[j], arr[i]
+            want = np.zeros(size, dtype=bool)
+            want[arr[:k]] = True
+            assert np.array_equal(random_composition_mask(size, k, rng), want)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
 
 class TestSortedPMMask:
     def test_descending_example(self):
@@ -95,6 +111,16 @@ class TestSortedPMMask:
         # prefixes hit 0.25, 0.50, 0.75, 1.00: k=2 is exact
         mask, k = sorted_pm_mask(np.full(4, 0.25))
         assert k == 2
+
+    def test_rows_match_single_posteriors(self):
+        rng = np.random.default_rng(31)
+        for m in (1, 2, 5, 16, 64):
+            probs = rng.dirichlet(np.ones(m), 40)
+            probs[::3, : m // 2] = 1.0 / m  # ties inside rows
+            masks, ks = sorted_pm_mask(probs)
+            for row, mask, k in zip(probs, masks, ks):
+                want_mask, want_k = sorted_pm_mask(row)
+                assert np.array_equal(mask, want_mask) and k == want_k
 
     def test_brute_force_prefix_optimality(self):
         rng = np.random.default_rng(99)
@@ -284,6 +310,24 @@ class TestDispatcherAndLimits:
         with pytest.raises(StepLimitExceeded):
             run_fixed_composition(config16, 16, 1e-4, np.random.default_rng(0))
 
+    def test_lockstep_step_limit_names_lowest_live_trial(self, config16,
+                                                         monkeypatch):
+        spec = StrategySpec(FIXED_COMPOSITION)
+        seeds = [trial_seed_for(1, i) for i in range(12)]
+        taus = [run_strategy(spec, config16, np.random.default_rng(s)).tau
+                for s in seeds]
+        limit = taus[0]  # trials 0 and 1 finish; trial 2 is the lowest live
+        stuck = next(i for i, t in enumerate(taus) if t > limit)
+        assert stuck == 2
+        monkeypatch.setattr(strat, "STEP_LIMIT", limit)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        with pytest.raises(StepLimitExceeded,
+                           match=rf"^trial {100 + stuck}: fixed_composition "
+                                 rf"exceeded {limit} steps$"):
+            run_rows(spec, config16, rngs, first_trial=100)
+        with pytest.raises(StepLimitExceeded, match=rf"^trial {stuck}: "):
+            run_trials(spec, config16, 12, 1)
+
     def test_trial_seed_passthrough(self, config16):
         rec = run_strategy(StrategySpec(SORTED_PM), config16,
                            np.random.default_rng(1), trial_seed=42)
@@ -413,3 +457,51 @@ class TestTrialGolden:
             got.append((rec.tau, rec.tau_stage1, rec.success,
                         float(rec.final_max_prob).hex()))
         assert got == TRIAL_GOLDEN[case, label]
+
+
+# Lockstep blocks against the batch of one: every row of run_rows must be
+# the record run_strategy gives for that row's generator alone.
+LOCKSTEP_CONFIGS = {
+    "M1": new_config(1, 1, 0.25, 1e-4),
+    "M2": new_config(2, 1, 0.25, 1e-4),
+    "M16": new_config(16, 1, 0.25, 1e-4),
+    "M128": new_config(128, 1, 0.25, 1e-4),
+    "M32_power": new_config(32, 1, 0.05, 1e-3, noise=NoiseModel.power(1.5)),
+    "M16_eps0.2": new_config(16, 1, 0.5, 0.2),
+}
+LOCKSTEP_CASES = (
+    [(c, StrategySpec(kind)) for c in LOCKSTEP_CONFIGS
+     for kind in (FIXED_COMPOSITION, SORTED_PM, EXHAUSTIVE)]
+    + [(c, StrategySpec(TWO_STAGE, alpha=alpha))
+       for c, alpha in (("M16", 0.25), ("M16", 1 / 16), ("M32_power", 0.25),
+                        ("M32_power", 1 / 32), ("M16_eps0.2", 0.25),
+                        ("M16_eps0.2", 1 / 16))])
+
+
+class TestLockstepRows:
+    N = 50
+
+    @staticmethod
+    def as_tuples(tau, tau1, success, pmax):
+        return [(int(t), int(t1), bool(ok), float(p).hex())
+                for t, t1, ok, p in zip(tau, tau1, success, pmax)]
+
+    @pytest.mark.parametrize("case, spec", LOCKSTEP_CASES,
+                             ids=[f"{c}-{s.label()}" for c, s in LOCKSTEP_CASES])
+    def test_rows_match_single_trials(self, case, spec):
+        config = LOCKSTEP_CONFIGS[case]
+        seeds = [trial_seed_for(515, i) for i in range(self.N)]
+        got = self.as_tuples(*run_rows(spec, config,
+                                       [np.random.default_rng(s) for s in seeds]))
+        want = []
+        for seed in seeds:
+            rec = run_strategy(spec, config, np.random.default_rng(seed), seed)
+            want.append((rec.tau, rec.tau_stage1, rec.success,
+                         float(rec.final_max_prob).hex()))
+        assert got == want
+
+    def test_loose_epsilon_cases_include_failures(self):
+        config = LOCKSTEP_CONFIGS["M16_eps0.2"]
+        rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(self.N)]
+        _, _, success, _ = run_rows(StrategySpec(FIXED_COMPOSITION), config, rngs)
+        assert 0 < success.sum() < self.N
