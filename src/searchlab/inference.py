@@ -72,10 +72,11 @@ def update_log_probs(lp: np.ndarray, mask: np.ndarray, y,
 
     Adds the log-likelihood ratio (2y-1)/(2v) on probed cells (the common
     unprobed term cancels in normalization), then renormalizes with the
-    floor and returns the new maximum log probability.  For a (rows, M)
-    block, y holds one value per row, variance one per row or one for all,
-    mask is (rows, M) or one M-mask for every row, and the row maxima are
-    returned.  This is the hot path of every strategy loop.
+    floor and returns the new maximum log probability; mask may also be a
+    slice of cells.  For a (rows, M) block, y holds one value per row,
+    variance one per row or one for all, mask is (rows, M) or one M-mask
+    for every row, and the row maxima are returned.  This is the hot path
+    of every strategy loop.
     """
     llr = (2.0 * y - 1.0) / (2.0 * variance)
     if lp.ndim == 1:

@@ -248,18 +248,6 @@ class MeasurementVector:
 
 
 @dataclass(frozen=True)
-class TargetLocation:
-    """Index of the hidden target cell in [0, M)."""
-
-    index: int
-
-
-def sample_target(config: SearchConfig, rng: np.random.Generator) -> TargetLocation:
-    """Draw the target uniformly over the M cells."""
-    return TargetLocation(index=int(rng.integers(config.M)))
-
-
-@dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one complete search trial.
 

@@ -13,8 +13,9 @@ posteriors as the rows of one (rows, size) array, advances every live row
 by one probe per step and retires rows as they cross the threshold.  Each
 row makes the draws, in the same order, and the arithmetic of a trial run
 alone, so `run_strategy` is simply the batch of one.  Two-stage search
-chains two such searches.  The bisection strategies stop level by level
-instead and keep their own per-trial loops.
+chains two such searches.  The two bisection strategies stop level by
+level instead; they share a second lockstep loop, `_bisect`, in which each
+row narrows its own window of the posterior.
 
 Strategies
 ----------
@@ -125,18 +126,6 @@ def _step_limit(label: str, first_trial: int | None = None,
                 row: int = 0) -> StepLimitExceeded:
     where = "" if first_trial is None else f"trial {first_trial + row}: "
     return StepLimitExceeded(f"{where}{label} exceeded {STEP_LIMIT} steps")
-
-
-def _check_step_limit(steps: int, label: str):
-    if steps >= STEP_LIMIT:
-        raise _step_limit(label)
-
-
-def _observe(lp: np.ndarray, mask: np.ndarray, hit: bool, v: float,
-             rng: np.random.Generator):
-    """Draw y = 1{hit} + N(0, v) for the probed mask and fold it into lp."""
-    y = (1.0 if hit else 0.0) + rng.normal(0.0, math.sqrt(v))
-    update_log_probs(lp, mask, y, v)
 
 
 def _search(size: int, probe, targets, eps: float, rngs: list, label: str,
@@ -268,13 +257,6 @@ def _two_stage_rows(config: SearchConfig, s: int, rngs: list,
     return t1 + t2, t1, start + idx == targets, p2 if section > 1 else p1
 
 
-def _record(label: str, tau: int, cell: int, target: int, max_prob: float,
-            trial_seed: int) -> TrialRecord:
-    return TrialRecord(strategy_id=label, tau=tau, tau_stage1=0,
-                       success=cell == target, trial_seed=trial_seed,
-                       final_max_prob=max_prob)
-
-
 def _row_record(label: str, rows: Rows, trial_seed: int) -> TrialRecord:
     """TrialRecord of the first (in a batch of one, the only) row."""
     tau, tau_stage1, success, max_prob = (a[0] for a in rows)
@@ -327,14 +309,187 @@ def _logsumexp_slice(lp: np.ndarray, lo: int, hi: int) -> float:
     return float(m + math.log(np.exp(seg - m).sum()))
 
 
+def _logsumexp_rows(seg: np.ndarray) -> list[float]:
+    """_logsumexp_slice of every slice along the last axis, flattened."""
+    m = seg.max(axis=-1)
+    sums = np.exp(seg - m[..., None]).sum(axis=-1)
+    return [a + math.log(s) for a, s in zip(m.ravel().tolist(), sums.ravel().tolist())]
+
+
+def _half_logsums(lp: np.ndarray, lo: int, hi: int) -> list[float]:
+    """Log posterior mass of the two halves of the window [lo, hi); the
+    first half takes the odd cell."""
+    if (hi - lo) % 2:
+        mid = lo + (hi - lo + 1) // 2
+        return [_logsumexp_slice(lp, lo, mid), _logsumexp_slice(lp, mid, hi)]
+    return _logsumexp_rows(lp[lo:hi].reshape(2, -1))
+
+
 def _halves(lp: np.ndarray, lo: int, hi: int) -> tuple[tuple[int, int], float]:
-    """Split the window [lo, hi) in two (the first half takes the odd cell)
-    and return the half holding more posterior mass, the first on ties,
-    with that half's log share of the window's mass."""
-    mid = lo + (hi - lo + 1) // 2
-    first, second = _logsumexp_slice(lp, lo, mid), _logsumexp_slice(lp, mid, hi)
+    """Split the window [lo, hi) in two and return the half holding more
+    posterior mass, the first on ties, with that half's log share of the
+    window's mass."""
+    first, second = _half_logsums(lp, lo, hi)
     share = max(first, second) - np.logaddexp(first, second)
+    mid = lo + (hi - lo + 1) // 2
     return ((lo, mid) if first >= second else (mid, hi)), share
+
+
+def _block_halves(lp: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_halves of every row of a (rows, size) block on its own window
+    [lo, hi): per-row (half lo, half hi, share) arrays.  Rows are grouped by
+    window length and each half is summed over its own contiguous cells, so
+    every sum is the pairwise sum a lone row computes (a masked full-width
+    sum, or np.add.reduceat, would group the additions differently)."""
+    length = hi - lo
+    first, second = np.empty(lo.size), np.empty(lo.size)
+    starts = lo + lp.shape[1] * np.arange(lo.size)  # in the flattened block
+    for size in set(length.tolist()):
+        rows = (length == size).nonzero()[0]
+        if rows.size == 1:  # cheaper as a lone row
+            row = int(rows[0])
+            first[row], second[row] = _half_logsums(lp[row], int(lo[row]), int(hi[row]))
+            continue
+        win = lp.ravel()[starts[rows][:, None] + np.arange(size)]
+        h = (size + 1) // 2
+        if size % 2:
+            first[rows] = _logsumexp_rows(win[:, :h])
+            second[rows] = _logsumexp_rows(win[:, h:])
+        else:
+            both = _logsumexp_rows(win.reshape(-1, 2, h))
+            first[rows], second[rows] = both[0::2], both[1::2]
+    share = np.maximum(first, second) - np.logaddexp(first, second)
+    mid = lo + (length + 1) // 2
+    take_first = first >= second
+    return np.where(take_first, lo, mid), np.where(take_first, mid, hi), share
+
+
+def _level_llr(hit: bool, v: float, r: int, rng: np.random.Generator) -> float:
+    """Summed log-likelihood ratio of r observations 1{hit} + N(0, v)."""
+    ys = (1.0 if hit else 0.0) + rng.normal(0.0, math.sqrt(v), size=r)
+    return float(((2.0 * ys - 1.0) / (2.0 * v)).sum())
+
+
+def _repeats(v: float, z: float | None) -> int:
+    """Observations per level: 1 for sequential levels, else
+    max(1, ceil(4 v z^2))."""
+    return 1 if z is None else max(1, math.ceil(4.0 * v * z * z))
+
+
+def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
+            first_trial: int | None) -> Rows:
+    """Lockstep bisection: one row per generator, each narrowing a window
+    [lo, hi) of its posterior from [0, M) to one cell, then reporting the
+    MAP cell.  A level probes the half of the window that holds more mass
+    when the level starts (_halves) and ends by moving the window into the
+    half that holds more mass then.
+
+    z None, sequential levels: an iteration is one observation per live
+    row, and a row's level ends once its favoured half holds a share
+    >= 1 - epsilon/log2(M) of the window's mass.  z set, fixed levels: an
+    iteration is a whole level of r = max(1, ceil(4 v z^2)) observations
+    per row, folded into one update.  Each row makes the draws and the
+    arithmetic of a trial run alone.  A lone row (a batch of one, or the
+    last live row of a block) keeps a 1-D posterior, as in _search, and its
+    level as Python scalars."""
+    m, n = config.M, len(rngs)
+    steps = np.zeros(n, dtype=np.int64)
+    if m == 1:  # found before any probe or draw
+        return steps, steps.copy(), np.ones(n, dtype=bool), np.ones(n)
+    log_thresh = (math.log1p(-min(config.epsilon / math.log2(m), 0.5))
+                  if z is None else -math.inf)
+    targets = np.array([int(g.integers(m)) for g in rngs], dtype=np.int64)
+    cells, top = np.zeros(n, dtype=np.int64), np.zeros(n)
+    # on the uniform prior the first half, which takes the odd cell, holds
+    # at least as much mass as the second: every row probes it first
+    half = (m + 1) // 2
+    v = config.noise_variance(half)
+    # per live row: window, probed half, its repetitions and variance,
+    # observations taken, target and generator (one allocation for the
+    # integer state keeps a batch of one cheap)
+    state = np.array([[0], [m], [0], [half], [_repeats(v, z)]]).repeat(n, 1)
+    lo, hi, p_lo, p_hi, reps = state
+    var = np.full(n, v)
+    taken, tgt, live, gens = steps.copy(), targets, np.arange(n), list(rngs)
+    lp = np.full((n, m) if n > 1 else m, -math.log(m))
+    cols = np.arange(m)
+    lone = None  # the lone row's probed half, v, r, window and hit
+    step = 0
+    while live.size:
+        if z is None:
+            if step >= STEP_LIMIT:
+                raise _step_limit(label, first_trial, int(live[0]))
+        elif (taken[0] if lp.ndim == 1 else taken.max()) >= STEP_LIMIT:
+            over = np.argmax(taken >= STEP_LIMIT)
+            raise _step_limit(label, first_trial, int(live[over]))
+        step += 1
+        if lp.ndim == 1:
+            if lone is None:
+                a, b = int(p_lo[0]), int(p_hi[0])
+                lone = (a, b, float(var[0]), int(reps[0]), int(lo[0]), int(hi[0]),
+                        bool(a <= tgt[0] < b))
+            a, b, v, r, w_lo, w_hi, hit = lone
+            if z is None:
+                y = (1.0 if hit else 0.0) + math.sqrt(v) * gens[0].standard_normal()
+                update_log_probs(lp, slice(a, b), y, v)
+            else:
+                lp[a:b] += _level_llr(hit, v, r, gens[0])
+                renormalize_log_probs(lp)
+                taken += r
+            (w_lo, w_hi), share = _halves(lp, w_lo, w_hi)
+            if share < log_thresh:
+                continue
+            if w_hi - w_lo > 1:  # the next level
+                (a, b), _ = _halves(lp, w_lo, w_hi)
+                v = config.noise_variance(b - a)
+                lone = (a, b, v, _repeats(v, z), w_lo, w_hi, bool(a <= tgt[0] < b))
+                continue
+            row = live[0]
+            steps[row] = step if z is None else taken[0]
+            cells[row] = np.argmax(lp)
+            top[row] = lp[cells[row]]
+            break
+        hit = (p_lo <= tgt) & (tgt < p_hi)
+        masks = (cols >= p_lo[:, None]) & (cols < p_hi[:, None])
+        if z is None:
+            y = hit + np.sqrt(var) * np.array([g.standard_normal() for g in gens])
+            update_log_probs(lp, masks, y, var)
+        else:
+            llr = np.array([_level_llr(*args) for args in
+                            zip(hit.tolist(), var.tolist(), reps.tolist(), gens)])
+            np.add(lp, llr[:, None], out=lp, where=masks)
+            renormalize_log_probs(lp)
+            taken += reps
+        h_lo, h_hi, share = _block_halves(lp, lo, hi)
+        ends = share >= log_thresh
+        if not ends.any():
+            continue
+        lo, hi = np.where(ends, h_lo, lo), np.where(ends, h_hi, hi)
+        done = hi - lo == 1
+        moved = (ends & ~done).nonzero()[0]
+        if moved.size:  # these rows start a level: pick its probed half
+            p_lo[moved], p_hi[moved], _ = _block_halves(lp[moved], lo[moved],
+                                                        hi[moved])
+            var[moved] = [config.noise_variance(k)
+                          for k in (p_hi[moved] - p_lo[moved]).tolist()]
+            reps[moved] = [_repeats(v, z) for v in var[moved].tolist()]
+        if done.any():
+            ended = live[done]
+            steps[ended] = step if z is None else taken[done]
+            finished = lp[done]
+            cells[ended] = best = finished.argmax(axis=1)
+            top[ended] = finished[np.arange(best.size), best]
+            keep = ~done
+            live, lp, tgt, taken = live[keep], lp[keep], tgt[keep], taken[keep]
+            lo, hi, p_lo, p_hi = lo[keep], hi[keep], p_lo[keep], p_hi[keep]
+            var, reps = var[keep], reps[keep]
+            gens = [g for g, d in zip(gens, done.tolist()) if not d]
+            if live.size == 1:
+                lp = lp[0]
+    # math.exp per row, as in _search
+    return (steps, np.zeros_like(steps), cells == targets,
+            np.array([math.exp(t) for t in top.tolist()]))
 
 
 def run_noisy_binary_fixed(config: SearchConfig, rng: np.random.Generator,
@@ -347,29 +502,7 @@ def run_noisy_binary_fixed(config: SearchConfig, rng: np.random.Generator,
     probability at most epsilon / log2 M.  The r observations are folded
     into one posterior update.  Recurses into the higher-posterior half.
     """
-    m = config.M
-    if m == 1:
-        return _record(NOISY_BINARY_FIXED, 0, 0, 0, 1.0, trial_seed)
-    z = max(0.0, gaussian_tail_inverse(config.epsilon / math.log2(m)))
-    target = int(rng.integers(m))
-    lp = np.full(m, -math.log(m))
-    lo, hi = 0, m
-    steps = 0
-    while hi - lo > 1:
-        _check_step_limit(steps, NOISY_BINARY_FIXED)
-        (p_lo, p_hi), _ = _halves(lp, lo, hi)
-        v = config.noise_variance(p_hi - p_lo)
-        r = max(1, math.ceil(4.0 * v * z * z))
-        x = 1.0 if p_lo <= target < p_hi else 0.0
-        ys = x + rng.normal(0.0, math.sqrt(v), size=r)
-        # r log-likelihood ratios collapse into one additive update
-        lp[p_lo:p_hi] += float(np.sum((2.0 * ys - 1.0) / (2.0 * v)))
-        renormalize_log_probs(lp)
-        steps += r
-        (lo, hi), _ = _halves(lp, lo, hi)
-    idx = int(np.argmax(lp))
-    return _record(NOISY_BINARY_FIXED, steps, idx, target, math.exp(lp[idx]),
-                   trial_seed)
+    return run_strategy(StrategySpec(NOISY_BINARY_FIXED), config, rng, trial_seed)
 
 
 def run_noisy_binary_variable(config: SearchConfig, rng: np.random.Generator,
@@ -381,30 +514,7 @@ def run_noisy_binary_variable(config: SearchConfig, rng: np.random.Generator,
     >= 1 - epsilon/log2(M) of the posterior mass within the window; the
     search then recurses into that half.
     """
-    m = config.M
-    if m == 1:
-        return _record(NOISY_BINARY_VARIABLE, 0, 0, 0, 1.0, trial_seed)
-    eps_level = config.epsilon / math.log2(m)
-    log_thresh = math.log1p(-min(eps_level, 0.5))
-    target = int(rng.integers(m))
-    lp = np.full(m, -math.log(m))
-    steps = 0
-    lo, hi = 0, m
-    while hi - lo > 1:
-        (p_lo, p_hi), _ = _halves(lp, lo, hi)
-        v = config.noise_variance(p_hi - p_lo)
-        mask = np.zeros(m, dtype=bool)
-        mask[p_lo:p_hi] = True
-        share = -math.inf
-        while share < log_thresh:
-            _check_step_limit(steps, NOISY_BINARY_VARIABLE)
-            _observe(lp, mask, p_lo <= target < p_hi, v, rng)
-            steps += 1
-            half, share = _halves(lp, lo, hi)
-        lo, hi = half
-    idx = int(np.argmax(lp))
-    return _record(NOISY_BINARY_VARIABLE, steps, idx, target, math.exp(lp[idx]),
-                   trial_seed)
+    return run_strategy(StrategySpec(NOISY_BINARY_VARIABLE), config, rng, trial_seed)
 
 
 def run_exhaustive(config: SearchConfig, rng: np.random.Generator,
@@ -415,12 +525,11 @@ def run_exhaustive(config: SearchConfig, rng: np.random.Generator,
 
 def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
              first_trial: int | None = None) -> Rows:
-    """Run one trial per generator at the config's epsilon, all in lockstep
-    (the bisection strategies one after another), and return per-row
-    (tau, tau_stage1, success, final_max_prob) arrays.  Every row's record
-    equals run_strategy on its generator alone.  With first_trial set, a
-    StepLimitExceeded names the lowest row still running as trial
-    first_trial + row."""
+    """Run one trial per generator at the config's epsilon, all in lockstep,
+    and return per-row (tau, tau_stage1, success, final_max_prob) arrays.
+    Every row's record equals run_strategy on its generator alone.  With
+    first_trial set, a StepLimitExceeded names the lowest row that reached
+    the limit as trial first_trial + row."""
     m, eps = config.M, config.epsilon
     if spec.kind == FIXED_COMPOSITION:
         return _one_stage(m, _composition_rule(config, m, 1), eps, rngs,
@@ -434,20 +543,10 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
     if spec.kind == TWO_STAGE:
         return _two_stage_rows(config, _sections(config, spec.alpha), rngs,
                                first_trial)
-    runner = (run_noisy_binary_fixed if spec.kind == NOISY_BINARY_FIXED
-              else run_noisy_binary_variable)
-    records = []
-    for row, rng in enumerate(rngs):
-        try:
-            records.append(runner(config, rng))
-        except StepLimitExceeded:
-            if first_trial is None:
-                raise
-            raise _step_limit(spec.kind, first_trial, row) from None
-    return (np.array([r.tau for r in records], dtype=np.int64),
-            np.zeros(len(records), dtype=np.int64),
-            np.array([r.success for r in records], dtype=bool),
-            np.array([r.final_max_prob for r in records]))
+    z = None
+    if spec.kind == NOISY_BINARY_FIXED and m > 1:
+        z = max(0.0, gaussian_tail_inverse(eps / math.log2(m)))
+    return _bisect(config, rngs, z, spec.kind, first_trial)
 
 
 def run_strategy(spec: StrategySpec, config: SearchConfig,

@@ -1,6 +1,5 @@
 """Configuration, noise models, and record types."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +19,6 @@ from searchlab.model import (
     SearchConfig,
     TrialRecord,
     new_config,
-    sample_target,
     sections_from_alpha,
 )
 
@@ -186,14 +184,6 @@ class TestMeasurementVector:
 
 
 class TestRecords:
-    def test_sample_target_is_uniform_over_cells(self, config16):
-        rng = np.random.default_rng(7)
-        draws = np.array([sample_target(config16, rng).index for _ in range(4000)])
-        assert draws.min() >= 0 and draws.max() < 16
-        counts = np.bincount(draws, minlength=16)
-        # each cell expects 250 hits; 6 sigma of binomial noise is ~92
-        assert np.all(np.abs(counts - 250) < 100)
-
     def test_trial_record_stage_accounting(self):
         rec = TrialRecord("x", tau=10, tau_stage1=4, success=True, trial_seed=1)
         assert rec.tau_stage1 <= rec.tau

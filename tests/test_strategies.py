@@ -328,6 +328,26 @@ class TestDispatcherAndLimits:
         with pytest.raises(StepLimitExceeded, match=rf"^trial {stuck}: "):
             run_trials(spec, config16, 12, 1)
 
+    @pytest.mark.parametrize("kind", [NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE])
+    def test_lockstep_bisection_step_limit_names_lowest_live_trial(self, kind,
+                                                                   monkeypatch):
+        config = GOLDEN_CONFIGS["M12_power"]
+        spec = StrategySpec(kind)
+        seeds = [trial_seed_for(5, i) for i in range(12)]
+        taus = [run_strategy(spec, config, np.random.default_rng(s)).tau
+                for s in seeds]
+        limit = taus[0]  # trials 0 and 1 finish; trial 2 is the lowest live
+        stuck = next(i for i, t in enumerate(taus) if t > limit)
+        assert stuck == 2
+        monkeypatch.setattr(strat, "STEP_LIMIT", limit)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        with pytest.raises(StepLimitExceeded,
+                           match=rf"^trial {100 + stuck}: {kind} "
+                                 rf"exceeded {limit} steps$"):
+            run_rows(spec, config, rngs, first_trial=100)
+        with pytest.raises(StepLimitExceeded, match=rf"^trial {stuck}: {kind} "):
+            run_trials(spec, config, 12, 5)
+
     def test_trial_seed_passthrough(self, config16):
         rec = run_strategy(StrategySpec(SORTED_PM), config16,
                            np.random.default_rng(1), trial_seed=42)
@@ -342,6 +362,8 @@ GOLDEN_CONFIGS = {
     "M1": new_config(1, 1, 0.25, 1e-4),
     "M16": new_config(16, 1, 0.25, 1e-4),
     "M32_power": new_config(32, 1, 0.05, 0.2, noise=NoiseModel.power(1.5)),
+    # not a power of two: windows of one level differ in length across trials
+    "M12_power": new_config(12, 1, 0.5, 0.2, noise=NoiseModel.power(0.5)),
 }
 GOLDEN_SPECS = {spec.label(): spec for spec in
                 [StrategySpec(kind) for kind in KINDS if kind != TWO_STAGE]
@@ -440,6 +462,22 @@ TRIAL_GOLDEN = {
         (31, 29, True, "0x1.e941c1699c7b1p-1"),
         (27, 25, True, "0x1.fb3c147eaac9cp-1"),
     ],
+    # recorded from the per-trial bisection loops before they joined the
+    # lockstep engine
+    ("M12_power", "noisy_binary_fixed"): [
+        (36, 0, True, "0x1.d1d749f47c2d1p-2"),
+        (36, 0, True, "0x1.fd8cf7712fb45p-1"),
+        (36, 0, True, "0x1.bffa0f96adc91p-1"),
+        (36, 0, False, "0x1.d2c2821b02d5bp-1"),
+        (30, 0, True, "0x1.f8d08c1189828p-1"),
+    ],
+    ("M12_power", "noisy_binary_variable"): [
+        (8, 0, True, "0x1.ac06a46323acap-1"),
+        (24, 0, True, "0x1.ed93e08303e69p-1"),
+        (32, 0, True, "0x1.de5a77129c7c4p-1"),
+        (34, 0, False, "0x1.bb5de3a038aecp-1"),
+        (13, 0, True, "0x1.e5aeaded499c1p-1"),
+    ],
 }
 
 
@@ -468,10 +506,12 @@ LOCKSTEP_CONFIGS = {
     "M128": new_config(128, 1, 0.25, 1e-4),
     "M32_power": new_config(32, 1, 0.05, 1e-3, noise=NoiseModel.power(1.5)),
     "M16_eps0.2": new_config(16, 1, 0.5, 0.2),
+    # rows of one bisection level hold windows of different lengths
+    "M12_power": GOLDEN_CONFIGS["M12_power"],
 }
 LOCKSTEP_CASES = (
     [(c, StrategySpec(kind)) for c in LOCKSTEP_CONFIGS
-     for kind in (FIXED_COMPOSITION, SORTED_PM, EXHAUSTIVE)]
+     for kind in KINDS if kind != TWO_STAGE]
     + [(c, StrategySpec(TWO_STAGE, alpha=alpha))
        for c, alpha in (("M16", 0.25), ("M16", 1 / 16), ("M32_power", 0.25),
                         ("M32_power", 1 / 32), ("M16_eps0.2", 0.25),
@@ -505,3 +545,12 @@ class TestLockstepRows:
         rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(self.N)]
         _, _, success, _ = run_rows(StrategySpec(FIXED_COMPOSITION), config, rngs)
         assert 0 < success.sum() < self.N
+
+    @pytest.mark.parametrize("kind", [NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE])
+    def test_unequal_window_case_includes_failures(self, kind):
+        config = LOCKSTEP_CONFIGS["M12_power"]
+        rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(self.N)]
+        tau, _, success, _ = run_rows(StrategySpec(kind), config, rngs)
+        assert 0 < success.sum() < self.N
+        # rows took different paths through windows of unequal length
+        assert len(set(tau.tolist())) > 1
