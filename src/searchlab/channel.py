@@ -48,11 +48,6 @@ def log_gaussian_pdf(y, mean: float, variance: float):
     return out if out.ndim else float(out)
 
 
-def sample_observation(x: float, variance: float, rng: np.random.Generator) -> float:
-    """One channel output Y = x + N(0, variance)."""
-    return float(x + rng.normal(0.0, math.sqrt(variance)))
-
-
 def gaussian_tail(x: float) -> float:
     """Q(x) = P(N(0,1) > x)."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
@@ -137,20 +132,6 @@ def bawgn_capacity(q: float, variance: float, tol: float = CAPACITY_TOL,
                             _initial_panels(lo, hi, s), max_panels)
     c = h_y - 0.5 * math.log2(2.0 * math.pi * math.e * variance)
     return min(max(c, 0.0), binary_entropy(q))
-
-
-@dataclass(frozen=True)
-class CapacityResult:
-    """One capacity evaluation: composition, observation variance, rate."""
-
-    q: float
-    variance: float
-    capacity_bits: float
-
-
-def capacity_point(q: float, variance: float) -> CapacityResult:
-    return CapacityResult(q=q, variance=variance,
-                          capacity_bits=bawgn_capacity(q, variance))
 
 
 @lru_cache(maxsize=512)

@@ -103,13 +103,6 @@ def bayes_update(rho: Posterior, probed, y: float, variance: float) -> Posterior
     return Posterior(log_probs=lp)
 
 
-def map_estimate(rho: Posterior) -> tuple[int, float]:
-    """(cell index, posterior probability) of the maximum-probability cell.
-    Ties resolve to the smallest index."""
-    idx = int(np.argmax(rho.log_probs))
-    return idx, float(math.exp(rho.log_probs[idx]))
-
-
 def u_log_probs(lp: np.ndarray) -> float:
     """U = sum_i rho_i log2(rho_i / (1 - rho_i)) from log probabilities.
 
@@ -129,8 +122,3 @@ def u_log_probs(lp: np.ndarray) -> float:
     log1m[idx] = mx + math.log(np.exp(others - mx).sum())
     rho = np.exp(lp)
     return float(np.dot(rho, lp - log1m) / LN2)
-
-
-def u_functional(rho: Posterior) -> float:
-    """U functional of a posterior, in bits."""
-    return u_log_probs(rho.log_probs)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
 from .errors import InvalidAlpha, StepLimitExceeded
-from .inference import renormalize_log_probs, update_log_probs
+from .inference import LOG_FLOOR_NATS, renormalize_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
@@ -335,23 +335,27 @@ def _halves(lp: np.ndarray, lo: int, hi: int) -> tuple[tuple[int, int], float]:
     return ((lo, mid) if first >= second else (mid, hi)), share
 
 
-def _block_halves(lp: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block_halves(lp: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """_halves of every row of a (rows, size) block on its own window
-    [lo, hi): per-row (half lo, half hi, share) arrays.  Rows are grouped by
-    window length and each half is summed over its own contiguous cells, so
-    every sum is the pairwise sum a lone row computes (a masked full-width
-    sum, or np.add.reduceat, would group the additions differently)."""
+    [lo, hi): per-row (half lo, half hi, share, d, low) arrays, where d is
+    the first half's log mass minus the second's and low the window's
+    smallest entry.  Rows are grouped by window length and each half is
+    summed over its own contiguous cells, so every sum is the pairwise sum a
+    lone row computes (a masked full-width sum, or np.add.reduceat, would
+    group the additions differently)."""
     length = hi - lo
-    first, second = np.empty(lo.size), np.empty(lo.size)
+    first, second, low = np.empty(lo.size), np.empty(lo.size), np.empty(lo.size)
     starts = lo + lp.shape[1] * np.arange(lo.size)  # in the flattened block
     for size in set(length.tolist()):
         rows = (length == size).nonzero()[0]
         if rows.size == 1:  # cheaper as a lone row
-            row = int(rows[0])
-            first[row], second[row] = _half_logsums(lp[row], int(lo[row]), int(hi[row]))
+            row, a, b = int(rows[0]), int(lo[rows[0]]), int(hi[rows[0]])
+            first[row], second[row] = _half_logsums(lp[row], a, b)
+            low[row] = lp[row, a:b].min()
             continue
         win = lp.ravel()[starts[rows][:, None] + np.arange(size)]
+        low[rows] = win.min(axis=1)
         h = (size + 1) // 2
         if size % 2:
             first[rows] = _logsumexp_rows(win[:, :h])
@@ -362,7 +366,49 @@ def _block_halves(lp: np.ndarray, lo: np.ndarray,
     share = np.maximum(first, second) - np.logaddexp(first, second)
     mid = lo + (length + 1) // 2
     take_first = first >= second
-    return np.where(take_first, lo, mid), np.where(take_first, mid, hi), share
+    return (np.where(take_first, lo, mid), np.where(take_first, mid, hi), share,
+            first - second, low)
+
+
+# Slack per iteration of a tracked half-mass log ratio d (see _level_ends).
+# Entries satisfy |lp| <= 1000 + ln M while no clamp at LOG_FLOOR_NATS
+# occurs, so an iteration rounds each cell about three times (add the llr,
+# subtract the row maximum, add the log normalizer), each by <= 1.2e-13.  A
+# half's log mass moves by at most its cells' largest error, so d drifts
+# from the exact difference by <= 2 * 3.6e-13 + 1.2e-13 (its own += llr)
+# per iteration; the exact sums and share formula add <= 1e-12 once.  After
+# n >= 1 iterations that is under 2e-12 n, 50 times below MARGIN n.
+MARGIN = 1e-10
+
+
+def _level_ends(lp: np.ndarray, top: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                d: np.ndarray, n: np.ndarray, gap: np.ndarray,
+                log_thresh: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (ends, first): whether each row's favoured half holds a share
+    >= log_thresh of its window [lo, hi), and whether that half is the
+    first, exactly as _block_halves decides them.
+
+    d is the row's first-minus-second half log mass, kept by d += +-llr for
+    the n iterations since exact sums last anchored it, and gap a lower
+    bound on its window's smallest entry minus the row maximum top.  The
+    share -log1p(exp(-|d|)) decides a row unless the exact one could differ:
+    it lies within MARGIN n of log_thresh, |d| <= MARGIN n (a near tie), or
+    gap <= LOG_FLOOR_NATS + MARGIN n, where a window cell may have been
+    clamped, which breaks d += llr.  Those rows get exact sums, and their d,
+    n and gap are re-anchored in place."""
+    abs_d = np.abs(d)
+    share = -np.logaddexp(0.0, -abs_d)
+    ends, first = share >= log_thresh, d >= 0
+    # distances of the share to the threshold, of d to a tie and of the gap
+    # to the floor: the tracked decision stands while all exceed the slack
+    near = np.minimum(np.minimum(np.abs(share - log_thresh), abs_d),
+                      gap - LOG_FLOOR_NATS)
+    exact = (near <= MARGIN * n).nonzero()[0]
+    if exact.size:
+        h_lo, _, share, d[exact], low = _block_halves(lp[exact], lo[exact], hi[exact])
+        ends[exact], first[exact] = share >= log_thresh, h_lo == lo[exact]
+        n[exact], gap[exact] = 0, low - top[exact]
+    return ends, first
 
 
 def _level_llr(hit: bool, v: float, r: int, rng: np.random.Generator) -> float:
@@ -389,10 +435,16 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
     row, and a row's level ends once its favoured half holds a share
     >= 1 - epsilon/log2(M) of the window's mass.  z set, fixed levels: an
     iteration is a whole level of r = max(1, ceil(4 v z^2)) observations
-    per row, folded into one update.  Each row makes the draws and the
-    arithmetic of a trial run alone.  A lone row (a batch of one, or the
-    last live row of a block) keeps a 1-D posterior, as in _search, and its
-    level as Python scalars."""
+    per row, folded into one update (its threshold is -inf, so every level
+    ends).  Each row makes the draws and the arithmetic of a trial run
+    alone.  In a block, a row does not re-sum its window's halves after
+    every iteration: it keeps their log ratio d, exact when its level
+    starts, and adds to it the llr its probed half receives; _level_ends
+    falls back to exact sums only where the rounding that d gathers
+    (MARGIN per iteration bounds it) or a clamp at the posterior floor
+    could change the decision.  A lone row (a batch of one, or the last
+    live row of a block) keeps a 1-D posterior, as in _search, keeps its
+    level as Python scalars and sums its halves exactly every time."""
     m, n = config.M, len(rngs)
     steps = np.zeros(n, dtype=np.int64)
     if m == 1:  # found before any probe or draw
@@ -401,18 +453,28 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
                   if z is None else -math.inf)
     targets = np.array([int(g.integers(m)) for g in rngs], dtype=np.int64)
     cells, top = np.zeros(n, dtype=np.int64), np.zeros(n)
+    lp = np.full((n, m) if n > 1 else m, -math.log(m))
     # on the uniform prior the first half, which takes the odd cell, holds
     # at least as much mass as the second: every row probes it first
     half = (m + 1) // 2
     v = config.noise_variance(half)
-    # per live row: window, probed half, its repetitions and variance,
-    # observations taken, target and generator (one allocation for the
-    # integer state keeps a batch of one cheap)
-    state = np.array([[0], [m], [0], [half], [_repeats(v, z)]]).repeat(n, 1)
-    lo, hi, p_lo, p_hi, reps = state
-    var = np.full(n, v)
-    taken, tgt, live, gens = steps.copy(), targets, np.arange(n), list(rngs)
-    lp = np.full((n, m) if n > 1 else m, -math.log(m))
+    first, second = _half_logsums(lp if n == 1 else lp[0], 0, m)
+    # per live row, one allocation each for the integer and the float state
+    # (a batch of one stays cheap, and retiring rows takes one index each):
+    # window, probed half, its repetitions, observations taken, target,
+    # whether the probed half holds it, iterations since d was anchored;
+    # the probed half's v, sqrt(v) and 2v, d, the sign with which the
+    # probed half's llr enters d, and the floor gap (see _level_ends)
+    ints = np.array([[0], [m], [0], [half], [_repeats(v, z)], [0], [0], [0],
+                     [0]]).repeat(n, 1)
+    ints[6], ints[7] = targets, targets < half
+    flts = np.array([[v], [math.sqrt(v)], [2.0 * v], [first - second], [1.0],
+                     [0.0]]).repeat(n, 1)
+    lo, hi, p_lo, p_hi, reps, taken, tgt, hit, since = ints
+    var, sd, two_v, d, sgn, gap = flts
+    masks = np.zeros(lp.shape, dtype=bool)
+    masks[..., :half] = True
+    live, gens = np.arange(n), list(rngs)
     cols = np.arange(m)
     lone = None  # the lone row's probed half, v, r, window and hit
     step = 0
@@ -428,13 +490,13 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
             if lone is None:
                 a, b = int(p_lo[0]), int(p_hi[0])
                 lone = (a, b, float(var[0]), int(reps[0]), int(lo[0]), int(hi[0]),
-                        bool(a <= tgt[0] < b))
-            a, b, v, r, w_lo, w_hi, hit = lone
+                        bool(hit[0]))
+            a, b, v, r, w_lo, w_hi, is_hit = lone
             if z is None:
-                y = (1.0 if hit else 0.0) + math.sqrt(v) * gens[0].standard_normal()
+                y = (1.0 if is_hit else 0.0) + math.sqrt(v) * gens[0].standard_normal()
                 update_log_probs(lp, slice(a, b), y, v)
             else:
-                lp[a:b] += _level_llr(hit, v, r, gens[0])
+                lp[a:b] += _level_llr(is_hit, v, r, gens[0])
                 renormalize_log_probs(lp)
                 taken += r
             (w_lo, w_hi), share = _halves(lp, w_lo, w_hi)
@@ -450,30 +512,38 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
             cells[row] = np.argmax(lp)
             top[row] = lp[cells[row]]
             break
-        hit = (p_lo <= tgt) & (tgt < p_hi)
-        masks = (cols >= p_lo[:, None]) & (cols < p_hi[:, None])
         if z is None:
-            y = hit + np.sqrt(var) * np.array([g.standard_normal() for g in gens])
-            update_log_probs(lp, masks, y, var)
+            y = hit + sd * np.array([g.standard_normal() for g in gens])
+            row_top = update_log_probs(lp, masks, y, var)
+            llr = (2.0 * y - 1.0) / two_v  # what the update added
         else:
             llr = np.array([_level_llr(*args) for args in
                             zip(hit.tolist(), var.tolist(), reps.tolist(), gens)])
             np.add(lp, llr[:, None], out=lp, where=masks)
-            renormalize_log_probs(lp)
+            row_top = renormalize_log_probs(lp)
             taken += reps
-        h_lo, h_hi, share = _block_halves(lp, lo, hi)
-        ends = share >= log_thresh
+        d += sgn * llr
+        gap -= np.abs(llr)
+        since += 1
+        ends, to_first = _level_ends(lp, row_top, lo, hi, d, since, gap, log_thresh)
         if not ends.any():
             continue
-        lo, hi = np.where(ends, h_lo, lo), np.where(ends, h_hi, hi)
+        mid = lo + (hi - lo + 1) // 2
+        np.copyto(lo, mid, where=ends & ~to_first)
+        np.copyto(hi, mid, where=ends & to_first)
         done = hi - lo == 1
         moved = (ends & ~done).nonzero()[0]
         if moved.size:  # these rows start a level: pick its probed half
-            p_lo[moved], p_hi[moved], _ = _block_halves(lp[moved], lo[moved],
-                                                        hi[moved])
-            var[moved] = [config.noise_variance(k)
-                          for k in (p_hi[moved] - p_lo[moved]).tolist()]
+            w_lo = lo[moved]
+            a, b, _, d[moved], low = _block_halves(lp[moved], w_lo, hi[moved])
+            p_lo[moved], p_hi[moved] = a, b
+            sgn[moved] = np.where(a == w_lo, 1.0, -1.0)
+            since[moved], gap[moved] = 0, low - row_top[moved]
+            var[moved] = [config.noise_variance(k) for k in (b - a).tolist()]
+            sd[moved], two_v[moved] = np.sqrt(var[moved]), 2.0 * var[moved]
             reps[moved] = [_repeats(v, z) for v in var[moved].tolist()]
+            hit[moved] = (a <= tgt[moved]) & (tgt[moved] < b)
+            masks[moved] = (cols >= a[:, None]) & (cols < b[:, None])
         if done.any():
             ended = live[done]
             steps[ended] = step if z is None else taken[done]
@@ -481,10 +551,11 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
             cells[ended] = best = finished.argmax(axis=1)
             top[ended] = finished[np.arange(best.size), best]
             keep = ~done
-            live, lp, tgt, taken = live[keep], lp[keep], tgt[keep], taken[keep]
-            lo, hi, p_lo, p_hi = lo[keep], hi[keep], p_lo[keep], p_hi[keep]
-            var, reps = var[keep], reps[keep]
-            gens = [g for g, d in zip(gens, done.tolist()) if not d]
+            live, lp, masks = live[keep], lp[keep], masks[keep]
+            ints, flts = ints[:, keep], flts[:, keep]
+            lo, hi, p_lo, p_hi, reps, taken, tgt, hit, since = ints
+            var, sd, two_v, d, sgn, gap = flts
+            gens = [g for g, gone in zip(gens, done.tolist()) if not gone]
             if live.size == 1:
                 lp = lp[0]
     # math.exp per row, as in _search

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from searchlab.channel import (
     bawgn_capacity,
     binary_entropy,
-    capacity_point,
     gaussian_pdf,
     gaussian_tail,
     gaussian_tail_inverse,
     optimal_composition,
     psi,
     psi_component,
-    sample_observation,
     solve_a_eta,
 )
 from searchlab.errors import QuadratureNonConvergence
@@ -57,15 +55,6 @@ class TestGaussianHelpers:
             assert gaussian_tail_inverse(p) == pytest.approx(x, abs=1e-9)
         assert gaussian_tail(0.0) == pytest.approx(0.5)
         assert gaussian_tail(1e9) == 0.0
-
-    def test_sample_observation_moments(self):
-        # variance of 1e6 draws at x=0, v=2.0 lands within 0.02 of 2.0
-        rng = np.random.default_rng(1234)
-        ys = np.array([sample_observation(0.0, 2.0, rng) for _ in range(100)])
-        big = 0.0 + math.sqrt(2.0) * rng.standard_normal(1_000_000 - 100)
-        allv = np.concatenate([ys, big])
-        assert abs(allv.var() - 2.0) < 0.02
-        assert abs(allv.mean()) < 0.01
 
     def test_binary_entropy_edges_and_symmetry(self):
         assert binary_entropy(0.0) == 0.0 and binary_entropy(1.0) == 0.0
@@ -110,11 +99,6 @@ class TestCapacity:
     def test_infinite_variance_rejected(self):
         with pytest.raises(ValueError):
             bawgn_capacity(0.5, math.inf)
-
-    def test_capacity_point_record(self):
-        pt = capacity_point(0.5, 0.25)
-        assert pt.q == 0.5 and pt.variance == 0.25
-        assert pt.capacity_bits == bawgn_capacity(0.5, 0.25)
 
 
 class TestOptimalComposition:

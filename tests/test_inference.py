@@ -13,9 +13,7 @@ from searchlab.inference import (
     Posterior,
     bayes_update,
     init_uniform,
-    map_estimate,
     renormalize_log_probs,
-    u_functional,
     u_log_probs,
     update_log_probs,
 )
@@ -41,7 +39,7 @@ class TestInitUniform:
 
     def test_uniform_sixteen_u_value(self):
         # every cell has odds (1/16)/(15/16), so U = -log2(15)
-        assert u_functional(init_uniform(16)) == pytest.approx(
+        assert u_log_probs(init_uniform(16).log_probs) == pytest.approx(
             -math.log2(15.0), abs=1e-12)
 
     def test_nonpositive_size_rejected(self):
@@ -106,7 +104,7 @@ class TestBayesUpdate:
         out = bayes_update(rho, probed, y=300.0, variance=0.1)
         assert abs(out.probs.sum() - 1.0) <= 1e-12
         assert out.log_probs.min() == pytest.approx(LOG_FLOOR_NATS, abs=1e-6)
-        assert np.isfinite(u_functional(out))
+        assert np.isfinite(u_log_probs(out.log_probs))
 
 
 class TestRowUpdates:
@@ -139,35 +137,25 @@ class TestRowUpdates:
         np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, rtol=1e-15)
 
 
-class TestMapEstimate:
-    def test_simple_maximum(self):
-        idx, p = map_estimate(posterior_from([0.1, 0.7, 0.2]))
-        assert idx == 1 and p == pytest.approx(0.7, abs=1e-12)
-
-    def test_uniform_ties_break_to_first_index(self):
-        idx, p = map_estimate(init_uniform(8))
-        assert idx == 0 and p == pytest.approx(0.125, abs=1e-12)
-
-
 class TestUFunctional:
     def test_point_nine_golden(self):
-        assert u_functional(posterior_from([0.9, 0.1])) == pytest.approx(
+        assert u_log_probs(posterior_from([0.9, 0.1]).log_probs) == pytest.approx(
             U_POINT_NINE, abs=1e-12)
 
     def test_single_cell_rejected(self):
         with pytest.raises(SizeOne):
-            u_functional(init_uniform(1))
+            u_log_probs(init_uniform(1).log_probs)
 
     def test_increases_with_concentration(self):
         seq = [posterior_from([0.5, 0.5]), posterior_from([0.7, 0.3]),
                posterior_from([0.9, 0.1]), posterior_from([0.999, 0.001])]
-        us = [u_functional(r) for r in seq]
+        us = [u_log_probs(r.log_probs) for r in seq]
         assert all(a < b for a, b in zip(us, us[1:]))
 
     def test_matches_direct_formula_away_from_saturation(self):
         p = np.array([0.35, 0.25, 0.2, 0.15, 0.05])
         direct = float(np.sum(p * np.log2(p / (1 - p))))
-        assert u_functional(posterior_from(p)) == pytest.approx(direct, abs=1e-12)
+        assert u_log_probs(posterior_from(p).log_probs) == pytest.approx(direct, abs=1e-12)
 
     def test_finite_at_floor_saturation(self):
         # winner at ~certainty, every loser at the log floor

@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import searchlab
 from searchlab.channel import bawgn_capacity
 import searchlab.plan as plan_mod
 from searchlab.cli import main
@@ -543,9 +546,13 @@ class TestCli:
         assert "mean_drift = " in out and "capacity_floor = " in out
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the package from where this process found it
+        # (pytest's pythonpath setting is not inherited by a subprocess)
+        path = [str(Path(searchlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         proc = subprocess.run(
             [sys.executable, "-m", "searchlab", "capacity", "--q", "0.5",
              "--variance", "1.0", "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
         assert proc.returncode == 0
         assert (tmp_path / "cli_capacity.csv").exists()

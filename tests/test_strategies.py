@@ -8,6 +8,7 @@ import pytest
 
 import searchlab.strategies as strat
 from searchlab.errors import InvalidAlpha, StepLimitExceeded
+from searchlab.inference import LOG_FLOOR_NATS
 from searchlab.model import NoiseModel, new_config
 from searchlab.sim import run_trials, trial_seed_for
 from searchlab.strategies import (
@@ -261,10 +262,8 @@ class TestNoisyBinaryVariable:
     def test_error_rate_within_budget(self):
         # per-level union bound targets eps overall; allow 1.5x at n=10^4
         cfg = new_config(16, 1, 0.25, 1e-2)
-        rng = np.random.default_rng(808)
-        fails = sum(not run_noisy_binary_variable(cfg, rng).success
-                    for _ in range(10_000))
-        assert fails / 10_000 <= 1.5 * cfg.epsilon
+        stats = run_trials(StrategySpec(NOISY_BINARY_VARIABLE), cfg, 10_000, 808)
+        assert stats.err_rate <= 1.5 * cfg.epsilon
 
 
 class TestExhaustive:
@@ -508,6 +507,11 @@ LOCKSTEP_CONFIGS = {
     "M16_eps0.2": new_config(16, 1, 0.5, 0.2),
     # rows of one bisection level hold windows of different lengths
     "M12_power": GOLDEN_CONFIGS["M12_power"],
+    # bisection windows reach LOG_FLOOR_NATS, where the tracked ratio of
+    # _level_ends falls back to exact sums
+    "M128_sigma1e-4": new_config(128, 1, 1e-4, 1e-4),
+    # eps/log2 M = 0.45: most sequential levels end after one observation
+    "M4_eps0.9": new_config(4, 1, 0.1, 0.9),
 }
 LOCKSTEP_CASES = (
     [(c, StrategySpec(kind)) for c in LOCKSTEP_CONFIGS
@@ -554,3 +558,76 @@ class TestLockstepRows:
         assert 0 < success.sum() < self.N
         # rows took different paths through windows of unequal length
         assert len(set(tau.tolist())) > 1
+
+
+class TestLevelDecision:
+    """_level_ends must decide every row as _block_halves does, also when
+    the tracked ratio d carries the rounding it gathers between anchors."""
+
+    DRIFT = 1e-12  # more than one iteration's rounding, far below MARGIN
+
+    @staticmethod
+    def decide(lp, lo, hi, d, gap, log_thresh):
+        """Assert that _level_ends decides (ends, first) as the exact sums
+        do; return its (d, n, gap) after the call, then the exact d and
+        gap."""
+        lp, lo, hi = np.array(lp), np.array(lo), np.array(hi)
+        top = lp.max(axis=1)
+        d, gap = np.array(d, dtype=float), np.array(gap, dtype=float)
+        n = np.ones(lo.size, dtype=np.int64)
+        ends, first = strat._level_ends(lp, top, lo, hi, d, n, gap, log_thresh)
+        h_lo, _, share, d_exact, low = strat._block_halves(lp, lo, hi)
+        assert np.array_equal(ends, share >= log_thresh)
+        assert np.array_equal(first, h_lo == lo)
+        return d, n, gap, d_exact, low - top
+
+    @pytest.mark.parametrize("level_eps", [2.5e-5, 0.05])
+    def test_share_a_few_ulps_from_threshold(self, level_eps):
+        log_thresh = math.log1p(-level_eps)
+        d_star = -math.log(math.expm1(-log_thresh))  # share(d_star) = log_thresh
+        lp, d = [], []
+        for k in range(-4, 5):
+            t = d_star
+            for _ in range(abs(k)):
+                t = np.nextafter(t, math.copysign(math.inf, k))
+            for row in ([0.0, 0.0, -t, -t], [-t, -t, 0.0, 0.0]):
+                lp += [row, row]
+                exact = (row[0] + math.log(2.0)) - (row[2] + math.log(2.0))
+                d += [exact - self.DRIFT, exact + self.DRIFT]
+        rows = len(lp)
+        d, n, _, d_exact, _ = self.decide(lp, [0] * rows, [4] * rows, d,
+                                          [-2.0 * d_star] * rows, log_thresh)
+        # every row was close enough to need, and get, exact sums
+        assert np.array_equal(d, d_exact) and not n.any()
+
+    def test_exact_tie_takes_the_first_half(self):
+        lp = [[-1.5] * 6] * 3
+        d, n, _, d_exact, _ = self.decide(lp, [1] * 3, [5] * 3,
+                                          [0.0, -self.DRIFT, self.DRIFT],
+                                          [0.0] * 3, -math.inf)
+        assert np.array_equal(d, d_exact) and not n.any()
+        assert not d_exact.any()
+
+    def test_window_at_the_floor_gets_exact_sums(self):
+        f = LOG_FLOOR_NATS
+        lp = [
+            # both halves at the floor, a tie however d was pushed
+            [0.0, 0.0, f, f, f, f],
+            # the smaller half at the floor, the first half just above it
+            [0.0, 0.0, f + 0.5, f + 0.5, f, f],
+        ]
+        # a clamp swallowed part of the probed first half's last llr, so
+        # the tracked d says the second half leads
+        for log_thresh in (math.log1p(-0.05), -math.inf):
+            d, n, gap, d_exact, gap_exact = self.decide(
+                lp, [2, 2], [6, 6], [-30.0, -0.3], [f - 30.0, f - 30.0],
+                log_thresh)
+            assert np.array_equal(d, d_exact) and not n.any()
+            assert np.array_equal(gap, gap_exact)
+
+    def test_clear_rows_keep_their_tracked_ratio(self):
+        lp = [[0.0, 0.0, -20.0, -20.0], [0.0, 0.0, -3.0, -3.0]]
+        d, n, gap, _, _ = self.decide(lp, [0, 0], [4, 4], [20.0 + self.DRIFT, 3.0],
+                                      [-25.0, -25.0], math.log1p(-2.5e-5))
+        assert d.tolist() == [20.0 + self.DRIFT, 3.0] and n.tolist() == [1, 1]
+        assert gap.tolist() == [-25.0, -25.0]
