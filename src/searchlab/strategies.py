@@ -15,7 +15,8 @@ row makes the draws, in the same order, and the arithmetic of a trial run
 alone, so `run_strategy` is simply the batch of one.  Two-stage search
 chains two such searches.  The two bisection strategies stop level by
 level instead; they share a second lockstep loop, `_bisect`, in which each
-row narrows its own window of the posterior.
+row narrows its own window of the posterior and reads each half's mass from
+one cell, since every cell of a half holds the same value.
 
 Strategies
 ----------
@@ -37,7 +38,7 @@ import numpy as np
 
 from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
 from .errors import InvalidAlpha, StepLimitExceeded
-from .inference import LOG_FLOOR_NATS, renormalize_log_probs, update_log_probs
+from .inference import renormalize_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
@@ -235,7 +236,7 @@ Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _one_stage(size: int, probe, eps: float, rngs: list, label: str,
-               first_trial: int | None = None) -> Rows:
+               first_trial: int | None) -> Rows:
     """Draw each row's target uniformly from [0, size), then search."""
     targets = np.array([int(g.integers(size)) for g in rngs], dtype=np.int64)
     steps, cells, pmax = _search(size, probe, targets, eps, rngs, label, first_trial)
@@ -265,27 +266,6 @@ def _row_record(label: str, rows: Rows, trial_seed: int) -> TrialRecord:
                        final_max_prob=float(max_prob))
 
 
-def run_fixed_composition(config: SearchConfig, grid: int, eps_stage: float,
-                          rng: np.random.Generator, trial_seed: int = 0) -> TrialRecord:
-    """Complete non-adaptive search over `grid` equal sections of the domain
-    (grid = M probes single cells).  grid must divide M."""
-    if grid < 1 or config.M % grid != 0:
-        raise ValueError(f"grid {grid} does not divide M = {config.M}")
-    rule = _composition_rule(config, grid, config.M // grid)
-    rows = _one_stage(grid, rule, eps_stage, [rng], FIXED_COMPOSITION)
-    return _row_record(FIXED_COMPOSITION, rows, trial_seed)
-
-
-def run_sorted_pm(config: SearchConfig, window: range, eps_stage: float,
-                  rng: np.random.Generator, trial_seed: int = 0) -> TrialRecord:
-    """Complete sorted-PM search over a contiguous cell window."""
-    start, size = window.start, len(window)
-    if size < 1 or start < 0 or start + size > config.M or window.step != 1:
-        raise ValueError(f"window {window} is not a contiguous block in [0, {config.M})")
-    rows = _one_stage(size, _sorted_pm_rule(config), eps_stage, [rng], SORTED_PM)
-    return _row_record(SORTED_PM, rows, trial_seed)
-
-
 def _sections(config: SearchConfig, alpha: float) -> int:
     s = sections_from_alpha(alpha)
     if config.M % s != 0:
@@ -303,114 +283,6 @@ def run_two_stage(config: SearchConfig, alpha: float, rng: np.random.Generator,
                        trial_seed)
 
 
-def _logsumexp_slice(lp: np.ndarray, lo: int, hi: int) -> float:
-    seg = lp[lo:hi]
-    m = seg.max()
-    return float(m + math.log(np.exp(seg - m).sum()))
-
-
-def _logsumexp_rows(seg: np.ndarray) -> list[float]:
-    """_logsumexp_slice of every slice along the last axis, flattened."""
-    m = seg.max(axis=-1)
-    sums = np.exp(seg - m[..., None]).sum(axis=-1)
-    return [a + math.log(s) for a, s in zip(m.ravel().tolist(), sums.ravel().tolist())]
-
-
-def _half_logsums(lp: np.ndarray, lo: int, hi: int) -> list[float]:
-    """Log posterior mass of the two halves of the window [lo, hi); the
-    first half takes the odd cell."""
-    if (hi - lo) % 2:
-        mid = lo + (hi - lo + 1) // 2
-        return [_logsumexp_slice(lp, lo, mid), _logsumexp_slice(lp, mid, hi)]
-    return _logsumexp_rows(lp[lo:hi].reshape(2, -1))
-
-
-def _halves(lp: np.ndarray, lo: int, hi: int) -> tuple[tuple[int, int], float]:
-    """Split the window [lo, hi) in two and return the half holding more
-    posterior mass, the first on ties, with that half's log share of the
-    window's mass."""
-    first, second = _half_logsums(lp, lo, hi)
-    share = max(first, second) - np.logaddexp(first, second)
-    mid = lo + (hi - lo + 1) // 2
-    return ((lo, mid) if first >= second else (mid, hi)), share
-
-
-def _block_halves(lp: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """_halves of every row of a (rows, size) block on its own window
-    [lo, hi): per-row (half lo, half hi, share, d, low) arrays, where d is
-    the first half's log mass minus the second's and low the window's
-    smallest entry.  Rows are grouped by window length and each half is
-    summed over its own contiguous cells, so every sum is the pairwise sum a
-    lone row computes (a masked full-width sum, or np.add.reduceat, would
-    group the additions differently)."""
-    length = hi - lo
-    first, second, low = np.empty(lo.size), np.empty(lo.size), np.empty(lo.size)
-    starts = lo + lp.shape[1] * np.arange(lo.size)  # in the flattened block
-    for size in set(length.tolist()):
-        rows = (length == size).nonzero()[0]
-        if rows.size == 1:  # cheaper as a lone row
-            row, a, b = int(rows[0]), int(lo[rows[0]]), int(hi[rows[0]])
-            first[row], second[row] = _half_logsums(lp[row], a, b)
-            low[row] = lp[row, a:b].min()
-            continue
-        win = lp.ravel()[starts[rows][:, None] + np.arange(size)]
-        low[rows] = win.min(axis=1)
-        h = (size + 1) // 2
-        if size % 2:
-            first[rows] = _logsumexp_rows(win[:, :h])
-            second[rows] = _logsumexp_rows(win[:, h:])
-        else:
-            both = _logsumexp_rows(win.reshape(-1, 2, h))
-            first[rows], second[rows] = both[0::2], both[1::2]
-    share = np.maximum(first, second) - np.logaddexp(first, second)
-    mid = lo + (length + 1) // 2
-    take_first = first >= second
-    return (np.where(take_first, lo, mid), np.where(take_first, mid, hi), share,
-            first - second, low)
-
-
-# Slack per iteration of a tracked half-mass log ratio d (see _level_ends).
-# Entries satisfy |lp| <= 1000 + ln M while no clamp at LOG_FLOOR_NATS
-# occurs, so an iteration rounds each cell about three times (add the llr,
-# subtract the row maximum, add the log normalizer), each by <= 1.2e-13.  A
-# half's log mass moves by at most its cells' largest error, so d drifts
-# from the exact difference by <= 2 * 3.6e-13 + 1.2e-13 (its own += llr)
-# per iteration; the exact sums and share formula add <= 1e-12 once.  After
-# n >= 1 iterations that is under 2e-12 n, 50 times below MARGIN n.
-MARGIN = 1e-10
-
-
-def _level_ends(lp: np.ndarray, top: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                d: np.ndarray, n: np.ndarray, gap: np.ndarray,
-                log_thresh: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (ends, first): whether each row's favoured half holds a share
-    >= log_thresh of its window [lo, hi), and whether that half is the
-    first, exactly as _block_halves decides them.
-
-    d is the row's first-minus-second half log mass, kept by d += +-llr for
-    the n iterations since exact sums last anchored it, and gap a lower
-    bound on its window's smallest entry minus the row maximum top.  The
-    share -log1p(exp(-|d|)) decides a row unless the exact one could differ:
-    it lies within MARGIN n of log_thresh, |d| <= MARGIN n (a near tie), or
-    gap <= LOG_FLOOR_NATS + MARGIN n, where a window cell may have been
-    clamped, which breaks d += llr.  Those rows get exact sums, and their d,
-    n and gap are re-anchored in place."""
-    abs_d = np.abs(d)
-    share = -np.logaddexp(0.0, -abs_d)
-    ends, first = share >= log_thresh, d >= 0
-    # distances of the share to the threshold, of d to a tie and of the gap
-    # to the floor: the tracked decision stands while all exceed the slack
-    near = np.minimum(np.minimum(np.abs(share - log_thresh), abs_d),
-                      gap - LOG_FLOOR_NATS)
-    exact = (near <= MARGIN * n).nonzero()[0]
-    if exact.size:
-        h_lo, _, share, d[exact], low = _block_halves(lp[exact], lo[exact], hi[exact])
-        ends[exact], first[exact] = share >= log_thresh, h_lo == lo[exact]
-        n[exact], gap[exact] = 0, low - top[exact]
-    return ends, first
-
-
 def _level_llr(hit: bool, v: float, r: int, rng: np.random.Generator) -> float:
     """Summed log-likelihood ratio of r observations 1{hit} + N(0, v)."""
     ys = (1.0 if hit else 0.0) + rng.normal(0.0, math.sqrt(v), size=r)
@@ -423,28 +295,39 @@ def _repeats(v: float, z: float | None) -> int:
     return 1 if z is None else max(1, math.ceil(4.0 * v * z * z))
 
 
+def _level(config: SearchConfig, z: float | None, lo: int, hi: int) -> tuple:
+    """A level on the window [lo, hi), uniform when the level starts: the
+    end mid of its probed first half [lo, mid), that half's repetitions, v
+    and sqrt(v), and the log cell counts of the two halves."""
+    h1 = (hi - lo + 1) // 2
+    v = config.noise_variance(h1)
+    return lo + h1, _repeats(v, z), v, math.sqrt(v), math.log(h1), math.log(hi - lo - h1)
+
+
 def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
             first_trial: int | None) -> Rows:
     """Lockstep bisection: one row per generator, each narrowing a window
     [lo, hi) of its posterior from [0, M) to one cell, then reporting the
-    MAP cell.  A level probes the half of the window that holds more mass
-    when the level starts (_halves) and ends by moving the window into the
-    half that holds more mass then.
+    MAP cell.  A level probes the window's first half [lo, mid), which
+    takes the odd cell, and ends by moving the window into the half that
+    holds more mass, the first on ties.
 
     z None, sequential levels: an iteration is one observation per live
     row, and a row's level ends once its favoured half holds a share
     >= 1 - epsilon/log2(M) of the window's mass.  z set, fixed levels: an
     iteration is a whole level of r = max(1, ceil(4 v z^2)) observations
     per row, folded into one update (its threshold is -inf, so every level
-    ends).  Each row makes the draws and the arithmetic of a trial run
-    alone.  In a block, a row does not re-sum its window's halves after
-    every iteration: it keeps their log ratio d, exact when its level
-    starts, and adds to it the llr its probed half receives; _level_ends
-    falls back to exact sums only where the rounding that d gathers
-    (MARGIN per iteration bounds it) or a clamp at the posterior floor
-    could change the decision.  A lone row (a batch of one, or the last
-    live row of a block) keeps a 1-D posterior, as in _search, keeps its
-    level as Python scalars and sums its halves exactly every time."""
+    ends).
+
+    Windows nest, the prior is uniform, and an update adds the same llr,
+    shift and clamp to every cell of a half, so every cell of a half holds
+    the same float.  A window is therefore uniform when its level starts,
+    and its first half holds at least as much mass as the second: that is
+    the half worth probing.  A half's log mass is its first cell plus
+    log(cells), bit for bit what summing its cells gives.  Each row makes
+    the draws and the arithmetic of a trial run alone.  A lone row (a batch
+    of one, or the last live row of a block) keeps a 1-D posterior and its
+    level as Python scalars, as in _search."""
     m, n = config.M, len(rngs)
     steps = np.zeros(n, dtype=np.int64)
     if m == 1:  # found before any probe or draw
@@ -453,97 +336,56 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
                   if z is None else -math.inf)
     targets = np.array([int(g.integers(m)) for g in rngs], dtype=np.int64)
     cells, top = np.zeros(n, dtype=np.int64), np.zeros(n)
-    lp = np.full((n, m) if n > 1 else m, -math.log(m))
-    # on the uniform prior the first half, which takes the odd cell, holds
-    # at least as much mass as the second: every row probes it first
-    half = (m + 1) // 2
-    v = config.noise_variance(half)
-    first, second = _half_logsums(lp if n == 1 else lp[0], 0, m)
+    half, r, *level = _level(config, z, 0, m)
     # per live row, one allocation each for the integer and the float state
-    # (a batch of one stays cheap, and retiring rows takes one index each):
-    # window, probed half, its repetitions, observations taken, target,
-    # whether the probed half holds it, iterations since d was anchored;
-    # the probed half's v, sqrt(v) and 2v, d, the sign with which the
-    # probed half's llr enters d, and the floor gap (see _level_ends)
-    ints = np.array([[0], [m], [0], [half], [_repeats(v, z)], [0], [0], [0],
-                     [0]]).repeat(n, 1)
-    ints[6], ints[7] = targets, targets < half
-    flts = np.array([[v], [math.sqrt(v)], [2.0 * v], [first - second], [1.0],
-                     [0.0]]).repeat(n, 1)
-    lo, hi, p_lo, p_hi, reps, taken, tgt, hit, since = ints
-    var, sd, two_v, d, sgn, gap = flts
-    masks = np.zeros(lp.shape, dtype=bool)
-    masks[..., :half] = True
-    live, gens = np.arange(n), list(rngs)
-    cols = np.arange(m)
-    lone = None  # the lone row's probed half, v, r, window and hit
+    # (retiring rows takes one index each): the window [lo, hi), _level's
+    # mid and repetitions, observations taken, target and whether the probed
+    # half holds it; _level's v, sqrt(v) and log cell counts
+    ints = np.array([[0], [m], [half], [r], [0], [0], [0]]).repeat(n, 1)
+    ints[5], ints[6] = targets, targets < half
+    flts = np.array(level)[:, None].repeat(n, 1)
+    lo, hi, mid, reps, taken, tgt, hit = ints
+    var, sd, log_h1, log_h2 = flts
+    lp = np.full((n, m), -math.log(m))
+    masks = np.zeros((n, m), dtype=bool)
+    masks[:, :half] = True
+    live, gens, at, cols = np.arange(n), list(rngs), np.arange(n), np.arange(m)
     step = 0
-    while live.size:
+    while live.size > 1:
         if z is None:
             if step >= STEP_LIMIT:
                 raise _step_limit(label, first_trial, int(live[0]))
-        elif (taken[0] if lp.ndim == 1 else taken.max()) >= STEP_LIMIT:
+        elif taken.max() >= STEP_LIMIT:
             over = np.argmax(taken >= STEP_LIMIT)
             raise _step_limit(label, first_trial, int(live[over]))
         step += 1
-        if lp.ndim == 1:
-            if lone is None:
-                a, b = int(p_lo[0]), int(p_hi[0])
-                lone = (a, b, float(var[0]), int(reps[0]), int(lo[0]), int(hi[0]),
-                        bool(hit[0]))
-            a, b, v, r, w_lo, w_hi, is_hit = lone
-            if z is None:
-                y = (1.0 if is_hit else 0.0) + math.sqrt(v) * gens[0].standard_normal()
-                update_log_probs(lp, slice(a, b), y, v)
-            else:
-                lp[a:b] += _level_llr(is_hit, v, r, gens[0])
-                renormalize_log_probs(lp)
-                taken += r
-            (w_lo, w_hi), share = _halves(lp, w_lo, w_hi)
-            if share < log_thresh:
-                continue
-            if w_hi - w_lo > 1:  # the next level
-                (a, b), _ = _halves(lp, w_lo, w_hi)
-                v = config.noise_variance(b - a)
-                lone = (a, b, v, _repeats(v, z), w_lo, w_hi, bool(a <= tgt[0] < b))
-                continue
-            row = live[0]
-            steps[row] = step if z is None else taken[0]
-            cells[row] = np.argmax(lp)
-            top[row] = lp[cells[row]]
-            break
         if z is None:
             y = hit + sd * np.array([g.standard_normal() for g in gens])
-            row_top = update_log_probs(lp, masks, y, var)
-            llr = (2.0 * y - 1.0) / two_v  # what the update added
+            update_log_probs(lp, masks, y, var)
         else:
             llr = np.array([_level_llr(*args) for args in
                             zip(hit.tolist(), var.tolist(), reps.tolist(), gens)])
             np.add(lp, llr[:, None], out=lp, where=masks)
-            row_top = renormalize_log_probs(lp)
+            renormalize_log_probs(lp)
             taken += reps
-        d += sgn * llr
-        gap -= np.abs(llr)
-        since += 1
-        ends, to_first = _level_ends(lp, row_top, lo, hi, d, since, gap, log_thresh)
+        first = lp[at, lo] + log_h1
+        second = lp[at, mid] + log_h2
+        ends = np.maximum(first, second) - np.logaddexp(first, second) >= log_thresh
         if not ends.any():
             continue
-        mid = lo + (hi - lo + 1) // 2
+        to_first = first >= second
         np.copyto(lo, mid, where=ends & ~to_first)
         np.copyto(hi, mid, where=ends & to_first)
         done = hi - lo == 1
         moved = (ends & ~done).nonzero()[0]
-        if moved.size:  # these rows start a level: pick its probed half
+        if moved.size:  # these rows start a level
             w_lo = lo[moved]
-            a, b, _, d[moved], low = _block_halves(lp[moved], w_lo, hi[moved])
-            p_lo[moved], p_hi[moved] = a, b
-            sgn[moved] = np.where(a == w_lo, 1.0, -1.0)
-            since[moved], gap[moved] = 0, low - row_top[moved]
-            var[moved] = [config.noise_variance(k) for k in (b - a).tolist()]
-            sd[moved], two_v[moved] = np.sqrt(var[moved]), 2.0 * var[moved]
-            reps[moved] = [_repeats(v, z) for v in var[moved].tolist()]
-            hit[moved] = (a <= tgt[moved]) & (tgt[moved] < b)
-            masks[moved] = (cols >= a[:, None]) & (cols < b[:, None])
+            levels = np.array([_level(config, z, a, b) for a, b in
+                               zip(w_lo.tolist(), hi[moved].tolist())]).T
+            ints[2:4, moved], flts[:, moved] = levels[:2], levels[2:]
+            b = mid[moved]
+            hit[moved] = (w_lo <= tgt[moved]) & (tgt[moved] < b)
+            masks[moved] = (cols >= w_lo[:, None]) & (cols < b[:, None])
         if done.any():
             ended = live[done]
             steps[ended] = step if z is None else taken[done]
@@ -553,11 +395,36 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
             keep = ~done
             live, lp, masks = live[keep], lp[keep], masks[keep]
             ints, flts = ints[:, keep], flts[:, keep]
-            lo, hi, p_lo, p_hi, reps, taken, tgt, hit, since = ints
-            var, sd, two_v, d, sgn, gap = flts
+            lo, hi, mid, reps, taken, tgt, hit = ints
+            var, sd, log_h1, log_h2 = flts
             gens = [g for g, gone in zip(gens, done.tolist()) if not gone]
-            if live.size == 1:
-                lp = lp[0]
+            at = at[:live.size]
+    if live.size:  # the lone row
+        row, row_lp, gen = int(live[0]), lp[0], gens[0]
+        lo, hi, mid, r, taken, tgt, hit = ints[:, 0].tolist()
+        v, sd, log_h1, log_h2 = flts[:, 0].tolist()
+        while True:
+            if (step if z is None else taken) >= STEP_LIMIT:
+                raise _step_limit(label, first_trial, row)
+            step += 1
+            if z is None:
+                y = hit + sd * gen.standard_normal()
+                update_log_probs(row_lp, slice(lo, mid), y, v)
+            else:
+                row_lp[lo:mid] += _level_llr(hit, v, r, gen)
+                renormalize_log_probs(row_lp)
+                taken += r
+            first, second = row_lp[lo] + log_h1, row_lp[mid] + log_h2
+            if max(first, second) - np.logaddexp(first, second) < log_thresh:
+                continue
+            lo, hi = (lo, mid) if first >= second else (mid, hi)
+            if hi - lo == 1:
+                break
+            mid, r, v, sd, log_h1, log_h2 = _level(config, z, lo, hi)
+            hit = int(lo <= tgt < mid)
+        steps[row] = step if z is None else taken
+        cells[row] = np.argmax(row_lp)
+        top[row] = row_lp[cells[row]]
     # math.exp per row, as in _search
     return (steps, np.zeros_like(steps), cells == targets,
             np.array([math.exp(t) for t in top.tolist()]))

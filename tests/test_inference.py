@@ -163,3 +163,57 @@ class TestUFunctional:
         lp[3] = 0.0
         lp = lp - math.log(np.exp(lp).sum())
         assert np.isfinite(u_log_probs(lp))
+
+
+# One row's update of a nested-half search: whether the second half of its
+# window is probed (else the first), the observation y and its variance
+# (|llr| reaches ~1.5e5, far past the LOG_FLOOR_NATS clamp), and where the
+# window then goes: stays, or moves into its first or its second half.
+NESTED_UPDATE = st.tuples(st.booleans(), st.floats(-1500.0, 1500.0),
+                          st.floats(0.01, 4.0), st.sampled_from([None, 0, 1]))
+
+
+class TestNestedHalves:
+    """A uniform prior whose updates each add one llr to one half of a
+    window, windows nesting as they narrow: every cell of a half of the
+    current window keeps the same float, so a half's log mass is its first
+    cell plus log(cells), bit for bit.  The bisection strategies decide
+    their levels from this."""
+
+    @staticmethod
+    def check_halves(row, lo, hi):
+        mid = lo + (hi - lo + 1) // 2
+        for a, b in ((lo, mid), (mid, hi)):
+            half = row[a:b]
+            assert np.all(half.view(np.int64) == half[:1].view(np.int64))
+            top = half.max()
+            assert top + math.log(np.exp(half - top).sum()) == row[a] + math.log(b - a)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    @given(m=st.integers(2, 256),
+           steps=st.lists(st.lists(NESTED_UPDATE, min_size=3, max_size=3),
+                          min_size=1, max_size=40))
+    def test_halves_stay_uniform(self, rows, m, steps):
+        n = 1 if rows is None else rows
+        lp = np.full(m if rows is None else (rows, m), -math.log(m))
+        windows = [(0, m)] * n
+        for step in steps:
+            step = step[:n]
+            masks = np.zeros((n, m), dtype=bool)
+            for r, ((lo, hi), (second, _, _, _)) in enumerate(zip(windows, step)):
+                mid = lo + (hi - lo + 1) // 2
+                masks[r, slice(mid, hi) if second else slice(lo, mid)] = True
+            y = np.array([u[1] for u in step])
+            v = np.array([u[2] for u in step])
+            if rows is None:
+                update_log_probs(lp, masks[0], float(y[0]), float(v[0]))
+            else:
+                update_log_probs(lp, masks, y, v)
+            for r, ((lo, hi), (_, _, _, move)) in enumerate(zip(windows, step)):
+                row = lp if rows is None else lp[r]
+                self.check_halves(row, lo, hi)
+                mid = lo + (hi - lo + 1) // 2
+                inner = (lo, mid) if move == 0 else (mid, hi)
+                if move is not None and inner[1] - inner[0] >= 2:
+                    windows[r] = inner
+                    self.check_halves(row, *inner)

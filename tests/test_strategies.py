@@ -1,14 +1,12 @@
 """Probe rules and full strategy runners."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 import searchlab.strategies as strat
 from searchlab.errors import InvalidAlpha, StepLimitExceeded
-from searchlab.inference import LOG_FLOOR_NATS
 from searchlab.model import NoiseModel, new_config
 from searchlab.sim import run_trials, trial_seed_for
 from searchlab.strategies import (
@@ -22,11 +20,9 @@ from searchlab.strategies import (
     StrategySpec,
     random_composition_mask,
     run_exhaustive,
-    run_fixed_composition,
     run_noisy_binary_fixed,
     run_noisy_binary_variable,
     run_rows,
-    run_sorted_pm,
     run_strategy,
     run_two_stage,
     sorted_pm_mask,
@@ -139,47 +135,44 @@ class TestSortedPMMask:
 
 
 class TestFixedComposition:
-    def test_single_section_is_instant(self, config16):
-        rec = run_fixed_composition(config16, 1, 1e-4, np.random.default_rng(0))
+    SPEC = StrategySpec(FIXED_COMPOSITION)
+
+    def test_single_section_is_instant(self):
+        rec = run_strategy(self.SPEC, new_config(1, 1, 0.25, 1e-4),
+                           np.random.default_rng(0))
         assert rec.tau == 0 and rec.success
 
     def test_noiseless_mean_near_information_limit(self):
         cfg = noiseless(16)
         rng = np.random.default_rng(404)
-        taus = [run_fixed_composition(cfg, 16, 1e-4, rng).tau for _ in range(1000)]
+        taus = [run_strategy(self.SPEC, cfg, rng).tau for _ in range(1000)]
         assert 4.0 <= np.mean(taus) <= 6.0
-
-    def test_grid_must_divide_m(self, config16):
-        with pytest.raises(ValueError):
-            run_fixed_composition(config16, 5, 1e-4, np.random.default_rng(0))
 
     def test_stops_at_posterior_threshold(self, config16):
         rng = np.random.default_rng(8)
         for _ in range(25):
-            rec = run_fixed_composition(config16, 16, 1e-4, rng)
+            rec = run_strategy(self.SPEC, config16, rng)
             assert rec.final_max_prob >= (1 - 1e-4) * (1 - 1e-12)
 
 
 class TestSortedPM:
-    def test_single_cell_window_is_instant(self, config16):
-        rec = run_sorted_pm(config16, range(3, 4), 1e-4, np.random.default_rng(0))
+    SPEC = StrategySpec(SORTED_PM)
+
+    def test_single_cell_window_is_instant(self):
+        rec = run_strategy(self.SPEC, new_config(1, 1, 0.25, 1e-4),
+                           np.random.default_rng(0))
         assert rec.tau == 0 and rec.success
 
     def test_noiseless_mean_near_information_limit(self):
         cfg = noiseless(16)
         rng = np.random.default_rng(505)
-        taus = [run_sorted_pm(cfg, range(16), 1e-4, rng).tau for _ in range(1000)]
+        taus = [run_strategy(self.SPEC, cfg, rng).tau for _ in range(1000)]
         assert 4.0 <= np.mean(taus) <= 6.0
-
-    def test_invalid_windows_rejected(self, config16):
-        for window in (range(0, 17), range(-1, 4), range(0, 16, 2), range(4, 4)):
-            with pytest.raises(ValueError):
-                run_sorted_pm(config16, window, 1e-4, np.random.default_rng(0))
 
     def test_stops_at_posterior_threshold(self, config16):
         rng = np.random.default_rng(9)
         for _ in range(25):
-            rec = run_sorted_pm(config16, range(16), 1e-4, rng)
+            rec = run_strategy(self.SPEC, config16, rng)
             assert rec.final_max_prob >= (1 - 1e-4) * (1 - 1e-12)
 
 
@@ -204,7 +197,7 @@ class TestTwoStage:
         # adaptive refinement saves measurements over one-shot composition
         rng = np.random.default_rng(606)
         ts = np.mean([run_two_stage(config16, 0.25, rng).tau for _ in range(600)])
-        fc = np.mean([run_fixed_composition(config16, 16, 1e-4, rng).tau
+        fc = np.mean([run_strategy(StrategySpec(FIXED_COMPOSITION), config16, rng).tau
                       for _ in range(600)])
         assert ts < fc
 
@@ -241,7 +234,7 @@ class TestNoisyBinaryFixed:
         cfg = new_config(16, 1, 0.0625, 1e-4)
         rng = np.random.default_rng(707)
         nb = run_noisy_binary_fixed(cfg, rng).tau
-        fc = np.mean([run_fixed_composition(cfg, 16, 1e-4, rng).tau
+        fc = np.mean([run_strategy(StrategySpec(FIXED_COMPOSITION), cfg, rng).tau
                       for _ in range(300)])
         assert nb > fc
 
@@ -307,7 +300,8 @@ class TestDispatcherAndLimits:
     def test_step_limit_guard(self, config16, monkeypatch):
         monkeypatch.setattr(strat, "STEP_LIMIT", 5)
         with pytest.raises(StepLimitExceeded):
-            run_fixed_composition(config16, 16, 1e-4, np.random.default_rng(0))
+            run_strategy(StrategySpec(FIXED_COMPOSITION), config16,
+                         np.random.default_rng(0))
 
     def test_lockstep_step_limit_names_lowest_live_trial(self, config16,
                                                          monkeypatch):
@@ -363,6 +357,10 @@ GOLDEN_CONFIGS = {
     "M32_power": new_config(32, 1, 0.05, 0.2, noise=NoiseModel.power(1.5)),
     # not a power of two: windows of one level differ in length across trials
     "M12_power": new_config(12, 1, 0.5, 0.2, noise=NoiseModel.power(0.5)),
+    # bisection windows reach LOG_FLOOR_NATS
+    "M128_sigma1e-4": new_config(128, 1, 1e-4, 1e-4),
+    # odd M: the first level's halves hold 2 and 1 cells
+    "M3": new_config(3, 1, 0.25, 1e-4),
 }
 GOLDEN_SPECS = {spec.label(): spec for spec in
                 [StrategySpec(kind) for kind in KINDS if kind != TWO_STAGE]
@@ -477,6 +475,24 @@ TRIAL_GOLDEN = {
         (34, 0, False, "0x1.bb5de3a038aecp-1"),
         (13, 0, True, "0x1.e5aeaded499c1p-1"),
     ],
+    # recorded from the bisection engine that tracked half-mass ratios,
+    # before the halves were read from one cell each
+    ("M128_sigma1e-4", "noisy_binary_fixed"): [(7, 0, True, "0x1.0000000000000p+0")] * 5,
+    ("M128_sigma1e-4", "noisy_binary_variable"): [(7, 0, True, "0x1.0000000000000p+0")] * 5,
+    ("M3", "noisy_binary_fixed"): [
+        (45, 0, True, "0x1.fffffffffff8ep-1"),
+        (45, 0, True, "0x1.fffffffffde0ap-1"),
+        (45, 0, True, "0x1.fffffffcd7716p-1"),
+        (30, 0, True, "0x1.fffe839d22dccp-1"),
+        (30, 0, True, "0x1.ffffffffffff4p-1"),
+    ],
+    ("M3", "noisy_binary_variable"): [
+        (16, 0, True, "0x1.ffff96c8c5677p-1"),
+        (18, 0, True, "0x1.fff94f8e46773p-1"),
+        (21, 0, True, "0x1.fff7e9d2843a0p-1"),
+        (14, 0, True, "0x1.fffdc4d1553bcp-1"),
+        (6, 0, True, "0x1.fffc7768fda3dp-1"),
+    ],
 }
 
 
@@ -507,9 +523,9 @@ LOCKSTEP_CONFIGS = {
     "M16_eps0.2": new_config(16, 1, 0.5, 0.2),
     # rows of one bisection level hold windows of different lengths
     "M12_power": GOLDEN_CONFIGS["M12_power"],
-    # bisection windows reach LOG_FLOOR_NATS, where the tracked ratio of
-    # _level_ends falls back to exact sums
-    "M128_sigma1e-4": new_config(128, 1, 1e-4, 1e-4),
+    # bisection windows reach LOG_FLOOR_NATS, where every cell of a half
+    # must still hold the same float
+    "M128_sigma1e-4": GOLDEN_CONFIGS["M128_sigma1e-4"],
     # eps/log2 M = 0.45: most sequential levels end after one observation
     "M4_eps0.9": new_config(4, 1, 0.1, 0.9),
 }
@@ -558,76 +574,3 @@ class TestLockstepRows:
         assert 0 < success.sum() < self.N
         # rows took different paths through windows of unequal length
         assert len(set(tau.tolist())) > 1
-
-
-class TestLevelDecision:
-    """_level_ends must decide every row as _block_halves does, also when
-    the tracked ratio d carries the rounding it gathers between anchors."""
-
-    DRIFT = 1e-12  # more than one iteration's rounding, far below MARGIN
-
-    @staticmethod
-    def decide(lp, lo, hi, d, gap, log_thresh):
-        """Assert that _level_ends decides (ends, first) as the exact sums
-        do; return its (d, n, gap) after the call, then the exact d and
-        gap."""
-        lp, lo, hi = np.array(lp), np.array(lo), np.array(hi)
-        top = lp.max(axis=1)
-        d, gap = np.array(d, dtype=float), np.array(gap, dtype=float)
-        n = np.ones(lo.size, dtype=np.int64)
-        ends, first = strat._level_ends(lp, top, lo, hi, d, n, gap, log_thresh)
-        h_lo, _, share, d_exact, low = strat._block_halves(lp, lo, hi)
-        assert np.array_equal(ends, share >= log_thresh)
-        assert np.array_equal(first, h_lo == lo)
-        return d, n, gap, d_exact, low - top
-
-    @pytest.mark.parametrize("level_eps", [2.5e-5, 0.05])
-    def test_share_a_few_ulps_from_threshold(self, level_eps):
-        log_thresh = math.log1p(-level_eps)
-        d_star = -math.log(math.expm1(-log_thresh))  # share(d_star) = log_thresh
-        lp, d = [], []
-        for k in range(-4, 5):
-            t = d_star
-            for _ in range(abs(k)):
-                t = np.nextafter(t, math.copysign(math.inf, k))
-            for row in ([0.0, 0.0, -t, -t], [-t, -t, 0.0, 0.0]):
-                lp += [row, row]
-                exact = (row[0] + math.log(2.0)) - (row[2] + math.log(2.0))
-                d += [exact - self.DRIFT, exact + self.DRIFT]
-        rows = len(lp)
-        d, n, _, d_exact, _ = self.decide(lp, [0] * rows, [4] * rows, d,
-                                          [-2.0 * d_star] * rows, log_thresh)
-        # every row was close enough to need, and get, exact sums
-        assert np.array_equal(d, d_exact) and not n.any()
-
-    def test_exact_tie_takes_the_first_half(self):
-        lp = [[-1.5] * 6] * 3
-        d, n, _, d_exact, _ = self.decide(lp, [1] * 3, [5] * 3,
-                                          [0.0, -self.DRIFT, self.DRIFT],
-                                          [0.0] * 3, -math.inf)
-        assert np.array_equal(d, d_exact) and not n.any()
-        assert not d_exact.any()
-
-    def test_window_at_the_floor_gets_exact_sums(self):
-        f = LOG_FLOOR_NATS
-        lp = [
-            # both halves at the floor, a tie however d was pushed
-            [0.0, 0.0, f, f, f, f],
-            # the smaller half at the floor, the first half just above it
-            [0.0, 0.0, f + 0.5, f + 0.5, f, f],
-        ]
-        # a clamp swallowed part of the probed first half's last llr, so
-        # the tracked d says the second half leads
-        for log_thresh in (math.log1p(-0.05), -math.inf):
-            d, n, gap, d_exact, gap_exact = self.decide(
-                lp, [2, 2], [6, 6], [-30.0, -0.3], [f - 30.0, f - 30.0],
-                log_thresh)
-            assert np.array_equal(d, d_exact) and not n.any()
-            assert np.array_equal(gap, gap_exact)
-
-    def test_clear_rows_keep_their_tracked_ratio(self):
-        lp = [[0.0, 0.0, -20.0, -20.0], [0.0, 0.0, -3.0, -3.0]]
-        d, n, gap, _, _ = self.decide(lp, [0, 0], [4, 4], [20.0 + self.DRIFT, 3.0],
-                                      [-25.0, -25.0], math.log1p(-2.5e-5))
-        assert d.tolist() == [20.0 + self.DRIFT, 3.0] and n.tolist() == [1, 1]
-        assert gap.tolist() == [-25.0, -25.0]
