@@ -83,11 +83,7 @@ from .strategies import (
     SORTED_PM,
     TWO_STAGE,
     StrategySpec,
-    run_exhaustive,
-    run_noisy_binary_fixed,
-    run_noisy_binary_variable,
     run_strategy,
-    run_two_stage,
 )
 
 __version__ = "0.1.0"
@@ -151,14 +147,10 @@ __all__ = [
     "parse_plan",
     "psi",
     "psi_component",
-    "run_exhaustive",
-    "run_noisy_binary_fixed",
-    "run_noisy_binary_variable",
     "run_plan",
     "run_single_trial",
     "run_strategy",
     "run_trials",
-    "run_two_stage",
     "solve_a_eta",
     "stage1_upper_bound",
     "stage2_upper_bound",

@@ -18,6 +18,12 @@ level instead; they share a second lockstep loop, `_bisect`, in which each
 row narrows its own window of the posterior and reads each half's mass from
 one cell, since every cell of a half holds the same value.
 
+Fixed composition picks its probe sets by a partial Fisher-Yates shuffle
+whose draws, `_below`, read the bit generator's 32-bit words directly and
+apply numpy's own bounded rule for Generator.integers: the same picks and
+the same generator state as calling integers, so the random stream is
+unchanged, at a fraction of the per-call cost.
+
 Strategies
 ----------
 fixed_composition   non-adaptive probe sets of optimal composition q*
@@ -76,14 +82,31 @@ class StrategySpec:
         return self.kind
 
 
+def _below(n: int, nxt, state) -> int:
+    """A uniform draw from [0, n), 2 <= n < 2**32, by numpy's bounded rule
+    for Generator.integers(n) (Lemire's multiply-and-reject over 32-bit
+    words): the same value and the same generator state, without the cost
+    of a Generator call.  nxt and state are the bit generator's ctypes
+    next_uint32 and state."""
+    m = nxt(state) * n
+    if m & 0xFFFFFFFF < n:  # threshold < n, so only then can m be rejected
+        threshold = (0x100000000 - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = nxt(state) * n
+    return m >> 32
+
+
 def _partial_shuffle(size: int, k: int, rng: np.random.Generator) -> list[int]:
     """The first k entries of a partial Fisher-Yates shuffle of range(size),
-    one scalar draw each; swapped entries are kept in a dict, so the cost is
-    O(k) whatever the size."""
+    one draw each, the value rng.integers(size - i) would give (`_below`);
+    swapped entries are kept in a dict, so the cost is O(k) whatever the
+    size."""
+    words = rng.bit_generator.ctypes
+    nxt, state = words.next_uint32, words.state
     moved: dict[int, int] = {}
     cells = []
     for i in range(k):
-        j = i + int(rng.integers(size - i))
+        j = i + _below(size - i, nxt, state)
         cells.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
     return cells
@@ -235,16 +258,22 @@ def _round_robin_rule(config: SearchConfig):
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _one_stage(size: int, probe, eps: float, rngs: list, label: str,
+def _one_stage(config: SearchConfig, probe, rngs: list, label: str,
                first_trial: int | None) -> Rows:
-    """Draw each row's target uniformly from [0, size), then search."""
-    targets = np.array([int(g.integers(size)) for g in rngs], dtype=np.int64)
-    steps, cells, pmax = _search(size, probe, targets, eps, rngs, label, first_trial)
+    """Draw each row's target uniformly from [0, M), then search all M
+    cells at the config's epsilon."""
+    targets = np.array([int(g.integers(config.M)) for g in rngs], dtype=np.int64)
+    steps, cells, pmax = _search(config.M, probe, targets, config.epsilon, rngs,
+                                 label, first_trial)
     return steps, np.zeros_like(steps), cells == targets, pmax
 
 
 def _two_stage_rows(config: SearchConfig, s: int, rngs: list,
                     first_trial: int | None = None) -> Rows:
+    """Two-stage search over s >= 2 sections (alpha = 1/s, s dividing M):
+    stage 1 runs fixed composition over the s sections at reliability
+    eps/2, stage 2 runs sorted-PM inside the winning section, again at
+    eps/2."""
     section = config.M // s
     eps_half = config.epsilon / 2.0
     targets = np.array([int(g.integers(config.M)) for g in rngs], dtype=np.int64)
@@ -271,16 +300,6 @@ def _sections(config: SearchConfig, alpha: float) -> int:
     if config.M % s != 0:
         raise InvalidAlpha(f"1/alpha = {s} does not divide M = {config.M}")
     return s
-
-
-def run_two_stage(config: SearchConfig, alpha: float, rng: np.random.Generator,
-                  trial_seed: int = 0) -> TrialRecord:
-    """Two-stage search: stage 1 runs fixed composition over 1/alpha coarse
-    sections at reliability eps/2; stage 2 runs sorted-PM inside the winning
-    section, again at eps/2.  alpha must be 1/s with s dividing M, s >= 2."""
-    s = _sections(config, alpha)
-    return _row_record(f"two_stage(alpha=1/{s})", _two_stage_rows(config, s, [rng]),
-                       trial_seed)
 
 
 def _level_llr(hit: bool, v: float, r: int, rng: np.random.Generator) -> float:
@@ -317,7 +336,8 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
     >= 1 - epsilon/log2(M) of the window's mass.  z set, fixed levels: an
     iteration is a whole level of r = max(1, ceil(4 v z^2)) observations
     per row, folded into one update (its threshold is -inf, so every level
-    ends).
+    ends); z = Q^{-1}(epsilon/log2 M), so that one level errs with
+    probability at most epsilon/log2 M.
 
     Windows nest, the prior is uniform, and an update adds the same llr,
     shift and clamp to every cell of a half, so every cell of a half holds
@@ -430,37 +450,6 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
             np.array([math.exp(t) for t in top.tolist()]))
 
 
-def run_noisy_binary_fixed(config: SearchConfig, rng: np.random.Generator,
-                           trial_seed: int = 0) -> TrialRecord:
-    """Bisection with fixed per-level repetition.
-
-    Each level probes the half-window with higher posterior mass and repeats
-    the measurement r times, r = max(1, ceil(4 v z^2)) with
-    z = Q^{-1}(epsilon / log2 M), so that a single level errs with
-    probability at most epsilon / log2 M.  The r observations are folded
-    into one posterior update.  Recurses into the higher-posterior half.
-    """
-    return run_strategy(StrategySpec(NOISY_BINARY_FIXED), config, rng, trial_seed)
-
-
-def run_noisy_binary_variable(config: SearchConfig, rng: np.random.Generator,
-                              trial_seed: int = 0) -> TrialRecord:
-    """Bisection with sequential per-level stopping.
-
-    Each level repeatedly probes the half-window favored at level start and
-    updates after every observation, until one half holds a fraction
-    >= 1 - epsilon/log2(M) of the posterior mass within the window; the
-    search then recurses into that half.
-    """
-    return run_strategy(StrategySpec(NOISY_BINARY_VARIABLE), config, rng, trial_seed)
-
-
-def run_exhaustive(config: SearchConfig, rng: np.random.Generator,
-                   trial_seed: int = 0) -> TrialRecord:
-    """Round-robin single-cell probes until one cell reaches 1 - epsilon."""
-    return run_strategy(StrategySpec(EXHAUSTIVE), config, rng, trial_seed)
-
-
 def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
              first_trial: int | None = None) -> Rows:
     """Run one trial per generator at the config's epsilon, all in lockstep,
@@ -468,22 +457,22 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
     Every row's record equals run_strategy on its generator alone.  With
     first_trial set, a StepLimitExceeded names the lowest row that reached
     the limit as trial first_trial + row."""
-    m, eps = config.M, config.epsilon
+    m = config.M
     if spec.kind == FIXED_COMPOSITION:
-        return _one_stage(m, _composition_rule(config, m, 1), eps, rngs,
+        return _one_stage(config, _composition_rule(config, m, 1), rngs,
                           FIXED_COMPOSITION, first_trial)
     if spec.kind == SORTED_PM:
-        return _one_stage(m, _sorted_pm_rule(config), eps, rngs, SORTED_PM,
+        return _one_stage(config, _sorted_pm_rule(config), rngs, SORTED_PM,
                           first_trial)
     if spec.kind == EXHAUSTIVE:
-        return _one_stage(m, _round_robin_rule(config), eps, rngs, EXHAUSTIVE,
+        return _one_stage(config, _round_robin_rule(config), rngs, EXHAUSTIVE,
                           first_trial)
     if spec.kind == TWO_STAGE:
         return _two_stage_rows(config, _sections(config, spec.alpha), rngs,
                                first_trial)
     z = None
     if spec.kind == NOISY_BINARY_FIXED and m > 1:
-        z = max(0.0, gaussian_tail_inverse(eps / math.log2(m)))
+        z = max(0.0, gaussian_tail_inverse(config.epsilon / math.log2(m)))
     return _bisect(config, rngs, z, spec.kind, first_trial)
 
 

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import searchlab.strategies as strat
 from searchlab.errors import InvalidAlpha, StepLimitExceeded
-from searchlab.model import NoiseModel, new_config
+from searchlab.model import MAX_CELLS, NoiseModel, new_config
 from searchlab.sim import run_trials, trial_seed_for
 from searchlab.strategies import (
     EXHAUSTIVE,
@@ -19,12 +21,8 @@ from searchlab.strategies import (
     TWO_STAGE,
     StrategySpec,
     random_composition_mask,
-    run_exhaustive,
-    run_noisy_binary_fixed,
-    run_noisy_binary_variable,
     run_rows,
     run_strategy,
-    run_two_stage,
     sorted_pm_mask,
 )
 
@@ -84,6 +82,32 @@ class TestCompositionMask:
             want[arr[:k]] = True
             assert np.array_equal(random_composition_mask(size, k, rng), want)
             assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+# Bounds of one pick: mostly grid sizes, and bounds near 3e9 and just above
+# 2**31, where about a third and a half of the 32-bit words are rejected.
+PICK_BOUNDS = st.one_of(st.integers(2, MAX_CELLS),
+                        st.integers(2_900_000_000, 3_100_000_000),
+                        st.integers(2**31 + 1, 2**31 + MAX_CELLS),
+                        st.integers(2, 2**32 - 1))
+
+
+class TestBelow:
+    @given(seed=st.integers(0, 2**63),
+           odd_start=st.booleans(),
+           picks=st.lists(st.tuples(PICK_BOUNDS, st.booleans()),
+                          min_size=1, max_size=40))
+    def test_same_draws_as_generator_integers(self, seed, odd_start, picks):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        words = rng.bit_generator.ctypes
+        if odd_start:  # one pick leaves half of a 64-bit output buffered
+            assert strat._below(7, words.next_uint32, words.state) == twin.integers(7)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        for n, normal in picks:
+            assert strat._below(n, words.next_uint32, words.state) == twin.integers(n)
+            if normal:
+                assert rng.standard_normal() == twin.standard_normal()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestSortedPMMask:
@@ -176,37 +200,44 @@ class TestSortedPM:
             assert rec.final_max_prob >= (1 - 1e-4) * (1 - 1e-12)
 
 
+def two_stage(alpha):
+    return StrategySpec(TWO_STAGE, alpha=alpha)
+
+
 class TestTwoStage:
     def test_single_cell_sections_skip_stage_two(self, config16):
-        rec = run_two_stage(config16, 1.0 / 16.0, np.random.default_rng(2))
+        rec = run_strategy(two_stage(1.0 / 16.0), config16, np.random.default_rng(2))
         assert rec.tau == rec.tau_stage1
 
     def test_stage_split_recorded(self, config16):
-        rec = run_two_stage(config16, 0.25, np.random.default_rng(3))
+        rec = run_strategy(two_stage(0.25), config16, np.random.default_rng(3))
         assert 0 < rec.tau_stage1 < rec.tau
 
     def test_alpha_must_be_reciprocal_integer(self, config16):
         with pytest.raises(InvalidAlpha):
-            run_two_stage(config16, 0.3, np.random.default_rng(0))
+            run_strategy(two_stage(0.3), config16, np.random.default_rng(0))
 
     def test_alpha_sections_must_divide_m(self, config16):
         with pytest.raises(InvalidAlpha):
-            run_two_stage(config16, 1.0 / 3.0, np.random.default_rng(0))
+            run_strategy(two_stage(1.0 / 3.0), config16, np.random.default_rng(0))
 
     def test_quarter_alpha_beats_nonadaptive_mean(self, config16):
         # adaptive refinement saves measurements over one-shot composition
         rng = np.random.default_rng(606)
-        ts = np.mean([run_two_stage(config16, 0.25, rng).tau for _ in range(600)])
+        ts = np.mean([run_strategy(two_stage(0.25), config16, rng).tau
+                      for _ in range(600)])
         fc = np.mean([run_strategy(StrategySpec(FIXED_COMPOSITION), config16, rng).tau
                       for _ in range(600)])
         assert ts < fc
 
 
 class TestNoisyBinaryFixed:
+    SPEC = StrategySpec(NOISY_BINARY_FIXED)
+
     def test_two_cells_noiseless_single_probe(self):
         cfg = noiseless(2)
         rng = np.random.default_rng(1)
-        recs = [run_noisy_binary_fixed(cfg, rng) for _ in range(200)]
+        recs = [run_strategy(self.SPEC, cfg, rng) for _ in range(200)]
         assert all(r.tau == 1 for r in recs)
         assert np.mean([r.success for r in recs]) > 0.99
 
@@ -214,60 +245,65 @@ class TestNoisyBinaryFixed:
         cfg = noiseless(16)
         rng = np.random.default_rng(2)
         # one probe per level when repetition collapses to 1
-        assert all(run_noisy_binary_fixed(cfg, rng).tau == 4 for _ in range(50))
+        assert all(run_strategy(self.SPEC, cfg, rng).tau == 4 for _ in range(50))
 
     def test_reference_config_is_deterministic_length(self, config16):
         rng = np.random.default_rng(123)
-        taus = {run_noisy_binary_fixed(config16, rng).tau for _ in range(20)}
+        taus = {run_strategy(self.SPEC, config16, rng).tau for _ in range(20)}
         assert taus == {NB_FIXED_TAU_REFERENCE}
 
     def test_repetitions_grow_with_noise(self):
         # fixed-length tau is a sum of per-level repetition counts, each
         # non-decreasing in the level's noise variance
-        t_small = run_noisy_binary_fixed(
-            new_config(16, 1, 0.25, 1e-4), np.random.default_rng(0)).tau
-        t_large = run_noisy_binary_fixed(
-            new_config(16, 1, 0.5, 1e-4), np.random.default_rng(0)).tau
+        t_small = run_strategy(self.SPEC, new_config(16, 1, 0.25, 1e-4),
+                               np.random.default_rng(0)).tau
+        t_large = run_strategy(self.SPEC, new_config(16, 1, 0.5, 1e-4),
+                               np.random.default_rng(0)).tau
         assert t_large >= t_small
 
     def test_slower_than_nonadaptive_at_small_noise(self):
         cfg = new_config(16, 1, 0.0625, 1e-4)
         rng = np.random.default_rng(707)
-        nb = run_noisy_binary_fixed(cfg, rng).tau
+        nb = run_strategy(self.SPEC, cfg, rng).tau
         fc = np.mean([run_strategy(StrategySpec(FIXED_COMPOSITION), cfg, rng).tau
                       for _ in range(300)])
         assert nb > fc
 
 
 class TestNoisyBinaryVariable:
+    SPEC = StrategySpec(NOISY_BINARY_VARIABLE)
+
     def test_two_cells_noiseless_single_probe(self):
         cfg = noiseless(2)
         rng = np.random.default_rng(4)
-        recs = [run_noisy_binary_variable(cfg, rng) for _ in range(200)]
+        recs = [run_strategy(self.SPEC, cfg, rng) for _ in range(200)]
         assert all(r.tau == 1 for r in recs)
         assert all(r.success for r in recs)
 
     def test_noiseless_level_count_is_log2_m(self):
         cfg = noiseless(16)
         rng = np.random.default_rng(5)
-        assert all(run_noisy_binary_variable(cfg, rng).tau == 4 for _ in range(50))
+        assert all(run_strategy(self.SPEC, cfg, rng).tau == 4 for _ in range(50))
 
     def test_error_rate_within_budget(self):
         # per-level union bound targets eps overall; allow 1.5x at n=10^4
         cfg = new_config(16, 1, 0.25, 1e-2)
-        stats = run_trials(StrategySpec(NOISY_BINARY_VARIABLE), cfg, 10_000, 808)
+        stats = run_trials(self.SPEC, cfg, 10_000, 808)
         assert stats.err_rate <= 1.5 * cfg.epsilon
 
 
 class TestExhaustive:
+    SPEC = StrategySpec(EXHAUSTIVE)
+
     def test_single_cell_is_instant(self):
-        rec = run_exhaustive(new_config(1, 1, 0.25, 1e-4), np.random.default_rng(0))
+        rec = run_strategy(self.SPEC, new_config(1, 1, 0.25, 1e-4),
+                           np.random.default_rng(0))
         assert rec.tau == 0 and rec.success
 
     def test_noiseless_single_pass_suffices(self):
         cfg = noiseless(16)
         rng = np.random.default_rng(6)
-        recs = [run_exhaustive(cfg, rng) for _ in range(100)]
+        recs = [run_strategy(self.SPEC, cfg, rng) for _ in range(100)]
         assert all(r.tau <= 16 for r in recs)
         assert all(r.success for r in recs)
 
@@ -276,12 +312,13 @@ class TestExhaustive:
         means = []
         for m in (8, 16, 32):
             cfg = new_config(m, 1, 0.25, 1e-2)
-            means.append(np.mean([run_exhaustive(cfg, rng).tau for _ in range(300)]))
+            means.append(np.mean([run_strategy(self.SPEC, cfg, rng).tau
+                                  for _ in range(300)]))
         assert means[0] < means[1] < means[2]
 
     def test_stops_at_posterior_threshold(self, config16):
         rng = np.random.default_rng(10)
-        rec = run_exhaustive(config16, rng)
+        rec = run_strategy(self.SPEC, config16, rng)
         assert rec.final_max_prob >= (1 - 1e-4) * (1 - 1e-12)
 
 
