@@ -13,7 +13,9 @@ The achievability terms carry a slack eta in the denominators and an
 additive constant a_eta from the stopping-time analysis, obtained by
 solving eta = (a/(a-3)) psi(a-3).  For noise laws beyond the linear one
 the same bracket structure applies without the additive constants; those
-reports are flagged Asymptotic.
+reports are flagged Asymptotic.  The two-stage bound (lemma2) and both gain
+reports (theorem1, theorem2) read one per-alpha pass, so they share its
+feasibility checks, capacities and brackets.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .channel import (
     optimal_composition,
     solve_a_eta,
 )
-from .errors import EtaTooLarge, InvalidAlpha, NoFeasibleAlpha
+from .errors import EtaTooLarge, NoFeasibleAlpha
 from .model import SearchConfig, sections_from_alpha
 
 VACUOUS = "Vacuous"
@@ -72,11 +74,9 @@ class RegimeRatio:
     flags: tuple[str, ...] = ()
 
 
-def _loglog2(x: float) -> tuple[float, bool]:
-    """log2(log2(x)) clamped at 0 for x < 2; second element marks clamping."""
-    if x < 2.0:
-        return 0.0, True
-    return math.log2(math.log2(x)), False
+def _loglog2(x: float) -> float:
+    """log2(log2(x)), clamped at 0 for x < 2."""
+    return math.log2(math.log2(x)) if x >= 2.0 else 0.0
 
 
 def feasible_alphas(config: SearchConfig) -> list[float]:
@@ -95,17 +95,27 @@ def nonadaptive_lower_bound(config: SearchConfig) -> float:
     return max(0.0, val)
 
 
+def _coarse_capacity(config: SearchConfig, eta: float) -> tuple[float, float]:
+    """(q*, C1) of the config, after checking 0 < eta < C1."""
+    q_star, c1 = optimal_composition(config)
+    if not 0.0 < eta < c1:
+        raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C1 = {c1})")
+    return q_star, c1
+
+
+def _refine_capacity(config: SearchConfig, am: int) -> float:
+    """C2 of an am-cell section, from the continuous variance extension
+    even for singleton sections."""
+    return bawgn_capacity(0.5, config.variance_at(am / 2.0))
+
+
 def stage1_upper_bound(config: SearchConfig, alpha: float, eta: float,
                        a_eta: float) -> float:
     """Expected time for the coarse stage to localize the target to one of
     the 1/alpha sections with reliability eps/2."""
-    s = sections_from_alpha(alpha)
-    if config.M % s != 0:
-        raise InvalidAlpha(f"1/alpha = {s} does not divide M = {config.M}")
-    _, c1 = optimal_composition(config)
-    if not 0.0 < eta < c1:
-        raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C1 = {c1})")
-    ll, _ = _loglog2(1.0 / alpha)
+    sections_from_alpha(alpha, config.M)
+    _, c1 = _coarse_capacity(config, eta)
+    ll = _loglog2(1.0 / alpha)
     num = math.log2(1.0 / alpha) + math.log2(2.0 / config.epsilon) + ll + a_eta
     return num / (c1 - eta)
 
@@ -114,42 +124,76 @@ def stage2_upper_bound(config: SearchConfig, alpha: float, eta: float,
                        a_eta: float) -> float:
     """Expected time for the refine stage over the alpha*M cells of the
     winning section; singleton sections need no second stage."""
-    s = sections_from_alpha(alpha)
-    if config.M % s != 0:
-        raise InvalidAlpha(f"1/alpha = {s} does not divide M = {config.M}")
-    am = config.M // s
+    am = config.M // sections_from_alpha(alpha, config.M)
     if am == 1:
         return 0.0
-    c2 = bawgn_capacity(0.5, config.variance_at(am / 2.0))
+    c2 = _refine_capacity(config, am)
     if not 0.0 < eta < c2:
         raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C2 = {c2})")
-    ll, _ = _loglog2(float(am))
+    ll = _loglog2(float(am))
     num = math.log2(am) + math.log2(2.0 / config.epsilon) + ll + a_eta
     return num / (c2 - eta)
+
+
+def _alpha_pass(config: SearchConfig, eta: float, constants: bool):
+    """The per-alpha terms that lemma2, theorem1 and theorem2 read.
+
+    Every feasible alpha with eta < C2(alpha) gets its two gain brackets
+    and, with constants, its stage bounds and the constant term h (a_eta
+    is solved once); without, its dominant logarithmic terms.  The skip
+    never fires at the singleton section alpha = 1/M: its refine probe has
+    composition 1/2, where the binary-input capacity peaks, and variance
+    v(1/2) below every v(k), k >= 1, so C2(1/M) >= C1 > eta.  Returns
+    (q_star, a_eta solution or None, capacity_terms, alpha_terms).
+    """
+    alphas = feasible_alphas(config)
+    if not alphas:
+        raise NoFeasibleAlpha(f"M = {config.M} admits no section fraction")
+    q_star, c1 = _coarse_capacity(config, eta)
+    sol = solve_a_eta(eta, config) if constants else None
+    eps = config.epsilon
+    h_eps = binary_entropy(eps)
+    log_2eps = math.log2(2.0 / eps)
+    capacity_terms = {"C1": c1}
+    alpha_terms: dict[float, dict[str, float]] = {}
+    for alpha in alphas:
+        s = sections_from_alpha(alpha)
+        am = config.M // s
+        c2 = _refine_capacity(config, am)
+        if not eta < c2:
+            continue
+        capacity_terms[f"C2[alpha=1/{s}]"] = c2
+        bracket1 = math.log2(1.0 / alpha) * ((1.0 - eps) / c1 - 1.0 / (c1 - eta))
+        bracket2 = math.log2(am) * ((1.0 - eps) / c1 - 1.0 / (c2 - eta))
+        if sol is None:
+            dom = math.log2(1.0 / alpha) / (c1 - eta) + math.log2(am) / (c2 - eta)
+            alpha_terms[alpha] = {"bracket1": bracket1, "bracket2": bracket2,
+                                  "gain": bracket1 + bracket2, "dominant": dom}
+            continue
+        a_eta = sol.value
+        h_term = ((log_2eps + _loglog2(1.0 / alpha) + a_eta) / (c1 - eta)
+                  + (log_2eps + _loglog2(float(am)) + a_eta) / (c2 - eta)
+                  + h_eps / c1)
+        alpha_terms[alpha] = {
+            "stage1": stage1_upper_bound(config, alpha, eta, a_eta),
+            "stage2": stage2_upper_bound(config, alpha, eta, a_eta),
+            "gain": bracket1 + bracket2 - h_term,
+            "bracket1": bracket1, "bracket2": bracket2, "h": h_term}
+    if not alpha_terms:
+        raise NoFeasibleAlpha(f"eta = {eta} is inadmissible at every alpha")
+    return q_star, sol, capacity_terms, alpha_terms
+
+
+def _stage_sum(terms: dict[str, float]) -> float:
+    return terms["stage1"] + terms["stage2"]
 
 
 def adaptive_upper_bound(config: SearchConfig, eta: float) -> tuple[float, float]:
     """Two-stage achievability bound minimized over feasible alpha.
     Returns (bound, minimizing alpha)."""
-    alphas = feasible_alphas(config)
-    if not alphas:
-        raise NoFeasibleAlpha(f"M = {config.M} admits no section fraction")
-    _, c1 = optimal_composition(config)
-    if not 0.0 < eta < c1:
-        raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C1 = {c1})")
-    a_eta = solve_a_eta(eta, config).value
-    best_val, best_alpha = math.inf, None
-    for alpha in alphas:
-        try:
-            val = (stage1_upper_bound(config, alpha, eta, a_eta)
-                   + stage2_upper_bound(config, alpha, eta, a_eta))
-        except EtaTooLarge:
-            continue
-        if val < best_val:
-            best_val, best_alpha = val, alpha
-    if best_alpha is None:
-        raise NoFeasibleAlpha(f"eta = {eta} is inadmissible at every alpha")
-    return best_val, best_alpha
+    alpha_terms = _alpha_pass(config, eta, True)[3]
+    alpha = min(alpha_terms, key=lambda a: _stage_sum(alpha_terms[a]))
+    return _stage_sum(alpha_terms[alpha]), alpha
 
 
 def adaptivity_gain_lower_bound(config: SearchConfig, eta: float) -> BoundReport:
@@ -163,102 +207,21 @@ def adaptivity_gain_lower_bound(config: SearchConfig, eta: float) -> BoundReport
     report takes the maximum over alpha.  A non-positive maximum is flagged
     Vacuous (the bound then says nothing).
     """
-    alphas = feasible_alphas(config)
-    if not alphas:
-        raise NoFeasibleAlpha(f"M = {config.M} admits no section fraction")
-    q_star, c1 = optimal_composition(config)
-    if not 0.0 < eta < c1:
-        raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C1 = {c1})")
-    sol = solve_a_eta(eta, config)
-    a_eta = sol.value
-    eps = config.epsilon
-    h_eps = binary_entropy(eps)
-    log_2eps = math.log2(2.0 / eps)
-
-    flags: list[str] = []
-    if sol.clamped:
-        flags.append(CLAMPED)
-    capacity_terms = {"C1": c1}
-    alpha_terms: dict[float, dict[str, float]] = {}
-    any_loglog_clamped = False
-
-    best_gain, best_alpha = -math.inf, None
-    best_sum, best_sum_alpha = math.inf, None
-    for alpha in alphas:
-        s = sections_from_alpha(alpha)
-        am = config.M // s
-        # the refine capacity is defined from the continuous variance
-        # extension even for singleton sections, where it only enters h
-        c2 = bawgn_capacity(0.5, config.variance_at(am / 2.0))
-        if not eta < c2:
-            continue
-        s1 = stage1_upper_bound(config, alpha, eta, a_eta)
-        s2 = stage2_upper_bound(config, alpha, eta, a_eta)
-        ll1, cl1 = _loglog2(1.0 / alpha)
-        ll2, cl2 = _loglog2(float(am))
-        any_loglog_clamped |= cl1 or cl2
-        bracket1 = math.log2(1.0 / alpha) * ((1.0 - eps) / c1 - 1.0 / (c1 - eta))
-        bracket2 = math.log2(am) * ((1.0 - eps) / c1 - 1.0 / (c2 - eta))
-        h_term = ((log_2eps + ll1 + a_eta) / (c1 - eta)
-                  + (log_2eps + ll2 + a_eta) / (c2 - eta)
-                  + h_eps / c1)
-        gain = bracket1 + bracket2 - h_term
-        alpha_terms[alpha] = {"stage1": s1, "stage2": s2, "gain": gain,
-                              "bracket1": bracket1, "bracket2": bracket2,
-                              "h": h_term}
-        capacity_terms[f"C2[alpha=1/{s}]"] = c2
-        if gain > best_gain:
-            best_gain, best_alpha = gain, alpha
-        if s1 + s2 < best_sum:
-            best_sum, best_sum_alpha = s1 + s2, alpha
-    if best_alpha is None:
-        raise NoFeasibleAlpha(f"eta = {eta} is inadmissible at every alpha")
-    if best_gain <= 0.0:
+    q_star, sol, capacity_terms, alpha_terms = _alpha_pass(config, eta, True)
+    alpha_star = max(alpha_terms, key=lambda a: alpha_terms[a]["gain"])
+    gain = alpha_terms[alpha_star]["gain"]
+    flags = [CLAMPED] if sol.clamped else []
+    if gain <= 0.0:
         flags.append(VACUOUS)
-    if any_loglog_clamped:
+    # log2 log2 clamps only at the one-cell sections, alpha = 1/M
+    if 1.0 / config.M in alpha_terms:
         flags.append(LOGLOG_CLAMPED)
     return BoundReport(nonadaptive_lb=nonadaptive_lower_bound(config),
-                       adaptive_ub=best_sum, gain_lb=best_gain,
-                       alpha_star=best_alpha, eta=eta, a_eta=a_eta,
-                       q_star=q_star, capacity_terms=capacity_terms,
-                       flags=tuple(flags), alpha_terms=alpha_terms)
-
-
-def _principal_gain(config: SearchConfig, eta: float):
-    """Dominant-term gain brackets (no additive constants), shared by the
-    general noise-law report and the regime sweeps.  Returns
-    (gain, alpha_star, dominant_min, q_star, c1, capacity_terms, alpha_terms).
-    """
-    alphas = feasible_alphas(config)
-    if not alphas:
-        raise NoFeasibleAlpha(f"M = {config.M} admits no section fraction")
-    q_star, c1 = optimal_composition(config)
-    if not 0.0 < eta < c1:
-        raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C1 = {c1})")
-    eps = config.epsilon
-    capacity_terms = {"C1": c1}
-    alpha_terms: dict[float, dict[str, float]] = {}
-    best_gain, best_alpha = -math.inf, None
-    best_dom = math.inf
-    for alpha in alphas:
-        s = sections_from_alpha(alpha)
-        am = config.M // s
-        c2 = bawgn_capacity(0.5, config.variance_at(am / 2.0))
-        if not eta < c2:
-            continue
-        bracket1 = math.log2(1.0 / alpha) * ((1.0 - eps) / c1 - 1.0 / (c1 - eta))
-        bracket2 = math.log2(am) * ((1.0 - eps) / c1 - 1.0 / (c2 - eta))
-        dom = math.log2(1.0 / alpha) / (c1 - eta) + math.log2(am) / (c2 - eta)
-        capacity_terms[f"C2[alpha=1/{s}]"] = c2
-        gain = bracket1 + bracket2
-        alpha_terms[alpha] = {"bracket1": bracket1, "bracket2": bracket2,
-                              "gain": gain, "dominant": dom}
-        if gain > best_gain:
-            best_gain, best_alpha = gain, alpha
-        best_dom = min(best_dom, dom)
-    if best_alpha is None:
-        raise NoFeasibleAlpha(f"eta = {eta} is inadmissible at every alpha")
-    return best_gain, best_alpha, best_dom, q_star, c1, capacity_terms, alpha_terms
+                       adaptive_ub=min(map(_stage_sum, alpha_terms.values())),
+                       gain_lb=gain, alpha_star=alpha_star, eta=eta,
+                       a_eta=sol.value, q_star=q_star,
+                       capacity_terms=capacity_terms, flags=tuple(flags),
+                       alpha_terms=alpha_terms)
 
 
 def general_f_bounds(config: SearchConfig, eta: float) -> BoundReport:
@@ -270,16 +233,17 @@ def general_f_bounds(config: SearchConfig, eta: float) -> BoundReport:
     optimal composition and both capacity constants are evaluated under the
     config's own noise law.
     """
-    gain, alpha_star, dom, q_star, c1, cap_terms, alpha_terms = \
-        _principal_gain(config, eta)
+    q_star, _, capacity_terms, alpha_terms = _alpha_pass(config, eta, False)
+    alpha_star = max(alpha_terms, key=lambda a: alpha_terms[a]["gain"])
+    gain = alpha_terms[alpha_star]["gain"]
     flags = [ASYMPTOTIC]
     if gain <= 0.0:
         flags.append(VACUOUS)
     return BoundReport(nonadaptive_lb=nonadaptive_lower_bound(config),
-                       adaptive_ub=dom, gain_lb=gain, alpha_star=alpha_star,
-                       eta=eta, a_eta=None, q_star=q_star,
-                       capacity_terms=cap_terms, flags=tuple(flags),
-                       alpha_terms=alpha_terms)
+                       adaptive_ub=min(t["dominant"] for t in alpha_terms.values()),
+                       gain_lb=gain, alpha_star=alpha_star, eta=eta, a_eta=None,
+                       q_star=q_star, capacity_terms=capacity_terms,
+                       flags=tuple(flags), alpha_terms=alpha_terms)
 
 
 def fixed_b_limit_constant(config: SearchConfig) -> float:
@@ -316,7 +280,7 @@ def asymptotic_ratios(configs, eta_frac: float = 0.1) -> list[RegimeRatio]:
         if cfg.M < 2:
             raise ValueError("regime sweep points need M >= 2")
         _, c1 = optimal_composition(cfg)
-        gain, _, _, _, _, _, _ = _principal_gain(cfg, eta_frac * c1)
+        gain = general_f_bounds(cfg, eta_frac * c1).gain_lb
         log_m = math.log2(cfg.M)
         if regime == "fixed_B":
             ratio = gain / log_m

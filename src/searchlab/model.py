@@ -212,13 +212,15 @@ def new_config(width: float, resolution: float, sigma2: float, epsilon: float,
                         noise=noise, M=m)
 
 
-def sections_from_alpha(alpha: float) -> int:
-    """Section count s of a section fraction alpha = 1/s, s an integer >= 2.
-    Callers check that s divides their M."""
+def sections_from_alpha(alpha: float, m: int | None = None) -> int:
+    """Section count s of a section fraction alpha = 1/s, s an integer >= 2;
+    given a cell count m, s must also divide m."""
     s_real = 1.0 / alpha if alpha > 0 else math.nan
     s = round(s_real) if math.isfinite(s_real) else 0
     if s < 2 or abs(s_real - s) > 1e-9 * s:
         raise InvalidAlpha(f"alpha = {alpha} is not 1/s for an integer s >= 2")
+    if m is not None and m % s != 0:
+        raise InvalidAlpha(f"1/alpha = {s} does not divide M = {m}")
     return s
 
 

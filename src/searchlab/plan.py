@@ -51,7 +51,8 @@ class ExperimentPlan:
 
     ``axes`` lists every parameter as (name, values), fixed parameters as
     singleton value tuples, in expansion order (fixed first, then sweeps as
-    declared).
+    declared).  eta_frac is checked here, not in parse_plan, so plans built
+    by the CLI or by dataclasses.replace are checked before they run.
     """
 
     id: str
@@ -64,6 +65,10 @@ class ExperimentPlan:
     output_path: str | None = None
     capacity_mode: str | None = None
     total_variances: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        _require(0.0 < self.eta_frac < 1.0,
+                 f"eta_frac must lie in (0, 1), got {self.eta_frac}")
 
     def swept_params(self) -> list[str]:
         return [name for name, vals in self.axes if len(vals) > 1]
@@ -182,9 +187,7 @@ def parse_plan(text: str) -> ExperimentPlan:
     master_seed = doc.get("master_seed", 0)
     _require(isinstance(master_seed, int) and 0 <= master_seed < 2 ** 64,
              f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
-    eta_frac = doc.get("eta_frac", 0.1)
-    eta_frac = _as_number(eta_frac, "eta_frac")
-    _require(0.0 < eta_frac < 1.0, f"eta_frac must lie in (0, 1), got {eta_frac}")
+    eta_frac = _as_number(doc.get("eta_frac", 0.1), "eta_frac")
     output_path = doc.get("output_path")
     _require(output_path is None or isinstance(output_path, str),
              "output_path must be a string")

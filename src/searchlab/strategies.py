@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
-from .errors import InvalidAlpha, StepLimitExceeded
+from .errors import StepLimitExceeded
 from .inference import renormalize_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
@@ -295,13 +295,6 @@ def _row_record(label: str, rows: Rows, trial_seed: int) -> TrialRecord:
                        final_max_prob=float(max_prob))
 
 
-def _sections(config: SearchConfig, alpha: float) -> int:
-    s = sections_from_alpha(alpha)
-    if config.M % s != 0:
-        raise InvalidAlpha(f"1/alpha = {s} does not divide M = {config.M}")
-    return s
-
-
 def _level_llr(hit: bool, v: float, r: int, rng: np.random.Generator) -> float:
     """Summed log-likelihood ratio of r observations 1{hit} + N(0, v)."""
     ys = (1.0 if hit else 0.0) + rng.normal(0.0, math.sqrt(v), size=r)
@@ -468,7 +461,7 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
         return _one_stage(config, _round_robin_rule(config), rngs, EXHAUSTIVE,
                           first_trial)
     if spec.kind == TWO_STAGE:
-        return _two_stage_rows(config, _sections(config, spec.alpha), rngs,
+        return _two_stage_rows(config, sections_from_alpha(spec.alpha, m), rngs,
                                first_trial)
     z = None
     if spec.kind == NOISY_BINARY_FIXED and m > 1:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from searchlab.bounds import (
     adaptive_upper_bound,
@@ -16,7 +18,7 @@ from searchlab.bounds import (
     stage1_upper_bound,
     stage2_upper_bound,
 )
-from searchlab.channel import optimal_composition, solve_a_eta
+from searchlab.channel import bawgn_capacity, optimal_composition, solve_a_eta
 from searchlab.errors import EtaTooLarge, InvalidAlpha, NoFeasibleAlpha
 from searchlab.model import NoiseModel, new_config
 
@@ -221,3 +223,234 @@ class TestRegimeLimits:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             asymptotic_ratios([new_config(8, 1, 0.25, 1e-4)])
+
+
+# Bit-exact goldens, float.hex() of each value: the fig4, fig5 and fig8
+# points at eta = 0.1*C1, plus M=12 under the linear law and under a table
+# law.  Per theorem1, the gains are listed in feasible_alphas order.
+BOUND_TABLE = (1.0, 1.25, 2.0, 2.5, 3.0, 4.5, 5.0, 6.0, 7.5, 8.0, 10.0, 12.0)
+BOUND_POINTS = {
+    **{f"fig4_sigma2={s2}": (16, 1, s2, 1e-4, None)
+       for s2 in (0.0625, 0.125, 0.25, 0.5)},
+    **{f"fig5_B={b}": (b, 1, 0.25, 1e-4, None) for b in (8, 16, 32, 64, 128)},
+    **{f"fig8_gamma={g}": (25, 1, 0.25, 1e-4, NoiseModel.power(g))
+       for g in (0.5, 1.0, 2.0)},
+    "M=12": (12, 1, 0.25, 1e-2, None),
+    "table_M=12": (12, 1, 0.25, 1e-2, NoiseModel.from_table(BOUND_TABLE)),
+}
+BOUND_GOLDEN = {
+    "fig4_sigma2=0.0625": {
+        "lemma2": ("0x1.2f0d4e468eedep+6", "0x1.0000000000000p-4"),
+        "theorem1": ("-0x1.58ce6f5a7d4b0p+6", "0x1.2f0d4e468eedep+6",
+                     "0x1.0000000000000p-3",
+                     ("-0x1.ae7b91e4a2ce5p+6",
+                      "-0x1.6e32716e1d4cep+6",
+                      "-0x1.58ce6f5a7d4b0p+6",
+                      "-0x1.5ca7f5a6ce610p+6")),
+        "theorem2": ("0x1.a02a3c15831a0p+0", "0x1.1412da0c27c6cp+3"),
+    },
+    "fig4_sigma2=0.125": {
+        "lemma2": ("0x1.f01d869d7c13cp+6", "0x1.0000000000000p-4"),
+        "theorem1": ("-0x1.0690bdb2902c5p+7", "0x1.f01d869d7c13cp+6",
+                     "0x1.0000000000000p-4",
+                     ("-0x1.6a2c51c882adap+7",
+                      "-0x1.23f89290426a8p+7",
+                      "-0x1.0980b0e6e14efp+7",
+                      "-0x1.0690bdb2902c5p+7")),
+        "theorem2": ("0x1.7f14e956abfa6p+1", "0x1.afaf16809a93cp+3"),
+    },
+    "fig4_sigma2=0.25": {
+        "lemma2": ("0x1.ad9cec5049d42p+7", "0x1.0000000000000p-4"),
+        "theorem1": ("-0x1.b04c9569a180bp+7", "0x1.ad9cec5049d42p+7",
+                     "0x1.0000000000000p-4",
+                     ("-0x1.41db80e0cc1bap+8",
+                      "-0x1.f388d0ad969f4p+7",
+                      "-0x1.bbe8b59e8eb88p+7",
+                      "-0x1.b04c9569a180bp+7")),
+        "theorem2": ("0x1.5c030a8e8540fp+2", "0x1.71406cf002b0ep+4"),
+    },
+    "fig4_sigma2=0.5": {
+        "lemma2": ("0x1.7b72a50c39753p+8", "0x1.0000000000000p-4"),
+        "theorem1": ("-0x1.734549e3d8979p+8", "0x1.7b72a50c39753p+8",
+                     "0x1.0000000000000p-4",
+                     ("-0x1.23c5954d558a6p+9",
+                      "-0x1.b7cb498164a38p+8",
+                      "-0x1.8073623620474p+8",
+                      "-0x1.734549e3d8979p+8")),
+        "theorem2": ("0x1.374b9556a4dbep+3", "0x1.4cb28c7cc845ep+5"),
+    },
+    "fig5_B=8": {
+        "lemma2": ("0x1.cfe1960eb4a63p+6", "0x1.0000000000000p-3"),
+        "theorem1": ("-0x1.0aba715649750p+7", "0x1.cfe1960eb4a63p+6",
+                     "0x1.0000000000000p-3",
+                     ("-0x1.60c232f0dee94p+7",
+                      "-0x1.1ee588d86e2a4p+7",
+                      "-0x1.0aba715649750p+7")),
+        "theorem2": ("0x1.09c09c1b578c6p+0", "0x1.6a5f291d493c4p+3"),
+    },
+    "fig5_B=16": {
+        "lemma2": ("0x1.ad9cec5049d42p+7", "0x1.0000000000000p-4"),
+        "theorem1": ("-0x1.b04c9569a180bp+7", "0x1.ad9cec5049d42p+7",
+                     "0x1.0000000000000p-4",
+                     ("-0x1.41db80e0cc1bap+8",
+                      "-0x1.f388d0ad969f4p+7",
+                      "-0x1.bbe8b59e8eb88p+7",
+                      "-0x1.b04c9569a180bp+7")),
+        "theorem2": ("0x1.5c030a8e8540fp+2", "0x1.71406cf002b0ep+4"),
+    },
+    "fig5_B=32": {
+        "lemma2": ("0x1.9acd1e855add6p+8", "0x1.0000000000000p-5"),
+        "theorem1": ("-0x1.76e077e60a45dp+8", "0x1.9acd1e855add6p+8",
+                     "0x1.0000000000000p-4",
+                     ("-0x1.327816af87e3ep+9",
+                      "-0x1.c792a8227c12bp+8",
+                      "-0x1.8a4f31bfeb284p+8",
+                      "-0x1.76e077e60a45dp+8",
+                      "-0x1.78cba3089842bp+8")),
+        "theorem2": ("0x1.004d0d239b7d0p+4", "0x1.810047b5401d8p+5"),
+    },
+    "fig5_B=64": {
+        "lemma2": ("0x1.96c511cf6c258p+9", "0x1.0000000000000p-6"),
+        "theorem1": ("-0x1.55914aafb563ep+9", "0x1.96c511cf6c258p+9",
+                     "0x1.0000000000000p-5",
+                     ("-0x1.2d30f6ad68a89p+10",
+                      "-0x1.b0aa26f0167d6p+9",
+                      "-0x1.6dc7347ca9c00p+9",
+                      "-0x1.579e1e1dbdb88p+9",
+                      "-0x1.55914aafb563ep+9",
+                      "-0x1.5df0a243c4b8ap+9")),
+        "theorem2": ("0x1.675d226d1b9a2p+5", "0x1.8d1a5d77ffb08p+6"),
+    },
+    "fig5_B=128": {
+        "lemma2": ("0x1.928909bef275bp+10", "0x1.0000000000000p-5"),
+        "theorem1": ("-0x1.417e10f4428a6p+10", "0x1.928909bef275bp+10",
+                     "0x1.0000000000000p-5",
+                     ("-0x1.2d858b869a457p+11",
+                      "-0x1.a5dd58f53d419p+10",
+                      "-0x1.5db55f082262fp+10",
+                      "-0x1.44e584a4fefe3p+10",
+                      "-0x1.417e10f4428a6p+10",
+                      "-0x1.47dce7958e87cp+10",
+                      "-0x1.534f53e6cea54p+10")),
+        "theorem2": ("0x1.e606720da0f4dp+6", "0x1.95777d5adf12bp+7"),
+    },
+    "fig8_gamma=0.5": {
+        "lemma2": ("0x1.40d26a114d386p+7", "0x1.47ae147ae147bp-5"),
+        "theorem1": ("-0x1.582fa78eababdp+7", "0x1.40d26a114d386p+7",
+                     "0x1.47ae147ae147bp-5",
+                     ("-0x1.7e25e1e43471fp+7",
+                      "-0x1.582fa78eababdp+7")),
+        "theorem2": ("0x1.d9abe1760504ap+1", "0x1.47248dffb691cp+4"),
+    },
+    "fig8_gamma=1.0": {
+        "lemma2": ("0x1.450c8b01c5b8fp+8", "0x1.47ae147ae147bp-5"),
+        "theorem1": ("-0x1.32ef1fe22d867p+8", "0x1.450c8b01c5b8fp+8",
+                     "0x1.47ae147ae147bp-5",
+                     ("-0x1.59f26f111e8abp+8",
+                      "-0x1.32ef1fe22d867p+8")),
+        "theorem2": ("0x1.6c5cdd4d713f4p+3", "0x1.26033eec679bap+5"),
+    },
+    "fig8_gamma=2.0": {
+        "lemma2": ("0x1.476f6185f48aap+8", "0x1.47ae147ae147bp-5"),
+        "theorem1": ("-0x1.2e9eac435749bp+8", "0x1.476f6185f48aap+8",
+                     "0x1.47ae147ae147bp-5",
+                     ("-0x1.effce37117d8bp+8",
+                      "-0x1.2e9eac435749bp+8")),
+        "theorem2": ("-0x1.245d40f34fdc5p+1", "0x1.9623dfd450e48p+5"),
+    },
+    "M=12": {
+        "lemma2": ("0x1.ee661291cb767p+6", "0x1.5555555555555p-4"),
+        "theorem1": ("-0x1.f19561004ebaep+6", "0x1.ee661291cb767p+6",
+                     "0x1.5555555555555p-4",
+                     ("-0x1.59c7a318cc582p+7",
+                      "-0x1.2748e038336bap+7",
+                      "-0x1.117092eabf171p+7",
+                      "-0x1.fe30f5ac8e60bp+6",
+                      "-0x1.f19561004ebaep+6")),
+        "theorem2": ("0x1.72dabc8d5e8d0p+1", "0x1.11a2a7c3321dfp+4"),
+    },
+    "table_M=12": {
+        "lemma2": ("0x1.573b788530ef9p+6", "0x1.5555555555555p-4"),
+        "theorem1": ("-0x1.711d4f597c040p+6", "0x1.573b788530ef9p+6",
+                     "0x1.5555555555555p-4",
+                     ("-0x1.e22c5be195db2p+6",
+                      "-0x1.96f798177829bp+6",
+                      "-0x1.8fcb429e73f57p+6",
+                      "-0x1.89356d485138ap+6",
+                      "-0x1.711d4f597c040p+6")),
+        "theorem2": ("0x1.f7a8ad767fbe9p+0", "0x1.82e900a520fddp+3"),
+    },
+}
+FIG5_COROLLARY2 = (
+    "0x1.62562579ca108p-5",
+    "0x1.5c030a8e8540fp-4",
+    "0x1.9a14e1d29261ap-4",
+    "0x1.df26d8917a22dp-4",
+    "0x1.15ba8a50ee42cp-3",
+)
+
+class TestBoundGolden:
+    """Every value bit for bit, so a reordered sum or a changed tie-break
+    shows; the goldens above only compare to 1e-6 relative or 1e-4."""
+
+    @pytest.mark.parametrize("name", BOUND_POINTS)
+    def test_bounds_bit_exact(self, name):
+        b, delta, sigma2, eps, noise = BOUND_POINTS[name]
+        cfg = new_config(b, delta, sigma2, eps, noise=noise)
+        eta = 0.1 * optimal_composition(cfg)[1]
+        val, alpha = adaptive_upper_bound(cfg, eta)
+        t1 = adaptivity_gain_lower_bound(cfg, eta)
+        t2 = general_f_bounds(cfg, eta)
+        got = {
+            "lemma2": (val.hex(), alpha.hex()),
+            "theorem1": (t1.gain_lb.hex(), t1.adaptive_ub.hex(),
+                         t1.alpha_star.hex(),
+                         tuple(t["gain"].hex() for t in t1.alpha_terms.values())),
+            "theorem2": (t2.gain_lb.hex(), t2.adaptive_ub.hex()),
+        }
+        assert got == BOUND_GOLDEN[name]
+
+    def test_fig5_corollary2_bit_exact(self):
+        cfgs = [new_config(b, 1, 0.25, 1e-4) for b in (8, 16, 32, 64, 128)]
+        ratios = asymptotic_ratios(cfgs, eta_frac=0.1)
+        assert tuple(r.ratio.hex() for r in ratios) == FIG5_COROLLARY2
+
+
+def _point(name):
+    b, delta, sigma2, eps, noise = BOUND_POINTS[name]
+    cfg = new_config(b, delta, sigma2, eps, noise=noise)
+    return cfg, 0.1 * optimal_composition(cfg)[1]
+
+
+class TestPassInvariants:
+    """What lets lemma2, theorem1 and theorem2 read one per-alpha pass."""
+
+    @pytest.mark.parametrize("name", BOUND_POINTS)
+    def test_theorem1_upper_bound_is_lemma2(self, name):
+        cfg, eta = _point(name)
+        assert (adaptivity_gain_lower_bound(cfg, eta).adaptive_ub
+                == adaptive_upper_bound(cfg, eta)[0])
+
+    @pytest.mark.parametrize("name", BOUND_POINTS)
+    def test_theorems_share_brackets(self, name):
+        cfg, eta = _point(name)
+        t1 = adaptivity_gain_lower_bound(cfg, eta).alpha_terms
+        t2 = general_f_bounds(cfg, eta).alpha_terms
+        assert list(t1) == list(t2)
+        for alpha in t1:
+            for key in ("bracket1", "bracket2"):
+                assert t1[alpha][key] == t2[alpha][key]
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.linear(), NoiseModel.power(0.5), NoiseModel.power(2.0),
+        NoiseModel.from_table([1.0 + 0.5 * (k - 1) ** 1.3
+                               for k in range(1, 257)]),
+    ], ids=["linear", "gamma=0.5", "gamma=2", "table"])
+    @given(m=st.integers(2, 256),
+           sigma2=st.sampled_from([0.01, 0.1, 0.25, 1.0, 4.0]))
+    def test_singleton_refine_capacity_covers_c1(self, noise, m, sigma2):
+        # the half probe of a one-cell section is the least noisy probe at
+        # the best composition, so its alpha = 1/M is never skipped
+        cfg = new_config(m, 1, sigma2, 1e-4, noise=noise)
+        assert (bawgn_capacity(0.5, cfg.variance_at(0.5))
+                >= optimal_composition(cfg)[1])

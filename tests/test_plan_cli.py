@@ -480,6 +480,19 @@ class TestCli:
         assert "n_trials" in err and "Traceback" not in err
         assert not (tmp_path / "t.partial").exists()  # refused while parsing
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--preset", "fig6", "--trials", "20"],
+        ["bounds", "--B", "16", "--delta", "1", "--sigma2", "0.25",
+         "--epsilon", "1e-4"],
+    ], ids=["sweep", "bounds"])
+    def test_eta_frac_flag_refused_before_running(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main([*argv, "--eta-frac", "1.5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "eta_frac" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_flag_exits_two(self, tmp_path, capsys, workers):
         rc = main(["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
