@@ -9,6 +9,10 @@ binary-input AWGN law, and the per-observation information rate is
 
 with h(Y) the differential entropy of the mixture
 m(y) = (1-q) G(y; 0, v) + q G(y; 1, v), by adaptive Simpson quadrature.
+Capacity has one batched adaptive-Simpson kernel: ``capacity_grid`` takes
+many (q, v) pairs per pass, in blocks of at most BLOCK_POINTS = 2**14
+integrand points, and gives every pair the float a lone evaluation gives,
+bit for bit; ``bawgn_capacity`` is its cached batch of one.
 Everything downstream (strategy stopping times, converse and achievability
 bounds) is driven by this function and by the truncated-score integral psi
 of the bound constants, which is closed-form and vectorised over probe sizes.
@@ -17,6 +21,7 @@ of the bound constants, which is closed-form and vectorised over probe sizes.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +36,10 @@ LOG2E = math.log2(math.e)
 # internal tolerance is stricter so grid symmetry checks at 1e-9 hold.
 CAPACITY_TOL = 1e-10
 MAX_PANELS = 1 << 23
+# The capacity kernel evaluates at most this many integrand points per
+# block (a pair that needs more runs alone), so a batch's arrays stay near
+# 1 MB whatever its size.
+BLOCK_POINTS = 1 << 14
 
 
 def gaussian_pdf(y, mean: float, variance: float):
@@ -38,13 +47,6 @@ def gaussian_pdf(y, mean: float, variance: float):
     y = np.asarray(y, dtype=float)
     out = np.exp(-((y - mean) ** 2) / (2.0 * variance))
     out /= math.sqrt(2.0 * math.pi * variance)
-    return out if out.ndim else float(out)
-
-
-def log_gaussian_pdf(y, mean: float, variance: float):
-    y = np.asarray(y, dtype=float)
-    out = -((y - mean) ** 2) / (2.0 * variance) \
-        - 0.5 * math.log(2.0 * math.pi * variance)
     return out if out.ndim else float(out)
 
 
@@ -65,40 +67,140 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _simpson(f, lo: float, hi: float, n: int) -> float:
-    """Composite Simpson rule with n (even) panels, vectorized integrand."""
-    x = np.linspace(lo, hi, n + 1)
-    fx = f(x)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((hi - lo) / (3.0 * n) * np.dot(w, fx))
-
-
-def _adaptive_simpson(f, lo: float, hi: float, tol: float, n0: int,
-                      max_panels: int = MAX_PANELS) -> float:
-    """Double the panel count until the Richardson error estimate
-    |S_{2n} - S_n| / 15 drops below tol.  A starting grid already past
-    max_panels is refused before it is allocated."""
-    if n0 > max_panels:
-        raise QuadratureNonConvergence(
-            f"quadrature on [{lo}, {hi}] needs over {max_panels} panels")
-    n = n0
-    s_prev = _simpson(f, lo, hi, n)
-    while n <= max_panels:
-        n *= 2
-        s = _simpson(f, lo, hi, n)
-        if abs(s - s_prev) <= 15.0 * tol:
-            return s
-        s_prev = s
-    raise QuadratureNonConvergence(
-        f"quadrature on [{lo}, {hi}] still above tol={tol} at {n} panels")
-
-
 def _initial_panels(lo: float, hi: float, scale: float) -> int:
     # Enough panels to put ~8 points per noise standard deviation.
     need = max(64.0, 8.0 * (hi - lo) / scale)
     return 1 << max(6, math.ceil(math.log2(need)))
+
+
+# Columns of the per-pair constants table the kernel reads; the two log
+# weights are adjacent so one slice broadcasts over both mixture components.
+_LO, _HI, _WIDTH, _NEG_2V, _HALF_LOG, _LOG_W = 0, 1, 2, 3, 4, slice(5, 7)
+_MEANS = np.array([0.0, 1.0])[:, None]
+
+
+def _grid(c: np.ndarray, n: int, odd: bool) -> np.ndarray:
+    """Points of np.linspace(lo, hi, n + 1), one C-contiguous row per pair
+    of c, bit for bit: k * ((hi - lo) / n) + lo with the last point set to
+    hi.  ``odd`` keeps only the odd k, the points that doubling adds; the
+    even points of 2n panels are the n-panel points exactly."""
+    k = np.arange(1, n, 2, dtype=float) if odd else np.arange(n + 1, dtype=float)
+    x = k * (c[:, _WIDTH, None] / n)
+    x += c[:, _LO, None]
+    if not odd:
+        x[:, -1] = c[:, _HI]
+    return x
+
+
+def _integrand(y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """-m(y) log2 m(y) per row of y.  Component j of log m is
+    log w_j + (-(y - mean_j)**2 / (2v) - log(2 pi v) / 2), evaluated in that
+    order (sign flips aside, which are exact), and log m is
+    np.logaddexp(component 0, component 1)."""
+    d = y[:, None, :] - _MEANS
+    d *= d
+    d /= c[:, _NEG_2V, None, None]
+    d -= c[:, _HALF_LOG, None, None]
+    d += c[:, _LOG_W, None]
+    log_m = np.logaddexp(d[:, 0], d[:, 1])
+    out = np.exp(log_m)
+    out *= log_m
+    out *= -LOG2E
+    return out
+
+
+def _simpson_rows(f: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Composite Simpson sums of the rows of f over n panels: one np.dot
+    per contiguous row, so each sum adds in the order of a lone call."""
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return c[:, _WIDTH] / (3.0 * n) * [np.dot(w, row) for row in f]
+
+
+def _converge(idx, c, n, f, s_half, h, tol, max_panels):
+    """Store in h (at rows idx) the Simpson sum S_n of each pair of c whose
+    values on n panels are f and whose Richardson estimate
+    |S_n - S_n/2| / 15, with s_half = S_n/2, is within tol.  The others are
+    doubled, evaluating only the new odd points, a block of at most
+    BLOCK_POINTS values at a time, so memory stays bounded."""
+    s = _simpson_rows(f, c, n)
+    done = np.abs(s - s_half) <= 15.0 * tol
+    h[idx[done]] = s[done]
+    if done.all():
+        return
+    keep = ~done
+    idx, c, f, s = idx[keep], c[keep], f[keep], s[keep]
+    if n > max_panels:
+        raise QuadratureNonConvergence(
+            f"quadrature on [{c[0, _LO]}, {c[0, _HI]}] still above "
+            f"tol={tol} at {n} panels")
+    rows = max(1, BLOCK_POINTS // (2 * n + 1))
+    for i in range(0, idx.size, rows):
+        b = slice(i, i + rows)
+        cb = c[b]
+        fine = np.empty((len(cb), 2 * n + 1))
+        fine[:, ::2] = f[b]
+        fine[:, 1::2] = _integrand(_grid(cb, 2 * n, True), cb)
+        _converge(idx[b], cb, 2 * n, fine, s[b], h, tol, max_panels)
+
+
+def _capacities(qs, variances, tol: float, max_panels: int) -> list[float]:
+    """C(q, v) in bits for each pair of the float sequences qs, variances:
+    validation, adaptive Simpson over every pair, clamp.  Pairs are grouped
+    by starting panel count; each group's grid is evaluated a block of
+    pairs at a time, and a doubling evaluates only the new odd points."""
+    groups: dict[int, tuple[list, array]] = {}
+    for i, (q, variance) in enumerate(zip(qs, variances)):
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"composition q must lie in [0, 1], got {q}")
+        if not 0 < variance < math.inf:
+            raise ValueError(
+                f"variance must be positive and finite, got {variance}")
+        if q == 0.0 or q == 1.0:
+            continue
+        s = math.sqrt(variance)
+        lo, hi = -10.0 * s, 1.0 + 10.0 * s
+        n0 = _initial_panels(lo, hi, s)
+        if n0 > max_panels:
+            raise QuadratureNonConvergence(
+                f"quadrature on [{lo}, {hi}] needs over {max_panels} panels")
+        # a flat double array: 56 bytes a pair, where tuples take ~280
+        pairs, consts = groups.setdefault(n0, ([], array("d")))
+        pairs.append(i)
+        consts.extend((lo, hi, hi - lo, -(2.0 * variance),
+                       0.5 * math.log(2.0 * math.pi * variance),
+                       math.log(1.0 - q), math.log(q)))
+    out = [0.0] * len(qs)
+    for n0, (pairs, consts) in groups.items():
+        # Every pair takes at least one doubling, so the first block goes
+        # straight to 2 n0 panels; its even points are the n0-panel grid.
+        c = np.frombuffer(consts).reshape(len(pairs), 7)
+        h = np.empty(len(pairs))
+        rows = max(1, BLOCK_POINTS // (2 * n0 + 1))
+        for i in range(0, len(pairs), rows):
+            cb = c[i:i + rows]
+            f = _integrand(_grid(cb, 2 * n0, False), cb)
+            coarse = _simpson_rows(np.ascontiguousarray(f[:, ::2]), cb, n0)
+            _converge(np.arange(i, i + len(cb)), cb, 2 * n0, f, coarse, h,
+                      tol, max_panels)
+        for i, h_y in zip(pairs, h.tolist()):
+            cap = h_y - 0.5 * math.log2(2.0 * math.pi * math.e * variances[i])
+            out[i] = min(max(cap, 0.0), binary_entropy(qs[i]))
+    return out
+
+
+def capacity_grid(qs, variances) -> np.ndarray:
+    """C(q, v) in bits over numpy-broadcast compositions and variances.
+
+    Each entry is the float that bawgn_capacity(q, v) returns, bit for bit,
+    and the first bad pair in C order raises what bawgn_capacity would.
+    """
+    q, v = np.broadcast_arrays(np.asarray(qs, dtype=float),
+                               np.asarray(variances, dtype=float))
+    caps = _capacities(q.ravel().tolist(), v.ravel().tolist(), CAPACITY_TOL,
+                       MAX_PANELS)
+    return np.array(caps, dtype=float).reshape(q.shape)
 
 
 @lru_cache(maxsize=8192)
@@ -109,44 +211,22 @@ def bawgn_capacity(q: float, variance: float, tol: float = CAPACITY_TOL,
     C(q, v) = -int m(y) log2 m(y) dy - (1/2) log2(2 pi e v) with
     m(y) = (1-q) G(y; 0, v) + q G(y; 1, v).  The result is clamped into
     [0, H(q)]; quadrature is adaptive Simpson with absolute error well below
-    1e-8.
+    1e-8.  This is capacity_grid's batch of one.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"composition q must lie in [0, 1], got {q}")
-    if not 0 < variance < math.inf:
-        raise ValueError(f"variance must be positive and finite, got {variance}")
-    if q == 0.0 or q == 1.0:
-        return 0.0
-
-    s = math.sqrt(variance)
-    lo, hi = -10.0 * s, 1.0 + 10.0 * s
-    log_1mq = math.log(1.0 - q)
-    log_q = math.log(q)
-
-    def integrand(y):
-        log_m = np.logaddexp(log_1mq + log_gaussian_pdf(y, 0.0, variance),
-                             log_q + log_gaussian_pdf(y, 1.0, variance))
-        return -np.exp(log_m) * log_m * LOG2E
-
-    h_y = _adaptive_simpson(integrand, lo, hi, tol,
-                            _initial_panels(lo, hi, s), max_panels)
-    c = h_y - 0.5 * math.log2(2.0 * math.pi * math.e * variance)
-    return min(max(c, 0.0), binary_entropy(q))
+    return _capacities((q,), (variance,), tol, max_panels)[0]
 
 
 @lru_cache(maxsize=512)
 def optimal_composition(config) -> tuple[float, float]:
     """Best probe fraction on the grid: argmax over q = k/M, k = 1..M-1, of
-    C(q, noise_variance(k)).  Ties resolve toward the smaller q.  Returns
-    (q_star, capacity_bits)."""
+    C(q, noise_variance(k)), in one capacity_grid call.  Ties resolve toward
+    the smaller q.  Returns (q_star, capacity_bits)."""
     if config.M < 2:
         raise ValueError("composition scan needs at least 2 cells")
-    best_k, best_c = 1, -1.0
-    for k in range(1, config.M):
-        c = bawgn_capacity(k / config.M, config.noise_variance(k))
-        if c > best_c:
-            best_k, best_c = k, c
-    return best_k / config.M, best_c
+    caps = capacity_grid(np.arange(1, config.M) / config.M,
+                         probe_variances(config)[:-1])
+    best = int(np.argmax(caps))
+    return (best + 1) / config.M, float(caps[best])
 
 
 def psi_component(a: float, variance):

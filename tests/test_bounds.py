@@ -152,7 +152,9 @@ class TestAdaptivityGain:
         assert rep32.gain_lb > rep16.gain_lb
 
     def test_loglog_clamp_flagged(self, config16, eta16):
-        # alpha = 1/2 contributes log2(log2(2)) = log2(1) = 0 via the clamp
+        # alpha = 1/M leaves one-cell sections, and log2(log2(alpha M)) =
+        # log2(log2(1)) is clamped to 0; alpha = 1/2 gives log2(log2(2)) = 0
+        # without the clamp
         rep = adaptivity_gain_lower_bound(config16, eta16)
         assert "LogLogClamped" in rep.flags
 

@@ -1,6 +1,7 @@
 """Capacity quadrature, tail helpers, the psi integral, and the a_eta root."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from searchlab import channel
 from searchlab.channel import (
     bawgn_capacity,
     binary_entropy,
+    capacity_grid,
     gaussian_pdf,
     gaussian_tail,
     gaussian_tail_inverse,
@@ -119,6 +122,192 @@ class TestOptimalComposition:
         for k in range(1, 16):
             ck = bawgn_capacity(k / 16, config16.noise_variance(k))
             assert c1 >= ck - 1e-12
+
+
+# .hex() of capacities recorded before the batched kernel existed, so a
+# reordered Simpson sum or a moved grid point shows in the last bit; the
+# goldens above compare at 1e-10 and would not see it.
+CAPACITY_HEX = {
+    (0.001, 0.0001): "0x1.75cf353398000p-7",
+    (0.5, 0.0001): "0x1.fffffffffffacp-1",
+    (0.999, 0.0001): "0x1.75cf353394c00p-7",
+    (0.001, 0.001): "0x1.75cf353398400p-7",
+    (0.5, 0.001): "0x1.0000000000000p+0",
+    (0.999, 0.001): "0x1.75cf353398400p-7",
+    (0.001, 0.03): "0x1.6bb6383b0f1e0p-7",
+    (0.5, 0.03): "0x1.fbec7bdb0a2bfp-1",
+    (0.999, 0.03): "0x1.6bb6383b0f240p-7",
+    (0.001, 0.25): "0x1.76294c462ee00p-9",
+    (0.5, 0.25): "0x1.f19b5826bbbdcp-2",
+    (0.999, 0.25): "0x1.76294c462f000p-9",
+    (0.001, 10.0): "0x1.2e3ca66050000p-14",
+    (0.5, 10.0): "0x1.23d4931de1800p-6",
+    (0.999, 10.0): "0x1.2e3ca66038000p-14",
+    (0.001, 1000.0): "0x1.82e20ea000000p-21",
+    (0.5, 1000.0): "0x1.7a25866d48000p-13",
+    (0.999, 1000.0): "0x1.82e20ea000000p-21",
+}
+GOLDEN_TABLE = (1.0, 1.25, 2.0, 2.5, 3.0, 4.5, 5.0, 6.0, 7.5, 8.0, 10.0, 12.0)
+COMPOSITION_POINTS = {
+    **{f"fig3_gamma={g}": (10, 0.1, 0.25, 1e-4, NoiseModel.power(g))
+       for g in (0.5, 1.0, 2.0)},
+    **{f"fig4_sigma2={s2}": (16, 1, s2, 1e-4, None)
+       for s2 in (0.0625, 0.125, 0.25, 0.5)},
+    **{f"fig5_B={b}": (b, 1, 0.25, 1e-4, None) for b in (8, 32, 64, 128)},
+    **{f"fig8_gamma={g}": (25, 1, 0.25, 1e-4, NoiseModel.power(g))
+       for g in (0.5, 1.0, 2.0)},
+    "M=256": (256, 1, 0.25, 1e-4, None),
+    "table_M=12": (12, 1, 0.25, 1e-2, NoiseModel.from_table(GOLDEN_TABLE)),
+}
+COMPOSITION_HEX = {
+    "fig3_gamma=0.5": ("0x1.999999999999ap-2", "0x1.3e0105242fb6ap-1"),
+    "fig3_gamma=1.0": ("0x1.c28f5c28f5c29p-4", "0x1.a44db9c07f8e8p-3"),
+    "fig3_gamma=2.0": ("0x1.47ae147ae147bp-6", "0x1.9804762e178f0p-4"),
+    "fig4_sigma2=0.0625": ("0x1.8000000000000p-3", "0x1.8f747ac01986ep-2"),
+    "fig4_sigma2=0.125": ("0x1.0000000000000p-3", "0x1.f0f2e17690170p-3"),
+    "fig4_sigma2=0.25": ("0x1.0000000000000p-4", "0x1.1f3fdc0bf2b48p-3"),
+    "fig4_sigma2=0.5": ("0x1.0000000000000p-4", "0x1.3f3ffc7c0eb10p-4"),
+    "fig5_B=8": ("0x1.0000000000000p-3", "0x1.f0f2e17690170p-3"),
+    "fig5_B=32": ("0x1.0000000000000p-4", "0x1.3f3ffc7c0eb10p-4"),
+    "fig5_B=64": ("0x1.0000000000000p-5", "0x1.54d5b2b6b8820p-5"),
+    "fig5_B=128": ("0x1.0000000000000p-6", "0x1.61ada40cfb500p-6"),
+    "fig8_gamma=0.5": ("0x1.70a3d70a3d70ap-2", "0x1.89d2ffdcda968p-3"),
+    "fig8_gamma=1.0": ("0x1.47ae147ae147bp-4", "0x1.8b19d07727a00p-4"),
+    "fig8_gamma=2.0": ("0x1.47ae147ae147bp-5", "0x1.884908c660ad0p-4"),
+    "M=256": ("0x1.0000000000000p-7", "0x1.68fbb8bf76d00p-7"),
+    "table_M=12": ("0x1.5555555555555p-3", "0x1.0283bdc9bd688p-2"),
+}
+
+
+class TestCapacityGolden:
+    """Capacities and composition scans bit for bit."""
+
+    @pytest.mark.parametrize("qv", CAPACITY_HEX, ids=str)
+    def test_capacity_bit_exact(self, qv):
+        bawgn_capacity.cache_clear()
+        assert bawgn_capacity(*qv).hex() == CAPACITY_HEX[qv]
+
+    @pytest.mark.parametrize("name", COMPOSITION_POINTS)
+    def test_optimal_composition_bit_exact(self, name):
+        b, delta, sigma2, eps, noise = COMPOSITION_POINTS[name]
+        cfg = new_config(b, delta, sigma2, eps, noise=noise)
+        optimal_composition.cache_clear()
+        bawgn_capacity.cache_clear()
+        q_star, c1 = optimal_composition(cfg)
+        assert (q_star.hex(), c1.hex()) == COMPOSITION_HEX[name]
+
+
+
+def _random_pairs(n: int, seed: int):
+    """Seeded (q, v) pairs over q in (0.001, 0.999) and v in 1e-4..1e3,
+    with the degenerate q = 0 and q = 1 mixed in."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.001, 0.999, n)
+    q[rng.choice(n, 40, replace=False)] = rng.choice([0.0, 1.0], 40)
+    return q, 10.0 ** rng.uniform(-4.0, 3.0, n)
+
+
+class TestCapacityGrid:
+    """capacity_grid is bawgn_capacity over many pairs, bit for bit."""
+
+    PAIRS = _random_pairs(2000, 20261018)
+
+    @pytest.fixture(scope="class")
+    def lone(self):
+        q, v = self.PAIRS
+        return np.array([bawgn_capacity(a, b) for a, b in zip(q.tolist(), v.tolist())])
+
+    def test_matches_lone_calls(self, lone):
+        q, v = self.PAIRS
+        assert np.array_equal(capacity_grid(q, v), lone)
+
+    def test_matches_lone_calls_shuffled(self, lone):
+        q, v = self.PAIRS
+        perm = np.random.default_rng(5).permutation(q.size)
+        assert np.array_equal(capacity_grid(q[perm], v[perm]), lone[perm])
+
+    @pytest.mark.parametrize("cap", [1, 1 << 40], ids=["one_pair", "one_block"])
+    def test_block_cap_does_not_change_values(self, lone, monkeypatch, cap):
+        monkeypatch.setattr(channel, "BLOCK_POINTS", cap)
+        q, v = self.PAIRS
+        assert np.array_equal(capacity_grid(q, v), lone)
+
+    def test_broadcasts_a_q_by_v_grid(self):
+        qs, vs = [0.1, 0.5, 0.9], [0.01, 0.3, 20.0]
+        got = capacity_grid(np.array(qs)[:, None], vs)
+        assert got.shape == (3, 3)
+        assert got.tolist() == [[bawgn_capacity(q, v) for v in vs] for q in qs]
+
+    def test_degenerate_q_skips_quadrature(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(channel, "_integrand", refuse)
+        assert capacity_grid([0.0, 1.0, 0.0], [0.25, 7.0, 1e-300]).tolist() \
+            == [0.0, 0.0, 0.0]
+
+    def test_empty_grid(self):
+        assert capacity_grid([], []).shape == (0,)
+        assert capacity_grid(np.empty((0, 3)), 0.25).shape == (0, 3)
+
+    @pytest.mark.parametrize("q,v", [(-0.1, 0.25), (1.5, 0.25), (math.nan, 0.25),
+                                     (0.5, 0.0), (0.5, -1.0), (0.5, math.inf),
+                                     (0.5, math.nan), (math.nan, math.nan)])
+    def test_rejects_what_bawgn_capacity_rejects(self, q, v):
+        with pytest.raises(ValueError) as lone:
+            bawgn_capacity(q, v)
+        with pytest.raises(ValueError) as grid:
+            capacity_grid([0.5, q, 2.0], [0.25, v, -1.0])
+        assert str(grid.value) == str(lone.value)
+
+    def test_panel_cap_refused_before_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid allocated")
+
+        with pytest.raises(QuadratureNonConvergence) as lone:
+            bawgn_capacity(0.5, 1e-300)
+        monkeypatch.setattr(channel, "_grid", refuse)
+        with pytest.raises(QuadratureNonConvergence) as grid:
+            capacity_grid([0.5, 0.5], [0.25, 1e-300])
+        assert str(grid.value) == str(lone.value)
+        assert "needs over" in str(grid.value)
+
+    @pytest.mark.parametrize("max_panels,last", [(512, 1024), (256, 512)])
+    def test_nonconvergence_reports_last_panel_count(self, monkeypatch,
+                                                     max_panels, last):
+        # a negative tolerance never converges: the last grid evaluated is
+        # the first past max_panels, as in a lone call
+        monkeypatch.setattr(channel, "CAPACITY_TOL", -1.0)
+        monkeypatch.setattr(channel, "MAX_PANELS", max_panels)
+        with pytest.raises(QuadratureNonConvergence,
+                           match=f"still above tol=-1.0 at {last} panels"):
+            capacity_grid([0.2, 0.37], [0.5, 0.33])
+
+
+class TestCapacityMemory:
+    """The kernel works in blocks, so a batch peaks near one block."""
+
+    LIMIT = 2 << 20
+
+    @staticmethod
+    def _peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cold_composition_scan(self):
+        cfg = new_config(1024, 1, 0.25, 1e-4)
+        for cached in (optimal_composition, bawgn_capacity, channel.probe_variances):
+            cached.cache_clear()
+        assert self._peak(lambda: optimal_composition(cfg)) < self.LIMIT
+
+    def test_48_by_48_grid(self):
+        qs = (np.arange(48) + 0.5) / 48
+        vs = 10.0 ** np.linspace(-1.5, 1.5, 48)
+        assert self._peak(lambda: capacity_grid(qs[:, None], vs)) < self.LIMIT
 
 
 class TestPsi:

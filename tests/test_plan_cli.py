@@ -458,6 +458,14 @@ class TestCli:
         assert rc == 3
         assert "panels" in capsys.readouterr().err
 
+    def test_grid_with_one_tiny_variance_writes_nothing(self, tmp_path, capsys):
+        # the whole grid is refused, not the pairs after the good one
+        rc = main(["capacity", "--q", "0.5", "--variance", "0.25",
+                   "--variance", "1e-300", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "cli_capacity.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
          "--epsilon", "0.01", "--strategy", "sorted_pm",
