@@ -29,13 +29,12 @@ from .channel import (
     optimal_composition,
     solve_a_eta,
 )
-from .errors import EtaTooLarge, NoFeasibleAlpha
+from .errors import EtaTooLarge, NoFeasibleAlpha, ValidationError
 from .model import SearchConfig, sections_from_alpha
 
 VACUOUS = "Vacuous"
 ASYMPTOTIC = "Asymptotic"
 CLAMPED = "Clamped"
-LOGLOG_CLAMPED = "LogLogClamped"
 
 
 @dataclass(frozen=True)
@@ -213,9 +212,6 @@ def adaptivity_gain_lower_bound(config: SearchConfig, eta: float) -> BoundReport
     flags = [CLAMPED] if sol.clamped else []
     if gain <= 0.0:
         flags.append(VACUOUS)
-    # log2 log2 clamps only at the one-cell sections, alpha = 1/M
-    if 1.0 / config.M in alpha_terms:
-        flags.append(LOGLOG_CLAMPED)
     return BoundReport(nonadaptive_lb=nonadaptive_lower_bound(config),
                        adaptive_ub=min(map(_stage_sum, alpha_terms.values())),
                        gain_lb=gain, alpha_star=alpha_star, eta=eta,
@@ -268,17 +264,17 @@ def asymptotic_ratios(configs, eta_frac: float = 0.1) -> list[RegimeRatio]:
     """
     configs = list(configs)
     if len(configs) < 2:
-        raise ValueError("a regime sweep needs at least 2 configs")
+        raise ValidationError("a regime sweep needs at least 2 configs")
     if all(c.B == configs[0].B for c in configs):
         regime = "fixed_B"
     elif all(c.delta == configs[0].delta for c in configs):
         regime = "fixed_delta"
     else:
-        raise ValueError("sweep must hold either B or delta constant")
+        raise ValidationError("sweep must hold either B or delta constant")
     out = []
     for cfg in configs:
         if cfg.M < 2:
-            raise ValueError("regime sweep points need M >= 2")
+            raise ValidationError("regime sweep points need M >= 2")
         _, c1 = optimal_composition(cfg)
         gain = general_f_bounds(cfg, eta_frac * c1).gain_lb
         log_m = math.log2(cfg.M)

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, ndtri
 
-from .errors import NoRootInBracket, QuadratureNonConvergence
+from .errors import NoRootInBracket, QuadratureNonConvergence, ValidationError
 
 LOG2E = math.log2(math.e)
 
@@ -153,14 +153,18 @@ def _capacities(qs, variances, tol: float, max_panels: int) -> list[float]:
     groups: dict[int, tuple[list, array]] = {}
     for i, (q, variance) in enumerate(zip(qs, variances)):
         if not 0.0 <= q <= 1.0:
-            raise ValueError(f"composition q must lie in [0, 1], got {q}")
+            raise ValidationError(f"composition q must lie in [0, 1], got {q}")
         if not 0 < variance < math.inf:
-            raise ValueError(
+            raise ValidationError(
                 f"variance must be positive and finite, got {variance}")
         if q == 0.0 or q == 1.0:
             continue
         s = math.sqrt(variance)
         lo, hi = -10.0 * s, 1.0 + 10.0 * s
+        if hi * hi == math.inf:
+            # the integrand squares y, so it would be NaN on this grid
+            raise QuadratureNonConvergence(
+                f"quadrature on [{lo}, {hi}] overflows: {hi} squared is inf")
         n0 = _initial_panels(lo, hi, s)
         if n0 > max_panels:
             raise QuadratureNonConvergence(
@@ -222,7 +226,7 @@ def optimal_composition(config) -> tuple[float, float]:
     C(q, noise_variance(k)), in one capacity_grid call.  Ties resolve toward
     the smaller q.  Returns (q_star, capacity_bits)."""
     if config.M < 2:
-        raise ValueError("composition scan needs at least 2 cells")
+        raise ValidationError("composition scan needs at least 2 cells")
     caps = capacity_grid(np.arange(1, config.M) / config.M,
                          probe_variances(config)[:-1])
     best = int(np.argmax(caps))
@@ -277,7 +281,7 @@ def solve_a_eta(eta: float, config, tol_rel: float = 1e-8) -> AEtaResult:
     within tol_rel * eta.
     """
     if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+        raise ValidationError(f"eta must be positive, got {eta}")
 
     def f(a: float) -> float:
         return a / (a - 3.0) * psi(a - 3.0, config)

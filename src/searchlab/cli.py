@@ -8,10 +8,11 @@ simulate     Monte Carlo batch for one strategy at one configuration
 sweep        run a bundled figure preset or a JSON plan file
 drift-probe  empirical U-drift of a strategy against its capacity floor
 
-Exit codes: 0 on success, 2 on validation errors (bad flags, malformed
-plans, infeasible configurations), 3 on runtime errors (step limits,
-quadrature failure, I/O).  The worker count defaults to the
-SEARCHLAB_WORKERS environment variable.
+Exit codes: 0 on success, 2 when a ValidationError is raised (bad flags,
+malformed plans, infeasible configurations), 3 on any other error (step
+limits, quadrature failure, I/O, bugs); the rule is stated once in the
+errors module.  The worker count defaults to the SEARCHLAB_WORKERS
+environment variable.
 """
 
 from __future__ import annotations
@@ -24,23 +25,7 @@ from pathlib import Path
 
 # bawgn_capacity is unused here but stays bound: bench/tracer.py patches it.
 from .channel import bawgn_capacity, capacity_grid
-from .errors import (
-    DegeneratePosterior,
-    EtaTooLarge,
-    InvalidAlpha,
-    InvalidEpsilon,
-    InvalidNoiseModel,
-    NoFeasibleAlpha,
-    NonIntegerLocationCount,
-    NonMonotoneNoise,
-    NoRootInBracket,
-    ParseError,
-    ProbeCountOutOfRange,
-    QuadratureNonConvergence,
-    SizeOne,
-    StepLimitExceeded,
-    ValidationError,
-)
+from .errors import ValidationError
 from .plan import (
     BOUND_NAMES,
     CAPACITY_COLUMNS,
@@ -52,13 +37,6 @@ from .plan import (
     run_plan,
 )
 from .strategies import FIXED_COMPOSITION, KINDS, SORTED_PM
-
-VALIDATION_ERRORS = (ParseError, ValidationError, InvalidEpsilon,
-                     NonIntegerLocationCount, InvalidNoiseModel,
-                     NonMonotoneNoise, InvalidAlpha, NoFeasibleAlpha,
-                     EtaTooLarge, ProbeCountOutOfRange, SizeOne, ValueError)
-RUNTIME_ERRORS = (StepLimitExceeded, QuadratureNonConvergence,
-                  NoRootInBracket, DegeneratePosterior, OSError)
 
 
 def _workers(args) -> int:
@@ -240,12 +218,10 @@ def main(argv=None) -> int:
                 "drift-probe": _cmd_drift_probe}
     try:
         return handlers[args.verb](args)
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        # the exit-code policy lives in the exception types (see errors)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if isinstance(exc, ValidationError) else 3
 
 
 if __name__ == "__main__":

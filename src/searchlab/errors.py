@@ -1,27 +1,39 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The type of an error carries the CLI's exit-code policy: a
+``ValidationError`` (bad input: a value outside the paper's domain, a
+malformed plan, an infeasible configuration) exits 2, and anything else,
+the runtime failures below as well as any error the program did not raise
+on purpose, exits 3.  ``ValidationError`` is also a ``ValueError``, so
+library callers may catch either.
+"""
 
 
 class SearchLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonIntegerLocationCount(SearchLabError):
+class ValidationError(SearchLabError, ValueError):
+    """Bad input: the base of every error that exits 2."""
+
+
+class NonIntegerLocationCount(ValidationError):
     """B/delta is not an integer to within the snapping tolerance."""
 
 
-class InvalidEpsilon(SearchLabError):
+class InvalidEpsilon(ValidationError):
     """Reliability target epsilon outside (0, 1)."""
 
 
-class InvalidNoiseModel(SearchLabError):
+class InvalidNoiseModel(ValidationError):
     """Noise model parameters are malformed (bad gamma, empty table, ...)."""
 
 
-class NonMonotoneNoise(SearchLabError):
+class NonMonotoneNoise(ValidationError):
     """Noise variance fails to be positive and non-decreasing in probe count."""
 
 
-class ProbeCountOutOfRange(SearchLabError):
+class ProbeCountOutOfRange(ValidationError):
     """Probe count outside [1, M]."""
 
 
@@ -33,15 +45,15 @@ class NoRootInBracket(SearchLabError):
     """Root bracketing for the threshold parameter exceeded the search cap."""
 
 
-class EtaTooLarge(SearchLabError):
+class EtaTooLarge(ValidationError):
     """Slack eta is not strictly below the relevant capacity term."""
 
 
-class NoFeasibleAlpha(SearchLabError):
+class NoFeasibleAlpha(ValidationError):
     """No section fraction alpha is feasible for this configuration."""
 
 
-class InvalidAlpha(SearchLabError):
+class InvalidAlpha(ValidationError):
     """Section fraction alpha is not of the form 1/s with s | M and s >= 2."""
 
 
@@ -50,7 +62,7 @@ class DegeneratePosterior(SearchLabError):
     normally prevents this)."""
 
 
-class SizeOne(SearchLabError):
+class SizeOne(ValidationError):
     """Operation undefined on a single-cell posterior."""
 
 
@@ -58,14 +70,10 @@ class StepLimitExceeded(SearchLabError):
     """A single trial exceeded the hard step budget."""
 
 
-class ParseError(SearchLabError):
+class ParseError(ValidationError):
     """Plan text is not valid JSON."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         super().__init__(message)
         self.line = line
         self.col = col
-
-
-class ValidationError(SearchLabError):
-    """Plan is valid JSON but violates the plan schema."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePosterior, SizeOne
+from .errors import DegeneratePosterior, SizeOne, ValidationError
 from .model import MeasurementVector
 
 LOG_FLOOR_NATS = -1000.0
@@ -43,7 +43,7 @@ class Posterior:
 def init_uniform(size: int) -> Posterior:
     """Uniform posterior over `size` cells."""
     if size < 1:
-        raise ValueError(f"posterior needs at least one cell, got {size}")
+        raise ValidationError(f"posterior needs at least one cell, got {size}")
     return Posterior(log_probs=np.full(size, -math.log(size)))
 
 
@@ -94,7 +94,7 @@ def bayes_update(rho: Posterior, probed, y: float, variance: float) -> Posterior
     """
     mask = probed.mask if isinstance(probed, MeasurementVector) else np.asarray(probed, dtype=bool)
     if mask.shape != rho.log_probs.shape:
-        raise ValueError(
+        raise ValidationError(
             f"probe mask of shape {mask.shape} does not match posterior of shape {rho.log_probs.shape}")
     lp = rho.log_probs.copy()
     update_log_probs(lp, mask, y, variance)

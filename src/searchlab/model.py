@@ -20,6 +20,7 @@ from .errors import (
     NonIntegerLocationCount,
     NonMonotoneNoise,
     ProbeCountOutOfRange,
+    ValidationError,
 )
 
 # Relative tolerance for snapping B/delta to an integer cell count.
@@ -94,22 +95,6 @@ class NoiseModel:
         values = np.concatenate(([0.0], np.asarray(self.table, dtype=float)))
         return float(np.interp(x, knots, values))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "gamma": self.gamma,
-            "table": list(self.table) if self.table is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        table = d.get("table")
-        return cls(
-            kind=d["kind"],
-            gamma=d.get("gamma", 1.0),
-            table=tuple(table) if table is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -152,23 +137,6 @@ class SearchConfig:
             raise ProbeCountOutOfRange(f"probe width {x} outside (0, {self.M}]")
         return self.noise.multiplier_real(x) * self.delta * self.sigma2
 
-    def to_dict(self) -> dict:
-        return {
-            "B": self.B,
-            "delta": self.delta,
-            "sigma2": self.sigma2,
-            "epsilon": self.epsilon,
-            "noise": self.noise.to_dict(),
-            "M": self.M,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SearchConfig":
-        return new_config(
-            d["B"], d["delta"], d["sigma2"], d["epsilon"],
-            noise=NoiseModel.from_dict(d["noise"]),
-        )
-
 
 def new_config(width: float, resolution: float, sigma2: float, epsilon: float,
                noise: NoiseModel | None = None) -> SearchConfig:
@@ -179,22 +147,22 @@ def new_config(width: float, resolution: float, sigma2: float, epsilon: float,
     strictly inside (0, 1); the variance of an M-cell probe must be finite.
     """
     if not 0 < width < math.inf:
-        raise ValueError(f"interval width must be positive and finite, got {width}")
+        raise ValidationError(f"interval width must be positive and finite, got {width}")
     if not 0 < resolution < math.inf:
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+        raise ValidationError(f"resolution must be positive and finite, got {resolution}")
     if not 0 < sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+        raise ValidationError(f"sigma2 must be positive and finite, got {sigma2}")
     if not 0 < epsilon < 1:
         raise InvalidEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
     m_real = width / resolution
     if not math.isfinite(m_real):
-        raise ValueError(f"B/delta = {m_real!r} overflows")
+        raise ValidationError(f"B/delta = {m_real!r} overflows")
     m = int(round(m_real))
     if m < 1 or abs(m_real - m) > M_SNAP_RTOL * max(1.0, abs(m_real)):
         raise NonIntegerLocationCount(
             f"B/delta = {m_real!r} is not an integer cell count")
     if m > MAX_CELLS:
-        raise ValueError(f"B/delta = {m} cells exceeds the cap of {MAX_CELLS}")
+        raise ValidationError(f"B/delta = {m} cells exceeds the cap of {MAX_CELLS}")
     if noise is None:
         noise = NoiseModel.linear()
     if noise.kind == TABLE and len(noise.table) < m:
@@ -268,5 +236,5 @@ class TrialRecord:
 
     def __post_init__(self):
         if not 0 <= self.tau_stage1 <= self.tau:
-            raise ValueError(
+            raise ValidationError(
                 f"tau_stage1 = {self.tau_stage1} exceeds tau = {self.tau}")

@@ -23,7 +23,7 @@ from . import bounds as bounds_mod
 # bawgn_capacity is unused here but stays bound: bench/tracer.py patches it.
 from .channel import (bawgn_capacity, capacity_grid, optimal_composition,
                       solve_a_eta)
-from .errors import ParseError, SearchLabError, ValidationError
+from .errors import ParseError, ValidationError
 from .model import NoiseModel, SearchConfig, new_config
 from .sim import MAX_TRIALS, run_trials, trial_seed_for
 from .strategies import KINDS, TWO_STAGE, StrategySpec

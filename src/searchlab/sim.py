@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import optimal_composition, bawgn_capacity
+from .errors import ValidationError
 from .inference import u_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord
 from .strategies import (
@@ -112,9 +113,9 @@ def run_trials(spec: StrategySpec, config: SearchConfig, n_trials: int,
     way, so the output is identical to a serial run.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
-        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
+        raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     chunks = min(workers, os.cpu_count() or 1, n_trials)
     if chunks == 1:
         taus, tau1s, success = _run_span(spec, config, master_seed, 0, n_trials)
@@ -151,13 +152,13 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     the empirical mean should sit at or above the floor.
     """
     if kind not in (FIXED_COMPOSITION, SORTED_PM):
-        raise ValueError(f"drift probe supports fixed_composition or sorted_pm, got {kind!r}")
+        raise ValidationError(f"drift probe supports fixed_composition or sorted_pm, got {kind!r}")
     if not MIN_DRIFT_STEPS <= n_steps <= STEP_LIMIT:
-        raise ValueError(f"n_steps must lie in [{MIN_DRIFT_STEPS}, {STEP_LIMIT}], "
+        raise ValidationError(f"n_steps must lie in [{MIN_DRIFT_STEPS}, {STEP_LIMIT}], "
                          f"got {n_steps}")
     m = config.M
     if m < 2:
-        raise ValueError("drift probe needs at least 2 cells")
+        raise ValidationError("drift probe needs at least 2 cells")
 
     if kind == FIXED_COMPOSITION:
         q_star, floor = optimal_composition(config)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
-from .errors import StepLimitExceeded
+from .errors import StepLimitExceeded, ValidationError
 from .inference import renormalize_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
@@ -70,10 +70,10 @@ class StrategySpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+            raise ValidationError(f"unknown strategy kind {self.kind!r}")
         if self.kind == TWO_STAGE:
             if self.alpha is None:
-                raise ValueError("two_stage requires alpha")
+                raise ValidationError("two_stage requires alpha")
             sections_from_alpha(self.alpha)  # validate the 1/s shape early
 
     def label(self) -> str:

@@ -151,13 +151,6 @@ class TestAdaptivityGain:
         rep32 = adaptivity_gain_lower_bound(cfg32, 0.1 * c1)
         assert rep32.gain_lb > rep16.gain_lb
 
-    def test_loglog_clamp_flagged(self, config16, eta16):
-        # alpha = 1/M leaves one-cell sections, and log2(log2(alpha M)) =
-        # log2(log2(1)) is clamped to 0; alpha = 1/2 gives log2(log2(2)) = 0
-        # without the clamp
-        rep = adaptivity_gain_lower_bound(config16, eta16)
-        assert "LogLogClamped" in rep.flags
-
 
 class TestGeneralNoiseLaws:
     def test_gamma_one_matches_golden(self):

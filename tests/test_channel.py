@@ -272,6 +272,18 @@ class TestCapacityGrid:
         assert str(grid.value) == str(lone.value)
         assert "needs over" in str(grid.value)
 
+    def test_overflowing_grid_refused_before_allocation(self, monkeypatch):
+        # v_ok is the largest variance whose grid endpoint 1 + 10 sqrt(v)
+        # squares to a finite float; it still evaluates, bit for bit
+        v_ok = float.fromhex("0x1.47ae147ae147ap+1017")
+        assert capacity_grid(0.5, v_ok).item().hex() == "0x1.9000000000000p-37"
+        monkeypatch.setattr(channel, "_grid", lambda *args: pytest.fail(
+            "grid allocated"))
+        for v in (math.nextafter(v_ok, math.inf), 1e307, 1e308):
+            with pytest.raises(QuadratureNonConvergence, match="overflows"):
+                capacity_grid([0.5, 0.5], [0.25, v])
+        assert capacity_grid([0.0, 1.0], 1e308).tolist() == [0.0, 0.0]
+
     @pytest.mark.parametrize("max_panels,last", [(512, 1024), (256, 512)])
     def test_nonconvergence_reports_last_panel_count(self, monkeypatch,
                                                      max_panels, last):

@@ -1,0 +1,130 @@
+"""The CLI exit-code policy, which lives in the exception types.
+
+A ValidationError (bad input) exits 2; every other exception, a runtime
+failure or an error raised by mistake, exits 3; no input prints a
+traceback.  Everything here runs in-process and starts no worker.
+"""
+
+import inspect
+import io
+import os
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import searchlab
+import searchlab.plan as plan_mod
+from searchlab import errors
+from searchlab.cli import main
+
+VALIDATION = {"ValidationError", "ParseError", "InvalidEpsilon",
+              "NonIntegerLocationCount", "InvalidNoiseModel",
+              "NonMonotoneNoise", "InvalidAlpha", "NoFeasibleAlpha",
+              "EtaTooLarge", "ProbeCountOutOfRange", "SizeOne"}
+RUNTIME = {"StepLimitExceeded", "QuadratureNonConvergence", "NoRootInBracket",
+           "DegeneratePosterior"}
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(cls, errors.SearchLabError)]
+BOUNDS = ["bounds", "--B", "16", "--delta", "1", "--sigma2", "0.25",
+          "--epsilon", "1e-4"]
+
+
+def run(argv):
+    """main(argv) -> (exit code, stderr), argparse's exits included."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def test_classes_are_classified_by_their_base():
+    names = {cls.__name__ for cls in ERROR_CLASSES}
+    assert names == VALIDATION | RUNTIME | {"SearchLabError"}
+    for cls in ERROR_CLASSES:
+        bad_input = cls.__name__ in VALIDATION
+        assert issubclass(cls, errors.ValidationError) is bad_input
+        assert issubclass(cls, ValueError) is bad_input
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_cli_exit_code_follows_the_class(tmp_path, monkeypatch, cls):
+    def fail(plan):
+        raise cls("raised on purpose")
+
+    monkeypatch.setattr(plan_mod, "_bound_rows", fail)
+    rc, err = run([*BOUNDS, "--out", str(tmp_path)])
+    assert rc == (2 if issubclass(cls, errors.ValidationError) else 3)
+    assert err == "error: raised on purpose\n"
+
+
+@pytest.mark.parametrize("exc,shown", [
+    (ValueError("internal"), "error: internal"),
+    (KeyError("internal"), "error: 'internal'"),
+    (RuntimeError(), "error: RuntimeError"),
+], ids=["ValueError", "KeyError", "empty-message"])
+def test_unintended_errors_exit_three(tmp_path, monkeypatch, exc, shown):
+    def fail(plan):
+        raise exc
+
+    monkeypatch.setattr(plan_mod, "_bound_rows", fail)
+    rc, err = run([*BOUNDS, "--out", str(tmp_path)])
+    assert rc == 3
+    assert err == shown + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cli_bounds.partial"]
+
+
+def test_package_raises_no_bare_value_error():
+    for path in Path(searchlab.__file__).parent.glob("*.py"):
+        assert "raise ValueError(" not in path.read_text(encoding="utf-8"), path
+
+
+VALUES = ("0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e307",
+          "1e308", "0.3")
+NUMBERS = st.sampled_from(VALUES)
+# with 16 and 1 added, every valid cell count B/delta is at most 16
+SIZES = st.sampled_from(VALUES + ("16", "1"))
+# Each case overrides up to two flags of a valid command, so many cases
+# get past validation; every value, the valid ones included, is from the
+# sets above.  --gamma is absent (linear noise) unless drawn.
+VALID = {"capacity": {"--q": "0.3", "--variance": "0.3"},
+         "bounds": {"--B": "16", "--delta": "1", "--sigma2": "0.3",
+                    "--epsilon": "0.3", "--eta-frac": "0.3"}}
+DRAWN = {"capacity": {"--q": NUMBERS, "--variance": NUMBERS},
+         "bounds": {"--B": SIZES, "--delta": SIZES, "--sigma2": NUMBERS,
+                    "--epsilon": NUMBERS, "--gamma": NUMBERS,
+                    "--eta-frac": NUMBERS}}
+
+
+@st.composite
+def commands(draw):
+    verb = draw(st.sampled_from(sorted(VALID)))
+    flags = dict(VALID[verb])
+    for flag in draw(st.lists(st.sampled_from(sorted(DRAWN[verb])),
+                              unique=True, max_size=2)):
+        flags[flag] = draw(DRAWN[verb][flag])
+    # --flag=value, since argparse would read "-inf" as an option
+    return [verb, *(f"{k}={v}" for k, v in flags.items())]
+
+
+@settings(max_examples=200)  # about 1 s; 50 seldom reach the quadrature
+@given(commands())
+def test_numeric_flags_exit_by_policy(argv):
+    with tempfile.TemporaryDirectory() as out, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = run([*argv, f"--out={out}"])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        names = os.listdir(out)
+        assert not [n for n in names if n.endswith(".tmp")]
+        if rc != 0:
+            assert not [n for n in names if n.endswith(".csv")]

@@ -16,7 +16,6 @@ from searchlab.model import (
     MAX_CELLS,
     MeasurementVector,
     NoiseModel,
-    SearchConfig,
     TrialRecord,
     new_config,
     sections_from_alpha,
@@ -140,11 +139,6 @@ class TestNoiseModel:
         with pytest.raises(InvalidNoiseModel):
             new_config(4, 1, 0.25, 1e-4, noise=NoiseModel.from_table([1.0, 2.0]))
 
-    def test_round_trip_through_dict(self):
-        for f in (NoiseModel.linear(), NoiseModel.power(1.5),
-                  NoiseModel.from_table([1.0, 4.0])):
-            assert NoiseModel.from_dict(f.to_dict()) == f
-
 
 class TestVariance:
     def test_linear_variance_grows_with_probe_width(self, config16):
@@ -164,9 +158,6 @@ class TestVariance:
         assert config16.variance_at(0.5) == pytest.approx(0.125)
         with pytest.raises(ProbeCountOutOfRange):
             config16.variance_at(0.0)
-
-    def test_config_round_trip_through_dict(self, config16):
-        assert SearchConfig.from_dict(config16.to_dict()) == config16
 
 
 class TestMeasurementVector:

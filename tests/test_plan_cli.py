@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -465,6 +467,29 @@ class TestCli:
         assert rc == 3
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "cli_capacity.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--q", "0.5", "--variance", "1e308"],
+        ["bounds", "--B", "2", "--delta", "1", "--sigma2", "1e307",
+         "--epsilon", "0.1"],
+    ], ids=["capacity", "bounds"])
+    def test_huge_variance_exits_three_before_allocating(self, tmp_path, capsys,
+                                                         argv):
+        # (1 + 10 sqrt(v))**2 overflows, so the grid would be NaN throughout
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tracemalloc.start()
+            try:
+                rc = main([*argv, "--out", str(tmp_path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not list(tmp_path.glob("*.csv"))
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
