@@ -299,7 +299,10 @@ def _bound_rows(plan: ExperimentPlan) -> list[dict]:
     for point in points:
         config = _point_config(point)
         eta = None
-        if any(b in ("lemma2", "theorem1", "theorem2") for b in pointwise):
+        # M = 1 has no composition to scan; the bounds that read eta raise
+        # their own NoFeasibleAlpha, which names the input
+        if config.M > 1 and any(b in ("lemma2", "theorem1", "theorem2")
+                                for b in pointwise):
             _, c1 = optimal_composition(config)
             eta = plan.eta_frac * c1
         for name in pointwise:

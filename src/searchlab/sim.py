@@ -72,8 +72,16 @@ class DriftReport:
     capacity_floor: float
 
 
+def _check_seed(seed: int) -> None:
+    """A seed enters numpy only if non-negative; numpy's own error for a
+    negative one would read as a runtime failure."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+
+
 def trial_seed_for(master_seed: int, trial_index: int) -> int:
     """64-bit substream seed mixed from (master_seed, trial_index)."""
+    _check_seed(master_seed)
     ss = np.random.SeedSequence([master_seed, trial_index])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -159,6 +167,7 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     m = config.M
     if m < 2:
         raise ValidationError("drift probe needs at least 2 cells")
+    _check_seed(seed)
 
     if kind == FIXED_COMPOSITION:
         q_star, floor = optimal_composition(config)

@@ -12,11 +12,12 @@ trials in lockstep: `run_rows` takes one generator per trial, keeps their
 posteriors as the rows of one (rows, size) array, advances every live row
 by one probe per step and retires rows as they cross the threshold.  Each
 row makes the draws, in the same order, and the arithmetic of a trial run
-alone, so `run_strategy` is simply the batch of one.  Two-stage search
-chains two such searches.  The two bisection strategies stop level by
-level instead; they share a second lockstep loop, `_bisect`, in which each
-row narrows its own window of the posterior and reads each half's mass from
-one cell, since every cell of a half holds the same value.
+alone.  `run_strategy` is the batch of one, a one-row block, and a block's
+last live row stays a row of it, so each engine has one code path.
+Two-stage search chains two such searches.  The two bisection strategies
+stop level by level instead; they share a second lockstep loop, `_bisect`,
+in which each row narrows its own window of the posterior and reads each
+half's mass from one cell, since every cell of a half holds the same value.
 
 Fixed composition picks its probe sets by a partial Fisher-Yates shuffle
 whose draws, `_below`, read the bit generator's 32-bit words directly and
@@ -162,11 +163,8 @@ def _search(size: int, probe, targets, eps: float, rngs: list, label: str,
     row's generator before that row's one normal.  A target outside
     [0, size) is never hit (a failed first stage): that row still stops at
     its threshold, on a wrong cell.  Rows that cross the threshold retire;
-    each row sees the same draws and arithmetic as if it ran alone.  A lone
-    row (a batch of one, or the last live row of a block) is kept as a 1-D
-    posterior: the same arithmetic, without the per-call cost of 2-D numpy
-    operations on one row.  Returns per-row (steps, MAP cell, final max
-    posterior) arrays."""
+    each row sees the same draws and arithmetic as if it ran alone.  Returns
+    per-row (steps, MAP cell, final max posterior) arrays."""
     n = len(rngs)
     log_thresh = math.log1p(-eps)
     start = -math.log(size)
@@ -174,7 +172,7 @@ def _search(size: int, probe, targets, eps: float, rngs: list, label: str,
     cells = np.zeros(n, dtype=np.int64)
     top = np.full(n, start)
     live = np.arange(n if start < log_thresh else 0)
-    lp = np.full((n, size) if n > 1 else size, start)
+    lp = np.full((n, size), start)
     targets = np.asarray(targets, dtype=np.int64)
     on_grid = (targets >= 0) & (targets < size)
     hit_cell = np.where(on_grid, targets, 0)
@@ -184,21 +182,12 @@ def _search(size: int, probe, targets, eps: float, rngs: list, label: str,
         if step >= STEP_LIMIT:
             raise _step_limit(label, first_trial, int(live[0]))
         masks, v = probe(lp, step, gens)
-        if lp.ndim == 1:
-            hit = masks[hit_cell[0]] and on_grid[0]
-            y = (1.0 if hit else 0.0) + math.sqrt(v) * gens[0].standard_normal()
-        else:
-            hit = masks[np.arange(live.size), hit_cell] & on_grid
-            y = hit + np.sqrt(v) * np.array([g.standard_normal() for g in gens])
+        hit = masks[np.arange(live.size), hit_cell] & on_grid
+        y = hit + np.sqrt(v) * np.array([g.standard_normal() for g in gens])
         row_top = update_log_probs(lp, masks, y, v)
         step += 1
         done = row_top >= log_thresh
-        if lp.ndim == 1:
-            if done:
-                row = live[0]
-                steps[row], top[row], cells[row] = step, row_top, np.argmax(lp)
-                break
-        elif done.any():
+        if done.any():
             ended = live[done]
             steps[ended] = step
             top[ended] = row_top[done]
@@ -207,10 +196,8 @@ def _search(size: int, probe, targets, eps: float, rngs: list, label: str,
             live, lp = live[keep], lp[keep]
             hit_cell, on_grid = hit_cell[keep], on_grid[keep]
             gens = [g for g, d in zip(gens, done.tolist()) if not d]
-            if live.size == 1:
-                lp = lp[0]
-    # math.exp per row, as a lone trial computes it (np.exp may differ in
-    # the last bit)
+    # math.exp per row, not np.exp, which may differ from libm in the last
+    # bit: final_max_prob is kept bit for bit
     return steps, cells, np.array([math.exp(t) for t in top.tolist()])
 
 
@@ -226,7 +213,7 @@ def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
 
     def probe(lp, step, gens):
         masks = np.zeros(lp.shape, dtype=bool)
-        # flat indices, so one row (1-D) and a block (2-D) are set alike
+        # flat indices into the (rows, grid) block, row after row
         masks.ravel()[[row * grid + c for row, g in enumerate(gens)
                        for c in _partial_shuffle(grid, k, g)]] = True
         return masks, v
@@ -338,9 +325,7 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
     and its first half holds at least as much mass as the second: that is
     the half worth probing.  A half's log mass is its first cell plus
     log(cells), bit for bit what summing its cells gives.  Each row makes
-    the draws and the arithmetic of a trial run alone.  A lone row (a batch
-    of one, or the last live row of a block) keeps a 1-D posterior and its
-    level as Python scalars, as in _search."""
+    the draws and the arithmetic of a trial run alone."""
     m, n = config.M, len(rngs)
     steps = np.zeros(n, dtype=np.int64)
     if m == 1:  # found before any probe or draw
@@ -364,7 +349,7 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
     masks[:, :half] = True
     live, gens, at, cols = np.arange(n), list(rngs), np.arange(n), np.arange(m)
     step = 0
-    while live.size > 1:
+    while live.size:
         if z is None:
             if step >= STEP_LIMIT:
                 raise _step_limit(label, first_trial, int(live[0]))
@@ -412,32 +397,6 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
             var, sd, log_h1, log_h2 = flts
             gens = [g for g, gone in zip(gens, done.tolist()) if not gone]
             at = at[:live.size]
-    if live.size:  # the lone row
-        row, row_lp, gen = int(live[0]), lp[0], gens[0]
-        lo, hi, mid, r, taken, tgt, hit = ints[:, 0].tolist()
-        v, sd, log_h1, log_h2 = flts[:, 0].tolist()
-        while True:
-            if (step if z is None else taken) >= STEP_LIMIT:
-                raise _step_limit(label, first_trial, row)
-            step += 1
-            if z is None:
-                y = hit + sd * gen.standard_normal()
-                update_log_probs(row_lp, slice(lo, mid), y, v)
-            else:
-                row_lp[lo:mid] += _level_llr(hit, v, r, gen)
-                renormalize_log_probs(row_lp)
-                taken += r
-            first, second = row_lp[lo] + log_h1, row_lp[mid] + log_h2
-            if max(first, second) - np.logaddexp(first, second) < log_thresh:
-                continue
-            lo, hi = (lo, mid) if first >= second else (mid, hi)
-            if hi - lo == 1:
-                break
-            mid, r, v, sd, log_h1, log_h2 = _level(config, z, lo, hi)
-            hit = int(lo <= tgt < mid)
-        steps[row] = step if z is None else taken
-        cells[row] = np.argmax(row_lp)
-        top[row] = row_lp[cells[row]]
     # math.exp per row, as in _search
     return (steps, np.zeros_like(steps), cells == targets,
             np.array([math.exp(t) for t in top.tolist()]))

@@ -177,6 +177,24 @@ class TestGeneralNoiseLaws:
             gains[gamma] = general_f_bounds(cfg, 0.1 * c1).gain_lb
         assert gains[2.0] > gains[0.5]
 
+    def test_gain_ordering_turns_on_the_parameter_point(self):
+        # Why g(2) > g(1) > g(0.5) (criterion 10) fails at B=25,
+        # sigma2=0.25: q* is down to one or two cells, so C1, and with it
+        # the non-adaptive cost, barely moves from gamma=1 to gamma=2,
+        # while C2(1/5) falls and the gain with it.  At sigma2=0.05 the
+        # ordering holds.
+        def terms(gamma, sigma2):
+            cfg = new_config(25, 1, sigma2, 1e-4, noise=NoiseModel.power(gamma))
+            _, c1 = optimal_composition(cfg)
+            rep = general_f_bounds(cfg, 0.1 * c1)
+            return c1, rep.capacity_terms["C2[alpha=1/5]"], rep.gain_lb
+
+        (c1_1, c2_1, _), (c1_2, c2_2, _) = terms(1.0, 0.25), terms(2.0, 0.25)
+        assert c1_2 == pytest.approx(c1_1, rel=0.01)
+        assert c2_2 < c2_1
+        gains = [terms(gamma, 0.05)[2] for gamma in (0.5, 1.0, 2.0)]
+        assert gains[2] > gains[1] > gains[0]
+
     def test_table_noise_law_accepted(self):
         table = [float(k) for k in range(1, 9)]
         cfg = new_config(8, 1, 0.25, 1e-4, noise=NoiseModel.from_table(table))

@@ -444,6 +444,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
+         "--epsilon", "0.01", "--strategy", "sorted_pm", "--trials", "2"],
+        ["sweep", "--preset", "fig4", "--trials", "2"],
+        ["drift-probe", "--B", "4", "--delta", "1", "--sigma2", "0.25",
+         "--epsilon", "0.01", "--strategy", "sorted_pm", "--steps", "10000"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_two(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # every output lands under tmp_path
+        rc = main([*argv, "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_one_cell_bounds_name_the_input(self, tmp_path, capsys):
+        rc = main(["bounds", "--B", "1", "--delta", "1", "--sigma2", "0.25",
+                   "--epsilon", "0.1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: M = 1 admits no section fraction\n"
+
+    def test_one_cell_lemma1_is_zero(self, tmp_path):
+        rc = main(["bounds", "--B", "1", "--delta", "1", "--sigma2", "0.25",
+                   "--epsilon", "0.1", "--bound-set", "lemma1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_csv(tmp_path / "cli_bounds_bounds.csv")
+        assert [(r["bound_name"], r["value"]) for r in rows] == [("lemma1", "0.0")]
+
     def test_drift_probe_steps_above_step_limit_exit_two(self, capsys):
         # refused before the 8-byte-per-step increment array is allocated
         rc = main(["drift-probe", "--B", "16", "--delta", "1", "--sigma2",

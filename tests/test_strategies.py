@@ -548,6 +548,17 @@ class TestTrialGolden:
                         float(rec.final_max_prob).hex()))
         assert got == TRIAL_GOLDEN[case, label]
 
+    @pytest.mark.parametrize("case, label", list(TRIAL_GOLDEN),
+                             ids=[f"{c}-{lab}" for c, lab in TRIAL_GOLDEN])
+    def test_block_matches_recorded_stream(self, case, label):
+        # the five trials as one run_rows block: rows retire at their own
+        # taus, so the last one runs its tail as the block's only row
+        rngs = [np.random.default_rng(trial_seed_for(GOLDEN_MASTER_SEED, i))
+                for i in range(5)]
+        got = TestLockstepRows.as_tuples(
+            *run_rows(GOLDEN_SPECS[label], GOLDEN_CONFIGS[case], rngs))
+        assert got == TRIAL_GOLDEN[case, label]
+
 
 # Lockstep blocks against the batch of one: every row of run_rows must be
 # the record run_strategy gives for that row's generator alone.
