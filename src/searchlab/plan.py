@@ -26,7 +26,7 @@ from .channel import (bawgn_capacity, capacity_grid, optimal_composition,
 from .errors import ParseError, ValidationError
 from .model import NoiseModel, SearchConfig, new_config
 from .sim import MAX_TRIALS, run_trials, trial_seed_for
-from .strategies import KINDS, TWO_STAGE, StrategySpec
+from .strategies import TWO_STAGE, StrategySpec
 
 PARAM_NAMES = ("B", "delta", "sigma2", "epsilon", "gamma", "q")
 CONFIG_PARAMS = ("B", "delta", "sigma2", "epsilon")
@@ -69,6 +69,9 @@ class ExperimentPlan:
     total_variances: tuple[float, ...] = ()
 
     def __post_init__(self):
+        # the id names the output files, so it must not leave out_dir
+        _require(not any(c in self.id for c in "/\\\0"),
+                 f"plan id must not contain '/', '\\' or NUL, got {self.id!r}")
         _require(0.0 < self.eta_frac < 1.0,
                  f"eta_frac must lie in (0, 1), got {self.eta_frac}")
 
@@ -163,14 +166,11 @@ def parse_plan(text: str) -> ExperimentPlan:
         _require(isinstance(entry, dict), f"strategy entry {entry!r} must be an object")
         for key in entry:
             _require(key in ("kind", "alpha"), f"unknown strategy key {key!r}")
-        kind = entry.get("kind")
-        _require(kind in KINDS, f"unknown strategy kind {kind!r}")
-        alpha = entry.get("alpha")
-        if kind == TWO_STAGE:
-            _require(alpha is not None, "two_stage strategy needs 'alpha'")
+        kind, alpha = entry.get("kind"), entry.get("alpha")
+        if alpha is not None:
+            _require(kind == TWO_STAGE,
+                     f"'alpha' is only valid for two_stage, not {kind!r}")
             alpha = _as_number(alpha, "alpha")
-        else:
-            _require(alpha is None, f"'alpha' is only valid for two_stage, not {kind!r}")
         strategies.append(StrategySpec(kind=kind, alpha=alpha))
 
     bound_doc = doc.get("bound_set", [])
@@ -184,10 +184,12 @@ def parse_plan(text: str) -> ExperimentPlan:
                  "capacity-table plans take no strategies or bounds")
 
     n_trials = doc.get("n_trials", 2000)
-    _require(isinstance(n_trials, int) and 1 <= n_trials <= MAX_TRIALS,
+    _require(isinstance(n_trials, int) and not isinstance(n_trials, bool)
+             and 1 <= n_trials <= MAX_TRIALS,
              f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n_trials!r}")
     master_seed = doc.get("master_seed", 0)
-    _require(isinstance(master_seed, int) and 0 <= master_seed < 2 ** 64,
+    _require(isinstance(master_seed, int) and not isinstance(master_seed, bool)
+             and 0 <= master_seed < 2 ** 64,
              f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
     eta_frac = _as_number(doc.get("eta_frac", 0.1), "eta_frac")
     output_path = doc.get("output_path")

@@ -1,6 +1,10 @@
 """Monte Carlo driver: seeded trial batches, summary statistics, and
 drift probes for the potential functional.
 
+The drift probe runs the engine's own probe rules, target draw and
+observation on a one-row block.  This module seeds generators but draws
+from none: every trial-generator draw is made in `strategies`.
+
 Reproducibility contract: trial i of a batch uses the 64-bit seed derived
 from (master_seed, i) through numpy's SeedSequence mixing, and its own
 generator seeded with it, so results do not depend on scheduling.  Trials
@@ -26,16 +30,12 @@ from .channel import optimal_composition, bawgn_capacity
 from .errors import ValidationError
 from .inference import u_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord
-from .strategies import (
-    FIXED_COMPOSITION,
-    SORTED_PM,
-    STEP_LIMIT,
-    StrategySpec,
-    random_composition_mask,
-    run_rows,
-    run_strategy,
-    sorted_pm_mask,
-)
+# update_log_probs, random_composition_mask and sorted_pm_mask are unused
+# here but stay bound: bench/tracer.py patches them.
+from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, StrategySpec,
+                         draw_targets, observe, probe_rule,
+                         random_composition_mask, run_rows, run_strategy,
+                         sorted_pm_mask)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_SAMPLE_N = 100
@@ -152,7 +152,8 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
                 seed: int) -> DriftReport:
     """Measure the empirical mean per-step increment of U(rho) for the
     fixed-composition or sorted-PM dynamics, restarting runs at their
-    stopping threshold until n_steps increments are collected.
+    stopping threshold until n_steps increments are collected, on a
+    one-row block with the engine's probe rule (`probe_rule`).
 
     The report carries the matching capacity floor: C(q*, v(q*)) for fixed
     composition, C(1/2, v(M/2)) for sorted-PM.  Terminal increments are
@@ -170,38 +171,25 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     _check_seed(seed)
 
     if kind == FIXED_COMPOSITION:
-        q_star, floor = optimal_composition(config)
-        k_star = min(max(int(round(q_star * m)), 1), m - 1)
-        v_fixed = config.noise_variance(k_star)
-        sd_fixed = math.sqrt(v_fixed)
+        _, floor = optimal_composition(config)
     else:
         floor = bawgn_capacity(0.5, config.variance_at(m / 2.0))
 
-    rng = np.random.default_rng(seed)
+    probe = probe_rule(kind, config)
+    gens = [np.random.default_rng(seed)]
     log_thresh = math.log1p(-config.epsilon)
     increments = np.empty(n_steps)
-    lp = np.full(m, -math.log(m))
-    target = int(rng.integers(m))
-    u_prev = u_log_probs(lp)
+    lp = np.empty((1, m))
     for i in range(n_steps):
-        if kind == FIXED_COMPOSITION:
-            mask = random_composition_mask(m, k_star, rng)
-            v, sd = v_fixed, sd_fixed
-        else:
-            mask, k = sorted_pm_mask(np.exp(lp))
-            v = config.noise_variance(k)
-            sd = math.sqrt(v)
-        x = 1.0 if mask[target] else 0.0
-        y = x + rng.normal(0.0, sd)
-        top = update_log_probs(lp, mask, y, v)
-        u_now = u_log_probs(lp)
+        if i == 0 or top[0] >= log_thresh:  # a run starts: uniform prior
+            lp.fill(-math.log(m))
+            target = draw_targets(gens, m)
+            u_prev = u_log_probs(lp[0])
+        masks, v = probe(lp, i, gens)
+        top = observe(lp, masks, masks[0, target], np.sqrt(v), v, gens)
+        u_now = u_log_probs(lp[0])
         increments[i] = u_now - u_prev
-        if top >= log_thresh:
-            lp = np.full(m, -math.log(m))
-            target = int(rng.integers(m))
-            u_prev = u_log_probs(lp)
-        else:
-            u_prev = u_now
+        u_prev = u_now
     mean = float(increments.mean())
     se = float(increments.std(ddof=1)) / math.sqrt(n_steps)
     return DriftReport(strategy_id=kind, n_steps=n_steps, mean_drift=mean,

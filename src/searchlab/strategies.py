@@ -25,6 +25,10 @@ apply numpy's own bounded rule for Generator.integers: the same picks and
 the same generator state as calling integers, so the random stream is
 unchanged, at a fraction of the per-call cost.
 
+Every trial-generator draw is made here: targets (`draw_targets`),
+observations (`observe`), probe sets and fixed bisection levels
+(`_level_llr`); `sim.drift_probe` runs the same rules on a one-row block.
+
 Strategies
 ----------
 fixed_composition   non-adaptive probe sets of optimal composition q*
@@ -153,6 +157,19 @@ def _step_limit(label: str, first_trial: int | None = None,
     return StepLimitExceeded(f"{where}{label} exceeded {STEP_LIMIT} steps")
 
 
+def draw_targets(rngs: list, m: int) -> np.ndarray:
+    """Each row's target, uniform on [0, m): one draw from its generator."""
+    return np.array([int(g.integers(m)) for g in rngs], dtype=np.int64)
+
+
+def observe(lp: np.ndarray, masks: np.ndarray, hit, sd, v, gens: list) -> np.ndarray:
+    """Fold one observation y = hit + sd z per row into the block lp in
+    place, z one standard normal from the row's generator; returns the row
+    maxima of `update_log_probs`."""
+    z = np.array([g.standard_normal() for g in gens])
+    return update_log_probs(lp, masks, hit + sd * z, v)
+
+
 def _search(size: int, probe, targets, eps: float, rngs: list, label: str,
             first_trial: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep search: one row per generator, each probing `size` cells
@@ -183,8 +200,7 @@ def _search(size: int, probe, targets, eps: float, rngs: list, label: str,
             raise _step_limit(label, first_trial, int(live[0]))
         masks, v = probe(lp, step, gens)
         hit = masks[np.arange(live.size), hit_cell] & on_grid
-        y = hit + np.sqrt(v) * np.array([g.standard_normal() for g in gens])
-        row_top = update_log_probs(lp, masks, y, v)
+        row_top = observe(lp, masks, hit, np.sqrt(v), v, gens)
         step += 1
         done = row_top >= log_thresh
         if done.any():
@@ -241,6 +257,16 @@ def _round_robin_rule(config: SearchConfig):
     return probe
 
 
+def probe_rule(kind: str, config: SearchConfig):
+    """The probe rule of a one-stage kind (fixed_composition, sorted_pm or
+    exhaustive) over all M cells."""
+    if kind == FIXED_COMPOSITION:
+        return _composition_rule(config, config.M, 1)
+    if kind == SORTED_PM:
+        return _sorted_pm_rule(config)
+    return _round_robin_rule(config)
+
+
 # Per-row outcome of a batch: (tau, tau_stage1, success, final_max_prob).
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -249,7 +275,7 @@ def _one_stage(config: SearchConfig, probe, rngs: list, label: str,
                first_trial: int | None) -> Rows:
     """Draw each row's target uniformly from [0, M), then search all M
     cells at the config's epsilon."""
-    targets = np.array([int(g.integers(config.M)) for g in rngs], dtype=np.int64)
+    targets = draw_targets(rngs, config.M)
     steps, cells, pmax = _search(config.M, probe, targets, config.epsilon, rngs,
                                  label, first_trial)
     return steps, np.zeros_like(steps), cells == targets, pmax
@@ -263,7 +289,7 @@ def _two_stage_rows(config: SearchConfig, s: int, rngs: list,
     eps/2."""
     section = config.M // s
     eps_half = config.epsilon / 2.0
-    targets = np.array([int(g.integers(config.M)) for g in rngs], dtype=np.int64)
+    targets = draw_targets(rngs, config.M)
     t1, sec_hat, p1 = _search(s, _composition_rule(config, s, section),
                               targets // section, eps_half, rngs,
                               FIXED_COMPOSITION, first_trial)
@@ -332,7 +358,7 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
         return steps, steps.copy(), np.ones(n, dtype=bool), np.ones(n)
     log_thresh = (math.log1p(-min(config.epsilon / math.log2(m), 0.5))
                   if z is None else -math.inf)
-    targets = np.array([int(g.integers(m)) for g in rngs], dtype=np.int64)
+    targets = draw_targets(rngs, m)
     cells, top = np.zeros(n, dtype=np.int64), np.zeros(n)
     half, r, *level = _level(config, z, 0, m)
     # per live row, one allocation each for the integer and the float state
@@ -358,8 +384,7 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
             raise _step_limit(label, first_trial, int(live[over]))
         step += 1
         if z is None:
-            y = hit + sd * np.array([g.standard_normal() for g in gens])
-            update_log_probs(lp, masks, y, var)
+            observe(lp, masks, hit, sd, var, gens)
         else:
             llr = np.array([_level_llr(*args) for args in
                             zip(hit.tolist(), var.tolist(), reps.tolist(), gens)])
@@ -410,14 +435,8 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
     first_trial set, a StepLimitExceeded names the lowest row that reached
     the limit as trial first_trial + row."""
     m = config.M
-    if spec.kind == FIXED_COMPOSITION:
-        return _one_stage(config, _composition_rule(config, m, 1), rngs,
-                          FIXED_COMPOSITION, first_trial)
-    if spec.kind == SORTED_PM:
-        return _one_stage(config, _sorted_pm_rule(config), rngs, SORTED_PM,
-                          first_trial)
-    if spec.kind == EXHAUSTIVE:
-        return _one_stage(config, _round_robin_rule(config), rngs, EXHAUSTIVE,
+    if spec.kind in (FIXED_COMPOSITION, SORTED_PM, EXHAUSTIVE):
+        return _one_stage(config, probe_rule(spec.kind, config), rngs, spec.kind,
                           first_trial)
     if spec.kind == TWO_STAGE:
         return _two_stage_rows(config, sections_from_alpha(spec.alpha, m), rngs,

@@ -7,6 +7,7 @@ traceback.  Everything here runs in-process and starts no worker.
 
 import inspect
 import io
+import json
 import os
 import tempfile
 import warnings
@@ -86,6 +87,19 @@ def test_package_raises_no_bare_value_error():
         assert "raise ValueError(" not in path.read_text(encoding="utf-8"), path
 
 
+DRAWS = (".integers(", ".normal(", ".standard_normal(", ".random(", ".choice(",
+         ".shuffle(")
+
+
+def test_only_strategies_draws_from_a_trial_generator():
+    # sim builds generators (the seed contract lives there) but draws none,
+    # so a change to the random stream is a change to strategies alone
+    for path in Path(searchlab.__file__).parent.glob("*.py"):
+        if path.name != "strategies.py":
+            text = path.read_text(encoding="utf-8")
+            assert not [d for d in DRAWS if d in text], path
+
+
 VALUES = ("0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e307",
           "1e308", "0.3")
 NUMBERS = st.sampled_from(VALUES)
@@ -115,12 +129,12 @@ DRAWN = {"capacity": {"--q": NUMBERS, "--variance": NUMBERS},
 
 
 @st.composite
-def commands(draw):
-    verb = draw(st.sampled_from(sorted(VALID)))
-    flags = dict(VALID[verb])
-    for flag in draw(st.lists(st.sampled_from(sorted(DRAWN[verb])),
+def commands(draw, valid=VALID, drawn=DRAWN):
+    verb = draw(st.sampled_from(sorted(valid)))
+    flags = dict(valid[verb])
+    for flag in draw(st.lists(st.sampled_from(sorted(drawn[verb])),
                               unique=True, max_size=2)):
-        flags[flag] = draw(DRAWN[verb][flag])
+        flags[flag] = draw(drawn[verb][flag])
     # --flag=value, since argparse would read "-inf" as an option
     return [verb, *(f"{k}={v}" for k, v in flags.items())]
 
@@ -139,3 +153,61 @@ def test_numeric_flags_exit_by_policy(argv):
         assert not [n for n in names if n.endswith(".tmp")]
         if rc != 0:
             assert not [n for n in names if n.endswith(".csv")]
+
+
+# drift-probe takes no --out.  --B and --delta are never drawn, nor
+# --steps=10000000, which would run 10^7 steps; a valid case takes about
+# 0.5 s.
+DRIFT_VALID = {"drift-probe": {"--B": "4", "--delta": "1", "--sigma2": "0.05",
+                               "--epsilon": "0.1", "--strategy": "sorted_pm",
+                               "--steps": "10000", "--seed": "0"}}
+DRIFT_DRAWN = {"drift-probe": {
+    "--sigma2": NUMBERS, "--epsilon": NUMBERS, "--gamma": NUMBERS,
+    "--seed": st.sampled_from(("0", "1", "-1", str(2 ** 64))),
+    "--steps": st.sampled_from(("-1", "0", "9999", "10000", "10000001"))}}
+
+
+@settings(max_examples=20)
+@given(commands(DRIFT_VALID, DRIFT_DRAWN))
+def test_drift_probe_flags_exit_by_policy(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = run(argv)
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+BOUNDS_PLAN = {"B": 16, "delta": 1, "sigma2": 0.25, "epsilon": 1e-4,
+               "bound_set": ["lemma1"]}
+
+
+def _sweep_plan(tmp_path, doc):
+    """sweep a plan file into tmp_path/runs/out -> (exit code, stderr,
+    names under tmp_path/runs)"""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    rc, err = run(["sweep", "--plan", str(path), "--out", str(runs / "out")])
+    return rc, err, sorted(os.listdir(runs))
+
+
+@pytest.mark.parametrize("plan_id", ["a/b", "a\\b", "a\u0000b", "../x"],
+                         ids=["slash", "backslash", "nul", "parent"])
+def test_plan_id_that_is_a_path_exits_two(tmp_path, plan_id):
+    rc, err, names = _sweep_plan(tmp_path, {"id": plan_id, **BOUNDS_PLAN})
+    assert (rc, names) == (2, [])
+    assert err.startswith("error: plan id")
+    assert sorted(os.listdir(tmp_path)) == ["plan.json", "runs"]
+    with pytest.raises(errors.ValidationError, match="plan id"):
+        plan_mod.ExperimentPlan(id=plan_id, axes=())
+
+
+@pytest.mark.parametrize("field", ["n_trials", "master_seed"])
+def test_json_boolean_is_not_a_count(tmp_path, field):
+    doc = {"id": "t", "B": 4, "delta": 1, "sigma2": 0.25, "epsilon": 0.1,
+           "strategies": [{"kind": "sorted_pm"}], field: True}
+    rc, err, names = _sweep_plan(tmp_path, doc)
+    assert (rc, names) == (2, [])
+    assert err.startswith(f"error: {field}")

@@ -5,7 +5,7 @@ import pytest
 
 import searchlab.sim as sim
 from searchlab.channel import bawgn_capacity, optimal_composition
-from searchlab.model import new_config
+from searchlab.model import NoiseModel, new_config
 from searchlab.sim import (
     MAX_TRIALS,
     DriftReport,
@@ -136,7 +136,37 @@ class TestRunTrials:
         assert s.mean_tau == pytest.approx(np.mean(taus), abs=0)
 
 
+# (mean_drift, se, capacity_floor) .hex() of 10^4-step drift probes,
+# recorded from the one-dimensional drift loop before the probe ran the
+# engine's own probe rules on a one-row block.
+DRIFT_CONFIGS = {
+    "config16": new_config(16, 1, 0.25, 1e-4),
+    "M12_power": new_config(12, 1, 0.5, 1e-3, noise=NoiseModel.power(2.0)),
+}
+DRIFT_GOLDEN = {
+    ("config16", FIXED_COMPOSITION, 3):
+        ("0x1.c6df9aed26e61p-3", "0x1.52b3e0e52cbd6p-7", "0x1.1f3fdc0bf2b48p-3"),
+    ("config16", FIXED_COMPOSITION, 21):
+        ("0x1.e9dbd3eff7b30p-3", "0x1.5356345eb1204p-7", "0x1.1f3fdc0bf2b48p-3"),
+    ("config16", SORTED_PM, 3):
+        ("0x1.d8f3ba6dd21b2p-1", "0x1.526f597d935a1p-6", "0x1.5bed9dde59980p-4"),
+    ("config16", SORTED_PM, 21):
+        ("0x1.d60a5975edc5dp-1", "0x1.520ac9d5fc945p-6", "0x1.5bed9dde59980p-4"),
+    ("M12_power", FIXED_COMPOSITION, 3):
+        ("0x1.4d0a8dbef0b42p-3", "0x1.01c282fd183bfp-7", "0x1.98ffc40609400p-4"),
+    ("M12_power", SORTED_PM, 3):
+        ("0x1.b7259c86e0481p-3", "0x1.40f0bab4204fep-7", "0x1.4608c20070600p-7"),
+}
+
+
 class TestDriftProbe:
+    @pytest.mark.parametrize("case, kind, seed", list(DRIFT_GOLDEN),
+                             ids=[f"{c}-{k}-{s}" for c, k, s in DRIFT_GOLDEN])
+    def test_matches_recorded_drift(self, case, kind, seed):
+        rep = drift_probe(kind, DRIFT_CONFIGS[case], 10_000, seed)
+        got = (rep.mean_drift.hex(), rep.se.hex(), rep.capacity_floor.hex())
+        assert got == DRIFT_GOLDEN[case, kind, seed]
+
     def test_fixed_composition_floor_is_best_capacity(self, config16):
         rep = drift_probe(FIXED_COMPOSITION, config16, 10_000, 3)
         _, c1 = optimal_composition(config16)
