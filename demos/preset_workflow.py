@@ -8,6 +8,7 @@ bytes do not depend on parallelism.
 Run:  python3 demos/preset_workflow.py
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -23,9 +24,10 @@ def main():
     print(f"bounds: {list(plan.bound_set)}")
     print()
 
+    small = dataclasses.replace(plan, n_trials=50)
     with tempfile.TemporaryDirectory() as td:
-        one = run_plan(plan, Path(td) / "w1", workers=1, trials_override=50)
-        two = run_plan(plan, Path(td) / "w2", workers=2, trials_override=50)
+        one = run_plan(small, Path(td) / "w1", workers=1)
+        two = run_plan(small, Path(td) / "w2", workers=2)
         for path in one:
             print(f"--- {path.name} ---")
             print(path.read_text(), end="")

@@ -26,7 +26,7 @@ from .channel import (bawgn_capacity, capacity_grid, optimal_composition,
 from .errors import ParseError, ValidationError
 from .model import NoiseModel, SearchConfig, new_config
 from .sim import MAX_TRIALS, run_trials, trial_seed_for
-from .strategies import TWO_STAGE, StrategySpec
+from .strategies import StrategySpec
 
 PARAM_NAMES = ("B", "delta", "sigma2", "epsilon", "gamma", "q")
 CONFIG_PARAMS = ("B", "delta", "sigma2", "epsilon")
@@ -36,7 +36,7 @@ PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 PLAN_KEYS = {"id", "B", "delta", "sigma2", "epsilon", "gamma", "sweeps",
              "strategies", "n_trials", "master_seed", "bound_set",
-             "eta_frac", "output_path", "capacity_table"}
+             "eta_frac", "capacity_table"}
 
 SIM_COLUMNS = ("experiment_id", "strategy", "B", "delta", "sigma2", "gamma",
                "epsilon", "n_trials", "mean_tau", "ci95_lo", "ci95_hi",
@@ -53,8 +53,15 @@ class ExperimentPlan:
 
     ``axes`` lists every parameter as (name, values), fixed parameters as
     singleton value tuples, in expansion order (fixed first, then sweeps as
-    declared).  eta_frac is checked here, not in parse_plan, so plans built
-    by the CLI or by dataclasses.replace are checked before they run.
+    declared).  Every field a CLI flag can set is checked on construction,
+    so plans from parse_plan, a CLI verb or dataclasses.replace are checked
+    alike before anything runs: ``id`` holds no '/', '\\' or NUL (it names
+    the output files), ``eta_frac`` lies in (0, 1), ``n_trials`` is an int,
+    not a bool, in [1, MAX_TRIALS], ``bound_set`` names are BOUND_NAMES,
+    and corollary2 needs exactly one swept parameter, B or delta.  Each
+    StrategySpec checks its kind and alpha.  Checks that depend on a sweep
+    point (the configuration, alpha dividing M, bound feasibility) run with
+    the plan; master_seed is checked by parse_plan and `sim.trial_seed_for`.
     """
 
     id: str
@@ -64,16 +71,24 @@ class ExperimentPlan:
     master_seed: int = 0
     bound_set: tuple[str, ...] = ()
     eta_frac: float = 0.1
-    output_path: str | None = None
     capacity_mode: str | None = None
     total_variances: tuple[float, ...] = ()
 
     def __post_init__(self):
-        # the id names the output files, so it must not leave out_dir
         _require(not any(c in self.id for c in "/\\\0"),
                  f"plan id must not contain '/', '\\' or NUL, got {self.id!r}")
         _require(0.0 < self.eta_frac < 1.0,
                  f"eta_frac must lie in (0, 1), got {self.eta_frac}")
+        n = self.n_trials
+        _require(isinstance(n, int) and not isinstance(n, bool)
+                 and 1 <= n <= MAX_TRIALS,
+                 f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n!r}")
+        for name in self.bound_set:
+            _require(name in BOUND_NAMES,
+                     f"unknown bound {name!r} (expected one of {', '.join(BOUND_NAMES)})")
+        if "corollary2" in self.bound_set:
+            _require(self.swept_params() in (["B"], ["delta"]),
+                     "corollary2 needs exactly one swept parameter, B or delta")
 
     def swept_params(self) -> list[str]:
         return [name for name, vals in self.axes if len(vals) > 1]
@@ -166,46 +181,28 @@ def parse_plan(text: str) -> ExperimentPlan:
         _require(isinstance(entry, dict), f"strategy entry {entry!r} must be an object")
         for key in entry:
             _require(key in ("kind", "alpha"), f"unknown strategy key {key!r}")
-        kind, alpha = entry.get("kind"), entry.get("alpha")
+        alpha = entry.get("alpha")
         if alpha is not None:
-            _require(kind == TWO_STAGE,
-                     f"'alpha' is only valid for two_stage, not {kind!r}")
             alpha = _as_number(alpha, "alpha")
-        strategies.append(StrategySpec(kind=kind, alpha=alpha))
+        strategies.append(StrategySpec(kind=entry.get("kind"), alpha=alpha))
 
     bound_doc = doc.get("bound_set", [])
     _require(isinstance(bound_doc, list), "'bound_set' must be a list")
-    for name in bound_doc:
-        _require(name in BOUND_NAMES,
-                 f"unknown bound {name!r} (expected one of {', '.join(BOUND_NAMES)})")
     bound_set = tuple(bound_doc)
     if capacity_mode is not None:
         _require(not strategies and not bound_set,
                  "capacity-table plans take no strategies or bounds")
 
-    n_trials = doc.get("n_trials", 2000)
-    _require(isinstance(n_trials, int) and not isinstance(n_trials, bool)
-             and 1 <= n_trials <= MAX_TRIALS,
-             f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n_trials!r}")
     master_seed = doc.get("master_seed", 0)
     _require(isinstance(master_seed, int) and not isinstance(master_seed, bool)
              and 0 <= master_seed < 2 ** 64,
              f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
     eta_frac = _as_number(doc.get("eta_frac", 0.1), "eta_frac")
-    output_path = doc.get("output_path")
-    _require(output_path is None or isinstance(output_path, str),
-             "output_path must be a string")
-
-    plan = ExperimentPlan(id=plan_id, axes=axes, strategies=tuple(strategies),
-                          n_trials=n_trials, master_seed=master_seed,
-                          bound_set=bound_set, eta_frac=eta_frac,
-                          output_path=output_path, capacity_mode=capacity_mode,
+    return ExperimentPlan(id=plan_id, axes=axes, strategies=tuple(strategies),
+                          n_trials=doc.get("n_trials", 2000),
+                          master_seed=master_seed, bound_set=bound_set,
+                          eta_frac=eta_frac, capacity_mode=capacity_mode,
                           total_variances=total_variances)
-    if "corollary2" in bound_set:
-        multi = plan.swept_params()
-        _require(multi in (["B"], ["delta"]),
-                 "corollary2 needs exactly one swept parameter, B or delta")
-    return plan
 
 
 def load_preset(name: str) -> ExperimentPlan:
@@ -217,8 +214,11 @@ def load_preset(name: str) -> ExperimentPlan:
     return parse_plan(text)
 
 
-def _point_config(point: dict[str, float]) -> SearchConfig:
-    noise = NoiseModel.power(point["gamma"]) if "gamma" in point else NoiseModel.linear()
+def _point_config(point: dict) -> SearchConfig:
+    """The configuration at a point: B, delta, sigma2 and epsilon, with
+    power-law noise if it has a gamma that is not None, else linear."""
+    gamma = point.get("gamma")
+    noise = NoiseModel.linear() if gamma is None else NoiseModel.power(gamma)
     return new_config(point["B"], point["delta"], point["sigma2"],
                       point["epsilon"], noise=noise)
 
@@ -265,23 +265,22 @@ def _capacity_rows(plan: ExperimentPlan) -> list[dict]:
     return rows
 
 
-def _sim_rows(plan: ExperimentPlan, workers: int, n_trials: int,
-              master_seed: int) -> list[dict]:
+def _sim_rows(plan: ExperimentPlan, workers: int) -> list[dict]:
     rows = []
     row_index = 0
     for point in _points(plan):
         config = _point_config(point)
         for spec in plan.strategies:
-            batch_seed = trial_seed_for(master_seed, row_index)
-            stats = run_trials(spec, config, n_trials, batch_seed, workers)
+            batch_seed = trial_seed_for(plan.master_seed, row_index)
+            stats = run_trials(spec, config, plan.n_trials, batch_seed, workers)
             rows.append({
                 "experiment_id": plan.id, "strategy": stats.strategy_id,
                 "B": config.B, "delta": config.delta, "sigma2": config.sigma2,
                 "gamma": _gamma_of(point), "epsilon": config.epsilon,
-                "n_trials": n_trials, "mean_tau": stats.mean_tau,
+                "n_trials": plan.n_trials, "mean_tau": stats.mean_tau,
                 "ci95_lo": stats.mean_tau - stats.ci95_half_width,
                 "ci95_hi": stats.mean_tau + stats.ci95_half_width,
-                "err_rate": stats.err_rate, "master_seed": master_seed,
+                "err_rate": stats.err_rate, "master_seed": plan.master_seed,
             })
             row_index += 1
     return rows
@@ -376,35 +375,34 @@ def _write_rows(stem: Path, columns, rows: list[dict], fmt: str) -> list[Path]:
     return written
 
 
-def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1, fmt: str = "csv",
-             trials_override: int | None = None,
-             seed_override: int | None = None) -> list[Path]:
+def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
+             fmt: str = "csv") -> list[Path]:
     """Execute a plan and write its output files under out_dir.
 
-    Returns the written paths.  If execution fails partway, a
-    '<id>.partial' marker file describing the failure is left in out_dir
-    and the error re-raised; a successful run removes a stale marker.
+    Returns the written paths.  Every table is computed before the first
+    file is written.  If execution fails partway, a '<id>.partial' marker
+    file describing the failure is left in out_dir and the error
+    re-raised; a successful run removes a stale marker.
     """
     if fmt not in ("csv", "json", "both"):
         raise ValidationError(f"format must be csv, json, or both, got {fmt!r}")
+    _require(plan.strategies or plan.bound_set or plan.capacity_mode is not None,
+             f"plan {plan.id!r} has nothing to run: it needs strategies, "
+             f"a bound_set or a capacity_table")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_trials = trials_override if trials_override is not None else plan.n_trials
-    master_seed = seed_override if seed_override is not None else plan.master_seed
     marker = out / f"{plan.id}.partial"
     try:
-        written: list[Path] = []
+        tables = []
         if plan.capacity_mode is not None:
-            rows = _capacity_rows(plan)
-            written += _write_rows(out / f"{plan.id}_capacity", CAPACITY_COLUMNS,
-                                   rows, fmt)
+            tables.append(("capacity", CAPACITY_COLUMNS, _capacity_rows(plan)))
         if plan.strategies:
-            rows = _sim_rows(plan, workers, n_trials, master_seed)
-            written += _write_rows(out / f"{plan.id}_sim", SIM_COLUMNS, rows, fmt)
+            tables.append(("sim", SIM_COLUMNS, _sim_rows(plan, workers)))
         if plan.bound_set:
-            rows = _bound_rows(plan)
-            written += _write_rows(out / f"{plan.id}_bounds", BOUND_COLUMNS,
-                                   rows, fmt)
+            tables.append(("bounds", BOUND_COLUMNS, _bound_rows(plan)))
+        written = [path for suffix, columns, rows in tables
+                   for path in _write_rows(out / f"{plan.id}_{suffix}", columns,
+                                           rows, fmt)]
     except Exception as exc:
         marker.write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
         raise

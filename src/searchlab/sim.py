@@ -73,10 +73,13 @@ class DriftReport:
 
 
 def _check_seed(seed: int) -> None:
-    """A seed enters numpy only if non-negative; numpy's own error for a
-    negative one would read as a runtime failure."""
+    """A seed enters numpy only if it lies in [0, 2**64), the range of a
+    plan's master_seed: numpy's own error for a negative seed would read as
+    a runtime failure, and numpy takes a larger one without complaint."""
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    if seed >= 2 ** 64:
+        raise ValidationError(f"seed must be below 2**64, got {seed}")
 
 
 def trial_seed_for(master_seed: int, trial_index: int) -> int:

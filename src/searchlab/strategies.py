@@ -80,6 +80,9 @@ class StrategySpec:
             if self.alpha is None:
                 raise ValidationError("two_stage requires alpha")
             sections_from_alpha(self.alpha)  # validate the 1/s shape early
+        elif self.alpha is not None:
+            raise ValidationError(
+                f"'alpha' is only valid for two_stage, not {self.kind!r}")
 
     def label(self) -> str:
         if self.kind == TWO_STAGE:

@@ -5,6 +5,7 @@ failure or an error raised by mistake, exits 3; no input prints a
 traceback.  Everything here runs in-process and starts no worker.
 """
 
+import dataclasses
 import inspect
 import io
 import json
@@ -22,6 +23,8 @@ import searchlab
 import searchlab.plan as plan_mod
 from searchlab import errors
 from searchlab.cli import main
+from searchlab.sim import MAX_TRIALS
+from searchlab.strategies import StrategySpec
 
 VALIDATION = {"ValidationError", "ParseError", "InvalidEpsilon",
               "NonIntegerLocationCount", "InvalidNoiseModel",
@@ -211,3 +214,180 @@ def test_json_boolean_is_not_a_count(tmp_path, field):
     rc, err, names = _sweep_plan(tmp_path, doc)
     assert (rc, names) == (2, [])
     assert err.startswith(f"error: {field}")
+
+
+# Each bad value below is refused with exit 2 and one message, whichever
+# route brings it: a plan-file field, a verb flag, a `sweep` override or
+# the library (a dataclasses.replace of a valid plan, or a StrategySpec).
+# No route leaves an output directory, so none leaves a .partial marker.
+CONFIG = {"B": 4, "delta": 1, "sigma2": 0.25, "epsilon": 0.1}
+ONE_POINT = ["--B", "4", "--delta", "1", "--sigma2", "0.25", "--epsilon", "0.1"]
+GOOD_PLAN = {"id": "t", **CONFIG, "strategies": [{"kind": "sorted_pm"}],
+             "bound_set": ["lemma1"], "n_trials": 2}
+SIMULATE = ["simulate", *ONE_POINT, "--strategy", "sorted_pm", "--workers", "1"]
+TOO_MANY = str(MAX_TRIALS + 1)
+
+
+def _good_plan():
+    return plan_mod.parse_plan(json.dumps(GOOD_PLAN))
+
+
+# id: (plan-file fields, verb argv or None, sweep override or None, library)
+ROUTES = {
+    "n_trials=0": ({"n_trials": 0}, [*SIMULATE, "--trials", "0"],
+                   ["--trials", "0"],
+                   lambda: dataclasses.replace(_good_plan(), n_trials=0)),
+    "n_trials=max+1": ({"n_trials": MAX_TRIALS + 1},
+                       [*SIMULATE, "--trials", TOO_MANY], ["--trials", TOO_MANY],
+                       lambda: dataclasses.replace(_good_plan(),
+                                                   n_trials=MAX_TRIALS + 1)),
+    "n_trials=true": ({"n_trials": True}, None, None,
+                      lambda: dataclasses.replace(_good_plan(), n_trials=True)),
+    "eta_frac=1.5": ({"eta_frac": 1.5}, ["bounds", *ONE_POINT, "--eta-frac", "1.5"],
+                     ["--eta-frac", "1.5"],
+                     lambda: dataclasses.replace(_good_plan(), eta_frac=1.5)),
+    "bound=lemma3": ({"bound_set": ["lemma3"]},
+                     ["bounds", *ONE_POINT, "--bound-set", "lemma3"], None,
+                     lambda: dataclasses.replace(_good_plan(),
+                                                 bound_set=("lemma3",))),
+    "corollary2_at_one_point": (
+        {"bound_set": ["corollary2"]},
+        ["bounds", *ONE_POINT, "--bound-set", "corollary2"], None,
+        lambda: dataclasses.replace(_good_plan(), bound_set=("corollary2",))),
+    "alpha_on_sorted_pm": (
+        {"strategies": [{"kind": "sorted_pm", "alpha": 0.5}]},
+        [*SIMULATE, "--alpha", "0.5"], None,
+        lambda: StrategySpec("sorted_pm", alpha=0.5)),
+}
+
+
+def _refusal(tmp_path, name, argv, doc=None):
+    """Run argv (after --plan <file of doc>, if doc is given) into a fresh
+    output directory -> (exit code, stderr, whether the directory exists)."""
+    root = tmp_path / name
+    root.mkdir()
+    if doc is not None:
+        (root / "plan.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["sweep", "--plan", str(root / "plan.json"), *argv]
+    rc, err = run([*argv, "--out", str(root / "out")])
+    return rc, err, (root / "out").exists()
+
+
+def test_route_table_base_plan_runs(tmp_path):
+    rc, err, made = _refusal(tmp_path, "base", [], GOOD_PLAN)
+    assert (rc, err, made) == (0, "", True)
+
+
+@pytest.mark.parametrize("fields,verb,override,library", ROUTES.values(),
+                         ids=list(ROUTES))
+def test_bad_value_is_refused_alike_on_every_route(tmp_path, fields, verb,
+                                                   override, library):
+    with pytest.raises(errors.ValidationError) as exc:
+        library()
+    expected = (2, f"error: {exc.value}\n", False)
+    assert _refusal(tmp_path, "file", [], {**GOOD_PLAN, **fields}) == expected
+    if verb is not None:
+        assert _refusal(tmp_path, "verb", verb) == expected
+    if override is not None:
+        assert _refusal(tmp_path, "override", override, GOOD_PLAN) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    [*SIMULATE, "--trials", "2"],
+    ["sweep", "--preset", "fig4", "--trials", "2"],
+    ["drift-probe", *ONE_POINT, "--strategy", "sorted_pm", "--steps", "10000"],
+], ids=lambda argv: argv[0])
+def test_seed_of_two_to_the_64_exits_two(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # every output lands under tmp_path
+    rc, err = run([*argv, f"--seed={2 ** 64}"])
+    assert (rc, err) == (2, f"error: seed must be below 2**64, got {2 ** 64}\n")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_plan_with_nothing_to_run_exits_two(tmp_path):
+    rc, err, names = _sweep_plan(tmp_path, {"id": "t", **CONFIG})
+    assert (rc, names) == (2, [])
+    assert err == ("error: plan 't' has nothing to run: it needs strategies, "
+                   "a bound_set or a capacity_table\n")
+
+
+def test_empty_bound_set_flag_exits_two(tmp_path):
+    rc, err, made = _refusal(tmp_path, "bounds", [*BOUNDS, "--bound-set", ",,"])
+    assert (rc, made) == (2, False)
+    assert "nothing to run" in err
+
+
+def test_output_path_is_an_unknown_key(tmp_path):
+    rc, err, names = _sweep_plan(tmp_path, {**GOOD_PLAN, "output_path": "x"})
+    assert (rc, err, names) == (2, "error: unknown plan key 'output_path'\n", [])
+
+
+def test_failed_bounds_leave_no_sim_file(tmp_path):
+    # sims at M = 1 succeed, lemma2 there is refused: nothing is written
+    doc = {**GOOD_PLAN, "B": 1, "bound_set": ["lemma2"]}
+    rc, err, names = _sweep_plan(tmp_path, doc)
+    assert (rc, err) == (2, "error: M = 1 admits no section fraction\n")
+    assert os.listdir(tmp_path / "runs" / "out") == ["t.partial"]
+
+
+# sweep --plan over plan fields and overrides, every cell count at most 16
+# and at most two trials, one worker (no process starts).
+PLAN_FIELDS = {
+    "id": st.sampled_from(["t", "a/b"]),
+    "B": st.sampled_from([1, 2, 8, 0, "4"]),
+    "delta": st.sampled_from([1, 0.5, 3]),
+    "sigma2": st.sampled_from([0.25, 0.05, 0, -1]),
+    "epsilon": st.sampled_from([0.1, 1e-4, 0, 1.5]),
+    "gamma": st.sampled_from([0.5, 2.0, 0, -1]),
+    "sweeps": st.sampled_from([[["B", [2, 8]]], [["delta", [1, 0.5]]],
+                               [["sigma2", [0.25, 0.05]]], [["B", []]]]),
+    "strategies": st.lists(st.sampled_from([
+        {"kind": "sorted_pm"}, {"kind": "fixed_composition"},
+        {"kind": "exhaustive"}, {"kind": "noisy_binary_fixed"},
+        {"kind": "noisy_binary_variable"}, {"kind": "two_stage", "alpha": 0.5},
+        {"kind": "two_stage", "alpha": 0.3}, {"kind": "two_stage"},
+        {"kind": "sorted_pm", "alpha": 0.5}, {"kind": "dfs"}]), max_size=2),
+    "bound_set": st.lists(st.sampled_from(
+        ["lemma1", "lemma2", "theorem1", "theorem2", "corollary2", "lemma3"]),
+        max_size=2),
+    "n_trials": st.sampled_from([1, 2, 0, -1, True, MAX_TRIALS + 1, "2"]),
+    "master_seed": st.sampled_from([0, 7, -1, 2 ** 64, True]),
+    "eta_frac": st.sampled_from([0.1, 0.5, 0, 1.5, "x"]),
+}
+OVERRIDES = {"--trials": st.sampled_from(["1", "2", "0", "-1", TOO_MANY]),
+             "--seed": st.sampled_from(["0", "-1", str(2 ** 64)]),
+             "--eta-frac": st.sampled_from(["0.2", "0", "1.5", "nan"])}
+
+
+@st.composite
+def sweep_cases(draw):
+    doc = {"id": "t", **CONFIG, "n_trials": 1}
+    for key in draw(st.lists(st.sampled_from(sorted(PLAN_FIELDS)), unique=True,
+                             max_size=3)):
+        doc[key] = draw(PLAN_FIELDS[key])
+    if "sweeps" in doc:  # a swept parameter is not also fixed
+        doc.pop(doc["sweeps"][0][0], None)
+    if "strategies" not in doc and "bound_set" not in doc:
+        doc["strategies"] = [{"kind": "sorted_pm"}]
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(sorted(OVERRIDES)), unique=True,
+                              max_size=2)):
+        flags.append(f"{flag}={draw(OVERRIDES[flag])}")
+    return doc, flags
+
+
+@settings(max_examples=100)  # about 1 s
+@given(sweep_cases())
+def test_sweep_plan_fields_exit_by_policy(case):
+    doc, flags = case
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "plan.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, err = run(["sweep", f"--plan={path}", "--workers=1", *flags,
+                       f"--out={Path(root) / 'out'}"])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err
+        names = [p.name for p in Path(root).rglob("*")]
+        assert not [n for n in names if n.endswith(".tmp")]
+        if rc != 0:
+            assert not [n for n in names if n.endswith(".csv")]

@@ -1,6 +1,7 @@
 """Plan parsing, execution, file output, presets, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -204,8 +205,8 @@ class TestPresets:
         # scaled-down trial counts; finiteness of every reported mean is
         # exactly what the full-size runs guarantee (no step-limit hits)
         for name in PRESET_NAMES:
-            paths = run_plan(load_preset(name), tmp_path / name,
-                             trials_override=30)
+            paths = run_plan(dataclasses.replace(load_preset(name), n_trials=30),
+                             tmp_path / name)
             assert paths
             for path in paths:
                 for row in read_csv(path):
@@ -272,11 +273,9 @@ class TestRunPlan:
         assert second.read_bytes() == before
 
     def test_worker_count_does_not_change_output(self, tmp_path):
-        plan = load_preset("fig6")
-        (a_sim, a_b) = run_plan(plan, tmp_path / "w1", workers=1,
-                                trials_override=40)
-        (b_sim, b_b) = run_plan(plan, tmp_path / "w3", workers=3,
-                                trials_override=40)
+        plan = dataclasses.replace(load_preset("fig6"), n_trials=40)
+        (a_sim, a_b) = run_plan(plan, tmp_path / "w1", workers=1)
+        (b_sim, b_b) = run_plan(plan, tmp_path / "w3", workers=3)
         assert a_sim.read_bytes() == b_sim.read_bytes()
         assert a_b.read_bytes() == b_b.read_bytes()
 
