@@ -25,7 +25,7 @@ from .channel import (bawgn_capacity, capacity_grid, optimal_composition,
                       solve_a_eta)
 from .errors import ParseError, ValidationError
 from .model import NoiseModel, SearchConfig, new_config
-from .sim import MAX_TRIALS, run_trials, trial_seed_for
+from .sim import MAX_TRIALS, _check_seed, run_trials, trial_seed_for
 from .strategies import StrategySpec
 
 PARAM_NAMES = ("B", "delta", "sigma2", "epsilon", "gamma", "q")
@@ -57,11 +57,12 @@ class ExperimentPlan:
     so plans from parse_plan, a CLI verb or dataclasses.replace are checked
     alike before anything runs: ``id`` holds no '/', '\\' or NUL (it names
     the output files), ``eta_frac`` lies in (0, 1), ``n_trials`` is an int,
-    not a bool, in [1, MAX_TRIALS], ``bound_set`` names are BOUND_NAMES,
-    and corollary2 needs exactly one swept parameter, B or delta.  Each
+    not a bool, in [1, MAX_TRIALS], ``master_seed`` lies in [0, 2**64)
+    (`sim._check_seed`), ``bound_set`` names are BOUND_NAMES, and
+    corollary2 needs exactly one swept parameter, B or delta.  Each
     StrategySpec checks its kind and alpha.  Checks that depend on a sweep
     point (the configuration, alpha dividing M, bound feasibility) run with
-    the plan; master_seed is checked by parse_plan and `sim.trial_seed_for`.
+    the plan.
     """
 
     id: str
@@ -83,6 +84,7 @@ class ExperimentPlan:
         _require(isinstance(n, int) and not isinstance(n, bool)
                  and 1 <= n <= MAX_TRIALS,
                  f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n!r}")
+        _check_seed(self.master_seed)
         for name in self.bound_set:
             _require(name in BOUND_NAMES,
                      f"unknown bound {name!r} (expected one of {', '.join(BOUND_NAMES)})")

@@ -178,7 +178,7 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     else:
         floor = bawgn_capacity(0.5, config.variance_at(m / 2.0))
 
-    probe = probe_rule(kind, config)
+    probe, _ = probe_rule(kind, config)
     gens = [np.random.default_rng(seed)]
     log_thresh = math.log1p(-config.epsilon)
     increments = np.empty(n_steps)
@@ -188,7 +188,7 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
             lp.fill(-math.log(m))
             target = draw_targets(gens, m)
             u_prev = u_log_probs(lp[0])
-        masks, v = probe(lp, i, gens)
+        masks, v, _ = probe(lp, i, gens)
         top = observe(lp, masks, masks[0, target], np.sqrt(v), v, gens)
         u_now = u_log_probs(lp[0])
         increments[i] = u_now - u_prev

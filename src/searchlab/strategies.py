@@ -4,20 +4,22 @@ Each runner simulates one full search: draw the target, take measurements
 until the stopping rule fires, and report the stopping time tau together
 with whether the final estimate found the target.
 
-Fixed composition, sorted-PM and exhaustive search share one engine,
-`_search`: a probe rule maps the log-posteriors to probed sets and their
-noise variances, each observation is folded in by Bayes' rule, and a
-search stops once one cell holds posterior mass 1 - eps.  The engine runs
-trials in lockstep: `run_rows` takes one generator per trial, keeps their
+Every strategy runs on one engine, `_search`: a rule maps the
+log-posteriors, and its own per-row state, to probed sets and their noise
+variances, each observation is folded in by Bayes' rule, and the rule's
+stop retires a row; fixed composition, sorted-PM and exhaustive search
+stop once one cell holds posterior mass 1 - eps.  The engine runs trials
+in lockstep: `run_rows` takes one generator per trial, keeps their
 posteriors as the rows of one (rows, size) array, advances every live row
-by one probe per step and retires rows as they cross the threshold.  Each
-row makes the draws, in the same order, and the arithmetic of a trial run
-alone.  `run_strategy` is the batch of one, a one-row block, and a block's
-last live row stays a row of it, so each engine has one code path.
-Two-stage search chains two such searches.  The two bisection strategies
-stop level by level instead; they share a second lockstep loop, `_bisect`,
-in which each row narrows its own window of the posterior and reads each
-half's mass from one cell, since every cell of a half holds the same value.
+by one probe per step and retires rows as they stop.  Each row makes the
+draws, in the same order, and the arithmetic of a trial run alone.
+`run_strategy` is the batch of one, a one-row block, and a block's last
+live row stays a row of it, so the engine has one code path.  Two-stage
+search chains two searches.  The two bisection strategies are one stateful
+rule, `_bisection_rule`: each row narrows its own window of the posterior,
+reads each half's mass from one cell, since every cell of a half holds the
+same value, and stops level by level; a fixed level is one step of many
+observations folded into one update.
 
 Fixed composition picks its probe sets by a partial Fisher-Yates shuffle
 whose draws, `_below`, read the bit generator's 32-bit words directly and
@@ -26,8 +28,8 @@ the same generator state as calling integers, so the random stream is
 unchanged, at a fraction of the per-call cost.
 
 Every trial-generator draw is made here: targets (`draw_targets`),
-observations (`observe`), probe sets and fixed bisection levels
-(`_level_llr`); `sim.drift_probe` runs the same rules on a one-row block.
+observations, one or a fixed level's many per row (`observe`), and probe
+sets; `sim.drift_probe` runs the same rules on a one-row block.
 
 Strategies
 ----------
@@ -165,54 +167,83 @@ def draw_targets(rngs: list, m: int) -> np.ndarray:
     return np.array([int(g.integers(m)) for g in rngs], dtype=np.int64)
 
 
-def observe(lp: np.ndarray, masks: np.ndarray, hit, sd, v, gens: list) -> np.ndarray:
-    """Fold one observation y = hit + sd z per row into the block lp in
-    place, z one standard normal from the row's generator; returns the row
-    maxima of `update_log_probs`."""
-    z = np.array([g.standard_normal() for g in gens])
-    return update_log_probs(lp, masks, hit + sd * z, v)
+def observe(lp: np.ndarray, masks: np.ndarray, hit, sd, v, gens: list,
+            reps: np.ndarray | None = None) -> np.ndarray:
+    """Fold each row's observations y = hit + sd z into the block lp in
+    place, z standard normals from the row's generator: one per row, or
+    with reps, reps[i] for row i, whose log-likelihood ratios are summed
+    into one update.  Returns the row maxima of the renormalized block."""
+    if reps is None:
+        z = np.array([g.standard_normal() for g in gens])
+        return update_log_probs(lp, masks, hit + sd * z, v)
+    llr = np.array([((2.0 * (h + s * g.standard_normal(r)) - 1.0) / (2.0 * w)).sum()
+                    for h, s, w, r, g in zip(hit.tolist(), sd.tolist(), v.tolist(),
+                                             reps.tolist(), gens)])
+    np.add(lp, llr[:, None], out=lp, where=masks)
+    return renormalize_log_probs(lp)
 
 
-def _search(size: int, probe, targets, eps: float, rngs: list, label: str,
+def _search(size: int, rule, targets, eps: float, rngs: list, label: str,
             first_trial: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep search: one row per generator, each probing `size` cells
-    from a uniform prior until one cell holds posterior mass 1 - eps.
+    from a uniform prior until its rule stops it.
 
-    probe(lp, step, gens) -> (masks, variances) is the probe rule over the
-    live rows' log posteriors lp (rows, size); it may draw from each live
-    row's generator before that row's one normal.  A target outside
-    [0, size) is never hit (a failed first stage): that row still stops at
-    its threshold, on a wrong cell.  Rows that cross the threshold retire;
-    each row sees the same draws and arithmetic as if it ran alone.  Returns
-    per-row (steps, MAP cell, final max posterior) arrays."""
+    A rule is a pair (probe, settle), the one extension point for a new
+    kind, stateless or with per-row state (a balanced design's round, a
+    sort order carried between steps, a bisection window).
+    probe(lp, step, gens) -> (masks, variances, reps) maps the live rows'
+    log posteriors lp (rows, size), and the rule's own per-row state, to
+    the probed sets and their noise variances; it may draw from each live
+    row's generator before that row's normals.  reps is None for one
+    observation per row, else each row's count of observations, folded
+    into one update.  settle(lp, tops) -> which rows retire, given the row
+    maxima tops after the update; it drops the retiring rows from the
+    rule's state.  settle None is the threshold stop: a row retires once
+    one cell holds posterior mass 1 - eps, and starts only if the uniform
+    prior holds less.  A rule with its own settle starts every row when
+    size > 1.  A row's steps are its observations; a step that would take
+    a row past STEP_LIMIT raises before its normals are drawn.
+
+    A target outside [0, size) is never hit (a failed first stage): that
+    row still stops, on a wrong cell.  Each row sees the same draws and
+    arithmetic as if it ran alone.  Returns per-row (steps, MAP cell,
+    final max posterior) arrays."""
+    probe, settle = rule
     n = len(rngs)
     log_thresh = math.log1p(-eps)
     start = -math.log(size)
     steps = np.zeros(n, dtype=np.int64)
     cells = np.zeros(n, dtype=np.int64)
     top = np.full(n, start)
-    live = np.arange(n if start < log_thresh else 0)
+    starts = size > 1 and (settle is not None or start < log_thresh)
+    live = np.arange(n if starts else 0)
+    taken = np.zeros(n, dtype=np.int64)
+    most = 0  # at least every live row's count: checks it only near the limit
     lp = np.full((n, size), start)
     targets = np.asarray(targets, dtype=np.int64)
     on_grid = (targets >= 0) & (targets < size)
     hit_cell = np.where(on_grid, targets, 0)
-    gens = list(rngs)
+    gens, at = list(rngs), np.arange(live.size)
     step = 0
     while live.size:
-        if step >= STEP_LIMIT:
-            raise _step_limit(label, first_trial, int(live[0]))
-        masks, v = probe(lp, step, gens)
-        hit = masks[np.arange(live.size), hit_cell] & on_grid
-        row_top = observe(lp, masks, hit, np.sqrt(v), v, gens)
+        masks, v, reps = probe(lp, step, gens)
+        taken += 1 if reps is None else reps
+        most += 1 if reps is None else int(reps.max())
+        if most > STEP_LIMIT and taken.max() > STEP_LIMIT:
+            over = int(np.argmax(taken > STEP_LIMIT))
+            raise _step_limit(label, first_trial, int(live[over]))
+        hit = masks[at, hit_cell] & on_grid
+        row_top = observe(lp, masks, hit, np.sqrt(v), v, gens, reps)
         step += 1
-        done = row_top >= log_thresh
+        done = row_top >= log_thresh if settle is None else settle(lp, row_top)
         if done.any():
             ended = live[done]
-            steps[ended] = step
+            steps[ended] = taken[done]
             top[ended] = row_top[done]
             cells[ended] = lp[done].argmax(axis=1)
             keep = ~done
-            live, lp = live[keep], lp[keep]
+            live, lp, taken = live[keep], lp[keep], taken[keep]
+            at = at[:live.size]
             hit_cell, on_grid = hit_cell[keep], on_grid[keep]
             gens = [g for g, d in zip(gens, done.tolist()) if not d]
     # math.exp per row, not np.exp, which may differ from libm in the last
@@ -235,8 +266,8 @@ def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
         # flat indices into the (rows, grid) block, row after row
         masks.ravel()[[row * grid + c for row, g in enumerate(gens)
                        for c in _partial_shuffle(grid, k, g)]] = True
-        return masks, v
-    return probe
+        return masks, v, None
+    return probe, None
 
 
 def _sorted_pm_rule(config: SearchConfig):
@@ -245,8 +276,8 @@ def _sorted_pm_rule(config: SearchConfig):
 
     def probe(lp, step, gens):
         masks, k = sorted_pm_mask(np.exp(lp))
-        return masks, variances[k]
-    return probe
+        return masks, variances[k], None
+    return probe, None
 
 
 def _round_robin_rule(config: SearchConfig):
@@ -256,13 +287,13 @@ def _round_robin_rule(config: SearchConfig):
     def probe(lp, step, gens):
         masks = np.zeros(lp.shape, dtype=bool)
         masks[..., step % config.M] = True
-        return masks, v
-    return probe
+        return masks, v, None
+    return probe, None
 
 
 def probe_rule(kind: str, config: SearchConfig):
-    """The probe rule of a one-stage kind (fixed_composition, sorted_pm or
-    exhaustive) over all M cells."""
+    """The (probe, settle) rule of a threshold kind (fixed_composition,
+    sorted_pm or exhaustive) over all M cells."""
     if kind == FIXED_COMPOSITION:
         return _composition_rule(config, config.M, 1)
     if kind == SORTED_PM:
@@ -274,12 +305,12 @@ def probe_rule(kind: str, config: SearchConfig):
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _one_stage(config: SearchConfig, probe, rngs: list, label: str,
+def _one_stage(config: SearchConfig, rule, rngs: list, label: str,
                first_trial: int | None) -> Rows:
     """Draw each row's target uniformly from [0, M), then search all M
     cells at the config's epsilon."""
     targets = draw_targets(rngs, config.M)
-    steps, cells, pmax = _search(config.M, probe, targets, config.epsilon, rngs,
+    steps, cells, pmax = _search(config.M, rule, targets, config.epsilon, rngs,
                                  label, first_trial)
     return steps, np.zeros_like(steps), cells == targets, pmax
 
@@ -311,12 +342,6 @@ def _row_record(label: str, rows: Rows, trial_seed: int) -> TrialRecord:
                        final_max_prob=float(max_prob))
 
 
-def _level_llr(hit: bool, v: float, r: int, rng: np.random.Generator) -> float:
-    """Summed log-likelihood ratio of r observations 1{hit} + N(0, v)."""
-    ys = (1.0 if hit else 0.0) + rng.normal(0.0, math.sqrt(v), size=r)
-    return float(((2.0 * ys - 1.0) / (2.0 * v)).sum())
-
-
 def _repeats(v: float, z: float | None) -> int:
     """Observations per level: 1 for sequential levels, else
     max(1, ceil(4 v z^2))."""
@@ -325,80 +350,61 @@ def _repeats(v: float, z: float | None) -> int:
 
 def _level(config: SearchConfig, z: float | None, lo: int, hi: int) -> tuple:
     """A level on the window [lo, hi), uniform when the level starts: the
-    end mid of its probed first half [lo, mid), that half's repetitions, v
-    and sqrt(v), and the log cell counts of the two halves."""
+    end mid of its probed first half [lo, mid), that half's repetitions and
+    v, and the log cell counts of the two halves."""
     h1 = (hi - lo + 1) // 2
     v = config.noise_variance(h1)
-    return lo + h1, _repeats(v, z), v, math.sqrt(v), math.log(h1), math.log(hi - lo - h1)
+    return lo + h1, _repeats(v, z), v, math.log(h1), math.log(hi - lo - h1)
 
 
-def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
-            first_trial: int | None) -> Rows:
-    """Lockstep bisection: one row per generator, each narrowing a window
-    [lo, hi) of its posterior from [0, M) to one cell, then reporting the
-    MAP cell.  A level probes the window's first half [lo, mid), which
-    takes the odd cell, and ends by moving the window into the half that
-    holds more mass, the first on ties.
+def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
+    """Bisection over n rows, each narrowing a window [lo, hi) of its
+    posterior from [0, M) to one cell; the engine then reports the MAP
+    cell.  A level probes the window's first half [lo, mid), which takes
+    the odd cell, and ends by moving the window into the half that holds
+    more mass, the first on ties.
 
-    z None, sequential levels: an iteration is one observation per live
-    row, and a row's level ends once its favoured half holds a share
-    >= 1 - epsilon/log2(M) of the window's mass.  z set, fixed levels: an
-    iteration is a whole level of r = max(1, ceil(4 v z^2)) observations
-    per row, folded into one update (its threshold is -inf, so every level
-    ends); z = Q^{-1}(epsilon/log2 M), so that one level errs with
-    probability at most epsilon/log2 M.
+    Sequential levels: a step is one observation per row, and a row's
+    level ends once its favoured half holds a share >= 1 - epsilon/log2(M)
+    of the window's mass.  Fixed levels: a step is a whole level of
+    r = max(1, ceil(4 v z^2)) observations per row, folded into one update
+    (its threshold is -inf, so every level ends); z = Q^{-1}(epsilon/log2
+    M), so that one level errs with probability at most epsilon/log2 M.
 
     Windows nest, the prior is uniform, and an update adds the same llr,
     shift and clamp to every cell of a half, so every cell of a half holds
     the same float.  A window is therefore uniform when its level starts,
     and its first half holds at least as much mass as the second: that is
     the half worth probing.  A half's log mass is its first cell plus
-    log(cells), bit for bit what summing its cells gives.  Each row makes
-    the draws and the arithmetic of a trial run alone."""
-    m, n = config.M, len(rngs)
-    steps = np.zeros(n, dtype=np.int64)
-    if m == 1:  # found before any probe or draw
-        return steps, steps.copy(), np.ones(n, dtype=bool), np.ones(n)
-    log_thresh = (math.log1p(-min(config.epsilon / math.log2(m), 0.5))
-                  if z is None else -math.inf)
-    targets = draw_targets(rngs, m)
-    cells, top = np.zeros(n, dtype=np.int64), np.zeros(n)
+    log(cells), bit for bit what summing its cells gives."""
+    m = config.M
+    if m == 1:  # no row starts (see _search): log2(M) and _level(0, 1) are undefined
+        return None, None
+    share = config.epsilon / math.log2(m)
+    z = max(0.0, gaussian_tail_inverse(share)) if fixed else None
+    log_thresh = -math.inf if fixed else math.log1p(-min(share, 0.5))
     half, r, *level = _level(config, z, 0, m)
-    # per live row, one allocation each for the integer and the float state
-    # (retiring rows takes one index each): the window [lo, hi), _level's
-    # mid and repetitions, observations taken, target and whether the probed
-    # half holds it; _level's v, sqrt(v) and log cell counts
-    ints = np.array([[0], [m], [half], [r], [0], [0], [0]]).repeat(n, 1)
-    ints[5], ints[6] = targets, targets < half
+    # per row, one allocation each for the integer and the float state
+    # (retiring rows takes one index each): the window [lo, hi) and
+    # _level's mid and repetitions; _level's v and log cell counts
+    ints = np.array([[0], [m], [half], [r]]).repeat(n, 1)
     flts = np.array(level)[:, None].repeat(n, 1)
-    lo, hi, mid, reps, taken, tgt, hit = ints
-    var, sd, log_h1, log_h2 = flts
-    lp = np.full((n, m), -math.log(m))
+    lo, hi, mid, reps = ints
+    var, log_h1, log_h2 = flts
     masks = np.zeros((n, m), dtype=bool)
     masks[:, :half] = True
-    live, gens, at, cols = np.arange(n), list(rngs), np.arange(n), np.arange(m)
-    step = 0
-    while live.size:
-        if z is None:
-            if step >= STEP_LIMIT:
-                raise _step_limit(label, first_trial, int(live[0]))
-        elif taken.max() >= STEP_LIMIT:
-            over = np.argmax(taken >= STEP_LIMIT)
-            raise _step_limit(label, first_trial, int(live[over]))
-        step += 1
-        if z is None:
-            observe(lp, masks, hit, sd, var, gens)
-        else:
-            llr = np.array([_level_llr(*args) for args in
-                            zip(hit.tolist(), var.tolist(), reps.tolist(), gens)])
-            np.add(lp, llr[:, None], out=lp, where=masks)
-            renormalize_log_probs(lp)
-            taken += reps
+    at, cols = np.arange(n), np.arange(m)
+
+    def probe(lp, step, gens):
+        return masks, var, reps if fixed else None
+
+    def settle(lp, tops):
+        nonlocal ints, flts, lo, hi, mid, reps, var, log_h1, log_h2, masks, at
         first = lp[at, lo] + log_h1
         second = lp[at, mid] + log_h2
         ends = np.maximum(first, second) - np.logaddexp(first, second) >= log_thresh
         if not ends.any():
-            continue
+            return ends
         to_first = first >= second
         np.copyto(lo, mid, where=ends & ~to_first)
         np.copyto(hi, mid, where=ends & to_first)
@@ -409,25 +415,15 @@ def _bisect(config: SearchConfig, rngs: list, z: float | None, label: str,
             levels = np.array([_level(config, z, a, b) for a, b in
                                zip(w_lo.tolist(), hi[moved].tolist())]).T
             ints[2:4, moved], flts[:, moved] = levels[:2], levels[2:]
-            b = mid[moved]
-            hit[moved] = (w_lo <= tgt[moved]) & (tgt[moved] < b)
-            masks[moved] = (cols >= w_lo[:, None]) & (cols < b[:, None])
+            masks[moved] = (cols >= w_lo[:, None]) & (cols < mid[moved][:, None])
         if done.any():
-            ended = live[done]
-            steps[ended] = step if z is None else taken[done]
-            finished = lp[done]
-            cells[ended] = best = finished.argmax(axis=1)
-            top[ended] = finished[np.arange(best.size), best]
             keep = ~done
-            live, lp, masks = live[keep], lp[keep], masks[keep]
-            ints, flts = ints[:, keep], flts[:, keep]
-            lo, hi, mid, reps, taken, tgt, hit = ints
-            var, sd, log_h1, log_h2 = flts
-            gens = [g for g, gone in zip(gens, done.tolist()) if not gone]
-            at = at[:live.size]
-    # math.exp per row, as in _search
-    return (steps, np.zeros_like(steps), cells == targets,
-            np.array([math.exp(t) for t in top.tolist()]))
+            ints, flts, masks = ints[:, keep], flts[:, keep], masks[keep]
+            lo, hi, mid, reps = ints
+            var, log_h1, log_h2 = flts
+            at = at[:lo.size]
+        return done
+    return probe, settle
 
 
 def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
@@ -437,17 +433,14 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
     Every row's record equals run_strategy on its generator alone.  With
     first_trial set, a StepLimitExceeded names the lowest row that reached
     the limit as trial first_trial + row."""
-    m = config.M
-    if spec.kind in (FIXED_COMPOSITION, SORTED_PM, EXHAUSTIVE):
-        return _one_stage(config, probe_rule(spec.kind, config), rngs, spec.kind,
-                          first_trial)
     if spec.kind == TWO_STAGE:
-        return _two_stage_rows(config, sections_from_alpha(spec.alpha, m), rngs,
-                               first_trial)
-    z = None
-    if spec.kind == NOISY_BINARY_FIXED and m > 1:
-        z = max(0.0, gaussian_tail_inverse(config.epsilon / math.log2(m)))
-    return _bisect(config, rngs, z, spec.kind, first_trial)
+        return _two_stage_rows(config, sections_from_alpha(spec.alpha, config.M),
+                               rngs, first_trial)
+    if spec.kind in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE):
+        rule = _bisection_rule(config, spec.kind == NOISY_BINARY_FIXED, len(rngs))
+    else:
+        rule = probe_rule(spec.kind, config)
+    return _one_stage(config, rule, rngs, spec.kind, first_trial)
 
 
 def run_strategy(spec: StrategySpec, config: SearchConfig,

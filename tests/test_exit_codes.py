@@ -103,6 +103,14 @@ def test_only_strategies_draws_from_a_trial_generator():
             assert not [d for d in DRAWS if d in text], path
 
 
+def test_strategies_holds_one_lockstep_loop():
+    # every kind runs as a rule of the one engine, `_search`; a second
+    # lockstep loop would be a second copy of its retire and limit logic
+    text = (Path(searchlab.__file__).parent / "strategies.py").read_text(
+        encoding="utf-8")
+    assert text.count("while live.size") == 1
+
+
 VALUES = ("0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e307",
           "1e308", "0.3")
 NUMBERS = st.sampled_from(VALUES)

@@ -519,6 +519,46 @@ class TestCli:
         assert not list(tmp_path.glob("*.csv"))
         assert peak < 2 << 20
 
+    def test_fixed_bisection_level_past_step_limit_exits_three(self, tmp_path,
+                                                                capsys):
+        # a first level of about 5e8 observations is refused before any
+        # draw, so its array of normals is never allocated
+        tracemalloc.start()
+        try:
+            rc = main(["simulate", "--B", "16", "--delta", "1", "--sigma2", "1e6",
+                       "--epsilon", "1e-4", "--strategy", "noisy_binary_fixed",
+                       "--trials", "1", "--workers", "1", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "exceeded" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--preset", "fig8", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+        (["sweep", "--preset", "fig3", "--seed", str(2 ** 64)],
+         f"seed must be below 2**64, got {2 ** 64}"),
+        (["sweep", "--preset", "fig6", "--trials", "2", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+        (["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
+          "--epsilon", "0.01", "--strategy", "sorted_pm", "--trials", "2",
+          "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+    ], ids=["fig8-negative", "fig3-2**64", "fig6-negative", "simulate-negative"])
+    def test_bad_seed_refused_before_output(self, tmp_path, capsys, argv,
+                                            message):
+        # the plan checks master_seed on construction, so no route creates
+        # its output directory, a plan without strategies included
+        out = tmp_path / "out"
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--B", "4", "--delta", "1", "--sigma2", "0.25",
          "--epsilon", "0.01", "--strategy", "sorted_pm",

@@ -1,5 +1,6 @@
 """Probe rules and full strategy runners."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -532,6 +533,30 @@ TRIAL_GOLDEN = {
     ],
 }
 
+# SHA-256 of repr([(tau, tau_stage1, success, final_max_prob.hex()), ...])
+# over trials trial_seed_for(GOLDEN_MASTER_SEED, 0..199), run one at a
+# time, recorded from the second lockstep loop that ran both bisection
+# kinds before they became a rule of the one search engine; the configs are
+# LOCKSTEP_CONFIGS entries.
+BISECTION_DIGESTS = {
+    ("M12_power", NOISY_BINARY_FIXED):
+        "3f977973a93bf031cb0508e80a6be417361163890e5b97e541916b51a8f1e234",
+    ("M12_power", NOISY_BINARY_VARIABLE):
+        "9fde69653f7404c4f511a1b3d67cab7f3768d4d80a888a9c962aebd02b18a461",
+    ("M128_sigma1e-4", NOISY_BINARY_FIXED):
+        "0f817f67062b218730745696a4210fe714b9f00ee63845caee0d3a6fd7f7b4c5",
+    ("M128_sigma1e-4", NOISY_BINARY_VARIABLE):
+        "0f817f67062b218730745696a4210fe714b9f00ee63845caee0d3a6fd7f7b4c5",
+    ("M4_eps0.9", NOISY_BINARY_FIXED):
+        "60e2f427bc02df66b7e636f4ac3b7a27cc1883ef39edacdd790b1b271c0b5bfe",
+    ("M4_eps0.9", NOISY_BINARY_VARIABLE):
+        "8711f00c03717aeb51d12346a3676614fec711952374585191e4dea6b5c7367b",
+    ("M16", NOISY_BINARY_FIXED):
+        "ee72fecb0360c01cec4a1e5a18dcbcbefea92cce3c083862b63fdc71f722a2c7",
+    ("M16", NOISY_BINARY_VARIABLE):
+        "4e4dec5a4f6eff7486c0108843c6d79e89733248e5ea3a8ccf33a511b12c3ddb",
+}
+
 
 class TestTrialGolden:
     @pytest.mark.parametrize("case, label", list(TRIAL_GOLDEN),
@@ -558,6 +583,19 @@ class TestTrialGolden:
         got = TestLockstepRows.as_tuples(
             *run_rows(GOLDEN_SPECS[label], GOLDEN_CONFIGS[case], rngs))
         assert got == TRIAL_GOLDEN[case, label]
+
+    @pytest.mark.parametrize("case, kind", list(BISECTION_DIGESTS),
+                             ids=[f"{c}-{k}" for c, k in BISECTION_DIGESTS])
+    def test_bisection_trials_match_recorded_digest(self, case, kind):
+        got = []
+        for i in range(200):
+            seed = trial_seed_for(GOLDEN_MASTER_SEED, i)
+            rec = run_strategy(StrategySpec(kind), LOCKSTEP_CONFIGS[case],
+                               np.random.default_rng(seed), seed)
+            got.append((rec.tau, rec.tau_stage1, rec.success,
+                        float(rec.final_max_prob).hex()))
+        digest = hashlib.sha256(repr(got).encode()).hexdigest()
+        assert digest == BISECTION_DIGESTS[case, kind]
 
 
 # Lockstep blocks against the batch of one: every row of run_rows must be
