@@ -15,7 +15,8 @@ integrand points, and gives every pair the float a lone evaluation gives,
 bit for bit; ``bawgn_capacity`` is its cached batch of one.
 Everything downstream (strategy stopping times, converse and achievability
 bounds) is driven by this function and by the truncated-score integral psi
-of the bound constants, which is closed-form and vectorised over probe sizes.
+of the bound constants, closed-form over probe sizes.  Q is ``gaussian_tail``
+(math.erfc) and Q^{-1} is statistics.NormalDist().inv_cdf, both stdlib.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .errors import NoRootInBracket, QuadratureNonConvergence, ValidationError
 
@@ -40,6 +41,7 @@ MAX_PANELS = 1 << 23
 # block (a pair that needs more runs alone), so a batch's arrays stay near
 # 1 MB whatever its size.
 BLOCK_POINTS = 1 << 14
+_STANDARD_NORMAL = NormalDist()
 
 
 def gaussian_pdf(y, mean: float, variance: float):
@@ -56,8 +58,8 @@ def gaussian_tail(x: float) -> float:
 
 
 def gaussian_tail_inverse(p: float) -> float:
-    """Inverse of the Gaussian tail: Q(gaussian_tail_inverse(p)) = p."""
-    return float(-ndtri(p))
+    """Inverse of Q for p in (0, 1): Q(gaussian_tail_inverse(p)) = p."""
+    return -_STANDARD_NORMAL.inv_cdf(p)
 
 
 def binary_entropy(p: float) -> float:
@@ -118,23 +120,23 @@ def _simpson_rows(f: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     return c[:, _WIDTH] / (3.0 * n) * [np.dot(w, row) for row in f]
 
 
-def _converge(idx, c, n, f, s_half, h, tol, max_panels):
+def _converge(idx, c, n, f, s_half, h):
     """Store in h (at rows idx) the Simpson sum S_n of each pair of c whose
-    values on n panels are f and whose Richardson estimate
-    |S_n - S_n/2| / 15, with s_half = S_n/2, is within tol.  The others are
-    doubled, evaluating only the new odd points, a block of at most
-    BLOCK_POINTS values at a time, so memory stays bounded."""
+    values on n panels are f and whose Richardson estimate |S_n - S_n/2|/15,
+    with s_half = S_n/2, is within CAPACITY_TOL.  The others are doubled up
+    to MAX_PANELS, evaluating only the new odd points, BLOCK_POINTS values
+    at a time, so memory stays bounded."""
     s = _simpson_rows(f, c, n)
-    done = np.abs(s - s_half) <= 15.0 * tol
+    done = np.abs(s - s_half) <= 15.0 * CAPACITY_TOL
     h[idx[done]] = s[done]
     if done.all():
         return
     keep = ~done
     idx, c, f, s = idx[keep], c[keep], f[keep], s[keep]
-    if n > max_panels:
+    if n > MAX_PANELS:
         raise QuadratureNonConvergence(
             f"quadrature on [{c[0, _LO]}, {c[0, _HI]}] still above "
-            f"tol={tol} at {n} panels")
+            f"tol={CAPACITY_TOL} at {n} panels")
     rows = max(1, BLOCK_POINTS // (2 * n + 1))
     for i in range(0, idx.size, rows):
         b = slice(i, i + rows)
@@ -142,10 +144,10 @@ def _converge(idx, c, n, f, s_half, h, tol, max_panels):
         fine = np.empty((len(cb), 2 * n + 1))
         fine[:, ::2] = f[b]
         fine[:, 1::2] = _integrand(_grid(cb, 2 * n, True), cb)
-        _converge(idx[b], cb, 2 * n, fine, s[b], h, tol, max_panels)
+        _converge(idx[b], cb, 2 * n, fine, s[b], h)
 
 
-def _capacities(qs, variances, tol: float, max_panels: int) -> list[float]:
+def _capacities(qs, variances) -> list[float]:
     """C(q, v) in bits for each pair of the float sequences qs, variances:
     validation, adaptive Simpson over every pair, clamp.  Pairs are grouped
     by starting panel count; each group's grid is evaluated a block of
@@ -166,9 +168,9 @@ def _capacities(qs, variances, tol: float, max_panels: int) -> list[float]:
             raise QuadratureNonConvergence(
                 f"quadrature on [{lo}, {hi}] overflows: {hi} squared is inf")
         n0 = _initial_panels(lo, hi, s)
-        if n0 > max_panels:
+        if n0 > MAX_PANELS:
             raise QuadratureNonConvergence(
-                f"quadrature on [{lo}, {hi}] needs over {max_panels} panels")
+                f"quadrature on [{lo}, {hi}] needs over {MAX_PANELS} panels")
         # a flat double array: 56 bytes a pair, where tuples take ~280
         pairs, consts = groups.setdefault(n0, ([], array("d")))
         pairs.append(i)
@@ -186,8 +188,7 @@ def _capacities(qs, variances, tol: float, max_panels: int) -> list[float]:
             cb = c[i:i + rows]
             f = _integrand(_grid(cb, 2 * n0, False), cb)
             coarse = _simpson_rows(np.ascontiguousarray(f[:, ::2]), cb, n0)
-            _converge(np.arange(i, i + len(cb)), cb, 2 * n0, f, coarse, h,
-                      tol, max_panels)
+            _converge(np.arange(i, i + len(cb)), cb, 2 * n0, f, coarse, h)
         for i, h_y in zip(pairs, h.tolist()):
             cap = h_y - 0.5 * math.log2(2.0 * math.pi * math.e * variances[i])
             out[i] = min(max(cap, 0.0), binary_entropy(qs[i]))
@@ -202,14 +203,12 @@ def capacity_grid(qs, variances) -> np.ndarray:
     """
     q, v = np.broadcast_arrays(np.asarray(qs, dtype=float),
                                np.asarray(variances, dtype=float))
-    caps = _capacities(q.ravel().tolist(), v.ravel().tolist(), CAPACITY_TOL,
-                       MAX_PANELS)
+    caps = _capacities(q.ravel().tolist(), v.ravel().tolist())
     return np.array(caps, dtype=float).reshape(q.shape)
 
 
 @lru_cache(maxsize=8192)
-def bawgn_capacity(q: float, variance: float, tol: float = CAPACITY_TOL,
-                   max_panels: int = MAX_PANELS) -> float:
+def bawgn_capacity(q: float, variance: float) -> float:
     """Capacity-like rate C(q, v) of the binary-input AWGN observation in bits.
 
     C(q, v) = -int m(y) log2 m(y) dy - (1/2) log2(2 pi e v) with
@@ -217,7 +216,7 @@ def bawgn_capacity(q: float, variance: float, tol: float = CAPACITY_TOL,
     [0, H(q)]; quadrature is adaptive Simpson with absolute error well below
     1e-8.  This is capacity_grid's batch of one.
     """
-    return _capacities((q,), (variance,), tol, max_panels)[0]
+    return _capacities((q,), (variance,))[0]
 
 
 @lru_cache(maxsize=512)
@@ -241,8 +240,8 @@ def psi_component(a: float, variance):
     """
     v = np.asarray(variance, dtype=float)
     z = (a * v + 0.5) / np.sqrt(v)
-    out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * v) \
-        - 0.25 * erfc(z / math.sqrt(2.0)) / v
+    qz = np.reshape([gaussian_tail(x) for x in z.ravel().tolist()], z.shape)
+    out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * v) - 0.5 * qz / v
     return out if out.ndim else float(out)
 
 
@@ -273,12 +272,12 @@ A_ETA_BRACKET_CAP = 1e9
 
 
 @lru_cache(maxsize=512)
-def solve_a_eta(eta: float, config, tol_rel: float = 1e-8) -> AEtaResult:
+def solve_a_eta(eta: float, config) -> AEtaResult:
     """Solve (a/(a-3)) psi(a-3) = eta for a > 3 by bisection.
 
     The left side is non-increasing in a (both factors are), so a sign
     bracket is found by doubling from a = 6.  Stops when the residual is
-    within tol_rel * eta.
+    within 1e-8 * eta.
     """
     if not eta > 0:
         raise ValidationError(f"eta must be positive, got {eta}")
@@ -298,7 +297,7 @@ def solve_a_eta(eta: float, config, tol_rel: float = 1e-8) -> AEtaResult:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm - eta) <= tol_rel * eta:
+        if abs(fm - eta) <= 1e-8 * eta:
             return AEtaResult(value=mid)
         if fm > eta:
             lo = mid

@@ -57,8 +57,8 @@ class ExperimentPlan:
     so plans from parse_plan, a CLI verb or dataclasses.replace are checked
     alike before anything runs: ``id`` holds no '/', '\\' or NUL (it names
     the output files), ``eta_frac`` lies in (0, 1), ``n_trials`` is an int,
-    not a bool, in [1, MAX_TRIALS], ``master_seed`` lies in [0, 2**64)
-    (`sim._check_seed`), ``bound_set`` names are BOUND_NAMES, and
+    not a bool, in [1, MAX_TRIALS], ``master_seed`` is such an int in
+    [0, 2**64) (`sim._check_seed`), ``bound_set`` names are BOUND_NAMES, and
     corollary2 needs exactly one swept parameter, B or delta.  Each
     StrategySpec checks its kind and alpha.  Checks that depend on a sweep
     point (the configuration, alpha dividing M, bound feasibility) run with

@@ -73,10 +73,11 @@ class DriftReport:
 
 
 def _check_seed(seed: int) -> None:
-    """A seed enters numpy only if it lies in [0, 2**64), the range of a
-    plan's master_seed: numpy's own error for a negative seed would read as
-    a runtime failure, and numpy takes a larger one without complaint."""
-    if seed < 0:
+    """A seed enters numpy only if it is an int, not a bool, in [0, 2**64),
+    the range of a plan's master_seed: numpy fails a float or a negative seed
+    as a runtime error, and takes True or a larger seed without complaint."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     if seed >= 2 ** 64:
         raise ValidationError(f"seed must be below 2**64, got {seed}")

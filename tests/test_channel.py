@@ -58,6 +58,14 @@ class TestGaussianHelpers:
             assert gaussian_tail_inverse(p) == pytest.approx(x, abs=1e-9)
         assert gaussian_tail(0.0) == pytest.approx(0.5)
         assert gaussian_tail(1e9) == 0.0
+        # the tails of the domain (0, 1), against an independent reference
+        for p in (1e-300, 1 - 1e-16):
+            x = gaussian_tail_inverse(p)
+            assert x == pytest.approx(scipy.stats.norm.isf(p), rel=1e-15)
+            assert gaussian_tail(x) == pytest.approx(p, rel=1e-12)
+        for p in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                gaussian_tail_inverse(p)
 
     def test_binary_entropy_edges_and_symmetry(self):
         assert binary_entropy(0.0) == 0.0 and binary_entropy(1.0) == 0.0
@@ -94,10 +102,6 @@ class TestCapacity:
         vs = [0.01, 0.1, 0.5, 1.0, 4.0, 50.0]
         cs = [bawgn_capacity(0.3, v) for v in vs]
         assert all(a > b for a, b in zip(cs, cs[1:]))
-
-    def test_quadrature_failure_raises(self):
-        with pytest.raises(QuadratureNonConvergence):
-            bawgn_capacity(0.37, 0.33, tol=1e-16, max_panels=64)
 
     def test_infinite_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -284,16 +288,24 @@ class TestCapacityGrid:
                 capacity_grid([0.5, 0.5], [0.25, v])
         assert capacity_grid([0.0, 1.0], 1e308).tolist() == [0.0, 0.0]
 
-    @pytest.mark.parametrize("max_panels,last", [(512, 1024), (256, 512)])
-    def test_nonconvergence_reports_last_panel_count(self, monkeypatch,
-                                                     max_panels, last):
+    @pytest.mark.parametrize("tol,max_panels,match", [
+        pytest.param(-1.0, 512, "still above tol=-1.0 at 1024 panels",
+                     id="512-1024"),
+        pytest.param(-1.0, 256, "still above tol=-1.0 at 512 panels",
+                     id="256-512"),
+        # both pairs start on 256 panels, past the cap before any doubling
+        pytest.param(1e-16, 64, "needs over 64 panels", id="1e-16-64")])
+    def test_nonconvergence_reports_last_panel_count(self, monkeypatch, tol,
+                                                     max_panels, match):
         # a negative tolerance never converges: the last grid evaluated is
-        # the first past max_panels, as in a lone call
-        monkeypatch.setattr(channel, "CAPACITY_TOL", -1.0)
+        # the first past max_panels, in a batch as in a lone call
+        monkeypatch.setattr(channel, "CAPACITY_TOL", tol)
         monkeypatch.setattr(channel, "MAX_PANELS", max_panels)
-        with pytest.raises(QuadratureNonConvergence,
-                           match=f"still above tol=-1.0 at {last} panels"):
+        with pytest.raises(QuadratureNonConvergence, match=match):
             capacity_grid([0.2, 0.37], [0.5, 0.33])
+        bawgn_capacity.cache_clear()
+        with pytest.raises(QuadratureNonConvergence, match=match):
+            bawgn_capacity(0.37, 0.33)
 
 
 class TestCapacityMemory:

@@ -15,6 +15,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +24,9 @@ import searchlab
 import searchlab.plan as plan_mod
 from searchlab import errors
 from searchlab.cli import main
-from searchlab.sim import MAX_TRIALS
-from searchlab.strategies import StrategySpec
+from searchlab.model import new_config
+from searchlab.sim import MAX_TRIALS, drift_probe, trial_seed_for
+from searchlab.strategies import SORTED_PM, StrategySpec
 
 VALIDATION = {"ValidationError", "ParseError", "InvalidEpsilon",
               "NonIntegerLocationCount", "InvalidNoiseModel",
@@ -310,6 +312,35 @@ def test_seed_of_two_to_the_64_exits_two(tmp_path, monkeypatch, argv):
     rc, err = run([*argv, f"--seed={2 ** 64}"])
     assert (rc, err) == (2, f"error: seed must be below 2**64, got {2 ** 64}\n")
     assert not list(tmp_path.rglob("*.csv"))
+
+
+# The library routes by which a seed reaches numpy (the CLI parses --seed as
+# an int, so a float or a bool arrives only through these)
+SEED_ROUTES = {
+    "plan": lambda seed: dataclasses.replace(
+        plan_mod.load_preset("fig6"), master_seed=seed, n_trials=2),
+    "trial_seed_for": lambda seed: trial_seed_for(seed, 0),
+    "drift_probe": lambda seed: drift_probe(
+        SORTED_PM, new_config(16, 1, 0.25, 1e-4), 10_000, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("route", SEED_ROUTES.values(), ids=list(SEED_ROUTES))
+def test_seed_that_is_not_an_int_is_refused(tmp_path, monkeypatch, route,
+                                            seed):
+    monkeypatch.chdir(tmp_path)  # any output would land under tmp_path
+    with pytest.raises(errors.ValidationError,
+                       match=f"^seed must be a non-negative integer, got {seed}$"):
+        route(seed)
+    assert not list(tmp_path.iterdir())
+
+
+def test_numpy_integer_seed_is_accepted():
+    assert trial_seed_for(np.uint64(7), 3) == trial_seed_for(7, 3)
+    plan = dataclasses.replace(plan_mod.load_preset("fig6"),
+                               master_seed=np.int64(7))
+    assert plan.master_seed == 7
 
 
 def test_plan_with_nothing_to_run_exits_two(tmp_path):

@@ -670,3 +670,14 @@ class TestCli:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
         assert proc.returncode == 0
         assert (tmp_path / "cli_capacity.csv").exists()
+
+    def test_import_loads_no_scipy(self):
+        # the runtime is numpy and the standard library; scipy serves the
+        # tests as an independent reference only
+        path = [str(Path(searchlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, searchlab, searchlab.cli; "
+             "print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

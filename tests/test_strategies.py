@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from searchlab.strategies import (
 )
 
 NB_FIXED_TAU_REFERENCE = 248  # deterministic at B=16, delta=1, sigma2=0.25, eps=1e-4
+# SHA-256 of the repetition counts in test_level_repetitions_match_recorded_digest,
+# recorded while Q^{-1} came from scipy.special.ndtri
+LEVEL_REPS_DIGEST = "0dfb1a40d1758b8d1d765c1761f056d6c0a296ad663e2bf89c516761622061bf"
 
 
 def noiseless(width, eps=1e-4):
@@ -269,6 +273,32 @@ class TestNoisyBinaryFixed:
         fc = np.mean([run_strategy(StrategySpec(FIXED_COMPOSITION), cfg, rng).tau
                       for _ in range(300)])
         assert nb > fc
+
+    def test_level_repetitions_match_recorded_digest(self):
+        # Q^{-1}(epsilon/log2 M) reaches a trial only through each level's
+        # repetition count; pin the count of every window a fixed bisection
+        # can visit over a grid of (M, sigma2, noise law, epsilon)
+        def windows(lo, hi):
+            if hi - lo > 1:
+                mid = lo + (hi - lo + 1) // 2
+                yield lo, hi
+                yield from windows(lo, mid)
+                yield from windows(mid, hi)
+
+        reps = []
+        for m in [*range(2, 34), 64, 100, 128, 255, 256, 1000, 1024]:
+            spans = list(windows(0, m))
+            for sigma2, noise, eps in itertools.product(
+                    (1e-4, 0.01, 0.25, 1.0, 16.0, 100.0),
+                    (NoiseModel.linear(), NoiseModel.power(0.5),
+                     NoiseModel.power(2.0)),
+                    (1e-6, 1e-3, 0.05, 0.5, 0.9)):
+                cfg = new_config(m, 1, sigma2, eps, noise=noise)
+                z = max(0.0, strat.gaussian_tail_inverse(eps / math.log2(m)))
+                reps.extend(strat._level(cfg, z, lo, hi)[1] for lo, hi in spans)
+        assert len(reps) == 301_320
+        digest = hashlib.sha256(repr(reps).encode()).hexdigest()
+        assert digest == LEVEL_REPS_DIGEST
 
 
 class TestNoisyBinaryVariable:
