@@ -153,6 +153,7 @@ def _capacities(qs, variances) -> list[float]:
     by starting panel count; each group's grid is evaluated a block of
     pairs at a time, and a doubling evaluates only the new odd points."""
     groups: dict[int, tuple[list, array]] = {}
+    out = [0.0] * len(qs)
     for i, (q, variance) in enumerate(zip(qs, variances)):
         if not 0.0 <= q <= 1.0:
             raise ValidationError(f"composition q must lie in [0, 1], got {q}")
@@ -164,20 +165,22 @@ def _capacities(qs, variances) -> list[float]:
         s = math.sqrt(variance)
         lo, hi = -10.0 * s, 1.0 + 10.0 * s
         if hi * hi == math.inf:
-            # the integrand squares y, so it would be NaN on this grid
-            raise QuadratureNonConvergence(
-                f"quadrature on [{lo}, {hi}] overflows: {hi} squared is inf")
+            # The integrand squares y, so it would be NaN on this grid.  C is
+            # the low-SNR limit q(1-q)/(2v ln 2) here, off by O(1/v^2).
+            out[i] = q * (1.0 - q) / variance * (0.5 * LOG2E)
+            continue
         n0 = _initial_panels(lo, hi, s)
         if n0 > MAX_PANELS:
-            raise QuadratureNonConvergence(
-                f"quadrature on [{lo}, {hi}] needs over {MAX_PANELS} panels")
+            # The components sit over 10^6 sd apart: C is H(q) to double
+            # precision.
+            out[i] = binary_entropy(q)
+            continue
         # a flat double array: 56 bytes a pair, where tuples take ~280
         pairs, consts = groups.setdefault(n0, ([], array("d")))
         pairs.append(i)
         consts.extend((lo, hi, hi - lo, -(2.0 * variance),
                        0.5 * math.log(2.0 * math.pi * variance),
                        math.log(1.0 - q), math.log(q)))
-    out = [0.0] * len(qs)
     for n0, (pairs, consts) in groups.items():
         # Every pair takes at least one doubling, so the first block goes
         # straight to 2 n0 panels; its even points are the n0-panel grid.
@@ -241,7 +244,8 @@ def psi_component(a: float, variance):
     v = np.asarray(variance, dtype=float)
     z = (a * v + 0.5) / np.sqrt(v)
     qz = np.reshape([gaussian_tail(x) for x in z.ravel().tolist()], z.shape)
-    out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * v) - 0.5 * qz / v
+    with np.errstate(over="ignore"):  # z * z is inf only where phi(z) is 0
+        out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * v) - 0.5 * qz / v
     return out if out.ndim else float(out)
 
 

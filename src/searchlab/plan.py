@@ -324,6 +324,11 @@ def _bound_rows(plan: ExperimentPlan) -> list[dict]:
             else:  # theorem2
                 rep = bounds_mod.general_f_bounds(config, eta)
                 row.update(eta=eta, alpha_star=rep.alpha_star, value=rep.gain_lb)
+            # a capacity near 0 (huge noise) puts a bound past the floats
+            _require(math.isfinite(row["value"]),
+                     f"{name} is {row['value']} at B={config.B}, "
+                     f"delta={config.delta}, sigma2={config.sigma2}: "
+                     f"out of floating-point range")
             rows.append(row)
     if "corollary2" in plan.bound_set:
         configs = [_point_config(p) for p in points]

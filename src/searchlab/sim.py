@@ -32,8 +32,8 @@ from .inference import u_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord
 # update_log_probs, random_composition_mask and sorted_pm_mask are unused
 # here but stay bound: bench/tracer.py patches them.
-from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, StrategySpec,
-                         draw_targets, observe, probe_rule,
+from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, Draws,
+                         StrategySpec, draw_targets, observe, probe_rule,
                          random_composition_mask, run_rows, run_strategy,
                          sorted_pm_mask)
 
@@ -180,17 +180,19 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
         floor = bawgn_capacity(0.5, config.variance_at(m / 2.0))
 
     probe, _ = probe_rule(kind, config)
-    gens = [np.random.default_rng(seed)]
+    # one normal a call: the generator draws the next run's target between them
+    draws = Draws([np.random.default_rng(seed)], picks=kind == FIXED_COMPOSITION,
+                  normal_chunk=1)
     log_thresh = math.log1p(-config.epsilon)
     increments = np.empty(n_steps)
     lp = np.empty((1, m))
     for i in range(n_steps):
         if i == 0 or top[0] >= log_thresh:  # a run starts: uniform prior
             lp.fill(-math.log(m))
-            target = draw_targets(gens, m)
+            target = draw_targets(draws.gens, m)
             u_prev = u_log_probs(lp[0])
-        masks, v, _ = probe(lp, i, gens)
-        top = observe(lp, masks, masks[0, target], np.sqrt(v), v, gens)
+        masks, v, _ = probe(lp, i, draws)
+        top = observe(lp, masks, masks[0, target], np.sqrt(v), v, draws)
         u_now = u_log_probs(lp[0])
         increments[i] = u_now - u_prev
         u_prev = u_now

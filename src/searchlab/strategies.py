@@ -21,15 +21,14 @@ reads each half's mass from one cell, since every cell of a half holds the
 same value, and stops level by level; a fixed level is one step of many
 observations folded into one update.
 
-Fixed composition picks its probe sets by a partial Fisher-Yates shuffle
-whose draws, `_below`, read the bit generator's 32-bit words directly and
-apply numpy's own bounded rule for Generator.integers: the same picks and
-the same generator state as calling integers, so the random stream is
-unchanged, at a fraction of the per-call cost.
-
-Every trial-generator draw is made here: targets (`draw_targets`),
-observations, one or a fixed level's many per row (`observe`), and probe
-sets; `sim.drift_probe` runs the same rules on a one-row block.
+Every draw from a trial generator is made here, through a block's `Draws`:
+targets (`draw_targets`), then observations, one or a fixed level's many
+per row (`observe`).  One normal a step is read from a chunk of CHUNK
+drawn in one call, the same floats as one call each.  Fixed composition
+draws its probe sets from a second stream per trial, derived from the
+trial generator before the target draw without drawing from it, a chunk
+of steps at a time (`pick_cells`).  A record therefore does not depend on
+the chunk.  `sim.drift_probe` runs the same rules on a one-row block.
 
 Strategies
 ----------
@@ -55,6 +54,10 @@ from .inference import renormalize_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
+# Steps of normals a row draws in one call; of picks too, up to CHUNK_CELLS
+# cells a call over all rows.
+CHUNK = 64
+CHUNK_CELLS = 1 << 16
 
 FIXED_COMPOSITION = "fixed_composition"
 SORTED_PM = "sorted_pm"
@@ -92,45 +95,52 @@ class StrategySpec:
         return self.kind
 
 
-def _below(n: int, nxt, state) -> int:
-    """A uniform draw from [0, n), 2 <= n < 2**32, by numpy's bounded rule
-    for Generator.integers(n) (Lemire's multiply-and-reject over 32-bit
-    words): the same value and the same generator state, without the cost
-    of a Generator call.  nxt and state are the bit generator's ctypes
-    next_uint32 and state."""
-    m = nxt(state) * n
-    if m & 0xFFFFFFFF < n:  # threshold < n, so only then can m be rejected
-        threshold = (0x100000000 - n) % n
-        while m & 0xFFFFFFFF < threshold:
-            m = nxt(state) * n
-    return m >> 32
-
-
-def _partial_shuffle(size: int, k: int, rng: np.random.Generator) -> list[int]:
-    """The first k entries of a partial Fisher-Yates shuffle of range(size),
-    one draw each, the value rng.integers(size - i) would give (`_below`);
-    swapped entries are kept in a dict, so the cost is O(k) whatever the
-    size."""
-    words = rng.bit_generator.ctypes
-    nxt, state = words.next_uint32, words.state
-    moved: dict[int, int] = {}
-    cells = []
+def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
+    """Each generator's probe sets for `steps` steps, (rows, steps, k) cells
+    of range(grid): per step the first k entries of a partial Fisher-Yates
+    shuffle, whose swap i exchanges entries i and i + integers(grid - i).
+    A generator draws all its steps in one call, the same values and state
+    as steps * k calls."""
+    if k == 1:  # one swap, no shuffle to run; a lone bound is numpy's fast path
+        return np.stack([g.integers(0, grid, size=(steps, 1)) for g in gens])
+    highs = np.tile(grid - np.arange(k), steps)  # one bound a draw, in order
+    j = np.stack([g.integers(0, highs) for g in gens]).ravel()
+    n = j.size
+    col = np.tile(np.arange(k), n // k)  # each draw's swap i
+    starts = np.arange(0, n, k)          # where each shuffle's draws start
+    base = starts.repeat(k)
+    j += col                             # swap i exchanges entries i and j >= i
+    # Every shuffle is run at once on one flat table: an entry for each of
+    # its entries below k, and one for each distinct entry >= k that it
+    # swaps with, found as the first of a run of equal j in sorted order.
+    order = np.argsort(j.reshape(-1, k), axis=1, kind="stable").ravel() + base
+    ranked = j[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    first[::k] = True
+    slot = np.empty(n, dtype=np.int64)
+    slot[order] = np.where(ranked < k, base + ranked, n - 1 + np.cumsum(first))
+    slot = slot.reshape(-1, k)
+    table = np.concatenate((col, ranked[first]))
     for i in range(k):
-        j = i + _below(size - i, nxt, state)
-        cells.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return cells
+        at, here = slot[:, i], starts + i
+        cell = table[at]
+        table[at] = table[here]
+        table[here] = cell
+    return table[:n].reshape(len(gens), steps, k)
 
 
 def random_composition_mask(size: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random k-subset of [0, size) as a boolean mask, drawn by a
-    partial Fisher-Yates shuffle (k draws from the stream).  k = size short
-    circuits to the all-ones mask with no draws."""
+    partial Fisher-Yates shuffle (k draws from the stream).  k = 0 and
+    k = size short circuit to the empty and the all-ones mask with no
+    draws."""
     mask = np.zeros(size, dtype=bool)
     if k >= size:
         mask[:] = True
-    else:
-        mask[_partial_shuffle(size, k, rng)] = True
+    elif k > 0:
+        mask[pick_cells([rng], size, k, 1)[0, 0]] = True
     return mask
 
 
@@ -162,54 +172,122 @@ def _step_limit(label: str, first_trial: int | None = None,
     return StepLimitExceeded(f"{where}{label} exceeded {STEP_LIMIT} steps")
 
 
-def draw_targets(rngs: list, m: int) -> np.ndarray:
+class Draws:
+    """The random draws of a block's live rows, each row from its own trial
+    generator, gens, in row order.
+
+    A row reads one standard normal a step (`normal`) from a chunk of
+    normal_chunk (default CHUNK) that it draws in one call once the last is
+    read; carry holds, per row, normals to read before its first chunk.  A
+    row that retires keeps its unread normals in spare, indexed by its row
+    in the block, so a second stage reads them first.  A fixed level's
+    normals are drawn when observed, so a rule observes one or the other.
+    With picks, each row also gets a picks stream, derived from the trial
+    generator's state now, before the target draw, without drawing from
+    it; `pick` reads one probe set a step from a chunk of at most CHUNK
+    steps that every row draws at once, at most CHUNK_CELLS cells in all."""
+
+    def __init__(self, gens: list, picks: bool = False,
+                 normal_chunk: int | None = None, carry: list | None = None):
+        self.gens = list(gens)
+        self.rows = np.arange(len(self.gens))
+        self.chunk = CHUNK if normal_chunk is None else normal_chunk
+        self.normals = np.empty((len(self.gens), self.chunk))
+        self.read = self.chunk
+        self.carry = carry
+        self.spare = [np.empty(0)] * len(self.gens)
+        self.pickers = ([np.random.Generator(g.bit_generator.jumped())
+                         for g in self.gens] if picks else [])
+        self.picks = np.empty((len(self.gens), 0, 0), dtype=np.int64)
+        self.picked = 0
+
+    def normal(self) -> np.ndarray:
+        """One standard normal per live row."""
+        if self.read == self.chunk:
+            for i, (row, g) in enumerate(zip(self.rows.tolist(), self.gens)):
+                head = self.carry[row].size if self.carry else 0
+                if head:
+                    self.normals[i, :head] = self.carry[row]
+                g.standard_normal(out=self.normals[i, head:])
+            self.carry = None
+            self.read = 0
+        self.read += 1
+        return self.normals[:, self.read - 1]
+
+    def pick(self, grid: int, k: int) -> np.ndarray:
+        """One probe set of k cells per live row, as a (rows, grid) mask."""
+        rows = len(self.pickers)
+        if self.picked == self.picks.shape[1]:
+            steps = max(1, min(CHUNK, CHUNK_CELLS // (rows * k)))
+            self.picks = pick_cells(self.pickers, grid, k, steps)
+            self.picked = 0
+        masks = np.zeros((rows, grid), dtype=bool)
+        masks[np.arange(rows)[:, None], self.picks[:, self.picked]] = True
+        self.picked += 1
+        return masks
+
+    def retire(self, done: np.ndarray) -> None:
+        """Drop the rows that done marks, keeping their unread normals."""
+        for row, rest in zip(self.rows[done].tolist(),
+                             self.normals[done, self.read:]):
+            self.spare[row] = rest
+        keep = ~done
+        self.rows, self.normals = self.rows[keep], self.normals[keep]
+        self.picks = self.picks[keep]
+        flags = keep.tolist()
+        self.gens = [g for g, f in zip(self.gens, flags) if f]
+        self.pickers = [g for g, f in zip(self.pickers, flags) if f]
+
+
+def draw_targets(gens: list, m: int) -> np.ndarray:
     """Each row's target, uniform on [0, m): one draw from its generator."""
-    return np.array([int(g.integers(m)) for g in rngs], dtype=np.int64)
+    return np.array([int(g.integers(m)) for g in gens], dtype=np.int64)
 
 
-def observe(lp: np.ndarray, masks: np.ndarray, hit, sd, v, gens: list,
+def observe(lp: np.ndarray, masks: np.ndarray, hit, sd, v, draws: Draws,
             reps: np.ndarray | None = None) -> np.ndarray:
     """Fold each row's observations y = hit + sd z into the block lp in
-    place, z standard normals from the row's generator: one per row, or
-    with reps, reps[i] for row i, whose log-likelihood ratios are summed
-    into one update.  Returns the row maxima of the renormalized block."""
+    place, z standard normals of the row's draws: one per row, or with
+    reps, reps[i] for row i, whose log-likelihood ratios are summed into
+    one update.  Returns the row maxima of the renormalized block."""
     if reps is None:
-        z = np.array([g.standard_normal() for g in gens])
-        return update_log_probs(lp, masks, hit + sd * z, v)
+        return update_log_probs(lp, masks, hit + sd * draws.normal(), v)
     llr = np.array([((2.0 * (h + s * g.standard_normal(r)) - 1.0) / (2.0 * w)).sum()
                     for h, s, w, r, g in zip(hit.tolist(), sd.tolist(), v.tolist(),
-                                             reps.tolist(), gens)])
+                                             reps.tolist(), draws.gens)])
     np.add(lp, llr[:, None], out=lp, where=masks)
     return renormalize_log_probs(lp)
 
 
-def _search(size: int, rule, targets, eps: float, rngs: list, label: str,
+def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
             first_trial: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep search: one row per generator, each probing `size` cells
-    from a uniform prior until its rule stops it.
+    """Lockstep search: one row per target, drawing from that row of draws,
+    each probing `size` cells from a uniform prior until its rule stops
+    it.
 
     A rule is a pair (probe, settle), the one extension point for a new
     kind, stateless or with per-row state (a balanced design's round, a
     sort order carried between steps, a bisection window).
-    probe(lp, step, gens) -> (masks, variances, reps) maps the live rows'
+    probe(lp, step, draws) -> (masks, variances, reps) maps the live rows'
     log posteriors lp (rows, size), and the rule's own per-row state, to
-    the probed sets and their noise variances; it may draw from each live
-    row's generator before that row's normals.  reps is None for one
-    observation per row, else each row's count of observations, folded
-    into one update.  settle(lp, tops) -> which rows retire, given the row
+    the probed sets and their noise variances; it may read each live row's
+    picks from draws.  reps is None for one observation per row, else each
+    row's count of observations, folded into one update.  settle(lp, tops) -> which rows retire, given the row
     maxima tops after the update; it drops the retiring rows from the
     rule's state.  settle None is the threshold stop: a row retires once
     one cell holds posterior mass 1 - eps, and starts only if the uniform
     prior holds less.  A rule with its own settle starts every row when
     size > 1.  A row's steps are its observations; a step that would take
-    a row past STEP_LIMIT raises before its normals are drawn.
+    a row past STEP_LIMIT raises before it is observed, so a fixed level's
+    normals are never drawn past it.
 
     A target outside [0, size) is never hit (a failed first stage): that
     row still stops, on a wrong cell.  Each row sees the same draws and
     arithmetic as if it ran alone.  Returns per-row (steps, MAP cell,
     final max posterior) arrays."""
     probe, settle = rule
-    n = len(rngs)
+    targets = np.asarray(targets, dtype=np.int64)
+    n = targets.size
     log_thresh = math.log1p(-eps)
     start = -math.log(size)
     steps = np.zeros(n, dtype=np.int64)
@@ -220,20 +298,19 @@ def _search(size: int, rule, targets, eps: float, rngs: list, label: str,
     taken = np.zeros(n, dtype=np.int64)
     most = 0  # at least every live row's count: checks it only near the limit
     lp = np.full((n, size), start)
-    targets = np.asarray(targets, dtype=np.int64)
     on_grid = (targets >= 0) & (targets < size)
     hit_cell = np.where(on_grid, targets, 0)
-    gens, at = list(rngs), np.arange(live.size)
+    at = np.arange(live.size)
     step = 0
     while live.size:
-        masks, v, reps = probe(lp, step, gens)
+        masks, v, reps = probe(lp, step, draws)
         taken += 1 if reps is None else reps
         most += 1 if reps is None else int(reps.max())
         if most > STEP_LIMIT and taken.max() > STEP_LIMIT:
             over = int(np.argmax(taken > STEP_LIMIT))
             raise _step_limit(label, first_trial, int(live[over]))
         hit = masks[at, hit_cell] & on_grid
-        row_top = observe(lp, masks, hit, np.sqrt(v), v, gens, reps)
+        row_top = observe(lp, masks, hit, np.sqrt(v), v, draws, reps)
         step += 1
         done = row_top >= log_thresh if settle is None else settle(lp, row_top)
         if done.any():
@@ -245,7 +322,7 @@ def _search(size: int, rule, targets, eps: float, rngs: list, label: str,
             live, lp, taken = live[keep], lp[keep], taken[keep]
             at = at[:live.size]
             hit_cell, on_grid = hit_cell[keep], on_grid[keep]
-            gens = [g for g, d in zip(gens, done.tolist()) if not d]
+            draws.retire(done)
     # math.exp per row, not np.exp, which may differ from libm in the last
     # bit: final_max_prob is kept bit for bit
     return steps, cells, np.array([math.exp(t) for t in top.tolist()])
@@ -261,12 +338,8 @@ def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
         k = min(max(int(round(q_star * grid)), 1), grid - 1)
     v = config.noise_variance(k * cells_per_unit)
 
-    def probe(lp, step, gens):
-        masks = np.zeros(lp.shape, dtype=bool)
-        # flat indices into the (rows, grid) block, row after row
-        masks.ravel()[[row * grid + c for row, g in enumerate(gens)
-                       for c in _partial_shuffle(grid, k, g)]] = True
-        return masks, v, None
+    def probe(lp, step, draws):
+        return draws.pick(grid, k), v, None
     return probe, None
 
 
@@ -274,7 +347,7 @@ def _sorted_pm_rule(config: SearchConfig):
     """Adaptive rule: the top cells holding about half the posterior mass."""
     variances = np.concatenate(([math.nan], probe_variances(config)))
 
-    def probe(lp, step, gens):
+    def probe(lp, step, draws):
         masks, k = sorted_pm_mask(np.exp(lp))
         return masks, variances[k], None
     return probe, None
@@ -284,7 +357,7 @@ def _round_robin_rule(config: SearchConfig):
     """Single cells in turn: 0, 1, ..., M-1, 0, ..."""
     v = config.noise_variance(1)
 
-    def probe(lp, step, gens):
+    def probe(lp, step, draws):
         masks = np.zeros(lp.shape, dtype=bool)
         masks[..., step % config.M] = True
         return masks, v, None
@@ -305,12 +378,12 @@ def probe_rule(kind: str, config: SearchConfig):
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _one_stage(config: SearchConfig, rule, rngs: list, label: str,
+def _one_stage(config: SearchConfig, rule, draws: Draws, label: str,
                first_trial: int | None) -> Rows:
     """Draw each row's target uniformly from [0, M), then search all M
     cells at the config's epsilon."""
-    targets = draw_targets(rngs, config.M)
-    steps, cells, pmax = _search(config.M, rule, targets, config.epsilon, rngs,
+    targets = draw_targets(draws.gens, config.M)
+    steps, cells, pmax = _search(config.M, rule, targets, config.epsilon, draws,
                                  label, first_trial)
     return steps, np.zeros_like(steps), cells == targets, pmax
 
@@ -320,16 +393,18 @@ def _two_stage_rows(config: SearchConfig, s: int, rngs: list,
     """Two-stage search over s >= 2 sections (alpha = 1/s, s dividing M):
     stage 1 runs fixed composition over the s sections at reliability
     eps/2, stage 2 runs sorted-PM inside the winning section, again at
-    eps/2."""
+    eps/2, first reading each row's normals left over from stage 1."""
     section = config.M // s
     eps_half = config.epsilon / 2.0
-    targets = draw_targets(rngs, config.M)
+    stage1 = Draws(rngs, picks=True)
+    targets = draw_targets(stage1.gens, config.M)
     t1, sec_hat, p1 = _search(s, _composition_rule(config, s, section),
-                              targets // section, eps_half, rngs,
+                              targets // section, eps_half, stage1,
                               FIXED_COMPOSITION, first_trial)
     start = sec_hat * section
     t2, idx, p2 = _search(section, _sorted_pm_rule(config), targets - start,
-                          eps_half, rngs, SORTED_PM, first_trial)
+                          eps_half, Draws(rngs, carry=stage1.spare), SORTED_PM,
+                          first_trial)
     # a singleton section takes no stage-2 step; stage 1 holds the final posterior
     return t1 + t2, t1, start + idx == targets, p2 if section > 1 else p1
 
@@ -395,7 +470,7 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     masks[:, :half] = True
     at, cols = np.arange(n), np.arange(m)
 
-    def probe(lp, step, gens):
+    def probe(lp, step, draws):
         return masks, var, reps if fixed else None
 
     def settle(lp, tops):
@@ -440,7 +515,8 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
         rule = _bisection_rule(config, spec.kind == NOISY_BINARY_FIXED, len(rngs))
     else:
         rule = probe_rule(spec.kind, config)
-    return _one_stage(config, rule, rngs, spec.kind, first_trial)
+    draws = Draws(rngs, picks=spec.kind == FIXED_COMPOSITION)
+    return _one_stage(config, rule, draws, spec.kind, first_trial)
 
 
 def run_strategy(spec: StrategySpec, config: SearchConfig,

@@ -265,16 +265,12 @@ class TestCapacityGrid:
         assert str(grid.value) == str(lone.value)
 
     def test_panel_cap_refused_before_allocation(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("grid allocated")
-
-        with pytest.raises(QuadratureNonConvergence) as lone:
-            bawgn_capacity(0.5, 1e-300)
-        monkeypatch.setattr(channel, "_grid", refuse)
-        with pytest.raises(QuadratureNonConvergence) as grid:
-            capacity_grid([0.5, 0.5], [0.25, 1e-300])
-        assert str(grid.value) == str(lone.value)
-        assert "needs over" in str(grid.value)
+        # past the panel cap the noiseless limit H(q) is returned, on no grid
+        monkeypatch.setattr(channel, "_grid", lambda *args: pytest.fail(
+            "grid allocated"))
+        assert bawgn_capacity(0.5, 1e-300) == 1.0
+        assert capacity_grid([0.3, 0.5], 1e-300).tolist() == [
+            binary_entropy(0.3), 1.0]
 
     def test_overflowing_grid_refused_before_allocation(self, monkeypatch):
         # v_ok is the largest variance whose grid endpoint 1 + 10 sqrt(v)
@@ -284,17 +280,14 @@ class TestCapacityGrid:
         monkeypatch.setattr(channel, "_grid", lambda *args: pytest.fail(
             "grid allocated"))
         for v in (math.nextafter(v_ok, math.inf), 1e307, 1e308):
-            with pytest.raises(QuadratureNonConvergence, match="overflows"):
-                capacity_grid([0.5, 0.5], [0.25, v])
+            assert capacity_grid(0.5, v).item() == 0.25 / v * (0.5 * math.log2(math.e))
         assert capacity_grid([0.0, 1.0], 1e308).tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("tol,max_panels,match", [
         pytest.param(-1.0, 512, "still above tol=-1.0 at 1024 panels",
                      id="512-1024"),
         pytest.param(-1.0, 256, "still above tol=-1.0 at 512 panels",
-                     id="256-512"),
-        # both pairs start on 256 panels, past the cap before any doubling
-        pytest.param(1e-16, 64, "needs over 64 panels", id="1e-16-64")])
+                     id="256-512")])
     def test_nonconvergence_reports_last_panel_count(self, monkeypatch, tol,
                                                      max_panels, match):
         # a negative tolerance never converges: the last grid evaluated is
@@ -306,6 +299,34 @@ class TestCapacityGrid:
         bawgn_capacity.cache_clear()
         with pytest.raises(QuadratureNonConvergence, match=match):
             bawgn_capacity(0.37, 0.33)
+
+
+class TestCapacityEdges:
+    """Past the variances the quadrature takes, C(q, v) is its closed-form
+    limit, within the quadrature's tolerance of it at each edge."""
+
+    QS = (0.5, 0.1, 0.37)
+
+    def test_huge_variance_limit_is_quadrature_to_second_order(self):
+        # C = q(1-q)/(2 v ln 2) + O(1/v^2)
+        for q in self.QS:
+            limit = q * (1.0 - q) / 1e5 * (0.5 * math.log2(math.e))
+            assert abs(bawgn_capacity(q, 1e5) - limit) <= 1e-11
+
+    def test_huge_variance_edge_is_continuous(self):
+        v_ok = float.fromhex("0x1.47ae147ae147ap+1017")
+        past = math.nextafter(v_ok, math.inf)
+        for q in self.QS:
+            edge = capacity_grid([q, q], [v_ok, past])
+            assert 0.0 < edge[1] <= edge[0] <= channel.CAPACITY_TOL
+
+    def test_tiny_variance_edge_is_continuous(self):
+        # C is non-increasing in v (more noise is a degraded channel), so
+        # below 1e-8 it lies in [C(q, 1e-8), H(q)]: an interval the
+        # quadrature closes to within its tolerance, on 2^17 panels
+        for q in self.QS:
+            assert binary_entropy(q) - bawgn_capacity(q, 1e-8) <= channel.CAPACITY_TOL
+            assert bawgn_capacity(q, 1e-13) == binary_entropy(q)
 
 
 class TestCapacityMemory:

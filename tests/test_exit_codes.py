@@ -92,8 +92,9 @@ def test_package_raises_no_bare_value_error():
         assert "raise ValueError(" not in path.read_text(encoding="utf-8"), path
 
 
+# draws from a generator, and the derivation of a second stream from one
 DRAWS = (".integers(", ".normal(", ".standard_normal(", ".random(", ".choice(",
-         ".shuffle(")
+         ".shuffle(", ".jumped(")
 
 
 def test_only_strategies_draws_from_a_trial_generator():

@@ -481,42 +481,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert "n_steps" in err and "Traceback" not in err
 
-    def test_tiny_variance_capacity_exits_three(self, tmp_path, capsys):
-        # refused before the Simpson grid is allocated, so this is instant
-        rc = main(["capacity", "--q", "0.5", "--variance", "1e-300",
-                   "--out", str(tmp_path)])
-        assert rc == 3
-        assert "panels" in capsys.readouterr().err
-
-    def test_grid_with_one_tiny_variance_writes_nothing(self, tmp_path, capsys):
-        # the whole grid is refused, not the pairs after the good one
+    def test_tiny_variance_capacity_is_the_noiseless_limit(self, tmp_path):
+        # past the quadrature's panel cap C(q, v) is H(q), with no grid
         rc = main(["capacity", "--q", "0.5", "--variance", "0.25",
                    "--variance", "1e-300", "--out", str(tmp_path)])
-        assert rc == 3
-        assert "Traceback" not in capsys.readouterr().err
-        assert not (tmp_path / "cli_capacity.csv").exists()
+        assert rc == 0
+        rows = read_csv(tmp_path / "cli_capacity.csv")
+        assert [(r["variance"], r["capacity_bits"]) for r in rows] == [
+            ("0.25", repr(bawgn_capacity(0.5, 0.25))), ("1e-300", "1.0")]
 
-    @pytest.mark.parametrize("argv", [
-        ["capacity", "--q", "0.5", "--variance", "1e308"],
-        ["bounds", "--B", "2", "--delta", "1", "--sigma2", "1e307",
-         "--epsilon", "0.1"],
+    @pytest.mark.parametrize("argv, rc, said", [
+        (["capacity", "--q", "0.5", "--variance", "1e308"], 0, "= 1.80336"),
+        (["bounds", "--B", "2", "--delta", "1", "--sigma2", "1e307",
+          "--epsilon", "0.1"], 2, "lemma2 is inf at B=2.0"),
     ], ids=["capacity", "bounds"])
-    def test_huge_variance_exits_three_before_allocating(self, tmp_path, capsys,
-                                                         argv):
-        # (1 + 10 sqrt(v))**2 overflows, so the grid would be NaN throughout
+    def test_huge_variance_is_answered_before_allocating(self, tmp_path, capsys,
+                                                         argv, rc, said):
+        # (1 + 10 sqrt(v))**2 overflows, so C(q, v) is its closed form
+        # q(1-q)/(2 v ln 2); the bounds divide by it and overflow, which
+        # is refused as out of range
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             tracemalloc.start()
             try:
-                rc = main([*argv, "--out", str(tmp_path)])
+                got = main([*argv, "--out", str(tmp_path)])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "overflows" in err and "Traceback" not in err
+        assert got == rc
+        out, err = capsys.readouterr()
+        assert said in (out if rc == 0 else err) and "Traceback" not in err
+        assert len(err.splitlines()) == (rc != 0)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not list(tmp_path.glob("*.csv"))
+        assert bool(list(tmp_path.glob("*.csv"))) == (rc == 0)
         assert peak < 2 << 20
 
     def test_fixed_bisection_level_past_step_limit_exits_three(self, tmp_path,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import searchlab.sim as sim
+import searchlab.strategies as strat
 from searchlab.channel import bawgn_capacity, optimal_composition
 from searchlab.model import NoiseModel, new_config
 from searchlab.sim import (
@@ -138,22 +139,24 @@ class TestRunTrials:
 
 # (mean_drift, se, capacity_floor) .hex() of 10^4-step drift probes,
 # recorded from the one-dimensional drift loop before the probe ran the
-# engine's own probe rules on a one-row block.
+# engine's own probe rules on a one-row block; the fixed-composition
+# entries were recorded again when its probe sets moved to a picks stream
+# of their own.
 DRIFT_CONFIGS = {
     "config16": new_config(16, 1, 0.25, 1e-4),
     "M12_power": new_config(12, 1, 0.5, 1e-3, noise=NoiseModel.power(2.0)),
 }
 DRIFT_GOLDEN = {
     ("config16", FIXED_COMPOSITION, 3):
-        ("0x1.c6df9aed26e61p-3", "0x1.52b3e0e52cbd6p-7", "0x1.1f3fdc0bf2b48p-3"),
+        ("0x1.03907f67be65ep-2", "0x1.67911b141c40dp-7", "0x1.1f3fdc0bf2b48p-3"),
     ("config16", FIXED_COMPOSITION, 21):
-        ("0x1.e9dbd3eff7b30p-3", "0x1.5356345eb1204p-7", "0x1.1f3fdc0bf2b48p-3"),
+        ("0x1.e6a9ccfd5971ep-3", "0x1.591a6ed756ec1p-7", "0x1.1f3fdc0bf2b48p-3"),
     ("config16", SORTED_PM, 3):
         ("0x1.d8f3ba6dd21b2p-1", "0x1.526f597d935a1p-6", "0x1.5bed9dde59980p-4"),
     ("config16", SORTED_PM, 21):
         ("0x1.d60a5975edc5dp-1", "0x1.520ac9d5fc945p-6", "0x1.5bed9dde59980p-4"),
     ("M12_power", FIXED_COMPOSITION, 3):
-        ("0x1.4d0a8dbef0b42p-3", "0x1.01c282fd183bfp-7", "0x1.98ffc40609400p-4"),
+        ("0x1.4a730f5a4f0a2p-3", "0x1.0215e5db914e5p-7", "0x1.98ffc40609400p-4"),
     ("M12_power", SORTED_PM, 3):
         ("0x1.b7259c86e0481p-3", "0x1.40f0bab4204fep-7", "0x1.4608c20070600p-7"),
 }
@@ -166,6 +169,12 @@ class TestDriftProbe:
         rep = drift_probe(kind, DRIFT_CONFIGS[case], 10_000, seed)
         got = (rep.mean_drift.hex(), rep.se.hex(), rep.capacity_floor.hex())
         assert got == DRIFT_GOLDEN[case, kind, seed]
+
+    @pytest.mark.parametrize("kind", [FIXED_COMPOSITION, SORTED_PM])
+    def test_drift_does_not_depend_on_chunk(self, config16, kind, monkeypatch):
+        chunked = drift_probe(kind, config16, 10_000, 3)
+        monkeypatch.setattr(strat, "CHUNK", 1)
+        assert drift_probe(kind, config16, 10_000, 3) == chunked
 
     def test_fixed_composition_floor_is_best_capacity(self, config16):
         rep = drift_probe(FIXED_COMPOSITION, config16, 10_000, 3)

@@ -65,6 +65,11 @@ class TestCompositionMask:
         # identical stream afterwards proves no draws happened
         assert rng1.integers(1 << 30) == rng2.integers(1 << 30)
 
+    def test_empty_probe_consumes_no_randomness(self):
+        rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
+        assert not random_composition_mask(6, 0, rng1).any()
+        assert rng1.bit_generator.state == rng2.bit_generator.state
+
     def test_inclusion_roughly_uniform(self):
         rng = np.random.default_rng(11)
         hits = np.zeros(12)
@@ -89,30 +94,38 @@ class TestCompositionMask:
             assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
-# Bounds of one pick: mostly grid sizes, and bounds near 3e9 and just above
-# 2**31, where about a third and a half of the 32-bit words are rejected.
-PICK_BOUNDS = st.one_of(st.integers(2, MAX_CELLS),
-                        st.integers(2_900_000_000, 3_100_000_000),
-                        st.integers(2**31 + 1, 2**31 + MAX_CELLS),
-                        st.integers(2, 2**32 - 1))
+def in_place_shuffle(size, k, rng):
+    """The first k entries of a partial Fisher-Yates shuffle of range(size),
+    swapped in place in a full array: the reference for pick_cells."""
+    arr = np.arange(size)
+    for i in range(k):
+        j = i + int(rng.integers(size - i))
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr[:k].tolist()
 
 
-class TestBelow:
-    @given(seed=st.integers(0, 2**63),
-           odd_start=st.booleans(),
-           picks=st.lists(st.tuples(PICK_BOUNDS, st.booleans()),
-                          min_size=1, max_size=40))
-    def test_same_draws_as_generator_integers(self, seed, odd_start, picks):
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        words = rng.bit_generator.ctypes
-        if odd_start:  # one pick leaves half of a 64-bit output buffered
-            assert strat._below(7, words.next_uint32, words.state) == twin.integers(7)
-            assert rng.bit_generator.state["has_uint32"] == 1
-        for n, normal in picks:
-            assert strat._below(n, words.next_uint32, words.state) == twin.integers(n)
-            if normal:
-                assert rng.standard_normal() == twin.standard_normal()
-        assert rng.bit_generator.state == twin.bit_generator.state
+class TestPickCells:
+    @given(seed=st.integers(0, 2**63), grid=st.integers(2, 200),
+           share=st.floats(0.0, 1.0), rows=st.integers(1, 4),
+           steps=st.integers(1, 5))
+    def test_rows_and_steps_match_in_place_shuffles(self, seed, grid, share,
+                                                    rows, steps):
+        # large shares of small grids swap the same entry >= k repeatedly
+        k = 1 + int(share * (grid - 2))
+        gens = [np.random.default_rng([seed, r]) for r in range(rows)]
+        twins = [np.random.default_rng([seed, r]) for r in range(rows)]
+        got = strat.pick_cells(gens, grid, k, steps)
+        assert got.shape == (rows, steps, k)
+        for r, twin in enumerate(twins):
+            assert [got[r, t].tolist() for t in range(steps)] == [
+                in_place_shuffle(grid, k, twin) for _ in range(steps)]
+            assert gens[r].bit_generator.state == twin.bit_generator.state
+
+    def test_largest_grid_matches_in_place_shuffle(self):
+        rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+        got = strat.pick_cells([rng], MAX_CELLS, 5, 3)[0]
+        assert got.tolist() == [in_place_shuffle(MAX_CELLS, 5, twin)
+                                for _ in range(3)]
 
 
 class TestSortedPMMask:
@@ -417,7 +430,9 @@ class TestDispatcherAndLimits:
 
 # (tau, tau_stage1, success, final_max_prob.hex()) of trials
 # trial_seed_for(GOLDEN_MASTER_SEED, 0..4), recorded from the per-strategy
-# loops before they were folded into one search engine.
+# loops before they were folded into one search engine.  The
+# fixed_composition and two_stage entries off M1 were recorded again when
+# composition probe sets moved to a picks stream of their own.
 GOLDEN_MASTER_SEED = 2024
 GOLDEN_CONFIGS = {
     "M1": new_config(1, 1, 0.25, 1e-4),
@@ -437,11 +452,11 @@ TRIAL_GOLDEN = {
     **{("M1", kind): [(0, 0, True, "0x1.0000000000000p+0")] * 5
        for kind in KINDS if kind != TWO_STAGE},
     ("M16", "fixed_composition"): [
-        (73, 0, True, "0x1.ffffada7a90bep-1"),
-        (27, 0, True, "0x1.fffae1e741ae2p-1"),
-        (183, 0, True, "0x1.fffeab8627e50p-1"),
-        (80, 0, True, "0x1.fff734d2caa8dp-1"),
-        (29, 0, True, "0x1.fff6ae1fa449ap-1"),
+        (27, 0, True, "0x1.fff8e41a9b6b7p-1"),
+        (69, 0, True, "0x1.fff8e50c52e7cp-1"),
+        (60, 0, True, "0x1.ffff0ba190ee7p-1"),
+        (103, 0, True, "0x1.fffcf963cdf5ap-1"),
+        (56, 0, True, "0x1.ffffabd25ba26p-1"),
     ],
     ("M16", "sorted_pm"): [
         (16, 0, True, "0x1.fffae7b9ddd63p-1"),
@@ -472,25 +487,25 @@ TRIAL_GOLDEN = {
         (91, 0, True, "0x1.fffc631c0f928p-1"),
     ],
     ("M16", "two_stage(alpha=1/4)"): [
-        (74, 64, True, "0x1.fffdf80b64b87p-1"),
-        (42, 27, True, "0x1.ffffb470d02bap-1"),
-        (122, 115, True, "0x1.fff9a4b2d3d40p-1"),
-        (101, 89, True, "0x1.fffefdfec878ep-1"),
-        (30, 25, True, "0x1.fffba75e07157p-1"),
+        (37, 29, True, "0x1.ffff03876d1fdp-1"),
+        (99, 88, True, "0x1.fffff2b6d0aa6p-1"),
+        (53, 48, True, "0x1.fffb926dac4dap-1"),
+        (67, 51, True, "0x1.fffabba114a9dp-1"),
+        (46, 40, True, "0x1.fffa786c1e4cfp-1"),
     ],
     ("M16", "two_stage(alpha=1/16)"): [
-        (73, 73, True, "0x1.ffffada7a90bep-1"),
-        (27, 27, True, "0x1.fffae1e741ae2p-1"),
-        (183, 183, True, "0x1.fffeab8627e50p-1"),
-        (81, 81, True, "0x1.fffbf5f1eba30p-1"),
-        (65, 65, True, "0x1.fffc86fd647cap-1"),
+        (28, 28, True, "0x1.fffa30d5f9736p-1"),
+        (76, 76, True, "0x1.fffa6646b4738p-1"),
+        (60, 60, True, "0x1.ffff0ba190ee7p-1"),
+        (103, 103, True, "0x1.fffcf963cdf5ap-1"),
+        (56, 56, True, "0x1.ffffabd25ba26p-1"),
     ],
     ("M32_power", "fixed_composition"): [
-        (39, 0, True, "0x1.fd91bb441c502p-1"),
-        (12, 0, True, "0x1.edc647ed3041fp-1"),
-        (30, 0, True, "0x1.eb3b509434aeap-1"),
-        (27, 0, True, "0x1.9cc985eaab05dp-1"),
-        (21, 0, True, "0x1.ba61e1c539b9bp-1"),
+        (6, 0, True, "0x1.c31767c56b177p-1"),
+        (23, 0, True, "0x1.fba56e0f50d50p-1"),
+        (49, 0, True, "0x1.9c9a1640fdbc5p-1"),
+        (74, 0, True, "0x1.c4f2feba9be0ap-1"),
+        (7, 0, True, "0x1.be13f207029afp-1"),
     ],
     ("M32_power", "sorted_pm"): [
         (8, 0, True, "0x1.b95d2abceb4dcp-1"),
@@ -521,11 +536,11 @@ TRIAL_GOLDEN = {
         (22, 0, True, "0x1.fffe27cddeeecp-1"),
     ],
     ("M32_power", "two_stage(alpha=1/8)"): [
-        (19, 17, True, "0x1.ffffff97d1015p-1"),
-        (25, 23, True, "0x1.fffffc9deb6c6p-1"),
-        (21, 19, True, "0x1.e57902d7486ffp-1"),
-        (31, 29, True, "0x1.e941c1699c7b1p-1"),
-        (27, 25, True, "0x1.fb3c147eaac9cp-1"),
+        (16, 14, True, "0x1.fffff44032940p-1"),
+        (44, 42, True, "0x1.ffff2cdf3866dp-1"),
+        (15, 13, True, "0x1.ef4041c91915cp-1"),
+        (45, 43, True, "0x1.e941c1699c7b1p-1"),
+        (25, 22, True, "0x1.ffff83e53ddb2p-1"),
     ],
     # recorded from the per-trial bisection loops before they joined the
     # lockstep engine
@@ -586,6 +601,38 @@ BISECTION_DIGESTS = {
     ("M16", NOISY_BINARY_VARIABLE):
         "4e4dec5a4f6eff7486c0108843c6d79e89733248e5ea3a8ccf33a511b12c3ddb",
 }
+# The same digests for the kinds that draw only a target and normals,
+# recorded while every row drew one normal per step.
+NORMALS_DIGESTS = {
+    ("M16", SORTED_PM):
+        "94912182f05645c9c8b963b7166bfc3ac144a708dcf8eceffdef66a13e312a0a",
+    ("M16", EXHAUSTIVE):
+        "e606879a33064dae3de2ba2a47c401f973a629e83406814632dec2b3938f50e7",
+    ("M128", SORTED_PM):
+        "191b063b0db5d900b792b684c6af050e9f2da95d6eefe58715e946c4c65e2b1c",
+    ("M128", EXHAUSTIVE):
+        "4524f926aee662536d8cfb392091d46aed5985bab21370913bb000599e412e7b",
+    ("M32_power", SORTED_PM):
+        "8a44d3e91624caa0e830c2c768d35534fc84f4ee69472b4cb9552c740417e553",
+    ("M32_power", EXHAUSTIVE):
+        "fea50654c3d959a8af7cb84eae8d58e592e29cc21ced3fac1de4a280e064aa5d",
+    ("M128_sigma1e-4", SORTED_PM):
+        "0f817f67062b218730745696a4210fe714b9f00ee63845caee0d3a6fd7f7b4c5",
+    ("M128_sigma1e-4", EXHAUSTIVE):
+        "7fdb2842c752e211991368b8d163832ea3f535d31b1ab376e5c523f3979da505",
+}
+
+
+def digest_of_trials(spec, config):
+    """SHA-256 of the records of trials trial_seed_for(GOLDEN_MASTER_SEED,
+    0..199), each run alone."""
+    got = []
+    for i in range(200):
+        seed = trial_seed_for(GOLDEN_MASTER_SEED, i)
+        rec = run_strategy(spec, config, np.random.default_rng(seed), seed)
+        got.append((rec.tau, rec.tau_stage1, rec.success,
+                    float(rec.final_max_prob).hex()))
+    return hashlib.sha256(repr(got).encode()).hexdigest()
 
 
 class TestTrialGolden:
@@ -617,15 +664,14 @@ class TestTrialGolden:
     @pytest.mark.parametrize("case, kind", list(BISECTION_DIGESTS),
                              ids=[f"{c}-{k}" for c, k in BISECTION_DIGESTS])
     def test_bisection_trials_match_recorded_digest(self, case, kind):
-        got = []
-        for i in range(200):
-            seed = trial_seed_for(GOLDEN_MASTER_SEED, i)
-            rec = run_strategy(StrategySpec(kind), LOCKSTEP_CONFIGS[case],
-                               np.random.default_rng(seed), seed)
-            got.append((rec.tau, rec.tau_stage1, rec.success,
-                        float(rec.final_max_prob).hex()))
-        digest = hashlib.sha256(repr(got).encode()).hexdigest()
+        digest = digest_of_trials(StrategySpec(kind), LOCKSTEP_CONFIGS[case])
         assert digest == BISECTION_DIGESTS[case, kind]
+
+    @pytest.mark.parametrize("case, kind", list(NORMALS_DIGESTS),
+                             ids=[f"{c}-{k}" for c, k in NORMALS_DIGESTS])
+    def test_normals_only_trials_match_recorded_digest(self, case, kind):
+        digest = digest_of_trials(StrategySpec(kind), LOCKSTEP_CONFIGS[case])
+        assert digest == NORMALS_DIGESTS[case, kind]
 
 
 # Lockstep blocks against the batch of one: every row of run_rows must be
@@ -653,6 +699,9 @@ LOCKSTEP_CASES = (
                         ("M32_power", 1 / 32), ("M16_eps0.2", 0.25),
                         ("M16_eps0.2", 1 / 16))])
 
+CHUNK_CASES = ([StrategySpec(kind) for kind in KINDS if kind != TWO_STAGE]
+               + [StrategySpec(TWO_STAGE, alpha=alpha) for alpha in (0.25, 1 / 16)])
+
 
 class TestLockstepRows:
     N = 50
@@ -675,6 +724,24 @@ class TestLockstepRows:
             want.append((rec.tau, rec.tau_stage1, rec.success,
                          float(rec.final_max_prob).hex()))
         assert got == want
+
+    @pytest.mark.parametrize("spec", CHUNK_CASES,
+                             ids=[s.label() for s in CHUNK_CASES])
+    def test_records_do_not_depend_on_chunk(self, spec, monkeypatch):
+        config = LOCKSTEP_CONFIGS["M16"]
+
+        def records():
+            rngs = [np.random.default_rng(trial_seed_for(515, i))
+                    for i in range(self.N)]
+            return self.as_tuples(*run_rows(spec, config, rngs))
+
+        chunk = strat.CHUNK
+        chunked = records()
+        # rows retire mid-chunk, and some only after their first chunk
+        taus = [tau for tau, *_ in chunked]
+        assert any(t % chunk for t in taus) and max(taus) > chunk
+        monkeypatch.setattr(strat, "CHUNK", 1)
+        assert records() == chunked
 
     def test_loose_epsilon_cases_include_failures(self):
         config = LOCKSTEP_CONFIGS["M16_eps0.2"]
