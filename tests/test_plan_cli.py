@@ -481,8 +481,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "n_steps" in err and "Traceback" not in err
 
-    def test_tiny_variance_capacity_is_the_noiseless_limit(self, tmp_path):
+    def test_tiny_variance_capacity_is_the_noiseless_limit(self, tmp_path,
+                                                           capsys):
         # past the quadrature's panel cap C(q, v) is H(q), with no grid
+        rc = main(["capacity", "--q", "0.5", "--variance", "1e-300",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(tmp_path / "cli_capacity.csv")
+        assert [(r["variance"], r["capacity_bits"]) for r in rows] == [
+            ("1e-300", "1.0")]
+
+    def test_grid_with_one_tiny_variance_writes_both_rows(self, tmp_path):
+        # the tiny variance no longer stops the grid: each pair gets its row
         rc = main(["capacity", "--q", "0.5", "--variance", "0.25",
                    "--variance", "1e-300", "--out", str(tmp_path)])
         assert rc == 0
