@@ -169,12 +169,15 @@ def _capacities(qs, variances) -> list[float]:
             # the low-SNR limit q(1-q)/(2v ln 2) here, off by O(1/v^2).
             out[i] = q * (1.0 - q) / variance * (0.5 * LOG2E)
             continue
-        n0 = _initial_panels(lo, hi, s)
-        if n0 > MAX_PANELS:
+        if s < 1e-6:
             # The components sit over 10^6 sd apart: C is H(q) to double
             # precision.
             out[i] = binary_entropy(q)
             continue
+        n0 = _initial_panels(lo, hi, s)
+        if n0 > MAX_PANELS:
+            raise QuadratureNonConvergence(
+                f"quadrature on [{lo}, {hi}] needs over {MAX_PANELS} panels")
         # a flat double array: 56 bytes a pair, where tuples take ~280
         pairs, consts = groups.setdefault(n0, ([], array("d")))
         pairs.append(i)

@@ -101,8 +101,6 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
     shuffle, whose swap i exchanges entries i and i + integers(grid - i).
     A generator draws all its steps in one call, the same values and state
     as steps * k calls."""
-    if k == 1:  # one swap, no shuffle to run; a lone bound is numpy's fast path
-        return np.stack([g.integers(0, grid, size=(steps, 1)) for g in gens])
     highs = np.tile(grid - np.arange(k), steps)  # one bound a draw, in order
     j = np.stack([g.integers(0, highs) for g in gens]).ravel()
     n = j.size

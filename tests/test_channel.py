@@ -265,7 +265,7 @@ class TestCapacityGrid:
         assert str(grid.value) == str(lone.value)
 
     def test_panel_cap_refused_before_allocation(self, monkeypatch):
-        # past the panel cap the noiseless limit H(q) is returned, on no grid
+        # below 1e-6 sd the noiseless limit H(q) is returned, on no grid
         monkeypatch.setattr(channel, "_grid", lambda *args: pytest.fail(
             "grid allocated"))
         assert bawgn_capacity(0.5, 1e-300) == 1.0
@@ -287,7 +287,9 @@ class TestCapacityGrid:
         pytest.param(-1.0, 512, "still above tol=-1.0 at 1024 panels",
                      id="512-1024"),
         pytest.param(-1.0, 256, "still above tol=-1.0 at 512 panels",
-                     id="256-512")])
+                     id="256-512"),
+        # both pairs start on 256 panels, past the cap before any doubling
+        pytest.param(1e-16, 64, "needs over 64 panels", id="1e-16-64")])
     def test_nonconvergence_reports_last_panel_count(self, monkeypatch, tol,
                                                      max_panels, match):
         # a negative tolerance never converges: the last grid evaluated is

@@ -483,7 +483,7 @@ class TestCli:
 
     def test_tiny_variance_capacity_is_the_noiseless_limit(self, tmp_path,
                                                            capsys):
-        # past the quadrature's panel cap C(q, v) is H(q), with no grid
+        # below 1e-6 sd C(q, v) is the noiseless limit H(q), with no grid
         rc = main(["capacity", "--q", "0.5", "--variance", "1e-300",
                    "--out", str(tmp_path)])
         assert rc == 0
