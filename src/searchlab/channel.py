@@ -245,11 +245,18 @@ def psi_component(a: float, variance):
     phi(z)/sqrt(v) - Q(z)/(2v).  ``variance`` may be an array.
     """
     v = np.asarray(variance, dtype=float)
-    z = (a * v + 0.5) / np.sqrt(v)
+    z, phi = _phi_term(a, v)
     qz = np.reshape([gaussian_tail(x) for x in z.ravel().tolist()], z.shape)
-    with np.errstate(over="ignore"):  # z * z is inf only where phi(z) is 0
-        out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * v) - 0.5 * qz / v
+    with np.errstate(over="ignore"):
+        out = phi - 0.5 * qz / v
     return out if out.ndim else float(out)
+
+
+def _phi_term(a: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z and the term phi(z)/sqrt(v) of psi_component, elementwise over v."""
+    z = (a * v + 0.5) / np.sqrt(v)
+    with np.errstate(over="ignore"):  # z * z is inf only where phi(z) is 0
+        return z, np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * v)
 
 
 @lru_cache(maxsize=512)
@@ -260,8 +267,19 @@ def probe_variances(config) -> np.ndarray:
 
 def psi(a: float, config) -> float:
     """Largest truncated-score integral over feasible probe sizes:
-    max over k = 1..M of psi_component(a, noise_variance(k))."""
-    return float(psi_component(a, probe_variances(config)).max())
+    max over k = 1..M of psi_component(a, noise_variance(k)).
+
+    A component is its phi term less a non-negative tail term, so only the
+    sizes whose phi term exceeds the component at the largest phi term can
+    hold the max; the tail Q(z) is evaluated for those alone, and the max
+    is the same float."""
+    v = probe_variances(config)
+    z, phi = _phi_term(a, v)
+    top = int(np.argmax(phi))
+    with np.errstate(over="ignore"):
+        near = phi > phi[top] - 0.5 * gaussian_tail(z[top]) / v[top]
+    near[top] = True
+    return float(psi_component(a, v[near]).max())
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -73,7 +74,10 @@ def _add_config_flags(p: argparse.ArgumentParser):
                    help="power-law noise exponent (default: linear noise)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged, so
+    every call of `main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="searchlab",
         description="Simulation and bounds for noisy single-target search.")

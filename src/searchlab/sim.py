@@ -33,7 +33,7 @@ from .model import SearchConfig, TrialRecord
 # update_log_probs, random_composition_mask and sorted_pm_mask are unused
 # here but stay bound: bench/tracer.py patches them.
 from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, Draws,
-                         StrategySpec, draw_targets, observe, probe_rule,
+                         StrategySpec, draw_targets, fold, observe, probe_rule,
                          random_composition_mask, run_rows, run_strategy,
                          sorted_pm_mask)
 
@@ -180,7 +180,8 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
         floor = bawgn_capacity(0.5, config.variance_at(m / 2.0))
 
     probe, _ = probe_rule(kind, config)
-    # one normal a call: the generator draws the next run's target between them
+    # one normal a chunk, so a window of one step: the generator draws the
+    # next run's target between them
     draws = Draws([np.random.default_rng(seed)], picks=kind == FIXED_COMPOSITION,
                   normal_chunk=1)
     log_thresh = math.log1p(-config.epsilon)
@@ -192,7 +193,8 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
             target = draw_targets(draws.gens, m)
             u_prev = u_log_probs(lp[0])
         masks, v, _ = probe(lp, i, draws)
-        top = observe(lp, masks, masks[0, target], np.sqrt(v), v, draws)
+        llr = observe(masks[:, :, target[0]].T, v, draws)
+        top = fold(lp, masks[:, 0], llr[0], draws)
         u_now = u_log_probs(lp[0])
         increments[i] = u_now - u_prev
         u_prev = u_now

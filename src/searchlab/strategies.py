@@ -11,10 +11,16 @@ stop retires a row; fixed composition, sorted-PM and exhaustive search
 stop once one cell holds posterior mass 1 - eps.  The engine runs trials
 in lockstep: `run_rows` takes one generator per trial, keeps their
 posteriors as the rows of one (rows, size) array, advances every live row
-by one probe per step and retires rows as they stop.  Each row makes the
-draws, in the same order, and the arithmetic of a trial run alone.
-`run_strategy` is the batch of one, a one-row block, and a block's last
-live row stays a row of it, so the engine has one code path.  Two-stage
+by one probe per step and retires rows as they stop.  A non-adaptive rule
+(fixed composition, exhaustive), whose probe sets do not depend on the
+posterior, hands over a window of steps at once, as (rows, w, size)
+masks: the engine gathers the window's hits and computes its
+log-likelihood ratios in one pass, and each step then only adds them,
+renormalizes and tests the stop.  An adaptive rule has windows of one
+step.  Each row makes the draws, in the same order, and the arithmetic of
+a trial run alone, whatever the window.  `run_strategy` is the batch of
+one, a one-row block, and a block's last live row stays a row of it, so
+the engine has one code path.  Two-stage
 search chains two searches.  The two bisection strategies are one stateful
 rule, `_bisection_rule`: each row narrows its own window of the posterior,
 reads each half's mass from one cell, since every cell of a half holds the
@@ -27,8 +33,10 @@ per row (`observe`).  One normal a step is read from a chunk of CHUNK
 drawn in one call, the same floats as one call each.  Fixed composition
 draws its probe sets from a second stream per trial, derived from the
 trial generator before the target draw without drawing from it, a chunk
-of steps at a time (`pick_cells`).  A record therefore does not depend on
-the chunk.  `sim.drift_probe` runs the same rules on a one-row block.
+of steps at a time (`pick_cells`).  A window ends where a chunk does, so
+a record does not depend on the chunk or the window.  `sim.drift_probe`
+runs the same rules on a one-row block, with chunks, and so windows, of
+one step.
 
 Strategies
 ----------
@@ -50,6 +58,7 @@ import numpy as np
 
 from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
 from .errors import StepLimitExceeded, ValidationError
+# update_log_probs is unused here but stays bound: bench/tracer.py patches it.
 from .inference import renormalize_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
@@ -174,23 +183,25 @@ class Draws:
     """The random draws of a block's live rows, each row from its own trial
     generator, gens, in row order.
 
-    A row reads one standard normal a step (`normal`) from a chunk of
-    normal_chunk (default CHUNK) that it draws in one call once the last is
-    read; carry holds, per row, normals to read before its first chunk.  A
-    row that retires keeps its unread normals in spare, indexed by its row
-    in the block, so a second stage reads them first.  A fixed level's
-    normals are drawn when observed, so a rule observes one or the other.
-    With picks, each row also gets a picks stream, derived from the trial
-    generator's state now, before the target draw, without drawing from
-    it; `pick` reads one probe set a step from a chunk of at most CHUNK
-    steps that every row draws at once, at most CHUNK_CELLS cells in all."""
+    A row reads its normals from a chunk of normal_chunk (default CHUNK)
+    that it draws in one call once the last is read; carry holds, per row,
+    normals to read before its first chunk.  A window of steps ends where
+    the chunk does (`window`); `ahead` gives its normals and the engine
+    marks them read a step at a time, so a row that retires keeps the
+    normals it did not reach in spare, indexed by its row in the block,
+    for a second stage to read first.  A fixed level's normals are drawn
+    when observed, so a rule observes one or the other.  With picks, each
+    row also gets a picks stream, derived from the trial generator's state
+    now, before the target draw, without drawing from it; `pick` reads a
+    window's probe sets from a chunk of at most CHUNK steps that every row
+    draws at once, at most CHUNK_CELLS cells in all."""
 
     def __init__(self, gens: list, picks: bool = False,
                  normal_chunk: int | None = None, carry: list | None = None):
         self.gens = list(gens)
         self.rows = np.arange(len(self.gens))
         self.chunk = CHUNK if normal_chunk is None else normal_chunk
-        self.normals = np.empty((len(self.gens), self.chunk))
+        self.normals = np.empty((self.chunk, len(self.gens)))  # (steps, rows)
         self.read = self.chunk
         self.carry = carry
         self.spare = [np.empty(0)] * len(self.gens)
@@ -199,38 +210,54 @@ class Draws:
         self.picks = np.empty((len(self.gens), 0, 0), dtype=np.int64)
         self.picked = 0
 
-    def normal(self) -> np.ndarray:
-        """One standard normal per live row."""
-        if self.read == self.chunk:
-            for i, (row, g) in enumerate(zip(self.rows.tolist(), self.gens)):
-                head = self.carry[row].size if self.carry else 0
-                if head:
-                    self.normals[i, :head] = self.carry[row]
-                g.standard_normal(out=self.normals[i, head:])
-            self.carry = None
-            self.read = 0
-        self.read += 1
-        return self.normals[:, self.read - 1]
+    def _fill(self) -> None:
+        """Draw each live row's next chunk of normals once the last is read."""
+        if self.read < self.chunk:
+            return
+        for i, (row, g) in enumerate(zip(self.rows.tolist(), self.gens)):
+            head = self.carry[row].size if self.carry else 0
+            if head:
+                self.normals[:head, i] = self.carry[row]
+            self.normals[head:, i] = g.standard_normal(self.chunk - head)
+        self.carry = None
+        self.read = 0
+
+    def window(self, cells: int) -> int:
+        """Steps in the next window of probe masks of `cells` cells a row:
+        to the end of the normal chunk, at most CHUNK_CELLS mask cells over
+        all rows, and at least one step."""
+        self._fill()
+        return max(1, min(self.chunk - self.read,
+                          CHUNK_CELLS // (len(self.gens) * cells)))
+
+    def ahead(self, steps: int) -> np.ndarray:
+        """The normals of each live row's next `steps` steps, (steps, rows),
+        not yet marked read."""
+        self._fill()
+        return self.normals[self.read:self.read + steps]
 
     def pick(self, grid: int, k: int) -> np.ndarray:
-        """One probe set of k cells per live row, as a (rows, grid) mask."""
+        """A window's probe sets of k cells per live row, as (rows, w, grid)
+        masks; the window also ends where the chunk of picks does."""
         rows = len(self.pickers)
         if self.picked == self.picks.shape[1]:
             steps = max(1, min(CHUNK, CHUNK_CELLS // (rows * k)))
             self.picks = pick_cells(self.pickers, grid, k, steps)
             self.picked = 0
-        masks = np.zeros((rows, grid), dtype=bool)
-        masks[np.arange(rows)[:, None], self.picks[:, self.picked]] = True
-        self.picked += 1
-        return masks
+        w = min(self.window(grid), self.picks.shape[1] - self.picked)
+        cells = self.picks[:, self.picked:self.picked + w].reshape(rows * w, k)
+        self.picked += w
+        masks = np.zeros((rows * w, grid), dtype=bool)
+        masks[np.arange(rows * w)[:, None], cells] = True
+        return masks.reshape(rows, w, grid)
 
     def retire(self, done: np.ndarray) -> None:
         """Drop the rows that done marks, keeping their unread normals."""
         for row, rest in zip(self.rows[done].tolist(),
-                             self.normals[done, self.read:]):
+                             self.normals[self.read:, done].T):
             self.spare[row] = rest
         keep = ~done
-        self.rows, self.normals = self.rows[keep], self.normals[keep]
+        self.rows, self.normals = self.rows[keep], self.normals[:, keep]
         self.picks = self.picks[keep]
         flags = keep.tolist()
         self.gens = [g for g, f in zip(self.gens, flags) if f]
@@ -242,18 +269,32 @@ def draw_targets(gens: list, m: int) -> np.ndarray:
     return np.array([int(g.integers(m)) for g in gens], dtype=np.int64)
 
 
-def observe(lp: np.ndarray, masks: np.ndarray, hit, sd, v, draws: Draws,
+def observe(hit: np.ndarray, v, draws: Draws,
             reps: np.ndarray | None = None) -> np.ndarray:
-    """Fold each row's observations y = hit + sd z into the block lp in
-    place, z standard normals of the row's draws: one per row, or with
-    reps, reps[i] for row i, whose log-likelihood ratios are summed into
-    one update.  Returns the row maxima of the renormalized block."""
+    """Log-likelihood ratios (2y - 1)/(2v), (w, rows), of each live row's
+    observations y = hit + sd z over a window of w steps, given the hits
+    (w, rows) and one variance v for all rows or one a row.  z are the
+    rows' next normals (`Draws.ahead`); with reps (w = 1), reps[i] normals
+    that row i draws now, whose ratios are summed into one."""
+    sd = np.sqrt(v)
     if reps is None:
-        return update_log_probs(lp, masks, hit + sd * draws.normal(), v)
-    llr = np.array([((2.0 * (h + s * g.standard_normal(r)) - 1.0) / (2.0 * w)).sum()
-                    for h, s, w, r, g in zip(hit.tolist(), sd.tolist(), v.tolist(),
-                                             reps.tolist(), draws.gens)])
+        # flat arithmetic, cheaper than 2-D on a few rows: v is one value,
+        # or one a row in a window of one step
+        y = hit.ravel() + sd * draws.ahead(hit.shape[0]).ravel()
+        return ((2.0 * y - 1.0) / (2.0 * v)).reshape(hit.shape)
+    return np.array([[((2.0 * (h + s * g.standard_normal(r)) - 1.0) / (2.0 * w)).sum()
+                      for h, s, w, r, g in zip(hit[0].tolist(), sd.tolist(), v.tolist(),
+                                               reps.tolist(), draws.gens)]])
+
+
+def fold(lp: np.ndarray, masks: np.ndarray, llr: np.ndarray,
+         draws: Draws) -> np.ndarray:
+    """One step's Bayes update of the block lp in place: add each row's
+    log-likelihood ratio llr on its probed cells, masks (rows, size),
+    renormalize, and mark the step's normals read.  Returns the row
+    maxima of the renormalized block."""
     np.add(lp, llr[:, None], out=lp, where=masks)
+    draws.read += 1
     return renormalize_log_probs(lp)
 
 
@@ -268,21 +309,27 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     sort order carried between steps, a bisection window).
     probe(lp, step, draws) -> (masks, variances, reps) maps the live rows'
     log posteriors lp (rows, size), and the rule's own per-row state, to
-    the probed sets and their noise variances; it may read each live row's
-    picks from draws.  reps is None for one observation per row, else each
-    row's count of observations, folded into one update.  settle(lp, tops) -> which rows retire, given the row
-    maxima tops after the update; it drops the retiring rows from the
-    rule's state.  settle None is the threshold stop: a row retires once
-    one cell holds posterior mass 1 - eps, and starts only if the uniform
-    prior holds less.  A rule with its own settle starts every row when
-    size > 1.  A row's steps are its observations; a step that would take
-    a row past STEP_LIMIT raises before it is observed, so a fixed level's
-    normals are never drawn past it.
+    the probed sets of a window of w steps, masks (rows, w, size), and
+    their noise variances.  A non-adaptive rule, whose sets do not depend
+    on lp, hands over a window sized by draws (`Draws.window`), reading
+    each live row's picks from draws; an adaptive rule has w = 1.  reps is
+    None for one observation per row a step, else each row's count of
+    observations, folded into one update (w = 1).  settle(lp, tops) ->
+    which rows retire, given the row maxima tops after a step's update; it
+    drops the retiring rows from the rule's state.  settle None is the
+    threshold stop: a row retires once one cell holds posterior mass
+    1 - eps, and starts only if the uniform prior holds less.  A rule with
+    its own settle starts every row when size > 1.  A row's steps are its
+    observations; a step that would take a row past STEP_LIMIT raises
+    before it is observed, so a fixed level's normals are never drawn past
+    it.
 
-    A target outside [0, size) is never hit (a failed first stage): that
+    The window's hits and log-likelihood ratios are computed at once; each
+    step then folds its ratios in, tests the stop and retires rows.  A
+    target outside [0, size) is never hit (a failed first stage): that
     row still stops, on a wrong cell.  Each row sees the same draws and
-    arithmetic as if it ran alone.  Returns per-row (steps, MAP cell,
-    final max posterior) arrays."""
+    arithmetic as if it ran alone, whatever the window.  Returns per-row
+    (steps, MAP cell, final max posterior) arrays."""
     probe, settle = rule
     targets = np.asarray(targets, dtype=np.int64)
     n = targets.size
@@ -293,8 +340,7 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     top = np.full(n, start)
     starts = size > 1 and (settle is not None or start < log_thresh)
     live = np.arange(n if starts else 0)
-    taken = np.zeros(n, dtype=np.int64)
-    most = 0  # at least every live row's count: checks it only near the limit
+    taken = np.zeros(n, dtype=np.int64)  # each live row's observations, with reps
     lp = np.full((n, size), start)
     on_grid = (targets >= 0) & (targets < size)
     hit_cell = np.where(on_grid, targets, 0)
@@ -302,25 +348,34 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     step = 0
     while live.size:
         masks, v, reps = probe(lp, step, draws)
-        taken += 1 if reps is None else reps
-        most += 1 if reps is None else int(reps.max())
-        if most > STEP_LIMIT and taken.max() > STEP_LIMIT:
-            over = int(np.argmax(taken > STEP_LIMIT))
+        if reps is None:  # every live row has observed once a step
+            w = min(masks.shape[1], STEP_LIMIT - step)
+            over = 0 if w == 0 else None
+        else:
+            w = 1
+            taken += reps
+            over = (int(np.argmax(taken > STEP_LIMIT))
+                    if taken.max() > STEP_LIMIT else None)
+        if over is not None:
             raise _step_limit(label, first_trial, int(live[over]))
-        hit = masks[at, hit_cell] & on_grid
-        row_top = observe(lp, masks, hit, np.sqrt(v), v, draws, reps)
-        step += 1
-        done = row_top >= log_thresh if settle is None else settle(lp, row_top)
-        if done.any():
-            ended = live[done]
-            steps[ended] = taken[done]
-            top[ended] = row_top[done]
-            cells[ended] = lp[done].argmax(axis=1)
-            keep = ~done
-            live, lp, taken = live[keep], lp[keep], taken[keep]
-            at = at[:live.size]
-            hit_cell, on_grid = hit_cell[keep], on_grid[keep]
-            draws.retire(done)
+        llr = observe(masks[at, :, hit_cell].T & on_grid, v, draws, reps)
+        for j in range(w):
+            row_top = fold(lp, masks[:, j], llr[j], draws)
+            step += 1
+            done = row_top >= log_thresh if settle is None else settle(lp, row_top)
+            if done.any():
+                ended = live[done]
+                steps[ended] = step if reps is None else taken[done]
+                top[ended] = row_top[done]
+                cells[ended] = lp[done].argmax(axis=1)
+                keep = ~done
+                live, lp, taken = live[keep], lp[keep], taken[keep]
+                masks, llr = masks[keep], llr[:, keep]
+                at = at[:live.size]
+                hit_cell, on_grid = hit_cell[keep], on_grid[keep]
+                draws.retire(done)
+                if not live.size:
+                    break
     # math.exp per row, not np.exp, which may differ from libm in the last
     # bit: final_max_prob is kept bit for bit
     return steps, cells, np.array([math.exp(t) for t in top.tolist()])
@@ -347,18 +402,21 @@ def _sorted_pm_rule(config: SearchConfig):
 
     def probe(lp, step, draws):
         masks, k = sorted_pm_mask(np.exp(lp))
-        return masks, variances[k], None
+        return masks[:, None], variances[k], None
     return probe, None
 
 
 def _round_robin_rule(config: SearchConfig):
-    """Single cells in turn: 0, 1, ..., M-1, 0, ..."""
+    """Single cells in turn: 0, 1, ..., M-1, 0, ...; every row probes the
+    same cell, so a window's masks are one (w, M) table seen by all rows."""
+    m = config.M
     v = config.noise_variance(1)
 
     def probe(lp, step, draws):
-        masks = np.zeros(lp.shape, dtype=bool)
-        masks[..., step % config.M] = True
-        return masks, v, None
+        w = draws.window(m)
+        masks = np.zeros((w, m), dtype=bool)
+        masks[np.arange(w), (step + np.arange(w)) % m] = True
+        return np.broadcast_to(masks, (lp.shape[0], w, m)), v, None
     return probe, None
 
 
@@ -469,7 +527,7 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     at, cols = np.arange(n), np.arange(m)
 
     def probe(lp, step, draws):
-        return masks, var, reps if fixed else None
+        return masks[:, None], var, reps if fixed else None
 
     def settle(lp, tops):
         nonlocal ints, flts, lo, hi, mid, reps, var, log_h1, log_h2, masks, at

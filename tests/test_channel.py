@@ -416,6 +416,22 @@ class TestPsi:
                        for k in range(1, cfg.M + 1))
             assert psi(a, cfg) == want
 
+    @pytest.mark.parametrize("point", [
+        *[(16, 1, s2, None) for s2 in (0.0625, 0.125, 0.25, 0.5)],
+        *[(b, 1, 0.25, None) for b in (8, 16, 32, 64, 128)],
+        *[(1, d, 0.25, None) for d in (0.5, 0.25, 0.125, 0.0625, 0.03125)],
+        (25, 1, 0.25, 2.0),
+    ], ids=lambda p: f"B={p[0]}-delta={p[1]}-sigma2={p[2]}-gamma={p[3]}")
+    def test_psi_is_brute_force_max_bit_for_bit(self, point):
+        # psi evaluates the tail only where it can change the max; the fig4,
+        # fig5 and fig6 points and a gamma = 2 point
+        b, delta, sigma2, gamma = point
+        noise = NoiseModel.linear() if gamma is None else NoiseModel.power(gamma)
+        cfg = new_config(b, delta, sigma2, 1e-4, noise=noise)
+        vs = np.array([cfg.noise_variance(k) for k in range(1, cfg.M + 1)])
+        for a in (-1e9, -50.0, -1.0, 0.0, 1e-6, 0.7, 3.0, 7.0, 40.0, 1e3, 1e9):
+            assert psi(a, cfg).hex() == float(psi_component(a, vs).max()).hex()
+
 
 class TestAEta:
     def test_reference_golden(self, config16):

@@ -16,7 +16,7 @@ import pytest
 import searchlab
 from searchlab.channel import bawgn_capacity
 import searchlab.plan as plan_mod
-from searchlab.cli import main
+from searchlab.cli import build_parser, main
 from searchlab.errors import InvalidAlpha, ParseError, ValidationError
 from searchlab.model import new_config
 from searchlab.plan import (
@@ -371,6 +371,27 @@ class TestCli:
         row = read_csv(tmp_path / "cli_capacity.csv")[0]
         assert float(row["capacity_bits"]) == bawgn_capacity(0.5, 0.25)
         assert "C(q=0.5" in capsys.readouterr().out
+
+    def test_reused_parser_keeps_no_flags_between_calls(self, tmp_path):
+        # main parses with one parser for the process; a repeated (append)
+        # flag must not carry an earlier call's values into the next
+        assert build_parser() is build_parser()
+        first, second, third = (tmp_path / name for name in "abc")
+        assert main(["capacity", "--q", "0.5", "--variance", "0.25",
+                     "--out", str(first)]) == 0
+        assert main(["capacity", "--q", "0.25", "--q", "0.75",
+                     "--variance", "1", "--out", str(second)]) == 0
+        assert main(["bounds", "--B", "16", "--delta", "1", "--sigma2", "0.25",
+                     "--epsilon", "1e-4", "--bound-set", "lemma1",
+                     "--out", str(third)]) == 0
+        assert [(r["q"], r["variance"])
+                for r in read_csv(first / "cli_capacity.csv")] == [("0.5", "0.25")]
+        assert [(r["q"], r["variance"])
+                for r in read_csv(second / "cli_capacity.csv")] == [
+            ("0.25", "1.0"), ("0.75", "1.0")]
+        assert [r["bound_name"] for r in
+                read_csv(third / "cli_bounds_bounds.csv")] == ["lemma1"]
+        assert sorted(p.name for p in third.iterdir()) == ["cli_bounds_bounds.csv"]
 
     def test_bounds_verb_matches_module(self, tmp_path):
         rc = main(["bounds", "--B", "16", "--delta", "1", "--sigma2", "0.25",

@@ -384,19 +384,29 @@ class TestDispatcherAndLimits:
             run_strategy(StrategySpec(FIXED_COMPOSITION), config16,
                          np.random.default_rng(0))
 
-    def test_lockstep_step_limit_names_lowest_live_trial(self, config16,
+    @pytest.mark.parametrize("spec", [StrategySpec(FIXED_COMPOSITION),
+                                      StrategySpec(EXHAUSTIVE),
+                                      StrategySpec(TWO_STAGE, alpha=0.25)],
+                             ids=lambda s: s.label())
+    def test_lockstep_step_limit_names_lowest_live_trial(self, config16, spec,
                                                          monkeypatch):
-        spec = StrategySpec(FIXED_COMPOSITION)
         seeds = [trial_seed_for(1, i) for i in range(12)]
-        taus = [run_strategy(spec, config16, np.random.default_rng(s)).tau
+        recs = [run_strategy(spec, config16, np.random.default_rng(s))
                 for s in seeds]
-        limit = taus[0]  # trials 0 and 1 finish; trial 2 is the lowest live
+        # two_stage meets the limit in its first stage, a fixed_composition
+        # search over the sections
+        first = spec.kind == TWO_STAGE
+        label = FIXED_COMPOSITION if first else spec.kind
+        taus = [r.tau_stage1 if first else r.tau for r in recs]
+        limit = taus[0]  # trial 0 finishes on the limit, as do trials below stuck
         stuck = next(i for i, t in enumerate(taus) if t > limit)
-        assert stuck == 2
+        assert stuck >= 2
+        # inside a window of steps, so the window is cut short at the limit
+        assert limit % strat.CHUNK != 0
         monkeypatch.setattr(strat, "STEP_LIMIT", limit)
         rngs = [np.random.default_rng(s) for s in seeds]
         with pytest.raises(StepLimitExceeded,
-                           match=rf"^trial {100 + stuck}: fixed_composition "
+                           match=rf"^trial {100 + stuck}: {label} "
                                  rf"exceeded {limit} steps$"):
             run_rows(spec, config16, rngs, first_trial=100)
         with pytest.raises(StepLimitExceeded, match=rf"^trial {stuck}: "):
@@ -729,19 +739,50 @@ class TestLockstepRows:
                              ids=[s.label() for s in CHUNK_CASES])
     def test_records_do_not_depend_on_chunk(self, spec, monkeypatch):
         config = LOCKSTEP_CONFIGS["M16"]
+        pickers = []
 
-        def records():
+        class Recorded(strat.Draws):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pickers.extend(self.pickers)
+
+        monkeypatch.setattr(strat, "Draws", Recorded)
+
+        def run():
+            """The records, and every trial and picks stream's state after
+            the batch."""
+            pickers.clear()
             rngs = [np.random.default_rng(trial_seed_for(515, i))
                     for i in range(self.N)]
-            return self.as_tuples(*run_rows(spec, config, rngs))
+            records = self.as_tuples(*run_rows(spec, config, rngs))
+            return records, [g.bit_generator.state for g in rngs + pickers]
 
         chunk = strat.CHUNK
-        chunked = records()
+        window = Recorded.window
+        widths = []
+
+        def recorded_window(draws, cells):
+            widths.append(window(draws, cells))
+            return widths[-1]
+
+        monkeypatch.setattr(Recorded, "window", recorded_window)
+        chunked, states = run()
         # rows retire mid-chunk, and some only after their first chunk
         taus = [tau for tau, *_ in chunked]
         assert any(t % chunk for t in taus) and max(taus) > chunk
+        # a non-adaptive rule takes windows of many steps; an adaptive one
+        # takes one step at a time and never sizes a window
+        assert max(widths, default=1) > 1 or spec.kind in (
+            SORTED_PM, NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE)
+        # windows of one step make the same draws: the same records, and
+        # every stream ends in the same state
+        monkeypatch.setattr(Recorded, "window",
+                            lambda draws, cells: min(1, window(draws, cells)))
+        assert run() == (chunked, states)
+        # chunks of one step give the same records; a chunk draws ahead, so
+        # the stream states differ
         monkeypatch.setattr(strat, "CHUNK", 1)
-        assert records() == chunked
+        assert run()[0] == chunked
 
     def test_loose_epsilon_cases_include_failures(self):
         config = LOCKSTEP_CONFIGS["M16_eps0.2"]
