@@ -5,7 +5,10 @@ strategy here.  Updates happen in natural-log space: add log-likelihoods,
 shift so the maximum is zero, clamp at LOG_FLOOR_NATS (keeping every entry
 finite), and renormalize.  The update acts along the last axis, so a
 (rows, M) block of posteriors takes one call, each row bit-identical to
-updating it alone.  The potential U(rho) = sum_i rho_i log2(rho_i /
+updating it alone.  A posterior whose probe sets never read it may instead
+be carried as running sums of log-likelihood ratios, never renormalized,
+and normalized only to test a stop (`fold_sums`), a window of steps in
+one pass.  The potential U(rho) = sum_i rho_i log2(rho_i /
 (1 - rho_i)) is the Lyapunov functional whose per-step drift the bound
 arguments control; it is computed with expm1/logsumexp guards so posteriors
 within a whisker of certainty do not overflow.
@@ -23,6 +26,10 @@ from .model import MeasurementVector
 
 LOG_FLOOR_NATS = -1000.0
 LN2 = math.log(2.0)
+# Floats of running sums in one tile of a window, and the cells a step of a
+# tile from which its steps are summed one call a step (`fold_sums`).
+TILE_CELLS = 1 << 13
+WIDE_STEP = 256
 
 
 @dataclass(eq=False)
@@ -85,6 +92,68 @@ def update_log_probs(lp: np.ndarray, mask: np.ndarray, y,
     return renormalize_log_probs(lp)
 
 
+def fold_sums(sums: np.ndarray, masks: np.ndarray, llr: np.ndarray,
+              limit: float) -> tuple:
+    """Fold a window of w steps into a block of running log-likelihood
+    sums, sums (rows, size), in place: add each step's ratios llr (w, rows)
+    on its probed cells, masks (rows, w, size), and test the stop at every
+    step on that step's normalizer s = sum(exp(c - max c)): a row stops at
+    the first step with s <= limit.
+
+    A window of many steps runs in tiles of rows, at most TILE_CELLS floats
+    of sums over the window (and at least one row).  A tile's sums at every
+    step are a cumulative sum of its increments over the steps, each a
+    float added to the sum before it, so a tile gives every row the floats
+    it gets alone, one step at a time.  numpy accumulates along the steps
+    at a cost per cell of a step, so a tile with WIDE_STEP cells or more a
+    step adds each step to the last in one call instead.  A window of one
+    step adds in place.  Returns done, the rows that stop, and for each of
+    them the steps it takes in the window, its normalizer and its MAP cell
+    at the stop."""
+    rows, w, size = masks.shape
+    ends = np.zeros(rows, dtype=np.int64)
+    norms = np.empty(rows)
+    cells = np.empty(rows, dtype=np.int64)
+    tile = rows if w == 1 else max(1, TILE_CELLS // (w * size))
+    for lo in range(0, rows, tile):
+        part = slice(lo, lo + tile)
+        if w == 1:
+            np.add(sums, llr[0, :, None], out=sums, where=masks[:, 0])
+            c = sums[None]
+        else:
+            c = masks[part].transpose(1, 0, 2) * llr[:, part, None]
+            c[0] += sums[part]
+            if c[0].size < WIDE_STEP:
+                np.cumsum(c, axis=0, out=c)
+            else:
+                for j in range(1, w):
+                    c[j] += c[j - 1]
+            sums[part] = c[-1]
+        e = c - c.max(axis=2, keepdims=True)
+        np.exp(e, out=e)
+        s = e.sum(axis=2)
+        stop = s <= limit
+        if stop.any():
+            idx = stop.any(axis=0).nonzero()[0]
+            j = stop[:, idx].argmax(axis=0)
+            ends[lo + idx] = j + 1
+            norms[lo + idx] = s[j, idx]
+            cells[lo + idx] = c[j, idx].argmax(axis=1)
+    done = ends > 0
+    return done, ends[done], norms[done], cells[done]
+
+
+def normalizer_limit(log_thresh: float) -> float:
+    """The largest normalizer s with -log(s) >= log_thresh, so that the stop
+    s <= limit is the threshold test on the record's max log posterior."""
+    s = math.exp(-log_thresh)
+    while -math.log(s) < log_thresh:
+        s = math.nextafter(s, 0.0)
+    while -math.log(math.nextafter(s, math.inf)) >= log_thresh:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
 def bayes_update(rho: Posterior, probed, y: float, variance: float) -> Posterior:
     """Posterior after observing y from a probe of the given cells.
 
@@ -112,11 +181,12 @@ def u_log_probs(lp: np.ndarray) -> float:
     n = lp.size
     if n < 2:
         raise SizeOne("U is undefined on a single-cell posterior")
-    idx = int(np.argmax(lp))
-    # the argmax entry may sit at log(0); it is overwritten just below
-    with np.errstate(divide="ignore"):
-        log1m = np.log(-np.expm1(lp))
-    others = np.delete(lp, idx)
+    idx = int(lp.argmax())
+    log1m = np.expm1(lp)
+    np.negative(log1m, out=log1m)
+    log1m[idx] = 1.0  # 1 - rho may be 0 here; the slot is overwritten below
+    np.log(log1m, out=log1m)
+    others = np.concatenate((lp[:idx], lp[idx + 1:]))
     mx = others.max()
     log1m[idx] = mx + math.log(np.exp(others - mx).sum())
     rho = np.exp(lp)

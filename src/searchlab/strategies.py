@@ -12,15 +12,19 @@ stop once one cell holds posterior mass 1 - eps.  The engine runs trials
 in lockstep: `run_rows` takes one generator per trial, keeps their
 posteriors as the rows of one (rows, size) array, advances every live row
 by one probe per step and retires rows as they stop.  A non-adaptive rule
-(fixed composition, exhaustive), whose probe sets do not depend on the
+(fixed composition, exhaustive), whose probe sets never read the
 posterior, hands over a window of steps at once, as (rows, w, size)
 masks: the engine gathers the window's hits and computes its
-log-likelihood ratios in one pass, and each step then only adds them,
-renormalizes and tests the stop.  An adaptive rule has windows of one
-step.  Each row makes the draws, in the same order, and the arithmetic of
-a trial run alone, whatever the window.  `run_strategy` is the batch of
-one, a one-row block, and a block's last live row stays a row of it, so
-the engine has one code path.  Two-stage
+log-likelihood ratios in one pass.  Such a row's posterior is carried as
+running sums of those ratios from the uniform prior, never renormalized:
+a window is folded in one pass per tile of rows, a cumulative sum over
+its steps, and each step's normalizer sum(exp(c - max c)) is taken only
+to test the stop.  An adaptive rule has windows of one step, each folded
+in and renormalized.  Each row makes the draws, in the same order, and
+the arithmetic of a trial run alone, so a record depends only on its
+trial's draws, not on the window, the chunk, the block or the tile.
+`run_strategy` is the batch of one, a one-row block, and a block's last
+live row stays a row of it, so the engine has one code path.  Two-stage
 search chains two searches.  The two bisection strategies are one stateful
 rule, `_bisection_rule`: each row narrows its own window of the posterior,
 reads each half's mass from one cell, since every cell of a half holds the
@@ -35,8 +39,9 @@ draws its probe sets from a second stream per trial, derived from the
 trial generator before the target draw without drawing from it, a chunk
 of steps at a time (`pick_cells`).  A window ends where a chunk does, so
 a record does not depend on the chunk or the window.  `sim.drift_probe`
-runs the same rules on a one-row block, with chunks, and so windows, of
-one step.
+runs the same probe rules on a one-row block, with chunks, and so
+windows, of one step, each folded in and renormalized (`fold`), fixed
+composition's too.
 
 Strategies
 ----------
@@ -59,7 +64,8 @@ import numpy as np
 from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
 from .errors import StepLimitExceeded, ValidationError
 # update_log_probs is unused here but stays bound: bench/tracer.py patches it.
-from .inference import renormalize_log_probs, update_log_probs
+from .inference import (fold_sums, normalizer_limit, renormalize_log_probs,
+                        update_log_probs)
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
@@ -74,6 +80,8 @@ TWO_STAGE = "two_stage"
 NOISY_BINARY_FIXED = "noisy_binary_fixed"
 NOISY_BINARY_VARIABLE = "noisy_binary_variable"
 EXHAUSTIVE = "exhaustive"
+# The settle of a non-adaptive rule (see _search).
+NON_ADAPTIVE = "non_adaptive"
 
 KINDS = (FIXED_COMPOSITION, SORTED_PM, TWO_STAGE,
          NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE, EXHAUSTIVE)
@@ -251,11 +259,13 @@ class Draws:
         masks[np.arange(rows * w)[:, None], cells] = True
         return masks.reshape(rows, w, grid)
 
-    def retire(self, done: np.ndarray) -> None:
-        """Drop the rows that done marks, keeping their unread normals."""
-        for row, rest in zip(self.rows[done].tolist(),
-                             self.normals[self.read:, done].T):
-            self.spare[row] = rest
+    def retire(self, done: np.ndarray, read: np.ndarray | None = None) -> None:
+        """Drop the rows that done marks, keeping their unread normals: from
+        the chunk position read of each, by default the block's."""
+        rows = self.rows[done].tolist()
+        read = [self.read] * len(rows) if read is None else read.tolist()
+        for row, first, col in zip(rows, read, done.nonzero()[0].tolist()):
+            self.spare[row] = self.normals[first:, col].copy()
         keep = ~done
         self.rows, self.normals = self.rows[keep], self.normals[:, keep]
         self.picks = self.picks[keep]
@@ -310,27 +320,31 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     probe(lp, step, draws) -> (masks, variances, reps) maps the live rows'
     log posteriors lp (rows, size), and the rule's own per-row state, to
     the probed sets of a window of w steps, masks (rows, w, size), and
-    their noise variances.  A non-adaptive rule, whose sets do not depend
-    on lp, hands over a window sized by draws (`Draws.window`), reading
-    each live row's picks from draws; an adaptive rule has w = 1.  reps is
-    None for one observation per row a step, else each row's count of
-    observations, folded into one update (w = 1).  settle(lp, tops) ->
-    which rows retire, given the row maxima tops after a step's update; it
-    drops the retiring rows from the rule's state.  settle None is the
-    threshold stop: a row retires once one cell holds posterior mass
-    1 - eps, and starts only if the uniform prior holds less.  A rule with
-    its own settle starts every row when size > 1.  A row's steps are its
-    observations; a step that would take a row past STEP_LIMIT raises
-    before it is observed, so a fixed level's normals are never drawn past
-    it.
+    their noise variances.  reps is None for one observation per row a
+    step, else each row's count of observations, folded into one update.
+    settle(lp, tops) -> which rows retire, given the row maxima tops after
+    a step's update; it drops the retiring rows from the rule's state.
+    settle None is the threshold stop: a row retires once one cell holds
+    posterior mass 1 - eps, and starts only if the uniform prior holds
+    less.  A rule with its own settle starts every row when size > 1.  A
+    row's steps are its observations; a step that would take a row past
+    STEP_LIMIT raises before it is observed, so a fixed level's normals are
+    never drawn past it.
 
-    The window's hits and log-likelihood ratios are computed at once; each
-    step then folds its ratios in, tests the stop and retires rows.  A
-    target outside [0, size) is never hit (a failed first stage): that
-    row still stops, on a wrong cell.  Each row sees the same draws and
-    arithmetic as if it ran alone, whatever the window.  Returns per-row
-    (steps, MAP cell, final max posterior) arrays."""
+    An adaptive rule has windows of one step, each folded in by Bayes' rule
+    and renormalized (`fold`).  A non-adaptive rule, whose sets never read
+    lp, marks itself with settle NON_ADAPTIVE, the threshold stop: it hands
+    over a window sized by draws (`Draws.window`), reading each live row's
+    picks from draws, and its lp are running sums of log-likelihood ratios
+    from zero, the uniform prior, never renormalized, folded a window at a time
+    and normalized only to test the stop (`fold_sums`).  A record
+    therefore depends only on its trial's draws, not on where a window
+    ends.  A target outside [0, size) is never hit (a failed first stage):
+    that row still stops, on a wrong cell.  Each row sees the same draws
+    and arithmetic as if it ran alone.  Returns per-row (steps, MAP cell,
+    final max posterior) arrays."""
     probe, settle = rule
+    sums = settle is NON_ADAPTIVE
     targets = np.asarray(targets, dtype=np.int64)
     n = targets.size
     log_thresh = math.log1p(-eps)
@@ -338,11 +352,13 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     steps = np.zeros(n, dtype=np.int64)
     cells = np.zeros(n, dtype=np.int64)
     top = np.full(n, start)
-    starts = size > 1 and (settle is not None or start < log_thresh)
+    starts = size > 1 and (callable(settle) or start < log_thresh)
     live = np.arange(n if starts else 0)
+    limit = normalizer_limit(log_thresh) if sums and starts else None
     taken = np.zeros(n, dtype=np.int64)  # each live row's observations, with reps
-    lp = np.full((n, size), start)
+    lp = np.full((n, size), 0.0 if sums else start)
     on_grid = (targets >= 0) & (targets < size)
+    off_grid = not on_grid.all()
     hit_cell = np.where(on_grid, targets, 0)
     at = np.arange(live.size)
     step = 0
@@ -358,24 +374,35 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
                     if taken.max() > STEP_LIMIT else None)
         if over is not None:
             raise _step_limit(label, first_trial, int(live[over]))
-        llr = observe(masks[at, :, hit_cell].T & on_grid, v, draws, reps)
-        for j in range(w):
-            row_top = fold(lp, masks[:, j], llr[j], draws)
-            step += 1
+        # a step alone is gathered in 2-D, cheaper than a window's 3-D gather;
+        # only a failed first stage puts a target off the grid
+        hit = masks[at, 0, hit_cell][None] if w == 1 else masks[at, :w, hit_cell].T
+        if off_grid:
+            hit &= on_grid
+        llr = observe(hit, v, draws, reps)
+        if sums:
+            done, ends, norms, ended_cells = fold_sums(lp, masks[:, :w], llr, limit)
+            read = draws.read + ends
+            draws.read += w
+        else:
+            row_top = fold(lp, masks[:, 0], llr[0], draws)
             done = row_top >= log_thresh if settle is None else settle(lp, row_top)
-            if done.any():
-                ended = live[done]
-                steps[ended] = step if reps is None else taken[done]
+            ends, read = 1, None
+        if done.any():
+            ended = live[done]
+            steps[ended] = step + ends if reps is None else taken[done]
+            if sums:
+                top[ended] = [-math.log(s) for s in norms.tolist()]
+                cells[ended] = ended_cells
+            else:
                 top[ended] = row_top[done]
                 cells[ended] = lp[done].argmax(axis=1)
-                keep = ~done
-                live, lp, taken = live[keep], lp[keep], taken[keep]
-                masks, llr = masks[keep], llr[:, keep]
-                at = at[:live.size]
-                hit_cell, on_grid = hit_cell[keep], on_grid[keep]
-                draws.retire(done)
-                if not live.size:
-                    break
+            keep = ~done
+            live, lp, taken = live[keep], lp[keep], taken[keep]
+            at = at[:live.size]
+            hit_cell, on_grid = hit_cell[keep], on_grid[keep]
+            draws.retire(done, read)
+        step += w
     # math.exp per row, not np.exp, which may differ from libm in the last
     # bit: final_max_prob is kept bit for bit
     return steps, cells, np.array([math.exp(t) for t in top.tolist()])
@@ -393,7 +420,7 @@ def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
 
     def probe(lp, step, draws):
         return draws.pick(grid, k), v, None
-    return probe, None
+    return probe, NON_ADAPTIVE
 
 
 def _sorted_pm_rule(config: SearchConfig):
@@ -417,7 +444,7 @@ def _round_robin_rule(config: SearchConfig):
         masks = np.zeros((w, m), dtype=bool)
         masks[np.arange(w), (step + np.arange(w)) % m] = True
         return np.broadcast_to(masks, (lp.shape[0], w, m)), v, None
-    return probe, None
+    return probe, NON_ADAPTIVE
 
 
 def probe_rule(kind: str, config: SearchConfig):

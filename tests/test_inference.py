@@ -13,6 +13,7 @@ from searchlab.inference import (
     Posterior,
     bayes_update,
     init_uniform,
+    normalizer_limit,
     renormalize_log_probs,
     u_log_probs,
     update_log_probs,
@@ -135,6 +136,17 @@ class TestRowUpdates:
         tops = renormalize_log_probs(lp)
         np.testing.assert_array_equal(tops, lp.max(axis=1))
         np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, rtol=1e-15)
+
+
+class TestNormalizerLimit:
+    @pytest.mark.parametrize("eps", [1e-300, 1e-12, 1e-4, 1e-3, 0.2, 0.5, 0.9])
+    def test_stop_is_the_threshold_test(self, eps):
+        # s <= limit exactly when the max log posterior -log(s) clears
+        # log1p(-eps)
+        log_thresh = math.log1p(-eps)
+        limit = normalizer_limit(log_thresh)
+        assert -math.log(limit) >= log_thresh
+        assert -math.log(math.nextafter(limit, math.inf)) < log_thresh
 
 
 class TestUFunctional:

@@ -710,3 +710,24 @@ class TestCli:
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_runs_load_no_numpy_ma(self, tmp_path):
+        # numpy.ma, which some numpy functions (np.unique) import lazily, adds
+        # about 1.3 MB to a process: no simulation or drift probe loads it
+        path = [str(Path(searchlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        config = ["--B", "16", "--delta", "1", "--sigma2", "0.25", "--epsilon", "1e-3"]
+        runs = [["simulate", *config, "--strategy", kind, "--trials", "8",
+                 "--out", str(tmp_path)]
+                + (["--alpha", "0.25"] if kind == "two_stage" else [])
+                for kind in ("fixed_composition", "sorted_pm", "two_stage",
+                             "noisy_binary_fixed", "noisy_binary_variable",
+                             "exhaustive")]
+        runs += [["drift-probe", *config, "--strategy", kind, "--steps", "10000"]
+                 for kind in ("fixed_composition", "sorted_pm")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from searchlab.cli import main; "
+             f"codes = [main(args) for args in {runs!r}]; "
+             "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+        assert proc.stderr == f"{[0] * len(runs)} False\n"

@@ -3,16 +3,18 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import searchlab.inference as inference
 import searchlab.strategies as strat
 from searchlab.errors import InvalidAlpha, StepLimitExceeded
 from searchlab.model import MAX_CELLS, NoiseModel, new_config
-from searchlab.sim import run_trials, trial_seed_for
+from searchlab.sim import BLOCK_CELLS, run_trials, trial_seed_for
 from searchlab.strategies import (
     EXHAUSTIVE,
     FIXED_COMPOSITION,
@@ -442,7 +444,9 @@ class TestDispatcherAndLimits:
 # trial_seed_for(GOLDEN_MASTER_SEED, 0..4), recorded from the per-strategy
 # loops before they were folded into one search engine.  The
 # fixed_composition and two_stage entries off M1 were recorded again when
-# composition probe sets moved to a picks stream of their own.
+# composition probe sets moved to a picks stream of their own, and the
+# first M32_power fixed_composition trial, 2 ulps lower, when non-adaptive
+# rows became running log-likelihood sums.
 GOLDEN_MASTER_SEED = 2024
 GOLDEN_CONFIGS = {
     "M1": new_config(1, 1, 0.25, 1e-4),
@@ -511,7 +515,7 @@ TRIAL_GOLDEN = {
         (56, 56, True, "0x1.ffffabd25ba26p-1"),
     ],
     ("M32_power", "fixed_composition"): [
-        (6, 0, True, "0x1.c31767c56b177p-1"),
+        (6, 0, True, "0x1.c31767c56b175p-1"),
         (23, 0, True, "0x1.fba56e0f50d50p-1"),
         (49, 0, True, "0x1.9c9a1640fdbc5p-1"),
         (74, 0, True, "0x1.c4f2feba9be0ap-1"),
@@ -709,6 +713,22 @@ LOCKSTEP_CASES = (
                         ("M32_power", 1 / 32), ("M16_eps0.2", 0.25),
                         ("M16_eps0.2", 1 / 16))])
 
+# Every non-adaptive kind, whose posterior is carried as running sums.
+NON_ADAPTIVE_CASES = (
+    [(c, StrategySpec(kind)) for c in LOCKSTEP_CONFIGS
+     for kind in (FIXED_COMPOSITION, EXHAUSTIVE)]
+    + [(c, spec) for c, spec in LOCKSTEP_CASES if spec.kind == TWO_STAGE])
+
+
+def renormalizing(make_rule):
+    """A non-adaptive rule maker whose rules stop by the threshold on a
+    renormalized posterior, as an adaptive rule's do."""
+    def rule(*args):
+        probe, _ = make_rule(*args)
+        return probe, None
+    return rule
+
+
 CHUNK_CASES = ([StrategySpec(kind) for kind in KINDS if kind != TWO_STAGE]
                + [StrategySpec(TWO_STAGE, alpha=alpha) for alpha in (0.25, 1 / 16)])
 
@@ -779,10 +799,57 @@ class TestLockstepRows:
         monkeypatch.setattr(Recorded, "window",
                             lambda draws, cells: min(1, window(draws, cells)))
         assert run() == (chunked, states)
+        # a non-adaptive window folded in tiles of one row, or in one tile
+        # of the whole block, gives the same records and draws
+        monkeypatch.setattr(Recorded, "window", window)
+        for cells in (1, 1 << 40):
+            monkeypatch.setattr(inference, "TILE_CELLS", cells)
+            assert run() == (chunked, states)
         # chunks of one step give the same records; a chunk draws ahead, so
         # the stream states differ
         monkeypatch.setattr(strat, "CHUNK", 1)
         assert run()[0] == chunked
+
+    @pytest.mark.parametrize("case, spec", NON_ADAPTIVE_CASES,
+                             ids=[f"{c}-{s.label()}" for c, s in NON_ADAPTIVE_CASES])
+    def test_running_sums_match_renormalizing_reference(self, case, spec,
+                                                         monkeypatch):
+        config = LOCKSTEP_CONFIGS[case]
+
+        def run():
+            rngs = [np.random.default_rng(trial_seed_for(515, i))
+                    for i in range(self.N)]
+            return run_rows(spec, config, rngs)
+
+        tau, tau1, success, pmax = run()
+        # the reference: each step of a non-adaptive rule folded in and
+        # renormalized (strategies.fold), as an adaptive rule's is
+        for name in ("_composition_rule", "_round_robin_rule"):
+            monkeypatch.setattr(strat, name, renormalizing(getattr(strat, name)))
+        window = strat.Draws.window
+        monkeypatch.setattr(strat.Draws, "window",
+                            lambda draws, cells: min(1, window(draws, cells)))
+        ref_tau, ref_tau1, ref_success, ref_pmax = run()
+        assert tau.tolist() == ref_tau.tolist()
+        assert tau1.tolist() == ref_tau1.tolist()
+        assert success.tolist() == ref_success.tolist()
+        # both are positive floats, so their bit patterns count ulps
+        ulps = np.abs(pmax.view(np.int64) - ref_pmax.view(np.int64))
+        assert ulps.max() <= 4
+
+    def test_full_block_peak_memory(self):
+        # a full simulation block at M=128; the limit is the peak measured
+        # with every step folded in and renormalized
+        config = LOCKSTEP_CONFIGS["M128"]
+        rngs = [np.random.default_rng(trial_seed_for(515, i))
+                for i in range(BLOCK_CELLS // config.M)]
+        tracemalloc.start()
+        try:
+            run_rows(StrategySpec(FIXED_COMPOSITION), config, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.37 * 2 ** 20
 
     def test_loose_epsilon_cases_include_failures(self):
         config = LOCKSTEP_CONFIGS["M16_eps0.2"]
