@@ -1,17 +1,18 @@
 """Posterior tracking over cell locations, in log domain.
 
 The posterior over the M cells is the sufficient statistic for every
-strategy here.  Updates happen in natural-log space: add log-likelihoods,
-shift so the maximum is zero, clamp at LOG_FLOOR_NATS (keeping every entry
-finite), and renormalize.  The update acts along the last axis, so a
-(rows, M) block of posteriors takes one call, each row bit-identical to
-updating it alone.  A posterior whose probe sets never read it may instead
-be carried as running sums of log-likelihood ratios, never renormalized,
-and normalized only to test a stop (`fold_sums`), a window of steps in
-one pass.  The potential U(rho) = sum_i rho_i log2(rho_i /
-(1 - rho_i)) is the Lyapunov functional whose per-step drift the bound
-arguments control; it is computed with expm1/logsumexp guards so posteriors
-within a whisker of certainty do not overflow.
+strategy here.  `update_log_probs` adds log-likelihoods in natural-log
+space, shifts so the maximum is zero, clamps at LOG_FLOOR_NATS (keeping
+every entry finite) and renormalizes, along the last axis, so a (rows, M)
+block takes one call, each row bit-identical to updating it alone.  The
+search engine instead carries every posterior as running sums of
+log-likelihood ratios, never renormalized, normalized only to test a stop
+(`fold_sums`, a window of steps in one pass): its rules read only the
+order of the sums and ratios of cell masses, which a shift leaves alone.
+The potential U(rho) = sum_i rho_i log2(rho_i / (1 - rho_i)) is the
+Lyapunov functional whose per-step drift the bound arguments control; it
+is computed with expm1/logsumexp guards so posteriors within a whisker of
+certainty do not overflow.
 """
 
 from __future__ import annotations
@@ -108,30 +109,29 @@ def fold_sums(sums: np.ndarray, masks: np.ndarray, llr: np.ndarray,
     at a cost per cell of a step, so a tile with WIDE_STEP cells or more a
     step adds each step to the last in one call instead.  A window of one
     step adds in place.  Returns done, the rows that stop, and for each of
-    them the steps it takes in the window, its normalizer and its MAP cell
-    at the stop."""
+    them the steps it takes in the window (one for all in a window of one
+    step), its normalizer and its MAP cell at the stop."""
     rows, w, size = masks.shape
+    if w == 1:
+        np.add(sums, llr[0, :, None], out=sums, where=masks[:, 0])
+        s = normalizers(sums)
+        done = s <= limit
+        return done, 1, s[done], sums[done].argmax(axis=1)
     ends = np.zeros(rows, dtype=np.int64)
     norms = np.empty(rows)
     cells = np.empty(rows, dtype=np.int64)
-    tile = rows if w == 1 else max(1, TILE_CELLS // (w * size))
+    tile = max(1, TILE_CELLS // (w * size))
     for lo in range(0, rows, tile):
         part = slice(lo, lo + tile)
-        if w == 1:
-            np.add(sums, llr[0, :, None], out=sums, where=masks[:, 0])
-            c = sums[None]
+        c = masks[part].transpose(1, 0, 2) * llr[:, part, None]
+        c[0] += sums[part]
+        if c[0].size < WIDE_STEP:
+            np.cumsum(c, axis=0, out=c)
         else:
-            c = masks[part].transpose(1, 0, 2) * llr[:, part, None]
-            c[0] += sums[part]
-            if c[0].size < WIDE_STEP:
-                np.cumsum(c, axis=0, out=c)
-            else:
-                for j in range(1, w):
-                    c[j] += c[j - 1]
-            sums[part] = c[-1]
-        e = c - c.max(axis=2, keepdims=True)
-        np.exp(e, out=e)
-        s = e.sum(axis=2)
+            for j in range(1, w):
+                c[j] += c[j - 1]
+        sums[part] = c[-1]
+        s = normalizers(c)
         stop = s <= limit
         if stop.any():
             idx = stop.any(axis=0).nonzero()[0]
@@ -141,6 +141,13 @@ def fold_sums(sums: np.ndarray, masks: np.ndarray, llr: np.ndarray,
             cells[lo + idx] = c[j, idx].argmax(axis=1)
     done = ends > 0
     return done, ends[done], norms[done], cells[done]
+
+
+def normalizers(sums: np.ndarray) -> np.ndarray:
+    """Each row c's normalizer sum(exp(c - max c)), along the last axis."""
+    e = sums - sums.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e.sum(axis=-1)
 
 
 def normalizer_limit(log_thresh: float) -> float:

@@ -28,12 +28,12 @@ import numpy as np
 
 from .channel import optimal_composition, bawgn_capacity
 from .errors import ValidationError
-from .inference import u_log_probs, update_log_probs
+from .inference import renormalize_log_probs, u_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord
 # update_log_probs, random_composition_mask and sorted_pm_mask are unused
 # here but stay bound: bench/tracer.py patches them.
 from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, Draws,
-                         StrategySpec, draw_targets, fold, observe, probe_rule,
+                         StrategySpec, draw_targets, observe, probe_rule,
                          random_composition_mask, run_rows, run_strategy,
                          sorted_pm_mask)
 
@@ -194,7 +194,9 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
             u_prev = u_log_probs(lp[0])
         masks, v, _ = probe(lp, i, draws)
         llr = observe(masks[:, :, target[0]].T, v, draws)
-        top = fold(lp, masks[:, 0], llr[0], draws)
+        np.add(lp, llr[0, :, None], out=lp, where=masks[:, 0])
+        draws.read += 1
+        top = renormalize_log_probs(lp)
         u_now = u_log_probs(lp[0])
         increments[i] = u_now - u_prev
         u_prev = u_now

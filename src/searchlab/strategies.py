@@ -11,17 +11,17 @@ stop retires a row; fixed composition, sorted-PM and exhaustive search
 stop once one cell holds posterior mass 1 - eps.  The engine runs trials
 in lockstep: `run_rows` takes one generator per trial, keeps their
 posteriors as the rows of one (rows, size) array, advances every live row
-by one probe per step and retires rows as they stop.  A non-adaptive rule
-(fixed composition, exhaustive), whose probe sets never read the
-posterior, hands over a window of steps at once, as (rows, w, size)
-masks: the engine gathers the window's hits and computes its
-log-likelihood ratios in one pass.  Such a row's posterior is carried as
-running sums of those ratios from the uniform prior, never renormalized:
-a window is folded in one pass per tile of rows, a cumulative sum over
-its steps, and each step's normalizer sum(exp(c - max c)) is taken only
-to test the stop.  An adaptive rule has windows of one step, each folded
-in and renormalized.  Each row makes the draws, in the same order, and
-the arithmetic of a trial run alone, so a record depends only on its
+by one probe per step and retires rows as they stop.  Every row's
+posterior is carried as running sums of log-likelihood ratios from zero,
+the uniform prior, never renormalized: every rule reads only the order of
+the sums and ratios of cell masses, which a shift leaves alone, and each
+step's normalizer sum(exp(c - max c)) is taken only to test the stop.  A
+non-adaptive rule (fixed composition, exhaustive), whose probe sets never
+read the posterior, hands over a window of steps at once, as (rows, w,
+size) masks, whose hits and log-likelihood ratios the engine takes in one
+pass and folds in one pass per tile of rows (`fold_sums`); an adaptive
+rule hands over one step.  Each row makes the draws, in the same order,
+and the arithmetic of a trial run alone, so a record depends only on its
 trial's draws, not on the window, the chunk, the block or the tile.
 `run_strategy` is the batch of one, a one-row block, and a block's last
 live row stays a row of it, so the engine has one code path.  Two-stage
@@ -40,8 +40,7 @@ trial generator before the target draw without drawing from it, a chunk
 of steps at a time (`pick_cells`).  A window ends where a chunk does, so
 a record does not depend on the chunk or the window.  `sim.drift_probe`
 runs the same probe rules on a one-row block, with chunks, and so
-windows, of one step, each folded in and renormalized (`fold`), fixed
-composition's too.
+windows, of one step, and renormalizes its row after each.
 
 Strategies
 ----------
@@ -63,9 +62,9 @@ import numpy as np
 
 from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
 from .errors import StepLimitExceeded, ValidationError
-# update_log_probs is unused here but stays bound: bench/tracer.py patches it.
-from .inference import (fold_sums, normalizer_limit, renormalize_log_probs,
-                        update_log_probs)
+# bench/tracer.py patches renormalize_log_probs and update_log_probs here.
+from .inference import (fold_sums, normalizer_limit, normalizers,
+                        renormalize_log_probs, update_log_probs)
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
@@ -80,8 +79,6 @@ TWO_STAGE = "two_stage"
 NOISY_BINARY_FIXED = "noisy_binary_fixed"
 NOISY_BINARY_VARIABLE = "noisy_binary_variable"
 EXHAUSTIVE = "exhaustive"
-# The settle of a non-adaptive rule (see _search).
-NON_ADAPTIVE = "non_adaptive"
 
 KINDS = (FIXED_COMPOSITION, SORTED_PM, TWO_STAGE,
          NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE, EXHAUSTIVE)
@@ -119,27 +116,35 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
     A generator draws all its steps in one call, the same values and state
     as steps * k calls."""
     highs = np.tile(grid - np.arange(k), steps)  # one bound a draw, in order
-    j = np.stack([g.integers(0, highs) for g in gens]).ravel()
+    j = np.stack([g.integers(0, highs) for g in gens]).reshape(-1, k)
+    j += np.arange(k)                     # swap i exchanges entries i and j >= i
     n = j.size
-    col = np.tile(np.arange(k), n // k)  # each draw's swap i
-    starts = np.arange(0, n, k)          # where each shuffle's draws start
-    base = starts.repeat(k)
-    j += col                             # swap i exchanges entries i and j >= i
+    starts = np.arange(0, n, k)[:, None]  # where each shuffle's draws start
     # Every shuffle is run at once on one flat table: an entry for each of
     # its entries below k, and one for each distinct entry >= k that it
     # swaps with, found as the first of a run of equal j in sorted order.
-    order = np.argsort(j.reshape(-1, k), axis=1, kind="stable").ravel() + base
-    ranked = j[order]
+    # A temporary of n entries is dropped once used: a full simulation
+    # block's chunk of picks holds n = 2^16.
+    order = np.argsort(j, axis=1, kind="stable") + starts
+    ranked = j.ravel()[order]
+    del j
+    flat = ranked.ravel()
     first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
     first[::k] = True
+    at = np.cumsum(first) + (n - 1)
+    np.add(ranked, starts, out=at.reshape(-1, k), where=ranked < k)
+    extra = flat[first]
+    del ranked, flat, first
     slot = np.empty(n, dtype=np.int64)
-    slot[order] = np.where(ranked < k, base + ranked, n - 1 + np.cumsum(first))
-    slot = slot.reshape(-1, k)
-    table = np.concatenate((col, ranked[first]))
+    slot[order.ravel()] = at
+    del order, at
+    table = np.empty(n + extra.size, dtype=np.int64)
+    table[:n].reshape(-1, k)[:] = np.arange(k)
+    table[n:] = extra
+    del extra
     for i in range(k):
-        at, here = slot[:, i], starts + i
+        at, here = slot[i::k], starts[:, 0] + i
         cell = table[at]
         table[at] = table[here]
         table[here] = cell
@@ -159,25 +164,26 @@ def random_composition_mask(size: int, k: int, rng: np.random.Generator) -> np.n
     return mask
 
 
-def sorted_pm_mask(probs: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
-    """Probe mask of the sorted-PM rule.
+def sorted_pm_mask(weights: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+    """Probe mask of the sorted-PM rule, given posterior weights that need
+    not sum to one.
 
-    Sort cells by posterior descending (stable, so ties keep ascending
-    index), then probe the shortest prefix whose cumulative mass is closest
-    to 1/2; ties in the distance pick the smaller prefix.  A (rows, size)
+    Sort cells by weight descending (stable, so ties keep ascending index),
+    then probe the shortest prefix whose weight is closest to half the
+    total; ties in the distance pick the smaller prefix.  A (rows, size)
     array is handled row by row, and k is then an array of prefix lengths.
     """
-    order = np.argsort(-probs, axis=-1, kind="stable")
-    mask = np.zeros(probs.shape, dtype=bool)
-    if probs.ndim == 1:
-        csum = np.cumsum(probs[order])
-        k = int(np.argmin(np.abs(csum - 0.5))) + 1
+    order = np.argsort(-weights, axis=-1, kind="stable")
+    mask = np.zeros(weights.shape, dtype=bool)
+    if weights.ndim == 1:
+        csum = np.cumsum(weights[order])
+        k = int(np.argmin(np.abs(csum - 0.5 * csum[-1]))) + 1
         mask[order[:k]] = True
         return mask, k
-    rows = np.arange(probs.shape[0])[:, None]
-    csum = np.cumsum(probs[rows, order], axis=1)
-    k = np.argmin(np.abs(csum - 0.5), axis=1) + 1
-    mask[rows, order] = np.arange(probs.shape[1]) < k[:, None]
+    rows = np.arange(weights.shape[0])[:, None]
+    csum = np.cumsum(weights[rows, order], axis=1)
+    k = np.argmin(np.abs(csum - 0.5 * csum[:, -1:]), axis=1) + 1
+    mask[rows, order] = np.arange(weights.shape[1]) < k[:, None]
     return mask, k
 
 
@@ -259,11 +265,11 @@ class Draws:
         masks[np.arange(rows * w)[:, None], cells] = True
         return masks.reshape(rows, w, grid)
 
-    def retire(self, done: np.ndarray, read: np.ndarray | None = None) -> None:
+    def retire(self, done: np.ndarray, read: np.ndarray | int) -> None:
         """Drop the rows that done marks, keeping their unread normals: from
-        the chunk position read of each, by default the block's."""
+        the chunk position read of each, or one for all."""
         rows = self.rows[done].tolist()
-        read = [self.read] * len(rows) if read is None else read.tolist()
+        read = read.tolist() if isinstance(read, np.ndarray) else [read] * len(rows)
         for row, first, col in zip(rows, read, done.nonzero()[0].tolist()):
             self.spare[row] = self.normals[first:, col].copy()
         keep = ~done
@@ -297,17 +303,6 @@ def observe(hit: np.ndarray, v, draws: Draws,
                                                reps.tolist(), draws.gens)]])
 
 
-def fold(lp: np.ndarray, masks: np.ndarray, llr: np.ndarray,
-         draws: Draws) -> np.ndarray:
-    """One step's Bayes update of the block lp in place: add each row's
-    log-likelihood ratio llr on its probed cells, masks (rows, size),
-    renormalize, and mark the step's normals read.  Returns the row
-    maxima of the renormalized block."""
-    np.add(lp, llr[:, None], out=lp, where=masks)
-    draws.read += 1
-    return renormalize_log_probs(lp)
-
-
 def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
             first_trial: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep search: one row per target, drawing from that row of draws,
@@ -320,31 +315,28 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     probe(lp, step, draws) -> (masks, variances, reps) maps the live rows'
     log posteriors lp (rows, size), and the rule's own per-row state, to
     the probed sets of a window of w steps, masks (rows, w, size), and
-    their noise variances.  reps is None for one observation per row a
+    their noise variances.  lp are running sums of log-likelihood ratios
+    from zero, the uniform prior, never renormalized: each row's log
+    posterior up to a shift.  reps is None for one observation per row a
     step, else each row's count of observations, folded into one update.
-    settle(lp, tops) -> which rows retire, given the row maxima tops after
-    a step's update; it drops the retiring rows from the rule's state.
-    settle None is the threshold stop: a row retires once one cell holds
-    posterior mass 1 - eps, and starts only if the uniform prior holds
-    less.  A rule with its own settle starts every row when size > 1.  A
-    row's steps are its observations; a step that would take a row past
-    STEP_LIMIT raises before it is observed, so a fixed level's normals are
-    never drawn past it.
+    settle(lp) -> which rows retire, read from the sums after a step's
+    update; it drops the retiring rows from the rule's state.  settle None
+    is the threshold stop: a row retires once one cell holds posterior
+    mass 1 - eps, tested on each step's normalizer (`fold_sums`), and
+    starts only if the uniform prior holds less.  A rule with its own
+    settle starts every row when size > 1.  A row's steps are its
+    observations; a step that would take a row past STEP_LIMIT raises
+    before it is observed: a fixed level's normals are never drawn past it.
 
-    An adaptive rule has windows of one step, each folded in by Bayes' rule
-    and renormalized (`fold`).  A non-adaptive rule, whose sets never read
-    lp, marks itself with settle NON_ADAPTIVE, the threshold stop: it hands
-    over a window sized by draws (`Draws.window`), reading each live row's
-    picks from draws, and its lp are running sums of log-likelihood ratios
-    from zero, the uniform prior, never renormalized, folded a window at a time
-    and normalized only to test the stop (`fold_sums`).  A record
-    therefore depends only on its trial's draws, not on where a window
-    ends.  A target outside [0, size) is never hit (a failed first stage):
-    that row still stops, on a wrong cell.  Each row sees the same draws
-    and arithmetic as if it ran alone.  Returns per-row (steps, MAP cell,
-    final max posterior) arrays."""
+    The window is the masks' second axis: one step for an adaptive rule;
+    as many as draws allow (`Draws.window`) for a non-adaptive one, whose
+    sets never read lp and which reads each live row's picks from draws.
+    A target outside [0, size) is never hit (a failed first stage): that
+    row still stops, on a wrong cell.  Each row sees the same draws and
+    arithmetic as if it ran alone, wherever a window ends.  Returns per-row
+    (steps, MAP cell, final max posterior exp(-log s) of its normalizer s)
+    arrays."""
     probe, settle = rule
-    sums = settle is NON_ADAPTIVE
     targets = np.asarray(targets, dtype=np.int64)
     n = targets.size
     log_thresh = math.log1p(-eps)
@@ -354,9 +346,9 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     top = np.full(n, start)
     starts = size > 1 and (callable(settle) or start < log_thresh)
     live = np.arange(n if starts else 0)
-    limit = normalizer_limit(log_thresh) if sums and starts else None
+    limit = normalizer_limit(log_thresh) if settle is None and starts else None
     taken = np.zeros(n, dtype=np.int64)  # each live row's observations, with reps
-    lp = np.full((n, size), 0.0 if sums else start)
+    lp = np.zeros((n, size))
     on_grid = (targets >= 0) & (targets < size)
     off_grid = not on_grid.all()
     hit_cell = np.where(on_grid, targets, 0)
@@ -380,23 +372,20 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
         if off_grid:
             hit &= on_grid
         llr = observe(hit, v, draws, reps)
-        if sums:
+        if settle is None:
             done, ends, norms, ended_cells = fold_sums(lp, masks[:, :w], llr, limit)
-            read = draws.read + ends
-            draws.read += w
         else:
-            row_top = fold(lp, masks[:, 0], llr[0], draws)
-            done = row_top >= log_thresh if settle is None else settle(lp, row_top)
-            ends, read = 1, None
+            np.add(lp, llr[0, :, None], out=lp, where=masks[:, 0])
+            done, ends = settle(lp), 1
+        read = draws.read + ends
+        draws.read += w
         if done.any():
             ended = live[done]
             steps[ended] = step + ends if reps is None else taken[done]
-            if sums:
-                top[ended] = [-math.log(s) for s in norms.tolist()]
-                cells[ended] = ended_cells
-            else:
-                top[ended] = row_top[done]
-                cells[ended] = lp[done].argmax(axis=1)
+            if settle is not None:
+                norms, ended_cells = normalizers(lp[done]), lp[done].argmax(axis=1)
+            top[ended] = [-math.log(s) for s in norms.tolist()]
+            cells[ended] = ended_cells
             keep = ~done
             live, lp, taken = live[keep], lp[keep], taken[keep]
             at = at[:live.size]
@@ -420,7 +409,7 @@ def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
 
     def probe(lp, step, draws):
         return draws.pick(grid, k), v, None
-    return probe, NON_ADAPTIVE
+    return probe, None
 
 
 def _sorted_pm_rule(config: SearchConfig):
@@ -428,7 +417,7 @@ def _sorted_pm_rule(config: SearchConfig):
     variances = np.concatenate(([math.nan], probe_variances(config)))
 
     def probe(lp, step, draws):
-        masks, k = sorted_pm_mask(np.exp(lp))
+        masks, k = sorted_pm_mask(np.exp(lp - lp.max(axis=1, keepdims=True)))
         return masks[:, None], variances[k], None
     return probe, None
 
@@ -444,7 +433,7 @@ def _round_robin_rule(config: SearchConfig):
         masks = np.zeros((w, m), dtype=bool)
         masks[np.arange(w), (step + np.arange(w)) % m] = True
         return np.broadcast_to(masks, (lp.shape[0], w, m)), v, None
-    return probe, NON_ADAPTIVE
+    return probe, None
 
 
 def probe_rule(kind: str, config: SearchConfig):
@@ -529,12 +518,13 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     (its threshold is -inf, so every level ends); z = Q^{-1}(epsilon/log2
     M), so that one level errs with probability at most epsilon/log2 M.
 
-    Windows nest, the prior is uniform, and an update adds the same llr,
-    shift and clamp to every cell of a half, so every cell of a half holds
-    the same float.  A window is therefore uniform when its level starts,
-    and its first half holds at least as much mass as the second: that is
-    the half worth probing.  A half's log mass is its first cell plus
-    log(cells), bit for bit what summing its cells gives."""
+    Windows nest, the sums start at zero, and an update adds the same llr
+    to every cell of a half, with no shift or clamp, so every cell of a
+    half holds the same float.  A window is therefore uniform when its
+    level starts, and its first half holds at least as much mass as the
+    second: that is the half worth probing.  A half's log mass, up to the
+    row's shift, is its first cell plus log(cells); the level's test
+    compares the two halves, so it does not depend on the shift."""
     m = config.M
     if m == 1:  # no row starts (see _search): log2(M) and _level(0, 1) are undefined
         return None, None
@@ -556,7 +546,7 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     def probe(lp, step, draws):
         return masks[:, None], var, reps if fixed else None
 
-    def settle(lp, tops):
+    def settle(lp):
         nonlocal ints, flts, lo, hi, mid, reps, var, log_h1, log_h2, masks, at
         first = lp[at, lo] + log_h1
         second = lp[at, mid] + log_h2

@@ -5,6 +5,7 @@ failure or an error raised by mistake, exits 3; no input prints a
 traceback.  Everything here runs in-process and starts no worker.
 """
 
+import ast
 import dataclasses
 import inspect
 import io
@@ -112,6 +113,21 @@ def test_strategies_holds_one_lockstep_loop():
     text = (Path(searchlab.__file__).parent / "strategies.py").read_text(
         encoding="utf-8")
     assert text.count("while live.size") == 1
+
+
+def test_strategies_holds_one_update_path():
+    # every rule's rows are running sums, folded by inference.fold_sums; a
+    # renormalizing step, or a mark that picks one, would be a second path.
+    # renormalize_log_probs stays imported, as bench/tracer.py patches the
+    # name there, but is never read.
+    text = (Path(searchlab.__file__).parent / "strategies.py").read_text(
+        encoding="utf-8")
+    tree = ast.parse(text)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    defs = {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}
+    assert "renormalize_log_probs" not in names and "fold" not in defs
+    assert "NON_ADAPTIVE" not in text
 
 
 VALUES = ("0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e307",

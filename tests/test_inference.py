@@ -12,6 +12,7 @@ from searchlab.inference import (
     LOG_FLOOR_NATS,
     Posterior,
     bayes_update,
+    fold_sums,
     init_uniform,
     normalizer_limit,
     renormalize_log_probs,
@@ -147,6 +148,47 @@ class TestNormalizerLimit:
         limit = normalizer_limit(log_thresh)
         assert -math.log(limit) >= log_thresh
         assert -math.log(math.nextafter(limit, math.inf)) < log_thresh
+
+
+class TestFoldSums:
+    @pytest.mark.parametrize("w", [1, 7])
+    def test_half_observation_leaves_sums_unchanged(self, w):
+        # y = 1/2 is as likely whether or not a cell is probed
+        rng = np.random.default_rng(8)
+        sums = rng.normal(0.0, 30.0, (40, 16))
+        before = sums.copy()
+        masks = rng.random((40, w, 16)) < 0.5
+        llr = (2.0 * np.full((w, 40), 0.5) - 1.0) / (2.0 * rng.uniform(0.05, 2.0, 40))
+        assert not llr.any()
+        done, *_ = fold_sums(sums, masks, llr, 0.0)  # s >= 1: never stops
+        assert not done.any()
+        assert sums.tobytes() == before.tobytes()
+
+    def test_normalized_sums_match_renormalized_posterior(self):
+        # 10^6 row-steps in blocks of 1,000 rows, criterion 4's draws a
+        # block at a time: at every step exp(c - max c) / s sums to one
+        # and is the posterior that renormalizing every step gives
+        rng = np.random.default_rng(2024)
+        rows, steps = 1000, 50
+        at = np.arange(rows)
+        worst_norm = worst_gap = 0.0
+        for _ in range(20):
+            m = int(rng.integers(2, 65))
+            v = rng.uniform(0.05, 2.0, rows)
+            target = rng.integers(m, size=rows)
+            sums = np.zeros((rows, m))
+            lp = np.full((rows, m), -math.log(m))
+            for _ in range(steps):
+                masks = rng.random((rows, 1, m)) < 0.5
+                y = masks[at, 0, target] + np.sqrt(v) * rng.standard_normal(rows)
+                done, _, s, _ = fold_sums(sums, masks, ((2.0 * y - 1.0) / (2.0 * v))[None],
+                                          math.inf)
+                assert done.all()
+                update_log_probs(lp, masks[:, 0], y, v)
+                post = np.exp(sums - sums.max(axis=1, keepdims=True)) / s[:, None]
+                worst_norm = max(worst_norm, float(np.abs(post.sum(axis=1) - 1.0).max()))
+                worst_gap = max(worst_gap, float(np.abs(post - np.exp(lp)).max()))
+        assert worst_norm <= 1e-9 and worst_gap <= 1e-9
 
 
 class TestUFunctional:

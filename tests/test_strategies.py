@@ -153,6 +153,20 @@ class TestSortedPMMask:
         mask, k = sorted_pm_mask(np.full(4, 0.25))
         assert k == 2
 
+    def test_uniform_weights_take_the_smaller_half(self):
+        # the prefix sums of ones are exact, so at odd M the distances to
+        # M/2 tie and the smaller prefix, M // 2, is probed
+        for m in range(2, 1025):
+            assert sorted_pm_mask(np.ones(m))[1] == m // 2
+            assert sorted_pm_mask(np.ones((2, m)))[1].tolist() == [m // 2] * 2
+
+    @pytest.mark.parametrize("m", [2, 3, 9, 11, 12, 15, 21, 128])
+    def test_first_probe_from_zero_sums_covers_half(self, m):
+        probe, _ = strat._sorted_pm_rule(new_config(m, 1, 0.25, 1e-4))
+        masks, _, _ = probe(np.zeros((3, m)), 0, None)
+        assert masks.shape == (3, 1, m)
+        assert masks.sum(axis=2).ravel().tolist() == [m // 2] * 3
+
     def test_rows_match_single_posteriors(self):
         rng = np.random.default_rng(31)
         for m in (1, 2, 5, 16, 64):
@@ -446,7 +460,8 @@ class TestDispatcherAndLimits:
 # fixed_composition and two_stage entries off M1 were recorded again when
 # composition probe sets moved to a picks stream of their own, and the
 # first M32_power fixed_composition trial, 2 ulps lower, when non-adaptive
-# rows became running log-likelihood sums.
+# rows became running log-likelihood sums, and the fourth M32_power
+# noisy_binary_fixed trial, 1 ulp lower, when every rule's did.
 GOLDEN_MASTER_SEED = 2024
 GOLDEN_CONFIGS = {
     "M1": new_config(1, 1, 0.25, 1e-4),
@@ -454,7 +469,7 @@ GOLDEN_CONFIGS = {
     "M32_power": new_config(32, 1, 0.05, 0.2, noise=NoiseModel.power(1.5)),
     # not a power of two: windows of one level differ in length across trials
     "M12_power": new_config(12, 1, 0.5, 0.2, noise=NoiseModel.power(0.5)),
-    # bisection windows reach LOG_FLOOR_NATS
+    # a renormalized posterior reaches LOG_FLOOR_NATS here
     "M128_sigma1e-4": new_config(128, 1, 1e-4, 1e-4),
     # odd M: the first level's halves hold 2 and 1 cells
     "M3": new_config(3, 1, 0.25, 1e-4),
@@ -532,7 +547,7 @@ TRIAL_GOLDEN = {
         (62, 0, True, "0x1.ffff4936f860dp-1"),
         (62, 0, True, "0x1.f7dbcab6d0c69p-1"),
         (62, 0, True, "0x1.ff1deefc6502cp-1"),
-        (62, 0, False, "0x1.45f3711699bb1p-3"),
+        (62, 0, False, "0x1.45f3711699bb0p-3"),
         (62, 0, True, "0x1.d2fc2c348aeabp-1"),
     ],
     ("M32_power", "noisy_binary_variable"): [
@@ -596,20 +611,22 @@ TRIAL_GOLDEN = {
 # over trials trial_seed_for(GOLDEN_MASTER_SEED, 0..199), run one at a
 # time, recorded from the second lockstep loop that ran both bisection
 # kinds before they became a rule of the one search engine; the configs are
-# LOCKSTEP_CONFIGS entries.
+# LOCKSTEP_CONFIGS entries.  The M12_power and M4_eps0.9 digests were
+# recorded again when bisection rows became running log-likelihood sums:
+# final_max_prob moved by at most 8 ulps, and nothing else.
 BISECTION_DIGESTS = {
     ("M12_power", NOISY_BINARY_FIXED):
-        "3f977973a93bf031cb0508e80a6be417361163890e5b97e541916b51a8f1e234",
+        "95c513acbf5f578436cb0458b2e008898f489a5a58c837f9ccde2d1ff4d1ee14",
     ("M12_power", NOISY_BINARY_VARIABLE):
-        "9fde69653f7404c4f511a1b3d67cab7f3768d4d80a888a9c962aebd02b18a461",
+        "3b87bc1faec5d60de9147e352fb8b057bc3fe0330e857b4eb41d632e57167642",
     ("M128_sigma1e-4", NOISY_BINARY_FIXED):
         "0f817f67062b218730745696a4210fe714b9f00ee63845caee0d3a6fd7f7b4c5",
     ("M128_sigma1e-4", NOISY_BINARY_VARIABLE):
         "0f817f67062b218730745696a4210fe714b9f00ee63845caee0d3a6fd7f7b4c5",
     ("M4_eps0.9", NOISY_BINARY_FIXED):
-        "60e2f427bc02df66b7e636f4ac3b7a27cc1883ef39edacdd790b1b271c0b5bfe",
+        "8b457572a6a8c53a59e77b1048f598740fb21a634a68ef2da72138c5aea7731c",
     ("M4_eps0.9", NOISY_BINARY_VARIABLE):
-        "8711f00c03717aeb51d12346a3676614fec711952374585191e4dea6b5c7367b",
+        "0a8340f0fddecda88344460b4452887b48babe9237b70974a2a178684442556b",
     ("M16", NOISY_BINARY_FIXED):
         "ee72fecb0360c01cec4a1e5a18dcbcbefea92cce3c083862b63fdc71f722a2c7",
     ("M16", NOISY_BINARY_VARIABLE):
@@ -699,8 +716,7 @@ LOCKSTEP_CONFIGS = {
     "M16_eps0.2": new_config(16, 1, 0.5, 0.2),
     # rows of one bisection level hold windows of different lengths
     "M12_power": GOLDEN_CONFIGS["M12_power"],
-    # bisection windows reach LOG_FLOOR_NATS, where every cell of a half
-    # must still hold the same float
+    # a renormalized posterior reaches LOG_FLOOR_NATS here
     "M128_sigma1e-4": GOLDEN_CONFIGS["M128_sigma1e-4"],
     # eps/log2 M = 0.45: most sequential levels end after one observation
     "M4_eps0.9": new_config(4, 1, 0.1, 0.9),
@@ -713,19 +729,50 @@ LOCKSTEP_CASES = (
                         ("M32_power", 1 / 32), ("M16_eps0.2", 0.25),
                         ("M16_eps0.2", 1 / 16))])
 
-# Every non-adaptive kind, whose posterior is carried as running sums.
-NON_ADAPTIVE_CASES = (
-    [(c, StrategySpec(kind)) for c in LOCKSTEP_CONFIGS
-     for kind in (FIXED_COMPOSITION, EXHAUSTIVE)]
-    + [(c, spec) for c, spec in LOCKSTEP_CASES if spec.kind == TWO_STAGE])
+# The LOCKSTEP_CONFIGS entries at which a renormalized row may reach
+# LOG_FLOOR_NATS: there the clamp may tie cells that the running sums keep
+# apart, so a renormalizing search may take another path.
+FLOORED = {"M128_sigma1e-4"}
+# The most final_max_prob may move, in ulps, between the running sums and
+# the renormalizing reference: each renormalization rounds every cell.
+REFERENCE_ULPS = 32
 
 
-def renormalizing(make_rule):
-    """A non-adaptive rule maker whose rules stop by the threshold on a
-    renormalized posterior, as an adaptive rule's do."""
+def renormalize(lp, floored):
+    """Shift each row of lp to a zero max, clamp at LOG_FLOOR_NATS and
+    normalize, in place; returns the normalizer each row was divided by,
+    and appends to floored whether the clamp moved a cell."""
+    lp -= lp.max(axis=1, keepdims=True)
+    floored.append(bool((lp < inference.LOG_FLOOR_NATS).any()))
+    np.maximum(lp, inference.LOG_FLOOR_NATS, out=lp)
+    s = np.exp(lp).sum(axis=1)
+    lp -= np.array([math.log(x) for x in s.tolist()])[:, None]
+    return s
+
+
+def renormalizing_fold(floored):
+    """inference.fold_sums for windows of one step that renormalizes the
+    block after each step, as every rule's rows once were."""
+    def fold(lp, masks, llr, limit):
+        np.add(lp, llr[0, :, None], out=lp, where=masks[:, 0])
+        s = renormalize(lp, floored)
+        done = s <= limit
+        return (done, np.ones(done.sum(), dtype=np.int64), s[done],
+                lp[done].argmax(axis=1))
+    return fold
+
+
+def renormalizing_settle(make_rule, floored):
+    """A bisection rule maker whose settle renormalizes the block first."""
     def rule(*args):
-        probe, _ = make_rule(*args)
-        return probe, None
+        probe, settle = make_rule(*args)
+        if settle is None:  # M = 1: no row starts
+            return probe, settle
+
+        def renormalized(lp):
+            renormalize(lp, floored)
+            return settle(lp)
+        return probe, renormalized
     return rule
 
 
@@ -810,8 +857,8 @@ class TestLockstepRows:
         monkeypatch.setattr(strat, "CHUNK", 1)
         assert run()[0] == chunked
 
-    @pytest.mark.parametrize("case, spec", NON_ADAPTIVE_CASES,
-                             ids=[f"{c}-{s.label()}" for c, s in NON_ADAPTIVE_CASES])
+    @pytest.mark.parametrize("case, spec", LOCKSTEP_CASES,
+                             ids=[f"{c}-{s.label()}" for c, s in LOCKSTEP_CASES])
     def test_running_sums_match_renormalizing_reference(self, case, spec,
                                                          monkeypatch):
         config = LOCKSTEP_CONFIGS[case]
@@ -822,24 +869,37 @@ class TestLockstepRows:
             return run_rows(spec, config, rngs)
 
         tau, tau1, success, pmax = run()
-        # the reference: each step of a non-adaptive rule folded in and
-        # renormalized (strategies.fold), as an adaptive rule's is
-        for name in ("_composition_rule", "_round_robin_rule"):
-            monkeypatch.setattr(strat, name, renormalizing(getattr(strat, name)))
+        # the reference: every step of every rule folded in and
+        # renormalized, one step a window
+        floored = []
+        monkeypatch.setattr(strat, "fold_sums", renormalizing_fold(floored))
+        monkeypatch.setattr(strat, "_bisection_rule", renormalizing_settle(
+            strat._bisection_rule, floored))
         window = strat.Draws.window
         monkeypatch.setattr(strat.Draws, "window",
                             lambda draws, cells: min(1, window(draws, cells)))
         ref_tau, ref_tau1, ref_success, ref_pmax = run()
-        assert tau.tolist() == ref_tau.tolist()
-        assert tau1.tolist() == ref_tau1.tolist()
-        assert success.tolist() == ref_success.tolist()
+        assert not any(floored) or case in FLOORED
+        if any(floored):
+            # the paths may part: they must agree in distribution
+            for got, ref in ((tau, ref_tau), (success, ref_success)):
+                got, ref = got.astype(float), ref.astype(float)
+                spread = math.hypot(got.std(), ref.std()) / math.sqrt(self.N)
+                assert abs(got.mean() - ref.mean()) <= 3 * spread
+            same = ((tau == ref_tau) & (tau1 == ref_tau1)
+                    & (success == ref_success))
+        else:
+            assert tau.tolist() == ref_tau.tolist()
+            assert tau1.tolist() == ref_tau1.tolist()
+            assert success.tolist() == ref_success.tolist()
+            same = np.ones(self.N, dtype=bool)
         # both are positive floats, so their bit patterns count ulps
-        ulps = np.abs(pmax.view(np.int64) - ref_pmax.view(np.int64))
-        assert ulps.max() <= 4
+        ulps = np.abs(pmax.view(np.int64) - ref_pmax.view(np.int64))[same]
+        assert ulps.max(initial=0) <= REFERENCE_ULPS
 
     def test_full_block_peak_memory(self):
         # a full simulation block at M=128; the limit is the peak measured
-        # with every step folded in and renormalized
+        # once pick_cells dropped each temporary after its last use
         config = LOCKSTEP_CONFIGS["M128"]
         rngs = [np.random.default_rng(trial_seed_for(515, i))
                 for i in range(BLOCK_CELLS // config.M)]
@@ -849,7 +909,7 @@ class TestLockstepRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.37 * 2 ** 20
+        assert peak <= 4.81 * 2 ** 20
 
     def test_loose_epsilon_cases_include_failures(self):
         config = LOCKSTEP_CONFIGS["M16_eps0.2"]
