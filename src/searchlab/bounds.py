@@ -13,9 +13,9 @@ The achievability terms carry a slack eta in the denominators and an
 additive constant a_eta from the stopping-time analysis, obtained by
 solving eta = (a/(a-3)) psi(a-3).  For noise laws beyond the linear one
 the same bracket structure applies without the additive constants; those
-reports are flagged Asymptotic.  The two-stage bound (lemma2) and both gain
-reports (theorem1, theorem2) read one per-alpha pass, so they share its
-feasibility checks, capacities and brackets.
+reports are flagged Asymptotic.  lemma2, theorem1 and theorem2 are views of
+one per-alpha builder's BoundReport (theorem2's without the constants), so
+they share its feasibility checks, capacities, brackets and stage formula.
 """
 
 from __future__ import annotations
@@ -41,16 +41,21 @@ CLAMPED = "Clamped"
 class BoundReport:
     """Bundle of converse, achievability, and gain values at one config.
 
+    ``gain_lb`` is the gain's maximum over alpha, at ``alpha_star``, and
+    ``adaptive_ub`` the upper bound's minimum, at ``alpha_ub``.
     ``capacity_terms`` holds the capacity constants entering the formulas;
-    ``alpha_terms`` the per-alpha pieces (stage bounds / brackets).  ``a_eta``
-    is None for asymptotic (general noise law) reports, which have no
-    additive constant.
+    ``alpha_terms`` the per-alpha pieces: ``bracket1``, ``bracket2``,
+    ``gain``, the upper bound ``ub`` and, with constants, ``stage1`` and
+    ``stage2`` (ub is their sum) and ``h``.  ``a_eta`` is None for
+    asymptotic (general noise law) reports, which have no additive
+    constant, and whose ub is the dominant logarithmic terms alone.
     """
 
     nonadaptive_lb: float
     adaptive_ub: float
     gain_lb: float
     alpha_star: float
+    alpha_ub: float
     eta: float
     a_eta: float | None
     q_star: float
@@ -108,15 +113,22 @@ def _refine_capacity(config: SearchConfig, am: int) -> float:
     return bawgn_capacity(0.5, config.variance_at(am / 2.0))
 
 
+def _stage_time(n: float, eps: float, a_eta: float, c: float,
+                eta: float) -> float:
+    """Expected time to localize the target to one of n parts with
+    reliability eps/2 at capacity c; one part needs no stage."""
+    if n == 1:
+        return 0.0
+    return (math.log2(n) + math.log2(2.0 / eps) + _loglog2(n) + a_eta) / (c - eta)
+
+
 def stage1_upper_bound(config: SearchConfig, alpha: float, eta: float,
                        a_eta: float) -> float:
     """Expected time for the coarse stage to localize the target to one of
     the 1/alpha sections with reliability eps/2."""
     sections_from_alpha(alpha, config.M)
     _, c1 = _coarse_capacity(config, eta)
-    ll = _loglog2(1.0 / alpha)
-    num = math.log2(1.0 / alpha) + math.log2(2.0 / config.epsilon) + ll + a_eta
-    return num / (c1 - eta)
+    return _stage_time(1.0 / alpha, config.epsilon, a_eta, c1, eta)
 
 
 def stage2_upper_bound(config: SearchConfig, alpha: float, eta: float,
@@ -129,21 +141,18 @@ def stage2_upper_bound(config: SearchConfig, alpha: float, eta: float,
     c2 = _refine_capacity(config, am)
     if not 0.0 < eta < c2:
         raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C2 = {c2})")
-    ll = _loglog2(float(am))
-    num = math.log2(am) + math.log2(2.0 / config.epsilon) + ll + a_eta
-    return num / (c2 - eta)
+    return _stage_time(am, config.epsilon, a_eta, c2, eta)
 
 
-def _alpha_pass(config: SearchConfig, eta: float, constants: bool):
-    """The per-alpha terms that lemma2, theorem1 and theorem2 read.
+def _report(config: SearchConfig, eta: float, constants: bool) -> BoundReport:
+    """The one per-alpha pass, which lemma2, theorem1 and theorem2 read.
 
-    Every feasible alpha with eta < C2(alpha) gets its two gain brackets
-    and, with constants, its stage bounds and the constant term h (a_eta
-    is solved once); without, its dominant logarithmic terms.  The skip
-    never fires at the singleton section alpha = 1/M: its refine probe has
-    composition 1/2, where the binary-input capacity peaks, and variance
-    v(1/2) below every v(k), k >= 1, so C2(1/M) >= C1 > eta.  Returns
-    (q_star, a_eta solution or None, capacity_terms, alpha_terms).
+    Every feasible alpha with eta < C2(alpha) gets its gain brackets and
+    upper bound: with constants (a_eta is solved once), its stage bounds
+    and constant term h; without, the dominant logarithmic terms.  The
+    skip never fires at the singleton section alpha = 1/M: its refine
+    probe has composition 1/2, where the binary-input capacity peaks, and
+    variance v(1/2) below every v(k), k >= 1, so C2(1/M) >= C1 > eta.
     """
     alphas = feasible_alphas(config)
     if not alphas:
@@ -164,35 +173,42 @@ def _alpha_pass(config: SearchConfig, eta: float, constants: bool):
         capacity_terms[f"C2[alpha=1/{s}]"] = c2
         bracket1 = math.log2(1.0 / alpha) * ((1.0 - eps) / c1 - 1.0 / (c1 - eta))
         bracket2 = math.log2(am) * ((1.0 - eps) / c1 - 1.0 / (c2 - eta))
+        terms = alpha_terms[alpha] = {"bracket1": bracket1, "bracket2": bracket2}
         if sol is None:
-            dom = math.log2(1.0 / alpha) / (c1 - eta) + math.log2(am) / (c2 - eta)
-            alpha_terms[alpha] = {"bracket1": bracket1, "bracket2": bracket2,
-                                  "gain": bracket1 + bracket2, "dominant": dom}
+            terms["gain"] = bracket1 + bracket2
+            terms["ub"] = (math.log2(1.0 / alpha) / (c1 - eta)
+                           + math.log2(am) / (c2 - eta))
             continue
         a_eta = sol.value
         h_term = ((log_2eps + _loglog2(1.0 / alpha) + a_eta) / (c1 - eta)
                   + (log_2eps + _loglog2(float(am)) + a_eta) / (c2 - eta)
                   + h_eps / c1)
-        alpha_terms[alpha] = {
-            "stage1": stage1_upper_bound(config, alpha, eta, a_eta),
-            "stage2": stage2_upper_bound(config, alpha, eta, a_eta),
-            "gain": bracket1 + bracket2 - h_term,
-            "bracket1": bracket1, "bracket2": bracket2, "h": h_term}
+        stage1 = _stage_time(1.0 / alpha, eps, a_eta, c1, eta)
+        stage2 = _stage_time(am, eps, a_eta, c2, eta)
+        terms.update(stage1=stage1, stage2=stage2, ub=stage1 + stage2,
+                     h=h_term, gain=bracket1 + bracket2 - h_term)
     if not alpha_terms:
         raise NoFeasibleAlpha(f"eta = {eta} is inadmissible at every alpha")
-    return q_star, sol, capacity_terms, alpha_terms
-
-
-def _stage_sum(terms: dict[str, float]) -> float:
-    return terms["stage1"] + terms["stage2"]
+    alpha_star = max(alpha_terms, key=lambda a: alpha_terms[a]["gain"])
+    alpha_ub = min(alpha_terms, key=lambda a: alpha_terms[a]["ub"])
+    gain = alpha_terms[alpha_star]["gain"]
+    flags = [ASYMPTOTIC] if sol is None else [CLAMPED] if sol.clamped else []
+    if gain <= 0.0:
+        flags.append(VACUOUS)
+    return BoundReport(nonadaptive_lb=nonadaptive_lower_bound(config),
+                       adaptive_ub=alpha_terms[alpha_ub]["ub"], gain_lb=gain,
+                       alpha_star=alpha_star, alpha_ub=alpha_ub, eta=eta,
+                       a_eta=None if sol is None else sol.value, q_star=q_star,
+                       capacity_terms=capacity_terms, flags=tuple(flags),
+                       alpha_terms=alpha_terms)
 
 
 def adaptive_upper_bound(config: SearchConfig, eta: float) -> tuple[float, float]:
     """Two-stage achievability bound minimized over feasible alpha.
-    Returns (bound, minimizing alpha)."""
-    alpha_terms = _alpha_pass(config, eta, True)[3]
-    alpha = min(alpha_terms, key=lambda a: _stage_sum(alpha_terms[a]))
-    return _stage_sum(alpha_terms[alpha]), alpha
+    Returns (bound, minimizing alpha), the adaptive_ub and alpha_ub of the
+    theorem1 report."""
+    rep = _report(config, eta, True)
+    return rep.adaptive_ub, rep.alpha_ub
 
 
 def adaptivity_gain_lower_bound(config: SearchConfig, eta: float) -> BoundReport:
@@ -206,18 +222,7 @@ def adaptivity_gain_lower_bound(config: SearchConfig, eta: float) -> BoundReport
     report takes the maximum over alpha.  A non-positive maximum is flagged
     Vacuous (the bound then says nothing).
     """
-    q_star, sol, capacity_terms, alpha_terms = _alpha_pass(config, eta, True)
-    alpha_star = max(alpha_terms, key=lambda a: alpha_terms[a]["gain"])
-    gain = alpha_terms[alpha_star]["gain"]
-    flags = [CLAMPED] if sol.clamped else []
-    if gain <= 0.0:
-        flags.append(VACUOUS)
-    return BoundReport(nonadaptive_lb=nonadaptive_lower_bound(config),
-                       adaptive_ub=min(map(_stage_sum, alpha_terms.values())),
-                       gain_lb=gain, alpha_star=alpha_star, eta=eta,
-                       a_eta=sol.value, q_star=q_star,
-                       capacity_terms=capacity_terms, flags=tuple(flags),
-                       alpha_terms=alpha_terms)
+    return _report(config, eta, True)
 
 
 def general_f_bounds(config: SearchConfig, eta: float) -> BoundReport:
@@ -229,17 +234,7 @@ def general_f_bounds(config: SearchConfig, eta: float) -> BoundReport:
     optimal composition and both capacity constants are evaluated under the
     config's own noise law.
     """
-    q_star, _, capacity_terms, alpha_terms = _alpha_pass(config, eta, False)
-    alpha_star = max(alpha_terms, key=lambda a: alpha_terms[a]["gain"])
-    gain = alpha_terms[alpha_star]["gain"]
-    flags = [ASYMPTOTIC]
-    if gain <= 0.0:
-        flags.append(VACUOUS)
-    return BoundReport(nonadaptive_lb=nonadaptive_lower_bound(config),
-                       adaptive_ub=min(t["dominant"] for t in alpha_terms.values()),
-                       gain_lb=gain, alpha_star=alpha_star, eta=eta, a_eta=None,
-                       q_star=q_star, capacity_terms=capacity_terms,
-                       flags=tuple(flags), alpha_terms=alpha_terms)
+    return _report(config, eta, False)
 
 
 def fixed_b_limit_constant(config: SearchConfig) -> float:

@@ -169,9 +169,9 @@ def _capacities(qs, variances) -> list[float]:
             # the low-SNR limit q(1-q)/(2v ln 2) here, off by O(1/v^2).
             out[i] = q * (1.0 - q) / variance * (0.5 * LOG2E)
             continue
-        if s < 1e-6:
-            # The components sit over 10^6 sd apart: C is H(q) to double
-            # precision.
+        if s < 1e-3:
+            # The components sit over 10^3 sd apart: C is H(q) to double
+            # precision, where the grid a smaller sd needs outgrows a block.
             out[i] = binary_entropy(q)
             continue
         n0 = _initial_panels(lo, hi, s)

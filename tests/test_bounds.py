@@ -436,7 +436,8 @@ def _point(name):
 
 
 class TestPassInvariants:
-    """What lets lemma2, theorem1 and theorem2 read one per-alpha pass."""
+    """What holds because lemma2, theorem1 and theorem2 are views of one
+    per-alpha builder's report, and what lets them be."""
 
     @pytest.mark.parametrize("name", BOUND_POINTS)
     def test_theorem1_upper_bound_is_lemma2(self, name):
@@ -453,6 +454,28 @@ class TestPassInvariants:
         for alpha in t1:
             for key in ("bracket1", "bracket2"):
                 assert t1[alpha][key] == t2[alpha][key]
+
+    @pytest.mark.parametrize("name", BOUND_POINTS)
+    def test_gain_is_converse_minus_achievability(self, name):
+        # theorem1's gain at alpha is lemma1 less the two stage bounds, and
+        # theorem2's the dominant converse term less its upper bound; at
+        # alpha = 1/M theorem1 still charges the refine stage's constant
+        # (log2(2/eps) + a_eta)/(C2 - eta), which stage2 = 0 drops
+        cfg, eta = _point(name)
+        t1 = adaptivity_gain_lower_bound(cfg, eta)
+        t2 = general_f_bounds(cfg, eta)
+        lemma1 = nonadaptive_lower_bound(cfg)
+        c1 = t1.capacity_terms["C1"]
+        converse = (1.0 - cfg.epsilon) * math.log2(cfg.M) / c1
+        for alpha, terms in t1.alpha_terms.items():
+            charge = 0.0
+            if alpha == 1 / cfg.M:
+                c2 = t1.capacity_terms[f"C2[alpha=1/{cfg.M}]"]
+                charge = (math.log2(2.0 / cfg.epsilon) + t1.a_eta) / (c2 - eta)
+            want = lemma1 - (terms["stage1"] + terms["stage2"]) - charge
+            assert terms["gain"] == pytest.approx(want, rel=0, abs=1e-9)
+            assert t2.alpha_terms[alpha]["gain"] == pytest.approx(
+                converse - t2.alpha_terms[alpha]["ub"], rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("noise", [
         NoiseModel.linear(), NoiseModel.power(0.5), NoiseModel.power(2.0),

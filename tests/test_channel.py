@@ -23,6 +23,7 @@ from searchlab.channel import (
     psi_component,
     solve_a_eta,
 )
+from searchlab.cli import main
 from searchlab.errors import QuadratureNonConvergence
 from searchlab.model import NoiseModel, new_config
 
@@ -265,7 +266,7 @@ class TestCapacityGrid:
         assert str(grid.value) == str(lone.value)
 
     def test_panel_cap_refused_before_allocation(self, monkeypatch):
-        # below 1e-6 sd the noiseless limit H(q) is returned, on no grid
+        # below 1e-3 sd the noiseless limit H(q) is returned, on no grid
         monkeypatch.setattr(channel, "_grid", lambda *args: pytest.fail(
             "grid allocated"))
         assert bawgn_capacity(0.5, 1e-300) == 1.0
@@ -324,9 +325,12 @@ class TestCapacityEdges:
 
     def test_tiny_variance_edge_is_continuous(self):
         # C is non-increasing in v (more noise is a degraded channel), so
-        # below 1e-8 it lies in [C(q, 1e-8), H(q)]: an interval the
-        # quadrature closes to within its tolerance, on 2^17 panels
+        # below 1e-6 it lies in [C(q, 1e-6), H(q)]: an interval the
+        # quadrature closes to within its tolerance, on 2^14 panels
+        below = math.nextafter(1e-6, 0.0)
         for q in self.QS:
+            assert binary_entropy(q) - bawgn_capacity(q, 1e-6) <= channel.CAPACITY_TOL
+            assert bawgn_capacity(q, below) == binary_entropy(q)
             assert binary_entropy(q) - bawgn_capacity(q, 1e-8) <= channel.CAPACITY_TOL
             assert bawgn_capacity(q, 1e-13) == binary_entropy(q)
 
@@ -355,6 +359,29 @@ class TestCapacityMemory:
         qs = (np.arange(48) + 0.5) / 48
         vs = 10.0 ** np.linspace(-1.5, 1.5, 48)
         assert self._peak(lambda: capacity_grid(qs[:, None], vs)) < self.LIMIT
+
+    @pytest.mark.parametrize("v", [1.0000001e-6, 1e-8, 1e-10, 2e-12])
+    def test_tiny_variances(self, v):
+        # the smallest variance the quadrature takes needs 2^14 panels, one
+        # block a pair; a smaller one is the noiseless limit, on no grid
+        qs = [0.001, 0.1, 0.37, 0.5, 0.999]
+        bawgn_capacity.cache_clear()
+        assert self._peak(lambda: capacity_grid(qs, v)) < self.LIMIT
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--q", "0.5", "--variance", "2e-12"],
+        # v(1/2) = 0.25 * (1/8)**36 falls in the same band
+        ["bounds", "--B", "4", "--delta", "1", "--sigma2", "0.25",
+         "--epsilon", "1e-4", "--gamma", "36"],
+    ], ids=["capacity", "bounds"])
+    def test_cli_edge_commands(self, tmp_path, argv):
+        for cached in (optimal_composition, bawgn_capacity, solve_a_eta,
+                       channel.probe_variances):
+            cached.cache_clear()
+        rc = []
+        peak = self._peak(lambda: rc.append(main([*argv, "--out", str(tmp_path)])))
+        assert rc == [0]
+        assert peak < self.LIMIT
 
 
 class TestPsi:

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 import searchlab
 import searchlab.plan as plan_mod
-from searchlab import errors
+from searchlab import bounds, errors
+from searchlab.channel import optimal_composition, solve_a_eta
 from searchlab.cli import main
 from searchlab.model import new_config
 from searchlab.sim import MAX_TRIALS, drift_probe, trial_seed_for
@@ -130,6 +131,51 @@ def test_strategies_holds_one_update_path():
     assert "NON_ADAPTIVE" not in text
 
 
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    text = (Path(searchlab.__file__).parent / module).read_text(encoding="utf-8")
+    return {node.name: node for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_bounds_holds_one_per_alpha_builder():
+    # lemma2, theorem1 and theorem2 are views of one report, built by
+    # `_report`; a second per-alpha pass would be a second copy of its
+    # checks, capacities and brackets
+    defs = _functions("bounds.py")
+    assert "_alpha_pass" not in defs and "_stage_sum" not in defs
+    for name in ("adaptive_upper_bound", "adaptivity_gain_lower_bound",
+                 "general_f_bounds"):
+        calls = {node.func.id for node in ast.walk(defs[name])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_report" in calls, name
+
+
+def test_bound_rows_read_one_report_per_point(monkeypatch):
+    # lemma2 and theorem1 read one report with the constants; lemma2's row
+    # is adaptive_upper_bound and solve_a_eta's value, bit for bit
+    built = []
+
+    def counted(config, eta, constants):
+        built.append(constants)
+        return report(config, eta, constants)
+
+    report = bounds._report
+    monkeypatch.setattr(bounds, "_report", counted)
+    plan = plan_mod.ExperimentPlan(
+        id="t", axes=(("B", (16.0,)), ("delta", (1.0,)), ("sigma2", (0.25,)),
+                      ("epsilon", (1e-4,))),
+        bound_set=("lemma1", "lemma2", "theorem1"))
+    rows = {row["bound_name"]: row for row in plan_mod._bound_rows(plan)}
+    assert built == [True]
+    config = new_config(16, 1, 0.25, 1e-4)
+    eta = 0.1 * optimal_composition(config)[1]
+    lemma2 = rows["lemma2"]
+    assert lemma2["eta"] == eta
+    assert ((lemma2["value"], lemma2["alpha_star"])
+            == bounds.adaptive_upper_bound(config, eta))
+    assert lemma2["a_eta"] == solve_a_eta(eta, config).value
+
+
 VALUES = ("0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e307",
           "1e308", "0.3")
 NUMBERS = st.sampled_from(VALUES)
@@ -234,13 +280,18 @@ def test_plan_id_that_is_a_path_exits_two(tmp_path, plan_id):
         plan_mod.ExperimentPlan(id=plan_id, axes=())
 
 
+# master_seed is checked by the plan's seed check, whose message says seed
+BOOLEAN_REFUSAL = {"n_trials": "error: n_trials",
+                   "master_seed": "error: seed must be a non-negative integer"}
+
+
 @pytest.mark.parametrize("field", ["n_trials", "master_seed"])
 def test_json_boolean_is_not_a_count(tmp_path, field):
     doc = {"id": "t", "B": 4, "delta": 1, "sigma2": 0.25, "epsilon": 0.1,
            "strategies": [{"kind": "sorted_pm"}], field: True}
     rc, err, names = _sweep_plan(tmp_path, doc)
     assert (rc, names) == (2, [])
-    assert err.startswith(f"error: {field}")
+    assert err.startswith(BOOLEAN_REFUSAL[field])
 
 
 # Each bad value below is refused with exit 2 and one message, whichever
@@ -281,6 +332,13 @@ ROUTES = {
         {"bound_set": ["corollary2"]},
         ["bounds", *ONE_POINT, "--bound-set", "corollary2"], None,
         lambda: dataclasses.replace(_good_plan(), bound_set=("corollary2",))),
+    "master_seed=-1": ({"master_seed": -1}, [*SIMULATE, "--seed=-1"],
+                       ["--seed=-1"],
+                       lambda: dataclasses.replace(_good_plan(), master_seed=-1)),
+    "master_seed=2**64": ({"master_seed": 2 ** 64},
+                          [*SIMULATE, f"--seed={2 ** 64}"], [f"--seed={2 ** 64}"],
+                          lambda: dataclasses.replace(_good_plan(),
+                                                      master_seed=2 ** 64)),
     "alpha_on_sorted_pm": (
         {"strategies": [{"kind": "sorted_pm", "alpha": 0.5}]},
         [*SIMULATE, "--alpha", "0.5"], None,

@@ -147,7 +147,9 @@ class TestParsePlan:
     def test_scalar_field_validation(self):
         with pytest.raises(ValidationError, match="n_trials"):
             parse_plan(plan_doc(n_trials=0))
-        with pytest.raises(ValidationError, match="master_seed"):
+        # the plan's one seed check, the message of every route
+        with pytest.raises(ValidationError,
+                           match="^seed must be a non-negative integer, got -3$"):
             parse_plan(plan_doc(master_seed=-3))
         with pytest.raises(ValidationError, match="eta_frac"):
             parse_plan(plan_doc(eta_frac=1.5))
@@ -504,7 +506,7 @@ class TestCli:
 
     def test_tiny_variance_capacity_is_the_noiseless_limit(self, tmp_path,
                                                            capsys):
-        # below 1e-6 sd C(q, v) is the noiseless limit H(q), with no grid
+        # below 1e-3 sd C(q, v) is the noiseless limit H(q), with no grid
         rc = main(["capacity", "--q", "0.5", "--variance", "1e-300",
                    "--out", str(tmp_path)])
         assert rc == 0
