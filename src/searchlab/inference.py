@@ -7,12 +7,14 @@ every entry finite) and renormalizes, along the last axis, so a (rows, M)
 block takes one call, each row bit-identical to updating it alone.  The
 search engine instead carries every posterior as running sums of
 log-likelihood ratios, never renormalized, normalized only to test a stop
-(`fold_sums`, a window of steps in one pass): its rules read only the
-order of the sums and ratios of cell masses, which a shift leaves alone.
-The potential U(rho) = sum_i rho_i log2(rho_i / (1 - rho_i)) is the
-Lyapunov functional whose per-step drift the bound arguments control; it
-is computed with expm1/logsumexp guards so posteriors within a whisker of
-certainty do not overflow.
+(`fold_sums`, a window of steps in one pass, which after a window of one
+step also hands back the weights exp(c - max c) it summed): its rules read
+only the order of the sums and ratios of cell masses, which a shift leaves
+alone.  The potential U(rho) = sum_i rho_i log2(rho_i / (1 - rho_i)) is
+the Lyapunov functional whose per-step drift the bound arguments control;
+it is computed with expm1/logsumexp guards so posteriors within a whisker
+of certainty do not overflow, one posterior or a (rows, M) block at a
+time, each row as it gets alone.
 """
 
 from __future__ import annotations
@@ -110,13 +112,16 @@ def fold_sums(sums: np.ndarray, masks: np.ndarray, llr: np.ndarray,
     step adds each step to the last in one call instead.  A window of one
     step adds in place.  Returns done, the rows that stop, and for each of
     them the steps it takes in the window (one for all in a window of one
-    step), its normalizer and its MAP cell at the stop."""
+    step), its normalizer and its MAP cell at the stop; then, for a window
+    of one step, every row's weights exp(c - max c), the terms of its
+    normalizer (None for a longer window)."""
     rows, w, size = masks.shape
     if w == 1:
         np.add(sums, llr[0, :, None], out=sums, where=masks[:, 0])
-        s = normalizers(sums)
+        weights = np.empty_like(sums)
+        s = normalizers(sums, weights)
         done = s <= limit
-        return done, 1, s[done], sums[done].argmax(axis=1)
+        return done, 1, s[done], sums[done].argmax(axis=1), weights
     ends = np.zeros(rows, dtype=np.int64)
     norms = np.empty(rows)
     cells = np.empty(rows, dtype=np.int64)
@@ -140,12 +145,13 @@ def fold_sums(sums: np.ndarray, masks: np.ndarray, llr: np.ndarray,
             norms[lo + idx] = s[j, idx]
             cells[lo + idx] = c[j, idx].argmax(axis=1)
     done = ends > 0
-    return done, ends[done], norms[done], cells[done]
+    return done, ends[done], norms[done], cells[done], None
 
 
-def normalizers(sums: np.ndarray) -> np.ndarray:
-    """Each row c's normalizer sum(exp(c - max c)), along the last axis."""
-    e = sums - sums.max(axis=-1, keepdims=True)
+def normalizers(sums: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Each row c's normalizer sum(exp(c - max c)), along the last axis;
+    weights, if given, receives the terms exp(c - max c)."""
+    e = np.subtract(sums, sums.max(axis=-1, keepdims=True), out=weights)
     np.exp(e, out=e)
     return e.sum(axis=-1)
 
@@ -178,23 +184,31 @@ def bayes_update(rho: Posterior, probed, y: float, variance: float) -> Posterior
     return Posterior(log_probs=lp)
 
 
-def u_log_probs(lp: np.ndarray) -> float:
+def u_log_probs(lp: np.ndarray) -> float | np.ndarray:
     """U = sum_i rho_i log2(rho_i / (1 - rho_i)) from log probabilities.
 
     1 - rho is computed as -expm1(log rho) except at the argmax, where the
     complement is formed by log-sum-exp over the remaining entries so that
-    posteriors concentrated up to the floor stay finite.
+    posteriors concentrated up to the floor stay finite.  A (rows, M) block
+    is taken row by row and gives an array, each row's U bit-identical to
+    its own call.
     """
-    n = lp.size
+    n = lp.shape[-1]
     if n < 2:
         raise SizeOne("U is undefined on a single-cell posterior")
-    idx = int(lp.argmax())
-    log1m = np.expm1(lp)
+    block = lp.reshape(-1, n)
+    rows = np.arange(block.shape[0])
+    idx = block.argmax(axis=1)
+    log1m = np.expm1(block)
     np.negative(log1m, out=log1m)
-    log1m[idx] = 1.0  # 1 - rho may be 0 here; the slot is overwritten below
+    log1m[rows, idx] = 1.0  # 1 - rho may be 0 here; the slot is overwritten below
     np.log(log1m, out=log1m)
-    others = np.concatenate((lp[:idx], lp[idx + 1:]))
-    mx = others.max()
-    log1m[idx] = mx + math.log(np.exp(others - mx).sum())
-    rho = np.exp(lp)
-    return float(np.dot(rho, lp - log1m) / LN2)
+    others = block[np.arange(n) != idx[:, None]].reshape(-1, n - 1)
+    mx = others.max(axis=1)
+    # math.log per row, as renormalize_log_probs: libm, not numpy's vector log
+    sums = np.exp(others - mx[:, None]).sum(axis=1)
+    log1m[rows, idx] = mx + np.array([math.log(x) for x in sums.tolist()])
+    rho = np.exp(block)
+    # a stack of row-vector products: one BLAS dot per row, as np.dot
+    u = np.matmul(rho[:, None, :], (block - log1m)[:, :, None])[:, 0, 0] / LN2
+    return float(u[0]) if lp.ndim == 1 else u

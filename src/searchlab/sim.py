@@ -1,9 +1,11 @@
 """Monte Carlo driver: seeded trial batches, summary statistics, and
 drift probes for the potential functional.
 
-The drift probe runs the engine's own probe rules, target draw and
-observation on a one-row block.  This module seeds generators but draws
-from none: every trial-generator draw is made in `strategies`.
+The drift probe runs the engine's own probe rules, target draw,
+observation and running sums on lockstep blocks of runs, run r seeded as
+trial r is, and takes U of every live row once a step.  This module seeds
+generators but draws from none: every trial-generator draw is made in
+`strategies`.
 
 Reproducibility contract: trial i of a batch uses the 64-bit seed derived
 from (master_seed, i) through numpy's SeedSequence mixing, and its own
@@ -28,7 +30,7 @@ import numpy as np
 
 from .channel import optimal_composition, bawgn_capacity
 from .errors import ValidationError
-from .inference import renormalize_log_probs, u_log_probs, update_log_probs
+from .inference import normalizer_limit, u_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord
 # update_log_probs, random_composition_mask and sorted_pm_mask are unused
 # here but stay bound: bench/tracer.py patches them.
@@ -45,6 +47,10 @@ MAX_TRIALS = 10_000_000
 # BLOCK_ROWS trial generators.
 BLOCK_CELLS = 1 << 16
 BLOCK_ROWS = 1024
+# A drift probe's block holds at most DRIFT_ROWS runs: enough rows to
+# spread a step's numpy calls over, few enough that their generators (about
+# 1.5 KB each) stay small next to the process.
+DRIFT_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -97,12 +103,17 @@ def run_single_trial(spec: StrategySpec, config: SearchConfig,
     return run_strategy(spec, config, rng, trial_seed)
 
 
+def _block_rows(m: int) -> int:
+    """Rows of a lockstep block over m cells."""
+    return max(1, min(BLOCK_ROWS, BLOCK_CELLS // m))
+
+
 def _run_span(spec: StrategySpec, config: SearchConfig, master_seed: int,
               lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tau, tau_stage1, success) of trials lo..hi-1, in lockstep blocks."""
     taus, tau1s = np.empty(hi - lo), np.empty(hi - lo)
     success = np.empty(hi - lo, dtype=bool)
-    rows = max(1, min(BLOCK_ROWS, BLOCK_CELLS // config.M))
+    rows = _block_rows(config.M)
     for first in range(lo, hi, rows):
         last = min(first + rows, hi)
         rngs = [np.random.default_rng(trial_seed_for(master_seed, i))
@@ -155,9 +166,20 @@ def run_trials(spec: StrategySpec, config: SearchConfig, n_trials: int,
 def drift_probe(kind: str, config: SearchConfig, n_steps: int,
                 seed: int) -> DriftReport:
     """Measure the empirical mean per-step increment of U(rho) for the
-    fixed-composition or sorted-PM dynamics, restarting runs at their
-    stopping threshold until n_steps increments are collected, on a
-    one-row block with the engine's probe rule (`probe_rule`).
+    fixed-composition or sorted-PM dynamics: the first n_steps increments
+    of runs 0, 1, ... in order, each run a search from the uniform prior
+    to its stopping threshold that draws from its own generator, seeded
+    with trial_seed_for(seed, r) for run r.
+
+    The runs go as the rows of lockstep blocks (`_drift_rows`), so the
+    report does not depend on a block's rows or on the chunk.  The first
+    block is one run; each later one holds about as many runs as the steps
+    left need, at the mean length of the runs so far.  Of each run only
+    its step count and the sums of its increments and of their squares
+    are kept, and they are added up in run order: the memory does not
+    grow with n_steps.  The one run that the n_steps-th increment falls
+    in is counted up to it, from its sums if it stopped there, else from
+    a run of it alone cut there.
 
     The report carries the matching capacity floor: C(q*, v(q*)) for fixed
     composition, C(1/2, v(M/2)) for sorted-PM.  Terminal increments are
@@ -179,28 +201,89 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     else:
         floor = bawgn_capacity(0.5, config.variance_at(m / 2.0))
 
-    probe, _ = probe_rule(kind, config)
-    # one normal a chunk, so a window of one step: the generator draws the
-    # next run's target between them
-    draws = Draws([np.random.default_rng(seed)], picks=kind == FIXED_COMPOSITION,
-                  normal_chunk=1)
-    log_thresh = math.log1p(-config.epsilon)
-    increments = np.empty(n_steps)
-    lp = np.empty((1, m))
-    for i in range(n_steps):
-        if i == 0 or top[0] >= log_thresh:  # a run starts: uniform prior
-            lp.fill(-math.log(m))
-            target = draw_targets(draws.gens, m)
-            u_prev = u_log_probs(lp[0])
-        masks, v, _ = probe(lp, i, draws)
-        llr = observe(masks[:, :, target[0]].T, v, draws)
-        np.add(lp, llr[0, :, None], out=lp, where=masks[:, 0])
-        draws.read += 1
-        top = renormalize_log_probs(lp)
-        u_now = u_log_probs(lp[0])
-        increments[i] = u_now - u_prev
-        u_prev = u_now
-    mean = float(increments.mean())
-    se = float(increments.std(ddof=1)) / math.sqrt(n_steps)
+    def runs(first: int, rows: int, budget: int) -> tuple:
+        gens = [np.random.default_rng(trial_seed_for(seed, r))
+                for r in range(first, first + rows)]
+        return _drift_rows(kind, config, gens, budget)
+
+    total = total_sq = 0.0
+    counted = whole = first = 0  # increments counted, whole runs, next run
+    while counted < n_steps:
+        left = n_steps - counted
+        # the runs that left steps take at the mean length so far, rounded up
+        rows = 1 if whole == 0 else min(DRIFT_ROWS, _block_rows(m),
+                                        -(-left * whole // counted))
+        taken, stopped, sums, squares = runs(first, rows, left)
+        for r, (t, ended, a, b) in enumerate(zip(taken.tolist(), stopped.tolist(),
+                                                 sums.tolist(), squares.tolist())):
+            left = n_steps - counted
+            if left == 0:
+                break
+            if ended and t <= left:
+                whole += 1
+            elif t != left:  # it ran past the last increment read
+                _, _, (a,), (b,) = (x.tolist() for x in runs(first + r, 1, left))
+            total += a
+            total_sq += b
+            counted += min(t, left)
+        first += rows
+    mean = total / n_steps
+    se = math.sqrt(max(0.0, (total_sq - total * mean) / (n_steps - 1)) / n_steps)
     return DriftReport(strategy_id=kind, n_steps=n_steps, mean_drift=mean,
                        se=se, capacity_floor=floor)
+
+
+def _drift_rows(kind: str, config: SearchConfig, gens: list,
+                budget: int) -> tuple:
+    """Drift runs, one a generator, as the rows of one lockstep block with
+    the engine's probe rule (`probe_rule`) and draws: each draws its
+    target, then observes until its running sums pass the threshold
+    (`normalizer_limit`), taking U of every live row once a step.  A row
+    also stops once the rows before it and its own steps reach budget, as
+    none of its later increments can then be read.  Returns per row its
+    steps, whether it stopped at its threshold, and the sums of its
+    increments of U and of their squares, each a float added to a row's
+    sum one step at a time, as the row gets alone."""
+    m = config.M
+    probe, _ = probe_rule(kind, config)
+    limit = normalizer_limit(math.log1p(-config.epsilon))
+    # fixed composition's window runs to the end of the chunk; U is taken
+    # after every step, so its chunks, and windows, are one step
+    draws = Draws(gens, picks=kind == FIXED_COMPOSITION,
+                  normal_chunk=1 if kind == FIXED_COMPOSITION else None)
+    n = len(gens)
+    targets = draw_targets(draws.gens, m)
+    taken = np.zeros(n, dtype=np.int64)
+    stopped = np.zeros(n, dtype=bool)
+    sums, squares = np.zeros(n), np.zeros(n)
+    live = np.arange(n)
+    lp = np.zeros((n, m))
+    weights = np.broadcast_to(1.0, (n, m))
+    u_prev = np.full(n, u_log_probs(np.full(m, -math.log(m))))
+    step = 0
+    while live.size:
+        masks, v, _ = probe(weights, step, draws)
+        llr = observe(masks[np.arange(live.size), 0, targets][None], v, draws)
+        np.add(lp, llr[0, :, None], out=lp, where=masks[:, 0])
+        draws.read += 1
+        step += 1
+        shifted = lp - lp.max(axis=1, keepdims=True)
+        weights = np.exp(shifted)
+        s = weights.sum(axis=1)
+        # math.log per row, not np.log, which may differ from libm in the
+        # last bit: a row's U must not depend on its block
+        u = u_log_probs(shifted - np.array([math.log(x) for x in s.tolist()])[:, None])
+        d = u - u_prev
+        u_prev = u
+        sums[live] += d
+        squares[live] += d * d
+        taken[live] = step
+        ended = s <= limit
+        stopped[live[ended]] = True
+        done = ended | (np.cumsum(taken)[live] >= budget)
+        if done.any():
+            keep = ~done
+            live, lp, weights, u_prev, targets = (live[keep], lp[keep], weights[keep],
+                                                  u_prev[keep], targets[keep])
+            draws.retire(done, draws.read)
+    return taken, stopped, sums, squares

@@ -4,32 +4,35 @@ Each runner simulates one full search: draw the target, take measurements
 until the stopping rule fires, and report the stopping time tau together
 with whether the final estimate found the target.
 
-Every strategy runs on one engine, `_search`: a rule maps the
-log-posteriors, and its own per-row state, to probed sets and their noise
-variances, each observation is folded in by Bayes' rule, and the rule's
-stop retires a row; fixed composition, sorted-PM and exhaustive search
-stop once one cell holds posterior mass 1 - eps.  The engine runs trials
-in lockstep: `run_rows` takes one generator per trial, keeps their
-posteriors as the rows of one (rows, size) array, advances every live row
-by one probe per step and retires rows as they stop.  Every row's
-posterior is carried as running sums of log-likelihood ratios from zero,
-the uniform prior, never renormalized: every rule reads only the order of
-the sums and ratios of cell masses, which a shift leaves alone, and each
-step's normalizer sum(exp(c - max c)) is taken only to test the stop.  A
-non-adaptive rule (fixed composition, exhaustive), whose probe sets never
-read the posterior, hands over a window of steps at once, as (rows, w,
-size) masks, whose hits and log-likelihood ratios the engine takes in one
-pass and folds in one pass per tile of rows (`fold_sums`); an adaptive
-rule hands over one step.  Each row makes the draws, in the same order,
-and the arithmetic of a trial run alone, so a record depends only on its
-trial's draws, not on the window, the chunk, the block or the tile.
-`run_strategy` is the batch of one, a one-row block, and a block's last
-live row stays a row of it, so the engine has one code path.  Two-stage
-search chains two searches.  The two bisection strategies are one stateful
-rule, `_bisection_rule`: each row narrows its own window of the posterior,
-reads each half's mass from one cell, since every cell of a half holds the
-same value, and stops level by level; a fixed level is one step of many
-observations folded into one update.
+Every strategy runs on one engine, `_search`: a rule maps the posterior,
+and its own per-row state, to probed sets and their noise variances, each
+observation is folded in by Bayes' rule, and the rule's stop retires a
+row; fixed composition, sorted-PM and exhaustive search stop once one cell
+holds posterior mass 1 - eps.  The engine runs trials in lockstep:
+`run_rows` takes one generator per trial, keeps their posteriors as the
+rows of one (rows, size) array, advances every live row a window of steps
+at a time and retires rows as they stop.  Every row's posterior is carried
+as running sums of log-likelihood ratios from zero, the uniform prior,
+never renormalized: every rule reads only the order of the sums and ratios
+of cell masses, which a shift leaves alone, and each step's normalizer
+sum(exp(c - max c)) is taken only to test the stop; sorted-PM reads its
+terms, the weights exp(c - max c) that the fold leaves.  A non-adaptive
+rule (fixed composition, exhaustive), whose probe sets never read the
+posterior, hands over a window of steps at once, as (rows, w, size) masks,
+whose hits and log-likelihood ratios the engine takes in one pass and
+folds in one pass per tile of rows (`fold_sums`); sorted-PM hands over one
+step.  Each row makes the draws, in the same order, and the arithmetic of
+a trial run alone, so a record depends only on its trial's draws, not on
+the window, the chunk, the block or the tile.  `run_strategy` is the batch
+of one, a one-row block, and a block's last live row stays a row of it, so
+the engine has one code path.  Two-stage search chains two searches.  The
+two bisection strategies are one stateful rule, `_bisection_rule`: each row
+narrows its own window of the posterior, reads each half's mass from one
+cell, since every cell of a half holds the same value, and stops level by
+level.  A sequential level folds a window of normals as a cumulative sum
+of the probed half's ratios and ends at its first step past the test, and
+a row reads the rest of the window under its next level; a fixed level is
+one step of many observations folded into one update.
 
 Every draw from a trial generator is made here, through a block's `Draws`:
 targets (`draw_targets`), then observations, one or a fixed level's many
@@ -39,8 +42,8 @@ draws its probe sets from a second stream per trial, derived from the
 trial generator before the target draw without drawing from it, a chunk
 of steps at a time (`pick_cells`).  A window ends where a chunk does, so
 a record does not depend on the chunk or the window.  `sim.drift_probe`
-runs the same probe rules on a one-row block, with chunks, and so
-windows, of one step, and renormalizes its row after each.
+runs the same probe rules, draws and running sums on blocks of runs, one
+step at a time.
 
 Strategies
 ----------
@@ -256,6 +259,7 @@ class Draws:
         rows = len(self.pickers)
         if self.picked == self.picks.shape[1]:
             steps = max(1, min(CHUNK, CHUNK_CELLS // (rows * k)))
+            self.picks = None  # spent: not held while the next chunk is drawn
             self.picks = pick_cells(self.pickers, grid, k, steps)
             self.picked = 0
         w = min(self.window(grid), self.picks.shape[1] - self.picked)
@@ -273,7 +277,9 @@ class Draws:
         for row, first, col in zip(rows, read, done.nonzero()[0].tolist()):
             self.spare[row] = self.normals[first:, col].copy()
         keep = ~done
-        self.rows, self.normals = self.rows[keep], self.normals[:, keep]
+        # compress, not a fancy index, keeps the chunk in C order, and so
+        # each window's normals and ratios
+        self.rows, self.normals = self.rows[keep], self.normals.compress(keep, axis=1)
         self.picks = self.picks[keep]
         flags = keep.tolist()
         self.gens = [g for g, f in zip(self.gens, flags) if f]
@@ -292,15 +298,20 @@ def observe(hit: np.ndarray, v, draws: Draws,
     (w, rows) and one variance v for all rows or one a row.  z are the
     rows' next normals (`Draws.ahead`); with reps (w = 1), reps[i] normals
     that row i draws now, whose ratios are summed into one."""
-    sd = np.sqrt(v)
     if reps is None:
-        # flat arithmetic, cheaper than 2-D on a few rows: v is one value,
-        # or one a row in a window of one step
-        y = hit.ravel() + sd * draws.ahead(hit.shape[0]).ravel()
-        return ((2.0 * y - 1.0) / (2.0 * v)).reshape(hit.shape)
+        return log_ratios(hit, v, draws.ahead(hit.shape[0]))
+    sd = np.sqrt(v)
     return np.array([[((2.0 * (h + s * g.standard_normal(r)) - 1.0) / (2.0 * w)).sum()
                       for h, s, w, r, g in zip(hit[0].tolist(), sd.tolist(), v.tolist(),
                                                reps.tolist(), draws.gens)]])
+
+
+def log_ratios(hit: np.ndarray, v, z: np.ndarray) -> np.ndarray:
+    """(2y - 1)/(2v) of observations y = hit + sqrt(v) z, elementwise: v
+    is one value, or one a row along the last axis of hit and z."""
+    y = np.sqrt(v) * z
+    y += hit  # in z's layout: a window's hits are a transposed gather
+    return (2.0 * y - 1.0) / (2.0 * v)
 
 
 def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
@@ -311,31 +322,40 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
 
     A rule is a pair (probe, settle), the one extension point for a new
     kind, stateless or with per-row state (a balanced design's round, a
-    sort order carried between steps, a bisection window).
-    probe(lp, step, draws) -> (masks, variances, reps) maps the live rows'
-    log posteriors lp (rows, size), and the rule's own per-row state, to
-    the probed sets of a window of w steps, masks (rows, w, size), and
-    their noise variances.  lp are running sums of log-likelihood ratios
-    from zero, the uniform prior, never renormalized: each row's log
-    posterior up to a shift.  reps is None for one observation per row a
-    step, else each row's count of observations, folded into one update.
-    settle(lp) -> which rows retire, read from the sums after a step's
-    update; it drops the retiring rows from the rule's state.  settle None
-    is the threshold stop: a row retires once one cell holds posterior
-    mass 1 - eps, tested on each step's normalizer (`fold_sums`), and
-    starts only if the uniform prior holds less.  A rule with its own
-    settle starts every row when size > 1.  A row's steps are its
-    observations; a step that would take a row past STEP_LIMIT raises
-    before it is observed: a fixed level's normals are never drawn past it.
+    sort order carried between steps, a bisection window).  Every row is
+    carried as running sums c of log-likelihood ratios from zero, the
+    uniform prior, never renormalized: its log posterior up to a shift.
+    probe(weights, step, draws) -> (masks, variances, reps) maps the live
+    rows' posterior weights exp(c - max c) (rows, size), as the fold of a
+    window of one step left them (None after a longer window, or under a
+    rule with its own settle: neither reads them), and the rule's own
+    per-row state, to the probed sets of a window of w steps, masks (rows,
+    w, size), and their noise variances.  reps is None for one observation
+    per row a step, else each row's count of observations, folded into one
+    update.
 
-    The window is the masks' second axis: one step for an adaptive rule;
-    as many as draws allow (`Draws.window`) for a non-adaptive one, whose
-    sets never read lp and which reads each live row's picks from draws.
-    A target outside [0, size) is never hit (a failed first stage): that
-    row still stops, on a wrong cell.  Each row sees the same draws and
-    arithmetic as if it ran alone, wherever a window ends.  Returns per-row
-    (steps, MAP cell, final max posterior exp(-log s) of its normalizer s)
-    arrays."""
+    settle None is the threshold stop: the engine observes the window and
+    folds it (`fold_sums`), and a row retires once one cell holds
+    posterior mass 1 - eps, tested on each step's normalizer; it starts
+    only if the uniform prior holds less.  The window is one step for an
+    adaptive rule, and as many as draws allow (`Draws.window`) for a
+    non-adaptive one, whose sets never read the weights and which reads
+    each live row's picks from draws.  A rule with its own settle starts
+    every row when size > 1: settle(lp, hit_cell, w, draws) -> (done,
+    ends) observes the live rows' window of w steps itself, given their
+    targets' cells, folds it into the sums lp (rows, size) and returns
+    which rows retire, with the steps each takes in the window (one for
+    all in a window of one step), dropping them from its state; its probe
+    hands over the sets its rows start the window with.  A row's steps
+    are its observations; a step that would take a row past STEP_LIMIT
+    raises before it is observed: a fixed level's normals are never drawn
+    past it.
+
+    A target outside [0, size) is never hit (a failed first stage, under a
+    threshold rule): that row still stops, on a wrong cell.  Each row sees
+    the same draws and arithmetic as if it ran alone, wherever a window
+    ends.  Returns per-row (steps, MAP cell, final max posterior exp(-log
+    s) of its normalizer s) arrays."""
     probe, settle = rule
     targets = np.asarray(targets, dtype=np.int64)
     n = targets.size
@@ -349,13 +369,16 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     limit = normalizer_limit(log_thresh) if settle is None and starts else None
     taken = np.zeros(n, dtype=np.int64)  # each live row's observations, with reps
     lp = np.zeros((n, size))
+    # the uniform prior's weights, exp(0), without a copy a row
+    weights = np.broadcast_to(1.0, (n, size)) if settle is None else None
     on_grid = (targets >= 0) & (targets < size)
     off_grid = not on_grid.all()
     hit_cell = np.where(on_grid, targets, 0)
     at = np.arange(live.size)
     step = 0
     while live.size:
-        masks, v, reps = probe(lp, step, draws)
+        masks, v, reps = probe(weights, step, draws)
+        weights = None  # read: not held while the fold makes the next
         if reps is None:  # every live row has observed once a step
             w = min(masks.shape[1], STEP_LIMIT - step)
             over = 0 if w == 0 else None
@@ -366,17 +389,17 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
                     if taken.max() > STEP_LIMIT else None)
         if over is not None:
             raise _step_limit(label, first_trial, int(live[over]))
-        # a step alone is gathered in 2-D, cheaper than a window's 3-D gather;
-        # only a failed first stage puts a target off the grid
-        hit = masks[at, 0, hit_cell][None] if w == 1 else masks[at, :w, hit_cell].T
-        if off_grid:
-            hit &= on_grid
-        llr = observe(hit, v, draws, reps)
         if settle is None:
-            done, ends, norms, ended_cells = fold_sums(lp, masks[:, :w], llr, limit)
+            # a step alone is gathered in 2-D, cheaper than a window's 3-D
+            # gather; only a failed first stage puts a target off the grid
+            hit = masks[at, 0, hit_cell][None] if w == 1 else masks[at, :w, hit_cell].T
+            if off_grid:
+                hit &= on_grid
+            llr = observe(hit, v, draws)
+            done, ends, norms, ended_cells, weights = fold_sums(
+                lp, masks[:, :w], llr, limit)
         else:
-            np.add(lp, llr[0, :, None], out=lp, where=masks[:, 0])
-            done, ends = settle(lp), 1
+            done, ends = settle(lp, hit_cell, w, draws)
         read = draws.read + ends
         draws.read += w
         if done.any():
@@ -388,6 +411,8 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
             cells[ended] = ended_cells
             keep = ~done
             live, lp, taken = live[keep], lp[keep], taken[keep]
+            if weights is not None:
+                weights = weights[keep]
             at = at[:live.size]
             hit_cell, on_grid = hit_cell[keep], on_grid[keep]
             draws.retire(done, read)
@@ -407,17 +432,18 @@ def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
         k = min(max(int(round(q_star * grid)), 1), grid - 1)
     v = config.noise_variance(k * cells_per_unit)
 
-    def probe(lp, step, draws):
+    def probe(weights, step, draws):
         return draws.pick(grid, k), v, None
     return probe, None
 
 
 def _sorted_pm_rule(config: SearchConfig):
-    """Adaptive rule: the top cells holding about half the posterior mass."""
+    """Adaptive rule: the top cells holding about half the posterior mass,
+    read from the weights the last fold left."""
     variances = np.concatenate(([math.nan], probe_variances(config)))
 
-    def probe(lp, step, draws):
-        masks, k = sorted_pm_mask(np.exp(lp - lp.max(axis=1, keepdims=True)))
+    def probe(weights, step, draws):
+        masks, k = sorted_pm_mask(weights)
         return masks[:, None], variances[k], None
     return probe, None
 
@@ -428,11 +454,11 @@ def _round_robin_rule(config: SearchConfig):
     m = config.M
     v = config.noise_variance(1)
 
-    def probe(lp, step, draws):
+    def probe(weights, step, draws):
         w = draws.window(m)
         masks = np.zeros((w, m), dtype=bool)
         masks[np.arange(w), (step + np.arange(w)) % m] = True
-        return np.broadcast_to(masks, (lp.shape[0], w, m)), v, None
+        return np.broadcast_to(masks, (len(draws.gens), w, m)), v, None
     return probe, None
 
 
@@ -511,12 +537,19 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     the odd cell, and ends by moving the window into the half that holds
     more mass, the first on ties.
 
-    Sequential levels: a step is one observation per row, and a row's
-    level ends once its favoured half holds a share >= 1 - epsilon/log2(M)
-    of the window's mass.  Fixed levels: a step is a whole level of
-    r = max(1, ceil(4 v z^2)) observations per row, folded into one update
-    (its threshold is -inf, so every level ends); z = Q^{-1}(epsilon/log2
-    M), so that one level errs with probability at most epsilon/log2 M.
+    Sequential levels: one observation per row a step, and a row's level
+    ends once its favoured half holds a share >= 1 - epsilon/log2(M) of
+    the window's mass, after at least one observation.  A window of steps
+    runs to the end of the normal chunk (`Draws.window`), and each row
+    takes it level by level: the probed half's cell over the window's
+    steps is a cumulative sum of their ratios seeded with the cell, the
+    floats of adding one step at a time, the level ends at the first step
+    that passes the test, and the row's remaining normals in the window
+    are read again under its next level.  A row that reaches one cell
+    retires at its own step.  Fixed levels: a step is a whole level of
+    r = max(1, ceil(4 v z^2)) observations per row, folded into one update,
+    and every level ends; z = Q^{-1}(epsilon/log2 M), so that one level
+    errs with probability at most epsilon/log2 M.
 
     Windows nest, the sums start at zero, and an update adds the same llr
     to every cell of a half, with no shift or clamp, so every cell of a
@@ -530,47 +563,89 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         return None, None
     share = config.epsilon / math.log2(m)
     z = max(0.0, gaussian_tail_inverse(share)) if fixed else None
-    log_thresh = -math.inf if fixed else math.log1p(-min(share, 0.5))
+    log_thresh = math.log1p(-min(share, 0.5))
     half, r, *level = _level(config, z, 0, m)
     # per row, one allocation each for the integer and the float state
     # (retiring rows takes one index each): the window [lo, hi) and
     # _level's mid and repetitions; _level's v and log cell counts
     ints = np.array([[0], [m], [half], [r]]).repeat(n, 1)
     flts = np.array(level)[:, None].repeat(n, 1)
-    lo, hi, mid, reps = ints
-    var, log_h1, log_h2 = flts
     masks = np.zeros((n, m), dtype=bool)
     masks[:, :half] = True
-    at, cols = np.arange(n), np.arange(m)
+    cols = np.arange(m)
 
-    def probe(lp, step, draws):
-        return masks[:, None], var, reps if fixed else None
+    def probe(weights, step, draws):
+        # a fixed level draws its normals when observed, never a chunk
+        w = 1 if fixed else draws.window(1)
+        sets = np.broadcast_to(masks[:, None], (masks.shape[0], w, m))
+        return sets, flts[0], ints[3] if fixed else None
 
-    def settle(lp):
-        nonlocal ints, flts, lo, hi, mid, reps, var, log_h1, log_h2, masks, at
-        first = lp[at, lo] + log_h1
-        second = lp[at, mid] + log_h2
-        ends = np.maximum(first, second) - np.logaddexp(first, second) >= log_thresh
-        if not ends.any():
-            return ends
-        to_first = first >= second
-        np.copyto(lo, mid, where=ends & ~to_first)
-        np.copyto(hi, mid, where=ends & to_first)
-        done = hi - lo == 1
-        moved = (ends & ~done).nonzero()[0]
-        if moved.size:  # these rows start a level
+    def end_levels(rows, to_first):
+        """Move the windows of these rows into the half that holds more
+        mass and start their next levels; returns which reach one cell."""
+        lo, hi, mid = ints[:3]
+        lo[rows] = np.where(to_first, lo[rows], mid[rows])
+        hi[rows] = np.where(to_first, mid[rows], hi[rows])
+        done = hi[rows] - lo[rows] == 1
+        moved = rows[~done]
+        if moved.size:
             w_lo = lo[moved]
             levels = np.array([_level(config, z, a, b) for a, b in
                                zip(w_lo.tolist(), hi[moved].tolist())]).T
             ints[2:4, moved], flts[:, moved] = levels[:2], levels[2:]
             masks[moved] = (cols >= w_lo[:, None]) & (cols < mid[moved][:, None])
+        return done
+
+    def fold_level(lp, rows, llr, first_step):
+        """Fold each row's ratios llr (w, rows) over the window into its
+        probed half from its first_step on; returns the step at which its
+        level ends (the last step if it does not), whether it does, and
+        whether the first half then holds more mass."""
+        lo, _, mid = ints[:3]
+        _, log_h1, log_h2 = flts[:, rows]
+        unread = np.arange(llr.shape[0])[:, None] < first_step
+        np.copyto(llr, 0.0, where=unread)
+        llr[0] += lp[rows, lo[rows]]
+        c = np.cumsum(llr, axis=0)
+        first = c + log_h1
+        second = lp[rows, mid[rows]] + log_h2
+        passed = np.maximum(first, second) - np.logaddexp(first, second) >= log_thresh
+        passed &= ~unread
+        ended = passed.any(axis=0)
+        at = np.where(ended, passed.argmax(axis=0), llr.shape[0] - 1)
+        k = np.arange(rows.size)
+        lp[rows] = np.where(masks[rows], c[at, k][:, None], lp[rows])
+        return at, ended, first[at, k] >= second
+
+    def settle(lp, hit_cell, w, draws):
+        nonlocal ints, flts, masks
+        lo, _, mid, reps = ints
+        rows = np.arange(lo.size)
+        if fixed:  # every level ends after its one step
+            llr = observe(masks[rows, hit_cell][None], flts[0], draws, reps)
+            np.add(lp, llr[0, :, None], out=lp, where=masks)
+            to_first = lp[rows, lo] + flts[1] >= lp[rows, mid] + flts[2]
+            done, ends = end_levels(rows, to_first), 1
+        else:
+            normals = draws.ahead(w)
+            read = np.zeros(rows.size, dtype=np.int64)
+            ends = np.zeros(rows.size, dtype=np.int64)
+            while rows.size:  # rows with steps of the window left to read
+                t = hit_cell[rows]
+                hit = (lo[rows] <= t) & (t < mid[rows])
+                llr = log_ratios(hit, flts[0, rows], normals[:, rows])
+                at, ended, to_first = fold_level(lp, rows, llr, read[rows])
+                read[rows] = at + 1
+                rows, at = rows[ended], at[ended]
+                done = end_levels(rows, to_first[ended])
+                ends[rows[done]] = at[done] + 1
+                rows = rows[~done & (at + 1 < w)]
+            done = ends > 0
+            ends = ends[done]
         if done.any():
             keep = ~done
             ints, flts, masks = ints[:, keep], flts[:, keep], masks[keep]
-            lo, hi, mid, reps = ints
-            var, log_h1, log_h2 = flts
-            at = at[:lo.size]
-        return done
+        return done, ends
     return probe, settle
 
 

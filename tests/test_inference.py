@@ -166,8 +166,9 @@ class TestFoldSums:
 
     def test_normalized_sums_match_renormalized_posterior(self):
         # 10^6 row-steps in blocks of 1,000 rows, criterion 4's draws a
-        # block at a time: at every step exp(c - max c) / s sums to one
-        # and is the posterior that renormalizing every step gives
+        # block at a time: at every step the fold hands back the weights
+        # exp(c - max c), and weights / s sums to one and is the posterior
+        # that renormalizing every step gives
         rng = np.random.default_rng(2024)
         rows, steps = 1000, 50
         at = np.arange(rows)
@@ -181,11 +182,13 @@ class TestFoldSums:
             for _ in range(steps):
                 masks = rng.random((rows, 1, m)) < 0.5
                 y = masks[at, 0, target] + np.sqrt(v) * rng.standard_normal(rows)
-                done, _, s, _ = fold_sums(sums, masks, ((2.0 * y - 1.0) / (2.0 * v))[None],
-                                          math.inf)
+                done, _, s, _, weights = fold_sums(
+                    sums, masks, ((2.0 * y - 1.0) / (2.0 * v))[None], math.inf)
                 assert done.all()
                 update_log_probs(lp, masks[:, 0], y, v)
-                post = np.exp(sums - sums.max(axis=1, keepdims=True)) / s[:, None]
+                assert weights.tobytes() == np.exp(
+                    sums - sums.max(axis=1, keepdims=True)).tobytes()
+                post = weights / s[:, None]
                 worst_norm = max(worst_norm, float(np.abs(post.sum(axis=1) - 1.0).max()))
                 worst_gap = max(worst_gap, float(np.abs(post - np.exp(lp)).max()))
         assert worst_norm <= 1e-9 and worst_gap <= 1e-9
@@ -217,6 +220,22 @@ class TestUFunctional:
         lp[3] = 0.0
         lp = lp - math.log(np.exp(lp).sum())
         assert np.isfinite(u_log_probs(lp))
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 17, 130])
+    def test_block_rows_match_single_calls(self, m):
+        # random posteriors of every spread, with ties at the argmax, and
+        # rows clamped at the floor with one winner or two
+        rng = np.random.default_rng(m)
+        lp = rng.normal(0.0, 1.0, (60, m)) * rng.choice([0.01, 1.0, 30.0, 3000.0], (60, 1))
+        lp[::7, : m // 2] = 0.0
+        lp[1::5] = LOG_FLOOR_NATS
+        lp[1::5, 0] = 0.0
+        lp[2::10, -1] = 0.0
+        assert (lp - lp.max(axis=1, keepdims=True) < LOG_FLOOR_NATS).any()
+        renormalize_log_probs(lp)  # clamps those cells at the floor
+        got = u_log_probs(lp)
+        assert got.shape == (60,) and np.isfinite(got).all()
+        assert [u.hex() for u in got.tolist()] == [u_log_probs(row).hex() for row in lp]
 
 
 # One row's update of a nested-half search: whether the second half of its

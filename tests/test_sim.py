@@ -1,5 +1,8 @@
 """Seeded Monte Carlo batches, summaries, and drift probes."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,28 +141,50 @@ class TestRunTrials:
 
 
 # (mean_drift, se, capacity_floor) .hex() of 10^4-step drift probes,
-# recorded from the one-dimensional drift loop before the probe ran the
-# engine's own probe rules on a one-row block; the fixed-composition
-# entries were recorded again when its probe sets moved to a picks stream
-# of their own.
+# recorded when the probe's runs became the rows of lockstep blocks, run r
+# drawing from trial_seed_for(seed, r).
 DRIFT_CONFIGS = {
     "config16": new_config(16, 1, 0.25, 1e-4),
     "M12_power": new_config(12, 1, 0.5, 1e-3, noise=NoiseModel.power(2.0)),
 }
 DRIFT_GOLDEN = {
     ("config16", FIXED_COMPOSITION, 3):
-        ("0x1.03907f67be65ep-2", "0x1.67911b141c40dp-7", "0x1.1f3fdc0bf2b48p-3"),
+        ("0x1.d6effd77e1967p-3", "0x1.52ef04a8af41dp-7", "0x1.1f3fdc0bf2b48p-3"),
     ("config16", FIXED_COMPOSITION, 21):
-        ("0x1.e6a9ccfd5971ep-3", "0x1.591a6ed756ec1p-7", "0x1.1f3fdc0bf2b48p-3"),
+        ("0x1.f448400d72d83p-3", "0x1.5defdccdf7e12p-7", "0x1.1f3fdc0bf2b48p-3"),
     ("config16", SORTED_PM, 3):
-        ("0x1.d8f3ba6dd21b2p-1", "0x1.526f597d935a1p-6", "0x1.5bed9dde59980p-4"),
+        ("0x1.caadd79d3c672p-1", "0x1.54d7be35a166dp-6", "0x1.5bed9dde59980p-4"),
     ("config16", SORTED_PM, 21):
-        ("0x1.d60a5975edc5dp-1", "0x1.520ac9d5fc945p-6", "0x1.5bed9dde59980p-4"),
+        ("0x1.dc9cbc484e714p-1", "0x1.583982ff97a97p-6", "0x1.5bed9dde59980p-4"),
     ("M12_power", FIXED_COMPOSITION, 3):
-        ("0x1.4a730f5a4f0a2p-3", "0x1.0215e5db914e5p-7", "0x1.98ffc40609400p-4"),
+        ("0x1.56b8b08e43d08p-3", "0x1.fead5dab0cd2fp-8", "0x1.98ffc40609400p-4"),
     ("M12_power", SORTED_PM, 3):
-        ("0x1.b7259c86e0481p-3", "0x1.40f0bab4204fep-7", "0x1.4608c20070600p-7"),
+        ("0x1.a11dc799a6cfbp-3", "0x1.3080cc95900c2p-7", "0x1.4608c20070600p-7"),
 }
+# (mean_drift, se) .hex() of the same probes while every run drew from the
+# one generator seeded with the seed, one after another.
+SERIAL_DRIFT = {
+    ("config16", FIXED_COMPOSITION, 3): ("0x1.03907f67be65ep-2", "0x1.67911b141c40dp-7"),
+    ("config16", FIXED_COMPOSITION, 21): ("0x1.e6a9ccfd5971ep-3", "0x1.591a6ed756ec1p-7"),
+    ("config16", SORTED_PM, 3): ("0x1.d8f3ba6dd21b2p-1", "0x1.526f597d935a1p-6"),
+    ("config16", SORTED_PM, 21): ("0x1.d60a5975edc5dp-1", "0x1.520ac9d5fc945p-6"),
+    ("M12_power", FIXED_COMPOSITION, 3): ("0x1.4a730f5a4f0a2p-3", "0x1.0215e5db914e5p-7"),
+    ("M12_power", SORTED_PM, 3): ("0x1.b7259c86e0481p-3", "0x1.40f0bab4204fep-7"),
+}
+
+
+def counting_observations(monkeypatch):
+    """Wrap sim's observe; returns a list whose first entry counts the
+    row-steps observed."""
+    count = [0]
+    observe = sim.observe
+
+    def counted(hit, *args, **kwargs):
+        count[0] += hit.shape[1]
+        return observe(hit, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "observe", counted)
+    return count
 
 
 class TestDriftProbe:
@@ -169,6 +194,49 @@ class TestDriftProbe:
         rep = drift_probe(kind, DRIFT_CONFIGS[case], 10_000, seed)
         got = (rep.mean_drift.hex(), rep.se.hex(), rep.capacity_floor.hex())
         assert got == DRIFT_GOLDEN[case, kind, seed]
+
+    @pytest.mark.parametrize("case, kind, seed", list(SERIAL_DRIFT),
+                             ids=[f"{c}-{k}-{s}" for c, k, s in SERIAL_DRIFT])
+    def test_agrees_with_serial_stream(self, case, kind, seed):
+        # two samples of the same mean: within 4 standard errors of their
+        # difference
+        mean, se = (float.fromhex(x) for x in DRIFT_GOLDEN[case, kind, seed][:2])
+        old_mean, old_se = (float.fromhex(x) for x in SERIAL_DRIFT[case, kind, seed])
+        assert abs(mean - old_mean) <= 4.0 * math.hypot(se, old_se)
+
+    @pytest.mark.parametrize("kind", [FIXED_COMPOSITION, SORTED_PM])
+    def test_drift_does_not_depend_on_block_rows(self, config16, kind,
+                                                 monkeypatch):
+        blocked = drift_probe(kind, config16, 10_000, 3)
+        for rows in (3, 1000):
+            monkeypatch.setattr(sim, "DRIFT_ROWS", rows)
+            assert drift_probe(kind, config16, 10_000, 3) == blocked
+
+    def test_long_probe_memory_is_bounded(self, config16):
+        # the increments of 10^5 steps alone would take 0.76 MiB; a probe
+        # holds a block of runs at a time, their sums and no increments
+        drift_probe(SORTED_PM, config16, 10_000, 3)  # the capacity floor is cached
+        tracemalloc.start()
+        try:
+            drift_probe(SORTED_PM, config16, 100_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", [FIXED_COMPOSITION, SORTED_PM])
+    def test_runs_outlasting_the_probe_take_its_steps(self, kind, monkeypatch):
+        # a run takes far more than 10^4 steps at this noise: the first block
+        # is that one run, cut at the last increment read
+        config = new_config(16, 1, 1e4, 1e-4)
+        count = counting_observations(monkeypatch)
+        rep = drift_probe(kind, config, 10_000, 3)
+        assert rep.n_steps == 10_000 and count[0] == 10_000
+
+    def test_short_runs_take_about_the_probe_steps(self, config16, monkeypatch):
+        count = counting_observations(monkeypatch)
+        drift_probe(SORTED_PM, config16, 10_000, 3)
+        assert 10_000 <= count[0] <= 11_000
 
     @pytest.mark.parametrize("kind", [FIXED_COMPOSITION, SORTED_PM])
     def test_drift_does_not_depend_on_chunk(self, config16, kind, monkeypatch):

@@ -163,7 +163,8 @@ class TestSortedPMMask:
     @pytest.mark.parametrize("m", [2, 3, 9, 11, 12, 15, 21, 128])
     def test_first_probe_from_zero_sums_covers_half(self, m):
         probe, _ = strat._sorted_pm_rule(new_config(m, 1, 0.25, 1e-4))
-        masks, _, _ = probe(np.zeros((3, m)), 0, None)
+        # the weights exp(c - max c) of zero sums, as the engine starts
+        masks, _, _ = probe(np.broadcast_to(1.0, (3, m)), 0, None)
         assert masks.shape == (3, 1, m)
         assert masks.sum(axis=2).ravel().tolist() == [m // 2] * 3
 
@@ -758,22 +759,60 @@ def renormalizing_fold(floored):
         s = renormalize(lp, floored)
         done = s <= limit
         return (done, np.ones(done.sum(), dtype=np.int64), s[done],
-                lp[done].argmax(axis=1))
+                lp[done].argmax(axis=1), np.exp(lp - lp.max(axis=1, keepdims=True)))
     return fold
 
 
-def renormalizing_settle(make_rule, floored):
-    """A bisection rule maker whose settle renormalizes the block first."""
-    def rule(*args):
-        probe, settle = make_rule(*args)
-        if settle is None:  # M = 1: no row starts
-            return probe, settle
+def stepwise_bisection(floored=None):
+    """A maker of the bisection rule that takes one observation, or one
+    fixed level, a step and settles every row after it, as the rule ran
+    before its sequential levels took windows: the reference for the
+    windowed rule.  With floored, the block is renormalized before each
+    test, as every rule's rows once were, and whether the clamp moved a
+    cell is appended to it."""
+    def make(config, fixed, n):
+        m = config.M
+        if m == 1:  # no row starts
+            return None, None
+        share = config.epsilon / math.log2(m)
+        z = max(0.0, strat.gaussian_tail_inverse(share)) if fixed else None
+        log_thresh = -math.inf if fixed else math.log1p(-min(share, 0.5))
+        windows = np.array([[0, m]] * n)  # each live row's [lo, hi)
+        cols = np.arange(m)
 
-        def renormalized(lp):
-            renormalize(lp, floored)
-            return settle(lp)
-        return probe, renormalized
-    return rule
+        def level():
+            """Each row's probed set, repetitions, variance and half sizes."""
+            lo = windows[:, 0]
+            mid, reps, v, log_h1, log_h2 = np.array(
+                [strat._level(config, z, a, b) for a, b in windows.tolist()]).T
+            mid = mid.astype(np.int64)
+            masks = (cols >= lo[:, None]) & (cols < mid[:, None])
+            return masks, reps.astype(np.int64) if fixed else None, v, (lo, mid, log_h1, log_h2)
+
+        def probe(weights, step, draws):
+            masks, reps, v, _ = level()
+            return masks[:, None], v, reps
+
+        def settle(lp, hit_cell, w, draws):
+            nonlocal windows
+            assert w == 1
+            masks, reps, v, (lo, mid, log_h1, log_h2) = level()
+            at = np.arange(lo.size)
+            llr = strat.observe(masks[at, hit_cell][None], v, draws, reps)
+            np.add(lp, llr[0, :, None], out=lp, where=masks)
+            if floored is not None:
+                renormalize(lp, floored)
+            first = lp[at, lo] + log_h1
+            second = lp[at, mid] + log_h2
+            ends = np.maximum(first, second) - np.logaddexp(first, second) >= log_thresh
+            to_first = first >= second
+            lo = np.where(ends & ~to_first, mid, lo)
+            hi = np.where(ends & to_first, mid, windows[:, 1])
+            done = hi - lo == 1
+            windows = np.stack([lo, hi], axis=1)[~done]
+            return done, 1
+        return probe, settle
+    return make
 
 
 CHUNK_CASES = ([StrategySpec(kind) for kind in KINDS if kind != TWO_STAGE]
@@ -837,10 +876,11 @@ class TestLockstepRows:
         # rows retire mid-chunk, and some only after their first chunk
         taus = [tau for tau, *_ in chunked]
         assert any(t % chunk for t in taus) and max(taus) > chunk
-        # a non-adaptive rule takes windows of many steps; an adaptive one
-        # takes one step at a time and never sizes a window
+        # a non-adaptive rule and sequential bisection take windows of many
+        # steps; sorted-PM and fixed levels take one step at a time and
+        # never size a window
         assert max(widths, default=1) > 1 or spec.kind in (
-            SORTED_PM, NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE)
+            SORTED_PM, NOISY_BINARY_FIXED)
         # windows of one step make the same draws: the same records, and
         # every stream ends in the same state
         monkeypatch.setattr(Recorded, "window",
@@ -873,8 +913,7 @@ class TestLockstepRows:
         # renormalized, one step a window
         floored = []
         monkeypatch.setattr(strat, "fold_sums", renormalizing_fold(floored))
-        monkeypatch.setattr(strat, "_bisection_rule", renormalizing_settle(
-            strat._bisection_rule, floored))
+        monkeypatch.setattr(strat, "_bisection_rule", stepwise_bisection(floored))
         window = strat.Draws.window
         monkeypatch.setattr(strat.Draws, "window",
                             lambda draws, cells: min(1, window(draws, cells)))
@@ -899,7 +938,8 @@ class TestLockstepRows:
 
     def test_full_block_peak_memory(self):
         # a full simulation block at M=128; the limit is the peak measured
-        # once pick_cells dropped each temporary after its last use
+        # once pick_cells dropped each temporary after its last use and
+        # Draws dropped a spent chunk of picks before drawing the next
         config = LOCKSTEP_CONFIGS["M128"]
         rngs = [np.random.default_rng(trial_seed_for(515, i))
                 for i in range(BLOCK_CELLS // config.M)]
@@ -909,7 +949,7 @@ class TestLockstepRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.81 * 2 ** 20
+        assert peak <= 4.31 * 2 ** 20
 
     def test_loose_epsilon_cases_include_failures(self):
         config = LOCKSTEP_CONFIGS["M16_eps0.2"]
@@ -925,3 +965,64 @@ class TestLockstepRows:
         assert 0 < success.sum() < self.N
         # rows took different paths through windows of unequal length
         assert len(set(tau.tolist())) > 1
+
+
+# Bisection configs for the windowed rule against the stepwise reference:
+# every level of M=2 ends in one cell; odd M gives rows windows of unequal
+# length; at M3_eps0.9 the share eps/log2 M is past 1/2, so every level
+# passes its test at its first observation; M12_power and M32_power have
+# power noise.
+WINDOW_CONFIGS = {
+    "M2": LOCKSTEP_CONFIGS["M2"],
+    "M3_eps0.9": new_config(3, 1, 0.1, 0.9),
+    "M4_eps0.9": LOCKSTEP_CONFIGS["M4_eps0.9"],
+    "M12_power": LOCKSTEP_CONFIGS["M12_power"],
+    "M32_power": LOCKSTEP_CONFIGS["M32_power"],
+    "M128": LOCKSTEP_CONFIGS["M128"],
+}
+
+
+class TestWindowedBisection:
+    N = 50
+
+    @staticmethod
+    def run(kind, config, seeds):
+        """The records of a run_rows block, and every generator's state
+        after it."""
+        rngs = [np.random.default_rng(s) for s in seeds]
+        records = TestLockstepRows.as_tuples(*run_rows(StrategySpec(kind), config, rngs))
+        return records, [g.bit_generator.state for g in rngs]
+
+    @pytest.mark.parametrize("rows", [1, N], ids=["lone_row", "block"])
+    @pytest.mark.parametrize("kind", [NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE])
+    @pytest.mark.parametrize("case", list(WINDOW_CONFIGS))
+    def test_windows_match_stepwise_rule(self, case, kind, rows, monkeypatch):
+        config = WINDOW_CONFIGS[case]
+        seeds = [trial_seed_for(515, i) for i in range(rows)]
+        windowed = self.run(kind, config, seeds)
+        if kind == NOISY_BINARY_VARIABLE and config.epsilon / math.log2(config.M) >= 0.5:
+            # one observation a level
+            assert all(tau <= math.ceil(math.log2(config.M)) for tau, *_ in windowed[0])
+        monkeypatch.setattr(strat, "_bisection_rule", stepwise_bisection())
+        assert self.run(kind, config, seeds) == windowed
+
+    @pytest.mark.parametrize("kind", [NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE])
+    def test_step_limit_inside_a_window_matches_stepwise_rule(self, kind,
+                                                              monkeypatch):
+        config = WINDOW_CONFIGS["M12_power"]
+        seeds = [trial_seed_for(5, i) for i in range(12)]
+        taus = sorted(tau for tau, *_ in self.run(kind, config, seeds)[0])
+        # the limit falls inside a window: at the longest trial, which
+        # every row meets, and below it, which a row exceeds
+        for limit in (taus[-1], taus[len(taus) // 2]):
+            assert limit % strat.CHUNK != 0
+            monkeypatch.setattr(strat, "STEP_LIMIT", limit)
+            outcomes = []
+            for make in (strat._bisection_rule, stepwise_bisection()):
+                monkeypatch.setattr(strat, "_bisection_rule", make)
+                try:
+                    outcomes.append(self.run(kind, config, seeds))
+                except StepLimitExceeded as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert isinstance(outcomes[0], str) == (limit < taus[-1])
