@@ -7,14 +7,17 @@ every entry finite) and renormalizes, along the last axis, so a (rows, M)
 block takes one call, each row bit-identical to updating it alone.  The
 search engine instead carries every posterior as running sums of
 log-likelihood ratios, never renormalized, normalized only to test a stop
-(`fold_sums`, a window of steps in one pass, which after a window of one
-step also hands back the weights exp(c - max c) it summed): its rules read
-only the order of the sums and ratios of cell masses, which a shift leaves
-alone.  The potential U(rho) = sum_i rho_i log2(rho_i / (1 - rho_i)) is
-the Lyapunov functional whose per-step drift the bound arguments control;
-it is computed with expm1/logsumexp guards so posteriors within a whisker
-of certainty do not overflow, one posterior or a (rows, M) block at a
-time, each row as it gets alone.
+(`fold_sums`): its rules read only the order of the sums and ratios of cell
+masses, which a shift leaves alone.  The fold takes one step of probe
+masks, and then hands back the weights exp(c - max c) it summed, or a
+window of steps given by their probed cells.  In a window it first bounds
+each row's sums over all its steps, and a row that no step can stop only
+adds its ratios: it takes no normalizer.  The potential
+U(rho) = sum_i rho_i log2(rho_i / (1 - rho_i)) is the Lyapunov functional
+whose per-step drift the bound arguments control; it is computed with
+expm1/logsumexp guards so posteriors within a whisker of certainty do not
+overflow, one posterior or a (rows, M) block at a time, each row as it
+gets alone.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ LN2 = math.log(2.0)
 # tile from which its steps are summed one call a step (`fold_sums`).
 TILE_CELLS = 1 << 13
 WIDE_STEP = 256
+# The least excess limit - 1 of a stop's normalizer limit that the screen of
+# a window takes (`fold_sums`), so that a limit at or below 1 screens too.
+MIN_EXCESS = 2.0 ** -50
 
 
 @dataclass(eq=False)
@@ -95,57 +101,106 @@ def update_log_probs(lp: np.ndarray, mask: np.ndarray, y,
     return renormalize_log_probs(lp)
 
 
-def fold_sums(sums: np.ndarray, masks: np.ndarray, llr: np.ndarray,
+def add_ratios(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray) -> None:
+    """Add each step's ratios llr (w, rows) to the running sums (rows,
+    size), in place, on the cells it probes: probed is one step's masks
+    (rows, 1, size), or cells (rows, w, k), k distinct cells a row a step,
+    whose sums must then be C-contiguous.  Cells are added in step order,
+    each ratio to the sum before it: the floats of adding one step at a
+    time."""
+    if probed.dtype == bool:
+        np.add(sums, llr[0, :, None], out=sums, where=probed[:, 0])
+        return
+    np.add.at(sums.reshape(-1), *_cell_ratios(probed, llr, sums.shape[1]))
+
+
+def _cell_ratios(cells: np.ndarray, llr: np.ndarray, size: int) -> tuple:
+    """Each probed cell of cells (rows, w, k), in row and then step order,
+    as its flat index into a (rows, size) block, and its step's ratio."""
+    rows, _, k = cells.shape
+    at = (cells + (np.arange(rows) * size)[:, None, None]).ravel()
+    return at, np.repeat(llr.T, k, axis=1).ravel()
+
+
+def fold_sums(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray,
               limit: float) -> tuple:
     """Fold a window of w steps into a block of running log-likelihood
     sums, sums (rows, size), in place: add each step's ratios llr (w, rows)
-    on its probed cells, masks (rows, w, size), and test the stop at every
-    step on that step's normalizer s = sum(exp(c - max c)): a row stops at
-    the first step with s <= limit.
+    on its probed sets (`add_ratios`: one step's masks, or a window's
+    cells) and test the stop at every step on that step's normalizer
+    s = sum(exp(c - max c)): a row stops at the first step with s <= limit.
 
-    A window of many steps runs in tiles of rows, at most TILE_CELLS floats
-    of sums over the window (and at least one row).  A tile's sums at every
-    step are a cumulative sum of its increments over the steps, each a
-    float added to the sum before it, so a tile gives every row the floats
-    it gets alone, one step at a time.  numpy accumulates along the steps
-    at a cost per cell of a step, so a tile with WIDE_STEP cells or more a
-    step adds each step to the last in one call instead.  A window of one
-    step adds in place.  Returns done, the rows that stop, and for each of
-    them the steps it takes in the window (one for all in a window of one
-    step), its normalizer and its MAP cell at the stop; then, for a window
-    of one step, every row's weights exp(c - max c), the terms of its
-    normalizer (None for a longer window)."""
-    rows, w, size = masks.shape
+    A window of one step adds in place and takes every row's normalizer.
+    A longer window, of cells, screens each row first, in tiles of at most
+    TILE_CELLS sums: over the window a cell's sum stays within [lo, hi],
+    its sum c0 at the start plus its negative ratios and plus its positive
+    ones.  If two cells have lo >= max(hi) - g, with g = -log(limit - 1)
+    less one nat (limit - 1 at least MIN_EXCESS) and less the rounding of
+    the window's sums, every step's normalizer holds a second term above
+    limit - 1 and no step stops the row: a quiet row only adds its ratios.
+    Each other row takes every step's normalizer, in tiles of at most
+    TILE_CELLS floats of sums over the window (and at least one row): its
+    sums at every step are a cumulative sum of its scattered ratios over
+    the steps, each a float added to the sum before it, the floats it gets
+    alone, one step at a time.  numpy accumulates along the steps at a cost
+    per cell of a step, so a tile with WIDE_STEP cells or more a step adds
+    each step to the last in one call instead.  Returns done, the rows that
+    stop, and for each of them the steps it takes in the window (one for
+    all in a window of one step), its normalizer and its MAP cell at the
+    stop; then, after a step of masks, every row's weights exp(c - max c),
+    the terms of its normalizer (None after cells)."""
+    rows, w, _ = probed.shape
     if w == 1:
-        np.add(sums, llr[0, :, None], out=sums, where=masks[:, 0])
-        weights = np.empty_like(sums)
+        add_ratios(sums, probed, llr)
+        weights = np.empty_like(sums) if probed.dtype == bool else None
         s = normalizers(sums, weights)
         done = s <= limit
         return done, 1, s[done], sums[done].argmax(axis=1), weights
+    size = sums.shape[1]
+    gap = -math.log(max(limit - 1.0, MIN_EXCESS)) - 1.0
     ends = np.zeros(rows, dtype=np.int64)
     norms = np.empty(rows)
-    cells = np.empty(rows, dtype=np.int64)
+    maps = np.empty(rows, dtype=np.int64)
+    screen = max(1, TILE_CELLS // size)
     tile = max(1, TILE_CELLS // (w * size))
-    for lo in range(0, rows, tile):
-        part = slice(lo, lo + tile)
-        c = masks[part].transpose(1, 0, 2) * llr[:, part, None]
-        c[0] += sums[part]
-        if c[0].size < WIDE_STEP:
-            np.cumsum(c, axis=0, out=c)
-        else:
-            for j in range(1, w):
-                c[j] += c[j - 1]
-        sums[part] = c[-1]
-        s = normalizers(c)
-        stop = s <= limit
-        if stop.any():
-            idx = stop.any(axis=0).nonzero()[0]
-            j = stop[:, idx].argmax(axis=0)
-            ends[lo + idx] = j + 1
-            norms[lo + idx] = s[j, idx]
-            cells[lo + idx] = c[j, idx].argmax(axis=1)
+    for first in range(0, rows, screen):
+        part = slice(first, first + screen)
+        start, cells, ratios = sums[part], probed[part], llr[:, part]
+        n = start.shape[0]
+        at, x = _cell_ratios(cells, ratios, size)
+        # each cell's positive ratios summed into hi, its negative into lo
+        hi, lo = np.bincount(at + (x < 0.0) * (n * size), x,
+                             2 * n * size).reshape(2, n, size) + start
+        top = hi.max(axis=1)
+        # a float sum over the window errs by at most w + 1 units in the last
+        # place of the sum of its terms' sizes, |c0| + hi - lo, at most
+        # three times the largest size of lo or hi; so does lo or hi itself
+        slack = (w + 1) * 2.0 ** -48 * max(top.max(), -lo.min())
+        floor = top - (gap - slack)
+        quiet = np.count_nonzero(lo >= floor[:, None], axis=1) >= 2
+        loud = first + (~quiet).nonzero()[0]
+        for i in range(0, loud.size, tile):
+            idx = loud[i:i + tile]
+            c = np.zeros((w, idx.size, size))
+            c[np.arange(w)[:, None, None], np.arange(idx.size)[:, None],
+              probed[idx].transpose(1, 0, 2)] = llr[:, idx, None]
+            c[0] += sums[idx]
+            if c[0].size < WIDE_STEP:
+                np.cumsum(c, axis=0, out=c)
+            else:
+                for j in range(1, w):
+                    c[j] += c[j - 1]
+            s = normalizers(c)
+            stop = s <= limit
+            if stop.any():
+                stopped = stop.any(axis=0).nonzero()[0]
+                j = stop[:, stopped].argmax(axis=0)
+                ends[idx[stopped]] = j + 1
+                norms[idx[stopped]] = s[j, stopped]
+                maps[idx[stopped]] = c[j, stopped].argmax(axis=1)
+        np.add.at(start.reshape(-1), at, x)  # in step order, as add_ratios
     done = ends > 0
-    return done, ends[done], norms[done], cells[done], None
+    return done, ends[done], norms[done], maps[done], None
 
 
 def normalizers(sums: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -30,14 +30,14 @@ import numpy as np
 
 from .channel import optimal_composition, bawgn_capacity
 from .errors import ValidationError
-from .inference import normalizer_limit, u_log_probs, update_log_probs
+from .inference import add_ratios, normalizer_limit, u_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord
 # update_log_probs, random_composition_mask and sorted_pm_mask are unused
 # here but stay bound: bench/tracer.py patches them.
 from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, Draws,
-                         StrategySpec, draw_targets, observe, probe_rule,
-                         random_composition_mask, run_rows, run_strategy,
-                         sorted_pm_mask)
+                         StrategySpec, draw_targets, observe, probe_hits,
+                         probe_rule, random_composition_mask, run_rows,
+                         run_strategy, sorted_pm_mask)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_SAMPLE_N = 100
@@ -174,7 +174,9 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     The runs go as the rows of lockstep blocks (`_drift_rows`), so the
     report does not depend on a block's rows or on the chunk.  The first
     block is one run; each later one holds about as many runs as the steps
-    left need, at the mean length of the runs so far.  Of each run only
+    left need, at the mean length of the runs so far, and at most twice the
+    runs of the block before: one long run early on does not size a block
+    of rows that then step past the steps left.  Of each run only
     its step count and the sums of its increments and of their squares
     are kept, and they are added up in run order: the memory does not
     grow with n_steps.  The one run that the n_steps-th increment falls
@@ -207,11 +209,12 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
         return _drift_rows(kind, config, gens, budget)
 
     total = total_sq = 0.0
-    counted = whole = first = 0  # increments counted, whole runs, next run
+    # increments counted, whole runs, next run, runs of the last block
+    counted = whole = first = rows = 0
     while counted < n_steps:
         left = n_steps - counted
         # the runs that left steps take at the mean length so far, rounded up
-        rows = 1 if whole == 0 else min(DRIFT_ROWS, _block_rows(m),
+        rows = 1 if whole == 0 else min(DRIFT_ROWS, _block_rows(m), 2 * rows,
                                         -(-left * whole // counted))
         taken, stopped, sums, squares = runs(first, rows, left)
         for r, (t, ended, a, b) in enumerate(zip(taken.tolist(), stopped.tolist(),
@@ -262,9 +265,9 @@ def _drift_rows(kind: str, config: SearchConfig, gens: list,
     u_prev = np.full(n, u_log_probs(np.full(m, -math.log(m))))
     step = 0
     while live.size:
-        masks, v, _ = probe(weights, step, draws)
-        llr = observe(masks[np.arange(live.size), 0, targets][None], v, draws)
-        np.add(lp, llr[0, :, None], out=lp, where=masks[:, 0])
+        probed, v, _ = probe(weights, step, draws)
+        llr = observe(probe_hits(probed, targets, np.arange(live.size)), v, draws)
+        add_ratios(lp, probed, llr)
         draws.read += 1
         step += 1
         shifted = lp - lp.max(axis=1, keepdims=True)

@@ -18,14 +18,16 @@ of cell masses, which a shift leaves alone, and each step's normalizer
 sum(exp(c - max c)) is taken only to test the stop; sorted-PM reads its
 terms, the weights exp(c - max c) that the fold leaves.  A non-adaptive
 rule (fixed composition, exhaustive), whose probe sets never read the
-posterior, hands over a window of steps at once, as (rows, w, size) masks,
-whose hits and log-likelihood ratios the engine takes in one pass and
-folds in one pass per tile of rows (`fold_sums`); sorted-PM hands over one
-step.  Each row makes the draws, in the same order, and the arithmetic of
-a trial run alone, so a record depends only on its trial's draws, not on
-the window, the chunk, the block or the tile.  `run_strategy` is the batch
-of one, a one-row block, and a block's last live row stays a row of it, so
-the engine has one code path.  Two-stage search chains two searches.  The
+posterior, hands over a window of steps at once, as the cells it probes,
+(rows, w, k): the engine takes their hits and log-likelihood ratios in one
+pass and folds the window (`fold_sums`), where a row that no step of it
+can stop only adds its ratios to its cells, and the other rows take every
+step's normalizer, a tile of rows at a time.  Sorted-PM hands over one
+step's masks.  Each row makes the draws, in the same order, and the
+arithmetic of a trial run alone, so a record depends only on its trial's
+draws, not on the window, the chunk, the block or the tile.  `run_strategy`
+is the batch of one, a one-row block, and a block's last live row stays a
+row of it, so the engine has one code path.  Two-stage search chains two searches.  The
 two bisection strategies are one stateful rule, `_bisection_rule`: each row
 narrows its own window of the posterior, reads each half's mass from one
 cell, since every cell of a half holds the same value, and stops level by
@@ -40,10 +42,10 @@ per row (`observe`).  One normal a step is read from a chunk of CHUNK
 drawn in one call, the same floats as one call each.  Fixed composition
 draws its probe sets from a second stream per trial, derived from the
 trial generator before the target draw without drawing from it, a chunk
-of steps at a time (`pick_cells`).  A window ends where a chunk does, so
-a record does not depend on the chunk or the window.  `sim.drift_probe`
-runs the same probe rules, draws and running sums on blocks of runs, one
-step at a time.
+of steps at a time (`pick_cells`), chunks doubling from CHUNK steps to four
+times that.  A window ends where a chunk does, so a record does not depend
+on the chunk or the window.  `sim.drift_probe` runs the same probe rules,
+draws and running sums on blocks of runs, one step at a time.
 
 Strategies
 ----------
@@ -71,8 +73,8 @@ from .inference import (fold_sums, normalizer_limit, normalizers,
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
-# Steps of normals a row draws in one call; of picks too, up to CHUNK_CELLS
-# cells a call over all rows.
+# Steps of normals a row draws in one call; of picks, four times as many, up
+# to CHUNK_CELLS cells a call over all rows.
 CHUNK = 64
 CHUNK_CELLS = 1 << 16
 
@@ -210,8 +212,9 @@ class Draws:
     when observed, so a rule observes one or the other.  With picks, each
     row also gets a picks stream, derived from the trial generator's state
     now, before the target draw, without drawing from it; `pick` reads a
-    window's probe sets from a chunk of at most CHUNK steps that every row
-    draws at once, at most CHUNK_CELLS cells in all."""
+    window's probe sets from a chunk of steps that every row draws at once,
+    at most CHUNK_CELLS cells in all: CHUNK steps, then twice the last
+    chunk's, up to 4 CHUNK."""
 
     def __init__(self, gens: list, picks: bool = False,
                  normal_chunk: int | None = None, carry: list | None = None):
@@ -240,9 +243,9 @@ class Draws:
         self.read = 0
 
     def window(self, cells: int) -> int:
-        """Steps in the next window of probe masks of `cells` cells a row:
-        to the end of the normal chunk, at most CHUNK_CELLS mask cells over
-        all rows, and at least one step."""
+        """Steps in the next window of probes of `cells` cells a row a step:
+        to the end of the normal chunk, at most CHUNK_CELLS probed cells
+        over all rows and steps, and at least one step."""
         self._fill()
         return max(1, min(self.chunk - self.read,
                           CHUNK_CELLS // (len(self.gens) * cells)))
@@ -254,20 +257,22 @@ class Draws:
         return self.normals[self.read:self.read + steps]
 
     def pick(self, grid: int, k: int) -> np.ndarray:
-        """A window's probe sets of k cells per live row, as (rows, w, grid)
-        masks; the window also ends where the chunk of picks does."""
-        rows = len(self.pickers)
+        """A window's probe sets of k cells per live row, as its cells
+        (rows, w, k); the window also ends where the chunk of picks does,
+        and holds at most CHUNK_CELLS cells of one row's posterior over the
+        grid, the most the fold takes at once, and at least one step."""
         if self.picked == self.picks.shape[1]:
-            steps = max(1, min(CHUNK, CHUNK_CELLS // (rows * k)))
+            # a call costs about as much for one draw as for a hundred, so
+            # chunks double, from CHUNK steps, for the rows that outlast them
+            steps = max(1, min(2 * self.picked or CHUNK, 4 * CHUNK,
+                               CHUNK_CELLS // (len(self.pickers) * k)))
             self.picks = None  # spent: not held while the next chunk is drawn
             self.picks = pick_cells(self.pickers, grid, k, steps)
             self.picked = 0
-        w = min(self.window(grid), self.picks.shape[1] - self.picked)
-        cells = self.picks[:, self.picked:self.picked + w].reshape(rows * w, k)
+        w = min(self.window(k), max(1, CHUNK_CELLS // grid),
+                self.picks.shape[1] - self.picked)
         self.picked += w
-        masks = np.zeros((rows * w, grid), dtype=bool)
-        masks[np.arange(rows * w)[:, None], cells] = True
-        return masks.reshape(rows, w, grid)
+        return self.picks[:, self.picked - w:self.picked]
 
     def retire(self, done: np.ndarray, read: np.ndarray | int) -> None:
         """Drop the rows that done marks, keeping their unread normals: from
@@ -306,6 +311,16 @@ def observe(hit: np.ndarray, v, draws: Draws,
                                                reps.tolist(), draws.gens)]])
 
 
+def probe_hits(probed: np.ndarray, hit_cell: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """Whether each row's probe holds its cell hit_cell at each step of a
+    window, (w, rows): probed is one step's masks (rows, 1, size), gathered
+    at rows, arange(rows), or a window's cells (rows, w, k)."""
+    if probed.dtype == bool:
+        return probed[rows, 0, hit_cell][None]
+    return (probed == hit_cell[:, None, None]).any(axis=2).T
+
+
 def log_ratios(hit: np.ndarray, v, z: np.ndarray) -> np.ndarray:
     """(2y - 1)/(2v) of observations y = hit + sqrt(v) z, elementwise: v
     is one value, or one a row along the last axis of hit and z."""
@@ -325,14 +340,16 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     sort order carried between steps, a bisection window).  Every row is
     carried as running sums c of log-likelihood ratios from zero, the
     uniform prior, never renormalized: its log posterior up to a shift.
-    probe(weights, step, draws) -> (masks, variances, reps) maps the live
+    probe(weights, step, draws) -> (probed, variances, reps) maps the live
     rows' posterior weights exp(c - max c) (rows, size), as the fold of a
-    window of one step left them (None after a longer window, or under a
-    rule with its own settle: neither reads them), and the rule's own
-    per-row state, to the probed sets of a window of w steps, masks (rows,
-    w, size), and their noise variances.  reps is None for one observation
-    per row a step, else each row's count of observations, folded into one
-    update.
+    step of masks left them (None after cells, or under a rule with its own
+    settle: neither reads them), and the rule's own per-row state, to the
+    probed sets of a window of w steps, and their noise variances.  probed
+    is boolean masks (rows, w, size), or, from a non-adaptive threshold
+    rule, the cells it probes (rows, w, k), k distinct cells a row a step;
+    an adaptive threshold rule hands over masks of one step.  reps is None
+    for one observation per row a step, else each row's count of
+    observations, folded into one update.
 
     settle None is the threshold stop: the engine observes the window and
     folds it (`fold_sums`), and a row retires once one cell holds
@@ -377,10 +394,11 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     at = np.arange(live.size)
     step = 0
     while live.size:
-        masks, v, reps = probe(weights, step, draws)
+        probed, v, reps = probe(weights, step, draws)
         weights = None  # read: not held while the fold makes the next
         if reps is None:  # every live row has observed once a step
-            w = min(masks.shape[1], STEP_LIMIT - step)
+            w = min(probed.shape[1], STEP_LIMIT - step)
+            probed = probed[:, :w]
             over = 0 if w == 0 else None
         else:
             w = 1
@@ -390,16 +408,15 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
         if over is not None:
             raise _step_limit(label, first_trial, int(live[over]))
         if settle is None:
-            # a step alone is gathered in 2-D, cheaper than a window's 3-D
-            # gather; only a failed first stage puts a target off the grid
-            hit = masks[at, 0, hit_cell][None] if w == 1 else masks[at, :w, hit_cell].T
-            if off_grid:
+            hit = probe_hits(probed, hit_cell, at)
+            if off_grid:  # only a failed first stage puts a target there
                 hit &= on_grid
             llr = observe(hit, v, draws)
             done, ends, norms, ended_cells, weights = fold_sums(
-                lp, masks[:, :w], llr, limit)
+                lp, probed, llr, limit)
         else:
             done, ends = settle(lp, hit_cell, w, draws)
+        probed = None  # a view of the picks: not held while the next are drawn
         read = draws.read + ends
         draws.read += w
         if done.any():
@@ -450,15 +467,15 @@ def _sorted_pm_rule(config: SearchConfig):
 
 def _round_robin_rule(config: SearchConfig):
     """Single cells in turn: 0, 1, ..., M-1, 0, ...; every row probes the
-    same cell, so a window's masks are one (w, M) table seen by all rows."""
+    same cell, so a window's cells are one column of w seen by all rows."""
     m = config.M
     v = config.noise_variance(1)
 
     def probe(weights, step, draws):
-        w = draws.window(m)
-        masks = np.zeros((w, m), dtype=bool)
-        masks[np.arange(w), (step + np.arange(w)) % m] = True
-        return np.broadcast_to(masks, (len(draws.gens), w, m)), v, None
+        # at most CHUNK_CELLS cells of one row's posterior over the window
+        w = min(draws.window(1), max(1, CHUNK_CELLS // m))
+        cells = (step + np.arange(w)) % m
+        return np.broadcast_to(cells[:, None], (len(draws.gens), w, 1)), v, None
     return probe, None
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from searchlab.errors import DegeneratePosterior, SizeOne
@@ -150,19 +150,128 @@ class TestNormalizerLimit:
         assert -math.log(math.nextafter(limit, math.inf)) < log_thresh
 
 
+def random_cells(rng, rows, w, size, k):
+    """k distinct cells of range(size) for each row and step, (rows, w, k)."""
+    return rng.random((rows * w, size)).argsort(axis=1)[:, :k].reshape(rows, w, k)
+
+
+def stepwise_fold(sums, cells, llr, limit):
+    """The reference for fold_sums on a window of cells: each step added to
+    the block, and every row's normalizer taken, one step at a time."""
+    rows, w, _ = cells.shape
+    ends = np.zeros(rows, dtype=np.int64)
+    norms = np.zeros(rows)
+    tops = np.zeros(rows, dtype=np.int64)
+    at = np.arange(rows)[:, None]
+    for t in range(w):
+        sums[at, cells[:, t]] += llr[t][:, None]
+        s = np.exp(sums - sums.max(axis=1, keepdims=True)).sum(axis=1)
+        first = (s <= limit) & (ends == 0)
+        ends[first] = t + 1
+        norms[first] = s[first]
+        tops[first] = sums[first].argmax(axis=1)
+    done = ends > 0
+    return done, ends[done], norms[done], tops[done]
+
+
+# A stop's normalizer limit: at eps = 1e-300 it is 1.0, and a limit of 0.0
+# stops no row, as the screen must take too; at eps = 0.9 it is 10.
+FOLD_LIMITS = [normalizer_limit(math.log1p(-eps))
+               for eps in (1e-300, 1e-12, 1e-4, 0.2, 0.9)] + [0.0]
+
+
+@st.composite
+def screened_windows(draw):
+    """A block of running sums, a window of cells and ratios, and a limit.
+    A row holds its top cell, a second cell at an offset about the stop's
+    edge -log(limit - 1) or the screen's gap one nat inside it (a hair
+    either side, on it, or a tie at the top), and cells at such offsets or
+    far below; ratios of zero and of a hair keep rows where they are.  At a
+    limit of 1.0 the edge is where exp(-offset) no longer moves a sum of 1;
+    a limit of 0.0 stops no row."""
+    limit = draw(st.sampled_from(FOLD_LIMITS))
+    # at eps = 0.9 the edge is negative: an offset of its size is a tie or near
+    edge = abs(-math.log(limit - 1.0) if limit > 1.0 else 53 * math.log(2.0))
+    rows, size = draw(st.integers(1, 5)), draw(st.integers(2, 12))
+    w, k = draw(st.integers(1, 6)), draw(st.integers(1, size - 1))
+    near = st.one_of(
+        st.sampled_from([edge, edge - 1.0]).flatmap(
+            lambda d: st.sampled_from([math.nextafter(d, -math.inf),
+                                       math.nextafter(d, math.inf),
+                                       d - 1e-9, d + 1e-9, d])),
+        st.just(0.0))
+    rest = st.one_of(near, st.floats(0.0, 2.0 * edge + 2.0))
+    sums = []
+    for _ in range(rows):
+        top = draw(st.sampled_from([0.0, -3.5, 41.25, 1e6, -1e9]))
+        far = draw(st.integers(0, size - 2))
+        n = size - 2 - far
+        offsets = draw(st.lists(rest, min_size=n, max_size=n))
+        sums.append([top - d for d in [0.0, draw(near)] + offsets + [800.0] * far])
+    sums = np.array(sums)
+    ratio = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 40.0, -40.0]),
+                      st.floats(-3.0, 3.0))
+    llr = np.array(draw(st.lists(ratio, min_size=w * rows,
+                                 max_size=w * rows))).reshape(w, rows)
+    cells = random_cells(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                         rows, w, size, k)
+    return sums, cells, llr, limit
+
+
+def edge_window(eps, offsets, w):
+    """Rows of a top cell and one cell at each offset below it, and a window
+    of w steps that adds nothing to a third cell, far below."""
+    rows = len(offsets)
+    sums = np.array([[0.0, -d, -800.0] for d in offsets])
+    return (sums, np.full((rows, w, 1), 2), np.zeros((w, rows)),
+            normalizer_limit(math.log1p(-eps)))
+
+
+# the stop's edge -log(limit - 1) at eps = 1e-4
+EDGE = -math.log(normalizer_limit(math.log1p(-1e-4)) - 1.0)
+
+
 class TestFoldSums:
     @pytest.mark.parametrize("w", [1, 7])
     def test_half_observation_leaves_sums_unchanged(self, w):
-        # y = 1/2 is as likely whether or not a cell is probed
+        # y = 1/2 is as likely whether or not a cell is probed: a step of
+        # masks, or a window of cells
         rng = np.random.default_rng(8)
         sums = rng.normal(0.0, 30.0, (40, 16))
         before = sums.copy()
-        masks = rng.random((40, w, 16)) < 0.5
         llr = (2.0 * np.full((w, 40), 0.5) - 1.0) / (2.0 * rng.uniform(0.05, 2.0, 40))
         assert not llr.any()
-        done, *_ = fold_sums(sums, masks, llr, 0.0)  # s >= 1: never stops
-        assert not done.any()
-        assert sums.tobytes() == before.tobytes()
+        cells = random_cells(rng, 40, w, 16, 5)
+        for probed in [cells] + [rng.random((40, 1, 16)) < 0.5] * (w == 1):
+            done, *_ = fold_sums(sums, probed, llr, 0.0)  # s >= 1: never stops
+            assert not done.any()
+            assert sums.tobytes() == before.tobytes()
+
+    @settings(max_examples=300)
+    @given(window=screened_windows())
+    # a hair past the stop's edge, and a hair inside it; the screen's gap a
+    # hair either side; a tie at the top; in windows of three and one step
+    @example(window=edge_window(1e-4, [EDGE + 1e-9, EDGE - 1e-9, EDGE - 1.0 + 1e-9,
+                                       EDGE - 1.0 - 1e-9, 0.0], 3))
+    @example(window=edge_window(1e-4, [EDGE + 1e-9, EDGE - 1e-9, 0.0], 1))
+    # a tie stops at eps = 0.9; at a limit of 1.0 a cell 40 nats below
+    # leaves a normalizer of 1.0, and one 30 nats below does not
+    @example(window=edge_window(0.9, [0.0, 2.0], 3))
+    @example(window=edge_window(1e-300, [40.0, 30.0], 3))
+    def test_screened_window_matches_stepwise_reference(self, window):
+        # quiet rows only add their ratios, the others take every step's
+        # normalizer: the same sums, stops and normalizers, bit for bit, as
+        # adding and testing every row a step at a time
+        sums, cells, llr, limit = window
+        want_sums = sums.copy()
+        want = stepwise_fold(want_sums, cells, llr, limit)
+        done, ends, norms, tops, weights = fold_sums(sums, cells, llr, limit)
+        assert weights is None
+        assert sums.tobytes() == want_sums.tobytes()
+        assert done.tolist() == want[0].tolist()
+        assert np.broadcast_to(ends, want[1].shape).tolist() == want[1].tolist()
+        assert norms.tobytes() == want[2].tobytes()
+        assert tops.tolist() == want[3].tolist()
 
     def test_normalized_sums_match_renormalized_posterior(self):
         # 10^6 row-steps in blocks of 1,000 rows, criterion 4's draws a

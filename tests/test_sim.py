@@ -238,6 +238,18 @@ class TestDriftProbe:
         drift_probe(SORTED_PM, config16, 10_000, 3)
         assert 10_000 <= count[0] <= 11_000
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_heavy_tailed_runs_take_about_the_probe_steps(self, seed,
+                                                          monkeypatch):
+        # run lengths vary widely at this noise, so the mean length of the
+        # first few runs sizes blocks badly; a block of at most twice the
+        # runs of the last keeps the surplus row-steps small (without the
+        # cap: 19,101 and 15,043)
+        config = new_config(16, 1, 30.0, 1e-4)
+        count = counting_observations(monkeypatch)
+        drift_probe(SORTED_PM, config, 10_000, seed)
+        assert 10_000 <= count[0] <= 15_000
+
     @pytest.mark.parametrize("kind", [FIXED_COMPOSITION, SORTED_PM])
     def test_drift_does_not_depend_on_chunk(self, config16, kind, monkeypatch):
         chunked = drift_probe(kind, config16, 10_000, 3)

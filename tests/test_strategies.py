@@ -752,10 +752,15 @@ def renormalize(lp, floored):
 
 
 def renormalizing_fold(floored):
-    """inference.fold_sums for windows of one step that renormalizes the
-    block after each step, as every rule's rows once were."""
-    def fold(lp, masks, llr, limit):
-        np.add(lp, llr[0, :, None], out=lp, where=masks[:, 0])
+    """inference.fold_sums for windows of one step, of masks or of cells,
+    that renormalizes the block after each step, as every rule's rows once
+    were."""
+    def fold(lp, probed, llr, limit):
+        masks = probed[:, 0]
+        if probed.dtype != bool:
+            masks = np.zeros(lp.shape, dtype=bool)
+            masks[np.arange(lp.shape[0])[:, None], probed[:, 0]] = True
+        np.add(lp, llr[0, :, None], out=lp, where=masks)
         s = renormalize(lp, floored)
         done = s <= limit
         return (done, np.ones(done.sum(), dtype=np.int64), s[done],
@@ -950,6 +955,22 @@ class TestLockstepRows:
         finally:
             tracemalloc.stop()
         assert peak <= 4.31 * 2 ** 20
+
+    def test_quiet_rows_take_no_normalizer(self, monkeypatch):
+        # most rows of a fixed-composition window at M=128 cannot stop in
+        # it: the fold's screen spares them every step's normalizer
+        taken = [0]
+        normalizers = inference.normalizers
+
+        def counted(sums, weights=None):
+            taken[0] += sums.size // sums.shape[-1]  # row-steps
+            return normalizers(sums, weights)
+
+        monkeypatch.setattr(inference, "normalizers", counted)
+        rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(20)]
+        tau, *_ = run_rows(StrategySpec(FIXED_COMPOSITION), LOCKSTEP_CONFIGS["M128"],
+                           rngs)
+        assert 0 < taken[0] < 0.3 * tau.sum()
 
     def test_loose_epsilon_cases_include_failures(self):
         config = LOCKSTEP_CONFIGS["M16_eps0.2"]
