@@ -9,11 +9,17 @@ generators but draws from none: every trial-generator draw is made in
 
 Reproducibility contract: trial i of a batch uses the 64-bit seed derived
 from (master_seed, i) through numpy's SeedSequence mixing, and its own
-generator seeded with it, so results do not depend on scheduling.  Trials
-run in lockstep blocks (`strategies.run_rows`) of at most BLOCK_CELLS
-posterior cells and BLOCK_ROWS generators, so the engine's working memory
-is the same for any batch size (the results take 17 bytes a trial); each
-trial's record is the one it gets when run alone.  workers > 1 splits the
+generator seeded with it, so results do not depend on scheduling.
+`trial_seed_for` and `run_single_trial` are the contract, one trial at a
+time; `trial_generators` builds a block's generators at once, in the same
+states.  It runs numpy's SeedSequence hash on the block's words, a column
+a trial, once to mix each (master_seed, i) into its trial seed and once to
+mix that seed into its PCG64 seed words, then seeds each PCG64 from its
+words (`strategies.seed_words_type`), with no hash a trial.  Trials run in
+lockstep blocks (`strategies.run_rows`) of at most BLOCK_CELLS posterior
+cells and BLOCK_ROWS generators, so the engine's working memory is the
+same for any batch size (the results take 17 bytes a trial); each trial's
+record is the one it gets when run alone.  workers > 1 splits the
 batch into contiguous chunks, one process each, and the per-trial arrays
 are reduced in trial order, making summaries bit-identical between serial
 and parallel runs.
@@ -37,7 +43,7 @@ from .model import SearchConfig, TrialRecord
 from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, Draws,
                          StrategySpec, draw_targets, observe, probe_hits,
                          probe_rule, random_composition_mask, run_rows,
-                         run_strategy, sorted_pm_mask)
+                         run_strategy, seed_words_type, sorted_pm_mask)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_SAMPLE_N = 100
@@ -51,6 +57,36 @@ BLOCK_ROWS = 1024
 # spread a step's numpy calls over, few enough that their generators (about
 # 1.5 KB each) stay small next to the process.
 DRIFT_ROWS = 128
+
+# numpy's SeedSequence: a pool of POOL 32-bit words, filled and mixed by
+# hashes whose multipliers step from INIT_A by MULT_A (from INIT_B by
+# MULT_B for the words drawn out of the pool), and words mixed by MIX_L
+# and MIX_R.
+POOL = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_L, MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+_SHIFT = np.uint32(16)  # a numpy scalar: a Python int costs a promotion a call
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple:
+    """The xor and the multiplier of n hashes in turn, each (n, 1)."""
+    pairs = []
+    for _ in range(n):
+        pairs.append((init, init * mult & _MASK32))
+        init = init * mult & _MASK32
+    xor, mult = np.array(pairs, dtype=np.uint32).T[:, :, None]
+    return np.ascontiguousarray(xor), np.ascontiguousarray(mult)
+
+
+_MIXING = _hash_constants(INIT_A, MULT_A, POOL * POOL)
+_FILL = tuple(c[:POOL] for c in _MIXING)
+# per source word s, the hashes of s into each other word, in turn; the
+# pair at s itself is unused
+_SOURCES = [tuple(np.insert(c[POOL + 3 * s:POOL + 3 * (s + 1)], s, 0, axis=0)
+                  for c in _MIXING) for s in range(POOL)]
+_DRAW = _hash_constants(INIT_B, MULT_B, 2 * POOL)
 
 
 @dataclass(frozen=True)
@@ -96,6 +132,66 @@ def trial_seed_for(master_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """numpy's SeedSequence(entropy).generate_state(n_words) of each column
+    of entropy (words, rows), at most POOL uint32 words a column, as
+    (n_words, rows) uint32 words, n_words at most 2 POOL.  A column's
+    trailing zero words hash as no words: numpy pads short entropy with
+    zeros, so a column stands for every entropy of its words."""
+    pool = np.zeros((POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(entropy)] = entropy
+    pool ^= _FILL[0]
+    pool *= _FILL[1]
+    pool ^= pool >> _SHIFT
+    # every word mixes in the hash of each other word, in numpy's order:
+    # word s stays as it is while the others take its hashes
+    for s, (xor, mult) in enumerate(_SOURCES):
+        source = pool[s].copy()
+        h = source ^ xor
+        h *= mult
+        h ^= h >> _SHIFT
+        h *= MIX_R
+        pool *= MIX_L
+        pool -= h
+        pool ^= pool >> _SHIFT
+        pool[s] = source
+    # the pool's words in turn
+    out = pool[:n_words] if n_words <= POOL else np.concatenate([pool, pool])
+    out = out ^ _DRAW[0][:n_words]
+    out *= _DRAW[1][:n_words]
+    out ^= out >> _SHIFT
+    return out
+
+
+def _words_u64(state: np.ndarray) -> np.ndarray:
+    """(2n, rows) uint32 words as (rows, n) uint64 words, low word first,
+    as generate_state(n, np.uint64) joins them; each row C-contiguous."""
+    high = state[1::2].astype(np.uint64) << np.uint64(32)
+    return np.ascontiguousarray((high | state[0::2]).T)
+
+
+def trial_generators(master_seed: int, lo: int, hi: int) -> list:
+    """The generators of trials lo..hi-1, in the states that
+    default_rng(trial_seed_for(master_seed, i)) gives each: the span's
+    trial seeds hashed from (master_seed, i) in one pass, and their PCG64
+    seed words from those in a second."""
+    _check_seed(master_seed)
+    master_seed = int(master_seed)
+    index = np.arange(lo, hi, dtype=np.uint64)
+    # [master_seed's words, i's low word, i's high word]: numpy's words of
+    # [master_seed, i], as a high word of zero hashes as none
+    words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    entropy = np.empty((len(words) + 2, hi - lo), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-2] = index & np.uint64(_MASK32)
+    entropy[-1] = index >> np.uint64(32)
+    # a trial seed's two words are its entropy in turn: low, then high
+    seeds = _seed_state(entropy, 2)
+    seed_words = seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(w)))
+            for w in _words_u64(_seed_state(seeds, 8))]
+
+
 def run_single_trial(spec: StrategySpec, config: SearchConfig,
                      trial_seed: int) -> TrialRecord:
     """One trial with its own generator, reproducible from the seed alone."""
@@ -116,9 +212,8 @@ def _run_span(spec: StrategySpec, config: SearchConfig, master_seed: int,
     rows = _block_rows(config.M)
     for first in range(lo, hi, rows):
         last = min(first + rows, hi)
-        rngs = [np.random.default_rng(trial_seed_for(master_seed, i))
-                for i in range(first, last)]
-        tau, tau1, ok, _ = run_rows(spec, config, rngs, first)
+        tau, tau1, ok, _ = run_rows(spec, config,
+                                    trial_generators(master_seed, first, last), first)
         taus[first - lo:last - lo] = tau
         tau1s[first - lo:last - lo] = tau1
         success[first - lo:last - lo] = ok
@@ -204,9 +299,8 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
         floor = bawgn_capacity(0.5, config.variance_at(m / 2.0))
 
     def runs(first: int, rows: int, budget: int) -> tuple:
-        gens = [np.random.default_rng(trial_seed_for(seed, r))
-                for r in range(first, first + rows)]
-        return _drift_rows(kind, config, gens, budget)
+        return _drift_rows(kind, config, trial_generators(seed, first, first + rows),
+                           budget)
 
     total = total_sq = 0.0
     # increments counted, whole runs, next run, runs of the last block

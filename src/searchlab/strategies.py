@@ -41,7 +41,9 @@ targets (`draw_targets`), then observations, one or a fixed level's many
 per row (`observe`).  One normal a step is read from a chunk of CHUNK
 drawn in one call, the same floats as one call each.  Fixed composition
 draws its probe sets from a second stream per trial, derived from the
-trial generator before the target draw without drawing from it, a chunk
+trial generator before the target draw without drawing from it: the PCG64
+jump of the trial state, a copy of it advanced by JUMP, as
+`bit_generator.jumped()` gives it (`picks_streams`).  It draws them a chunk
 of steps at a time (`pick_cells`), chunks doubling from CHUNK steps to four
 times that.  A window ends where a chunk does, so a record does not depend
 on the chunk or the window.  `sim.drift_probe` runs the same probe rules,
@@ -60,6 +62,7 @@ exhaustive          cycle through single cells until one cell dominates
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,6 +80,8 @@ STEP_LIMIT = 10_000_000
 # to CHUNK_CELLS cells a call over all rows.
 CHUNK = 64
 CHUNK_CELLS = 1 << 16
+# The step of PCG64.jumped(): a picks stream is its trial state advanced by it.
+JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 FIXED_COMPOSITION = "fixed_composition"
 SORTED_PM = "sorted_pm"
@@ -156,6 +161,40 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
     return table[:n].reshape(len(gens), steps, k)
 
 
+@functools.cache
+def seed_words_type() -> type:
+    """SeedWords, an ISeedSequence of the four uint64 seed words of one
+    PCG64, computed beforehand: a PCG64 built on it takes them as they are,
+    with no hash.  Made on first use, as its base loads numpy.random
+    (about 6 MB), which a run of bounds alone never needs."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        """words: a C-contiguous (4,) uint64 array."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise TypeError(f"SeedWords holds 4 uint64 words, not {n_words} "
+                                f"{np.dtype(dtype)}")
+            return self.words
+    return SeedWords
+
+
+def picks_streams(gens: list) -> list:
+    """The PCG64 jump of each generator's state, without drawing from it:
+    the generators of g.bit_generator.jumped(), built without OS entropy,
+    each a PCG64 that takes g's state and advances it by JUMP."""
+    unseeded = seed_words_type()(np.zeros(4, dtype=np.uint64))
+    streams = []
+    for g in gens:
+        bits = np.random.PCG64(unseeded)
+        bits.state = g.bit_generator.state
+        streams.append(np.random.Generator(bits.advance(JUMP)))
+    return streams
+
+
 def random_composition_mask(size: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random k-subset of [0, size) as a boolean mask, drawn by a
     partial Fisher-Yates shuffle (k draws from the stream).  k = 0 and
@@ -210,8 +249,8 @@ class Draws:
     normals it did not reach in spare, indexed by its row in the block,
     for a second stage to read first.  A fixed level's normals are drawn
     when observed, so a rule observes one or the other.  With picks, each
-    row also gets a picks stream, derived from the trial generator's state
-    now, before the target draw, without drawing from it; `pick` reads a
+    row also gets a picks stream, the PCG64 jump of the trial generator's
+    state now, before the target draw (`picks_streams`); `pick` reads a
     window's probe sets from a chunk of steps that every row draws at once,
     at most CHUNK_CELLS cells in all: CHUNK steps, then twice the last
     chunk's, up to 4 CHUNK."""
@@ -225,8 +264,7 @@ class Draws:
         self.read = self.chunk
         self.carry = carry
         self.spare = [np.empty(0)] * len(self.gens)
-        self.pickers = ([np.random.Generator(g.bit_generator.jumped())
-                         for g in self.gens] if picks else [])
+        self.pickers = picks_streams(self.gens) if picks else []
         self.picks = np.empty((len(self.gens), 0, 0), dtype=np.int64)
         self.picked = 0
 
@@ -503,23 +541,25 @@ def _one_stage(config: SearchConfig, rule, draws: Draws, label: str,
     return steps, np.zeros_like(steps), cells == targets, pmax
 
 
-def _two_stage_rows(config: SearchConfig, s: int, rngs: list,
+def _two_stage_rows(config: SearchConfig, spec: StrategySpec, rngs: list,
                     first_trial: int | None = None) -> Rows:
     """Two-stage search over s >= 2 sections (alpha = 1/s, s dividing M):
     stage 1 runs fixed composition over the s sections at reliability
     eps/2, stage 2 runs sorted-PM inside the winning section, again at
-    eps/2, first reading each row's normals left over from stage 1."""
+    eps/2, first reading each row's normals left over from stage 1.  A
+    StepLimitExceeded names the spec and the stage."""
+    s = sections_from_alpha(spec.alpha, config.M)
     section = config.M // s
     eps_half = config.epsilon / 2.0
     stage1 = Draws(rngs, picks=True)
     targets = draw_targets(stage1.gens, config.M)
     t1, sec_hat, p1 = _search(s, _composition_rule(config, s, section),
                               targets // section, eps_half, stage1,
-                              FIXED_COMPOSITION, first_trial)
+                              f"{spec.label()} stage 1", first_trial)
     start = sec_hat * section
     t2, idx, p2 = _search(section, _sorted_pm_rule(config), targets - start,
-                          eps_half, Draws(rngs, carry=stage1.spare), SORTED_PM,
-                          first_trial)
+                          eps_half, Draws(rngs, carry=stage1.spare),
+                          f"{spec.label()} stage 2", first_trial)
     # a singleton section takes no stage-2 step; stage 1 holds the final posterior
     return t1 + t2, t1, start + idx == targets, p2 if section > 1 else p1
 
@@ -674,8 +714,7 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
     first_trial set, a StepLimitExceeded names the lowest row that reached
     the limit as trial first_trial + row."""
     if spec.kind == TWO_STAGE:
-        return _two_stage_rows(config, sections_from_alpha(spec.alpha, config.M),
-                               rngs, first_trial)
+        return _two_stage_rows(config, spec, rngs, first_trial)
     if spec.kind in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE):
         rule = _bisection_rule(config, spec.kind == NOISY_BINARY_FIXED, len(rngs))
     else:

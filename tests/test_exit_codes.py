@@ -96,7 +96,7 @@ def test_package_raises_no_bare_value_error():
 
 # draws from a generator, and the derivation of a second stream from one
 DRAWS = (".integers(", ".normal(", ".standard_normal(", ".random(", ".choice(",
-         ".shuffle(", ".jumped(")
+         ".shuffle(", ".jumped(", ".advance(")
 
 
 def test_only_strategies_draws_from_a_trial_generator():

@@ -49,6 +49,61 @@ class TestSeeding:
         assert len(taus) > 1
 
 
+class TestTrialGenerators:
+    """trial_generators builds a span's generators in the states that
+    default_rng(trial_seed_for(master_seed, i)) gives them one at a time."""
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 20), (37, 38), (1000, 1050),
+                                        (2**32 - 2, 2**32 + 2)])
+    def test_states_match_the_seed_contract(self, master, lo, hi):
+        got = [g.bit_generator.state for g in sim.trial_generators(master, lo, hi)]
+        want = [np.random.default_rng(trial_seed_for(master, i)).bit_generator.state
+                for i in range(lo, hi)]
+        assert got == want
+
+    def test_numpy_integer_master_seed(self):
+        got = sim.trial_generators(np.uint64(7), 3, 5)
+        want = sim.trial_generators(7, 3, 5)
+        assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in want]
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seed_words_hash_as_numpy_does(self, seed):
+        # a seed below 2**32 is one word to numpy; its high word of zero
+        # hashes as no word
+        entropy = np.array([[seed & 0xFFFFFFFF], [seed >> 32]], dtype=np.uint32)
+        state = sim._seed_state(entropy, 8)
+        ss = np.random.SeedSequence(seed)
+        assert state[:, 0].tolist() == ss.generate_state(8).tolist()
+        assert (sim._words_u64(state)[0].tolist()
+                == ss.generate_state(4, np.uint64).tolist())
+
+    def test_seed_words_refuse_other_requests(self):
+        words = strat.seed_words_type()(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(TypeError):
+            words.generate_state(8, np.uint64)
+        with pytest.raises(TypeError):
+            words.generate_state(4)
+
+    def test_picks_streams_are_the_jumps(self):
+        gens = sim.trial_generators(11, 0, 3)
+        assert ([p.bit_generator.state for p in strat.picks_streams(gens)]
+                == [g.bit_generator.jumped().state for g in gens])
+        for g in gens:  # drawn generators, holding a spare 32-bit half
+            g.integers(0, 7, size=3, dtype=np.int32)
+            g.standard_normal(5)
+            assert g.bit_generator.state["has_uint32"] == 1
+        assert ([p.bit_generator.state for p in strat.picks_streams(gens)]
+                == [g.bit_generator.jumped().state for g in gens])
+
+    @pytest.mark.parametrize("spec", [StrategySpec(SORTED_PM),
+                                      StrategySpec(TWO_STAGE, alpha=0.25)],
+                             ids=lambda s: s.label())
+    def test_workers_give_identical_summaries(self, config16, spec):
+        serial = run_trials(spec, config16, 30, 2**32 + 3, workers=1)
+        assert run_trials(spec, config16, 30, 2**32 + 3, workers=2) == serial
+
+
 class TestRunTrials:
     def test_summary_fields(self, config16):
         s = run_trials(StrategySpec(SORTED_PM), config16, 50, 7)

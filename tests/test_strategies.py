@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -413,7 +414,7 @@ class TestDispatcherAndLimits:
         # two_stage meets the limit in its first stage, a fixed_composition
         # search over the sections
         first = spec.kind == TWO_STAGE
-        label = FIXED_COMPOSITION if first else spec.kind
+        label = re.escape(f"{spec.label()} stage 1" if first else spec.kind)
         taus = [r.tau_stage1 if first else r.tau for r in recs]
         limit = taus[0]  # trial 0 finishes on the limit, as do trials below stuck
         stuck = next(i for i, t in enumerate(taus) if t > limit)
@@ -428,6 +429,18 @@ class TestDispatcherAndLimits:
             run_rows(spec, config16, rngs, first_trial=100)
         with pytest.raises(StepLimitExceeded, match=rf"^trial {stuck}: "):
             run_trials(spec, config16, 12, 1)
+
+    def test_two_stage_step_limit_names_its_second_stage(self, monkeypatch):
+        config = new_config(16, 1, 0.5, 1e-4, noise=NoiseModel.power(0.5))
+        spec = StrategySpec(TWO_STAGE, alpha=0.5)
+        rec = run_strategy(spec, config, np.random.default_rng(trial_seed_for(5, 0)))
+        limit = rec.tau_stage1  # stage 1 finishes on the limit, stage 2 exceeds it
+        assert rec.tau - rec.tau_stage1 > limit
+        monkeypatch.setattr(strat, "STEP_LIMIT", limit)
+        with pytest.raises(StepLimitExceeded,
+                           match=rf"^trial 0: {re.escape(spec.label())} stage 2 "
+                                 rf"exceeded {limit} steps$"):
+            run_trials(spec, config, 1, 5)
 
     @pytest.mark.parametrize("kind", [NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE])
     def test_lockstep_bisection_step_limit_names_lowest_live_trial(self, kind,
