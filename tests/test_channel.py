@@ -24,8 +24,8 @@ from searchlab.channel import (
     solve_a_eta,
 )
 from searchlab.cli import main
-from searchlab.errors import QuadratureNonConvergence
-from searchlab.model import NoiseModel, new_config
+from searchlab.errors import QuadratureNonConvergence, ValidationError
+from searchlab.model import NoiseModel, SearchConfig, new_config
 
 # Frozen quadrature goldens; independently cross-checked against a
 # Monte Carlo mixture-entropy estimator before being pinned here.
@@ -201,6 +201,92 @@ class TestCapacityGolden:
         q_star, c1 = optimal_composition(cfg)
         assert (q_star.hex(), c1.hex()) == COMPOSITION_HEX[name]
 
+
+def _entropy_bound(q: float, v: float) -> float:
+    """min(H(q), log2(1 + q(1-q)/v) / 2): Var(Y) = q(1-q) + v, and a
+    Gaussian has the largest entropy for its variance."""
+    return min(binary_entropy(q), 0.5 * math.log2(1.0 + q * (1.0 - q) / v))
+
+
+def _full_scan(cfg) -> tuple[float, float]:
+    """argmax of capacity_grid over every k = 1..M-1, ties to the smaller q."""
+    caps = capacity_grid(np.arange(1, cfg.M) / cfg.M,
+                         channel.probe_variances(cfg)[:-1])
+    best = int(np.argmax(caps))
+    return (best + 1) / cfg.M, float(caps[best])
+
+
+def _cold_composition(cfg) -> tuple[float, float]:
+    for cached in (optimal_composition, bawgn_capacity, channel.probe_variances):
+        cached.cache_clear()
+    return optimal_composition(cfg)
+
+
+# a staircase table, so runs of probe sizes share a variance
+STAIR_TABLE = NoiseModel.from_table(1.0 + np.arange(1024) // 8 * 0.75)
+
+
+class TestCompositionPruning:
+    """optimal_composition skips the sizes its entropy bound rules out and
+    returns the full scan's (q*, C1) bit for bit."""
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel.power(0.5),
+                                       NoiseModel.power(2.0), STAIR_TABLE],
+                             ids=["linear", "gamma=0.5", "gamma=2", "table"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 16, 128, 1024])
+    def test_matches_full_scan(self, m, noise):
+        # 1e-7 puts every sd below 1e-3 (C = H(q)) at small M
+        for sigma2 in (1e-7, 1e-5, 1e-3, 0.05, 0.25, 1.0, 30.0, 1e4, 1e8):
+            cfg = new_config(m, 1, sigma2, 1e-4, noise=noise)
+            got = _cold_composition(cfg)
+            want = _full_scan(cfg)
+            assert [x.hex() for x in got] == [x.hex() for x in want], sigma2
+
+    @pytest.mark.parametrize("m,sigma2", [(2, 1e307), (16, 1e306), (16, 2e305)])
+    def test_matches_full_scan_in_low_snr_band(self, m, sigma2):
+        # variances from about 1.8e306 up take the closed-form low-SNR limit:
+        # all but k = 1 at 1e306, and 2e305 * k straddles the edge
+        cfg = new_config(m, 1, sigma2, 1e-4)
+        got = _cold_composition(cfg)
+        assert [x.hex() for x in got] == [x.hex() for x in _full_scan(cfg)]
+
+    @given(q=st.floats(0.0, 1.0), log_v=st.floats(-8.0, 8.0))
+    def test_capacity_within_entropy_bound(self, q, log_v):
+        v = 10.0 ** log_v
+        assert capacity_grid(q, v) <= _entropy_bound(q, v) + 1e-12
+
+    @pytest.mark.parametrize("sigma2", [0.1, 0.25, 1.0])
+    def test_cold_scan_evaluates_few_sizes(self, monkeypatch, sigma2):
+        pairs = []
+
+        def counting(qs, variances):
+            pairs.append(np.size(qs))
+            return capacity_grid(qs, variances)
+
+        monkeypatch.setattr(channel, "capacity_grid", counting)
+        _cold_composition(new_config(1024, 1, sigma2, 1e-4))
+        assert sum(pairs) <= 128
+
+    def test_underflowed_variance_raises_as_full_scan(self, tmp_path):
+        # sigma2 * delta underflows, so every probe variance is 0.0
+        cfg = new_config(16e-300, 1e-300, 5e-324, 1e-4)
+        with pytest.raises(ValidationError,
+                           match=r"^variance must be positive and finite, got 0\.0$"):
+            _cold_composition(cfg)
+        argv = ["bounds", "--B", "16e-300", "--delta", "1e-300",
+                "--sigma2", "5e-324", "--epsilon", "1e-4", "--out", str(tmp_path)]
+        assert main(argv) == 2
+
+    @pytest.mark.parametrize("sigma2", [-1e6, math.nan])
+    def test_refused_variances_raise_as_full_scan(self, sigma2):
+        # built past new_config's checks; at -1e6 the largest bound is not
+        # at k = 1, whose variance the full scan refuses first
+        cfg = SearchConfig(B=16.0, delta=1.0, sigma2=sigma2, epsilon=1e-4, M=16)
+        with pytest.raises(ValidationError) as want:
+            _full_scan(cfg)
+        with pytest.raises(ValidationError) as got:
+            _cold_composition(cfg)
+        assert str(got.value) == str(want.value)
 
 
 def _random_pairs(n: int, seed: int):
