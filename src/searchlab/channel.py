@@ -290,8 +290,9 @@ def _phi_term(a: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=512)
 def probe_variances(config) -> np.ndarray:
-    """noise_variance(k) for k = 1..M; shared by the cache, never mutated."""
-    return np.array([config.noise_variance(k) for k in range(1, config.M + 1)])
+    """noise_variance(k) for k = 1..M; shared by the cache, never mutated.
+    Each is f(k) * delta * sigma2 in the scalar's order, so the same float."""
+    return config.noise.multipliers(config.M) * config.delta * config.sigma2
 
 
 def psi(a: float, config) -> float:

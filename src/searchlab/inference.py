@@ -107,9 +107,12 @@ def add_ratios(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray) -> None:
     (rows, 1, size), or cells (rows, w, k), k distinct cells a row a step,
     whose sums must then be C-contiguous.  Cells are added in step order,
     each ratio to the sum before it: the floats of adding one step at a
-    time."""
+    time.  A step of masks adds mask * ratio to every cell: off the mask
+    that adds +-0.0, which leaves a sum as it is (no running sum is -0.0),
+    so the floats are those of adding on the mask alone, and a masked add
+    costs several times as much."""
     if probed.dtype == bool:
-        np.add(sums, llr[0, :, None], out=sums, where=probed[:, 0])
+        sums += probed[:, 0] * llr[0, :, None]
         return
     np.add.at(sums.reshape(-1), *_cell_ratios(probed, llr, sums.shape[1]))
 
@@ -155,6 +158,8 @@ def fold_sums(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray,
         weights = np.empty_like(sums) if probed.dtype == bool else None
         s = normalizers(sums, weights)
         done = s <= limit
+        if not done.any():  # most steps: no row's stop to gather
+            return done, 1, s[:0], np.empty(0, dtype=np.int64), weights
         return done, 1, s[done], sums[done].argmax(axis=1), weights
     size = sums.shape[1]
     gap = -math.log(max(limit - 1.0, MIN_EXCESS)) - 1.0

@@ -81,6 +81,19 @@ class NoiseModel:
             raise ProbeCountOutOfRange(f"noise table has no entry for probe count {k}")
         return self.table[k - 1]
 
+    def multipliers(self, m: int) -> np.ndarray:
+        """f(1), ..., f(m) as an array, each the float multiplier(k) gives.
+        A power law takes float(k) ** gamma a size, as multiplier does:
+        numpy's vector power need not match libm's pow in the last bit."""
+        if self.kind == LINEAR:
+            return np.arange(1, m + 1, dtype=float)
+        if self.kind == POWER:
+            return np.array([float(k) ** self.gamma for k in range(1, m + 1)])
+        if m > len(self.table):
+            raise ProbeCountOutOfRange(
+                f"noise table has no entry for probe count {len(self.table) + 1}")
+        return np.array(self.table[:m], dtype=float)
+
     def multiplier_real(self, x: float) -> float:
         """Continuous extension of f for bound formulas (x need not be integer).
 

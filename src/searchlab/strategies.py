@@ -23,7 +23,10 @@ posterior, hands over a window of steps at once, as the cells it probes,
 pass and folds the window (`fold_sums`), where a row that no step of it
 can stop only adds its ratios to its cells, and the other rows take every
 step's normalizer, a tile of rows at a time.  Sorted-PM hands over one
-step's masks.  Each row makes the draws, in the same order, and the
+step's masks, which it finds with no permutation: one sort of the weights'
+values gives the prefix sums, and a threshold at the k-th largest weight,
+with an exact cut by index inside a group of tied weights, gives the mask
+(`sorted_pm_mask`).  Each row makes the draws, in the same order, and the
 arithmetic of a trial run alone, so a record depends only on its trial's
 draws, not on the window, the chunk, the block or the tile.  `run_strategy`
 is the batch of one, a one-row block, and a block's last live row stays a
@@ -212,22 +215,37 @@ def sorted_pm_mask(weights: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     """Probe mask of the sorted-PM rule, given posterior weights that need
     not sum to one.
 
-    Sort cells by weight descending (stable, so ties keep ascending index),
-    then probe the shortest prefix whose weight is closest to half the
-    total; ties in the distance pick the smaller prefix.  A (rows, size)
-    array is handled row by row, and k is then an array of prefix lengths.
-    """
-    order = np.argsort(-weights, axis=-1, kind="stable")
-    mask = np.zeros(weights.shape, dtype=bool)
+    Order cells by weight descending, ties by ascending index, then probe
+    the shortest prefix whose weight is closest to half the total; ties in
+    the distance pick the smaller prefix.  A (rows, size) array is handled
+    row by row, and k is then an array of prefix lengths.
+
+    No permutation is built.  The prefix sums are those of the weights'
+    values sorted descending, the same floats in the same order as the
+    ordered cells' (ties have equal values; weights are >= +0, no NaN).
+    The prefix is then every cell above the k-th largest weight wk, and
+    the lowest-index cells equal to wk that make up k: a cut inside a tie
+    group, which cells probed together, holding bit-identical sums, often
+    make."""
     if weights.ndim == 1:
-        csum = np.cumsum(weights[order])
-        k = int(np.argmin(np.abs(csum - 0.5 * csum[-1]))) + 1
-        mask[order[:k]] = True
-        return mask, k
-    rows = np.arange(weights.shape[0])[:, None]
-    csum = np.cumsum(weights[rows, order], axis=1)
-    k = np.argmin(np.abs(csum - 0.5 * csum[:, -1:]), axis=1) + 1
-    mask[rows, order] = np.arange(weights.shape[1]) < k[:, None]
+        mask, k = sorted_pm_mask(weights[None])
+        return mask[0], int(k[0])
+    n = weights.shape[1]
+    ascending = weights.copy()
+    ascending.sort(axis=1)
+    # add.accumulate is cumsum, with less overhead a call on small rows
+    csum = np.add.accumulate(ascending[:, ::-1], axis=1)
+    csum -= 0.5 * csum[:, -1:]
+    j = np.abs(csum, out=csum).argmin(axis=1)  # k - 1
+    k = j + 1
+    # each row's k-th largest weight, at n - 1 - j in its ascending row
+    wk = ascending.ravel()[np.arange(n - 1, ascending.size, n) - j][:, None]
+    mask = weights > wk
+    tied = weights == wk
+    # of the cells tied at wk, the first k - #(w > wk) by index
+    tied &= (np.add.accumulate(tied, axis=1, dtype=np.intp)
+             <= (k - mask.sum(axis=1))[:, None])
+    mask |= tied
     return mask, k
 
 
@@ -323,10 +341,11 @@ class Draws:
         # compress, not a fancy index, keeps the chunk in C order, and so
         # each window's normals and ratios
         self.rows, self.normals = self.rows[keep], self.normals.compress(keep, axis=1)
-        self.picks = self.picks[keep]
         flags = keep.tolist()
         self.gens = [g for g, f in zip(self.gens, flags) if f]
-        self.pickers = [g for g, f in zip(self.pickers, flags) if f]
+        if self.pickers:
+            self.picks = self.picks[keep]
+            self.pickers = [g for g, f in zip(self.pickers, flags) if f]
 
 
 def draw_targets(gens: list, m: int) -> np.ndarray:

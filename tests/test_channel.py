@@ -24,7 +24,8 @@ from searchlab.channel import (
     solve_a_eta,
 )
 from searchlab.cli import main
-from searchlab.errors import QuadratureNonConvergence, ValidationError
+from searchlab.errors import (ProbeCountOutOfRange, QuadratureNonConvergence,
+                              ValidationError)
 from searchlab.model import NoiseModel, SearchConfig, new_config
 
 # Frozen quadrature goldens; independently cross-checked against a
@@ -224,6 +225,33 @@ def _cold_composition(cfg) -> tuple[float, float]:
 
 # a staircase table, so runs of probe sizes share a variance
 STAIR_TABLE = NoiseModel.from_table(1.0 + np.arange(1024) // 8 * 0.75)
+
+
+class TestProbeVariances:
+    """probe_variances builds f(k) * delta * sigma2 for every size at once,
+    each the float of noise_variance(k)."""
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel.power(0.5),
+                                       NoiseModel.power(2.0), STAIR_TABLE],
+                             ids=["linear", "gamma=0.5", "gamma=2", "table"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 1024])
+    def test_matches_scalar_variances(self, m, noise):
+        for delta, sigma2 in ((1.0, 0.25), (0.1, 3.3), (0.37, 1e-7), (1.0, 1e8)):
+            cfg = new_config(m * delta, delta, sigma2, 1e-4, noise=noise)
+            want = np.array([cfg.noise_variance(k) for k in range(1, cfg.M + 1)])
+            channel.probe_variances.cache_clear()
+            assert channel.probe_variances(cfg).tobytes() == want.tobytes()
+
+    def test_short_table_raises_as_scalar(self):
+        # built past new_config's check that the table covers M
+        cfg = SearchConfig(B=8.0, delta=1.0, sigma2=0.25, epsilon=1e-4,
+                           noise=NoiseModel.from_table([1.0, 2.0, 3.0]), M=8)
+        with pytest.raises(ProbeCountOutOfRange) as want:
+            [cfg.noise_variance(k) for k in range(1, cfg.M + 1)]
+        channel.probe_variances.cache_clear()
+        with pytest.raises(ProbeCountOutOfRange) as got:
+            channel.probe_variances(cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestCompositionPruning:

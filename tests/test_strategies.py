@@ -8,14 +8,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import searchlab.inference as inference
 import searchlab.strategies as strat
 from searchlab.errors import InvalidAlpha, StepLimitExceeded
 from searchlab.model import MAX_CELLS, NoiseModel, new_config
-from searchlab.sim import BLOCK_CELLS, run_trials, trial_seed_for
+from searchlab.sim import BLOCK_CELLS, run_trials, trial_generators, trial_seed_for
 from searchlab.strategies import (
     EXHAUSTIVE,
     FIXED_COMPOSITION,
@@ -131,6 +131,38 @@ class TestPickCells:
                                 for _ in range(3)]
 
 
+def argsort_sorted_pm_mask(weights):
+    """The sorted-PM mask by its definition, the reference for
+    sorted_pm_mask: a stable argsort of the weights descending, the prefix
+    sums of the ordered weights, and the prefix scattered back through the
+    permutation."""
+    order = np.argsort(-weights, axis=-1, kind="stable")
+    mask = np.zeros(weights.shape, dtype=bool)
+    if weights.ndim == 1:
+        csum = np.cumsum(weights[order])
+        k = int(np.argmin(np.abs(csum - 0.5 * csum[-1]))) + 1
+        mask[order[:k]] = True
+        return mask, k
+    rows = np.arange(weights.shape[0])[:, None]
+    csum = np.cumsum(weights[rows, order], axis=1)
+    k = np.argmin(np.abs(csum - 0.5 * csum[:, -1:]), axis=1) + 1
+    mask[rows, order] = np.arange(weights.shape[1]) < k[:, None]
+    return mask, k
+
+
+@st.composite
+def tie_heavy_weights(draw):
+    """A (1-6, 1-40) block, or one row of it, of at most five weight levels,
+    0.0 and 1.0 among them, so that cuts often fall inside a group of
+    equal weights."""
+    levels = [0.0, 1.0] + draw(st.lists(st.floats(0.0, 1.0).map(abs), max_size=3))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1),
+                          min_size=rows * cols, max_size=rows * cols))
+    block = np.array(levels)[picks].reshape(rows, cols)
+    return block[0] if draw(st.booleans()) else block
+
+
 class TestSortedPMMask:
     def test_descending_example(self):
         mask, k = sorted_pm_mask(np.array([0.4, 0.3, 0.2, 0.1]))
@@ -178,6 +210,44 @@ class TestSortedPMMask:
             for row, mask, k in zip(probs, masks, ks):
                 want_mask, want_k = sorted_pm_mask(row)
                 assert np.array_equal(mask, want_mask) and k == want_k
+
+    def test_cut_inside_a_tie_group_takes_lowest_indices(self):
+        # sorted 1, 1, 1, 0.5, 0.5: the prefix of two holds half the mass,
+        # and of the three cells at 1.0 the two lowest are probed
+        mask, k = sorted_pm_mask(np.array([1.0, 0.5, 1.0, 1.0, 0.5]))
+        assert k == 2 and mask.tolist() == [True, False, True, False, False]
+
+    @settings(max_examples=500)
+    @given(weights=tie_heavy_weights())
+    def test_matches_argsort_reference(self, weights):
+        mask, k = sorted_pm_mask(weights)
+        want_mask, want_k = argsort_sorted_pm_mask(weights)
+        assert mask.shape == want_mask.shape
+        assert mask.tobytes() == want_mask.tobytes()
+        assert np.array_equal(k, want_k)
+        if weights.ndim == 1:
+            assert type(k) is int
+
+    @pytest.mark.parametrize("spec, m, trials", [
+        (StrategySpec(SORTED_PM), 3, 1000),
+        (StrategySpec(SORTED_PM), 16, 1000),
+        (StrategySpec(SORTED_PM), 128, 200),
+        (StrategySpec(SORTED_PM), 1024, 20),
+        (StrategySpec(TWO_STAGE, alpha=0.25), 16, 1000),
+        (StrategySpec(TWO_STAGE, alpha=0.25), 128, 200),
+        (StrategySpec(TWO_STAGE, alpha=0.25), 1024, 100),
+    ], ids=lambda p: p.label() if isinstance(p, StrategySpec) else str(p))
+    def test_trials_match_argsort_reference(self, monkeypatch, spec, m, trials):
+        # every record, trial by trial, is the one the argsort rule gives
+        # (two_stage has no M = 3 case: its one section size, 1, takes no
+        # sorted-PM step)
+        cfg = new_config(m, 1, 0.25, 1e-4)
+        got = run_rows(spec, cfg, trial_generators(2017, 0, trials))
+        monkeypatch.setattr(strat, "sorted_pm_mask", argsort_sorted_pm_mask)
+        want = run_rows(spec, cfg, trial_generators(2017, 0, trials))
+        for name, g, w in zip(("tau", "tau_stage1", "success", "final_max_prob"),
+                              got, want):
+            assert g.tobytes() == w.tobytes(), name
 
     def test_brute_force_prefix_optimality(self):
         rng = np.random.default_rng(99)
