@@ -89,11 +89,21 @@ def feasible_alphas(config: SearchConfig) -> list[float]:
     return [1.0 / s for s in range(2, config.M + 1) if config.M % s == 0]
 
 
+def _coarse_c1(config: SearchConfig) -> float:
+    """C1 = C(q*, v(q*)) of the config, refused where it underflows to 0:
+    a bound that divides by it has no value there."""
+    _, c1 = optimal_composition(config)
+    if not c1 > 0.0:
+        raise ValidationError(f"C1 underflowed to {c1} at sigma2 = {config.sigma2}: "
+                              "the noise is too large for a bound that divides by it")
+    return c1
+
+
 def nonadaptive_lower_bound(config: SearchConfig) -> float:
     """Converse for fixed probe sets, clamped at 0; M = 1 needs no search."""
     if config.M == 1:
         return 0.0
-    _, c1 = optimal_composition(config)
+    c1 = _coarse_c1(config)
     eps = config.epsilon
     val = ((1.0 - eps) * math.log2(config.M) - binary_entropy(eps)) / c1
     return max(0.0, val)
@@ -239,8 +249,7 @@ def general_f_bounds(config: SearchConfig, eta: float) -> BoundReport:
 
 def fixed_b_limit_constant(config: SearchConfig) -> float:
     """delta -> 0 limit of gain / log2(M): (1-eps)/C(q*, v(q*)) - 1."""
-    _, c1 = optimal_composition(config)
-    return (1.0 - config.epsilon) / c1 - 1.0
+    return (1.0 - config.epsilon) / _coarse_c1(config) - 1.0
 
 
 def fixed_delta_limit_constant(config: SearchConfig) -> float:

@@ -48,9 +48,12 @@ trial generator before the target draw without drawing from it: the PCG64
 jump of the trial state, a copy of it advanced by JUMP, as
 `bit_generator.jumped()` gives it (`picks_streams`).  It draws them a chunk
 of steps at a time (`pick_cells`), chunks doubling from CHUNK steps to four
-times that.  A window ends where a chunk does, so a record does not depend
-on the chunk or the window.  `sim.drift_probe` runs the same probe rules,
-draws and running sums on blocks of runs, one step at a time.
+times that.  A probe set is a partial Fisher-Yates shuffle, and one whose
+swap targets are pairwise distinct has its targets as its cells, so only
+the shuffles that repeat a target are run.  A window ends where a chunk
+does, so a record does not depend on the chunk or the window.
+`sim.drift_probe` runs the same probe rules, draws and running sums on
+blocks of runs, one step at a time.
 
 Strategies
 ----------
@@ -125,22 +128,53 @@ class StrategySpec:
 def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
     """Each generator's probe sets for `steps` steps, (rows, steps, k) cells
     of range(grid): per step the first k entries of a partial Fisher-Yates
-    shuffle, whose swap i exchanges entries i and i + integers(grid - i).
-    A generator draws all its steps in one call, the same values and state
-    as steps * k calls."""
+    shuffle, whose swap i exchanges entries i and its target
+    j_i = i + integers(grid - i).  A generator draws all its steps in one
+    call, the same values and state as steps * k calls.
+
+    A shuffle whose targets are pairwise distinct swaps an untouched entry
+    into place at every swap, so its cells are its targets: the draws are
+    the picks.  Only the shuffles that repeat a target run the shuffle
+    (`_shuffle_table`), found by one flat sort of the keys
+    shuffle * grid + target.  k = 1 cannot repeat, and draws each row's
+    steps under one scalar bound, the same values and state as an array
+    of equal bounds.  Where a repeat is likely, k(k - 1)/2 >= grid - k,
+    every shuffle runs the table, with no sort."""
+    if k == 1:
+        cells = np.stack([g.integers(0, grid, size=steps) for g in gens])
+        return cells[..., None]
     highs = np.tile(grid - np.arange(k), steps)  # one bound a draw, in order
     j = np.stack([g.integers(0, highs) for g in gens]).reshape(-1, k)
     j += np.arange(k)                     # swap i exchanges entries i and j >= i
+    if k * (k - 1) // 2 >= grid - k:
+        return _shuffle_table(j).reshape(len(gens), steps, k)
+    keys = (j + np.arange(0, j.shape[0] * grid, grid)[:, None]).ravel()
+    keys.sort()
+    repeats = keys[1:] == keys[:-1]  # only a shuffle's own keys can be equal
+    if repeats.any():
+        redo = np.zeros(j.shape[0], dtype=bool)
+        redo[keys[1:][repeats] // grid] = True
+        del keys, repeats
+        j[redo] = _shuffle_table(j[redo])
+    return j.reshape(len(gens), steps, k)
+
+
+def _shuffle_table(j: np.ndarray) -> np.ndarray:
+    """The first k entries of the partial Fisher-Yates shuffles whose
+    targets are the rows of j, (shuffles, k) with j[:, i] >= i, all run
+    at once on one flat table.  j's buffer is reused for the table's
+    temporaries, so it is overwritten."""
+    k = j.shape[1]
     n = j.size
     starts = np.arange(0, n, k)[:, None]  # where each shuffle's draws start
-    # Every shuffle is run at once on one flat table: an entry for each of
-    # its entries below k, and one for each distinct entry >= k that it
-    # swaps with, found as the first of a run of equal j in sorted order.
-    # A temporary of n entries is dropped once used: a full simulation
-    # block's chunk of picks holds n = 2^16.
+    # The table holds an entry for each of a shuffle's entries below k, and
+    # one for each distinct entry >= k that it swaps with, found as the
+    # first of a run of equal j in sorted order.  A temporary of n entries
+    # is dropped once used, and j's buffer holds the sorted targets and
+    # then the slots: a full simulation block's chunk of picks holds
+    # n = 2^16.
     order = np.argsort(j, axis=1, kind="stable") + starts
-    ranked = j.ravel()[order]
-    del j
+    ranked = np.take(j.ravel(), order, out=j)  # buffered: reads j, then writes
     flat = ranked.ravel()
     first = np.empty(n, dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=first[1:])
@@ -148,8 +182,8 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
     at = np.cumsum(first) + (n - 1)
     np.add(ranked, starts, out=at.reshape(-1, k), where=ranked < k)
     extra = flat[first]
-    del ranked, flat, first
-    slot = np.empty(n, dtype=np.int64)
+    del first
+    slot = flat  # the sorted targets are read: their buffer takes the slots
     slot[order.ravel()] = at
     del order, at
     table = np.empty(n + extra.size, dtype=np.int64)
@@ -161,7 +195,7 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
         cell = table[at]
         table[at] = table[here]
         table[here] = cell
-    return table[:n].reshape(len(gens), steps, k)
+    return table[:n].reshape(-1, k)
 
 
 @functools.cache

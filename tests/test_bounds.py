@@ -19,7 +19,8 @@ from searchlab.bounds import (
     stage2_upper_bound,
 )
 from searchlab.channel import bawgn_capacity, optimal_composition, solve_a_eta
-from searchlab.errors import EtaTooLarge, InvalidAlpha, NoFeasibleAlpha
+from searchlab.errors import (EtaTooLarge, InvalidAlpha, NoFeasibleAlpha,
+                              ValidationError)
 from searchlab.model import NoiseModel, new_config
 
 # Frozen formula goldens at B=16, delta=1, sigma2=0.25, eps=1e-4,
@@ -77,6 +78,16 @@ class TestNonadaptiveLowerBound:
         vals = [nonadaptive_lower_bound(new_config(16, 1 / 2**j, 0.25, 1e-4))
                 for j in range(3)]
         assert vals[0] < vals[1] < vals[2]
+
+    def test_underflowed_capacity_is_refused(self):
+        # the capacity quadrature returns C1 = 0.0 at this noise: a bound
+        # that divides by it is refused as bad input, not a division error
+        cfg = new_config(2, 1, 1e150, 1e-4)
+        assert optimal_composition(cfg)[1] == 0.0
+        for bound in (nonadaptive_lower_bound, fixed_b_limit_constant):
+            with pytest.raises(ValidationError,
+                               match=r"^C1 underflowed to 0\.0 at sigma2 = 1e\+150: "):
+                bound(cfg)
 
 
 class TestStageBounds:

@@ -444,6 +444,15 @@ def test_failed_bounds_leave_no_sim_file(tmp_path):
     assert os.listdir(tmp_path / "runs" / "out") == ["t.partial"]
 
 
+def test_underflowed_capacity_exits_two(tmp_path):
+    # C1 comes back 0.0 at this noise, and lemma1 divides by it
+    rc, err = run(["bounds", "--B", "2", "--delta", "1", "--sigma2", "1e150",
+                   "--epsilon", "1e-4", "--bound-set", "lemma1",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert err.startswith("error: C1 underflowed to 0.0 at sigma2 = 1e+150: ")
+
+
 # sweep --plan over plan fields and overrides, every cell count at most 16
 # and at most two trials, one worker (no process starts).
 PLAN_FIELDS = {

@@ -130,6 +130,73 @@ class TestPickCells:
         assert got.tolist() == [in_place_shuffle(MAX_CELLS, 5, twin)
                                 for _ in range(3)]
 
+    @staticmethod
+    def assert_matches_in_place_shuffles(grid, k, rows, steps, seed=0):
+        gens = [np.random.default_rng([seed, r]) for r in range(rows)]
+        twins = [np.random.default_rng([seed, r]) for r in range(rows)]
+        got = strat.pick_cells(gens, grid, k, steps)
+        assert got.shape == (rows, steps, k)
+        for r, twin in enumerate(twins):
+            assert got[r].tolist() == [in_place_shuffle(grid, k, twin)
+                                       for _ in range(steps)]
+            assert gens[r].bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    def test_grid_one_past_k_matches_in_place_shuffles(self, k):
+        # k targets in k + 1 entries: most shuffles swap one entry twice
+        self.assert_matches_in_place_shuffles(k + 1, k, rows=3, steps=40)
+
+    @pytest.mark.parametrize("grid", [2, 3, 16, 1000, 2**16 + 1, MAX_CELLS])
+    def test_single_cell_picks_match_in_place_shuffles(self, grid):
+        # one swap a shuffle: its target is its cell
+        self.assert_matches_in_place_shuffles(grid, 1, rows=3, steps=70)
+
+    @pytest.mark.parametrize("grid, k", [(16, 5), (16, 6), (128, 15), (128, 16),
+                                         (1024, 44), (1024, 45)])
+    def test_both_sides_of_the_likely_repeat_rule(self, grid, k):
+        # the first k of each pair sorts for repeats, the second runs the
+        # table on every shuffle: k(k - 1)/2 >= grid - k
+        assert (k * (k - 1) // 2 >= grid - k) == (k in (6, 16, 45))
+        self.assert_matches_in_place_shuffles(grid, k, rows=2, steps=30)
+
+    @pytest.mark.parametrize("grid, k", [(16, 3), (16, 5), (128, 2), (1024, 16)])
+    def test_table_runs_only_on_shuffles_that_repeat_a_target(
+            self, monkeypatch, grid, k):
+        tabled = []
+        table = strat._shuffle_table
+
+        def counted(j):
+            tabled.append(j.shape[0])
+            return table(j)
+
+        monkeypatch.setattr(strat, "_shuffle_table", counted)
+        rows, steps = 4, 200
+        strat.pick_cells([np.random.default_rng([9, r]) for r in range(rows)],
+                         grid, k, steps)
+        repeating = 0
+        for r in range(rows):
+            twin = np.random.default_rng([9, r])
+            for _ in range(steps):
+                targets = [i + int(twin.integers(grid - i)) for i in range(k)]
+                repeating += len(set(targets)) < k
+        assert sum(tabled) == repeating
+        assert len(tabled) == (repeating > 0)
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 16, 128, 2**16 + 1, MAX_CELLS])
+    @pytest.mark.parametrize("steps", [1, 63, 256])
+    def test_one_scalar_bound_draws_as_an_array_of_equal_bounds(self, grid,
+                                                                steps):
+        # the single-cell path draws integers(0, grid, size=steps); earlier
+        # draws leave the generator's buffered 32-bit half set or not
+        for earlier in range(3):
+            rng, twin = np.random.default_rng([grid, steps]), np.random.default_rng(
+                [grid, steps])
+            for g in (rng, twin):
+                g.integers(0, 5, size=earlier)
+            got = rng.integers(0, grid, size=steps)
+            assert got.tolist() == twin.integers(0, np.full(steps, grid)).tolist()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
 
 def argsort_sorted_pm_mask(weights):
     """The sorted-PM mask by its definition, the reference for
