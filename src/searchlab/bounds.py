@@ -16,16 +16,20 @@ the same bracket structure applies without the additive constants; those
 reports are flagged Asymptotic.  lemma2, theorem1 and theorem2 are views of
 one per-alpha builder's BoundReport (theorem2's without the constants), so
 they share its feasibility checks, capacities, brackets and stage formula.
+Every feasible alpha's refine capacity C2 comes from one capacity_grid call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
+# bench/tracer.py patches bawgn_capacity here.
 from .channel import (
     bawgn_capacity,
     binary_entropy,
+    capacity_grid,
     optimal_composition,
     solve_a_eta,
 )
@@ -117,10 +121,18 @@ def _coarse_capacity(config: SearchConfig, eta: float) -> tuple[float, float]:
     return q_star, c1
 
 
-def _refine_capacity(config: SearchConfig, am: int) -> float:
-    """C2 of an am-cell section, from the continuous variance extension
-    even for singleton sections."""
-    return bawgn_capacity(0.5, config.variance_at(am / 2.0))
+@lru_cache(maxsize=512)
+def _refine_capacities(config: SearchConfig,
+                       ams: tuple[int, ...]) -> tuple[float, ...]:
+    """C2 = C(1/2, v(am/2)) of each am-cell section, from the continuous
+    variance extension even for singleton sections, in one capacity_grid
+    call: each the float bawgn_capacity gives, and the first refused
+    variance in the order of ams raises what bawgn_capacity raises.  v is
+    non-decreasing and ams falls along the feasible alphas, so a
+    variance_at that raises does so at the first.  Cached, so a second
+    report at the config reads the same C2 without quadrature."""
+    variances = [config.variance_at(am / 2.0) for am in ams]
+    return tuple(capacity_grid(0.5, variances).tolist())
 
 
 def _stage_time(n: float, eps: float, a_eta: float, c: float,
@@ -148,7 +160,7 @@ def stage2_upper_bound(config: SearchConfig, alpha: float, eta: float,
     am = config.M // sections_from_alpha(alpha, config.M)
     if am == 1:
         return 0.0
-    c2 = _refine_capacity(config, am)
+    (c2,) = _refine_capacities(config, (am,))
     if not 0.0 < eta < c2:
         raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C2 = {c2})")
     return _stage_time(am, config.epsilon, a_eta, c2, eta)
@@ -174,10 +186,9 @@ def _report(config: SearchConfig, eta: float, constants: bool) -> BoundReport:
     log_2eps = math.log2(2.0 / eps)
     capacity_terms = {"C1": c1}
     alpha_terms: dict[float, dict[str, float]] = {}
-    for alpha in alphas:
-        s = sections_from_alpha(alpha)
-        am = config.M // s
-        c2 = _refine_capacity(config, am)
+    ams = tuple(config.M // sections_from_alpha(alpha) for alpha in alphas)
+    for alpha, am, c2 in zip(alphas, ams, _refine_capacities(config, ams)):
+        s = config.M // am
         if not eta < c2:
             continue
         capacity_terms[f"C2[alpha=1/{s}]"] = c2

@@ -18,7 +18,9 @@ entropy bound min(H(q), log2(1 + q(1-q)/v) / 2) can still reach the best
 capacity found, so its argmax is the full scan's, bit for bit.
 Everything downstream (strategy stopping times, converse and achievability
 bounds) is driven by this function and by the truncated-score integral psi
-of the bound constants, closed-form over probe sizes.  Q is ``gaussian_tail``
+of the bound constants, closed-form over probe sizes: a psi call is one
+pass over per-config terms (v, sqrt(v), sqrt(2 pi v)), and takes the tail
+Q(z) only at the sizes that can hold the max.  Q is ``gaussian_tail``
 (math.erfc) and Q^{-1} is statistics.NormalDist().inv_cdf, both stdlib.
 """
 
@@ -271,21 +273,15 @@ def psi_component(a: float, variance):
     """int G(y; 0, v) [g(y)]_a dy for the score g(y) = (2y-1)/(2v), where
     [g]_a keeps g when g >= a and is zero otherwise.  g crosses a at
     y0 = a v + 1/2, so with z = y0/sqrt(v) the integral is exactly
-    phi(z)/sqrt(v) - Q(z)/(2v).  ``variance`` may be an array.
+    phi(z)/sqrt(v) - Q(z)/(2v).  ``variance`` may be an array.  The
+    reference for psi, which repeats its arithmetic element by element.
     """
     v = np.asarray(variance, dtype=float)
-    z, phi = _phi_term(a, v)
-    qz = np.reshape([gaussian_tail(x) for x in z.ravel().tolist()], z.shape)
-    with np.errstate(over="ignore"):
-        out = phi - 0.5 * qz / v
-    return out if out.ndim else float(out)
-
-
-def _phi_term(a: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """z and the term phi(z)/sqrt(v) of psi_component, elementwise over v."""
     z = (a * v + 0.5) / np.sqrt(v)
+    qz = np.reshape([gaussian_tail(x) for x in z.ravel().tolist()], z.shape)
     with np.errstate(over="ignore"):  # z * z is inf only where phi(z) is 0
-        return z, np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * v)
+        out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * v) - 0.5 * qz / v
+    return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=512)
@@ -295,21 +291,43 @@ def probe_variances(config) -> np.ndarray:
     return config.noise.multipliers(config.M) * config.delta * config.sigma2
 
 
+@lru_cache(maxsize=512)
+def _psi_terms(config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """v = probe_variances(config), sqrt(v) and sqrt(2 pi v): the per-size
+    terms of every psi evaluation at the config, shared and never mutated."""
+    v = probe_variances(config)
+    return v, np.sqrt(v), np.sqrt(2.0 * math.pi * v)
+
+
 def psi(a: float, config) -> float:
     """Largest truncated-score integral over feasible probe sizes:
     max over k = 1..M of psi_component(a, noise_variance(k)).
 
-    A component is its phi term less a non-negative tail term, so only the
+    One pass over the config's cached terms computes z and the phi term of
+    every size in place, in psi_component's order of operations.  A
+    component is its phi term less a non-negative tail term, so only the
     sizes whose phi term exceeds the component at the largest phi term can
-    hold the max; the tail Q(z) is evaluated for those alone, and the max
-    is the same float."""
-    v = probe_variances(config)
-    z, phi = _phi_term(a, v)
-    top = int(np.argmax(phi))
-    with np.errstate(over="ignore"):
-        near = phi > phi[top] - 0.5 * gaussian_tail(z[top]) / v[top]
-    near[top] = True
-    return float(psi_component(a, v[near]).max())
+    hold the max; the tail Q(z) is evaluated at that top size and at those
+    alone, and the max is psi_component's over every size, the same float."""
+    v, root_v, root_2pi_v = _psi_terms(config)
+    with np.errstate(over="ignore"):  # z * z is inf only where phi(z) is 0
+        z = a * v
+        z += 0.5
+        z /= root_v
+        phi = z * -0.5
+        phi *= z
+        np.exp(phi, out=phi)
+        phi /= root_2pi_v
+        top = int(phi.argmax())
+        best = phi[top] - 0.5 * gaussian_tail(z[top]) / v[top]
+        near = phi > best
+        near[top] = False
+        if near.any():
+            tail = np.array([gaussian_tail(x) for x in z[near].tolist()])
+            tail *= 0.5
+            tail /= v[near]
+            best = max(best, (phi[near] - tail).max())
+    return float(best)
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,11 @@ draws its probe sets from a second stream per trial, derived from the
 trial generator before the target draw without drawing from it: the PCG64
 jump of the trial state, a copy of it advanced by JUMP, as
 `bit_generator.jumped()` gives it (`picks_streams`).  It draws them a chunk
-of steps at a time (`pick_cells`), chunks doubling from CHUNK steps to four
-times that.  A probe set is a partial Fisher-Yates shuffle, and one whose
-swap targets are pairwise distinct has its targets as its cells, so only
-the shuffles that repeat a target are run.  A window ends where a chunk
-does, so a record does not depend on the chunk or the window.
+of 4 CHUNK steps at a time (`pick_cells`).  A probe set is a partial
+Fisher-Yates shuffle, and one whose swap targets are pairwise distinct has
+its targets as its cells, so only the shuffles that repeat a target are
+run.  A window ends where a chunk does, so a record does not depend on the
+chunk or the window.
 `sim.drift_probe` runs the same probe rules, draws and running sums on
 blocks of runs, one step at a time.
 
@@ -304,8 +304,7 @@ class Draws:
     row also gets a picks stream, the PCG64 jump of the trial generator's
     state now, before the target draw (`picks_streams`); `pick` reads a
     window's probe sets from a chunk of steps that every row draws at once,
-    at most CHUNK_CELLS cells in all: CHUNK steps, then twice the last
-    chunk's, up to 4 CHUNK."""
+    4 CHUNK steps, at most CHUNK_CELLS cells in all."""
 
     def __init__(self, gens: list, picks: bool = False,
                  normal_chunk: int | None = None, carry: list | None = None):
@@ -352,10 +351,9 @@ class Draws:
         and holds at most CHUNK_CELLS cells of one row's posterior over the
         grid, the most the fold takes at once, and at least one step."""
         if self.picked == self.picks.shape[1]:
-            # a call costs about as much for one draw as for a hundred, so
-            # chunks double, from CHUNK steps, for the rows that outlast them
-            steps = max(1, min(2 * self.picked or CHUNK, 4 * CHUNK,
-                               CHUNK_CELLS // (len(self.pickers) * k)))
+            # a call costs about as much for one draw as for a hundred, and
+            # picks are their draws, so every chunk takes the most steps
+            steps = max(1, min(4 * CHUNK, CHUNK_CELLS // (len(self.pickers) * k)))
             self.picks = None  # spent: not held while the next chunk is drawn
             self.picks = pick_cells(self.pickers, grid, k, steps)
             self.picked = 0

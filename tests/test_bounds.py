@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +19,15 @@ from searchlab.bounds import (
     stage1_upper_bound,
     stage2_upper_bound,
 )
-from searchlab.channel import bawgn_capacity, optimal_composition, solve_a_eta
+from searchlab.channel import (
+    A_ETA_BRACKET_CAP,
+    A_ETA_BRACKET_LO,
+    bawgn_capacity,
+    optimal_composition,
+    psi,
+    psi_component,
+    solve_a_eta,
+)
 from searchlab.errors import (EtaTooLarge, InvalidAlpha, NoFeasibleAlpha,
                               ValidationError)
 from searchlab.model import NoiseModel, new_config
@@ -38,6 +47,29 @@ GAIN_PER_ALPHA = {
 }
 THEOREM2_GAMMA1_25 = 11.38633599400962
 THEOREM2_GAMMA_HALF_25 = 3.7005578829066836
+# theorem2 gains (gamma = 0.5, 1, 2) at eta = 0.1*C1, delta=1, eps=1e-4,
+# by (sigma2, M)
+GAIN_TABLE_SIZES = (16, 24, 25, 32, 48, 64, 96, 128, 256)
+GAIN_TABLE = {
+    (0.05, 16): (0.113, 1.320, 1.848),
+    (0.05, 24): (0.418, 2.676, 3.635),
+    (0.05, 25): (0.409, 2.740, 3.252),
+    (0.05, 32): (0.711, 4.111, 5.262),
+    (0.05, 48): (1.259, 7.258, 8.232),
+    (0.05, 64): (1.764, 10.232, 10.958),
+    (0.05, 96): (2.878, 18.592, 19.739),
+    (0.05, 128): (3.800, 26.710, 26.982),
+    (0.05, 256): (7.290, 64.993, 58.666),
+    (0.25, 16): (2.052, 5.438, 2.631),
+    (0.25, 24): (3.615, 10.534, 6.365),
+    (0.25, 25): (3.701, 11.386, -2.284),
+    (0.25, 32): (5.090, 16.019, 8.567),
+    (0.25, 48): (7.933, 30.704, 17.131),
+    (0.25, 64): (10.320, 44.920, 25.233),
+    (0.25, 96): (16.016, 81.913, 41.194),
+    (0.25, 128): (20.702, 121.506, 55.262),
+    (0.25, 256): (38.013, 306.248, 153.890),
+}
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +237,23 @@ class TestGeneralNoiseLaws:
         assert c2_2 < c2_1
         gains = [terms(gamma, 0.05)[2] for gamma in (0.5, 1.0, 2.0)]
         assert gains[2] > gains[1] > gains[0]
+
+    def test_gain_table_over_m_and_sigma2(self):
+        # theorem2's (g(0.5), g(1), g(2)) at eta = 0.1 C1: the ordering
+        # that criterion 10 asserts at M=25, sigma2=0.25 holds at every
+        # M <= 128 at sigma2=0.05, fails at M=256 there, and fails at every
+        # M at sigma2=0.25
+        gains = {}
+        for sigma2, m in GAIN_TABLE:
+            row = []
+            for gamma in (0.5, 1.0, 2.0):
+                cfg = new_config(m, 1, sigma2, 1e-4, noise=NoiseModel.power(gamma))
+                row.append(general_f_bounds(cfg, 0.1 * optimal_composition(cfg)[1]).gain_lb)
+            gains[sigma2, m] = row
+        for point, row in gains.items():
+            assert row == pytest.approx(GAIN_TABLE[point], abs=5e-4), point
+        holds = {point for point, (g05, g1, g2) in gains.items() if g2 > g1 > g05}
+        assert holds == {(0.05, m) for m in GAIN_TABLE_SIZES if m <= 128}
 
     def test_table_noise_law_accepted(self):
         table = [float(k) for k in range(1, 9)]
@@ -501,3 +550,100 @@ class TestPassInvariants:
         cfg = new_config(m, 1, sigma2, 1e-4, noise=noise)
         assert (bawgn_capacity(0.5, cfg.variance_at(0.5))
                 >= optimal_composition(cfg)[1])
+
+
+# the benchmark's sigma2 pool for bound requests, 0.1 to 0.875
+SIGMA2_POOL = tuple(round(0.1 + 0.025 * j, 4) for j in range(32))
+
+
+def _reference_a_eta(eta, cfg):
+    """solve_a_eta's bisection, step for step, on the brute-force psi:
+    psi_component over every probe size, then its max."""
+    vs = np.array([cfg.noise_variance(k) for k in range(1, cfg.M + 1)])
+
+    def f(a):
+        return a / (a - 3.0) * float(psi_component(a - 3.0, vs).max())
+
+    lo = A_ETA_BRACKET_LO
+    if f(lo) < eta:
+        return lo, True
+    hi = 6.0
+    while f(hi) > eta:
+        hi *= 2.0
+        assert hi <= A_ETA_BRACKET_CAP
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm - eta) <= 1e-8 * eta:
+            return mid, False
+        if fm > eta:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("reference bisection did not converge")
+
+
+def _same_a_eta(eta, cfg) -> bool:
+    got = solve_a_eta(eta, cfg)
+    value, clamped = _reference_a_eta(eta, cfg)
+    return (got.value.hex(), got.clamped) == (value.hex(), clamped)
+
+
+class TestOnePassConstants:
+    """a_eta and the refine capacities C2, computed in one pass each, are
+    the floats of psi_component's brute force and of lone capacity calls."""
+
+    @pytest.mark.parametrize("name", BOUND_POINTS)
+    def test_a_eta_is_reference_bisection_at_bound_points(self, name):
+        cfg, eta = _point(name)
+        assert _same_a_eta(eta, cfg)
+
+    @pytest.mark.parametrize("gamma", [None, 0.5, 2.0],
+                             ids=["linear", "gamma=0.5", "gamma=2"])
+    @pytest.mark.parametrize("m", [16, 32, 64, 128, 256])
+    def test_a_eta_is_reference_bisection_over_sigma2_pool(self, m, gamma):
+        noise = NoiseModel.linear() if gamma is None else NoiseModel.power(gamma)
+        pool = SIGMA2_POOL if gamma is None else SIGMA2_POOL[::4]
+        for sigma2 in pool:
+            cfg = new_config(m, 1, sigma2, 1e-4, noise=noise)
+            assert _same_a_eta(0.1 * optimal_composition(cfg)[1], cfg), sigma2
+
+    @pytest.mark.parametrize("noise", [NoiseModel.linear(), NoiseModel.power(2.0)],
+                             ids=["linear", "gamma=2"])
+    def test_a_eta_is_reference_bisection_at_the_edges(self, noise):
+        cfg = new_config(16, 1, 0.25, 1e-4, noise=noise)
+        floor = A_ETA_BRACKET_LO / (A_ETA_BRACKET_LO - 3.0) * psi(
+            A_ETA_BRACKET_LO - 3.0, cfg)
+        # huge and just-over-the-floor etas clamp; just under, the root
+        # sits by the floor; tiny etas double the bracket far out
+        for eta in (1e9, floor * (1 + 1e-9), floor * (1 - 1e-9), 1e-12, 1e-300):
+            assert _same_a_eta(eta, cfg), eta
+        assert solve_a_eta(1e9, cfg).clamped
+
+    @pytest.mark.parametrize("name", BOUND_POINTS)
+    def test_refine_capacities_are_lone_calls(self, name, clear_package_caches):
+        cfg, eta = _point(name)
+        clear_package_caches()
+        reports = [adaptivity_gain_lower_bound(cfg, eta), general_f_bounds(cfg, eta)]
+        want = {}
+        for alpha in feasible_alphas(cfg):
+            s = round(1.0 / alpha)
+            c2 = bawgn_capacity(0.5, cfg.variance_at((cfg.M // s) / 2.0))
+            if eta < c2:
+                want[f"C2[alpha=1/{s}]"] = c2.hex()
+        for rep in reports:
+            got = {k: v.hex() for k, v in rep.capacity_terms.items() if k != "C1"}
+            assert got == want
+
+    def test_refused_refine_variance_raises_as_per_alpha_loop(self):
+        # v(1/2) = 0.5**80 * 1e-300 underflows to 0.0, at the singleton
+        # section alone
+        cfg = new_config(4, 1, 1e-300, 1e-4, noise=NoiseModel.power(80.0))
+        with pytest.raises(ValidationError) as want:
+            for alpha in feasible_alphas(cfg):
+                am = cfg.M // round(1.0 / alpha)
+                bawgn_capacity(0.5, cfg.variance_at(am / 2.0))
+        for build in (adaptivity_gain_lower_bound, general_f_bounds):
+            with pytest.raises(ValidationError) as got:
+                build(cfg, 0.1)
+            assert str(got.value) == str(want.value)

@@ -217,10 +217,13 @@ def _full_scan(cfg) -> tuple[float, float]:
     return (best + 1) / cfg.M, float(caps[best])
 
 
-def _cold_composition(cfg) -> tuple[float, float]:
-    for cached in (optimal_composition, bawgn_capacity, channel.probe_variances):
-        cached.cache_clear()
-    return optimal_composition(cfg)
+@pytest.fixture
+def cold_composition(clear_package_caches):
+    """optimal_composition(cfg) with every cache of the package cleared."""
+    def run(cfg) -> tuple[float, float]:
+        clear_package_caches()
+        return optimal_composition(cfg)
+    return run
 
 
 # a staircase table, so runs of probe sizes share a variance
@@ -262,20 +265,20 @@ class TestCompositionPruning:
                                        NoiseModel.power(2.0), STAIR_TABLE],
                              ids=["linear", "gamma=0.5", "gamma=2", "table"])
     @pytest.mark.parametrize("m", [2, 3, 4, 16, 128, 1024])
-    def test_matches_full_scan(self, m, noise):
+    def test_matches_full_scan(self, m, noise, cold_composition):
         # 1e-7 puts every sd below 1e-3 (C = H(q)) at small M
         for sigma2 in (1e-7, 1e-5, 1e-3, 0.05, 0.25, 1.0, 30.0, 1e4, 1e8):
             cfg = new_config(m, 1, sigma2, 1e-4, noise=noise)
-            got = _cold_composition(cfg)
+            got = cold_composition(cfg)
             want = _full_scan(cfg)
             assert [x.hex() for x in got] == [x.hex() for x in want], sigma2
 
     @pytest.mark.parametrize("m,sigma2", [(2, 1e307), (16, 1e306), (16, 2e305)])
-    def test_matches_full_scan_in_low_snr_band(self, m, sigma2):
+    def test_matches_full_scan_in_low_snr_band(self, m, sigma2, cold_composition):
         # variances from about 1.8e306 up take the closed-form low-SNR limit:
         # all but k = 1 at 1e306, and 2e305 * k straddles the edge
         cfg = new_config(m, 1, sigma2, 1e-4)
-        got = _cold_composition(cfg)
+        got = cold_composition(cfg)
         assert [x.hex() for x in got] == [x.hex() for x in _full_scan(cfg)]
 
     @given(q=st.floats(0.0, 1.0), log_v=st.floats(-8.0, 8.0))
@@ -284,7 +287,8 @@ class TestCompositionPruning:
         assert capacity_grid(q, v) <= _entropy_bound(q, v) + 1e-12
 
     @pytest.mark.parametrize("sigma2", [0.1, 0.25, 1.0])
-    def test_cold_scan_evaluates_few_sizes(self, monkeypatch, sigma2):
+    def test_cold_scan_evaluates_few_sizes(self, monkeypatch, sigma2,
+                                           cold_composition):
         pairs = []
 
         def counting(qs, variances):
@@ -292,28 +296,29 @@ class TestCompositionPruning:
             return capacity_grid(qs, variances)
 
         monkeypatch.setattr(channel, "capacity_grid", counting)
-        _cold_composition(new_config(1024, 1, sigma2, 1e-4))
+        cold_composition(new_config(1024, 1, sigma2, 1e-4))
         assert sum(pairs) <= 128
 
-    def test_underflowed_variance_raises_as_full_scan(self, tmp_path):
+    def test_underflowed_variance_raises_as_full_scan(self, tmp_path,
+                                                      cold_composition):
         # sigma2 * delta underflows, so every probe variance is 0.0
         cfg = new_config(16e-300, 1e-300, 5e-324, 1e-4)
         with pytest.raises(ValidationError,
                            match=r"^variance must be positive and finite, got 0\.0$"):
-            _cold_composition(cfg)
+            cold_composition(cfg)
         argv = ["bounds", "--B", "16e-300", "--delta", "1e-300",
                 "--sigma2", "5e-324", "--epsilon", "1e-4", "--out", str(tmp_path)]
         assert main(argv) == 2
 
     @pytest.mark.parametrize("sigma2", [-1e6, math.nan])
-    def test_refused_variances_raise_as_full_scan(self, sigma2):
+    def test_refused_variances_raise_as_full_scan(self, sigma2, cold_composition):
         # built past new_config's checks; at -1e6 the largest bound is not
         # at k = 1, whose variance the full scan refuses first
         cfg = SearchConfig(B=16.0, delta=1.0, sigma2=sigma2, epsilon=1e-4, M=16)
         with pytest.raises(ValidationError) as want:
             _full_scan(cfg)
         with pytest.raises(ValidationError) as got:
-            _cold_composition(cfg)
+            cold_composition(cfg)
         assert str(got.value) == str(want.value)
 
 
@@ -463,10 +468,9 @@ class TestCapacityMemory:
         finally:
             tracemalloc.stop()
 
-    def test_cold_composition_scan(self):
+    def test_cold_composition_scan(self, clear_package_caches):
         cfg = new_config(1024, 1, 0.25, 1e-4)
-        for cached in (optimal_composition, bawgn_capacity, channel.probe_variances):
-            cached.cache_clear()
+        clear_package_caches()
         assert self._peak(lambda: optimal_composition(cfg)) < self.LIMIT
 
     def test_48_by_48_grid(self):
@@ -488,10 +492,8 @@ class TestCapacityMemory:
         ["bounds", "--B", "4", "--delta", "1", "--sigma2", "0.25",
          "--epsilon", "1e-4", "--gamma", "36"],
     ], ids=["capacity", "bounds"])
-    def test_cli_edge_commands(self, tmp_path, argv):
-        for cached in (optimal_composition, bawgn_capacity, solve_a_eta,
-                       channel.probe_variances):
-            cached.cache_clear()
+    def test_cli_edge_commands(self, tmp_path, argv, clear_package_caches):
+        clear_package_caches()
         rc = []
         peak = self._peak(lambda: rc.append(main([*argv, "--out", str(tmp_path)])))
         assert rc == [0]
@@ -572,6 +574,26 @@ class TestPsi:
         vs = np.array([cfg.noise_variance(k) for k in range(1, cfg.M + 1)])
         for a in (-1e9, -50.0, -1.0, 0.0, 1e-6, 0.7, 3.0, 7.0, 40.0, 1e3, 1e9):
             assert psi(a, cfg).hex() == float(psi_component(a, vs).max()).hex()
+
+    @given(m=st.integers(1, 300), log_sigma2=st.floats(-4.0, 4.0),
+           gamma=st.sampled_from([None, 0.5, 1.5, 2.0]),
+           a=st.one_of(st.floats(-60.0, 60.0),
+                       st.sampled_from([-1e9, -1e3, 0.0, 1e-6, 1e3, 1e9])))
+    def test_one_pass_is_brute_force_max_bit_for_bit(self, m, log_sigma2,
+                                                     gamma, a):
+        noise = NoiseModel.linear() if gamma is None else NoiseModel.power(gamma)
+        cfg = new_config(m, 1, 10.0 ** log_sigma2, 1e-4, noise=noise)
+        vs = np.array([cfg.noise_variance(k) for k in range(1, cfg.M + 1)])
+        assert psi(a, cfg).hex() == float(psi_component(a, vs).max()).hex()
+
+    def test_psi_does_not_run_the_reference(self, monkeypatch, config16):
+        want = [psi(a, config16) for a in (-1e9, 0.0, 1e-6, 7.0)]
+
+        def refused(a, variance):
+            raise AssertionError("psi called psi_component")
+
+        monkeypatch.setattr(channel, "psi_component", refused)
+        assert [psi(a, config16) for a in (-1e9, 0.0, 1e-6, 7.0)] == want
 
 
 class TestAEta:
