@@ -6,13 +6,17 @@ space, shifts so the maximum is zero, clamps at LOG_FLOOR_NATS (keeping
 every entry finite) and renormalizes, along the last axis, so a (rows, M)
 block takes one call, each row bit-identical to updating it alone.  The
 search engine instead carries every posterior as running sums of
-log-likelihood ratios, never renormalized, normalized only to test a stop
-(`fold_sums`): its rules read only the order of the sums and ratios of cell
-masses, which a shift leaves alone.  The fold takes one step of probe
-masks, and then hands back the weights exp(c - max c) it summed, or a
-window of steps given by their probed cells.  In a window it first bounds
-each row's sums over all its steps, and a row that no step can stop only
-adds its ratios: it takes no normalizer.  The potential
+log-likelihood ratios, never renormalized, normalized only to test a stop:
+its rules read only the order of the sums and ratios of cell masses, which
+a shift leaves alone.  One step of probe masks goes from the masks to the
+stop in one call (`fold_step`): each row's hit, its ratio (2y - 1)/(2v)
+from its normal and its probe's noise (sqrt(v), 2v) (`log_ratios`), the
+add of mask * ratio on every cell (`add_ratios`' arithmetic), the
+normalizers and the stop, leaving the weights exp(c - max c) that sum to
+each normalizer.  A window of steps, given by their probed cells, is
+folded by `fold_sums`, which first bounds each row's sums over all its
+steps, and a row that no step can stop only adds its ratios: it takes no
+normalizer.  The potential
 U(rho) = sum_i rho_i log2(rho_i / (1 - rho_i)) is the Lyapunov functional
 whose per-step drift the bound arguments control; it is computed with
 expm1/logsumexp guards so posteriors within a whisker of certainty do not
@@ -91,7 +95,9 @@ def update_log_probs(lp: np.ndarray, mask: np.ndarray, y,
     floor and returns the new maximum log probability.  For a (rows, M)
     block, y holds one value per row, variance one per row or one for all,
     mask is (rows, M) or one M-mask for every row, and the row maxima are
-    returned.  This is the hot path of every strategy loop.
+    returned.  No strategy runs it: the engine folds running sums instead
+    (`fold_step`, `fold_sums`); `bayes_update` and the tests' references
+    do.
     """
     llr = (2.0 * y - 1.0) / (2.0 * variance)
     if lp.ndim == 1:
@@ -101,10 +107,23 @@ def update_log_probs(lp: np.ndarray, mask: np.ndarray, y,
     return renormalize_log_probs(lp)
 
 
+def log_ratios(hit: np.ndarray, noise: tuple, z: np.ndarray) -> np.ndarray:
+    """(2y - 1)/(2v) of observations y = hit + sqrt(v) z, elementwise, in
+    a new array: noise is the pair (sqrt(v), 2v), each one value, or one a
+    row along the last axis of hit and z."""
+    sd, twice_v = noise
+    y = sd * z
+    y += hit  # in z's layout: a window's hits are a transposed gather
+    y *= 2.0
+    y -= 1.0
+    y /= twice_v
+    return y
+
+
 def add_ratios(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray) -> None:
     """Add each step's ratios llr (w, rows) to the running sums (rows,
     size), in place, on the cells it probes: probed is one step's masks
-    (rows, 1, size), or cells (rows, w, k), k distinct cells a row a step,
+    (rows, size), or cells (rows, w, k), k distinct cells a row a step,
     whose sums must then be C-contiguous.  Cells are added in step order,
     each ratio to the sum before it: the floats of adding one step at a
     time.  A step of masks adds mask * ratio to every cell: off the mask
@@ -112,7 +131,7 @@ def add_ratios(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray) -> None:
     so the floats are those of adding on the mask alone, and a masked add
     costs several times as much."""
     if probed.dtype == bool:
-        sums += probed[:, 0] * llr[0, :, None]
+        sums += probed * llr[0, :, None]
         return
     np.add.at(sums.reshape(-1), *_cell_ratios(probed, llr, sums.shape[1]))
 
@@ -125,42 +144,56 @@ def _cell_ratios(cells: np.ndarray, llr: np.ndarray, size: int) -> tuple:
     return at, np.repeat(llr.T, k, axis=1).ravel()
 
 
-def fold_sums(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray,
+def fold_step(sums: np.ndarray, masks: np.ndarray, hits: np.ndarray,
+              on_grid: np.ndarray | None, z: np.ndarray, noise: tuple,
               limit: float) -> tuple:
-    """Fold a window of w steps into a block of running log-likelihood
-    sums, sums (rows, size), in place: add each step's ratios llr (w, rows)
-    on its probed sets (`add_ratios`: one step's masks, or a window's
-    cells) and test the stop at every step on that step's normalizer
-    s = sum(exp(c - max c)): a row stops at the first step with s <= limit.
+    """Fold one step of probe masks (rows, size) into a block of running
+    log-likelihood sums, sums (rows, size), in place, and test the stop.
 
-    A window of one step adds in place and takes every row's normalizer.
-    A longer window, of cells, screens each row first, in tiles of at most
-    TILE_CELLS sums: over the window a cell's sum stays within [lo, hi],
-    its sum c0 at the start plus its negative ratios and plus its positive
-    ones.  If two cells have lo >= max(hi) - g, with g = -log(limit - 1)
-    less one nat (limit - 1 at least MIN_EXCESS) and less the rounding of
-    the window's sums, every step's normalizer holds a second term above
-    limit - 1 and no step stops the row: a quiet row only adds its ratios.
-    Each other row takes every step's normalizer, in tiles of at most
-    TILE_CELLS floats of sums over the window (and at least one row): its
-    sums at every step are a cumulative sum of its scattered ratios over
-    the steps, each a float added to the sum before it, the floats it gets
-    alone, one step at a time.  numpy accumulates along the steps at a cost
-    per cell of a step, so a tile with WIDE_STEP cells or more a step adds
-    each step to the last in one call instead.  Returns done, the rows that
-    stop, and for each of them the steps it takes in the window (one for
-    all in a window of one step), its normalizer and its MAP cell at the
-    stop; then, after a step of masks, every row's weights exp(c - max c),
-    the terms of its normalizer (None after cells)."""
-    rows, w, _ = probed.shape
-    if w == 1:
-        add_ratios(sums, probed, llr)
-        weights = np.empty_like(sums) if probed.dtype == bool else None
-        s = normalizers(sums, weights)
-        done = s <= limit
-        if not done.any():  # most steps: no row's stop to gather
-            return done, 1, s[:0], np.empty(0, dtype=np.int64), weights
-        return done, 1, s[done], sums[done].argmax(axis=1), weights
+    Each row observes y = hit + sqrt(v) z, given its normal z and its
+    probe's noise (sqrt(v), 2v) (`log_ratios`): hit is its mask at hits,
+    its hit cell as an index into the flattened masks, and false for a row
+    that on_grid, if given, marks off the grid (its target is never hit).
+    The ratio is added to every cell as mask * ratio, as `add_ratios` adds
+    a step of masks, and the row's normalizer s = sum(exp(c - max c)) is
+    taken: a row stops once s <= limit.  Returns done, which rows stop
+    (None if none does), and every row's weights exp(c - max c), the terms
+    of its normalizer."""
+    hit = masks.take(hits)
+    if on_grid is not None:
+        hit &= on_grid
+    weights = masks * log_ratios(hit, noise, z)[:, None]
+    sums += weights
+    done = normalizers(sums, weights) <= limit
+    return (done if done.any() else None), weights
+
+
+def fold_sums(sums: np.ndarray, cells: np.ndarray, llr: np.ndarray,
+              limit: float) -> tuple:
+    """Fold a window of w steps, given by the cells they probe (rows, w,
+    k), into a block of running log-likelihood sums, sums (rows, size), in
+    place: add each step's ratios llr (w, rows) on its cells
+    (`add_ratios`) and test the stop at every step on that step's
+    normalizer s = sum(exp(c - max c)): a row stops at the first step with
+    s <= limit.
+
+    Each row is screened first, in tiles of at most TILE_CELLS sums: over
+    the window a cell's sum stays within [lo, hi], its sum c0 at the start
+    plus its negative ratios and plus its positive ones.  If two cells have
+    lo >= max(hi) - g, with g = -log(limit - 1) less one nat (limit - 1 at
+    least MIN_EXCESS) and less the rounding of the window's sums, every
+    step's normalizer holds a second term above limit - 1 and no step stops
+    the row: a quiet row only adds its ratios.  Each other row takes every
+    step's normalizer, in tiles of at most TILE_CELLS floats of sums over
+    the window (and at least one row): its sums at every step are a
+    cumulative sum of its scattered ratios over the steps, each a float
+    added to the sum before it, the floats it gets alone, one step at a
+    time.  numpy accumulates along the steps at a cost per cell of a step,
+    so a tile with WIDE_STEP cells or more a step adds each step to the
+    last in one call instead.  Returns done, the rows that stop, and for
+    each of them the steps it takes in the window, its normalizer and its
+    MAP cell at the stop."""
+    rows, w, _ = cells.shape
     size = sums.shape[1]
     gap = -math.log(max(limit - 1.0, MIN_EXCESS)) - 1.0
     ends = np.zeros(rows, dtype=np.int64)
@@ -170,9 +203,9 @@ def fold_sums(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray,
     tile = max(1, TILE_CELLS // (w * size))
     for first in range(0, rows, screen):
         part = slice(first, first + screen)
-        start, cells, ratios = sums[part], probed[part], llr[:, part]
+        start = sums[part]
         n = start.shape[0]
-        at, x = _cell_ratios(cells, ratios, size)
+        at, x = _cell_ratios(cells[part], llr[:, part], size)
         # each cell's positive ratios summed into hi, its negative into lo
         hi, lo = np.bincount(at + (x < 0.0) * (n * size), x,
                              2 * n * size).reshape(2, n, size) + start
@@ -188,7 +221,7 @@ def fold_sums(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray,
             idx = loud[i:i + tile]
             c = np.zeros((w, idx.size, size))
             c[np.arange(w)[:, None, None], np.arange(idx.size)[:, None],
-              probed[idx].transpose(1, 0, 2)] = llr[:, idx, None]
+              cells[idx].transpose(1, 0, 2)] = llr[:, idx, None]
             c[0] += sums[idx]
             if c[0].size < WIDE_STEP:
                 np.cumsum(c, axis=0, out=c)
@@ -205,7 +238,7 @@ def fold_sums(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray,
                 maps[idx[stopped]] = c[j, stopped].argmax(axis=1)
         np.add.at(start.reshape(-1), at, x)  # in step order, as add_ratios
     done = ends > 0
-    return done, ends[done], norms[done], maps[done], None
+    return done, ends[done], norms[done], maps[done]
 
 
 def normalizers(sums: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

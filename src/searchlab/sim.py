@@ -359,8 +359,8 @@ def _drift_rows(kind: str, config: SearchConfig, gens: list,
     u_prev = np.full(n, u_log_probs(np.full(m, -math.log(m))))
     step = 0
     while live.size:
-        probed, v, _ = probe(weights, step, draws)
-        llr = observe(probe_hits(probed, targets, np.arange(live.size)), v, draws)
+        probed, noise, _ = probe(weights, step, draws)
+        llr = observe(probe_hits(probed, targets), noise, draws)
         add_ratios(lp, probed, llr)
         draws.read += 1
         step += 1

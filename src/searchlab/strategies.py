@@ -5,47 +5,57 @@ until the stopping rule fires, and report the stopping time tau together
 with whether the final estimate found the target.
 
 Every strategy runs on one engine, `_search`: a rule maps the posterior,
-and its own per-row state, to probed sets and their noise variances, each
-observation is folded in by Bayes' rule, and the rule's stop retires a
-row; fixed composition, sorted-PM and exhaustive search stop once one cell
-holds posterior mass 1 - eps.  The engine runs trials in lockstep:
-`run_rows` takes one generator per trial, keeps their posteriors as the
-rows of one (rows, size) array, advances every live row a window of steps
-at a time and retires rows as they stop.  Every row's posterior is carried
-as running sums of log-likelihood ratios from zero, the uniform prior,
-never renormalized: every rule reads only the order of the sums and ratios
-of cell masses, which a shift leaves alone, and each step's normalizer
-sum(exp(c - max c)) is taken only to test the stop; sorted-PM reads its
-terms, the weights exp(c - max c) that the fold leaves.  A non-adaptive
-rule (fixed composition, exhaustive), whose probe sets never read the
-posterior, hands over a window of steps at once, as the cells it probes,
-(rows, w, k): the engine takes their hits and log-likelihood ratios in one
-pass and folds the window (`fold_sums`), where a row that no step of it
-can stop only adds its ratios to its cells, and the other rows take every
-step's normalizer, a tile of rows at a time.  Sorted-PM hands over one
-step's masks, which it finds with no permutation: one sort of the weights'
-values gives the prefix sums, and a threshold at the k-th largest weight,
-with an exact cut by index inside a group of tied weights, gives the mask
-(`sorted_pm_mask`).  Each row makes the draws, in the same order, and the
-arithmetic of a trial run alone, so a record depends only on its trial's
-draws, not on the window, the chunk, the block or the tile.  `run_strategy`
-is the batch of one, a one-row block, and a block's last live row stays a
-row of it, so the engine has one code path.  Two-stage search chains two searches.  The
-two bisection strategies are one stateful rule, `_bisection_rule`: each row
-narrows its own window of the posterior, reads each half's mass from one
-cell, since every cell of a half holds the same value, and stops level by
-level.  A sequential level folds a window of normals as a cumulative sum
-of the probed half's ratios and ends at its first step past the test, and
-a row reads the rest of the window under its next level; a fixed level is
-one step of many observations folded into one update.
+and its own per-row state, to probed sets and their noise (sqrt(v), 2v),
+which it builds once (`probe_noise`), each observation is folded in by
+Bayes' rule, and the rule's stop retires a row; fixed composition,
+sorted-PM and exhaustive search stop once one cell holds posterior mass
+1 - eps.  The engine runs trials in lockstep: `run_rows` takes one
+generator per trial, keeps their posteriors as the rows of one (rows,
+size) array, advances every live row a step or a window of steps at a
+time and retires rows as they stop.  Every row's posterior is carried as
+running sums of log-likelihood ratios from zero, the uniform prior, never
+renormalized: every rule reads only the order of the sums and ratios of
+cell masses, which a shift leaves alone, and each step's normalizer
+sum(exp(c - max c)) is taken only to test the stop.  An adaptive rule
+(sorted-PM, alone or as two-stage's second stage) hands over one step's
+masks, and one call (`fold_step`) takes each row's hit from its mask, its
+ratio from its next normal and its probe's noise, adds mask * ratio,
+takes the normalizers and tests the stop, leaving the weights
+exp(c - max c) that the next probe reads; a step at which no row stops
+takes no retire.  Sorted-PM finds its masks with no permutation: one sort
+of the weights' values gives the prefix sums, and a threshold at the k-th
+largest weight, with an exact cut by index inside a group of tied weights,
+gives the mask (`sorted_pm_mask`); its noise is a per-size table's entry.
+A non-adaptive rule (fixed composition, exhaustive), whose probe sets
+never read the posterior, hands over a window of steps at once, as the
+cells it probes, (rows, w, k): the engine takes their hits and
+log-likelihood ratios in one pass and folds the window (`fold_sums`),
+where a row that no step of it can stop only adds its ratios to its
+cells, and the other rows take every step's normalizer, a tile of rows at
+a time.  Each row makes the draws, in the same order, and the arithmetic
+of a trial run alone, so a record depends only on its trial's draws, not
+on the window, the chunk, the block or the tile.  `run_strategy` is the
+batch of one, a one-row block, and a block's last live row stays a row of
+it, so the engine has one code path.  Two-stage search chains two
+searches.  The two bisection strategies are one stateful rule,
+`_bisection_rule`: each row narrows its own window of the posterior,
+reads each half's mass from one cell, since every cell of a half holds
+the same value, and stops level by level.  A sequential level folds a
+window of normals as a cumulative sum of the probed half's ratios and ends
+at its first step past the test, and a row reads the rest of the window
+under its next level; a fixed level is one step of many observations
+summed into one ratio a row and added on its mask (`add_ratios`).
 
 Every draw from a trial generator is made here, through a block's `Draws`:
 targets (`draw_targets`), then observations, one or a fixed level's many
 per row (`observe`).  One normal a step is read from a chunk of CHUNK
-drawn in one call, the same floats as one call each.  Fixed composition
-draws its probe sets from a second stream per trial, derived from the
-trial generator before the target draw without drawing from it: the PCG64
-jump of the trial state, a copy of it advanced by JUMP, as
+drawn in one call, the same floats as one call each.  A fixed level draws
+the r normals of each row of equal r into one block, a tile of at most
+CHUNK_CELLS normals at a time, each row in one call into its row of the
+tile, and takes the ratios and each row's sum in one pass a tile.  Fixed
+composition draws its probe sets from a second stream per trial, derived
+from the trial generator before the target draw without drawing from it:
+the PCG64 jump of the trial state, a copy of it advanced by JUMP, as
 `bit_generator.jumped()` gives it (`picks_streams`).  It draws them a chunk
 of 4 CHUNK steps at a time (`pick_cells`).  A probe set is a partial
 Fisher-Yates shuffle, and one whose swap targets are pairwise distinct has
@@ -77,8 +87,9 @@ import numpy as np
 from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
 from .errors import StepLimitExceeded, ValidationError
 # bench/tracer.py patches renormalize_log_probs and update_log_probs here.
-from .inference import (fold_sums, normalizer_limit, normalizers,
-                        renormalize_log_probs, update_log_probs)
+from .inference import (add_ratios, fold_step, fold_sums, log_ratios,
+                        normalizer_limit, normalizers, renormalize_log_probs,
+                        update_log_probs)
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
@@ -385,37 +396,53 @@ def draw_targets(gens: list, m: int) -> np.ndarray:
     return np.array([int(g.integers(m)) for g in gens], dtype=np.int64)
 
 
-def observe(hit: np.ndarray, v, draws: Draws,
+def probe_noise(v):
+    """The noise (sqrt(v), 2v) of a probe of variance v, or of one a row:
+    the pair the ratios of its observations are taken from
+    (`log_ratios`)."""
+    return np.sqrt(v), 2.0 * v
+
+
+def observe(hit: np.ndarray, noise: tuple, draws: Draws,
             reps: np.ndarray | None = None) -> np.ndarray:
     """Log-likelihood ratios (2y - 1)/(2v), (w, rows), of each live row's
-    observations y = hit + sd z over a window of w steps, given the hits
-    (w, rows) and one variance v for all rows or one a row.  z are the
-    rows' next normals (`Draws.ahead`); with reps (w = 1), reps[i] normals
-    that row i draws now, whose ratios are summed into one."""
+    observations y = hit + sqrt(v) z over a window of w steps, given the
+    hits (w, rows) and the probes' noise (sqrt(v), 2v), one pair for all
+    rows or one a row (`log_ratios`).  z are the rows' next normals
+    (`Draws.ahead`); with reps (w = 1), reps[i] normals that row i draws
+    now, whose ratios are summed into one.
+
+    A fixed level draws the rows of each distinct r into one block (rows,
+    r), a tile of at most CHUNK_CELLS normals (and at least one row) at a
+    time, each row in one call into its row of the tile: the values, and
+    the generator state, of r normals drawn alone.  A row's ratios are
+    summed along its C-contiguous row, numpy's pairwise sum, the float of
+    summing them alone."""
     if reps is None:
-        return log_ratios(hit, v, draws.ahead(hit.shape[0]))
-    sd = np.sqrt(v)
-    return np.array([[((2.0 * (h + s * g.standard_normal(r)) - 1.0) / (2.0 * w)).sum()
-                      for h, s, w, r, g in zip(hit[0].tolist(), sd.tolist(), v.tolist(),
-                                               reps.tolist(), draws.gens)]])
+        return log_ratios(hit, noise, draws.ahead(hit.shape[0]))
+    sd, twice_v = noise
+    llr = np.empty((1, reps.size))
+    for r in sorted(set(reps.tolist())):
+        rows = (reps == r).nonzero()[0]
+        tile = max(1, CHUNK_CELLS // r)
+        for first in range(0, rows.size, tile):
+            part = rows[first:first + tile]
+            z = np.empty((part.size, r))
+            for row, i in zip(z, part.tolist()):
+                draws.gens[i].standard_normal(out=row)
+            llr[0, part] = log_ratios(hit[0, part, None],
+                                      (sd[part, None], twice_v[part, None]),
+                                      z).sum(axis=1)
+    return llr
 
 
-def probe_hits(probed: np.ndarray, hit_cell: np.ndarray,
-               rows: np.ndarray) -> np.ndarray:
+def probe_hits(probed: np.ndarray, hit_cell: np.ndarray) -> np.ndarray:
     """Whether each row's probe holds its cell hit_cell at each step of a
-    window, (w, rows): probed is one step's masks (rows, 1, size), gathered
-    at rows, arange(rows), or a window's cells (rows, w, k)."""
+    window, (w, rows): probed is one step's masks (rows, size), or a
+    window's cells (rows, w, k)."""
     if probed.dtype == bool:
-        return probed[rows, 0, hit_cell][None]
+        return probed[np.arange(probed.shape[0]), hit_cell][None]
     return (probed == hit_cell[:, None, None]).any(axis=2).T
-
-
-def log_ratios(hit: np.ndarray, v, z: np.ndarray) -> np.ndarray:
-    """(2y - 1)/(2v) of observations y = hit + sqrt(v) z, elementwise: v
-    is one value, or one a row along the last axis of hit and z."""
-    y = np.sqrt(v) * z
-    y += hit  # in z's layout: a window's hits are a transposed gather
-    return (2.0 * y - 1.0) / (2.0 * v)
 
 
 def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
@@ -429,33 +456,37 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     sort order carried between steps, a bisection window).  Every row is
     carried as running sums c of log-likelihood ratios from zero, the
     uniform prior, never renormalized: its log posterior up to a shift.
-    probe(weights, step, draws) -> (probed, variances, reps) maps the live
+    probe(weights, step, draws) -> (probed, noise, reps) maps the live
     rows' posterior weights exp(c - max c) (rows, size), as the fold of a
     step of masks left them (None after cells, or under a rule with its own
     settle: neither reads them), and the rule's own per-row state, to the
-    probed sets of a window of w steps, and their noise variances.  probed
-    is boolean masks (rows, w, size), or, from a non-adaptive threshold
-    rule, the cells it probes (rows, w, k), k distinct cells a row a step;
-    an adaptive threshold rule hands over masks of one step.  reps is None
-    for one observation per row a step, else each row's count of
-    observations, folded into one update.
+    probed sets of the next step or window and their noise (sqrt(v), 2v)
+    (`probe_noise`), one pair for all rows or one a row, which a rule
+    builds once (per probe size, for a rule whose sizes vary).  probed is
+    one step's boolean masks (rows, size), from an adaptive threshold rule;
+    or, from a non-adaptive threshold rule, the cells it probes over a
+    window of w steps (rows, w, k), k distinct cells a row a step; or, from
+    a rule with its own settle, sets (rows, w, size) whose w alone the
+    engine reads.  reps is None for one observation per row a step, else
+    each row's count of observations, folded into one update.
 
-    settle None is the threshold stop: the engine observes the window and
-    folds it (`fold_sums`), and a row retires once one cell holds
+    settle None is the threshold stop: a row retires once one cell holds
     posterior mass 1 - eps, tested on each step's normalizer; it starts
-    only if the uniform prior holds less.  The window is one step for an
-    adaptive rule, and as many as draws allow (`Draws.window`) for a
-    non-adaptive one, whose sets never read the weights and which reads
-    each live row's picks from draws.  A rule with its own settle starts
-    every row when size > 1: settle(lp, hit_cell, w, draws) -> (done,
-    ends) observes the live rows' window of w steps itself, given their
-    targets' cells, folds it into the sums lp (rows, size) and returns
-    which rows retire, with the steps each takes in the window (one for
-    all in a window of one step), dropping them from its state; its probe
-    hands over the sets its rows start the window with.  A row's steps
-    are its observations; a step that would take a row past STEP_LIMIT
-    raises before it is observed: a fixed level's normals are never drawn
-    past it.
+    only if the uniform prior holds less.  A step of masks goes to the
+    stop in one call (`fold_step`), given each row's hit cell as an index
+    into the flattened masks and its next normal, and leaves the weights
+    the next probe reads; a step at which no row stops skips the retire.
+    A window of cells, as many steps as draws allow (`Draws.window`; the
+    rule reads each live row's picks from draws), is observed and folded
+    (`fold_sums`).  A rule with its own settle starts every row when size
+    > 1: settle(lp, hit_cell, w, draws) -> (done, ends) observes the live
+    rows' window of w steps itself, given their targets' cells, folds it
+    into the sums lp (rows, size) and returns which rows retire, with the
+    steps each takes in the window (one for all in a window of one step),
+    dropping them from its state; its probe hands over the sets its rows
+    start the window with.  A row's steps are its observations; a step
+    that would take a row past STEP_LIMIT raises before it is observed: a
+    fixed level's normals are never drawn past it.
 
     A target outside [0, size) is never hit (a failed first stage, under a
     threshold rule): that row still stops, on a wrong cell.  Each row sees
@@ -480,14 +511,13 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     on_grid = (targets >= 0) & (targets < size)
     off_grid = not on_grid.all()
     hit_cell = np.where(on_grid, targets, 0)
-    at = np.arange(live.size)
+    hits = hit_cell + np.arange(0, n * size, size)  # in a step's flat masks
     step = 0
     while live.size:
-        probed, v, reps = probe(weights, step, draws)
+        probed, noise, reps = probe(weights, step, draws)
         weights = None  # read: not held while the fold makes the next
         if reps is None:  # every live row has observed once a step
-            w = min(probed.shape[1], STEP_LIMIT - step)
-            probed = probed[:, :w]
+            w = min(1 if probed.ndim == 2 else probed.shape[1], STEP_LIMIT - step)
             over = 0 if w == 0 else None
         else:
             w = 1
@@ -496,22 +526,25 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
                     if taken.max() > STEP_LIMIT else None)
         if over is not None:
             raise _step_limit(label, first_trial, int(live[over]))
-        if settle is None:
-            hit = probe_hits(probed, hit_cell, at)
+        norms = None  # the stopped rows' normalizers, if not those of lp now
+        if settle is not None:
+            done, ends = settle(lp, hit_cell, w, draws)
+        elif probed.ndim == 2:  # one step of masks
+            done, weights = fold_step(lp, probed, hits, on_grid if off_grid else None,
+                                      draws.ahead(1)[0], noise, limit)
+            ends = 1
+        else:  # a window of cells
+            probed = probed[:, :w]
+            hit = probe_hits(probed, hit_cell)
             if off_grid:  # only a failed first stage puts a target there
                 hit &= on_grid
-            llr = observe(hit, v, draws)
-            done, ends, norms, ended_cells, weights = fold_sums(
-                lp, probed, llr, limit)
-        else:
-            done, ends = settle(lp, hit_cell, w, draws)
+            done, ends, norms, ended_cells = fold_sums(
+                lp, probed, observe(hit, noise, draws), limit)
         probed = None  # a view of the picks: not held while the next are drawn
-        read = draws.read + ends
-        draws.read += w
-        if done.any():
+        if done is not None and done.any():
             ended = live[done]
             steps[ended] = step + ends if reps is None else taken[done]
-            if settle is not None:
+            if norms is None:
                 norms, ended_cells = normalizers(lp[done]), lp[done].argmax(axis=1)
             top[ended] = [-math.log(s) for s in norms.tolist()]
             cells[ended] = ended_cells
@@ -519,9 +552,10 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
             live, lp, taken = live[keep], lp[keep], taken[keep]
             if weights is not None:
                 weights = weights[keep]
-            at = at[:live.size]
             hit_cell, on_grid = hit_cell[keep], on_grid[keep]
-            draws.retire(done, read)
+            hits = hit_cell + np.arange(0, live.size * size, size)
+            draws.retire(done, draws.read + ends)
+        draws.read += w
         step += w
     # math.exp per row, not np.exp, which may differ from libm in the last
     # bit: final_max_prob is kept bit for bit
@@ -536,21 +570,22 @@ def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
     if grid > 1:
         q_star, _ = optimal_composition(config)
         k = min(max(int(round(q_star * grid)), 1), grid - 1)
-    v = config.noise_variance(k * cells_per_unit)
+    noise = probe_noise(config.noise_variance(k * cells_per_unit))
 
     def probe(weights, step, draws):
-        return draws.pick(grid, k), v, None
+        return draws.pick(grid, k), noise, None
     return probe, None
 
 
 def _sorted_pm_rule(config: SearchConfig):
     """Adaptive rule: the top cells holding about half the posterior mass,
-    read from the weights the last fold left."""
-    variances = np.concatenate(([math.nan], probe_variances(config)))
+    read from the weights the last fold left.  A probe of k cells takes its
+    noise from per-size tables built once."""
+    sd, twice_v = probe_noise(np.concatenate(([math.nan], probe_variances(config))))
 
     def probe(weights, step, draws):
         masks, k = sorted_pm_mask(weights)
-        return masks[:, None], variances[k], None
+        return masks, (sd[k], twice_v[k]), None
     return probe, None
 
 
@@ -558,13 +593,13 @@ def _round_robin_rule(config: SearchConfig):
     """Single cells in turn: 0, 1, ..., M-1, 0, ...; every row probes the
     same cell, so a window's cells are one column of w seen by all rows."""
     m = config.M
-    v = config.noise_variance(1)
+    noise = probe_noise(config.noise_variance(1))
 
     def probe(weights, step, draws):
         # at most CHUNK_CELLS cells of one row's posterior over the window
         w = min(draws.window(1), max(1, CHUNK_CELLS // m))
         cells = (step + np.arange(w)) % m
-        return np.broadcast_to(cells[:, None], (len(draws.gens), w, 1)), v, None
+        return np.broadcast_to(cells[:, None], (len(draws.gens), w, 1)), noise, None
     return probe, None
 
 
@@ -686,7 +721,7 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         # a fixed level draws its normals when observed, never a chunk
         w = 1 if fixed else draws.window(1)
         sets = np.broadcast_to(masks[:, None], (masks.shape[0], w, m))
-        return sets, flts[0], ints[3] if fixed else None
+        return sets, None, ints[3] if fixed else None  # settle observes
 
     def end_levels(rows, to_first):
         """Move the windows of these rows into the half that holds more
@@ -730,8 +765,9 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         lo, _, mid, reps = ints
         rows = np.arange(lo.size)
         if fixed:  # every level ends after its one step
-            llr = observe(masks[rows, hit_cell][None], flts[0], draws, reps)
-            np.add(lp, llr[0, :, None], out=lp, where=masks)
+            llr = observe(masks[rows, hit_cell][None], probe_noise(flts[0]),
+                          draws, reps)
+            add_ratios(lp, masks, llr)
             to_first = lp[rows, lo] + flts[1] >= lp[rows, mid] + flts[2]
             done, ends = end_levels(rows, to_first), 1
         else:
@@ -741,7 +777,7 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
             while rows.size:  # rows with steps of the window left to read
                 t = hit_cell[rows]
                 hit = (lo[rows] <= t) & (t < mid[rows])
-                llr = log_ratios(hit, flts[0, rows], normals[:, rows])
+                llr = log_ratios(hit, probe_noise(flts[0, rows]), normals[:, rows])
                 at, ended, to_first = fold_level(lp, rows, llr, read[rows])
                 read[rows] = at + 1
                 rows, at = rows[ended], at[ended]

@@ -12,6 +12,7 @@ from searchlab.inference import (
     LOG_FLOOR_NATS,
     Posterior,
     bayes_update,
+    fold_step,
     fold_sums,
     init_uniform,
     normalizer_limit,
@@ -234,17 +235,25 @@ EDGE = -math.log(normalizer_limit(math.log1p(-1e-4)) - 1.0)
 class TestFoldSums:
     @pytest.mark.parametrize("w", [1, 7])
     def test_half_observation_leaves_sums_unchanged(self, w):
-        # y = 1/2 is as likely whether or not a cell is probed: a step of
-        # masks, or a window of cells
+        # y = 1/2 is as likely whether or not a cell is probed: a window of
+        # cells, or (w = 1) a step of masks, whose y = hit + z is 1/2
         rng = np.random.default_rng(8)
         sums = rng.normal(0.0, 30.0, (40, 16))
         before = sums.copy()
-        llr = (2.0 * np.full((w, 40), 0.5) - 1.0) / (2.0 * rng.uniform(0.05, 2.0, 40))
+        twice_v = 2.0 * rng.uniform(0.05, 2.0, 40)
+        llr = (2.0 * np.full((w, 40), 0.5) - 1.0) / twice_v
         assert not llr.any()
         cells = random_cells(rng, 40, w, 16, 5)
-        for probed in [cells] + [rng.random((40, 1, 16)) < 0.5] * (w == 1):
-            done, *_ = fold_sums(sums, probed, llr, 0.0)  # s >= 1: never stops
-            assert not done.any()
+        done, *_ = fold_sums(sums, cells, llr, 0.0)  # s >= 1: never stops
+        assert not done.any()
+        assert sums.tobytes() == before.tobytes()
+        if w == 1:
+            masks = rng.random((40, 16)) < 0.5
+            hits = rng.integers(16, size=40) + np.arange(0, 40 * 16, 16)
+            z = np.where(masks.take(hits), -0.5, 0.5)
+            done, weights = fold_step(sums, masks, hits, None, z,
+                                      (np.ones(40), twice_v), 0.0)
+            assert done is None
             assert sums.tobytes() == before.tobytes()
 
     @settings(max_examples=300)
@@ -265,8 +274,7 @@ class TestFoldSums:
         sums, cells, llr, limit = window
         want_sums = sums.copy()
         want = stepwise_fold(want_sums, cells, llr, limit)
-        done, ends, norms, tops, weights = fold_sums(sums, cells, llr, limit)
-        assert weights is None
+        done, ends, norms, tops = fold_sums(sums, cells, llr, limit)
         assert sums.tobytes() == want_sums.tobytes()
         assert done.tolist() == want[0].tolist()
         assert np.broadcast_to(ends, want[1].shape).tolist() == want[1].tolist()
@@ -275,9 +283,9 @@ class TestFoldSums:
 
     def test_normalized_sums_match_renormalized_posterior(self):
         # 10^6 row-steps in blocks of 1,000 rows, criterion 4's draws a
-        # block at a time: at every step the fold hands back the weights
-        # exp(c - max c), and weights / s sums to one and is the posterior
-        # that renormalizing every step gives
+        # block at a time: at every step the one-step fold hands back the
+        # weights exp(c - max c), whose sum is s, and weights / s sums to
+        # one and is the posterior that renormalizing every step gives
         rng = np.random.default_rng(2024)
         rows, steps = 1000, 50
         at = np.arange(rows)
@@ -289,15 +297,16 @@ class TestFoldSums:
             sums = np.zeros((rows, m))
             lp = np.full((rows, m), -math.log(m))
             for _ in range(steps):
-                masks = rng.random((rows, 1, m)) < 0.5
-                y = masks[at, 0, target] + np.sqrt(v) * rng.standard_normal(rows)
-                done, _, s, _, weights = fold_sums(
-                    sums, masks, ((2.0 * y - 1.0) / (2.0 * v))[None], math.inf)
+                masks = rng.random((rows, m)) < 0.5
+                z = rng.standard_normal(rows)
+                y = masks[at, target] + np.sqrt(v) * z
+                done, weights = fold_step(sums, masks, at * m + target, None, z,
+                                          (np.sqrt(v), 2.0 * v), math.inf)
                 assert done.all()
-                update_log_probs(lp, masks[:, 0], y, v)
+                update_log_probs(lp, masks, y, v)
                 assert weights.tobytes() == np.exp(
                     sums - sums.max(axis=1, keepdims=True)).tobytes()
-                post = weights / s[:, None]
+                post = weights / weights.sum(axis=1)[:, None]
                 worst_norm = max(worst_norm, float(np.abs(post.sum(axis=1) - 1.0).max()))
                 worst_gap = max(worst_gap, float(np.abs(post - np.exp(lp)).max()))
         assert worst_norm <= 1e-9 and worst_gap <= 1e-9

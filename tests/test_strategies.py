@@ -1,5 +1,6 @@
 """Probe rules and full strategy runners."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -265,8 +266,8 @@ class TestSortedPMMask:
         probe, _ = strat._sorted_pm_rule(new_config(m, 1, 0.25, 1e-4))
         # the weights exp(c - max c) of zero sums, as the engine starts
         masks, _, _ = probe(np.broadcast_to(1.0, (3, m)), 0, None)
-        assert masks.shape == (3, 1, m)
-        assert masks.sum(axis=2).ravel().tolist() == [m // 2] * 3
+        assert masks.shape == (3, m)  # one step's masks
+        assert masks.sum(axis=1).tolist() == [m // 2] * 3
 
     def test_rows_match_single_posteriors(self):
         rng = np.random.default_rng(31)
@@ -901,20 +902,39 @@ def renormalize(lp, floored):
     return s
 
 
-def renormalizing_fold(floored):
-    """inference.fold_sums for windows of one step, of masks or of cells,
-    that renormalizes the block after each step, as every rule's rows once
-    were."""
-    def fold(lp, probed, llr, limit):
-        masks = probed[:, 0]
-        if probed.dtype != bool:
-            masks = np.zeros(lp.shape, dtype=bool)
-            masks[np.arange(lp.shape[0])[:, None], probed[:, 0]] = True
-        np.add(lp, llr[0, :, None], out=lp, where=masks)
-        s = renormalize(lp, floored)
-        done = s <= limit
-        return (done, np.ones(done.sum(), dtype=np.int64), s[done],
-                lp[done].argmax(axis=1), np.exp(lp - lp.max(axis=1, keepdims=True)))
+def renormalizing_add(lp, masks, llr, limit, floored):
+    """Add each row's ratio llr (rows,) on its mask, renormalize the block
+    and test the stop; returns the normalizers and which rows stop."""
+    np.add(lp, llr[:, None], out=lp, where=masks)
+    s = renormalize(lp, floored)
+    return s, s <= limit
+
+
+def renormalizing_fold(floored, calls):
+    """inference.fold_step that renormalizes the block after each step, as
+    every rule's rows once were, with each row's ratio taken as the
+    observation model reads; appends the rows of each call to calls."""
+    def fold(lp, masks, hits, on_grid, z, noise, limit):
+        calls.append(lp.shape[0])
+        rows = np.arange(lp.shape[0])
+        hit = masks[rows, hits - rows * lp.shape[1]]
+        if on_grid is not None:
+            hit &= on_grid
+        sd, twice_v = noise
+        _, done = renormalizing_add(lp, masks, (2.0 * (hit + sd * z) - 1.0) / twice_v,
+                                    limit, floored)
+        return (done if done.any() else None), np.exp(lp - lp.max(axis=1, keepdims=True))
+    return fold
+
+
+def renormalizing_window(floored):
+    """inference.fold_sums for windows of one step of cells that
+    renormalizes the block after each step."""
+    def fold(lp, cells, llr, limit):
+        masks = np.zeros(lp.shape, dtype=bool)
+        masks[np.arange(lp.shape[0])[:, None], cells[:, 0]] = True
+        s, done = renormalizing_add(lp, masks, llr[0], limit, floored)
+        return done, np.ones(done.sum(), dtype=np.int64), s[done], lp[done].argmax(axis=1)
     return fold
 
 
@@ -953,7 +973,8 @@ def stepwise_bisection(floored=None):
             assert w == 1
             masks, reps, v, (lo, mid, log_h1, log_h2) = level()
             at = np.arange(lo.size)
-            llr = strat.observe(masks[at, hit_cell][None], v, draws, reps)
+            llr = strat.observe(masks[at, hit_cell][None], strat.probe_noise(v),
+                                draws, reps)
             np.add(lp, llr[0, :, None], out=lp, where=masks)
             if floored is not None:
                 renormalize(lp, floored)
@@ -1066,13 +1087,21 @@ class TestLockstepRows:
         tau, tau1, success, pmax = run()
         # the reference: every step of every rule folded in and
         # renormalized, one step a window
-        floored = []
-        monkeypatch.setattr(strat, "fold_sums", renormalizing_fold(floored))
+        floored, calls = [], []
+        monkeypatch.setattr(strat, "fold_step", renormalizing_fold(floored, calls))
+        monkeypatch.setattr(strat, "fold_sums", renormalizing_window(floored))
         monkeypatch.setattr(strat, "_bisection_rule", stepwise_bisection(floored))
         window = strat.Draws.window
         monkeypatch.setattr(strat.Draws, "window",
                             lambda draws, cells: min(1, window(draws, cells)))
         ref_tau, ref_tau1, ref_success, ref_pmax = run()
+        # sorted-PM, alone or as a second stage, folded every step of the
+        # block through the reference (none where the prior or stage 1
+        # leaves it no step to take), and no other rule did
+        if spec.kind in (SORTED_PM, TWO_STAGE):
+            assert len(calls) == (ref_tau - ref_tau1).max()
+        else:
+            assert not calls
         assert not any(floored) or case in FLOORED
         if any(floored):
             # the paths may part: they must agree in distribution
@@ -1136,6 +1165,79 @@ class TestLockstepRows:
         assert 0 < success.sum() < self.N
         # rows took different paths through windows of unequal length
         assert len(set(tau.tolist())) > 1
+
+
+# Fixed bisection levels against the per-row draw: rows end at unequal
+# levels at M12_power, and the first level's halves hold 2 and 1 cells at
+# M3, but every row of a level draws the same r; at M10 the third level's
+# windows hold 3 or 2 cells, whose first halves draw unequal r; at
+# M16_sigma100 a row draws r of about 5.3e4 normals at its first level,
+# close to CHUNK_CELLS.
+FIXED_LEVEL_CONFIGS = {
+    "M12_power": GOLDEN_CONFIGS["M12_power"],
+    "M3": GOLDEN_CONFIGS["M3"],
+    "M10": new_config(10, 1, 0.25, 1e-4),
+    "M16_sigma100": new_config(16, 1, 100.0, 1e-4),
+}
+
+
+def per_row_observe(hit, noise, draws, reps):
+    """The reference for observe at a fixed level: each row's r normals
+    drawn in one call and their ratios summed, one row at a time."""
+    sd, twice_v = noise
+    return np.array([[((2.0 * (h + s * g.standard_normal(r)) - 1.0) / t).sum()
+                      for h, s, t, r, g in zip(hit[0].tolist(), sd.tolist(),
+                                               twice_v.tolist(), reps.tolist(),
+                                               draws.gens)]])
+
+
+class TestFixedLevelDraws:
+    @pytest.mark.parametrize("cells", [None, 64], ids=["chunk_cells", "small_tiles"])
+    @pytest.mark.parametrize("rows", [1, 20], ids=["lone_row", "block"])
+    @pytest.mark.parametrize("case", list(FIXED_LEVEL_CONFIGS))
+    def test_observe_matches_per_row_reference(self, case, rows, cells,
+                                               monkeypatch):
+        # every fixed level of a run, in one tile of a level's rows or in
+        # tiles of a few (at 64 cells), gives each row's ratio sum, and
+        # leaves each generator in the state of drawing its row alone
+        observe = strat.observe
+        distinct = []
+
+        def checked(hit, noise, draws, reps=None):
+            if reps is None:
+                return observe(hit, noise, draws)
+            twins = strat.Draws([copy.deepcopy(g) for g in draws.gens])
+            want = per_row_observe(hit, noise, twins, reps)
+            got = observe(hit, noise, draws, reps)
+            assert got.tobytes() == want.tobytes()
+            assert ([g.bit_generator.state for g in draws.gens]
+                    == [g.bit_generator.state for g in twins.gens])
+            distinct.append(len(set(reps.tolist())))
+            return got
+
+        monkeypatch.setattr(strat, "observe", checked)
+        if cells is not None:
+            monkeypatch.setattr(strat, "CHUNK_CELLS", cells)
+        rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(rows)]
+        run_rows(StrategySpec(NOISY_BINARY_FIXED), FIXED_LEVEL_CONFIGS[case], rngs)
+        assert distinct
+        # rows of one level drew unequal r
+        assert (max(distinct) > 1) == (case == "M10" and rows > 1)
+
+    def test_large_fixed_level_peak_memory(self):
+        # noisy_binary_fixed at sigma2 = 100 draws r of about 5.3e4 normals
+        # a row at its first level, so an untiled (rows, r) block of 64 rows
+        # would hold about 27 MB; a tile holds at most CHUNK_CELLS normals,
+        # here one row, and the peak measured was 1.02 MB
+        rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(64)]
+        tracemalloc.start()
+        try:
+            run_rows(StrategySpec(NOISY_BINARY_FIXED), FIXED_LEVEL_CONFIGS["M16_sigma100"],
+                     rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 ** 20
 
 
 # Bisection configs for the windowed rule against the stepwise reference:
