@@ -126,10 +126,11 @@ def add_ratios(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray) -> None:
     (rows, size), or cells (rows, w, k), k distinct cells a row a step,
     whose sums must then be C-contiguous.  Cells are added in step order,
     each ratio to the sum before it: the floats of adding one step at a
-    time.  A step of masks adds mask * ratio to every cell: off the mask
-    that adds +-0.0, which leaves a sum as it is (no running sum is -0.0),
-    so the floats are those of adding on the mask alone, and a masked add
-    costs several times as much."""
+    time.  A step of masks adds mask * ratio to every cell: off the mask a
+    finite ratio adds +-0.0, which leaves a sum as it is (no running sum is
+    -0.0), so the floats are those of adding on the mask alone, and a
+    masked add costs several times as much.  An infinite ratio, of a
+    variance 2v below about 1/DBL_MAX, would put NaN off the mask instead."""
     if probed.dtype == bool:
         sums += probed * llr[0, :, None]
         return
@@ -156,16 +157,20 @@ def fold_step(sums: np.ndarray, masks: np.ndarray, hits: np.ndarray,
     that on_grid, if given, marks off the grid (its target is never hit).
     The ratio is added to every cell as mask * ratio, as `add_ratios` adds
     a step of masks, and the row's normalizer s = sum(exp(c - max c)) is
-    taken: a row stops once s <= limit.  Returns done, which rows stop
-    (None if none does), and every row's weights exp(c - max c), the terms
-    of its normalizer."""
+    taken: a row stops once s <= limit.  Returns done, which rows stop,
+    and for each of them its normalizer and its MAP cell at the stop (all
+    three None if no row stops), and every row's weights exp(c - max c),
+    the terms of its normalizer."""
     hit = masks.take(hits)
     if on_grid is not None:
         hit &= on_grid
     weights = masks * log_ratios(hit, noise, z)[:, None]
     sums += weights
-    done = normalizers(sums, weights) <= limit
-    return (done if done.any() else None), weights
+    s = normalizers(sums, weights)
+    done = s <= limit
+    if not done.any():
+        return None, None, None, weights
+    return done, s[done], sums[done].argmax(axis=1), weights
 
 
 def fold_sums(sums: np.ndarray, cells: np.ndarray, llr: np.ndarray,

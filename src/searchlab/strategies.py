@@ -44,7 +44,7 @@ the same value, and stops level by level.  A sequential level folds a
 window of normals as a cumulative sum of the probed half's ratios and ends
 at its first step past the test, and a row reads the rest of the window
 under its next level; a fixed level is one step of many observations
-summed into one ratio a row and added on its mask (`add_ratios`).
+summed into one ratio a row and added on its mask.
 
 Every draw from a trial generator is made here, through a block's `Draws`:
 targets (`draw_targets`), then observations, one or a fixed level's many
@@ -87,7 +87,7 @@ import numpy as np
 from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
 from .errors import StepLimitExceeded, ValidationError
 # bench/tracer.py patches renormalize_log_probs and update_log_probs here.
-from .inference import (add_ratios, fold_step, fold_sums, log_ratios,
+from .inference import (fold_step, fold_sums, log_ratios,
                         normalizer_limit, normalizers, renormalize_log_probs,
                         update_log_probs)
 from .model import SearchConfig, TrialRecord, sections_from_alpha
@@ -530,8 +530,9 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
         if settle is not None:
             done, ends = settle(lp, hit_cell, w, draws)
         elif probed.ndim == 2:  # one step of masks
-            done, weights = fold_step(lp, probed, hits, on_grid if off_grid else None,
-                                      draws.ahead(1)[0], noise, limit)
+            done, norms, ended_cells, weights = fold_step(
+                lp, probed, hits, on_grid if off_grid else None, draws.ahead(1)[0],
+                noise, limit)
             ends = 1
         else:  # a window of cells
             probed = probed[:, :w]
@@ -767,7 +768,9 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         if fixed:  # every level ends after its one step
             llr = observe(masks[rows, hit_cell][None], probe_noise(flts[0]),
                           draws, reps)
-            add_ratios(lp, masks, llr)
+            # a masked add, not add_ratios: at a subnormal variance a ratio
+            # is infinite, and mask * ratio is NaN off the mask
+            np.add(lp, llr[0, :, None], out=lp, where=masks)
             to_first = lp[rows, lo] + flts[1] >= lp[rows, mid] + flts[2]
             done, ends = end_levels(rows, to_first), 1
         else:

@@ -118,7 +118,7 @@ def test_strategies_holds_one_lockstep_loop():
 
 def test_strategies_holds_one_update_path():
     # every rule's rows are running sums, folded by inference.fold_step or
-    # fold_sums, or added on by a settle (inference.add_ratios); a
+    # fold_sums, or added on their masks by a settle; a
     # renormalizing step, or a mark that picks one, would be a second path.
     # renormalize_log_probs stays imported, as bench/tracer.py patches the
     # name there, but is never read.

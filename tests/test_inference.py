@@ -251,9 +251,9 @@ class TestFoldSums:
             masks = rng.random((40, 16)) < 0.5
             hits = rng.integers(16, size=40) + np.arange(0, 40 * 16, 16)
             z = np.where(masks.take(hits), -0.5, 0.5)
-            done, weights = fold_step(sums, masks, hits, None, z,
-                                      (np.ones(40), twice_v), 0.0)
-            assert done is None
+            done, norms, cells, _ = fold_step(sums, masks, hits, None, z,
+                                              (np.ones(40), twice_v), 0.0)
+            assert done is None and norms is None and cells is None
             assert sums.tobytes() == before.tobytes()
 
     @settings(max_examples=300)
@@ -284,8 +284,10 @@ class TestFoldSums:
     def test_normalized_sums_match_renormalized_posterior(self):
         # 10^6 row-steps in blocks of 1,000 rows, criterion 4's draws a
         # block at a time: at every step the one-step fold hands back the
-        # weights exp(c - max c), whose sum is s, and weights / s sums to
-        # one and is the posterior that renormalizing every step gives
+        # weights exp(c - max c), a row stops just when their sum s is at
+        # most the limit (the median s of the step before) and hands back
+        # that s and its MAP cell, and weights / s sums to one and is the
+        # posterior that renormalizing every step gives
         rng = np.random.default_rng(2024)
         rows, steps = 1000, 50
         at = np.arange(rows)
@@ -296,17 +298,26 @@ class TestFoldSums:
             target = rng.integers(m, size=rows)
             sums = np.zeros((rows, m))
             lp = np.full((rows, m), -math.log(m))
+            limit = float(m)
             for _ in range(steps):
                 masks = rng.random((rows, m)) < 0.5
                 z = rng.standard_normal(rows)
                 y = masks[at, target] + np.sqrt(v) * z
-                done, weights = fold_step(sums, masks, at * m + target, None, z,
-                                          (np.sqrt(v), 2.0 * v), math.inf)
-                assert done.all()
+                done, norms, cells, weights = fold_step(
+                    sums, masks, at * m + target, None, z, (np.sqrt(v), 2.0 * v),
+                    limit)
                 update_log_probs(lp, masks, y, v)
                 assert weights.tobytes() == np.exp(
                     sums - sums.max(axis=1, keepdims=True)).tobytes()
-                post = weights / weights.sum(axis=1)[:, None]
+                s = weights.sum(axis=1)
+                stop = s <= limit
+                assert stop.any() == (done is not None)
+                if done is not None:
+                    assert done.tolist() == stop.tolist()
+                    assert norms.tobytes() == s[stop].tobytes()
+                    assert cells.tolist() == sums[stop].argmax(axis=1).tolist()
+                limit = float(np.median(s))
+                post = weights / s[:, None]
                 worst_norm = max(worst_norm, float(np.abs(post.sum(axis=1) - 1.0).max()))
                 worst_gap = max(worst_gap, float(np.abs(post - np.exp(lp)).max()))
         assert worst_norm <= 1e-9 and worst_gap <= 1e-9

@@ -921,9 +921,12 @@ def renormalizing_fold(floored, calls):
         if on_grid is not None:
             hit &= on_grid
         sd, twice_v = noise
-        _, done = renormalizing_add(lp, masks, (2.0 * (hit + sd * z) - 1.0) / twice_v,
+        s, done = renormalizing_add(lp, masks, (2.0 * (hit + sd * z) - 1.0) / twice_v,
                                     limit, floored)
-        return (done if done.any() else None), np.exp(lp - lp.max(axis=1, keepdims=True))
+        weights = np.exp(lp - lp.max(axis=1, keepdims=True))
+        if not done.any():
+            return None, None, None, weights
+        return done, s[done], lp[done].argmax(axis=1), weights
     return fold
 
 
@@ -1278,6 +1281,19 @@ class TestWindowedBisection:
             assert all(tau <= math.ceil(math.log2(config.M)) for tau, *_ in windowed[0])
         monkeypatch.setattr(strat, "_bisection_rule", stepwise_bisection())
         assert self.run(kind, config, seeds) == windowed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [1, N], ids=["lone_row", "block"])
+    def test_fixed_level_at_subnormal_variance_adds_on_its_mask(self, rows):
+        # at sigma2 = 1e-309 a level's ratio overflows to +-inf; added on
+        # the mask alone, the probed cell holds +-inf and the other 0.0, so
+        # at M = 2 every row takes its target's cell in its one level
+        # (mask * inf would put NaN on the other cell and send a row whose
+        # ratio is +inf to it)
+        config = new_config(2, 1, 1e-309, 1e-4)
+        records, _ = self.run(NOISY_BINARY_FIXED, config,
+                              [trial_seed_for(515, i) for i in range(rows)])
+        assert [(tau, ok) for tau, _, ok, _ in records] == [(1, True)] * rows
 
     @pytest.mark.parametrize("kind", [NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE])
     def test_step_limit_inside_a_window_matches_stepwise_rule(self, kind,
