@@ -14,9 +14,12 @@ from its normal and its probe's noise (sqrt(v), 2v) (`log_ratios`), the
 add of mask * ratio on every cell (`add_ratios`' arithmetic), the
 normalizers and the stop, leaving the weights exp(c - max c) that sum to
 each normalizer.  A window of steps, given by their probed cells, is
-folded by `fold_sums`, which first bounds each row's sums over all its
-steps, and a row that no step can stop only adds its ratios: it takes no
-normalizer.  The potential
+folded by `fold_sums`, which first bounds each row's normalizer at every
+step from below, by 1 + sum(l) - max(l) with l = exp(lo - max hi) from
+the bounds [lo, hi] of each cell's sum over the window (`quiet_rows`): a
+row whose bound stays a nat past the limit only adds its ratios and takes
+no normalizer, and the other rows are folded step by step in shared tiles.
+The potential
 U(rho) = sum_i rho_i log2(rho_i / (1 - rho_i)) is the Lyapunov functional
 whose per-step drift the bound arguments control; it is computed with
 expm1/logsumexp guards so posteriors within a whisker of certainty do not
@@ -32,17 +35,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePosterior, SizeOne, ValidationError
-from .model import MeasurementVector
+from .model import MAX_CELLS, MeasurementVector
 
 LOG_FLOOR_NATS = -1000.0
 LN2 = math.log(2.0)
-# Floats of running sums in one tile of a window, and the cells a step of a
-# tile from which its steps are summed one call a step (`fold_sums`).
+# Floats of running sums in one screen block of a window's rows, and in one
+# dense tile of its loud rows' steps, and the cells a step of a tile from
+# which its steps are summed one call a step (`fold_sums`).
 TILE_CELLS = 1 << 13
+LOUD_CELLS = 4 * TILE_CELLS
 WIDE_STEP = 256
 # The least excess limit - 1 of a stop's normalizer limit that the screen of
 # a window takes (`fold_sums`), so that a limit at or below 1 screens too.
-MIN_EXCESS = 2.0 ** -50
+# A normalizer's float sum can lose up to 2^-53 at each addition on its top
+# term's path, fewer than MAX_CELLS of them: a screen that counts on small
+# terms summing past the limit needs (e - 1) * excess above MAX_CELLS * 2^-53.
+MIN_EXCESS = MAX_CELLS * 2.0 ** -53
 
 
 @dataclass(eq=False)
@@ -182,46 +190,30 @@ def fold_sums(sums: np.ndarray, cells: np.ndarray, llr: np.ndarray,
     normalizer s = sum(exp(c - max c)): a row stops at the first step with
     s <= limit.
 
-    Each row is screened first, in tiles of at most TILE_CELLS sums: over
-    the window a cell's sum stays within [lo, hi], its sum c0 at the start
-    plus its negative ratios and plus its positive ones.  If two cells have
-    lo >= max(hi) - g, with g = -log(limit - 1) less one nat (limit - 1 at
-    least MIN_EXCESS) and less the rounding of the window's sums, every
-    step's normalizer holds a second term above limit - 1 and no step stops
-    the row: a quiet row only adds its ratios.  Each other row takes every
-    step's normalizer, in tiles of at most TILE_CELLS floats of sums over
-    the window (and at least one row): its sums at every step are a
-    cumulative sum of its scattered ratios over the steps, each a float
-    added to the sum before it, the floats it gets alone, one step at a
-    time.  numpy accumulates along the steps at a cost per cell of a step,
-    so a tile with WIDE_STEP cells or more a step adds each step to the
-    last in one call instead.  Returns done, the rows that stop, and for
-    each of them the steps it takes in the window, its normalizer and its
-    MAP cell at the stop."""
+    Each row is screened first, a block of at most TILE_CELLS sums at a
+    time (`quiet_rows`): a quiet row, whose every step's normalizer is
+    bounded above limit, only adds its ratios.  The loud rows take every
+    step's normalizer, in tiles of at most LOUD_CELLS floats of sums over
+    the window (and at least one row), so that several short loud rows share
+    a tile's calls: a row's sums at every step are a cumulative sum of its
+    scattered ratios over the steps, each a float added to the sum before
+    it, the floats it gets alone, one step at a time.  numpy accumulates
+    along the steps at a cost per cell of a step, so a tile with WIDE_STEP
+    cells or more a step adds each step to the last in one call instead.
+    Returns done, the rows that stop, and for each of them the steps it
+    takes in the window, its normalizer and its MAP cell at the stop."""
     rows, w, _ = cells.shape
     size = sums.shape[1]
-    gap = -math.log(max(limit - 1.0, MIN_EXCESS)) - 1.0
     ends = np.zeros(rows, dtype=np.int64)
     norms = np.empty(rows)
     maps = np.empty(rows, dtype=np.int64)
     screen = max(1, TILE_CELLS // size)
-    tile = max(1, TILE_CELLS // (w * size))
+    tile = max(1, LOUD_CELLS // (w * size))
     for first in range(0, rows, screen):
         part = slice(first, first + screen)
         start = sums[part]
-        n = start.shape[0]
         at, x = _cell_ratios(cells[part], llr[:, part], size)
-        # each cell's positive ratios summed into hi, its negative into lo
-        hi, lo = np.bincount(at + (x < 0.0) * (n * size), x,
-                             2 * n * size).reshape(2, n, size) + start
-        top = hi.max(axis=1)
-        # a float sum over the window errs by at most w + 1 units in the last
-        # place of the sum of its terms' sizes, |c0| + hi - lo, at most
-        # three times the largest size of lo or hi; so does lo or hi itself
-        slack = (w + 1) * 2.0 ** -48 * max(top.max(), -lo.min())
-        floor = top - (gap - slack)
-        quiet = np.count_nonzero(lo >= floor[:, None], axis=1) >= 2
-        loud = first + (~quiet).nonzero()[0]
+        loud = first + (~quiet_rows(start, at, x, w, limit)).nonzero()[0]
         for i in range(0, loud.size, tile):
             idx = loud[i:i + tile]
             c = np.zeros((w, idx.size, size))
@@ -244,6 +236,46 @@ def fold_sums(sums: np.ndarray, cells: np.ndarray, llr: np.ndarray,
         np.add.at(start.reshape(-1), at, x)  # in step order, as add_ratios
     done = ends > 0
     return done, ends[done], norms[done], maps[done]
+
+
+def quiet_rows(start: np.ndarray, at: np.ndarray, x: np.ndarray, w: int,
+               limit: float) -> np.ndarray:
+    """Which rows of running sums, start (n, size), no step of a window of
+    w steps can stop, given its ratios x at the flat cells at of the block
+    (`_cell_ratios`): the rows whose every step's normalizer is bounded
+    above limit.
+
+    Over the window a cell's sum stays within [lo, hi], its sum at the
+    start plus its negative ratios and plus its positive ones.  So at every
+    step the max is at most top = max(hi), and each term exp(c - max c) of
+    the normalizer is at least l = exp(lo - top); the max's own term is 1,
+    so the normalizer is at least 1 + sum(l) - max(l).  A row is quiet once
+    that bound is one nat past the stop: sum(l) - max(l) >= e (limit - 1),
+    limit - 1 at least MIN_EXCESS, with lo less the rounding of the
+    window's sums.  The sum holds the second largest l, so a row with two
+    cells at l >= e (limit - 1) is quiet."""
+    n, size = start.shape
+    # each cell's positive ratios summed into hi, its negative into lo
+    hi, lo = np.bincount(at + (x < 0.0) * (n * size), x,
+                         2 * n * size).reshape(2, n, size) + start
+    top = hi.max(axis=1)
+    # a float sum over the window errs by at most w + 1 units in the last
+    # place of the sum of its terms' sizes, |c0| + hi - lo, at most three
+    # times the largest size of lo or hi; so does lo or hi itself
+    slack = (w + 1) * 2.0 ** -48 * max(top.max(), -lo.min())
+    gap = -math.log(max(limit - 1.0, MIN_EXCESS)) - 1.0
+    floor = top - (gap - slack)
+    # u = exp(lo - floor) is l / (e (limit - 1)) with the slack taken off
+    # lo, and u >= 1 wherever lo >= floor.  The rounding of floor and of
+    # lo - floor lies inside the slack; exp errs by under an ulp, and the
+    # sum of the size terms by under size units of 2^-53 of itself: all far
+    # inside the nat, which is kept for the normalizer's own float sum
+    # (MIN_EXCESS).  The largest u is zeroed, not subtracted from the sum:
+    # near MIN_EXCESS the difference would cancel.
+    u = np.subtract(lo, floor[:, None], out=lo)
+    np.exp(u, out=u)
+    u[np.arange(n), u.argmax(axis=1)] = 0.0
+    return u.sum(axis=1) >= 1.0
 
 
 def normalizers(sums: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

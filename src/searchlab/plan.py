@@ -26,7 +26,7 @@ from .channel import (bawgn_capacity, capacity_grid, optimal_composition,
                       solve_a_eta)
 from .errors import ParseError, ValidationError
 from .model import NoiseModel, SearchConfig, new_config
-from .sim import MAX_TRIALS, _check_seed, run_trials, trial_seed_for
+from .sim import MAX_TRIALS, _check_seed, _check_variance, run_trials, trial_seed_for
 from .strategies import StrategySpec
 
 PARAM_NAMES = ("B", "delta", "sigma2", "epsilon", "gamma", "q")
@@ -388,13 +388,18 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
     Returns the written paths.  Every table is computed before the first
     file is written.  If execution fails partway, a '<id>.partial' marker
     file describing the failure is left in out_dir and the error
-    re-raised; a successful run removes a stale marker.
+    re-raised; a successful run removes a stale marker.  A plan with
+    strategies whose point no strategy can run (`sim._check_variance`) is
+    refused before out_dir is made.
     """
     if fmt not in ("csv", "json", "both"):
         raise ValidationError(f"format must be csv, json, or both, got {fmt!r}")
     _require(plan.strategies or plan.bound_set or plan.capacity_mode is not None,
              f"plan {plan.id!r} has nothing to run: it needs strategies, "
              f"a bound_set or a capacity_table")
+    if plan.strategies:  # refused before any output, as bad input
+        for point in _points(plan):
+            _check_variance(_point_config(point))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / f"{plan.id}.partial"

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -123,6 +124,20 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     if seed >= 2 ** 64:
         raise ValidationError(f"seed must be below 2**64, got {seed}")
+
+
+def _check_variance(config: SearchConfig) -> None:
+    """Refuse a config that no strategy can run: one whose least probe
+    variance v(1) lies below STEP_LIMIT/DBL_MAX.  A probe's log-likelihood
+    ratio (2y - 1)/(2v) is about +-1/(2v), which overflows once 2v < 1/DBL_MAX
+    (v subnormal), and a trial's running sums, of up to STEP_LIMIT ratios,
+    and their differences stay finite only above that bound.  Its bounds are
+    computed as at any other variance."""
+    v = config.noise_variance(1)
+    if v * sys.float_info.max < STEP_LIMIT:
+        raise ValidationError(
+            f"noise variance v(1) = {v!r} is too small to simulate: below "
+            f"STEP_LIMIT/DBL_MAX, a trial's log-likelihood sums can overflow")
 
 
 def trial_seed_for(master_seed: int, trial_index: int) -> int:
@@ -234,6 +249,7 @@ def run_trials(spec: StrategySpec, config: SearchConfig, n_trials: int,
         raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    _check_variance(config)
     chunks = min(workers, os.cpu_count() or 1, n_trials)
     if chunks == 1:
         taus, tau1s, success = _run_span(spec, config, master_seed, 0, n_trials)
@@ -292,6 +308,7 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     if m < 2:
         raise ValidationError("drift probe needs at least 2 cells")
     _check_seed(seed)
+    _check_variance(config)
 
     if kind == FIXED_COMPOSITION:
         _, floor = optimal_composition(config)

@@ -44,7 +44,9 @@ the same value, and stops level by level.  A sequential level folds a
 window of normals as a cumulative sum of the probed half's ratios and ends
 at its first step past the test, and a row reads the rest of the window
 under its next level; a fixed level is one step of many observations
-summed into one ratio a row and added on its mask.
+summed into one ratio a row and added on its mask.  A sequential
+bisection draws its normals in chunks of 2 CHUNK steps, so its windows,
+which run to the chunk's end, take half as many calls.
 
 Every draw from a trial generator is made here, through a block's `Draws`:
 targets (`draw_targets`), then observations, one or a fixed level's many
@@ -60,8 +62,9 @@ the PCG64 jump of the trial state, a copy of it advanced by JUMP, as
 of 4 CHUNK steps at a time (`pick_cells`).  A probe set is a partial
 Fisher-Yates shuffle, and one whose swap targets are pairwise distinct has
 its targets as its cells, so only the shuffles that repeat a target are
-run.  A window ends where a chunk does, so a record does not depend on the
-chunk or the window.
+run: a pair repeats just when its two targets are equal.  A window ends
+where a chunk does, so a record does not depend on the chunk or the
+window.
 `sim.drift_probe` runs the same probe rules, draws and running sums on
 blocks of runs, one step at a time.
 
@@ -93,8 +96,9 @@ from .inference import (fold_step, fold_sums, log_ratios,
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
-# Steps of normals a row draws in one call; of picks, four times as many, up
-# to CHUNK_CELLS cells a call over all rows.
+# Steps of normals a row draws in one call (twice as many under sequential
+# bisection); of picks, four times as many, up to CHUNK_CELLS cells a call
+# over all rows.
 CHUNK = 64
 CHUNK_CELLS = 1 << 16
 # The step of PCG64.jumped(): a picks stream is its trial state advanced by it.
@@ -146,11 +150,12 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
     A shuffle whose targets are pairwise distinct swaps an untouched entry
     into place at every swap, so its cells are its targets: the draws are
     the picks.  Only the shuffles that repeat a target run the shuffle
-    (`_shuffle_table`), found by one flat sort of the keys
-    shuffle * grid + target.  k = 1 cannot repeat, and draws each row's
-    steps under one scalar bound, the same values and state as an array
-    of equal bounds.  Where a repeat is likely, k(k - 1)/2 >= grid - k,
-    every shuffle runs the table, with no sort."""
+    (`_shuffle_table`).  k = 1 cannot repeat, and draws each row's steps
+    under one scalar bound, the same values and state as an array of equal
+    bounds.  Where a repeat is likely, k(k - 1)/2 >= grid - k, every
+    shuffle runs the table.  Otherwise a pair repeats just when j0 == j1,
+    one comparison, and k > 2 finds its repeats by one flat sort of the
+    keys shuffle * grid + target."""
     if k == 1:
         cells = np.stack([g.integers(0, grid, size=steps) for g in gens])
         return cells[..., None]
@@ -159,13 +164,16 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
     j += np.arange(k)                     # swap i exchanges entries i and j >= i
     if k * (k - 1) // 2 >= grid - k:
         return _shuffle_table(j).reshape(len(gens), steps, k)
-    keys = (j + np.arange(0, j.shape[0] * grid, grid)[:, None]).ravel()
-    keys.sort()
-    repeats = keys[1:] == keys[:-1]  # only a shuffle's own keys can be equal
-    if repeats.any():
+    if k == 2:
+        redo = j[:, 0] == j[:, 1]
+    else:
+        keys = (j + np.arange(0, j.shape[0] * grid, grid)[:, None]).ravel()
+        keys.sort()
+        repeats = keys[1:] == keys[:-1]  # only a shuffle's own keys can be equal
         redo = np.zeros(j.shape[0], dtype=bool)
         redo[keys[1:][repeats] // grid] = True
         del keys, repeats
+    if redo.any():
         j[redo] = _shuffle_table(j[redo])
     return j.reshape(len(gens), steps, k)
 
@@ -693,7 +701,9 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     retires at its own step.  Fixed levels: a step is a whole level of
     r = max(1, ceil(4 v z^2)) observations per row, folded into one update,
     and every level ends; z = Q^{-1}(epsilon/log2 M), so that one level
-    errs with probability at most epsilon/log2 M.
+    errs with probability at most epsilon/log2 M.  A level's terms (`_level`)
+    depend on its window's length alone, but for its mid, lo plus the first
+    half's length, so the rule keeps them per length.
 
     Windows nest, the sums start at zero, and an update adds the same llr
     to every cell of a half, with no shift or clamp, so every cell of a
@@ -708,12 +718,19 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     share = config.epsilon / math.log2(m)
     z = max(0.0, gaussian_tail_inverse(share)) if fixed else None
     log_thresh = math.log1p(-min(share, 0.5))
-    half, r, *level = _level(config, z, 0, m)
+    levels = {}  # _level's terms of the window [0, length), by length
+
+    def level(length):
+        if length not in levels:
+            levels[length] = _level(config, z, 0, length)
+        return levels[length]
+
+    half, r, *first = level(m)
     # per row, one allocation each for the integer and the float state
     # (retiring rows takes one index each): the window [lo, hi) and
     # _level's mid and repetitions; _level's v and log cell counts
     ints = np.array([[0], [m], [half], [r]]).repeat(n, 1)
-    flts = np.array(level)[:, None].repeat(n, 1)
+    flts = np.array(first)[:, None].repeat(n, 1)
     masks = np.zeros((n, m), dtype=bool)
     masks[:, :half] = True
     cols = np.arange(m)
@@ -734,9 +751,10 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         moved = rows[~done]
         if moved.size:
             w_lo = lo[moved]
-            levels = np.array([_level(config, z, a, b) for a, b in
-                               zip(w_lo.tolist(), hi[moved].tolist())]).T
-            ints[2:4, moved], flts[:, moved] = levels[:2], levels[2:]
+            terms = np.array([level(length) for length in
+                              (hi[moved] - w_lo).tolist()]).T
+            ints[2:4, moved], flts[:, moved] = terms[:2], terms[2:]
+            mid[moved] += w_lo  # the mid of [lo, hi) is lo + that of [0, hi - lo)
             masks[moved] = (cols >= w_lo[:, None]) & (cols < mid[moved][:, None])
         return done
 
@@ -809,7 +827,10 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
         rule = _bisection_rule(config, spec.kind == NOISY_BINARY_FIXED, len(rngs))
     else:
         rule = probe_rule(spec.kind, config)
-    draws = Draws(rngs, picks=spec.kind == FIXED_COMPOSITION)
+    # a sequential bisection window runs to the end of the normal chunk:
+    # longer chunks take fewer windows, each of about 15 fixed calls
+    draws = Draws(rngs, picks=spec.kind == FIXED_COMPOSITION,
+                  normal_chunk=2 * CHUNK if spec.kind == NOISY_BINARY_VARIABLE else None)
     return _one_stage(config, rule, draws, spec.kind, first_trial)
 
 

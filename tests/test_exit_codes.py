@@ -454,6 +454,64 @@ def test_underflowed_capacity_exits_two(tmp_path):
     assert err.startswith("error: C1 underflowed to 0.0 at sigma2 = 1e+150: ")
 
 
+# At sigma2 = 1e-309, v(1) is subnormal and a probe's ratio (2y - 1)/(2v)
+# overflows; at 3e-309 the ratio is finite but two of them overflow a sum.
+# Every route that runs a strategy refuses such a point as bad input before
+# any run, so it warns of no overflow and writes nothing, not even a .partial.
+SUBNORMAL = {"B": 2, "delta": 1, "sigma2": 1e-309, "epsilon": 1e-4}
+SUBNORMAL_FLAGS = ["--B", "2", "--delta", "1", "--sigma2", "1e-309",
+                   "--epsilon", "1e-4"]
+SUBNORMAL_ROUTES = {
+    "simulate": (["simulate", *SUBNORMAL_FLAGS, "--strategy", "sorted_pm",
+                  "--trials", "8", "--workers", "1"], None),
+    "simulate-finite-ratio": (["simulate", *SUBNORMAL_FLAGS[:5], "3e-309",
+                               *SUBNORMAL_FLAGS[6:], "--strategy",
+                               "fixed_composition", "--trials", "8"], None),
+    "sweep": ([], {"id": "t", **SUBNORMAL, "strategies": [{"kind": "sorted_pm"}],
+                   "bound_set": ["lemma1"], "n_trials": 8}),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SUBNORMAL_ROUTES))
+def test_subnormal_variance_is_refused_before_any_run(tmp_path, route):
+    argv, doc = SUBNORMAL_ROUTES[route]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err, made = _refusal(tmp_path, route, argv, doc)
+    assert (rc, made) == (2, False)
+    assert err.startswith("error: noise variance v(1) = ")
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_subnormal_variance_drift_probe_exits_two():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = run(["drift-probe", *SUBNORMAL_FLAGS, "--strategy", "sorted_pm",
+                       "--steps", "10000"])
+    assert rc == 2
+    assert err.startswith("error: noise variance v(1) = ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_subnormal_variance_bounds_exit_zero(tmp_path):
+    rc, err = run(["bounds", *SUBNORMAL_FLAGS, "--out", str(tmp_path)])
+    assert (rc, err) == (0, "")
+    assert os.listdir(tmp_path) == ["cli_bounds_bounds.csv"]
+
+
+def test_least_simulated_variance_runs_without_overflow(tmp_path):
+    # just above STEP_LIMIT/DBL_MAX no sum of a trial's ratios can overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for kind in ("fixed_composition", "sorted_pm", "noisy_binary_variable"):
+            rc, err = run(["simulate", "--B", "1024", "--delta", "1", "--sigma2",
+                           "6e-302", "--epsilon", "1e-4", "--strategy", kind,
+                           "--trials", "4", "--out", str(tmp_path / kind)])
+            assert (rc, err) == (0, "")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # sweep --plan over plan fields and overrides, every cell count at most 16
 # and at most two trials, one worker (no process starts).
 PLAN_FIELDS = {

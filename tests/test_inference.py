@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from searchlab.errors import DegeneratePosterior, SizeOne
 from searchlab.inference import (
     LOG_FLOOR_NATS,
+    MIN_EXCESS,
     Posterior,
+    _cell_ratios,
     bayes_update,
     fold_step,
     fold_sums,
     init_uniform,
     normalizer_limit,
+    quiet_rows,
     renormalize_log_probs,
     u_log_probs,
     update_log_probs,
@@ -175,10 +178,36 @@ def stepwise_fold(sums, cells, llr, limit):
     return done, ends[done], norms[done], tops[done]
 
 
+def pair_screen(sums, cells, llr, limit):
+    """The reference for quiet_rows: the screen that read two terms of each
+    normalizer.  Over the window a cell's sum stays within [lo, hi]; a row
+    is quiet if two cells have lo >= max(hi) - g, g = -log(limit - 1) less
+    one nat (limit - 1 at least MIN_EXCESS) and less the window's rounding,
+    as then every step's normalizer holds a term past limit - 1 besides
+    its max's."""
+    rows, w, _ = cells.shape
+    size = sums.shape[1]
+    at, x = _cell_ratios(cells, llr, size)
+    hi, lo = np.bincount(at + (x < 0.0) * (rows * size), x,
+                         2 * rows * size).reshape(2, rows, size) + sums
+    top = hi.max(axis=1)
+    slack = (w + 1) * 2.0 ** -48 * max(top.max(), -lo.min())
+    gap = -math.log(max(limit - 1.0, MIN_EXCESS)) - 1.0
+    floor = top - (gap - slack)
+    return np.count_nonzero(lo >= floor[:, None], axis=1) >= 2
+
+
+def screen(sums, cells, llr, limit):
+    """quiet_rows on a window given as fold_sums takes it."""
+    at, x = _cell_ratios(cells, llr, sums.shape[1])
+    return quiet_rows(sums, at, x, cells.shape[1], limit)
+
+
 # A stop's normalizer limit: at eps = 1e-300 it is 1.0, and a limit of 0.0
-# stops no row, as the screen must take too; at eps = 0.9 it is 10.
+# stops no row, as the screen must take too; at eps = 0.9 it is 10; the
+# screen's least excess is a limit of its own.
 FOLD_LIMITS = [normalizer_limit(math.log1p(-eps))
-               for eps in (1e-300, 1e-12, 1e-4, 0.2, 0.9)] + [0.0]
+               for eps in (1e-300, 1e-12, 1e-4, 0.2, 0.9)] + [0.0, 1.0 + MIN_EXCESS]
 
 
 @st.composite
@@ -219,6 +248,35 @@ def screened_windows(draw):
     return sums, cells, llr, limit
 
 
+@st.composite
+def summed_windows(draw):
+    """Rows of a top cell and many cells whose terms exp(-offset) sum to
+    about the stop's edge limit - 1 or one nat past it (a hair either side
+    of e (limit - 1), a tie among them, or some share of it), and cells far
+    below; the window's ratios are zero, a hair, or small."""
+    limit = draw(st.sampled_from(FOLD_LIMITS))
+    excess = max(limit - 1.0, MIN_EXCESS)
+    rows, size = draw(st.integers(1, 4)), draw(st.integers(3, 40))
+    w, k = draw(st.integers(1, 4)), draw(st.integers(1, size - 1))
+    factor = st.sampled_from([1.0, math.e * (1 - 1e-9), math.e, math.e * (1 + 1e-9),
+                              1.5, 3.0, 10.0])
+    sums = []
+    for _ in range(rows):
+        top = draw(st.sampled_from([0.0, -3.5, 41.25, 1e6]))
+        n = draw(st.integers(1, size - 1))
+        d = math.log(n / (excess * draw(factor)))
+        near = [top - d - draw(st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 0.5]))
+                for _ in range(n)]
+        sums.append([top] + near + [top - 800.0] * (size - 1 - n))
+    sums = np.array(sums)
+    ratio = st.one_of(st.sampled_from([0.0, 1e-12, -1e-12]), st.floats(-0.5, 0.5))
+    llr = np.array(draw(st.lists(ratio, min_size=w * rows,
+                                 max_size=w * rows))).reshape(w, rows)
+    cells = random_cells(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                         rows, w, size, k)
+    return sums, cells, llr, limit
+
+
 def edge_window(eps, offsets, w):
     """Rows of a top cell and one cell at each offset below it, and a window
     of w steps that adds nothing to a third cell, far below."""
@@ -226,6 +284,16 @@ def edge_window(eps, offsets, w):
     sums = np.array([[0.0, -d, -800.0] for d in offsets])
     return (sums, np.full((rows, w, 1), 2), np.zeros((w, rows)),
             normalizer_limit(math.log1p(-eps)))
+
+
+def rounded_window():
+    """Sums near 1e17, whose floats lie 16 apart: a ratio of 8.1 added a
+    step at a time rounds up to 16, three times, but 24.3 added at once to
+    32, so only the screen's slack keeps its bound on the top cell above
+    the cell's sum at the third step, where the row stops."""
+    sums = np.array([[1e17, 1e17 + 32, 1e17 + 32, 1e17 - 1e3]])
+    return (sums, np.zeros((1, 3, 1), dtype=np.int64), np.full((3, 1), 8.1),
+            normalizer_limit(math.log1p(-1e-4)))
 
 
 # the stop's edge -log(limit - 1) at eps = 1e-4
@@ -267,6 +335,7 @@ class TestFoldSums:
     # leaves a normalizer of 1.0, and one 30 nats below does not
     @example(window=edge_window(0.9, [0.0, 2.0], 3))
     @example(window=edge_window(1e-300, [40.0, 30.0], 3))
+    @example(window=rounded_window())
     def test_screened_window_matches_stepwise_reference(self, window):
         # quiet rows only add their ratios, the others take every step's
         # normalizer: the same sums, stops and normalizers, bit for bit, as
@@ -280,6 +349,43 @@ class TestFoldSums:
         assert np.broadcast_to(ends, want[1].shape).tolist() == want[1].tolist()
         assert norms.tobytes() == want[2].tobytes()
         assert tops.tolist() == want[3].tolist()
+
+    @settings(max_examples=300)
+    @given(window=st.one_of(screened_windows(), summed_windows()))
+    @example(window=edge_window(1e-4, [EDGE - 1.0 - 1e-9, EDGE - 1.0 + 1e-9], 3))
+    @example(window=rounded_window())
+    def test_screen_keeps_pair_quiet_rows_and_no_stopping_row(self, window):
+        # the whole normalizer's bound holds the pair's term: every row the
+        # pair screen finds quiet is quiet, and no row that stops is
+        sums, cells, llr, limit = window
+        quiet = screen(sums, cells, llr, limit)
+        assert not (pair_screen(sums, cells, llr, limit) & ~quiet).any()
+        done, *_ = stepwise_fold(sums.copy(), cells, llr, limit)
+        assert not (quiet & done).any()
+
+    def test_terms_lost_to_rounding_leave_a_row_loud(self):
+        # 22 cells at 2^-53 / 1.001 of the top sum to e 2^-50 in exact
+        # arithmetic, but each is lost when added to the top's 1.0: at a
+        # limit of 1 + 2^-50 the row stops at once, so the screen must take
+        # an excess of at least MIN_EXCESS for its sum of terms
+        size = 127
+        row = np.full(size, -800.0)
+        row[0] = 0.0
+        d = -math.log(2.0 ** -53 / 1.001)
+        # on the additions that the top term's partial sum takes in numpy's
+        # pairwise sum: its accumulator's, the next accumulator's, the tail
+        row[[*range(8, 120, 8), 1, *range(120, 127)]] = -d
+        limit = 1.0 + 2.0 ** -50
+        terms = np.exp(row - row.max())
+        assert terms[1:].sum() >= math.e * 2.0 ** -50 and terms.sum() <= limit
+        sums = row[None].copy()
+        cells, llr = np.full((1, 2, 1), 2), np.zeros((2, 1))
+        want_sums = sums.copy()
+        want = stepwise_fold(want_sums, cells, llr, limit)
+        assert want[0].tolist() == [True]
+        assert screen(sums, cells, llr, limit).tolist() == [False]
+        got = fold_sums(sums, cells, llr, limit)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
     def test_normalized_sums_match_renormalized_posterior(self):
         # 10^6 row-steps in blocks of 1,000 rows, criterion 4's draws a

@@ -160,7 +160,13 @@ class TestPickCells:
         assert (k * (k - 1) // 2 >= grid - k) == (k in (6, 16, 45))
         self.assert_matches_in_place_shuffles(grid, k, rows=2, steps=30)
 
-    @pytest.mark.parametrize("grid, k", [(16, 3), (16, 5), (128, 2), (1024, 16)])
+    @pytest.mark.parametrize("grid", [4, 5, 2**16 + 1, MAX_CELLS])
+    def test_pairs_match_in_place_shuffles(self, grid):
+        # a pair repeats a target just when its two targets are equal
+        self.assert_matches_in_place_shuffles(grid, 2, rows=3, steps=70)
+
+    @pytest.mark.parametrize("grid, k", [(4, 2), (16, 3), (16, 5), (128, 2),
+                                         (1024, 16)])
     def test_table_runs_only_on_shuffles_that_repeat_a_target(
             self, monkeypatch, grid, k):
         tabled = []
@@ -1065,11 +1071,12 @@ class TestLockstepRows:
         monkeypatch.setattr(Recorded, "window",
                             lambda draws, cells: min(1, window(draws, cells)))
         assert run() == (chunked, states)
-        # a non-adaptive window folded in tiles of one row, or in one tile
-        # of the whole block, gives the same records and draws
+        # a non-adaptive window screened and folded in tiles of one row, or
+        # in one tile of the whole block, gives the same records and draws
         monkeypatch.setattr(Recorded, "window", window)
         for cells in (1, 1 << 40):
             monkeypatch.setattr(inference, "TILE_CELLS", cells)
+            monkeypatch.setattr(inference, "LOUD_CELLS", cells)
             assert run() == (chunked, states)
         # chunks of one step give the same records; a chunk draws ahead, so
         # the stream states differ
