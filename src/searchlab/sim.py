@@ -22,7 +22,9 @@ same for any batch size (the results take 17 bytes a trial); each trial's
 record is the one it gets when run alone.  workers > 1 splits the
 batch into contiguous chunks, one process each, and the per-trial arrays
 are reduced in trial order, making summaries bit-identical between serial
-and parallel runs.
+and parallel runs.  The process pool (`ProcessPoolExecutor`) is imported
+by the first batch that runs on more than one worker, so a process that
+runs none never loads multiprocessing.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +234,14 @@ def _run_span(spec: StrategySpec, config: SearchConfig, master_seed: int,
         tau1s[first - lo:last - lo] = tau1
         success[first - lo:last - lo] = ok
     return taus, tau1s, success
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool of max_workers processes,
+    imported on the first call: the import loads multiprocessing (with
+    logging, socket and queue), which a batch on one worker never uses."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def run_trials(spec: StrategySpec, config: SearchConfig, n_trials: int,

@@ -669,8 +669,11 @@ def _row_record(label: str, rows: Rows, trial_seed: int) -> TrialRecord:
 
 def _repeats(v: float, z: float | None) -> int:
     """Observations per level: 1 for sequential levels, else
-    max(1, ceil(4 v z^2))."""
-    return 1 if z is None else max(1, math.ceil(4.0 * v * z * z))
+    max(1, ceil(4 v z^2)), and STEP_LIMIT + 1 where 4 v z^2 overflows."""
+    if z is None:
+        return 1
+    count = 4.0 * v * z * z
+    return STEP_LIMIT + 1 if count == math.inf else max(1, math.ceil(count))
 
 
 def _level(config: SearchConfig, z: float | None, lo: int, hi: int) -> tuple:
@@ -722,7 +725,10 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
 
     def level(length):
         if length not in levels:
-            levels[length] = _level(config, z, 0, length)
+            # a level past STEP_LIMIT raises before it is observed (_search),
+            # so its count is kept at STEP_LIMIT + 1, an int64 at any sigma^2
+            mid, r, *rest = _level(config, z, 0, length)
+            levels[length] = (mid, min(r, STEP_LIMIT + 1), *rest)
         return levels[length]
 
     half, r, *first = level(m)

@@ -568,6 +568,19 @@ class TestCli:
         assert not list(tmp_path.glob("*.csv"))
         assert peak < 2 << 20
 
+    @pytest.mark.parametrize("sigma2", ["1e18", "1e307"])
+    def test_fixed_bisection_level_past_int64_exits_three(self, tmp_path, capsys,
+                                                          sigma2):
+        # ceil(4 v z^2) passes 2**63, or 4 v z^2 overflows: the level is
+        # refused at the step limit, as a smaller one past it is
+        rc = main(["simulate", "--B", "16", "--delta", "1", "--sigma2", sigma2,
+                   "--epsilon", "0.1", "--strategy", "noisy_binary_fixed",
+                   "--trials", "2", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: trial 0: noisy_binary_fixed exceeded 10000000 steps\n")
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--preset", "fig8", "--seed", "-1"],
          "seed must be a non-negative integer, got -1"),
@@ -733,3 +746,29 @@ class TestCli:
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
         assert proc.stderr == f"{[0] * len(runs)} False\n"
+
+    def test_one_worker_runs_load_no_process_pool(self, tmp_path):
+        # the process pool's import loads multiprocessing (with logging,
+        # socket and queue) and comes with the first batch on more than one
+        # worker; numpy.random (about 6 MB) comes with the first generator,
+        # so bounds and capacity runs load neither
+        path = [str(Path(searchlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        config = ["--B", "16", "--delta", "1", "--sigma2", "0.25", "--epsilon", "1e-3"]
+        quadrature = [["bounds", *config, "--bound-set",
+                       "lemma1,lemma2,theorem1,theorem2", "--out", str(tmp_path)],
+                      ["capacity", "--q", "0.5", "--variance", "0.25",
+                       "--variance", "4", "--out", str(tmp_path)]]
+        simulate = [["simulate", *config, "--strategy", "sorted_pm", "--trials",
+                     "8", "--workers", "1", "--out", str(tmp_path)]]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, searchlab, searchlab.cli; "
+             "from searchlab.cli import main; "
+             "names = ('multiprocessing', 'concurrent.futures', 'numpy.random'); "
+             "loaded = lambda: [n for n in names if n in sys.modules]; "
+             "print(loaded(), file=sys.stderr); "
+             f"print([main(a) for a in {quadrature!r}], loaded(), file=sys.stderr); "
+             f"print([main(a) for a in {simulate!r}], loaded(), file=sys.stderr)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+        assert proc.stderr.splitlines() == [
+            "[]", "[0, 0] []", "[0] ['numpy.random']"]

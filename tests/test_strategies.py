@@ -606,6 +606,18 @@ class TestDispatcherAndLimits:
         with pytest.raises(StepLimitExceeded, match=rf"^trial {stuck}: {kind} "):
             run_trials(spec, config, 12, 5)
 
+    @pytest.mark.parametrize("sigma2", [1e18, 1e307])
+    def test_fixed_level_count_past_int64_raises_step_limit(self, sigma2):
+        # the first level's ceil(4 v z^2) passes 2**63 (at 1e307 the float
+        # overflows to inf), and the level is refused before it is observed
+        config = new_config(16, 1, sigma2, 0.1)
+        spec = StrategySpec(NOISY_BINARY_FIXED)
+        rngs = [np.random.default_rng(trial_seed_for(1, i)) for i in range(2)]
+        with pytest.raises(StepLimitExceeded,
+                           match=rf"^trial 7: {NOISY_BINARY_FIXED} "
+                                 rf"exceeded {strat.STEP_LIMIT} steps$"):
+            run_rows(spec, config, rngs, first_trial=7)
+
     def test_trial_seed_passthrough(self, config16):
         rec = run_strategy(StrategySpec(SORTED_PM), config16,
                            np.random.default_rng(1), trial_seed=42)
