@@ -96,6 +96,10 @@ from .inference import (fold_step, fold_sums, log_ratios,
 from .model import SearchConfig, TrialRecord, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
+# numpy's standard normal, a ziggurat, returns |z| < r = 3.6541528853610088
+# from its layers and r + x from its tail, x = -log1p(-U)/r with U a 53-bit
+# double below 1, so |z| <= r + 53 ln(2)/r < 13.71 for every draw.
+NORMAL_BOUND = 13.71
 # Steps of normals a row draws in one call (twice as many under sequential
 # bisection); of picks, four times as many, up to CHUNK_CELLS cells a call
 # over all rows.
@@ -300,6 +304,39 @@ def sorted_pm_mask(weights: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
              <= (k - mask.sum(axis=1))[:, None])
     mask |= tied
     return mask, k
+
+
+def _check_reachable(spec: StrategySpec, config: SearchConfig) -> None:
+    """Refuse, before any draw, a threshold stop that no trial can reach
+    within STEP_LIMIT steps.
+
+    A row stops once its normalizer sum_j exp(c_j - max c), summed in
+    floats over at most M + 1 terms each within u = 2^-53 of its value,
+    is at most limit: so once every other cell trails the top one by a
+    lead of G = -log(limit - 1 + 4(M + 1)u) nats at least.  The lead starts
+    at 0 (the uniform prior) and one step moves it by at most one ratio
+    |(2y - 1)/(2v)| <= (1 + 2 sqrt(v) |z|)/(2v), largest at the least
+    variance v(1), and |z| <= NORMAL_BOUND.  A config where STEP_LIMIT such
+    steps fall short of G raises StepLimitExceeded here, as its first
+    trial would at STEP_LIMIT.  Two-stage's stages, at eps/2, need a longer
+    lead than G.  The bisection kinds stop on tests of their own, and a
+    one-stage search whose uniform prior already meets the threshold takes
+    no step; both are left to the engine's limit."""
+    eps = config.epsilon
+    if spec.kind in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE) or (
+            spec.kind != TWO_STAGE
+            and not (config.M > 1 and -math.log(config.M) < math.log1p(-eps))):
+        return
+    limit = normalizer_limit(math.log1p(-eps))
+    lead = -math.log(limit - 1.0 + 4.0 * (config.M + 1) * 2.0 ** -53)
+    v = config.noise_variance(1)
+    # STEP_LIMIT (1 + 2 sqrt(v) Z) / (2v) < G, with a relative 1e-9 for the
+    # rounding of the sums; an overflow of 2v G reads as refused
+    if STEP_LIMIT * (1.0 + 2.0 * math.sqrt(v) * NORMAL_BOUND) * (1.0 + 1e-9) \
+            < 2.0 * v * lead:
+        raise StepLimitExceeded(
+            f"noise variance v(1) = {v!r} is too large: no trial can reach "
+            f"its threshold within {STEP_LIMIT} steps")
 
 
 def _step_limit(label: str, first_trial: int | None = None,
@@ -826,7 +863,10 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
     and return per-row (tau, tau_stage1, success, final_max_prob) arrays.
     Every row's record equals run_strategy on its generator alone.  With
     first_trial set, a StepLimitExceeded names the lowest row that reached
-    the limit as trial first_trial + row."""
+    the limit as trial first_trial + row; a threshold stop that no trial
+    can reach within STEP_LIMIT steps raises before any draw
+    (`_check_reachable`)."""
+    _check_reachable(spec, config)
     if spec.kind == TWO_STAGE:
         return _two_stage_rows(config, spec, rngs, first_trial)
     if spec.kind in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE):

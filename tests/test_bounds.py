@@ -1,12 +1,14 @@
 """Converse, achievability, adaptivity gain, and regime limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import searchlab.channel as channel
 from searchlab.bounds import (
     adaptive_upper_bound,
     adaptivity_gain_lower_bound,
@@ -29,7 +31,7 @@ from searchlab.channel import (
     solve_a_eta,
 )
 from searchlab.errors import (EtaTooLarge, InvalidAlpha, NoFeasibleAlpha,
-                              ValidationError)
+                              NoRootInBracket, SearchLabError, ValidationError)
 from searchlab.model import NoiseModel, new_config
 
 # Frozen formula goldens at B=16, delta=1, sigma2=0.25, eps=1e-4,
@@ -647,3 +649,110 @@ class TestOnePassConstants:
             with pytest.raises(ValidationError) as got:
                 build(cfg, 0.1)
             assert str(got.value) == str(want.value)
+
+
+def _a_eta_outcome(solve, eta, cfg):
+    """(value hex, clamped) of a solve, or the type of what it raised; the
+    reference's failed assertions stand for NoRootInBracket."""
+    try:
+        got = solve(eta, cfg)
+    except AssertionError:
+        return NoRootInBracket
+    except SearchLabError as exc:
+        return type(exc)
+    value, clamped = got if isinstance(got, tuple) else (got.value, got.clamped)
+    return value.hex(), clamped
+
+
+@st.composite
+def a_eta_cases(draw):
+    """A config and an eta: a fraction of C1, within 1e-12 to 0.1 relative
+    of the floor f(3 + 1e-6), where the root sits by the pole, or
+    log-uniform over 1e-300 .. 1e3."""
+    gamma = draw(st.sampled_from([None, 0.5, 1.5, 2.0, 3.0]))
+    noise = NoiseModel.linear() if gamma is None else NoiseModel.power(gamma)
+    cfg = new_config(draw(st.integers(2, 1024)), 1,
+                     10.0 ** draw(st.floats(-7.0, 6.0)), 1e-4, noise=noise)
+    how = draw(st.sampled_from(["c1", "floor", "log"]))
+    if how == "c1":
+        eta = draw(st.floats(1e-3, 0.999)) * optimal_composition(cfg)[1]
+    elif how == "floor":
+        floor = A_ETA_BRACKET_LO / (A_ETA_BRACKET_LO - 3.0) * psi(
+            A_ETA_BRACKET_LO - 3.0, cfg)
+        rel = 10.0 ** draw(st.floats(-12.0, -1.0))
+        eta = floor * (1.0 + draw(st.sampled_from([-rel, rel])))
+    else:
+        eta = 10.0 ** draw(st.floats(-300.0, 3.0))
+    assume(eta > 0.0)  # C1 and the floor underflow at the extremes
+    return eta, cfg
+
+
+def _psi_passes(monkeypatch, eta, cfg) -> int:
+    """psi passes of one cold solve, counted at channel._psi_pass."""
+    calls = []
+    real = channel._psi_pass
+
+    def counted(a, terms):
+        calls.append(a)
+        return real(a, terms)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(channel, "_psi_pass", counted)
+        solve_a_eta.cache_clear()
+        solve_a_eta(eta, cfg)
+    solve_a_eta.cache_clear()
+    return len(calls)
+
+
+class TestReplayedBisection:
+    """solve_a_eta evaluates f only where its evaluations do not settle the
+    bisection's next decision, and returns the bisection's float, flag and
+    error."""
+
+    @given(case=a_eta_cases())
+    def test_solve_is_reference_bisection(self, case):
+        eta, cfg = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _a_eta_outcome(solve_a_eta, eta, cfg)
+        assert got == _a_eta_outcome(_reference_a_eta, eta, cfg)
+
+    # the bisection alone takes 31 or more passes at each of these
+    @pytest.mark.parametrize("name", BOUND_POINTS)
+    def test_few_passes_at_bound_points(self, name, monkeypatch):
+        cfg, eta = _point(name)
+        assert _psi_passes(monkeypatch, eta, cfg) <= 10
+
+    @pytest.mark.parametrize("m", [16, 32, 64, 128, 256])
+    def test_few_passes_over_sigma2_pool(self, m, monkeypatch):
+        passes = {}
+        for sigma2 in SIGMA2_POOL:
+            cfg = new_config(m, 1, sigma2, 1e-4)
+            eta = 0.1 * optimal_composition(cfg)[1]
+            passes[sigma2] = _psi_passes(monkeypatch, eta, cfg)
+        assert max(passes.values()) <= 10, passes
+
+    def test_no_decision_crosses_a_rounding_rise(self):
+        # where psi's phi term and tail cancel (M = 2, sigma2 = 1e-4, a - 3
+        # near 0.01), rounding makes psi rise by about 1e-10 over 1e-13 in a;
+        # with the band's edge inside that rise, an evaluation just above
+        # the band does not settle the point left of it, which is in it
+        cfg = new_config(2, 1, 1e-4, 1e-4)
+        xs = [3.01 + k * 1e-13 for k in range(3000)]
+        psis = [psi(x - 3.0, cfg) for x in xs]
+        k = max(range(len(xs) - 1), key=lambda k: psis[k + 1] / psis[k])
+        assert psis[k + 1] / psis[k] - 1.0 > 1e-10
+        h = xs[k] / (xs[k] - 3.0)
+        eta = 0.5 * h * (psis[k] + psis[k + 1]) / (1.0 + 1e-8)
+        tol = 1e-8 * eta
+
+        def residual(fm):
+            if abs(fm - eta) <= tol:
+                return 0
+            return 1 if fm > eta else -1
+
+        assert residual(h * psis[k]) == 0 and residual(h * psis[k + 1]) == 1
+        evaluations = channel._Evaluations(cfg)
+        evaluations.evaluate(xs[k + 1])
+        assert residual(xs[k + 1] / (xs[k + 1] - 3.0) * psis[k + 1]) == 1
+        assert evaluations.decide(xs[k], residual) == 0

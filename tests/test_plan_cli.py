@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -579,6 +580,25 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err == (
             "error: trial 0: noisy_binary_fixed exceeded 10000000 steps\n")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("kind", ["sorted_pm", "fixed_composition",
+                                      "exhaustive", "two_stage"])
+    def test_unreachable_threshold_exits_three_at_once(self, tmp_path, capsys,
+                                                       kind):
+        # a ratio at v(1) = 1e300 moves a posterior sum by about 1e-149, so
+        # no trial can reach its threshold within STEP_LIMIT steps: the
+        # batch is refused before it runs, where it ran for minutes
+        argv = ["simulate", "--B", "16", "--delta", "1", "--sigma2", "1e300",
+                "--epsilon", "0.1", "--strategy", kind, "--trials", "2",
+                "--out", str(tmp_path)]
+        start = time.perf_counter()
+        rc = main(argv + (["--alpha", "0.5"] if kind == "two_stage" else []))
+        assert time.perf_counter() - start < 10.0
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: noise variance v(1) = 1e+300 is too large: no trial can "
+            "reach its threshold within 10000000 steps\n")
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("argv, message", [

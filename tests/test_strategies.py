@@ -618,6 +618,41 @@ class TestDispatcherAndLimits:
                                  rf"exceeded {strat.STEP_LIMIT} steps$"):
             run_rows(spec, config, rngs, first_trial=7)
 
+    @pytest.mark.parametrize("spec", [StrategySpec(SORTED_PM),
+                                      StrategySpec(FIXED_COMPOSITION),
+                                      StrategySpec(EXHAUSTIVE),
+                                      StrategySpec(TWO_STAGE, alpha=0.5)],
+                             ids=lambda s: s.label())
+    def test_unreachable_threshold_is_refused_before_any_draw(self, spec,
+                                                               monkeypatch):
+        # past the variance at which STEP_LIMIT steps of the largest ratio
+        # can build the lead a stop needs, a batch is refused before any
+        # draw; just short of it, it runs, here into the engine's own limit
+        monkeypatch.setattr(strat, "STEP_LIMIT", 1000)
+
+        def refused(sigma2):
+            try:
+                strat._check_reachable(spec, new_config(16, 1, sigma2, 0.1))
+            except StepLimitExceeded:
+                return True
+            return False
+
+        lo, hi = 1.0, 1e12
+        assert not refused(lo) and refused(hi)
+        while hi > lo * (1.0 + 1e-9):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(StepLimitExceeded,
+                           match=r"^noise variance v\(1\) = .+ is too large: no "
+                                 r"trial can reach its threshold within 1000 steps$"):
+            run_rows(spec, new_config(16, 1, hi, 0.1), [rng])
+        assert rng.bit_generator.state == state
+        with pytest.raises(StepLimitExceeded,
+                           match=r"^trial 0: .+ exceeded 1000 steps$"):
+            run_trials(spec, new_config(16, 1, lo, 0.1), 2, 0)
+
     def test_trial_seed_passthrough(self, config16):
         rec = run_strategy(StrategySpec(SORTED_PM), config16,
                            np.random.default_rng(1), trial_seed=42)
