@@ -21,17 +21,13 @@ bounds) is driven by this function and by the truncated-score integral psi
 of the bound constants, closed-form over probe sizes: a psi call is one
 pass over per-config terms (v, sqrt(v), sqrt(2 pi v)), and takes the tail
 Q(z) only at the sizes that can hold the max.  The constant a_eta, the root
-of eta = (a/(a-3)) psi(a-3), is defined by a bisection, whose decisions are
-replayed from a handful of passes placed by a Newton solve: a decision is
-read from the passes made where psi's monotonicity and a bound on its
-rounding settle it, and from a pass at the point elsewhere, so the result
-is the bisection's, bit for bit.  Q is ``gaussian_tail`` (math.erfc) and
-Q^{-1} is statistics.NormalDist().inv_cdf, both stdlib.
+of eta = (a/(a-3)) psi(a-3), is found by a bisection that evaluates the
+left side through psi, once per decision.  Q is ``gaussian_tail``
+(math.erfc) and Q^{-1} is statistics.NormalDist().inv_cdf, both stdlib.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
 from dataclasses import dataclass
@@ -305,18 +301,17 @@ def _psi_terms(config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return v, np.sqrt(v), np.sqrt(2.0 * math.pi * v)
 
 
-def _psi_pass(a: float, terms) -> tuple[float, float, float]:
-    """psi at a from a config's terms (v, sqrt(v), sqrt(2 pi v)), with two
-    by-products the a_eta solve reads: v_k phi_k of the size k that holds
-    the max, and the largest phi term.
+def psi(a: float, config) -> float:
+    """Largest truncated-score integral over feasible probe sizes:
+    max over k = 1..M of psi_component(a, noise_variance(k)).
 
-    One pass over the terms computes z and the phi term of every size in
-    place, in psi_component's order of operations.  A component is its phi
-    term less a non-negative tail term, so only the sizes whose phi term
-    exceeds the component at the largest phi term can hold the max; the
-    tail Q(z) is evaluated at that top size and at those alone, and the max
-    is psi_component's over every size, the same float."""
-    v, root_v, root_2pi_v = terms
+    One pass over the config's cached terms computes z and the phi term of
+    every size in place, in psi_component's order of operations.  A
+    component is its phi term less a non-negative tail term, so only the
+    sizes whose phi term exceeds the component at the largest phi term can
+    hold the max; the tail Q(z) is evaluated at that top size and at those
+    alone, and the max is psi_component's over every size, the same float."""
+    v, root_v, root_2pi_v = _psi_terms(config)
     with np.errstate(over="ignore"):  # z * z is inf only where phi(z) is 0
         z = a * v
         z += 0.5
@@ -325,27 +320,16 @@ def _psi_pass(a: float, terms) -> tuple[float, float, float]:
         phi *= z
         np.exp(phi, out=phi)
         phi /= root_2pi_v
-        top = k = int(phi.argmax())
+        top = int(phi.argmax())
         best = phi[top] - 0.5 * gaussian_tail(z[top]) / v[top]
         near = phi > best
         near[top] = False
         if near.any():
-            sizes = np.flatnonzero(near)
-            tail = np.array([gaussian_tail(x) for x in z[sizes].tolist()])
+            tail = np.array([gaussian_tail(x) for x in z[near].tolist()])
             tail *= 0.5
-            tail /= v[sizes]
-            tail = phi[sizes] - tail
-            j = int(tail.argmax())
-            if tail[j] > best:
-                best, k = tail[j], int(sizes[j])
-    return float(best), float(v[k]) * float(phi[k]), float(phi[top])
-
-
-def psi(a: float, config) -> float:
-    """Largest truncated-score integral over feasible probe sizes:
-    max over k = 1..M of psi_component(a, noise_variance(k)), the same
-    float, from one pass over the config's cached terms (``_psi_pass``)."""
-    return _psi_pass(a, _psi_terms(config))[0]
+            tail /= v[near]
+            best = max(best, (phi[near] - tail).max())
+    return float(best)
 
 
 @dataclass(frozen=True)
@@ -362,241 +346,36 @@ A_ETA_BRACKET_LO = 3.0 + 1e-6
 A_ETA_BRACKET_CAP = 1e9
 
 
-class _Evaluations:
-    """The evaluations of f(x) = x/(x-3) psi(x-3) that one a_eta solve has
-    made, and what they settle about the float f gives elsewhere.
-
-    With t = x - 3 and h = x / t as f rounds them, f(x) is the float
-    h * psi_c(t), psi_c the rounded pass.  The true psi is non-increasing
-    in t > 0 (each component is: raising a drops a stretch where the score
-    is positive), so for evaluated t_p < t <= t_q
-
-        psi_c(t_q) - err(t_q) <= psi(t) <= psi_c(t_p) + err(t_p),
-
-    err the bound on a pass's rounding that ``evaluate`` derives, and
-    psi_c(t) lies within the rounding at t of psi(t).  Rounding is
-    monotone, so f(x) lies between the floats h * lower and h * upper of
-    those two bounds, each widened by the rounding at t, and where the
-    bisection's test reads the same at both it reads that at f(x): the test
-    is monotone in f, each of its outcomes taking one interval of floats.
-    Elsewhere x is evaluated, and its evaluation settles more points.
-
-    The rounding at t, unevaluated, is bounded from psi(t) alone.  A
-    component's tail term is below its phi term over 2tv + 1 (see
-    evaluate), so psi >= phi_top 2tv(1)/(2tv(1) + 1), and the pass's bound
-    24u (1 + Z^2) phi_top is at most 24u kappa H(psi), with
-    kappa = 1 + 1/(2 t v(1)) and H(p) = p (1 + max(1, -2 log(sqrt(2 pi
-    v(1)) p))), which grows with p.  So psi_c(t) <= upper + 24u kappa
-    H(upper), and psi_c(t) >= lower - 24u kappa H(lower) where that map
-    still grows on [lower, inf), i.e. 24u kappa (1 + max(1, ...)) < 1.
-    kappa is the cancellation of the phi term and the tail: it grows like
-    1/(2 t v(1)) near the pole and at small sigma^2, and there the
-    evaluations settle little and the bisection evaluates."""
-
-    def __init__(self, config):
-        self.terms = _psi_terms(config)
-        self.v1, r1 = float(self.terms[0][0]), float(self.terms[2][0])
-        # Where a result is subnormal its rounding is absolute, up to 2^-1075
-        # before the divisions by sqrt(2 pi v) and 2v; this covers a few.
-        # At v(1) = 0 nothing is settled, and every point is evaluated.
-        self.tiny, self.log_r1 = math.inf, 0.0
-        if self.v1 > 0.0:
-            self.tiny = 2.0 ** -1060 * (1.0 + 1.0 / r1 + 1.0 / self.v1)
-            self.log_r1 = math.log(r1)
-        # per evaluation, in order of t: t, psi_c, and psi_c - err and
-        # psi_c + err, each with its spread
-        self.ts: list[float] = []
-        self.psis: list[float] = []
-        self.lows: list[tuple[float, float]] = []
-        self.highs: list[tuple[float, float]] = []
-
-    def _spread(self, p: float) -> float:
-        """1 + max(1, -2 log(sqrt(2 pi v(1)) p)), the 1 + Z^2 of a largest
-        phi term p and the H(p)/p of a bound p on psi; 0 at p <= 0."""
-        if not p > 0.0:
-            return 0.0
-        return 1.0 + max(1.0, -2.0 * (self.log_r1 + math.log(p)))
-
-    def evaluate(self, x: float) -> tuple[float, float]:
-        """psi_c(x - 3) and the rate of psi's fall there, from one pass.
-
-        The rounding of a pass.  With u = 2^-53 the unit roundoff,
-        z = (a v + 1/2) / sqrt(v) carries a relative error within 4u, so
-        the phi term's exponent -z^2/2 is off by at most 4.5u z^2 and the
-        phi term by a factor within exp(4.5u z^2)(1 + 5u) (exp,
-        sqrt(2 pi v) and the division).
-        The tail Q(z) = erfc(z / sqrt 2) / 2 takes an argument off by 6u
-        relative; d log erfc(w)/dw is below 2w + sqrt 2, so log Q moves by
-        at most 6u (z^2 + z), and erfc itself by a few ulps.  For z > 0 the
-        tail term Q(z)/(2v) < phi(z)/(2vz) = phi term / (2av + 1) is below
-        the phi term.  So a component is off by at most
-        u phi (10.5 z^2 + 6z + 23) <= 24u phi (1 + z^2) in phi terms, and
-        psi_c, a max of components whose skipped sizes sit below it by
-        their phi terms, by as much as the worst size.  Where the phi term
-        and the tail nearly cancel, as near the pole or at small sigma^2,
-        that is a large share of psi: 1/(2 a v) of it.
-
-        No size's phi (1 + z^2) exceeds (1 + Z^2) phi_top, with Z^2 the
-        larger of 1 and -2 log(sqrt(2 pi v(1)) phi_top): a size with z <= Z
-        has phi <= phi_top, and for z > Z >= 1, phi(z)(1 + z^2) falls in z,
-        so its term is below phi(Z)(1 + Z^2) / sqrt(v(1)) = (1 + Z^2) phi_top.
-        err = 32u (1 + Z^2) phi_top leaves 8u phi_top >= 8u |psi_c| for the
-        rounding of the bounds' own arithmetic."""
-        t = x - 3.0
-        psi_t, v_phi, phi_top = _psi_pass(t, self.terms)
-        err = 2.0 ** -48 * self._spread(phi_top) * phi_top + self.tiny  # 32u
-        i = bisect.bisect_left(self.ts, t)
-        self.ts.insert(i, t)
-        self.psis.insert(i, psi_t)
-        for bounds, p in ((self.lows, psi_t - err), (self.highs, psi_t + err)):
-            bounds.insert(i, (p, self._spread(p)))
-        # psi'(t) = -t v_k phi_k, the slope of the component holding the max
-        # (the envelope): psi falls like exp(-rate t^2) at t
-        rate = 0.5 * v_phi / psi_t if psi_t > 0.0 else math.nan
-        return psi_t, rate
-
-    def decide(self, x: float, test):
-        """test(f(x)) for a test monotone in f: from the evaluations where
-        they settle it, else from a pass at x."""
-        t = x - 3.0
-        h = x / t
-        i = bisect.bisect_left(self.ts, t)
-        if i < len(self.ts) and self.ts[i] == t:
-            return test(h * self.psis[i])
-        tv = 2.0 * t * self.v1
-        c = 2.0 ** -48 * (1.0 + 1.0 / tv) if tv > 0.0 else math.inf
-        if c < math.inf:  # 32u kappa
-            lower, upper = -math.inf, math.inf
-            if i < len(self.ts):
-                p, spread = self.lows[i]
-                if p > 0.0 and c * spread < 1.0:
-                    lower = p - (c * spread * p + self.tiny)
-            if i:
-                p, spread = self.highs[i - 1]
-                upper = p + (c * spread * p + self.tiny)
-            low = test(h * lower)
-            if low == test(h * upper):
-                return low
-        return test(h * self.evaluate(x)[0])
-
-    def anchor(self, eta: float) -> None:
-        """Evaluate f just outside the bisection's 1e-8 band on each side of
-        the root, where they settle every decision but the last few.
-
-        A safeguarded Newton solve on log f from x = 6.  Each step takes
-        the root of a model of log f with the pass's value and slope:
-        log(x/(x-3)) exactly, and psi as a Gaussian exp(-rate t^2), which
-        is exact far out, where psi is its top component's tail, and near
-        the pole, where psi is flat.  A step that leaves the bracket the
-        passes so far have shown, or a slope that is not finite, bisects
-        the bracket in log(x - 3) instead (doubles x while no pass lies
-        right of the root; first tries the bracket's floor).  Once log f is
-        within 1e-4 of log eta the model's root is within a small share of
-        the band's half-width of the true one, and the two anchors go 1.5
-        half-widths either side of it.  The evaluations settle decisions
-        and nothing else, so where this ends early the bisection only
-        evaluates more."""
-        lo, log_eta = A_ETA_BRACKET_LO, math.log(eta)
-        x_lo, x_hi, x = 3.0, math.inf, 6.0  # x_lo: the last x above eta
-        for _ in range(12):
-            psi_x, rate = self.evaluate(x)
-            t = x - 3.0
-            # log f - log eta, and the part of it that psi carries
-            g_psi = math.log(psi_x) - log_eta if psi_x > 0.0 else -math.inf
-            g = g_psi + math.log(x / t)
-            if g > 0.0:
-                x_lo = x
-            elif x == lo:
-                return  # f(lo) < eta: the bisection clamps
-            else:
-                x_hi = x
-            x = math.nan
-            if math.isfinite(g) and math.isfinite(rate):
-                root, slope = _model_root(t, g_psi, rate)
-                if abs(g) <= 1e-4:
-                    width = 1.5e-8 / -slope
-                    for a in (3.0 + root - width, 3.0 + root + width):
-                        if lo < a <= A_ETA_BRACKET_CAP:
-                            self.evaluate(a)
-                    return
-                x = 3.0 + root
-            if not x_lo < x < x_hi:
-                if x_lo == 3.0:
-                    x = lo
-                elif x_hi == math.inf:
-                    x = 2.0 * x_lo
-                else:
-                    x = 3.0 + math.sqrt((x_lo - 3.0) * (x_hi - 3.0))
-            if x > A_ETA_BRACKET_CAP:
-                return
-
-
-def _model_root(t: float, g: float, rate: float) -> tuple[float, float]:
-    """The root s of log(1 + 3/s) + g - rate (s^2 - t^2), g = log psi(t) -
-    log eta, and the model's slope in x there: Newton steps in log s from
-    t, within t = 1e-7 .. 2e9."""
-    u = math.log(t)
-    for _ in range(50):
-        s = math.exp(u)
-        step = (math.log1p(3.0 / s) + g - rate * (s * s - t * t)) \
-            / (3.0 / (s + 3.0) + 2.0 * rate * s * s)
-        if not math.isfinite(step):
-            break
-        u = min(max(u + step, -16.1), 21.4)
-        if abs(step) <= 1e-10:
-            break
-    s = math.exp(u)
-    return s, -3.0 / (s * (s + 3.0)) - 2.0 * rate * s
-
-
 @lru_cache(maxsize=512)
 def solve_a_eta(eta: float, config) -> AEtaResult:
     """Solve (a/(a-3)) psi(a-3) = eta for a > 3 by bisection.
 
     The left side is non-increasing in a (both factors are), so a sign
     bracket is found by doubling from a = 6.  Stops when the residual is
-    within 1e-8 * eta.
-
-    The bisection is the definition, and its control flow runs here as
-    written, but it evaluates f only where the evaluations made so far do
-    not settle its next decision (``_Evaluations``).  A Newton solve on
-    log f first leaves evaluations ("anchors") just outside the 1e-8 band
-    on each side of the root, and they settle every decision away from it.
-    An evaluation decides a point only where f's monotonicity carries it
-    past the test by more than the rounding bound of psi at the evaluation
-    plus that at the point decided.  That bound, derived in
-    ``_Evaluations``, grows like 1/(2 (a-3) v) where psi's phi term and
-    tail cancel, near the pole and at small sigma^2, so there the
-    bisection evaluates.  The returned float, ``clamped`` and every error
-    are the bisection's own, from about 6 to 7 psi passes a solve at the
-    bound points where the bisection alone takes 31 or more.
+    within 1e-8 * eta.  Each decision evaluates the left side once, by a
+    call to psi: about 30 calls a solve.
     """
     if not eta > 0:
         raise ValidationError(f"eta must be positive, got {eta}")
-    f = _Evaluations(config)
-    f.anchor(eta)
-    tol = 1e-8 * eta
 
-    def residual(fm: float) -> int:
-        if abs(fm - eta) <= tol:
-            return 0
-        return 1 if fm > eta else -1
+    def f(a: float) -> float:
+        return a / (a - 3.0) * psi(a - 3.0, config)
 
     lo = A_ETA_BRACKET_LO
-    if f.decide(lo, lambda fm: fm < eta):
+    if f(lo) < eta:
         return AEtaResult(value=lo, clamped=True)
     hi = 6.0
-    while f.decide(hi, lambda fm: fm > eta):
+    while f(hi) > eta:
         hi *= 2.0
         if hi > A_ETA_BRACKET_CAP:
             raise NoRootInBracket(
                 f"no a <= {A_ETA_BRACKET_CAP} satisfies the eta equation")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        side = f.decide(mid, residual)
-        if side == 0:
+        fm = f(mid)
+        if abs(fm - eta) <= 1e-8 * eta:
             return AEtaResult(value=mid)
-        if side > 0:
+        if fm > eta:
             lo = mid
         else:
             hi = mid

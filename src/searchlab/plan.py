@@ -340,14 +340,6 @@ def _bound_rows(plan: ExperimentPlan) -> list[dict]:
     return rows
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_atomic(path: Path, newline: str | None, write) -> Path:
     """Write through write(fh) to a temp file beside path, then rename it
     into place: path is either absent, its old self, or complete."""
@@ -364,10 +356,11 @@ def _write_atomic(path: Path, newline: str | None, write) -> Path:
 
 def _write_rows(stem: Path, columns, rows: list[dict], fmt: str) -> list[Path]:
     def write_csv(fh):
+        # csv writes None as "" and a float by its repr
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+            writer.writerow([row[c] for c in columns])
 
     def write_json(fh):
         json.dump([{c: row[c] for c in columns} for row in rows], fh, indent=2)

@@ -687,27 +687,33 @@ def a_eta_cases(draw):
     return eta, cfg
 
 
-def _psi_passes(monkeypatch, eta, cfg) -> int:
-    """psi passes of one cold solve, counted at channel._psi_pass."""
-    calls = []
-    real = channel._psi_pass
+def _psi_calls(monkeypatch, eta, cfg):
+    """The channel.psi arguments of one cold solve, and the psi_component
+    arguments of the reference bisection, each in call order."""
+    solved, referred = [], []
+    real_psi, real_component = channel.psi, psi_component
 
-    def counted(a, terms):
-        calls.append(a)
-        return real(a, terms)
+    def counted_psi(a, config):
+        solved.append(a)
+        return real_psi(a, config)
+
+    def counted_component(a, variance):
+        referred.append(a)
+        return real_component(a, variance)
 
     with monkeypatch.context() as patch:
-        patch.setattr(channel, "_psi_pass", counted)
+        patch.setattr(channel, "psi", counted_psi)
         solve_a_eta.cache_clear()
         solve_a_eta(eta, cfg)
-    solve_a_eta.cache_clear()
-    return len(calls)
+        solve_a_eta.cache_clear()
+        patch.setitem(globals(), "psi_component", counted_component)
+        _reference_a_eta(eta, cfg)
+    return solved, referred
 
 
-class TestReplayedBisection:
-    """solve_a_eta evaluates f only where its evaluations do not settle the
-    bisection's next decision, and returns the bisection's float, flag and
-    error."""
+class TestBisectionThroughPsi:
+    """solve_a_eta is the reference bisection: the same float, flag and
+    error, from one channel.psi call per evaluation of f."""
 
     @given(case=a_eta_cases())
     def test_solve_is_reference_bisection(self, case):
@@ -717,26 +723,26 @@ class TestReplayedBisection:
             got = _a_eta_outcome(solve_a_eta, eta, cfg)
         assert got == _a_eta_outcome(_reference_a_eta, eta, cfg)
 
-    # the bisection alone takes 31 or more passes at each of these
     @pytest.mark.parametrize("name", BOUND_POINTS)
-    def test_few_passes_at_bound_points(self, name, monkeypatch):
+    def test_one_psi_call_per_reference_evaluation(self, name, monkeypatch):
         cfg, eta = _point(name)
-        assert _psi_passes(monkeypatch, eta, cfg) <= 10
+        solved, referred = _psi_calls(monkeypatch, eta, cfg)
+        assert solved == referred and len(solved) > 0
 
     @pytest.mark.parametrize("m", [16, 32, 64, 128, 256])
-    def test_few_passes_over_sigma2_pool(self, m, monkeypatch):
-        passes = {}
+    def test_one_psi_call_per_reference_evaluation_over_sigma2_pool(
+            self, m, monkeypatch):
         for sigma2 in SIGMA2_POOL:
             cfg = new_config(m, 1, sigma2, 1e-4)
             eta = 0.1 * optimal_composition(cfg)[1]
-            passes[sigma2] = _psi_passes(monkeypatch, eta, cfg)
-        assert max(passes.values()) <= 10, passes
+            solved, referred = _psi_calls(monkeypatch, eta, cfg)
+            assert solved == referred and len(solved) > 0, sigma2
 
-    def test_no_decision_crosses_a_rounding_rise(self):
+    def test_solve_at_a_rounding_rise_is_reference_bisection(self):
         # where psi's phi term and tail cancel (M = 2, sigma2 = 1e-4, a - 3
         # near 0.01), rounding makes psi rise by about 1e-10 over 1e-13 in a;
-        # with the band's edge inside that rise, an evaluation just above
-        # the band does not settle the point left of it, which is in it
+        # with the residual band's edge inside that rise, the solve still
+        # returns the reference's float and flag
         cfg = new_config(2, 1, 1e-4, 1e-4)
         xs = [3.01 + k * 1e-13 for k in range(3000)]
         psis = [psi(x - 3.0, cfg) for x in xs]
@@ -744,15 +750,7 @@ class TestReplayedBisection:
         assert psis[k + 1] / psis[k] - 1.0 > 1e-10
         h = xs[k] / (xs[k] - 3.0)
         eta = 0.5 * h * (psis[k] + psis[k + 1]) / (1.0 + 1e-8)
-        tol = 1e-8 * eta
-
-        def residual(fm):
-            if abs(fm - eta) <= tol:
-                return 0
-            return 1 if fm > eta else -1
-
-        assert residual(h * psis[k]) == 0 and residual(h * psis[k + 1]) == 1
-        evaluations = channel._Evaluations(cfg)
-        evaluations.evaluate(xs[k + 1])
-        assert residual(xs[k + 1] / (xs[k + 1] - 3.0) * psis[k + 1]) == 1
-        assert evaluations.decide(xs[k], residual) == 0
+        solve_a_eta.cache_clear()
+        got = _a_eta_outcome(solve_a_eta, eta, cfg)
+        solve_a_eta.cache_clear()
+        assert got == _a_eta_outcome(_reference_a_eta, eta, cfg)

@@ -310,16 +310,22 @@ class TestRunPlan:
         assert (tmp_path / "redo_sim.csv").exists()
 
     def test_failed_write_leaves_no_data_file(self, tmp_path, monkeypatch):
-        format_cell = plan_mod._format_cell
-        calls = []
+        real_writer = plan_mod.csv.writer
 
-        def failing_after_one_row(value):
-            calls.append(value)
-            if len(calls) > len(SIM_COLUMNS) + 3:  # inside the second row
-                raise OSError("disk full")
-            return format_cell(value)
+        class FailingAfterOneRow:
+            """The module's csv writer, failing at the second data row."""
 
-        monkeypatch.setattr(plan_mod, "_format_cell", failing_after_one_row)
+            def __init__(self, fh, **kwargs):
+                self.writer = real_writer(fh, **kwargs)
+                self.rows = 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows > 2:  # the header and one data row are written
+                    raise OSError("disk full")
+                return self.writer.writerow(row)
+
+        monkeypatch.setattr(plan_mod.csv, "writer", FailingAfterOneRow)
         plan = parse_plan(plan_doc(id="cut", n_trials=3, strategies=[
             {"kind": "sorted_pm"}, {"kind": "exhaustive"}, {"kind": "sorted_pm"}]))
         with pytest.raises(OSError, match="disk full"):
