@@ -35,6 +35,12 @@ BOUND_NAMES = ("lemma1", "lemma2", "theorem1", "theorem2", "corollary2")
 CAPACITY_MODES = ("composition", "half_input")
 PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
+# The most points a plan may expand to: its axes' lengths multiplied, q
+# and a half_input table's total variances included, so that no plan asks
+# for an unbounded list of points.  An 801-q table over 128 sizes (102,528
+# points) fits.
+MAX_POINTS = 1 << 17
+
 PLAN_KEYS = {"id", "B", "delta", "sigma2", "epsilon", "gamma", "sweeps",
              "strategies", "n_trials", "master_seed", "bound_set",
              "eta_frac", "capacity_table"}
@@ -59,11 +65,11 @@ class ExperimentPlan:
     alike before anything runs: ``id`` holds no '/', '\\' or NUL (it names
     the output files), ``eta_frac`` lies in (0, 1), ``n_trials`` is an int,
     not a bool, in [1, MAX_TRIALS], ``master_seed`` is such an int in
-    [0, 2**64) (`sim._check_seed`), ``bound_set`` names are BOUND_NAMES, and
-    corollary2 needs exactly one swept parameter, B or delta.  Each
-    StrategySpec checks its kind and alpha.  Checks that depend on a sweep
-    point (the configuration, alpha dividing M, bound feasibility) run with
-    the plan.
+    [0, 2**64) (`sim._check_seed`), ``bound_set`` names are BOUND_NAMES,
+    corollary2 needs exactly one swept parameter, B or delta, and the plan
+    expands to at most MAX_POINTS points.  Each StrategySpec checks its
+    kind and alpha.  Checks that depend on a sweep point (the
+    configuration, alpha dividing M, bound feasibility) run with the plan.
     """
 
     id: str
@@ -86,6 +92,10 @@ class ExperimentPlan:
                  and 1 <= n <= MAX_TRIALS,
                  f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n!r}")
         _check_seed(self.master_seed)
+        points = (math.prod(len(vals) for _, vals in self.axes)
+                  * max(1, len(self.total_variances)))
+        _require(points <= MAX_POINTS,
+                 f"plan expands to {points} points, more than the cap of {MAX_POINTS}")
         for name in self.bound_set:
             _require(name in BOUND_NAMES,
                      f"unknown bound {name!r} (expected one of {', '.join(BOUND_NAMES)})")

@@ -61,10 +61,10 @@ the PCG64 jump of the trial state, a copy of it advanced by JUMP, as
 `bit_generator.jumped()` gives it (`picks_streams`).  It draws them a chunk
 of 4 CHUNK steps at a time (`pick_cells`).  A probe set is a partial
 Fisher-Yates shuffle, and one whose swap targets are pairwise distinct has
-its targets as its cells, so only the shuffles that repeat a target are
-run: a pair repeats just when its two targets are equal.  A window ends
-where a chunk does, so a record does not depend on the chunk or the
-window.
+its targets as its cells: a single cell is its target, a pair runs the
+shuffle only when its two targets are equal, and three or more cells run
+it on every shuffle.  A window ends where a chunk does, so a record does
+not depend on the chunk or the window.
 `sim.drift_probe` runs the same probe rules, draws and running sums on
 blocks of runs, one step at a time.
 
@@ -153,30 +153,20 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
 
     A shuffle whose targets are pairwise distinct swaps an untouched entry
     into place at every swap, so its cells are its targets: the draws are
-    the picks.  Only the shuffles that repeat a target run the shuffle
-    (`_shuffle_table`).  k = 1 cannot repeat, and draws each row's steps
-    under one scalar bound, the same values and state as an array of equal
-    bounds.  Where a repeat is likely, k(k - 1)/2 >= grid - k, every
-    shuffle runs the table.  Otherwise a pair repeats just when j0 == j1,
-    one comparison, and k > 2 finds its repeats by one flat sort of the
-    keys shuffle * grid + target."""
+    the picks.  One rule a probe size: k = 1 cannot repeat, and draws each
+    row's steps under one scalar bound, the same values and state as an
+    array of equal bounds; a pair repeats just when j0 == j1, and only the
+    pairs that repeat run the shuffle (`_shuffle_table`); k >= 3 runs the
+    table on every shuffle."""
     if k == 1:
         cells = np.stack([g.integers(0, grid, size=steps) for g in gens])
         return cells[..., None]
     highs = np.tile(grid - np.arange(k), steps)  # one bound a draw, in order
     j = np.stack([g.integers(0, highs) for g in gens]).reshape(-1, k)
     j += np.arange(k)                     # swap i exchanges entries i and j >= i
-    if k * (k - 1) // 2 >= grid - k:
+    if k > 2:
         return _shuffle_table(j).reshape(len(gens), steps, k)
-    if k == 2:
-        redo = j[:, 0] == j[:, 1]
-    else:
-        keys = (j + np.arange(0, j.shape[0] * grid, grid)[:, None]).ravel()
-        keys.sort()
-        repeats = keys[1:] == keys[:-1]  # only a shuffle's own keys can be equal
-        redo = np.zeros(j.shape[0], dtype=bool)
-        redo[keys[1:][repeats] // grid] = True
-        del keys, repeats
+    redo = j[:, 0] == j[:, 1]
     if redo.any():
         j[redo] = _shuffle_table(j[redo])
     return j.reshape(len(gens), steps, k)

@@ -437,6 +437,46 @@ def test_output_path_is_an_unknown_key(tmp_path):
     assert (rc, err, names) == (2, "error: unknown plan key 'output_path'\n", [])
 
 
+def _plan_of_points(kind, points):
+    """A plan of kind (bounds, composition or half_input) whose axes, with
+    q and the total variances, expand to points: c values of one axis, c
+    the least factor of points above 1, and points / c of another."""
+    c = next(c for c in range(2, points + 1) if points % c == 0)
+    few, n = [2.0 ** i for i in range(1, c + 1)], points // c
+    doc = {"id": "t", "delta": 1, "epsilon": 0.1}
+    if kind == "bounds":
+        return {**doc, "sweeps": [["B", few], ["sigma2", [1 + i / n for i in range(n)]]],
+                "bound_set": ["lemma1"]}
+    qs = [(i + 1) / (n + 1) for i in range(n)]
+    if kind == "composition":
+        return {**doc, "sigma2": 0.25, "sweeps": [["B", few], ["q", qs]],
+                "capacity_table": {"mode": "composition"}}
+    return {**doc, "B": 4, "sigma2": 0.25, "sweeps": [["q", qs]],
+            "capacity_table": {"mode": "half_input", "total_variances": few}}
+
+
+@pytest.mark.parametrize("kind", ["bounds", "composition", "half_input"])
+def test_plan_past_the_point_cap_exits_two(tmp_path, monkeypatch, kind):
+    def expanded(*args, **kwargs):
+        raise AssertionError("an oversized plan was expanded")
+
+    monkeypatch.setattr(plan_mod, "_points", expanded)
+    cap = plan_mod.MAX_POINTS
+    doc = _plan_of_points(kind, cap + 1)
+    rc, err, names = _sweep_plan(tmp_path, doc)
+    assert (rc, names) == (2, [])
+    assert err == (f"error: plan expands to {cap + 1} points, more than the "
+                   f"cap of {cap}\n")
+    with pytest.raises(errors.ValidationError, match="more than the cap"):
+        plan_mod.parse_plan(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["bounds", "composition", "half_input"])
+def test_plan_at_the_point_cap_is_accepted(kind):
+    plan = plan_mod.parse_plan(json.dumps(_plan_of_points(kind, plan_mod.MAX_POINTS)))
+    assert plan.id == "t"
+
+
 def test_failed_bounds_leave_no_sim_file(tmp_path):
     # sims at M = 1 succeed, lemma2 there is refused: nothing is written
     doc = {**GOOD_PLAN, "B": 1, "bound_set": ["lemma2"]}

@@ -16,7 +16,8 @@ import searchlab.inference as inference
 import searchlab.strategies as strat
 from searchlab.errors import InvalidAlpha, StepLimitExceeded
 from searchlab.model import MAX_CELLS, NoiseModel, new_config
-from searchlab.sim import BLOCK_CELLS, run_trials, trial_generators, trial_seed_for
+from searchlab.sim import (BLOCK_CELLS, BLOCK_ROWS, run_trials, trial_generators,
+                           trial_seed_for)
 from searchlab.strategies import (
     EXHAUSTIVE,
     FIXED_COMPOSITION,
@@ -154,10 +155,9 @@ class TestPickCells:
 
     @pytest.mark.parametrize("grid, k", [(16, 5), (16, 6), (128, 15), (128, 16),
                                          (1024, 44), (1024, 45)])
-    def test_both_sides_of_the_likely_repeat_rule(self, grid, k):
-        # the first k of each pair sorts for repeats, the second runs the
-        # table on every shuffle: k(k - 1)/2 >= grid - k
-        assert (k * (k - 1) // 2 >= grid - k) == (k in (6, 16, 45))
+    def test_larger_probes_match_in_place_shuffles(self, grid, k):
+        # k >= 3 runs the table on every shuffle, whether repeats are rare
+        # (the first k of each pair) or likely (the second)
         self.assert_matches_in_place_shuffles(grid, k, rows=2, steps=30)
 
     @pytest.mark.parametrize("grid", [4, 5, 2**16 + 1, MAX_CELLS])
@@ -167,7 +167,7 @@ class TestPickCells:
 
     @pytest.mark.parametrize("grid, k", [(4, 2), (16, 3), (16, 5), (128, 2),
                                          (1024, 16)])
-    def test_table_runs_only_on_shuffles_that_repeat_a_target(
+    def test_table_runs_on_repeating_pairs_and_every_larger_shuffle(
             self, monkeypatch, grid, k):
         tabled = []
         table = strat._shuffle_table
@@ -180,6 +180,9 @@ class TestPickCells:
         rows, steps = 4, 200
         strat.pick_cells([np.random.default_rng([9, r]) for r in range(rows)],
                          grid, k, steps)
+        if k > 2:
+            assert tabled == [rows * steps]
+            return
         repeating = 0
         for r in range(rows):
             twin = np.random.default_rng([9, r])
@@ -1177,13 +1180,17 @@ class TestLockstepRows:
         ulps = np.abs(pmax.view(np.int64) - ref_pmax.view(np.int64))[same]
         assert ulps.max(initial=0) <= REFERENCE_ULPS
 
-    def test_full_block_peak_memory(self):
-        # a full simulation block at M=128; the limit is the peak measured
+    @pytest.mark.parametrize("config", [
+        LOCKSTEP_CONFIGS["M128"],
+        new_config(16, 1, 0.0625, 1e-4),  # fig4's k = 3 point
+        new_config(1, 0.125, 0.25, 1e-4),  # fig6's k = 3 point, M=8
+    ], ids=["M128", "M16_k3", "M8_k3"])
+    def test_full_block_peak_memory(self, config):
+        # a full simulation block; the limit is the peak measured at M=128
         # once pick_cells dropped each temporary after its last use and
         # Draws dropped a spent chunk of picks before drawing the next
-        config = LOCKSTEP_CONFIGS["M128"]
         rngs = [np.random.default_rng(trial_seed_for(515, i))
-                for i in range(BLOCK_CELLS // config.M)]
+                for i in range(min(BLOCK_ROWS, BLOCK_CELLS // config.M))]
         tracemalloc.start()
         try:
             run_rows(StrategySpec(FIXED_COMPOSITION), config, rngs)
