@@ -36,7 +36,6 @@ from .channel import (
 )
 from .cli import main
 from .errors import (
-    DegeneratePosterior,
     EtaTooLarge,
     InvalidAlpha,
     InvalidEpsilon,
@@ -53,13 +52,7 @@ from .errors import (
     StepLimitExceeded,
     ValidationError,
 )
-from .inference import (
-    Posterior,
-    bayes_update,
-    init_uniform,
-)
 from .model import (
-    MeasurementVector,
     NoiseModel,
     SearchConfig,
     TrialRecord,
@@ -91,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AEtaResult",
     "BoundReport",
-    "DegeneratePosterior",
     "DriftReport",
     "EXHAUSTIVE",
     "EtaTooLarge",
@@ -101,7 +93,6 @@ __all__ = [
     "InvalidEpsilon",
     "InvalidNoiseModel",
     "KINDS",
-    "MeasurementVector",
     "NOISY_BINARY_FIXED",
     "NOISY_BINARY_VARIABLE",
     "NoFeasibleAlpha",
@@ -110,7 +101,6 @@ __all__ = [
     "NonMonotoneNoise",
     "NoRootInBracket",
     "ParseError",
-    "Posterior",
     "ProbeCountOutOfRange",
     "QuadratureNonConvergence",
     "RegimeRatio",
@@ -128,7 +118,6 @@ __all__ = [
     "adaptivity_gain_lower_bound",
     "asymptotic_ratios",
     "bawgn_capacity",
-    "bayes_update",
     "binary_entropy",
     "drift_probe",
     "feasible_alphas",
@@ -138,7 +127,6 @@ __all__ = [
     "gaussian_tail",
     "gaussian_tail_inverse",
     "general_f_bounds",
-    "init_uniform",
     "load_preset",
     "main",
     "new_config",

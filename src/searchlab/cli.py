@@ -2,7 +2,8 @@
 
 Verbs
 -----
-capacity     evaluate C(q, v) on given q and variance grids
+capacity     evaluate C(q, v) on given q and variance grids, at most
+             plan.MAX_POINTS pairs
 bounds       converse/achievability/gain values at one configuration
 simulate     Monte Carlo batch for one strategy at one configuration
 sweep        run a bundled figure preset or a JSON plan file
@@ -31,6 +32,7 @@ from .errors import ValidationError
 from .plan import (
     CAPACITY_COLUMNS,
     ExperimentPlan,
+    MAX_POINTS,
     PRESET_NAMES,
     _point_config,
     _write_rows,
@@ -142,6 +144,10 @@ def _one_point_plan(args, plan_id: str, **kwargs) -> ExperimentPlan:
 
 
 def _cmd_capacity(args) -> int:
+    pairs = len(args.q) * len(args.variance)
+    if pairs > MAX_POINTS:
+        raise ValidationError(f"capacity grid has {pairs} (q, variance) pairs, "
+                              f"more than the cap of {MAX_POINTS}")
     caps = capacity_grid([[q] for q in args.q], args.variance).tolist()
     rows = []
     for q, row in zip(args.q, caps):

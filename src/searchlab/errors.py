@@ -57,11 +57,6 @@ class InvalidAlpha(ValidationError):
     """Section fraction alpha is not of the form 1/s with s | M and s >= 2."""
 
 
-class DegeneratePosterior(SearchLabError):
-    """Posterior update produced non-finite entries (defensive; flooring
-    normally prevents this)."""
-
-
 class SizeOne(ValidationError):
     """Operation undefined on a single-cell posterior."""
 

@@ -30,49 +30,24 @@ gets alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePosterior, SizeOne, ValidationError
-from .model import MAX_CELLS, MeasurementVector
+from .errors import SizeOne
+from .model import MAX_CELLS
 
 LOG_FLOOR_NATS = -1000.0
 LN2 = math.log(2.0)
 # Floats of running sums in one screen block of a window's rows, and in one
-# dense tile of its loud rows' steps, and the cells a step of a tile from
-# which its steps are summed one call a step (`fold_sums`).
+# dense tile of its loud rows' steps (`fold_sums`).
 TILE_CELLS = 1 << 13
 LOUD_CELLS = 4 * TILE_CELLS
-WIDE_STEP = 256
 # The least excess limit - 1 of a stop's normalizer limit that the screen of
 # a window takes (`fold_sums`), so that a limit at or below 1 screens too.
 # A normalizer's float sum can lose up to 2^-53 at each addition on its top
 # term's path, fewer than MAX_CELLS of them: a screen that counts on small
 # terms summing past the limit needs (e - 1) * excess above MAX_CELLS * 2^-53.
 MIN_EXCESS = MAX_CELLS * 2.0 ** -53
-
-
-@dataclass(eq=False)
-class Posterior:
-    """Log-domain posterior over cells (natural log)."""
-
-    log_probs: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.log_probs.size
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
-
-
-def init_uniform(size: int) -> Posterior:
-    """Uniform posterior over `size` cells."""
-    if size < 1:
-        raise ValidationError(f"posterior needs at least one cell, got {size}")
-    return Posterior(log_probs=np.full(size, -math.log(size)))
 
 
 def renormalize_log_probs(lp: np.ndarray) -> float | np.ndarray:
@@ -104,8 +79,7 @@ def update_log_probs(lp: np.ndarray, mask: np.ndarray, y,
     block, y holds one value per row, variance one per row or one for all,
     mask is (rows, M) or one M-mask for every row, and the row maxima are
     returned.  No strategy runs it: the engine folds running sums instead
-    (`fold_step`, `fold_sums`); `bayes_update` and the tests' references
-    do.
+    (`fold_step`, `fold_sums`); the tests' references do.
     """
     llr = (2.0 * y - 1.0) / (2.0 * variance)
     if lp.ndim == 1:
@@ -195,13 +169,12 @@ def fold_sums(sums: np.ndarray, cells: np.ndarray, llr: np.ndarray,
     bounded above limit, only adds its ratios.  The loud rows take every
     step's normalizer, in tiles of at most LOUD_CELLS floats of sums over
     the window (and at least one row), so that several short loud rows share
-    a tile's calls: a row's sums at every step are a cumulative sum of its
-    scattered ratios over the steps, each a float added to the sum before
-    it, the floats it gets alone, one step at a time.  numpy accumulates
-    along the steps at a cost per cell of a step, so a tile with WIDE_STEP
-    cells or more a step adds each step to the last in one call instead.
-    Returns done, the rows that stop, and for each of them the steps it
-    takes in the window, its normalizer and its MAP cell at the stop."""
+    a tile's calls: a row's sums at every step are a running sum of its
+    scattered ratios over the steps, each step added to the last in one
+    call, each a float added to the sum before it, the floats it gets
+    alone, one step at a time.  Returns done, the rows that stop, and for
+    each of them the steps it takes in the window, its normalizer and its
+    MAP cell at the stop."""
     rows, w, _ = cells.shape
     size = sums.shape[1]
     ends = np.zeros(rows, dtype=np.int64)
@@ -220,11 +193,8 @@ def fold_sums(sums: np.ndarray, cells: np.ndarray, llr: np.ndarray,
             c[np.arange(w)[:, None, None], np.arange(idx.size)[:, None],
               cells[idx].transpose(1, 0, 2)] = llr[:, idx, None]
             c[0] += sums[idx]
-            if c[0].size < WIDE_STEP:
-                np.cumsum(c, axis=0, out=c)
-            else:
-                for j in range(1, w):
-                    c[j] += c[j - 1]
+            for j in range(1, w):
+                c[j] += c[j - 1]
             s = normalizers(c)
             stop = s <= limit
             if stop.any():
@@ -295,23 +265,6 @@ def normalizer_limit(log_thresh: float) -> float:
     while -math.log(math.nextafter(s, math.inf)) >= log_thresh:
         s = math.nextafter(s, math.inf)
     return s
-
-
-def bayes_update(rho: Posterior, probed, y: float, variance: float) -> Posterior:
-    """Posterior after observing y from a probe of the given cells.
-
-    `probed` is a MeasurementVector or boolean mask.  Likelihoods are
-    G(y; 1, v) on probed cells and G(y; 0, v) elsewhere.
-    """
-    mask = probed.mask if isinstance(probed, MeasurementVector) else np.asarray(probed, dtype=bool)
-    if mask.shape != rho.log_probs.shape:
-        raise ValidationError(
-            f"probe mask of shape {mask.shape} does not match posterior of shape {rho.log_probs.shape}")
-    lp = rho.log_probs.copy()
-    update_log_probs(lp, mask, y, variance)
-    if not np.all(np.isfinite(lp)):
-        raise DegeneratePosterior("posterior update produced non-finite entries")
-    return Posterior(log_probs=lp)
 
 
 def u_log_probs(lp: np.ndarray) -> float | np.ndarray:

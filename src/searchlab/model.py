@@ -205,31 +205,6 @@ def sections_from_alpha(alpha: float, m: int | None = None) -> int:
     return s
 
 
-@dataclass(eq=False)
-class MeasurementVector:
-    """Probed subset of cells, stored as a boolean mask over the grid."""
-
-    mask: np.ndarray
-    count: int
-
-    @classmethod
-    def from_indices(cls, size: int, indices) -> "MeasurementVector":
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size < 1 or idx.size > size:
-            raise ProbeCountOutOfRange(
-                f"probe of {idx.size} cells outside [1, {size}]")
-        mask = np.zeros(size, dtype=bool)
-        mask[idx] = True
-        return cls(mask=mask, count=int(mask.sum()))
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    def contains(self, cell: int) -> bool:
-        return bool(self.mask[cell])
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one complete search trial.

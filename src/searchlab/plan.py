@@ -66,6 +66,7 @@ class ExperimentPlan:
     the output files), ``eta_frac`` lies in (0, 1), ``n_trials`` is an int,
     not a bool, in [1, MAX_TRIALS], ``master_seed`` is such an int in
     [0, 2**64) (`sim._check_seed`), ``bound_set`` names are BOUND_NAMES,
+    each at most once (a strategy may repeat: each row has its own seed),
     corollary2 needs exactly one swept parameter, B or delta, and the plan
     expands to at most MAX_POINTS points.  Each StrategySpec checks its
     kind and alpha.  Checks that depend on a sweep point (the
@@ -96,9 +97,10 @@ class ExperimentPlan:
                   * max(1, len(self.total_variances)))
         _require(points <= MAX_POINTS,
                  f"plan expands to {points} points, more than the cap of {MAX_POINTS}")
-        for name in self.bound_set:
+        for i, name in enumerate(self.bound_set):
             _require(name in BOUND_NAMES,
                      f"unknown bound {name!r} (expected one of {', '.join(BOUND_NAMES)})")
+            _require(name not in self.bound_set[:i], f"bound {name!r} named twice")
         if "corollary2" in self.bound_set:
             _require(self.swept_params() in (["B"], ["delta"]),
                      "corollary2 needs exactly one swept parameter, B or delta")

@@ -29,8 +29,8 @@ from searchlab.channel import (
     psi,
     solve_a_eta,
 )
-from searchlab.inference import bayes_update, init_uniform, update_log_probs
-from searchlab.model import MeasurementVector, NoiseModel, new_config
+from searchlab.inference import update_log_probs
+from searchlab.model import NoiseModel, new_config
 from searchlab.plan import load_preset, run_plan
 from searchlab.sim import drift_probe, run_trials
 from searchlab.strategies import (
@@ -98,33 +98,38 @@ def test_criterion_03_psi_and_a_eta(acceptance, config16):
 
 
 def test_criterion_04_posterior_engine(acceptance):
+    # 10^6 updates: 400 segments of 2,500 at a random M, v and target, the
+    # segments of one M updated as one (segments, M) block, each row as it
+    # is updated alone (test_block_update_matches_row_by_row)
     rng = np.random.default_rng(MASTER_SEED)
+    segments, steps = 400, 2500
+    ms = rng.integers(2, 65, segments)
+    vs = rng.uniform(0.05, 2.0, segments)
+    targets = rng.integers(0, ms)
     worst_norm = 0.0
-    lp = None
-    for i in range(1_000_000):
-        if i % 2500 == 0:
-            m = int(rng.integers(2, 65))
-            v = float(rng.uniform(0.05, 2.0))
-            target = int(rng.integers(m))
-            lp = np.full(m, -math.log(m))
-        mask = rng.random(lp.size) < 0.5
-        if not mask.any():
-            mask[0] = True
-        x = 1.0 if mask[target] else 0.0
-        y = x + math.sqrt(v) * float(rng.standard_normal())
-        update_log_probs(lp, mask, y, v)
-        worst_norm = max(worst_norm, abs(float(np.exp(lp).sum()) - 1.0))
+    for m in np.unique(ms).tolist():
+        of_m = ms == m
+        v, target = vs[of_m], targets[of_m]
+        rows = np.arange(target.size)
+        sd = np.sqrt(v)
+        lp = np.full((target.size, m), -math.log(m))
+        for _ in range(steps):
+            mask = rng.random(lp.shape) < 0.5
+            mask[~mask.any(axis=1), 0] = True
+            y = mask[rows, target] + sd * rng.standard_normal(target.size)
+            update_log_probs(lp, mask, y, v)
+            worst_norm = max(worst_norm,
+                             float(np.abs(np.exp(lp).sum(axis=1) - 1.0).max()))
 
-    rho = init_uniform(12)
-    lp2 = rho.log_probs + rng.normal(0.0, 2.0, 12)
-    lp2 -= math.log(np.exp(lp2).sum())
-    before = np.exp(lp2).copy()
-    out = bayes_update(type(rho)(log_probs=lp2), rng.random(12) < 0.5, 0.5, 0.3)
-    invariance = float(np.abs(out.probs - before).max())
+    before = rng.normal(0.0, 2.0, 12)
+    before -= math.log(np.exp(before).sum())
+    lp = before.copy()
+    update_log_probs(lp, rng.random(12) < 0.5, 0.5, 0.3)
+    invariance = float(np.abs(np.exp(lp) - np.exp(before)).max())
 
-    two = bayes_update(init_uniform(2), MeasurementVector.from_indices(2, [0]),
-                       1.0, 0.25)
-    pair_err = abs(two.probs[0] - 0.8808)
+    two = np.full(2, -math.log(2.0))
+    update_log_probs(two, np.array([True, False]), 1.0, 0.25)
+    pair_err = abs(math.exp(two[0]) - 0.8808)
 
     ok = worst_norm <= 1e-9 and invariance <= 1e-12 and pair_err <= 1e-4
     assert acceptance(

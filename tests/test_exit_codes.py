@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import searchlab
+import searchlab.cli as cli_mod
 import searchlab.plan as plan_mod
 from searchlab import bounds, errors
 from searchlab.channel import optimal_composition, solve_a_eta
@@ -34,8 +36,7 @@ VALIDATION = {"ValidationError", "ParseError", "InvalidEpsilon",
               "NonIntegerLocationCount", "InvalidNoiseModel",
               "NonMonotoneNoise", "InvalidAlpha", "NoFeasibleAlpha",
               "EtaTooLarge", "ProbeCountOutOfRange", "SizeOne"}
-RUNTIME = {"StepLimitExceeded", "QuadratureNonConvergence", "NoRootInBracket",
-           "DegeneratePosterior"}
+RUNTIME = {"StepLimitExceeded", "QuadratureNonConvergence", "NoRootInBracket"}
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                  if issubclass(cls, errors.SearchLabError)]
 BOUNDS = ["bounds", "--B", "16", "--delta", "1", "--sigma2", "0.25",
@@ -329,6 +330,11 @@ ROUTES = {
                      ["bounds", *ONE_POINT, "--bound-set", "lemma3"], None,
                      lambda: dataclasses.replace(_good_plan(),
                                                  bound_set=("lemma3",))),
+    "bound=lemma1_twice": ({"bound_set": ["lemma1", "lemma1"]},
+                           ["bounds", *ONE_POINT, "--bound-set", "lemma1,lemma1"],
+                           None,
+                           lambda: dataclasses.replace(
+                               _good_plan(), bound_set=("lemma1", "lemma1"))),
     "corollary2_at_one_point": (
         {"bound_set": ["corollary2"]},
         ["bounds", *ONE_POINT, "--bound-set", "corollary2"], None,
@@ -475,6 +481,27 @@ def test_plan_past_the_point_cap_exits_two(tmp_path, monkeypatch, kind):
 def test_plan_at_the_point_cap_is_accepted(kind):
     plan = plan_mod.parse_plan(json.dumps(_plan_of_points(kind, plan_mod.MAX_POINTS)))
     assert plan.id == "t"
+
+
+def test_repeated_strategy_is_accepted():
+    doc = {**GOOD_PLAN, "strategies": [{"kind": "sorted_pm"}] * 2}
+    assert len(plan_mod.parse_plan(json.dumps(doc)).strategies) == 2
+
+
+def test_capacity_grid_past_the_point_cap_exits_two(tmp_path, monkeypatch):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("an oversized grid was evaluated")
+
+    monkeypatch.setattr(cli_mod, "capacity_grid", evaluated)
+    cap = plan_mod.MAX_POINTS
+    n = math.isqrt(cap) + 1
+    assert (n - 1) ** 2 <= cap < n * (n - 1)  # one q fewer would fit
+    argv = ["capacity", *(f"--q={(i + 1) / (n + 1)}" for i in range(n)),
+            *(f"--variance={1 + i}" for i in range(n - 1))]
+    rc, err, made = _refusal(tmp_path, "capacity", argv)
+    assert (rc, made) == (2, False)
+    assert err == (f"error: capacity grid has {n * (n - 1)} (q, variance) "
+                   f"pairs, more than the cap of {cap}\n")
 
 
 def test_failed_bounds_leave_no_sim_file(tmp_path):

@@ -7,87 +7,46 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from searchlab.errors import DegeneratePosterior, SizeOne
+from searchlab.errors import SizeOne
 from searchlab.inference import (
     LOG_FLOOR_NATS,
     MIN_EXCESS,
-    Posterior,
     _cell_ratios,
-    bayes_update,
     fold_step,
     fold_sums,
-    init_uniform,
     normalizer_limit,
     quiet_rows,
     renormalize_log_probs,
     u_log_probs,
     update_log_probs,
 )
-from searchlab.model import MeasurementVector
 
 TWO_CELL_GOLDEN = 0.88079707797788244  # logistic(2) = 1/(1+e^-2)
 U_POINT_NINE = 2.5359400011538499      # (0.9-0.1)*log2(9)
 
 
-def posterior_from(probs) -> Posterior:
+def log_probs_from(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
-    return Posterior(log_probs=np.log(p / p.sum()))
+    return np.log(p / p.sum())
 
 
-class TestInitUniform:
-    def test_four_cells(self):
-        rho = init_uniform(4)
-        np.testing.assert_allclose(rho.probs, 0.25, rtol=1e-15)
-
-    def test_single_cell(self):
-        rho = init_uniform(1)
-        assert rho.probs[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_uniform_sixteen_u_value(self):
-        # every cell has odds (1/16)/(15/16), so U = -log2(15)
-        assert u_log_probs(init_uniform(16).log_probs) == pytest.approx(
-            -math.log2(15.0), abs=1e-12)
-
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValueError):
-            init_uniform(0)
+def uniform(size: int) -> np.ndarray:
+    return np.full(size, -math.log(size))
 
 
-class TestBayesUpdate:
+class TestUpdateLogProbs:
     def test_two_cell_golden(self):
-        rho = init_uniform(2)
-        probed = MeasurementVector.from_indices(2, [0])
-        out = bayes_update(rho, probed, y=1.0, variance=0.25)
-        assert out.probs[0] == pytest.approx(TWO_CELL_GOLDEN, abs=1e-4)
-        assert out.probs[1] == pytest.approx(1 - TWO_CELL_GOLDEN, abs=1e-4)
+        lp = uniform(2)
+        update_log_probs(lp, np.array([True, False]), 1.0, 0.25)
+        assert math.exp(lp[0]) == pytest.approx(TWO_CELL_GOLDEN, abs=1e-4)
+        assert math.exp(lp[1]) == pytest.approx(1 - TWO_CELL_GOLDEN, abs=1e-4)
 
     def test_uninformative_observation_is_identity(self):
         # y = 1/2 carries zero log-likelihood ratio
-        rho = posterior_from([0.4, 0.35, 0.15, 0.1])
-        probed = MeasurementVector.from_indices(4, [0, 2])
-        out = bayes_update(rho, probed, y=0.5, variance=0.3)
-        np.testing.assert_allclose(out.probs, rho.probs, atol=1e-12)
-
-    def test_accepts_plain_boolean_mask(self):
-        rho = init_uniform(3)
-        out = bayes_update(rho, np.array([True, False, False]), 1.0, 0.5)
-        assert out.probs[0] > out.probs[1]
-
-    def test_mask_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            bayes_update(init_uniform(3), np.array([True, False]), 1.0, 0.5)
-
-    def test_non_finite_observation_rejected(self):
-        rho = init_uniform(4)
-        probed = MeasurementVector.from_indices(4, [1])
-        with pytest.raises(DegeneratePosterior):
-            bayes_update(rho, probed, float("nan"), 0.25)
-
-    def test_original_posterior_untouched(self):
-        rho = init_uniform(4)
-        before = rho.probs.copy()
-        bayes_update(rho, MeasurementVector.from_indices(4, [0]), 2.0, 0.1)
-        np.testing.assert_array_equal(rho.probs, before)
+        before = log_probs_from([0.4, 0.35, 0.15, 0.1])
+        lp = before.copy()
+        update_log_probs(lp, np.array([True, False, True, False]), 0.5, 0.3)
+        np.testing.assert_allclose(np.exp(lp), np.exp(before), atol=1e-12)
 
     @given(
         probs=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=32),
@@ -96,21 +55,20 @@ class TestBayesUpdate:
         bits=st.integers(1, 2**31 - 1),
     )
     def test_normalization_property(self, probs, y, v, bits):
-        rho = posterior_from(probs)
+        lp = log_probs_from(probs)
         mask = np.array([(bits >> (i % 31)) & 1 == 1 for i in range(len(probs))])
         if not mask.any():
             mask[0] = True
-        out = bayes_update(rho, mask, y, v)
-        assert abs(out.probs.sum() - 1.0) <= 1e-12
-        assert np.all(out.log_probs >= LOG_FLOOR_NATS - 1e-9)
+        update_log_probs(lp, mask, y, v)
+        assert abs(np.exp(lp).sum() - 1.0) <= 1e-12
+        assert np.all(lp >= LOG_FLOOR_NATS - 1e-9)
 
     def test_extreme_observations_hit_floor_but_stay_normalized(self):
-        rho = init_uniform(8)
-        probed = MeasurementVector.from_indices(8, [0])
-        out = bayes_update(rho, probed, y=300.0, variance=0.1)
-        assert abs(out.probs.sum() - 1.0) <= 1e-12
-        assert out.log_probs.min() == pytest.approx(LOG_FLOOR_NATS, abs=1e-6)
-        assert np.isfinite(u_log_probs(out.log_probs))
+        lp = uniform(8)
+        update_log_probs(lp, np.arange(8) == 0, 300.0, 0.1)
+        assert abs(np.exp(lp).sum() - 1.0) <= 1e-12
+        assert lp.min() == pytest.approx(LOG_FLOOR_NATS, abs=1e-6)
+        assert np.isfinite(u_log_probs(lp))
 
 
 class TestRowUpdates:
@@ -431,23 +389,27 @@ class TestFoldSums:
 
 class TestUFunctional:
     def test_point_nine_golden(self):
-        assert u_log_probs(posterior_from([0.9, 0.1]).log_probs) == pytest.approx(
+        assert u_log_probs(log_probs_from([0.9, 0.1])) == pytest.approx(
             U_POINT_NINE, abs=1e-12)
+
+    def test_uniform_sixteen_u_value(self):
+        # every cell has odds (1/16)/(15/16), so U = -log2(15)
+        assert u_log_probs(uniform(16)) == pytest.approx(-math.log2(15.0), abs=1e-12)
 
     def test_single_cell_rejected(self):
         with pytest.raises(SizeOne):
-            u_log_probs(init_uniform(1).log_probs)
+            u_log_probs(np.zeros(1))
 
     def test_increases_with_concentration(self):
-        seq = [posterior_from([0.5, 0.5]), posterior_from([0.7, 0.3]),
-               posterior_from([0.9, 0.1]), posterior_from([0.999, 0.001])]
-        us = [u_log_probs(r.log_probs) for r in seq]
+        seq = [log_probs_from([0.5, 0.5]), log_probs_from([0.7, 0.3]),
+               log_probs_from([0.9, 0.1]), log_probs_from([0.999, 0.001])]
+        us = [u_log_probs(lp) for lp in seq]
         assert all(a < b for a, b in zip(us, us[1:]))
 
     def test_matches_direct_formula_away_from_saturation(self):
         p = np.array([0.35, 0.25, 0.2, 0.15, 0.05])
         direct = float(np.sum(p * np.log2(p / (1 - p))))
-        assert u_log_probs(posterior_from(p).log_probs) == pytest.approx(direct, abs=1e-12)
+        assert u_log_probs(log_probs_from(p)) == pytest.approx(direct, abs=1e-12)
 
     def test_finite_at_floor_saturation(self):
         # winner at ~certainty, every loser at the log floor

@@ -14,7 +14,6 @@ from searchlab.errors import (
 )
 from searchlab.model import (
     MAX_CELLS,
-    MeasurementVector,
     NoiseModel,
     TrialRecord,
     new_config,
@@ -158,20 +157,6 @@ class TestVariance:
         assert config16.variance_at(0.5) == pytest.approx(0.125)
         with pytest.raises(ProbeCountOutOfRange):
             config16.variance_at(0.0)
-
-
-class TestMeasurementVector:
-    def test_from_indices_builds_mask(self):
-        mv = MeasurementVector.from_indices(8, [1, 3, 3])
-        assert mv.count == 2
-        assert list(mv.indices) == [1, 3]
-        assert mv.contains(3) and not mv.contains(0)
-
-    def test_empty_or_oversized_probe_rejected(self):
-        with pytest.raises(ProbeCountOutOfRange):
-            MeasurementVector.from_indices(4, [])
-        with pytest.raises(ProbeCountOutOfRange):
-            MeasurementVector.from_indices(2, [0, 1, 1, 0, 1])
 
 
 class TestRecords:

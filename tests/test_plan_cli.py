@@ -131,6 +131,8 @@ class TestParsePlan:
     def test_bound_set_validation(self):
         with pytest.raises(ValidationError, match="unknown bound"):
             parse_plan(plan_doc(bound_set=["lemma3"]))
+        with pytest.raises(ValidationError, match="^bound 'lemma1' named twice$"):
+            parse_plan(plan_doc(bound_set=["lemma1", "lemma2", "lemma1"]))
 
     def test_corollary2_needs_a_width_or_resolution_sweep(self):
         with pytest.raises(ValidationError, match="corollary2"):
@@ -751,6 +753,15 @@ class TestCli:
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_public_api_names_resolve(self):
+        names = searchlab.__all__
+        assert len(set(names)) == len(names)
+        missing = [name for name in names if not hasattr(searchlab, name)]
+        assert missing == []
+        star = {}
+        exec("from searchlab import *", star)
+        assert set(names) <= set(star)
 
     def test_runs_load_no_numpy_ma(self, tmp_path):
         # numpy.ma, which some numpy functions (np.unique) import lazily, adds
