@@ -504,6 +504,24 @@ def test_capacity_grid_past_the_point_cap_exits_two(tmp_path, monkeypatch):
                    f"pairs, more than the cap of {cap}\n")
 
 
+def test_capacity_grid_at_the_point_cap_is_evaluated(monkeypatch):
+    class Evaluated(Exception):
+        pass
+
+    def evaluated(qs, variances):
+        raise Evaluated(len(qs) * len(variances))
+
+    monkeypatch.setattr(cli_mod, "capacity_grid", evaluated)
+    cap = plan_mod.MAX_POINTS
+    n = math.isqrt(cap // 2)
+    assert 2 * n * n == cap
+    argv = ["capacity", *(f"--q={(i + 1) / (2 * n + 1)}" for i in range(2 * n)),
+            *(f"--variance={1 + i}" for i in range(n))]
+    with pytest.raises(Evaluated) as exc:
+        cli_mod._cmd_capacity(cli_mod.build_parser().parse_args(argv))
+    assert exc.value.args == (cap,)
+
+
 def test_failed_bounds_leave_no_sim_file(tmp_path):
     # sims at M = 1 succeed, lemma2 there is refused: nothing is written
     doc = {**GOOD_PLAN, "B": 1, "bound_set": ["lemma2"]}

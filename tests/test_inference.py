@@ -70,6 +70,21 @@ class TestUpdateLogProbs:
         assert lp.min() == pytest.approx(LOG_FLOOR_NATS, abs=1e-6)
         assert np.isfinite(u_log_probs(lp))
 
+    def test_updates_in_place_and_returns_the_new_maximum(self):
+        lp = log_probs_from([0.4, 0.35, 0.15, 0.1])
+        before = lp.copy()
+        top = update_log_probs(lp, np.array([False, True, False, False]), 1.2, 0.5)
+        assert top == lp.max() == lp[1]
+        assert not np.array_equal(lp, before)
+
+    @pytest.mark.parametrize("probed", [False, True], ids=["no_cell", "every_cell"])
+    def test_probe_of_no_cell_or_every_cell_is_identity(self, probed):
+        # the ratio on every cell or on none cancels in normalization
+        before = log_probs_from([0.4, 0.35, 0.15, 0.1])
+        lp = before.copy()
+        update_log_probs(lp, np.full(4, probed), 2.5, 0.2)
+        np.testing.assert_allclose(np.exp(lp), np.exp(before), atol=1e-12)
+
 
 class TestRowUpdates:
     def test_block_update_matches_row_by_row(self):
@@ -344,6 +359,35 @@ class TestFoldSums:
         assert screen(sums, cells, llr, limit).tolist() == [False]
         got = fold_sums(sums, cells, llr, limit)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    @pytest.mark.parametrize("rows,size,w", [(40, 4, 3), (300, 64, 8), (5, 4096, 2)],
+                             ids=["narrow_tile", "many_tiles", "row_a_block"])
+    def test_loud_tiles_match_stepwise_reference(self, rows, size, w):
+        # blocks of every width a step: a tile of fewer than 256 cells a
+        # step, screen blocks and loud tiles of many rows each, and screen
+        # blocks of two rows; quiet, loud and stopping rows in each
+        rng = np.random.default_rng(rows * size + w)
+        spread = rng.uniform(0.0, 12.0, rows)[:, None]
+        sums = rng.normal(0.0, 1.0, (rows, size)) * spread
+        sums[:, 0] += spread[:, 0]
+        v = rng.uniform(0.05, 2.0, rows)
+        llr = (2.0 * rng.normal(0.5, 1.0, (w, rows)) - 1.0) / (2.0 * v)
+        # every third row ties its top two cells and barely moves: quiet
+        tied = np.arange(rows) % 3 == 0
+        sums[tied, :2] = sums[tied].max(axis=1, keepdims=True)
+        llr[:, tied] *= 1e-3
+        cells = random_cells(rng, rows, w, size, max(1, size // 2))
+        limit = normalizer_limit(math.log1p(-0.2))
+        want_sums = sums.copy()
+        want = stepwise_fold(want_sums, cells, llr, limit)
+        quiet = screen(sums, cells, llr, limit)
+        assert 0 < want[0].sum() < rows and quiet.any() and not quiet.all()
+        done, ends, norms, tops = fold_sums(sums, cells, llr, limit)
+        assert sums.tobytes() == want_sums.tobytes()
+        assert done.tolist() == want[0].tolist()
+        assert ends.tolist() == want[1].tolist()
+        assert norms.tobytes() == want[2].tobytes()
+        assert tops.tolist() == want[3].tolist()
 
     def test_normalized_sums_match_renormalized_posterior(self):
         # 10^6 row-steps in blocks of 1,000 rows, criterion 4's draws a

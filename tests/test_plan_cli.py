@@ -763,6 +763,15 @@ class TestCli:
         exec("from searchlab import *", star)
         assert set(names) <= set(star)
 
+    def test_object_posterior_api_is_gone(self):
+        # the running sums are the one posterior path: no object API beside it
+        gone = {"Posterior", "init_uniform", "bayes_update", "MeasurementVector",
+                "DegeneratePosterior", "WIDE_STEP"}
+        assert not gone & set(searchlab.__all__)
+        for module in (searchlab, searchlab.errors, searchlab.inference,
+                       searchlab.model):
+            assert not gone & set(vars(module)), module.__name__
+
     def test_runs_load_no_numpy_ma(self, tmp_path):
         # numpy.ma, which some numpy functions (np.unique) import lazily, adds
         # about 1.3 MB to a process: no simulation or drift probe loads it
