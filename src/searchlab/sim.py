@@ -301,7 +301,8 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     are kept, and they are added up in run order: the memory does not
     grow with n_steps.  The one run that the n_steps-th increment falls
     in is counted up to it, from its sums if it stopped there, else from
-    a run of it alone cut there.
+    a run of it alone cut there.  Sums past the floats, at a vanishing
+    variance, raise ValidationError after the block that reached them.
 
     The report carries the matching capacity floor: C(q*, v(q*)) for fixed
     composition, C(1/2, v(M/2)) for sorted-PM.  Terminal increments are
@@ -350,6 +351,9 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
             total_sq += b
             counted += min(t, left)
         first += rows
+        if not math.isfinite(total_sq):  # a sum past the floats puts a square past it
+            raise ValidationError(f"the drift's sums at sigma2={config.sigma2!r} are "
+                                  f"out of floating-point range")
     mean = total / n_steps
     se = math.sqrt(max(0.0, (total_sq - total * mean) / (n_steps - 1)) / n_steps)
     return DriftReport(strategy_id=kind, n_steps=n_steps, mean_drift=mean,
@@ -398,8 +402,9 @@ def _drift_rows(kind: str, config: SearchConfig, gens: list,
         u = u_log_probs(shifted - np.array([math.log(x) for x in s.tolist()])[:, None])
         d = u - u_prev
         u_prev = u
-        sums[live] += d
-        squares[live] += d * d
+        with np.errstate(over="ignore"):  # refused by drift_probe
+            sums[live] += d
+            squares[live] += d * d
         taken[live] = step
         ended = s <= limit
         stopped[live[ended]] = True

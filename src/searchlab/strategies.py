@@ -43,22 +43,20 @@ reads each half's mass from one cell, since every cell of a half holds
 the same value, and stops level by level.  A sequential level folds a
 window of normals as a cumulative sum of the probed half's ratios and ends
 at its first step past the test, and a row reads the rest of the window
-under its next level; a fixed level is one step of many observations
-summed into one ratio a row and added on its mask.  A sequential
+under its next level; a fixed level of r observations at variance v is
+one step that observes their mean, one observation at variance v/r whose
+ratio has the law of their sum's, and adds it on the mask.  A sequential
 bisection draws its normals in chunks of 2 CHUNK steps, so its windows,
 which run to the chunk's end, take half as many calls.
 
 Every draw from a trial generator is made here, through a block's `Draws`:
-targets (`draw_targets`), then observations, one or a fixed level's many
-per row (`observe`).  One normal a step is read from a chunk of CHUNK
-drawn in one call, the same floats as one call each.  A fixed level draws
-the r normals of each row of equal r into one block, a tile of at most
-CHUNK_CELLS normals at a time, each row in one call into its row of the
-tile, and takes the ratios and each row's sum in one pass a tile.  Fixed
-composition draws its probe sets from a second stream per trial, derived
-from the trial generator before the target draw without drawing from it:
-the PCG64 jump of the trial state, a copy of it advanced by JUMP, as
-`bit_generator.jumped()` gives it (`picks_streams`).  It draws them a chunk
+targets (`draw_targets`), then observations, one normal a row a step under
+every rule (`observe`), read from a chunk of CHUNK drawn in one call, the
+same floats as one call each.  Fixed composition draws its probe sets
+from a second stream per trial, derived from the trial generator before
+the target draw without drawing from it: the PCG64 jump of the trial
+state, a copy of it advanced by JUMP, as `bit_generator.jumped()` gives it
+(`picks_streams`).  It draws them a chunk
 of 4 CHUNK steps at a time (`pick_cells`).  A probe set is a partial
 Fisher-Yates shuffle, and one whose swap targets are pairwise distinct has
 its targets as its cells: a single cell is its target, a pair runs the
@@ -297,36 +295,54 @@ def sorted_pm_mask(weights: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
 
 
 def _check_reachable(spec: StrategySpec, config: SearchConfig) -> None:
-    """Refuse, before any draw, a threshold stop that no trial can reach
-    within STEP_LIMIT steps.
+    """Refuse, before any draw, a stop that no trial can reach within
+    STEP_LIMIT steps.
 
-    A row stops once its normalizer sum_j exp(c_j - max c), summed in
-    floats over at most M + 1 terms each within u = 2^-53 of its value,
-    is at most limit: so once every other cell trails the top one by a
-    lead of G = -log(limit - 1 + 4(M + 1)u) nats at least.  The lead starts
-    at 0 (the uniform prior) and one step moves it by at most one ratio
-    |(2y - 1)/(2v)| <= (1 + 2 sqrt(v) |z|)/(2v), largest at the least
-    variance v(1), and |z| <= NORMAL_BOUND.  A config where STEP_LIMIT such
-    steps fall short of G raises StepLimitExceeded here, as its first
-    trial would at STEP_LIMIT.  Two-stage's stages, at eps/2, need a longer
-    lead than G.  The bisection kinds stop on tests of their own, and a
-    one-stage search whose uniform prior already meets the threshold takes
-    no step; both are left to the engine's limit."""
-    eps = config.epsilon
-    if spec.kind in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE) or (
-            spec.kind != TWO_STAGE
-            and not (config.M > 1 and -math.log(config.M) < math.log1p(-eps))):
+    A stop needs a lead of a row's top cell, or half, over another, and a
+    step moves it by at most one ratio (1 + 2 sqrt(v) |z|)/(2v), |z| <=
+    NORMAL_BOUND.  A lead is the difference of two float sums of ratios,
+    each off by at most STEP_LIMIT u (u = 2^-53) times the sum of its terms'
+    sizes, so STEP_LIMIT steps build at most STEP_LIMIT (1 + 2 sqrt(v) Z)
+    /(2v) (1 + 4 STEP_LIMIT u), the ratios' own rounding included.  A config where that falls short
+    of the lead G raises StepLimitExceeded here, as its first trial would.
+
+    A threshold stop, from a uniform prior at the least variance v(1),
+    needs G = -log(limit - 1 + 4(M + 1)u): its normalizer, summed in floats
+    over at most M + 1 terms each within u, must be at most limit.
+    Two-stage's stages, at eps/2, need more, and a one-stage search whose
+    prior meets the threshold takes no step.  A sequential bisection's
+    first level probes h1 = ceil(M/2) cells at v(h1) and ends once a half
+    leads by log((1 - s)/s), s = eps/log2 M capped at 1/2, from log(h1/h2).
+    With E = 16u(35 + log M), a lead short of
+    G = -log(expm1(E - log1p(-s))) - |log(h1/h2)| - E < 34 keeps the test's
+    terms below 34 + log M, so the test and the lead read within E of
+    their exact values, and the test fails.  A fixed bisection's levels
+    are refused by their counts (`_bisection_rule`)."""
+    eps, m = config.epsilon, config.M
+    u = 2.0 ** -53
+    if spec.kind == NOISY_BINARY_VARIABLE and m > 1:
+        share = min(eps / math.log2(m), 0.5)
+        probed = (m + 1) // 2
+        slack = 16.0 * u * (35.0 + math.log(m))
+        lead = (-math.log(math.expm1(slack - math.log1p(-share)))
+                - abs(math.log(probed / (m - probed))) - slack)
+        goal = "pass its first level"
+    elif spec.kind == TWO_STAGE or (
+            spec.kind not in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE)
+            and m > 1 and -math.log(m) < math.log1p(-eps)):
+        limit = normalizer_limit(math.log1p(-eps))
+        lead = -math.log(limit - 1.0 + 4.0 * (m + 1) * u)
+        probed, goal = 1, "reach its threshold"
+    else:
         return
-    limit = normalizer_limit(math.log1p(-eps))
-    lead = -math.log(limit - 1.0 + 4.0 * (config.M + 1) * 2.0 ** -53)
-    v = config.noise_variance(1)
-    # STEP_LIMIT (1 + 2 sqrt(v) Z) / (2v) < G, with a relative 1e-9 for the
-    # rounding of the sums; an overflow of 2v G reads as refused
-    if STEP_LIMIT * (1.0 + 2.0 * math.sqrt(v) * NORMAL_BOUND) * (1.0 + 1e-9) \
-            < 2.0 * v * lead:
+    v = config.noise_variance(probed)
+    # STEP_LIMIT (1 + 2 sqrt(v) Z) / (2v) < G, with the sums' rounding; an
+    # overflow of 2v G reads as refused
+    if STEP_LIMIT * (1.0 + 2.0 * math.sqrt(v) * NORMAL_BOUND) \
+            * (1.0 + 4.0 * STEP_LIMIT * u) < 2.0 * v * lead:
         raise StepLimitExceeded(
-            f"noise variance v(1) = {v!r} is too large: no trial can reach "
-            f"its threshold within {STEP_LIMIT} steps")
+            f"noise variance v({probed}) = {v!r} is too large: no trial can "
+            f"{goal} within {STEP_LIMIT} steps")
 
 
 def _step_limit(label: str, first_trial: int | None = None,
@@ -345,12 +361,11 @@ class Draws:
     the chunk does (`window`); `ahead` gives its normals and the engine
     marks them read a step at a time, so a row that retires keeps the
     normals it did not reach in spare, indexed by its row in the block,
-    for a second stage to read first.  A fixed level's normals are drawn
-    when observed, so a rule observes one or the other.  With picks, each
-    row also gets a picks stream, the PCG64 jump of the trial generator's
-    state now, before the target draw (`picks_streams`); `pick` reads a
-    window's probe sets from a chunk of steps that every row draws at once,
-    4 CHUNK steps, at most CHUNK_CELLS cells in all."""
+    for a second stage to read first.  With picks, each row also gets a
+    picks stream, the PCG64 jump of the trial generator's state now, before
+    the target draw (`picks_streams`); `pick` reads a window's probe sets
+    from a chunk of steps that every row draws at once, 4 CHUNK steps, at
+    most CHUNK_CELLS cells in all."""
 
     def __init__(self, gens: list, picks: bool = False,
                  normal_chunk: int | None = None, carry: list | None = None):
@@ -438,37 +453,13 @@ def probe_noise(v):
     return np.sqrt(v), 2.0 * v
 
 
-def observe(hit: np.ndarray, noise: tuple, draws: Draws,
-            reps: np.ndarray | None = None) -> np.ndarray:
+def observe(hit: np.ndarray, noise: tuple, draws: Draws) -> np.ndarray:
     """Log-likelihood ratios (2y - 1)/(2v), (w, rows), of each live row's
     observations y = hit + sqrt(v) z over a window of w steps, given the
     hits (w, rows) and the probes' noise (sqrt(v), 2v), one pair for all
     rows or one a row (`log_ratios`).  z are the rows' next normals
-    (`Draws.ahead`); with reps (w = 1), reps[i] normals that row i draws
-    now, whose ratios are summed into one.
-
-    A fixed level draws the rows of each distinct r into one block (rows,
-    r), a tile of at most CHUNK_CELLS normals (and at least one row) at a
-    time, each row in one call into its row of the tile: the values, and
-    the generator state, of r normals drawn alone.  A row's ratios are
-    summed along its C-contiguous row, numpy's pairwise sum, the float of
-    summing them alone."""
-    if reps is None:
-        return log_ratios(hit, noise, draws.ahead(hit.shape[0]))
-    sd, twice_v = noise
-    llr = np.empty((1, reps.size))
-    for r in sorted(set(reps.tolist())):
-        rows = (reps == r).nonzero()[0]
-        tile = max(1, CHUNK_CELLS // r)
-        for first in range(0, rows.size, tile):
-            part = rows[first:first + tile]
-            z = np.empty((part.size, r))
-            for row, i in zip(z, part.tolist()):
-                draws.gens[i].standard_normal(out=row)
-            llr[0, part] = log_ratios(hit[0, part, None],
-                                      (sd[part, None], twice_v[part, None]),
-                                      z).sum(axis=1)
-    return llr
+    (`Draws.ahead`); a fixed bisection level reads one, at variance v/r."""
+    return log_ratios(hit, noise, draws.ahead(hit.shape[0]))
 
 
 def probe_hits(probed: np.ndarray, hit_cell: np.ndarray) -> np.ndarray:
@@ -503,7 +494,7 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     window of w steps (rows, w, k), k distinct cells a row a step; or, from
     a rule with its own settle, sets (rows, w, size) whose w alone the
     engine reads.  reps is None for one observation per row a step, else
-    each row's count of observations, folded into one update.
+    each row's count of the observations its one step stands for.
 
     settle None is the threshold stop: a row retires once one cell holds
     posterior mass 1 - eps, tested on each step's normalizer; it starts
@@ -520,8 +511,7 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     steps each takes in the window (one for all in a window of one step),
     dropping them from its state; its probe hands over the sets its rows
     start the window with.  A row's steps are its observations; a step
-    that would take a row past STEP_LIMIT raises before it is observed: a
-    fixed level's normals are never drawn past it.
+    that would take a row past STEP_LIMIT raises before it is observed.
 
     A target outside [0, size) is never hit (a failed first stage, under a
     threshold rule): that row still stops, on a wrong cell.  Each row sees
@@ -729,11 +719,14 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     that passes the test, and the row's remaining normals in the window
     are read again under its next level.  A row that reaches one cell
     retires at its own step.  Fixed levels: a step is a whole level of
-    r = max(1, ceil(4 v z^2)) observations per row, folded into one update,
-    and every level ends; z = Q^{-1}(epsilon/log2 M), so that one level
-    errs with probability at most epsilon/log2 M.  A level's terms (`_level`)
-    depend on its window's length alone, but for its mid, lo plus the first
-    half's length, so the rule keeps them per length.
+    r = max(1, ceil(4 v z^2)) observations per row, and every level ends;
+    z = Q^{-1}(epsilon/log2 M), so that one level errs with probability at
+    most epsilon/log2 M.  Their ratios sum to r(2 hit - 1)/(2v) +
+    sqrt(r/v) N(0, 1), the ratio of one observation of their mean at
+    variance v/r, so a level reads one normal a row and counts r steps.  A
+    level's terms (`_level`) depend on its window's length alone, but for
+    its mid, lo plus the first half's length, so the rule keeps them per
+    length.
 
     Windows nest, the sums start at zero, and an update adds the same llr
     to every cell of a half, with no shift or clamp, so every cell of a
@@ -769,7 +762,6 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     cols = np.arange(m)
 
     def probe(weights, step, draws):
-        # a fixed level draws its normals when observed, never a chunk
         w = 1 if fixed else draws.window(1)
         sets = np.broadcast_to(masks[:, None], (masks.shape[0], w, m))
         return sets, None, ints[3] if fixed else None  # settle observes
@@ -817,8 +809,8 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         lo, _, mid, reps = ints
         rows = np.arange(lo.size)
         if fixed:  # every level ends after its one step
-            llr = observe(masks[rows, hit_cell][None], probe_noise(flts[0]),
-                          draws, reps)
+            llr = observe(masks[rows, hit_cell][None], probe_noise(flts[0] / reps),
+                          draws)
             # a masked add, not add_ratios: at a subnormal variance a ratio
             # is infinite, and mask * ratio is NaN off the mask
             np.add(lp, llr[0, :, None], out=lp, where=masks)

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -576,6 +577,25 @@ def test_subnormal_variance_drift_probe_exits_two():
                        "--steps", "10000"])
     assert rc == 2
     assert err.startswith("error: noise variance v(1) = ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("kind, sigma2", [("sorted_pm", "1e-300"),
+                                          ("fixed_composition", "1e-200")])
+def test_drift_sums_past_the_floats_exit_two(kind, sigma2):
+    # the increments' squares overflow: the report is refused, where it
+    # read se = 0.0, at the first block of runs, not after 10^7 steps
+    b = "2" if kind == "sorted_pm" else "16"
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = run(["drift-probe", "--B", b, "--delta", "1", "--sigma2", sigma2,
+                       "--epsilon", "1e-4", "--strategy", kind,
+                       "--steps", "10000000"])
+    assert time.perf_counter() - start < 10.0
+    assert rc == 2
+    assert err == (f"error: the drift's sums at sigma2={float(sigma2)!r} are out "
+                   f"of floating-point range\n")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

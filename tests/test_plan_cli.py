@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -161,6 +162,45 @@ class TestParsePlan:
                                    "epsilon": 0.01}))
 
 
+# SHA-256 of every file that run_plan(load_preset(name), out, workers=1)
+# writes: the presets' bytes are a contract, so a change to them must be
+# recorded here.  Recorded when a fixed bisection level became one
+# observation of the mean of its r, which moved fig4's noisy_binary_fixed
+# err_rate at sigma2 = 0.0625 and 0.125 (0.0005 -> 0.0).
+PRESET_SHA256 = {
+    "fig3": {
+        "fig3_capacity_vs_probe_size_capacity.csv":
+            "45b7069335d0f39d0ecfc21be937fe0c616d09fa04c6dd541ec4f30398585f59",
+    },
+    "fig4": {
+        "fig4_strategies_vs_sigma2_bounds.csv":
+            "3033a518c03eca8ff69bf952573b492b72e2286cf7746e4f6dfb6c128b8c34c2",
+        "fig4_strategies_vs_sigma2_sim.csv":
+            "6e225535cb45317b03511df0bb106f150db197ed9cc0a2974a417e37a391a8e8",
+    },
+    "fig5": {
+        "fig5_scaling_in_width_bounds.csv":
+            "f66544e5b033f611bf559a217e80943a83799c11483a31be50fb6f5ea6b5110e",
+        "fig5_scaling_in_width_sim.csv":
+            "6912892e8169731331365ff4ad70027b5ac526aecabe6024cb0998d7c8bceff2",
+    },
+    "fig6": {
+        "fig6_scaling_in_resolution_bounds.csv":
+            "e114fe894cc0e5f805dffd16e0b2ebb7a05f718a0482609ea38eda8a1420bfa5",
+        "fig6_scaling_in_resolution_sim.csv":
+            "66d98f4f014d44e488e16eca3f5b17310af1b2fa60cda17d90cab9c50ae519b6",
+    },
+    "fig7": {
+        "fig7_capacity_flatness_capacity.csv":
+            "5b5feb28b7d31809110d15442bb813e29d11c4d3cad976de8666b8369d79eff2",
+    },
+    "fig8": {
+        "fig8_general_noise_gain_bounds.csv":
+            "03273469b36c8b10dbe218995269f08157997891160ef6826cc4a6126301187c",
+    },
+}
+
+
 class TestPresets:
     def test_all_presets_parse(self):
         for name in PRESET_NAMES:
@@ -205,6 +245,13 @@ class TestPresets:
         plan = load_preset("fig7")
         assert plan.capacity_mode == "half_input"
         assert plan.total_variances == (0.005, 0.05, 0.5)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_files_match_recorded_bytes(self, tmp_path, name):
+        paths = run_plan(load_preset(name), tmp_path, workers=1)
+        got = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+               for p in paths}
+        assert got == PRESET_SHA256[name]
 
     def test_every_preset_runs_and_stays_finite(self, tmp_path):
         # scaled-down trial counts; finiteness of every reported mean is
@@ -607,6 +654,23 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: noise variance v(1) = 1e+300 is too large: no trial can "
             "reach its threshold within 10000000 steps\n")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_unreachable_first_bisection_level_exits_three_at_once(self, tmp_path,
+                                                                   capsys):
+        # a ratio at v(8) = 8e300 moves the probed half by about 1e-149, so
+        # no trial can end its first level within STEP_LIMIT steps: the
+        # batch is refused before it runs, where it ran for seconds into
+        # the limit
+        start = time.perf_counter()
+        rc = main(["simulate", "--B", "16", "--delta", "1", "--sigma2", "1e300",
+                   "--epsilon", "1e-4", "--strategy", "noisy_binary_variable",
+                   "--trials", "2", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 5.0
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: noise variance v(8) = 8e+300 is too large: no trial can "
+            "pass its first level within 10000000 steps\n")
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("argv, message", [

@@ -1,6 +1,5 @@
 """Probe rules and full strategy runners."""
 
-import copy
 import hashlib
 import itertools
 import math
@@ -9,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -435,6 +435,26 @@ class TestNoisyBinaryFixed:
         taus = {run_strategy(self.SPEC, config16, rng).tau for _ in range(20)}
         assert taus == {NB_FIXED_TAU_REFERENCE}
 
+    @pytest.mark.parametrize("eps", [0.1, 0.3])
+    @pytest.mark.parametrize("m", [2, 16])
+    def test_error_rate_matches_closed_form(self, m, eps):
+        # at a power-of-two M both halves of a window hold equal mass when
+        # its level starts, so a level of r observations at variance v sends
+        # a row into the wrong half with probability Q(sqrt(r/(4v))),
+        # whichever half holds the target; a trial errs unless no level
+        # does, and its tau is the sum of the levels' r
+        cfg = new_config(m, 1, 0.25, eps)
+        z = max(0.0, strat.gaussian_tail_inverse(eps / math.log2(m)))
+        levels = [strat._level(cfg, z, 0, m >> depth)[1:3]
+                  for depth in range(int(math.log2(m)))]
+        exact = 1.0 - math.prod(1.0 - scipy.stats.norm.sf(math.sqrt(r / (4.0 * v)))
+                                for r, v in levels)
+        n = 20_000
+        stats = run_trials(self.SPEC, cfg, n, 39)
+        lo, hi = scipy.stats.binom.interval(0.999, n, exact)
+        assert lo <= round(stats.err_rate * n) <= hi
+        assert stats.mean_tau == sum(r for r, _ in levels)
+
     def test_repetitions_grow_with_noise(self):
         # fixed-length tau is a sum of per-level repetition counts, each
         # non-decreasing in the level's noise variance
@@ -597,9 +617,15 @@ class TestDispatcherAndLimits:
         seeds = [trial_seed_for(5, i) for i in range(12)]
         taus = [run_strategy(spec, config, np.random.default_rng(s)).tau
                 for s in seeds]
-        limit = taus[0]  # trials 0 and 1 finish; trial 2 is the lowest live
+        if kind == NOISY_BINARY_FIXED:
+            # a fixed row takes 30 steps to a 3-cell window, and 6 more if
+            # its target lies in the 2-cell half: trials 5 and 9 finish on
+            # the limit, and trial 0, the lowest of the rest, passes it
+            limit, lowest = min(taus), 0
+        else:
+            limit, lowest = taus[0], 2  # trials 0 and 1 finish
         stuck = next(i for i, t in enumerate(taus) if t > limit)
-        assert stuck == 2
+        assert stuck == lowest
         monkeypatch.setattr(strat, "STEP_LIMIT", limit)
         rngs = [np.random.default_rng(s) for s in seeds]
         with pytest.raises(StepLimitExceeded,
@@ -624,14 +650,20 @@ class TestDispatcherAndLimits:
     @pytest.mark.parametrize("spec", [StrategySpec(SORTED_PM),
                                       StrategySpec(FIXED_COMPOSITION),
                                       StrategySpec(EXHAUSTIVE),
-                                      StrategySpec(TWO_STAGE, alpha=0.5)],
+                                      StrategySpec(TWO_STAGE, alpha=0.5),
+                                      StrategySpec(NOISY_BINARY_VARIABLE)],
                              ids=lambda s: s.label())
     def test_unreachable_threshold_is_refused_before_any_draw(self, spec,
                                                                monkeypatch):
         # past the variance at which STEP_LIMIT steps of the largest ratio
         # can build the lead a stop needs, a batch is refused before any
-        # draw; just short of it, it runs, here into the engine's own limit
+        # draw; just short of it, it runs, here into the engine's own limit.
+        # A sequential bisection's stop is its first level's test, on a
+        # probe of 8 cells
         monkeypatch.setattr(strat, "STEP_LIMIT", 1000)
+        probed, goal = ((8, "pass its first level")
+                        if spec.kind == NOISY_BINARY_VARIABLE
+                        else (1, "reach its threshold"))
 
         def refused(sigma2):
             try:
@@ -648,13 +680,21 @@ class TestDispatcherAndLimits:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(StepLimitExceeded,
-                           match=r"^noise variance v\(1\) = .+ is too large: no "
-                                 r"trial can reach its threshold within 1000 steps$"):
+                           match=rf"^noise variance v\({probed}\) = .+ is too large: "
+                                 rf"no trial can {goal} within 1000 steps$"):
             run_rows(spec, new_config(16, 1, hi, 0.1), [rng])
         assert rng.bit_generator.state == state
         with pytest.raises(StepLimitExceeded,
                            match=r"^trial 0: .+ exceeded 1000 steps$"):
             run_trials(spec, new_config(16, 1, lo, 0.1), 2, 0)
+
+    def test_first_level_check_takes_the_least_epsilon(self):
+        # eps/log2 M rounds to 0 at eps = 5e-324, and the first level's
+        # test then ends on the floats' own resolution, at a finite lead
+        spec = StrategySpec(NOISY_BINARY_VARIABLE)
+        strat._check_reachable(spec, new_config(16, 1, 0.25, 5e-324))
+        with pytest.raises(StepLimitExceeded, match="pass its first level"):
+            strat._check_reachable(spec, new_config(16, 1, 1e300, 5e-324))
 
     def test_trial_seed_passthrough(self, config16):
         rec = run_strategy(StrategySpec(SORTED_PM), config16,
@@ -669,7 +709,10 @@ class TestDispatcherAndLimits:
 # composition probe sets moved to a picks stream of their own, and the
 # first M32_power fixed_composition trial, 2 ulps lower, when non-adaptive
 # rows became running log-likelihood sums, and the fourth M32_power
-# noisy_binary_fixed trial, 1 ulp lower, when every rule's did.
+# noisy_binary_fixed trial, 1 ulp lower, when every rule's did.  The
+# noisy_binary_fixed entries at M16, M32_power, M12_power and M3, whose
+# levels take r > 1 observations, were recorded again when a fixed level
+# became one observation of their mean.
 GOLDEN_MASTER_SEED = 2024
 GOLDEN_CONFIGS = {
     "M1": new_config(1, 1, 0.25, 1e-4),
@@ -703,11 +746,11 @@ TRIAL_GOLDEN = {
         (14, 0, True, "0x1.fff37be1a3a19p-1"),
     ],
     ("M16", "noisy_binary_fixed"): [
-        (248, 0, True, "0x1.fffffffed2480p-1"),
+        (248, 0, True, "0x1.fffffffffd8d8p-1"),
         (248, 0, True, "0x1.0000000000000p+0"),
-        (248, 0, True, "0x1.ffffffffffd52p-1"),
-        (248, 0, True, "0x1.ffffffffe6402p-1"),
-        (248, 0, True, "0x1.0000000000000p+0"),
+        (248, 0, True, "0x1.fffffffcaeb1ep-1"),
+        (248, 0, True, "0x1.fffffffffffa8p-1"),
+        (248, 0, True, "0x1.ffffffffffff2p-1"),
     ],
     ("M16", "noisy_binary_variable"): [
         (93, 0, True, "0x1.fffb710c480adp-1"),
@@ -752,11 +795,11 @@ TRIAL_GOLDEN = {
         (10, 0, True, "0x1.f89dd80ed6476p-1"),
     ],
     ("M32_power", "noisy_binary_fixed"): [
-        (62, 0, True, "0x1.ffff4936f860dp-1"),
-        (62, 0, True, "0x1.f7dbcab6d0c69p-1"),
-        (62, 0, True, "0x1.ff1deefc6502cp-1"),
-        (62, 0, False, "0x1.45f3711699bb0p-3"),
-        (62, 0, True, "0x1.d2fc2c348aeabp-1"),
+        (62, 0, True, "0x1.fff98cdf4afc2p-1"),
+        (62, 0, False, "0x1.94693b7dbb107p-4"),
+        (62, 0, True, "0x1.1d34d738f0fdbp-1"),
+        (62, 0, True, "0x1.fd16224b02f92p-1"),
+        (62, 0, True, "0x1.fe81aa273d07ap-1"),
     ],
     ("M32_power", "noisy_binary_variable"): [
         (32, 0, True, "0x1.f31e3d825d72cp-1"),
@@ -782,11 +825,11 @@ TRIAL_GOLDEN = {
     # recorded from the per-trial bisection loops before they joined the
     # lockstep engine
     ("M12_power", "noisy_binary_fixed"): [
-        (36, 0, True, "0x1.d1d749f47c2d1p-2"),
-        (36, 0, True, "0x1.fd8cf7712fb45p-1"),
-        (36, 0, True, "0x1.bffa0f96adc91p-1"),
-        (36, 0, False, "0x1.d2c2821b02d5bp-1"),
-        (30, 0, True, "0x1.f8d08c1189828p-1"),
+        (30, 0, True, "0x1.e85b696ab336ap-1"),
+        (30, 0, False, "0x1.6d1c2dee77911p-2"),
+        (36, 0, True, "0x1.8bc0cc22c66b9p-1"),
+        (30, 0, True, "0x1.db28a36b5e3dfp-1"),
+        (30, 0, True, "0x1.32d490cd2bb70p-1"),
     ],
     ("M12_power", "noisy_binary_variable"): [
         (8, 0, True, "0x1.ac06a46323acap-1"),
@@ -800,11 +843,11 @@ TRIAL_GOLDEN = {
     ("M128_sigma1e-4", "noisy_binary_fixed"): [(7, 0, True, "0x1.0000000000000p+0")] * 5,
     ("M128_sigma1e-4", "noisy_binary_variable"): [(7, 0, True, "0x1.0000000000000p+0")] * 5,
     ("M3", "noisy_binary_fixed"): [
-        (45, 0, True, "0x1.fffffffffff8ep-1"),
-        (45, 0, True, "0x1.fffffffffde0ap-1"),
-        (45, 0, True, "0x1.fffffffcd7716p-1"),
-        (30, 0, True, "0x1.fffe839d22dccp-1"),
-        (30, 0, True, "0x1.ffffffffffff4p-1"),
+        (45, 0, True, "0x1.0000000000000p+0"),
+        (45, 0, True, "0x1.fffffd296c766p-1"),
+        (45, 0, True, "0x1.ffffffffff870p-1"),
+        (30, 0, True, "0x1.0000000000000p+0"),
+        (30, 0, True, "0x1.ffffffffffc06p-1"),
     ],
     ("M3", "noisy_binary_variable"): [
         (16, 0, True, "0x1.ffff96c8c5677p-1"),
@@ -821,10 +864,13 @@ TRIAL_GOLDEN = {
 # kinds before they became a rule of the one search engine; the configs are
 # LOCKSTEP_CONFIGS entries.  The M12_power and M4_eps0.9 digests were
 # recorded again when bisection rows became running log-likelihood sums:
-# final_max_prob moved by at most 8 ulps, and nothing else.
+# final_max_prob moved by at most 8 ulps, and nothing else.  The
+# noisy_binary_fixed digests at M12_power and M16 were recorded again when a
+# fixed level became one observation of the mean of its r; at
+# M128_sigma1e-4 and M4_eps0.9 every level takes r = 1, and they held.
 BISECTION_DIGESTS = {
     ("M12_power", NOISY_BINARY_FIXED):
-        "95c513acbf5f578436cb0458b2e008898f489a5a58c837f9ccde2d1ff4d1ee14",
+        "88ccc4a0a568f1d9fc85ef78160fddee96c5243105896bd7b9981cd01198a766",
     ("M12_power", NOISY_BINARY_VARIABLE):
         "3b87bc1faec5d60de9147e352fb8b057bc3fe0330e857b4eb41d632e57167642",
     ("M128_sigma1e-4", NOISY_BINARY_FIXED):
@@ -836,7 +882,7 @@ BISECTION_DIGESTS = {
     ("M4_eps0.9", NOISY_BINARY_VARIABLE):
         "0a8340f0fddecda88344460b4452887b48babe9237b70974a2a178684442556b",
     ("M16", NOISY_BINARY_FIXED):
-        "ee72fecb0360c01cec4a1e5a18dcbcbefea92cce3c083862b63fdc71f722a2c7",
+        "643c4049fdc715d3afb1958a8fe261a4e4f019c5a602f3b57675c61bed5e409a",
     ("M16", NOISY_BINARY_VARIABLE):
         "4e4dec5a4f6eff7486c0108843c6d79e89733248e5ea3a8ccf33a511b12c3ddb",
 }
@@ -1032,8 +1078,10 @@ def stepwise_bisection(floored=None):
             assert w == 1
             masks, reps, v, (lo, mid, log_h1, log_h2) = level()
             at = np.arange(lo.size)
-            llr = strat.observe(masks[at, hit_cell][None], strat.probe_noise(v),
-                                draws, reps)
+            # a fixed level observes the mean of its r at variance v/r
+            llr = strat.observe(masks[at, hit_cell][None],
+                                strat.probe_noise(v if reps is None else v / reps),
+                                draws)
             np.add(lp, llr[0, :, None], out=lp, where=masks)
             if floored is not None:
                 renormalize(lp, floored)
@@ -1231,77 +1279,34 @@ class TestLockstepRows:
         assert len(set(tau.tolist())) > 1
 
 
-# Fixed bisection levels against the per-row draw: rows end at unequal
-# levels at M12_power, and the first level's halves hold 2 and 1 cells at
-# M3, but every row of a level draws the same r; at M10 the third level's
-# windows hold 3 or 2 cells, whose first halves draw unequal r; at
-# M16_sigma100 a row draws r of about 5.3e4 normals at its first level,
-# close to CHUNK_CELLS.
-FIXED_LEVEL_CONFIGS = {
-    "M12_power": GOLDEN_CONFIGS["M12_power"],
-    "M3": GOLDEN_CONFIGS["M3"],
-    "M10": new_config(10, 1, 0.25, 1e-4),
-    "M16_sigma100": new_config(16, 1, 100.0, 1e-4),
-}
-
-
-def per_row_observe(hit, noise, draws, reps):
-    """The reference for observe at a fixed level: each row's r normals
-    drawn in one call and their ratios summed, one row at a time."""
-    sd, twice_v = noise
-    return np.array([[((2.0 * (h + s * g.standard_normal(r)) - 1.0) / t).sum()
-                      for h, s, t, r, g in zip(hit[0].tolist(), sd.tolist(),
-                                               twice_v.tolist(), reps.tolist(),
-                                               draws.gens)]])
-
-
 class TestFixedLevelDraws:
-    @pytest.mark.parametrize("cells", [None, 64], ids=["chunk_cells", "small_tiles"])
-    @pytest.mark.parametrize("rows", [1, 20], ids=["lone_row", "block"])
-    @pytest.mark.parametrize("case", list(FIXED_LEVEL_CONFIGS))
-    def test_observe_matches_per_row_reference(self, case, rows, cells,
-                                               monkeypatch):
-        # every fixed level of a run, in one tile of a level's rows or in
-        # tiles of a few (at 64 cells), gives each row's ratio sum, and
-        # leaves each generator in the state of drawing its row alone
-        observe = strat.observe
-        distinct = []
-
-        def checked(hit, noise, draws, reps=None):
-            if reps is None:
-                return observe(hit, noise, draws)
-            twins = strat.Draws([copy.deepcopy(g) for g in draws.gens])
-            want = per_row_observe(hit, noise, twins, reps)
-            got = observe(hit, noise, draws, reps)
-            assert got.tobytes() == want.tobytes()
-            assert ([g.bit_generator.state for g in draws.gens]
-                    == [g.bit_generator.state for g in twins.gens])
-            distinct.append(len(set(reps.tolist())))
-            return got
-
-        monkeypatch.setattr(strat, "observe", checked)
-        if cells is not None:
-            monkeypatch.setattr(strat, "CHUNK_CELLS", cells)
-        rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(rows)]
-        run_rows(StrategySpec(NOISY_BINARY_FIXED), FIXED_LEVEL_CONFIGS[case], rngs)
-        assert distinct
-        # rows of one level drew unequal r
-        assert (max(distinct) > 1) == (case == "M10" and rows > 1)
+    @pytest.mark.parametrize("case", ["M16", "M12_power", "M3"])
+    def test_lone_trial_draws_one_chunk_of_normals(self, case):
+        # a fixed level reads one normal a row from the chunk, whatever its
+        # r, so a trial's few levels draw one chunk after the target, even
+        # at M16, whose 248 observations are four levels
+        config = GOLDEN_CONFIGS[case]
+        seed = trial_seed_for(GOLDEN_MASTER_SEED, 0)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        run_strategy(StrategySpec(NOISY_BINARY_FIXED), config, rng)
+        twin.integers(config.M)
+        twin.standard_normal(strat.CHUNK)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_large_fixed_level_peak_memory(self):
-        # noisy_binary_fixed at sigma2 = 100 draws r of about 5.3e4 normals
-        # a row at its first level, so an untiled (rows, r) block of 64 rows
-        # would hold about 27 MB; a tile holds at most CHUNK_CELLS normals,
-        # here one row, and the peak measured was 1.02 MB
+        # noisy_binary_fixed at sigma2 = 100 takes about 5.3e4 observations
+        # a row at its first level: their normals for 64 rows would hold
+        # about 27 MB, but a level reads one normal of their mean a row, and
+        # the peak measured was 0.085 MiB
         rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(64)]
         tracemalloc.start()
         try:
-            run_rows(StrategySpec(NOISY_BINARY_FIXED), FIXED_LEVEL_CONFIGS["M16_sigma100"],
+            run_rows(StrategySpec(NOISY_BINARY_FIXED), new_config(16, 1, 100.0, 1e-4),
                      rngs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 2 ** 20
+        assert peak <= 0.25 * 2 ** 20
 
 
 # Bisection configs for the windowed rule against the stepwise reference:
