@@ -19,8 +19,6 @@ from .bounds import (
     fixed_delta_limit_constant,
     general_f_bounds,
     nonadaptive_lower_bound,
-    stage1_upper_bound,
-    stage2_upper_bound,
 )
 from .channel import (
     AEtaResult,
@@ -140,7 +138,5 @@ __all__ = [
     "run_strategy",
     "run_trials",
     "solve_a_eta",
-    "stage1_upper_bound",
-    "stage2_upper_bound",
     "trial_seed_for",
 ]

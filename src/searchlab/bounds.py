@@ -15,7 +15,8 @@ solving eta = (a/(a-3)) psi(a-3).  For noise laws beyond the linear one
 the same bracket structure applies without the additive constants; those
 reports are flagged Asymptotic.  lemma2, theorem1 and theorem2 are views of
 one per-alpha builder's BoundReport (theorem2's without the constants), so
-they share its feasibility checks, capacities, brackets and stage formula.
+they share its feasibility checks, capacities, brackets and stage formula;
+the Lemma 2 stage times are read from its alpha_terms, and nowhere else.
 Every feasible alpha's refine capacity C2 comes from one capacity_grid call.
 """
 
@@ -113,14 +114,6 @@ def nonadaptive_lower_bound(config: SearchConfig) -> float:
     return max(0.0, val)
 
 
-def _coarse_capacity(config: SearchConfig, eta: float) -> tuple[float, float]:
-    """(q*, C1) of the config, after checking 0 < eta < C1."""
-    q_star, c1 = optimal_composition(config)
-    if not 0.0 < eta < c1:
-        raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C1 = {c1})")
-    return q_star, c1
-
-
 @lru_cache(maxsize=512)
 def _refine_capacities(config: SearchConfig,
                        ams: tuple[int, ...]) -> tuple[float, ...]:
@@ -144,28 +137,6 @@ def _stage_time(n: float, eps: float, a_eta: float, c: float,
     return (math.log2(n) + math.log2(2.0 / eps) + _loglog2(n) + a_eta) / (c - eta)
 
 
-def stage1_upper_bound(config: SearchConfig, alpha: float, eta: float,
-                       a_eta: float) -> float:
-    """Expected time for the coarse stage to localize the target to one of
-    the 1/alpha sections with reliability eps/2."""
-    sections_from_alpha(alpha, config.M)
-    _, c1 = _coarse_capacity(config, eta)
-    return _stage_time(1.0 / alpha, config.epsilon, a_eta, c1, eta)
-
-
-def stage2_upper_bound(config: SearchConfig, alpha: float, eta: float,
-                       a_eta: float) -> float:
-    """Expected time for the refine stage over the alpha*M cells of the
-    winning section; singleton sections need no second stage."""
-    am = config.M // sections_from_alpha(alpha, config.M)
-    if am == 1:
-        return 0.0
-    (c2,) = _refine_capacities(config, (am,))
-    if not 0.0 < eta < c2:
-        raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C2 = {c2})")
-    return _stage_time(am, config.epsilon, a_eta, c2, eta)
-
-
 def _report(config: SearchConfig, eta: float, constants: bool) -> BoundReport:
     """The one per-alpha pass, which lemma2, theorem1 and theorem2 read.
 
@@ -179,7 +150,9 @@ def _report(config: SearchConfig, eta: float, constants: bool) -> BoundReport:
     alphas = feasible_alphas(config)
     if not alphas:
         raise NoFeasibleAlpha(f"M = {config.M} admits no section fraction")
-    q_star, c1 = _coarse_capacity(config, eta)
+    q_star, c1 = optimal_composition(config)
+    if not 0.0 < eta < c1:
+        raise EtaTooLarge(f"eta = {eta} not strictly inside (0, C1 = {c1})")
     sol = solve_a_eta(eta, config) if constants else None
     eps = config.epsilon
     h_eps = binary_entropy(eps)

@@ -28,7 +28,7 @@ from pathlib import Path
 from . import sim
 # bawgn_capacity is unused here but stays bound: bench/tracer.py patches it.
 from .channel import bawgn_capacity, capacity_grid
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .plan import (
     CAPACITY_COLUMNS,
     ExperimentPlan,
@@ -187,7 +187,12 @@ def _cmd_sweep(args) -> int:
         plan = load_preset(args.preset)
     else:
         with open(args.plan, encoding="utf-8") as fh:
-            plan = parse_plan(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"plan is not UTF-8 text: {exc.reason} at "
+                                 f"byte {exc.start}") from None
+        plan = parse_plan(text)
     overrides = {"n_trials": args.trials, "master_seed": args.seed,
                  "eta_frac": args.eta_frac}
     plan = dataclasses.replace(

@@ -117,7 +117,11 @@ def _require(cond: bool, message: str):
 def _as_number(value, what: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # JSON's integers are unbounded, floats are not
+        raise ValidationError(f"{what} is an integer past the floating-point "
+                              f"range") from None
 
 
 def parse_plan(text: str) -> ExperimentPlan:
@@ -128,6 +132,12 @@ def parse_plan(text: str) -> ExperimentPlan:
         raise ParseError(f"plan is not valid JSON: {exc.msg} "
                          f"(line {exc.lineno}, column {exc.colno})",
                          line=exc.lineno, col=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("plan nests past the JSON decoder's depth "
+                         "limit") from None
+    except ValueError:  # the one other: an integer past int's digit limit
+        raise ParseError("plan holds an integer with more digits than "
+                         "can be read") from None
     _require(isinstance(doc, dict), "plan root must be a JSON object")
     for key in doc:
         _require(key in PLAN_KEYS, f"unknown plan key {key!r}")
@@ -178,8 +188,8 @@ def parse_plan(text: str) -> ExperimentPlan:
             _require(isinstance(tv, list) and tv,
                      "half_input mode needs a non-empty 'total_variances' list")
             total_variances = tuple(_as_number(v, "total variance") for v in tv)
-            _require(all(v > 0 for v in total_variances),
-                     "total variances must be positive")
+            _require(all(0 < v < math.inf for v in total_variances),
+                     "total variances must be positive and finite")
         else:
             _require("total_variances" not in table_doc,
                      "total_variances only applies to half_input mode")
@@ -393,18 +403,22 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
     Returns the written paths.  Every table is computed before the first
     file is written.  If execution fails partway, a '<id>.partial' marker
     file describing the failure is left in out_dir and the error
-    re-raised; a successful run removes a stale marker.  A plan with
-    strategies whose point no strategy can run (`sim._check_variance`) is
-    refused before out_dir is made.
+    re-raised; a successful run removes a stale marker.  Every point's
+    configuration (a half_input table has none) is built before out_dir is
+    made, so a point that cannot be configured, or in a plan with
+    strategies one that no strategy can run (`sim._check_variance`), is
+    refused without output.
     """
     if fmt not in ("csv", "json", "both"):
         raise ValidationError(f"format must be csv, json, or both, got {fmt!r}")
     _require(plan.strategies or plan.bound_set or plan.capacity_mode is not None,
              f"plan {plan.id!r} has nothing to run: it needs strategies, "
              f"a bound_set or a capacity_table")
-    if plan.strategies:  # refused before any output, as bad input
+    if plan.capacity_mode != "half_input":  # refused before any output
         for point in _points(plan):
-            _check_variance(_point_config(point))
+            config = _point_config(point)
+            if plan.strategies:
+                _check_variance(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / f"{plan.id}.partial"

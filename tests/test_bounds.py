@@ -18,8 +18,6 @@ from searchlab.bounds import (
     fixed_delta_limit_constant,
     general_f_bounds,
     nonadaptive_lower_bound,
-    stage1_upper_bound,
-    stage2_upper_bound,
 )
 from searchlab.channel import (
     A_ETA_BRACKET_CAP,
@@ -30,8 +28,8 @@ from searchlab.channel import (
     psi_component,
     solve_a_eta,
 )
-from searchlab.errors import (EtaTooLarge, InvalidAlpha, NoFeasibleAlpha,
-                              NoRootInBracket, SearchLabError, ValidationError)
+from searchlab.errors import (EtaTooLarge, NoFeasibleAlpha, NoRootInBracket,
+                              SearchLabError, ValidationError)
 from searchlab.model import NoiseModel, new_config
 
 # Frozen formula goldens at B=16, delta=1, sigma2=0.25, eps=1e-4,
@@ -125,25 +123,20 @@ class TestNonadaptiveLowerBound:
 
 
 class TestStageBounds:
+    # the Lemma 2 stage times are the per-alpha terms of the theorem1 report
     def test_stage_goldens_at_quarter(self, config16, eta16):
-        a = solve_a_eta(eta16, config16).value
-        assert stage1_upper_bound(config16, 0.25, eta16, a) == pytest.approx(
-            STAGE1_QUARTER, rel=1e-6)
-        assert stage2_upper_bound(config16, 0.25, eta16, a) == pytest.approx(
-            STAGE2_QUARTER, rel=1e-6)
+        terms = adaptivity_gain_lower_bound(config16, eta16).alpha_terms[0.25]
+        assert terms["stage1"] == pytest.approx(STAGE1_QUARTER, rel=1e-6)
+        assert terms["stage2"] == pytest.approx(STAGE2_QUARTER, rel=1e-6)
 
     def test_singleton_sections_need_no_refine(self, config16, eta16):
-        a = solve_a_eta(eta16, config16).value
-        assert stage2_upper_bound(config16, 1 / 16, eta16, a) == 0.0
-
-    def test_infeasible_alpha_rejected(self, config16, eta16):
-        with pytest.raises(InvalidAlpha):
-            stage1_upper_bound(config16, 0.3, eta16, 7.0)
+        terms = adaptivity_gain_lower_bound(config16, eta16).alpha_terms[1 / 16]
+        assert terms["stage2"] == 0.0
 
     def test_eta_exceeding_capacity_rejected(self, config16):
         _, c1 = optimal_composition(config16)
         with pytest.raises(EtaTooLarge):
-            stage1_upper_bound(config16, 0.25, c1 * 1.01, 7.0)
+            adaptivity_gain_lower_bound(config16, c1 * 1.01)
 
     def test_adaptive_bound_golden_and_minimizer(self, config16, eta16):
         val, alpha = adaptive_upper_bound(config16, eta16)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import searchlab
@@ -143,14 +143,20 @@ def _functions(module: str) -> dict[str, ast.FunctionDef]:
 def test_bounds_holds_one_per_alpha_builder():
     # lemma2, theorem1 and theorem2 are views of one report, built by
     # `_report`; a second per-alpha pass would be a second copy of its
-    # checks, capacities and brackets
+    # checks, capacities and brackets, and a stand-alone stage bound a
+    # second copy of its Lemma 2 stage times and their feasibility rules
     defs = _functions("bounds.py")
-    assert "_alpha_pass" not in defs and "_stage_sum" not in defs
+    assert not {"_alpha_pass", "_stage_sum", "stage1_upper_bound",
+                "stage2_upper_bound", "_coarse_capacity"} & set(defs)
+
+    def calls(name):
+        return {node.func.id for node in ast.walk(defs[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
     for name in ("adaptive_upper_bound", "adaptivity_gain_lower_bound",
                  "general_f_bounds"):
-        calls = {node.func.id for node in ast.walk(defs[name])
-                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-        assert "_report" in calls, name
+        assert "_report" in calls(name), name
+    assert [name for name in defs if "_stage_time" in calls(name)] == ["_report"]
 
 
 def test_bound_rows_read_one_report_per_point(monkeypatch):
@@ -663,7 +669,7 @@ def sweep_cases(draw):
     return doc, flags
 
 
-@settings(max_examples=100)  # about 1 s
+@settings(max_examples=200)  # about 1 s
 @given(sweep_cases())
 def test_sweep_plan_fields_exit_by_policy(case):
     doc, flags = case
@@ -678,3 +684,135 @@ def test_sweep_plan_fields_exit_by_policy(case):
         assert not [n for n in names if n.endswith(".tmp")]
         if rc != 0:
             assert not [n for n in names if n.endswith(".csv")]
+
+
+HOLE = "\0hole"
+
+
+def _with_hole(doc, filler: str) -> str:
+    """doc as JSON text, with filler written where doc holds HOLE: a value
+    json.dumps cannot write, such as an integer past int's digit limit."""
+    return json.dumps(doc).replace(json.dumps(HOLE), filler)
+
+
+BASE = {"id": "t", **CONFIG, "bound_set": ["lemma1"]}
+# one plan for each number field, HOLE in that field
+NUMBER_SLOTS = [{**BASE, name: HOLE} for name in
+                ("B", "delta", "sigma2", "epsilon", "gamma", "n_trials",
+                 "master_seed", "eta_frac")] + [
+    {"id": "t", "delta": 1, "sigma2": 0.25, "epsilon": 0.1,
+     "sweeps": [["B", [4, HOLE]]], "bound_set": ["lemma1"]},
+    {**BASE, "strategies": [{"kind": "two_stage", "alpha": HOLE}]},
+    {"id": "t", **CONFIG, "sweeps": [["q", [HOLE]]],
+     "capacity_table": {"mode": "composition"}},
+    {"id": "t", **CONFIG, "sweeps": [["q", [0.5]]],
+     "capacity_table": {"mode": "half_input", "total_variances": [HOLE]}},
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def plan_texts(draw):
+    """JSON plan text: a JSON value, a plan with up to two fields replaced
+    by JSON values, a plan with a value nested up to 3,000 deep, or a plan
+    with an integer past the floats or past int's digit limit in one of
+    its number fields."""
+    kind = draw(st.sampled_from(["value", "fields", "nested", "long"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "fields":
+        doc = dict(BASE)
+        for key in draw(st.lists(st.sampled_from(sorted(plan_mod.PLAN_KEYS)),
+                                 unique=True, max_size=2)):
+            doc[key] = draw(JSON_VALUES)
+        return json.dumps(doc)
+    if kind == "nested":
+        depth = draw(st.integers(1, 3000))
+        key = draw(st.sampled_from(sorted(plan_mod.PLAN_KEYS)))
+        deep = draw(st.sampled_from(["[" * depth + "]" * depth,
+                                     '{"a": ' * depth + "0" + "}" * depth]))
+        return _with_hole({**BASE, key: HOLE}, deep)
+    digits = draw(st.integers(305, 320) | st.sampled_from([4300, 4301, 5001]))
+    sign = draw(st.sampled_from(["", "-"]))
+    return _with_hole(draw(st.sampled_from(NUMBER_SLOTS)), sign + "1" * digits)
+
+
+# the three malformed texts of the CLI test below that are UTF-8
+MALFORMED_TEXTS = ['{"a": ' * 1000 + "1" + "}" * 1000,
+                   _with_hole({**BASE, "B": HOLE}, "1" * 401),
+                   _with_hole({**BASE, "n_trials": HOLE}, "1" * 5001)]
+
+
+@settings(max_examples=200)  # about 1 s
+@given(plan_texts())
+@example(MALFORMED_TEXTS[0])
+@example(MALFORMED_TEXTS[1])
+@example(MALFORMED_TEXTS[2])
+def test_plan_text_parses_or_is_refused_as_bad_input(text):
+    try:
+        plan = plan_mod.parse_plan(text)
+    except errors.ValidationError:
+        return
+    assert isinstance(plan, plan_mod.ExperimentPlan)
+
+
+@settings(max_examples=50)
+@given(st.binary(max_size=64))
+@example(b'\xff\xfe{"id": 1}')
+def test_plan_bytes_exit_two(data):
+    # no run of bytes is a plan: each is refused in one line, before output
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "plan.json"
+        path.write_bytes(data)
+        rc, err = run(["sweep", f"--plan={path}", f"--out={Path(root) / 'out'}"])
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(root) == ["plan.json"]
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'\xff\xfe{"id": 1}',
+     "plan is not UTF-8 text: invalid start byte at byte 0"),
+    (MALFORMED_TEXTS[0].encode(),
+     "plan nests past the JSON decoder's depth limit"),
+    (MALFORMED_TEXTS[1].encode(),
+     "B is an integer past the floating-point range"),
+    (MALFORMED_TEXTS[2].encode(),
+     "plan holds an integer with more digits than can be read"),
+], ids=["not-utf8", "nested-1000", "B-401-digits", "n_trials-5001-digits"])
+def test_malformed_plan_exits_two(tmp_path, data, message):
+    path = tmp_path / "plan.json"
+    path.write_bytes(data)
+    rc, err = run(["sweep", "--plan", str(path), "--out", str(tmp_path / "out")])
+    assert (rc, err) == (2, f"error: {message}\n")
+    assert os.listdir(tmp_path) == ["plan.json"]
+
+
+# A point with no configuration is refused before the output directory is
+# made, whatever the plan runs; a bound's feasibility is checked as it runs.
+HALF_B = {**CONFIG, "B": 16.5}
+UNBUILDABLE = {
+    "bounds": (["bounds", "--B", "16.5", "--delta", "1", "--sigma2", "0.25",
+                "--epsilon", "1e-4"], None),
+    "simulate": (["simulate", "--B", "16.5", "--delta", "1", "--sigma2",
+                  "0.25", "--epsilon", "1e-4", "--strategy", "sorted_pm"], None),
+    "composition": ([], {"id": "t", **HALF_B, "sweeps": [["q", [0.5]]],
+                         "capacity_table": {"mode": "composition"}}),
+    "half_input": ([], {"id": "t", **CONFIG, "sweeps": [["q", [0.5]]],
+                        "capacity_table": {"mode": "half_input",
+                                           "total_variances": [math.inf]}}),
+}
+
+
+@pytest.mark.parametrize("route", sorted(UNBUILDABLE))
+def test_unbuildable_point_is_refused_before_any_output(tmp_path, route):
+    argv, doc = UNBUILDABLE[route]
+    rc, err, made = _refusal(tmp_path, route, argv, doc)
+    assert (rc, made) == (2, False)
+    assert err == ("error: total variances must be positive and finite\n"
+                   if route == "half_input" else
+                   "error: B/delta = 16.5 is not an integer cell count\n")

@@ -836,6 +836,13 @@ class TestCli:
                        searchlab.model):
             assert not gone & set(vars(module)), module.__name__
 
+    def test_stand_alone_stage_bounds_are_gone(self):
+        # a report's alpha_terms hold the Lemma 2 stage times: no second path
+        gone = {"stage1_upper_bound", "stage2_upper_bound"}
+        for module in (searchlab, searchlab.bounds):
+            assert not gone & set(getattr(module, "__all__", ())), module.__name__
+            assert not gone & set(vars(module)), module.__name__
+
     def test_runs_load_no_numpy_ma(self, tmp_path):
         # numpy.ma, which some numpy functions (np.unique) import lazily, adds
         # about 1.3 MB to a process: no simulation or drift probe loads it
