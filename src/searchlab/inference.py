@@ -11,15 +11,15 @@ its rules read only the order of the sums and ratios of cell masses, which
 a shift leaves alone.  One step of probe masks goes from the masks to the
 stop in one call (`fold_step`): each row's hit, its ratio (2y - 1)/(2v)
 from its normal and its probe's noise (sqrt(v), 2v) (`log_ratios`), the
-add of mask * ratio on every cell (`add_ratios`' arithmetic), the
-normalizers and the stop, leaving the weights exp(c - max c) that sum to
-each normalizer.  A window of steps, given by their probed cells, is
-folded by `fold_sums`, which first bounds each row's normalizer at every
-step from below, by 1 + sum(l) - max(l) with l = exp(lo - max hi) from
-the bounds [lo, hi] of each cell's sum over the window (`quiet_rows`): a
-row whose bound stays a nat past the limit only adds its ratios and takes
-no normalizer, and the other rows are folded step by step in shared tiles.
-The potential
+add of mask * ratio on every cell, the normalizers and the stop, leaving
+the weights exp(c - max c) that sum to each normalizer.  A window of
+steps, given by their probed cells, is folded by `fold_sums`, which adds
+each step's ratios on its cells and, for a window of more than one step,
+first bounds each row's normalizer at every step from below, by
+1 + sum(l) - max(l) with l = exp(lo - max hi) from the bounds [lo, hi] of
+each cell's sum over the window (`quiet_rows`): a row whose bound stays a
+nat past the limit only adds its ratios and takes no normalizer, and the
+other rows are folded step by step in shared tiles.  The potential
 U(rho) = sum_i rho_i log2(rho_i / (1 - rho_i)) is the Lyapunov functional
 whose per-step drift the bound arguments control; it is computed with
 expm1/logsumexp guards so posteriors within a whisker of certainty do not
@@ -102,23 +102,6 @@ def log_ratios(hit: np.ndarray, noise: tuple, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def add_ratios(sums: np.ndarray, probed: np.ndarray, llr: np.ndarray) -> None:
-    """Add each step's ratios llr (w, rows) to the running sums (rows,
-    size), in place, on the cells it probes: probed is one step's masks
-    (rows, size), or cells (rows, w, k), k distinct cells a row a step,
-    whose sums must then be C-contiguous.  Cells are added in step order,
-    each ratio to the sum before it: the floats of adding one step at a
-    time.  A step of masks adds mask * ratio to every cell: off the mask a
-    finite ratio adds +-0.0, which leaves a sum as it is (no running sum is
-    -0.0), so the floats are those of adding on the mask alone, and a
-    masked add costs several times as much.  An infinite ratio, of a
-    variance 2v below about 1/DBL_MAX, would put NaN off the mask instead."""
-    if probed.dtype == bool:
-        sums += probed * llr[0, :, None]
-        return
-    np.add.at(sums.reshape(-1), *_cell_ratios(probed, llr, sums.shape[1]))
-
-
 def _cell_ratios(cells: np.ndarray, llr: np.ndarray, size: int) -> tuple:
     """Each probed cell of cells (rows, w, k), in row and then step order,
     as its flat index into a (rows, size) block, and its step's ratio."""
@@ -137,12 +120,13 @@ def fold_step(sums: np.ndarray, masks: np.ndarray, hits: np.ndarray,
     probe's noise (sqrt(v), 2v) (`log_ratios`): hit is its mask at hits,
     its hit cell as an index into the flattened masks, and false for a row
     that on_grid, if given, marks off the grid (its target is never hit).
-    The ratio is added to every cell as mask * ratio, as `add_ratios` adds
-    a step of masks, and the row's normalizer s = sum(exp(c - max c)) is
-    taken: a row stops once s <= limit.  Returns done, which rows stop,
-    and for each of them its normalizer and its MAP cell at the stop (all
-    three None if no row stops), and every row's weights exp(c - max c),
-    the terms of its normalizer."""
+    The ratio is added to every cell as mask * ratio: off the mask a
+    finite ratio adds +-0.0, which leaves a sum as it is (no running sum is
+    -0.0), at a fraction of a masked add's cost.  Then the row's normalizer
+    s = sum(exp(c - max c)) is taken: a row stops once s <= limit.  Returns
+    done, which rows stop, and for each of them its normalizer and its MAP
+    cell at the stop (all three None if no row stops), and every row's
+    weights exp(c - max c), the terms of its normalizer."""
     hit = masks.take(hits)
     if on_grid is not None:
         hit &= on_grid
@@ -159,14 +143,16 @@ def fold_sums(sums: np.ndarray, cells: np.ndarray, llr: np.ndarray,
               limit: float) -> tuple:
     """Fold a window of w steps, given by the cells they probe (rows, w,
     k), into a block of running log-likelihood sums, sums (rows, size), in
-    place: add each step's ratios llr (w, rows) on its cells
-    (`add_ratios`) and test the stop at every step on that step's
-    normalizer s = sum(exp(c - max c)): a row stops at the first step with
-    s <= limit.
+    place: add each step's ratios llr (w, rows) on its cells, each to the
+    sum before it in step order, and test the stop at every step on that
+    step's normalizer s = sum(exp(c - max c)): a row stops at the first
+    step with s <= limit.
 
-    Each row is screened first, a block of at most TILE_CELLS sums at a
-    time (`quiet_rows`): a quiet row, whose every step's normalizer is
-    bounded above limit, only adds its ratios.  The loud rows take every
+    In a window of more than one step each row is screened first, a block
+    of at most TILE_CELLS sums at a time (`quiet_rows`): a quiet row, whose
+    every step's normalizer is bounded above limit, only adds its ratios.
+    In a window of one step the screen would cost about what the
+    normalizers do, so every row is loud.  The loud rows take every
     step's normalizer, in tiles of at most LOUD_CELLS floats of sums over
     the window (and at least one row), so that several short loud rows share
     a tile's calls: a row's sums at every step are a running sum of its
@@ -186,7 +172,8 @@ def fold_sums(sums: np.ndarray, cells: np.ndarray, llr: np.ndarray,
         part = slice(first, first + screen)
         start = sums[part]
         at, x = _cell_ratios(cells[part], llr[:, part], size)
-        loud = first + (~quiet_rows(start, at, x, w, limit)).nonzero()[0]
+        loud = first + (np.arange(len(start)) if w == 1 else
+                        (~quiet_rows(start, at, x, w, limit)).nonzero()[0])
         for i in range(0, loud.size, tile):
             idx = loud[i:i + tile]
             c = np.zeros((w, idx.size, size))
@@ -203,7 +190,7 @@ def fold_sums(sums: np.ndarray, cells: np.ndarray, llr: np.ndarray,
                 ends[idx[stopped]] = j + 1
                 norms[idx[stopped]] = s[j, stopped]
                 maps[idx[stopped]] = c[j, stopped].argmax(axis=1)
-        np.add.at(start.reshape(-1), at, x)  # in step order, as add_ratios
+        np.add.at(start.reshape(-1), at, x)  # in step order
     done = ends > 0
     return done, ends[done], norms[done], maps[done]
 

@@ -62,15 +62,16 @@ class ExperimentPlan:
     singleton value tuples, in expansion order (fixed first, then sweeps as
     declared).  Every field a CLI flag can set is checked on construction,
     so plans from parse_plan, a CLI verb or dataclasses.replace are checked
-    alike before anything runs: ``id`` holds no '/', '\\' or NUL (it names
-    the output files), ``eta_frac`` lies in (0, 1), ``n_trials`` is an int,
-    not a bool, in [1, MAX_TRIALS], ``master_seed`` is such an int in
-    [0, 2**64) (`sim._check_seed`), ``bound_set`` names are BOUND_NAMES,
-    each at most once (a strategy may repeat: each row has its own seed),
-    corollary2 needs exactly one swept parameter, B or delta, and the plan
-    expands to at most MAX_POINTS points.  Each StrategySpec checks its
-    kind and alpha.  Checks that depend on a sweep point (the
-    configuration, alpha dividing M, bound feasibility) run with the plan.
+    alike before anything runs: ``id`` is UTF-8 text with no '/', '\\' or
+    NUL (it names the output files), ``eta_frac`` lies in (0, 1),
+    ``n_trials`` is an int, not a bool, in [1, MAX_TRIALS], ``master_seed``
+    is such an int in [0, 2**64) (`sim._check_seed`), ``bound_set`` names
+    are BOUND_NAMES, each at most once (a strategy may repeat: each row has
+    its own seed), corollary2 needs exactly one swept parameter, B or
+    delta, and the plan expands to at most MAX_POINTS points.  Each
+    StrategySpec checks its kind and alpha.  Checks that depend on a sweep
+    point (the configuration, alpha dividing M, bound feasibility) run with
+    the plan.
     """
 
     id: str
@@ -84,8 +85,9 @@ class ExperimentPlan:
     total_variances: tuple[float, ...] = ()
 
     def __post_init__(self):
-        _require(not any(c in self.id for c in "/\\\0"),
-                 f"plan id must not contain '/', '\\' or NUL, got {self.id!r}")
+        # UTF-8 encodes every code point but a surrogate
+        _require(not any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in self.id),
+                 f"plan id must be UTF-8 text with no '/', '\\' or NUL, got {self.id!r}")
         _require(0.0 < self.eta_frac < 1.0,
                  f"eta_frac must lie in (0, 1), got {self.eta_frac}")
         n = self.n_trials

@@ -1,11 +1,11 @@
 """Monte Carlo driver: seeded trial batches, summary statistics, and
 drift probes for the potential functional.
 
-The drift probe runs the engine's own probe rules, target draw,
-observation and running sums on lockstep blocks of runs, run r seeded as
-trial r is, and takes U of every live row once a step.  This module seeds
-generators but draws from none: every trial-generator draw is made in
-`strategies`.
+The drift probe runs lockstep blocks of runs on the trial engine
+(`strategies._search`), run r seeded as trial r is, in windows of one
+step, and its reader takes U of every live row after each step.  This
+module seeds generators but draws from none, and runs no step loop: every
+trial-generator draw and every step is made in `strategies`.
 
 Reproducibility contract: trial i of a batch uses the 64-bit seed derived
 from (master_seed, i) through numpy's SeedSequence mixing, and its own
@@ -38,14 +38,14 @@ import numpy as np
 
 from .channel import optimal_composition, bawgn_capacity
 from .errors import ValidationError
-from .inference import add_ratios, normalizer_limit, u_log_probs, update_log_probs
+from .inference import u_log_probs, update_log_probs
 from .model import SearchConfig, TrialRecord
 # update_log_probs, random_composition_mask and sorted_pm_mask are unused
 # here but stay bound: bench/tracer.py patches them.
 from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, Draws,
-                         StrategySpec, draw_targets, observe, probe_hits,
-                         probe_rule, random_composition_mask, run_rows,
-                         run_strategy, seed_words_type, sorted_pm_mask)
+                         StrategySpec, _search, draw_targets, probe_rule,
+                         random_composition_mask, run_rows, run_strategy,
+                         seed_words_type, sorted_pm_mask)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_SAMPLE_N = 100
@@ -291,18 +291,20 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     to its stopping threshold that draws from its own generator, seeded
     with trial_seed_for(seed, r) for run r.
 
-    The runs go as the rows of lockstep blocks (`_drift_rows`), so the
-    report does not depend on a block's rows or on the chunk.  The first
-    block is one run; each later one holds about as many runs as the steps
-    left need, at the mean length of the runs so far, and at most twice the
-    runs of the block before: one long run early on does not size a block
-    of rows that then step past the steps left.  Of each run only
-    its step count and the sums of its increments and of their squares
-    are kept, and they are added up in run order: the memory does not
-    grow with n_steps.  The one run that the n_steps-th increment falls
-    in is counted up to it, from its sums if it stopped there, else from
-    a run of it alone cut there.  Sums past the floats, at a vanishing
-    variance, raise ValidationError after the block that reached them.
+    The runs go as the rows of lockstep blocks of the engine
+    (`_drift_runs`), so the report does not depend on a block's rows or on
+    the chunk.  The first block is one run; each later one holds about as
+    many runs as the steps left need, at the mean length of the runs so
+    far, and at most twice the runs of the block before: one long run early
+    on does not size a block of rows that then step past the steps left.
+    Of each run only its step count and the sums of its increments and of
+    their squares are kept, and they are added up in run order: the memory
+    does not grow with n_steps.  The one run that the n_steps-th increment
+    falls in is counted up to it, from its sums if it stopped there, else
+    from a run of it alone cut there.  Sums past the floats, at a vanishing
+    variance, raise ValidationError after the block that reached them; a
+    prior at the threshold, 1/M >= 1 - eps, where no run steps, before any
+    draw.
 
     The report carries the matching capacity floor: C(q*, v(q*)) for fixed
     composition, C(1/2, v(M/2)) for sorted-PM.  Terminal increments are
@@ -317,6 +319,9 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     m = config.M
     if m < 2:
         raise ValidationError("drift probe needs at least 2 cells")
+    if not -math.log(m) < math.log1p(-config.epsilon):  # as _search starts a row
+        raise ValidationError(f"drift probe needs 1/M < 1 - epsilon: at M={m}, "
+                              f"epsilon={config.epsilon!r} no run takes a step")
     _check_seed(seed)
     _check_variance(config)
 
@@ -324,10 +329,6 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
         _, floor = optimal_composition(config)
     else:
         floor = bawgn_capacity(0.5, config.variance_at(m / 2.0))
-
-    def runs(first: int, rows: int, budget: int) -> tuple:
-        return _drift_rows(kind, config, trial_generators(seed, first, first + rows),
-                           budget)
 
     total = total_sq = 0.0
     # increments counted, whole runs, next run, runs of the last block
@@ -337,16 +338,17 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
         # the runs that left steps take at the mean length so far, rounded up
         rows = 1 if whole == 0 else min(DRIFT_ROWS, _block_rows(m), 2 * rows,
                                         -(-left * whole // counted))
-        taken, stopped, sums, squares = runs(first, rows, left)
-        for r, (t, ended, a, b) in enumerate(zip(taken.tolist(), stopped.tolist(),
-                                                 sums.tolist(), squares.tolist())):
+        taken, sums, squares = _drift_runs(kind, config, seed, first, rows, left)
+        for r, (t, a, b) in enumerate(zip(taken.tolist(), sums.tolist(),
+                                          squares.tolist())):
             left = n_steps - counted
             if left == 0:
                 break
-            if ended and t <= left:
+            if t <= left:  # a budget cut has t >= left; t == left ends the probe
                 whole += 1
-            elif t != left:  # it ran past the last increment read
-                _, _, (a,), (b,) = (x.tolist() for x in runs(first + r, 1, left))
+            else:  # it ran past the last increment read
+                _, (a,), (b,) = (x.tolist() for x in
+                                 _drift_runs(kind, config, seed, first + r, 1, left))
             total += a
             total_sq += b
             counted += min(t, left)
@@ -360,42 +362,37 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
                        se=se, capacity_floor=floor)
 
 
-def _drift_rows(kind: str, config: SearchConfig, gens: list,
-                budget: int) -> tuple:
-    """Drift runs, one a generator, as the rows of one lockstep block with
-    the engine's probe rule (`probe_rule`) and draws: each draws its
-    target, then observes until its running sums pass the threshold
-    (`normalizer_limit`), taking U of every live row once a step.  A row
-    also stops once the rows before it and its own steps reach budget, as
-    none of its later increments can then be read.  Returns per row its
-    steps, whether it stopped at its threshold, and the sums of its
-    increments of U and of their squares, each a float added to a row's
-    sum one step at a time, as the row gets alone."""
+def _drift_runs(kind: str, config: SearchConfig, seed: int, first: int,
+                n: int, budget: int) -> tuple:
+    """Drift runs first..first+n-1 as the rows of one lockstep block of the
+    engine (`strategies._search`) under the kind's probe rule, in windows
+    of one step.  After every step a reader takes U of every live row from
+    its sums, and retires a row once the rows before it and its own steps
+    reach budget, as none of its later increments can then be read.
+    Returns per row its steps and the sums of its increments of U and of
+    their squares, each a float added to a row's sum one step at a time, as
+    the row gets alone."""
     m = config.M
-    probe, _ = probe_rule(kind, config)
-    limit = normalizer_limit(math.log1p(-config.epsilon))
-    # fixed composition's window runs to the end of the chunk; U is taken
-    # after every step, so its chunks, and windows, are one step
-    draws = Draws(gens, picks=kind == FIXED_COMPOSITION,
-                  normal_chunk=1 if kind == FIXED_COMPOSITION else None)
-    n = len(gens)
-    targets = draw_targets(draws.gens, m)
+    # per row: its steps as of the last retire, and its sums
     taken = np.zeros(n, dtype=np.int64)
-    stopped = np.zeros(n, dtype=bool)
     sums, squares = np.zeros(n), np.zeros(n)
-    live = np.arange(n)
-    lp = np.zeros((n, m))
-    weights = np.broadcast_to(1.0, (n, m))
+    # per live row: its index, U, and its sums so far
+    ids = np.arange(n)
     u_prev = np.full(n, u_log_probs(np.full(m, -math.log(m))))
-    step = 0
-    while live.size:
-        probed, noise, _ = probe(weights, step, draws)
-        llr = observe(probe_hits(probed, targets), noise, draws)
-        add_ratios(lp, probed, llr)
-        draws.read += 1
+    acc, acc_sq = np.zeros(n), np.zeros(n)
+    retired = step = 0  # the retired rows' steps, and the live rows'
+
+    def read(live, lp, weights):
+        nonlocal ids, u_prev, acc, acc_sq, retired, step
+        if live.size < ids.size:  # rows retired at the last step
+            at = ids.searchsorted(live)
+            sums[ids], squares[ids], taken[ids] = acc, acc_sq, step
+            ids, u_prev, acc, acc_sq = live, u_prev[at], acc[at], acc_sq[at]
+            retired = int(taken.sum()) - step * ids.size
         step += 1
         shifted = lp - lp.max(axis=1, keepdims=True)
-        weights = np.exp(shifted)
+        if weights is None:
+            weights = np.exp(shifted)
         s = weights.sum(axis=1)
         # math.log per row, not np.log, which may differ from libm in the
         # last bit: a row's U must not depend on its block
@@ -403,15 +400,17 @@ def _drift_rows(kind: str, config: SearchConfig, gens: list,
         d = u - u_prev
         u_prev = u
         with np.errstate(over="ignore"):  # refused by drift_probe
-            sums[live] += d
-            squares[live] += d * d
-        taken[live] = step
-        ended = s <= limit
-        stopped[live[ended]] = True
-        done = ended | (np.cumsum(taken)[live] >= budget)
-        if done.any():
-            keep = ~done
-            live, lp, weights, u_prev, targets = (live[keep], lp[keep], weights[keep],
-                                                  u_prev[keep], targets[keep])
-            draws.retire(done, draws.read)
-    return taken, stopped, sums, squares
+            acc += d
+            acc_sq += d * d
+        # the steps of all rows bound those of the rows up to any live one
+        if retired + step * ids.size < budget:
+            return None
+        taken[ids] = step
+        return np.cumsum(taken)[ids] >= budget
+
+    draws = Draws(trial_generators(seed, first, first + n),
+                  picks=kind == FIXED_COMPOSITION, max_window=1)
+    steps, _, _ = _search(m, probe_rule(kind, config), draw_targets(draws.gens, m),
+                          config.epsilon, draws, kind, None, read)
+    sums[ids], squares[ids] = acc, acc_sq
+    return steps, sums, squares

@@ -63,8 +63,8 @@ its targets as its cells: a single cell is its target, a pair runs the
 shuffle only when its two targets are equal, and three or more cells run
 it on every shuffle.  A window ends where a chunk does, so a record does
 not depend on the chunk or the window.
-`sim.drift_probe` runs the same probe rules, draws and running sums on
-blocks of runs, one step at a time.
+`sim.drift_probe` runs its blocks of runs on the engine in one-step
+windows (`Draws`' max_window) and reads each step's sums (`_search`'s reader).
 
 Strategies
 ----------
@@ -358,20 +358,22 @@ class Draws:
     A row reads its normals from a chunk of normal_chunk (default CHUNK)
     that it draws in one call once the last is read; carry holds, per row,
     normals to read before its first chunk.  A window of steps ends where
-    the chunk does (`window`); `ahead` gives its normals and the engine
-    marks them read a step at a time, so a row that retires keeps the
-    normals it did not reach in spare, indexed by its row in the block,
-    for a second stage to read first.  With picks, each row also gets a
-    picks stream, the PCG64 jump of the trial generator's state now, before
-    the target draw (`picks_streams`); `pick` reads a window's probe sets
-    from a chunk of steps that every row draws at once, 4 CHUNK steps, at
-    most CHUNK_CELLS cells in all."""
+    the chunk does, or after max_window steps if given (`window`); `ahead`
+    gives its normals and the engine marks them read a step at a time, so
+    a row that retires keeps the normals it did not reach in spare, indexed
+    by its row in the block, for a second stage to read first.  With
+    picks, each row also gets a picks stream, the PCG64 jump of the trial
+    generator's state now, before the target draw (`picks_streams`); `pick`
+    reads a window's probe sets from a chunk of steps that every row draws
+    at once, 4 CHUNK steps, at most CHUNK_CELLS cells in all."""
 
     def __init__(self, gens: list, picks: bool = False,
-                 normal_chunk: int | None = None, carry: list | None = None):
+                 normal_chunk: int | None = None, carry: list | None = None,
+                 max_window: int | None = None):
         self.gens = list(gens)
         self.rows = np.arange(len(self.gens))
         self.chunk = CHUNK if normal_chunk is None else normal_chunk
+        self.max_window = max_window or self.chunk
         self.normals = np.empty((self.chunk, len(self.gens)))  # (steps, rows)
         self.read = self.chunk
         self.carry = carry
@@ -394,10 +396,11 @@ class Draws:
 
     def window(self, cells: int) -> int:
         """Steps in the next window of probes of `cells` cells a row a step:
-        to the end of the normal chunk, at most CHUNK_CELLS probed cells
-        over all rows and steps, and at least one step."""
+        to the end of the normal chunk, at most max_window steps and
+        CHUNK_CELLS probed cells over all rows and steps, and at least one
+        step."""
         self._fill()
-        return max(1, min(self.chunk - self.read,
+        return max(1, min(self.chunk - self.read, self.max_window,
                           CHUNK_CELLS // (len(self.gens) * cells)))
 
     def ahead(self, steps: int) -> np.ndarray:
@@ -462,17 +465,9 @@ def observe(hit: np.ndarray, noise: tuple, draws: Draws) -> np.ndarray:
     return log_ratios(hit, noise, draws.ahead(hit.shape[0]))
 
 
-def probe_hits(probed: np.ndarray, hit_cell: np.ndarray) -> np.ndarray:
-    """Whether each row's probe holds its cell hit_cell at each step of a
-    window, (w, rows): probed is one step's masks (rows, size), or a
-    window's cells (rows, w, k)."""
-    if probed.dtype == bool:
-        return probed[np.arange(probed.shape[0]), hit_cell][None]
-    return (probed == hit_cell[:, None, None]).any(axis=2).T
-
-
 def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
-            first_trial: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            first_trial: int | None,
+            reader=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep search: one row per target, drawing from that row of draws,
     each probing `size` cells from a uniform prior until its rule stops
     it.
@@ -512,6 +507,13 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     dropping them from its state; its probe hands over the sets its rows
     start the window with.  A row's steps are its observations; a step
     that would take a row past STEP_LIMIT raises before it is observed.
+
+    A reader, under a threshold rule, is called after every fold, before
+    any row retires, as reader(live, lp, weights) -> cut: the live rows'
+    indices into targets, their sums lp, and the weights exp(c - max c) of
+    a step of masks (None after a window).  cut, None or a boolean array
+    over them, retires rows at the window's end on the records of their
+    sums there, but for rows that their rule stops in the window.
 
     A target outside [0, size) is never hit (a failed first stage, under a
     threshold rule): that row still stops, on a wrong cell.  Each row sees
@@ -561,12 +563,20 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
             ends = 1
         else:  # a window of cells
             probed = probed[:, :w]
-            hit = probe_hits(probed, hit_cell)
+            hit = (probed == hit_cell[:, None, None]).any(axis=2).T  # (w, rows)
             if off_grid:  # only a failed first stage puts a target there
                 hit &= on_grid
             done, ends, norms, ended_cells = fold_sums(
                 lp, probed, observe(hit, noise, draws), limit)
         probed = None  # a view of the picks: not held while the next are drawn
+        cut = None if reader is None else reader(live, lp, weights)
+        if cut is not None and cut.any():  # cut rows end with the window
+            at, row_norms, row_cells = (np.full(live.size, w), normalizers(lp),
+                                        lp.argmax(axis=1))
+            if done is not None:  # the rule's stops keep their records
+                at[done], row_norms[done], row_cells[done] = ends, norms, ended_cells
+                cut = cut | done
+            done, ends, norms, ended_cells = cut, at[cut], row_norms[cut], row_cells[cut]
         if done is not None and done.any():
             ended = live[done]
             steps[ended] = step + ends if reps is None else taken[done]
@@ -811,8 +821,8 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         if fixed:  # every level ends after its one step
             llr = observe(masks[rows, hit_cell][None], probe_noise(flts[0] / reps),
                           draws)
-            # a masked add, not add_ratios: at a subnormal variance a ratio
-            # is infinite, and mask * ratio is NaN off the mask
+            # a masked add, not fold_step's mask * ratio: at a subnormal
+            # variance a ratio is infinite, and that is NaN off the mask
             np.add(lp, llr[0, :, None], out=lp, where=masks)
             to_first = lp[rows, lo] + flts[1] >= lp[rows, mid] + flts[2]
             done, ends = end_levels(rows, to_first), 1

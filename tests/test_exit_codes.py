@@ -289,6 +289,18 @@ def test_plan_id_that_is_a_path_exits_two(tmp_path, plan_id):
         plan_mod.ExperimentPlan(id=plan_id, axes=())
 
 
+def test_plan_id_that_is_no_utf8_exits_two(tmp_path):
+    # a lone surrogate names no file: refused before the output directory
+    # is made, where it failed writing the first file (exit 3)
+    rc, err, names = _sweep_plan(tmp_path, {"id": "\ud800", **BOUNDS_PLAN})
+    assert (rc, names) == (2, [])
+    assert err == ("error: plan id must be UTF-8 text with no '/', '\\' or NUL, "
+                   "got '\\ud800'\n")
+    assert sorted(os.listdir(tmp_path)) == ["plan.json", "runs"]
+    with pytest.raises(errors.ValidationError, match="plan id"):
+        plan_mod.ExperimentPlan(id="a\udfffb", axes=())
+
+
 # master_seed is checked by the plan's seed check, whose message says seed
 BOOLEAN_REFUSAL = {"n_trials": "error: n_trials",
                    "master_seed": "error: seed must be a non-negative integer"}
@@ -584,6 +596,18 @@ def test_subnormal_variance_drift_probe_exits_two():
     assert rc == 2
     assert err.startswith("error: noise variance v(1) = ")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("b, epsilon", [("4", "0.9"), ("2", "0.5"), ("2", "0.6"),
+                                        ("2", "0.9")])
+def test_drift_from_a_prior_at_its_threshold_exits_two(b, epsilon):
+    # 1/M >= 1 - eps: no run takes a step; the probe reported one step each
+    rc, err = run(["drift-probe", "--B", b, "--delta", "1", "--sigma2", "0.05",
+                   "--epsilon", epsilon, "--strategy", "sorted_pm",
+                   "--steps", "10000"])
+    assert rc == 2
+    assert err == (f"error: drift probe needs 1/M < 1 - epsilon: at M={b}, "
+                   f"epsilon={float(epsilon)!r} no run takes a step\n")
 
 
 @pytest.mark.parametrize("kind, sigma2", [("sorted_pm", "1e-300"),

@@ -9,6 +9,7 @@ import pytest
 import searchlab.sim as sim
 import searchlab.strategies as strat
 from searchlab.channel import bawgn_capacity, optimal_composition
+from searchlab.errors import ValidationError
 from searchlab.model import NoiseModel, new_config
 from searchlab.sim import (
     MAX_TRIALS,
@@ -229,16 +230,18 @@ SERIAL_DRIFT = {
 
 
 def counting_observations(monkeypatch):
-    """Wrap sim's observe; returns a list whose first entry counts the
-    row-steps observed."""
+    """Wrap the engine's Draws.ahead, which hands over the normals of each
+    window's observations; returns a list whose first entry counts the
+    row-steps observed, steps times live rows."""
     count = [0]
-    observe = sim.observe
+    ahead = strat.Draws.ahead
 
-    def counted(hit, *args, **kwargs):
-        count[0] += hit.shape[1]
-        return observe(hit, *args, **kwargs)
+    def counted(draws, steps):
+        normals = ahead(draws, steps)
+        count[0] += steps * len(draws.gens)
+        return normals
 
-    monkeypatch.setattr(sim, "observe", counted)
+    monkeypatch.setattr(strat.Draws, "ahead", counted)
     return count
 
 
@@ -334,6 +337,15 @@ class TestDriftProbe:
     def test_single_cell_domain_rejected(self):
         with pytest.raises(ValueError):
             drift_probe(FIXED_COMPOSITION, new_config(1, 1, 0.25, 1e-4), 10_000, 3)
+
+    @pytest.mark.parametrize("kind", [FIXED_COMPOSITION, SORTED_PM])
+    @pytest.mark.parametrize("m, eps", [(4, 0.9), (2, 0.5), (2, 0.6), (2, 0.9)])
+    def test_prior_at_its_threshold_rejected(self, kind, m, eps, monkeypatch):
+        # 1/M >= 1 - eps: the search starts no run, so no step is read;
+        # refused before any generator is built
+        monkeypatch.setattr(sim, "trial_generators", None)
+        with pytest.raises(ValidationError, match="1/M < 1 - epsilon"):
+            drift_probe(kind, new_config(m, 1, 0.05, eps), 10_000, 0)
 
     def test_probe_reproducible(self, config16):
         a = drift_probe(SORTED_PM, config16, 10_000, 21)

@@ -1279,6 +1279,102 @@ class TestLockstepRows:
         assert len(set(tau.tolist())) > 1
 
 
+READER_KINDS = (SORTED_PM, FIXED_COMPOSITION, EXHAUSTIVE)
+
+
+def searched(kind, config, reader=None, max_window=None, n=20):
+    """_search's (steps, MAP cell, final max probability) of n rows under a
+    threshold kind's rule, drawn as run_rows draws them, read by reader."""
+    rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(n)]
+    draws = strat.Draws(rngs, picks=kind == FIXED_COMPOSITION, max_window=max_window)
+    targets = strat.draw_targets(draws.gens, config.M)
+    return strat._search(config.M, strat.probe_rule(kind, config), targets,
+                         config.epsilon, draws, kind, None, reader)
+
+
+def records(result):
+    steps, cells, pmax = result
+    return steps.tolist(), cells.tolist(), [p.hex() for p in pmax.tolist()]
+
+
+class TestSearchReader:
+    @pytest.mark.parametrize("case", ["M16", "M128"])
+    @pytest.mark.parametrize("kind", READER_KINDS)
+    def test_reader_that_retires_nothing_changes_no_record(self, kind, case):
+        config = LOCKSTEP_CONFIGS[case]
+        calls = []
+
+        def reader(live, lp, weights):
+            # a step of masks leaves its weights; a window of cells none
+            if kind == SORTED_PM:
+                assert np.array_equal(weights, np.exp(lp - lp.max(axis=1, keepdims=True)))
+            else:
+                assert weights is None
+            calls.append(live.tolist())
+            return np.zeros(live.size, dtype=bool)
+
+        plain = searched(kind, config)
+        assert records(searched(kind, config, reader)) == records(plain)
+        # called after every fold with the rows still live: a step of masks
+        # at a time, so as many calls as the longest row's steps
+        assert calls[0] == list(range(20))
+        assert all(set(b) <= set(a) for a, b in zip(calls, calls[1:]))
+        if kind == SORTED_PM:
+            assert len(calls) == plain[0].max()
+        else:
+            assert len(calls) < plain[0].max()
+
+    # (kind, max_window, whether the rule stops a row in the window of the
+    # retire): a retire alone needs a first window in which no row stops
+    @pytest.mark.parametrize("kind, window, with_a_stop", [
+        (SORTED_PM, None, False), (SORTED_PM, None, True),
+        (FIXED_COMPOSITION, 1, False), (FIXED_COMPOSITION, 1, True),
+        (FIXED_COMPOSITION, None, True),
+        (EXHAUSTIVE, 1, False), (EXHAUSTIVE, 1, True), (EXHAUSTIVE, None, True)])
+    def test_retired_row_takes_the_record_of_its_sums(self, kind, window,
+                                                      with_a_stop, monkeypatch):
+        config = LOCKSTEP_CONFIGS["M16"]
+        widths = []  # the steps of each window of cells folded
+        fold_sums = strat.fold_sums
+
+        def recorded(sums, cells, llr, limit):
+            widths.append(cells.shape[1])
+            return fold_sums(sums, cells, llr, limit)
+
+        monkeypatch.setattr(strat, "fold_sums", recorded)
+        plain = records(searched(kind, config, max_window=window))
+        steps = plain[0]
+        # r is cut after the first window, or after the window in which q
+        # stops on its own
+        q, r = int(np.argmin(steps)), int(np.argmax(steps))
+        cut = steps[q] if with_a_stop else 1
+        widths.clear()
+        calls, seen = [], {}
+
+        def reader(live, lp, weights):
+            calls.append(live.size)
+            t = sum(widths) if widths else len(calls)  # the steps folded
+            at_r = live == r
+            if t < cut or not at_r.any():
+                return None
+            seen["t"], seen["w"], seen["sums"] = (t, widths[-1] if widths else 1,
+                                                  lp[at_r][0].copy())
+            return at_r
+
+        got = records(searched(kind, config, reader, max_window=window))
+        t, sums = seen["t"], seen["sums"]
+        assert t < steps[r]
+        if with_a_stop:
+            assert t - seen["w"] < steps[q] <= t
+        else:
+            assert min(steps) > t
+        want = tuple(list(field) for field in plain)
+        norm = inference.normalizers(sums[None])[0]
+        want[0][r], want[1][r], want[2][r] = (t, int(sums.argmax()),
+                                              math.exp(-math.log(norm)).hex())
+        assert got == want
+
+
 class TestFixedLevelDraws:
     @pytest.mark.parametrize("case", ["M16", "M12_power", "M3"])
     def test_lone_trial_draws_one_chunk_of_normals(self, case):
