@@ -26,8 +26,8 @@ from .channel import (bawgn_capacity, capacity_grid, optimal_composition,
                       solve_a_eta)
 from .errors import ParseError, ValidationError
 from .model import NoiseModel, SearchConfig, new_config
-from .sim import MAX_TRIALS, _check_seed, _check_variance, run_trials, trial_seed_for
-from .strategies import StrategySpec
+from .sim import MAX_TRIALS, _check_seed, run_trials, trial_seed_for
+from .strategies import StrategySpec, check_run
 
 PARAM_NAMES = ("B", "delta", "sigma2", "epsilon", "gamma", "q")
 CONFIG_PARAMS = ("B", "delta", "sigma2", "epsilon")
@@ -70,8 +70,8 @@ class ExperimentPlan:
     its own seed), corollary2 needs exactly one swept parameter, B or
     delta, and the plan expands to at most MAX_POINTS points.  Each
     StrategySpec checks its kind and alpha.  Checks that depend on a sweep
-    point (the configuration, alpha dividing M, bound feasibility) run with
-    the plan.
+    point run with the plan: the configuration and each strategy's at it
+    (`run_plan`) before any output, bound feasibility as it runs.
     """
 
     id: str
@@ -406,10 +406,10 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
     file is written.  If execution fails partway, a '<id>.partial' marker
     file describing the failure is left in out_dir and the error
     re-raised; a successful run removes a stale marker.  Every point's
-    configuration (a half_input table has none) is built before out_dir is
-    made, so a point that cannot be configured, or in a plan with
-    strategies one that no strategy can run (`sim._check_variance`), is
-    refused without output.
+    configuration (a half_input table has none) is built, and each of the
+    plan's strategies checked at it (`strategies.check_run`), before
+    out_dir is made, so a point that cannot be configured, or that a
+    strategy cannot run at, is refused without output.
     """
     if fmt not in ("csv", "json", "both"):
         raise ValidationError(f"format must be csv, json, or both, got {fmt!r}")
@@ -419,8 +419,8 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
     if plan.capacity_mode != "half_input":  # refused before any output
         for point in _points(plan):
             config = _point_config(point)
-            if plan.strategies:
-                _check_variance(config)
+            for spec in plan.strategies:
+                check_run(spec, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / f"{plan.id}.partial"

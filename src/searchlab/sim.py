@@ -5,7 +5,8 @@ The drift probe runs lockstep blocks of runs on the trial engine
 (`strategies._search`), run r seeded as trial r is, in windows of one
 step, and its reader takes U of every live row after each step.  This
 module seeds generators but draws from none, and runs no step loop: every
-trial-generator draw and every step is made in `strategies`.
+trial-generator draw and every step is made in `strategies`, and every
+refusal of a (strategy, config) too (`strategies.check_run`).
 
 Reproducibility contract: trial i of a batch uses the 64-bit seed derived
 from (master_seed, i) through numpy's SeedSequence mixing, and its own
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +43,9 @@ from .model import SearchConfig, TrialRecord
 # update_log_probs, random_composition_mask and sorted_pm_mask are unused
 # here but stay bound: bench/tracer.py patches them.
 from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, Draws,
-                         StrategySpec, _search, draw_targets, probe_rule,
-                         random_composition_mask, run_rows, run_strategy,
-                         seed_words_type, sorted_pm_mask)
+                         StrategySpec, _search, check_run, draw_targets,
+                         probe_rule, random_composition_mask, run_rows,
+                         run_strategy, seed_words_type, sorted_pm_mask)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_SAMPLE_N = 100
@@ -125,20 +125,6 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     if seed >= 2 ** 64:
         raise ValidationError(f"seed must be below 2**64, got {seed}")
-
-
-def _check_variance(config: SearchConfig) -> None:
-    """Refuse a config that no strategy can run: one whose least probe
-    variance v(1) lies below STEP_LIMIT/DBL_MAX.  A probe's log-likelihood
-    ratio (2y - 1)/(2v) is about +-1/(2v), which overflows once 2v < 1/DBL_MAX
-    (v subnormal), and a trial's running sums, of up to STEP_LIMIT ratios,
-    and their differences stay finite only above that bound.  Its bounds are
-    computed as at any other variance."""
-    v = config.noise_variance(1)
-    if v * sys.float_info.max < STEP_LIMIT:
-        raise ValidationError(
-            f"noise variance v(1) = {v!r} is too small to simulate: below "
-            f"STEP_LIMIT/DBL_MAX, a trial's log-likelihood sums can overflow")
 
 
 def trial_seed_for(master_seed: int, trial_index: int) -> int:
@@ -252,13 +238,14 @@ def run_trials(spec: StrategySpec, config: SearchConfig, n_trials: int,
     trial gets half-width 0 and batches under 100 trials are flagged
     LowSample.  workers > 1 runs min(workers, cpu count, n_trials)
     contiguous chunks in processes; the reduction is in trial order either
-    way, so the output is identical to a serial run.
+    way, so the output is identical to a serial run.  A run that cannot be
+    made (`strategies.check_run`) is refused before any worker starts.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    _check_variance(config)
+    check_run(spec, config)
     chunks = min(workers, os.cpu_count() or 1, n_trials)
     if chunks == 1:
         taus, tau1s, success = _run_span(spec, config, master_seed, 0, n_trials)
@@ -303,8 +290,8 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     falls in is counted up to it, from its sums if it stopped there, else
     from a run of it alone cut there.  Sums past the floats, at a vanishing
     variance, raise ValidationError after the block that reached them; a
-    prior at the threshold, 1/M >= 1 - eps, where no run steps, before any
-    draw.
+    prior at the threshold, 1/M >= 1 - eps, where no run steps, and a run
+    that cannot be made (`strategies.check_run`), before any draw.
 
     The report carries the matching capacity floor: C(q*, v(q*)) for fixed
     composition, C(1/2, v(M/2)) for sorted-PM.  Terminal increments are
@@ -323,7 +310,7 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
         raise ValidationError(f"drift probe needs 1/M < 1 - epsilon: at M={m}, "
                               f"epsilon={config.epsilon!r} no run takes a step")
     _check_seed(seed)
-    _check_variance(config)
+    check_run(StrategySpec(kind), config)
 
     if kind == FIXED_COMPOSITION:
         _, floor = optimal_composition(config)

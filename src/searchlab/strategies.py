@@ -59,10 +59,10 @@ state, a copy of it advanced by JUMP, as `bit_generator.jumped()` gives it
 (`picks_streams`).  It draws them a chunk
 of 4 CHUNK steps at a time (`pick_cells`).  A probe set is a partial
 Fisher-Yates shuffle, and one whose swap targets are pairwise distinct has
-its targets as its cells: a single cell is its target, a pair runs the
-shuffle only when its two targets are equal, and three or more cells run
-it on every shuffle.  A window ends where a chunk does, so a record does
-not depend on the chunk or the window.
+its targets as its cells: a single cell is its target, a pair whose two
+targets j0 are equal has the cells (j0, 0), and three or more cells run
+the shuffle on every step.  A window ends where a chunk does, so a record
+does not depend on the chunk or the window.
 `sim.drift_probe` runs its blocks of runs on the engine in one-step
 windows (`Draws`' max_window) and reads each step's sums (`_search`'s reader).
 
@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +154,9 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
     into place at every swap, so its cells are its targets: the draws are
     the picks.  One rule a probe size: k = 1 cannot repeat, and draws each
     row's steps under one scalar bound, the same values and state as an
-    array of equal bounds; a pair repeats just when j0 == j1, and only the
-    pairs that repeat run the shuffle (`_shuffle_table`); k >= 3 runs the
-    table on every shuffle."""
+    array of equal bounds; a pair repeats just when j0 == j1, and its first
+    swap has then put entry 0 in place j0, so its cells are (j0, 0); k >= 3
+    runs the shuffle on every step (`_shuffle_table`)."""
     if k == 1:
         cells = np.stack([g.integers(0, grid, size=steps) for g in gens])
         return cells[..., None]
@@ -164,9 +165,7 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
     j += np.arange(k)                     # swap i exchanges entries i and j >= i
     if k > 2:
         return _shuffle_table(j).reshape(len(gens), steps, k)
-    redo = j[:, 0] == j[:, 1]
-    if redo.any():
-        j[redo] = _shuffle_table(j[redo])
+    j[j[:, 0] == j[:, 1], 1] = 0  # the second swap takes entry 0 from j0
     return j.reshape(len(gens), steps, k)
 
 
@@ -294,17 +293,23 @@ def sorted_pm_mask(weights: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     return mask, k
 
 
-def _check_reachable(spec: StrategySpec, config: SearchConfig) -> None:
-    """Refuse, before any draw, a stop that no trial can reach within
-    STEP_LIMIT steps.
+def check_run(spec: StrategySpec, config: SearchConfig) -> None:
+    """Refuse, before any draw, a run of spec at config that cannot be
+    made: every refusal of a (spec, config) alone, run by each entry point
+    that starts a trial.  In turn: a least variance v(1) below
+    STEP_LIMIT/DBL_MAX raises ValidationError, as a ratio (2y - 1)/(2v),
+    about +-1/(2v), overflows once v is subnormal, and a row's sums of up
+    to STEP_LIMIT ratios stay finite only above it; two_stage's 1/alpha not
+    dividing M raises InvalidAlpha; a stop that no trial can reach within
+    STEP_LIMIT steps raises StepLimitExceeded, as its first trial would.
 
     A stop needs a lead of a row's top cell, or half, over another, and a
     step moves it by at most one ratio (1 + 2 sqrt(v) |z|)/(2v), |z| <=
     NORMAL_BOUND.  A lead is the difference of two float sums of ratios,
     each off by at most STEP_LIMIT u (u = 2^-53) times the sum of its terms'
     sizes, so STEP_LIMIT steps build at most STEP_LIMIT (1 + 2 sqrt(v) Z)
-    /(2v) (1 + 4 STEP_LIMIT u), the ratios' own rounding included.  A config where that falls short
-    of the lead G raises StepLimitExceeded here, as its first trial would.
+    /(2v) (1 + 4 STEP_LIMIT u), the ratios' own rounding included.  A config
+    where that falls short of the lead G is refused.
 
     A threshold stop, from a uniform prior at the least variance v(1),
     needs G = -log(limit - 1 + 4(M + 1)u): its normalizer, summed in floats
@@ -319,6 +324,13 @@ def _check_reachable(spec: StrategySpec, config: SearchConfig) -> None:
     their exact values, and the test fails.  A fixed bisection's levels
     are refused by their counts (`_bisection_rule`)."""
     eps, m = config.epsilon, config.M
+    v = config.noise_variance(1)
+    if v * sys.float_info.max < STEP_LIMIT:
+        raise ValidationError(
+            f"noise variance v(1) = {v!r} is too small to simulate: below "
+            f"STEP_LIMIT/DBL_MAX, a trial's log-likelihood sums can overflow")
+    if spec.kind == TWO_STAGE:
+        sections_from_alpha(spec.alpha, m)
     u = 2.0 ** -53
     if spec.kind == NOISY_BINARY_VARIABLE and m > 1:
         share = min(eps / math.log2(m), 0.5)
@@ -327,6 +339,7 @@ def _check_reachable(spec: StrategySpec, config: SearchConfig) -> None:
         lead = (-math.log(math.expm1(slack - math.log1p(-share)))
                 - abs(math.log(probed / (m - probed))) - slack)
         goal = "pass its first level"
+        v = config.noise_variance(probed)
     elif spec.kind == TWO_STAGE or (
             spec.kind not in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE)
             and m > 1 and -math.log(m) < math.log1p(-eps)):
@@ -335,7 +348,6 @@ def _check_reachable(spec: StrategySpec, config: SearchConfig) -> None:
         probed, goal = 1, "reach its threshold"
     else:
         return
-    v = config.noise_variance(probed)
     # STEP_LIMIT (1 + 2 sqrt(v) Z) / (2v) < G, with the sums' rounding; an
     # overflow of 2v G reads as refused
     if STEP_LIMIT * (1.0 + 2.0 * math.sqrt(v) * NORMAL_BOUND) \
@@ -515,8 +527,9 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     over them, retires rows at the window's end on the records of their
     sums there, but for rows that their rule stops in the window.
 
-    A target outside [0, size) is never hit (a failed first stage, under a
-    threshold rule): that row still stops, on a wrong cell.  Each row sees
+    A target outside [0, size) is never hit (a failed first stage): that
+    row still stops, on a wrong cell.  Only a step of masks can carry such
+    a target, as two-stage's second stage, sorted-PM, does.  Each row sees
     the same draws and arithmetic as if it ran alone, wherever a window
     ends.  Returns per-row (steps, MAP cell, final max posterior exp(-log
     s) of its normalizer s) arrays."""
@@ -564,8 +577,6 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
         else:  # a window of cells
             probed = probed[:, :w]
             hit = (probed == hit_cell[:, None, None]).any(axis=2).T  # (w, rows)
-            if off_grid:  # only a failed first stage puts a target there
-                hit &= on_grid
             done, ends, norms, ended_cells = fold_sums(
                 lp, probed, observe(hit, noise, draws), limit)
         probed = None  # a view of the picks: not held while the next are drawn
@@ -670,7 +681,7 @@ def _two_stage_rows(config: SearchConfig, spec: StrategySpec, rngs: list,
     eps/2, stage 2 runs sorted-PM inside the winning section, again at
     eps/2, first reading each row's normals left over from stage 1.  A
     StepLimitExceeded names the spec and the stage."""
-    s = sections_from_alpha(spec.alpha, config.M)
+    s = sections_from_alpha(spec.alpha)  # s divides M (`check_run`)
     section = config.M // s
     eps_half = config.epsilon / 2.0
     stage1 = Draws(rngs, picks=True)
@@ -821,8 +832,8 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         if fixed:  # every level ends after its one step
             llr = observe(masks[rows, hit_cell][None], probe_noise(flts[0] / reps),
                           draws)
-            # a masked add, not fold_step's mask * ratio: at a subnormal
-            # variance a ratio is infinite, and that is NaN off the mask
+            # a masked add, not fold_step's mask * ratio: an infinite ratio,
+            # which `check_run` keeps out, would be NaN off the mask
             np.add(lp, llr[0, :, None], out=lp, where=masks)
             to_first = lp[rows, lo] + flts[1] >= lp[rows, mid] + flts[2]
             done, ends = end_levels(rows, to_first), 1
@@ -855,10 +866,9 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
     and return per-row (tau, tau_stage1, success, final_max_prob) arrays.
     Every row's record equals run_strategy on its generator alone.  With
     first_trial set, a StepLimitExceeded names the lowest row that reached
-    the limit as trial first_trial + row; a threshold stop that no trial
-    can reach within STEP_LIMIT steps raises before any draw
-    (`_check_reachable`)."""
-    _check_reachable(spec, config)
+    the limit as trial first_trial + row.  A run that cannot be made is
+    refused before any draw (`check_run`)."""
+    check_run(spec, config)
     if spec.kind == TWO_STAGE:
         return _two_stage_rows(config, spec, rngs, first_trial)
     if spec.kind in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE):

@@ -598,6 +598,51 @@ def test_subnormal_variance_drift_probe_exits_two():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# A point that a strategy cannot run at is refused before any output
+# directory is made, as bad input when two_stage's 1/alpha does not divide
+# M, as a runtime failure when no trial can reach its stop within
+# STEP_LIMIT steps.  The second point of the sweep is the one refused.
+UNRUNNABLE = {
+    "alpha": ({"kind": "two_stage", "alpha": 1 / 3}, "B", [12, 16], 2,
+              "error: 1/alpha = 3 does not divide M = 16\n"),
+    "unreachable": ({"kind": "sorted_pm"}, "sigma2", [0.25, 1e300], 3,
+                    "error: noise variance v(1) = 1e+300 is too large: no "
+                    "trial can reach its threshold within 10000000 steps\n"),
+}
+
+
+@pytest.mark.parametrize("verb", ["simulate", "sweep"])
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+def test_unrunnable_point_is_refused_before_any_output(tmp_path, case, verb):
+    strategy, name, values, code, message = UNRUNNABLE[case]
+    point = {"B": 16, "delta": 1, "sigma2": 0.25, "epsilon": 1e-4}
+    if verb == "simulate":
+        point[name] = values[-1]
+        argv = ["simulate", *(f"--{k}={v!r}" for k, v in point.items()),
+                "--strategy", strategy["kind"], "--trials", "2",
+                *([f"--alpha={strategy['alpha']!r}"] if "alpha" in strategy
+                  else [])]
+        doc = None
+    else:
+        del point[name]
+        argv, doc = [], {"id": "t", **point, "sweeps": [[name, values]],
+                         "strategies": [strategy], "n_trials": 2}
+    rc, err, made = _refusal(tmp_path, case, argv, doc)
+    assert (rc, err, made) == (code, message, False)
+
+
+def test_unreachable_drift_exits_three():
+    # v(1) = 1e15 cannot build the threshold's lead within STEP_LIMIT
+    # steps: the probe reported a drift whose floor had no correct digits
+    rc, err = run(["drift-probe", "--B", "16", "--delta", "1", "--sigma2", "1e15",
+                   "--epsilon", "1e-4", "--strategy", "sorted_pm",
+                   "--steps", "10000"])
+    assert rc == 3
+    assert err == ("error: noise variance v(1) = 1000000000000000.0 is too "
+                   "large: no trial can reach its threshold within 10000000 "
+                   "steps\n")
+
+
 @pytest.mark.parametrize("b, epsilon", [("4", "0.9"), ("2", "0.5"), ("2", "0.6"),
                                         ("2", "0.9")])
 def test_drift_from_a_prior_at_its_threshold_exits_two(b, epsilon):

@@ -19,7 +19,7 @@ import searchlab
 from searchlab.channel import bawgn_capacity
 import searchlab.plan as plan_mod
 from searchlab.cli import build_parser, main
-from searchlab.errors import InvalidAlpha, ParseError, ValidationError
+from searchlab.errors import InvalidAlpha, ParseError, StepLimitExceeded, ValidationError
 from searchlab.model import new_config
 from searchlab.plan import (
     BOUND_COLUMNS,
@@ -331,30 +331,37 @@ class TestRunPlan:
         assert a_sim.read_bytes() == b_sim.read_bytes()
         assert a_b.read_bytes() == b_b.read_bytes()
 
-    def test_failure_leaves_partial_marker(self, tmp_path):
+    @staticmethod
+    def fail_sims(plan, workers):
+        """A runtime failure of a plan's batches, once out_dir exists."""
+        raise StepLimitExceeded("trial 1: two_stage(alpha=1/4) stage 1 "
+                                "exceeded 10000000 steps")
+
+    def test_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(plan_mod, "_sim_rows", self.fail_sims)
         plan = ExperimentPlan(
             id="doomed",
             axes=(("B", (16.0,)), ("delta", (1.0,)), ("sigma2", (0.25,)),
                   ("epsilon", (1e-4,))),
-            strategies=(StrategySpec("two_stage", alpha=1 / 3),),
+            strategies=(StrategySpec("two_stage", alpha=1 / 4),),
             n_trials=4)
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(StepLimitExceeded):
             run_plan(plan, tmp_path)
         marker = tmp_path / "doomed.partial"
         assert marker.exists()
-        assert "InvalidAlpha" in marker.read_text()
+        assert "StepLimitExceeded" in marker.read_text()
 
-    def test_success_clears_stale_partial_marker(self, tmp_path):
+    def test_success_clears_stale_partial_marker(self, tmp_path, monkeypatch):
         axes = (("B", (16.0,)), ("delta", (1.0,)), ("sigma2", (0.25,)),
                 ("epsilon", (1e-2,)))
-        with pytest.raises(InvalidAlpha):
-            run_plan(ExperimentPlan(id="redo", axes=axes, n_trials=2,
-                                    strategies=(StrategySpec("two_stage", 1 / 3),)),
-                     tmp_path)
+        plan = ExperimentPlan(id="redo", axes=axes, n_trials=2,
+                              strategies=(StrategySpec("two_stage", 1 / 4),))
+        with monkeypatch.context() as patched:
+            patched.setattr(plan_mod, "_sim_rows", self.fail_sims)
+            with pytest.raises(StepLimitExceeded):
+                run_plan(plan, tmp_path)
         assert (tmp_path / "redo.partial").exists()
-        run_plan(ExperimentPlan(id="redo", axes=axes, n_trials=2,
-                                strategies=(StrategySpec("two_stage", 1 / 4),)),
-                 tmp_path)
+        run_plan(plan, tmp_path)
         assert not (tmp_path / "redo.partial").exists()
         assert (tmp_path / "redo_sim.csv").exists()
 

@@ -9,7 +9,7 @@ import pytest
 import searchlab.sim as sim
 import searchlab.strategies as strat
 from searchlab.channel import bawgn_capacity, optimal_composition
-from searchlab.errors import ValidationError
+from searchlab.errors import InvalidAlpha, StepLimitExceeded, ValidationError
 from searchlab.model import NoiseModel, new_config
 from searchlab.sim import (
     MAX_TRIALS,
@@ -183,6 +183,21 @@ class TestRunTrials:
         got = run_trials(spec, config16, n_trials, 5, workers=workers)
         assert started == [want]
         assert got == run_trials(spec, config16, n_trials, 5)
+
+    @pytest.mark.parametrize("spec, sigma2, error", [
+        (StrategySpec(SORTED_PM), 1e-309, ValidationError),
+        (StrategySpec(TWO_STAGE, alpha=1 / 3), 0.25, InvalidAlpha),
+        (StrategySpec(SORTED_PM), 1e300, StepLimitExceeded),
+    ], ids=["subnormal", "alpha", "unreachable"])
+    def test_refused_before_any_worker_starts(self, monkeypatch, spec, sigma2,
+                                              error):
+        def started(max_workers):
+            raise AssertionError("a process pool started")
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        with pytest.raises(error):
+            run_trials(spec, new_config(16, 1, sigma2, 1e-4), 8, 0, workers=2)
 
     def test_single_worker_starts_no_pool(self, config16, monkeypatch):
         monkeypatch.setattr(sim, "ProcessPoolExecutor", None)

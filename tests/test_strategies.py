@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import searchlab.inference as inference
 import searchlab.strategies as strat
-from searchlab.errors import InvalidAlpha, StepLimitExceeded
+from searchlab.errors import InvalidAlpha, StepLimitExceeded, ValidationError
 from searchlab.model import MAX_CELLS, NoiseModel, new_config
-from searchlab.sim import (BLOCK_CELLS, BLOCK_ROWS, run_trials, trial_generators,
-                           trial_seed_for)
+from searchlab.sim import (BLOCK_CELLS, BLOCK_ROWS, run_single_trial, run_trials,
+                           trial_generators, trial_seed_for)
 from searchlab.strategies import (
     EXHAUSTIVE,
     FIXED_COMPOSITION,
@@ -160,7 +160,7 @@ class TestPickCells:
         # (the first k of each pair) or likely (the second)
         self.assert_matches_in_place_shuffles(grid, k, rows=2, steps=30)
 
-    @pytest.mark.parametrize("grid", [4, 5, 2**16 + 1, MAX_CELLS])
+    @pytest.mark.parametrize("grid", [2, 4, 5, 2**16 + 1, MAX_CELLS])
     def test_pairs_match_in_place_shuffles(self, grid):
         # a pair repeats a target just when its two targets are equal
         self.assert_matches_in_place_shuffles(grid, 2, rows=3, steps=70)
@@ -189,8 +189,9 @@ class TestPickCells:
             for _ in range(steps):
                 targets = [i + int(twin.integers(grid - i)) for i in range(k)]
                 repeating += len(set(targets)) < k
-        assert sum(tabled) == repeating
-        assert len(tabled) == (repeating > 0)
+        # a repeating pair's cells are (j0, 0), with no shuffle
+        assert repeating > 0
+        assert tabled == []
 
     @pytest.mark.parametrize("grid", [1, 2, 3, 16, 128, 2**16 + 1, MAX_CELLS])
     @pytest.mark.parametrize("steps", [1, 63, 256])
@@ -667,7 +668,7 @@ class TestDispatcherAndLimits:
 
         def refused(sigma2):
             try:
-                strat._check_reachable(spec, new_config(16, 1, sigma2, 0.1))
+                strat.check_run(spec, new_config(16, 1, sigma2, 0.1))
             except StepLimitExceeded:
                 return True
             return False
@@ -688,13 +689,33 @@ class TestDispatcherAndLimits:
                            match=r"^trial 0: .+ exceeded 1000 steps$"):
             run_trials(spec, new_config(16, 1, lo, 0.1), 2, 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("width", [2, 8])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_subnormal_variance_is_refused_before_any_draw(self, kind, width):
+        # v(1) = 1e-309 is subnormal and a ratio overflows: a trial at B = 2
+        # ran on towards the step limit, and noisy_binary_fixed at B = 8
+        # recorded NaN maxima
+        spec = StrategySpec(kind, 0.5 if kind == TWO_STAGE else None)
+        config = new_config(width, 1, 1e-309, 1e-4)
+        rngs = [np.random.default_rng([8, r]) for r in range(3)]
+        states = [g.bit_generator.state for g in rngs]
+        for run in (lambda: run_strategy(spec, config, rngs[0]),
+                    lambda: run_rows(spec, config, rngs, first_trial=0),
+                    lambda: run_single_trial(spec, config, 8)):
+            with pytest.raises(ValidationError,
+                               match=r"^noise variance v\(1\) = 1e-309 is too "
+                                     r"small to simulate: "):
+                run()
+        assert [g.bit_generator.state for g in rngs] == states
+
     def test_first_level_check_takes_the_least_epsilon(self):
         # eps/log2 M rounds to 0 at eps = 5e-324, and the first level's
         # test then ends on the floats' own resolution, at a finite lead
         spec = StrategySpec(NOISY_BINARY_VARIABLE)
-        strat._check_reachable(spec, new_config(16, 1, 0.25, 5e-324))
+        strat.check_run(spec, new_config(16, 1, 0.25, 5e-324))
         with pytest.raises(StepLimitExceeded, match="pass its first level"):
-            strat._check_reachable(spec, new_config(16, 1, 1e300, 5e-324))
+            strat.check_run(spec, new_config(16, 1, 1e300, 5e-324))
 
     def test_trial_seed_passthrough(self, config16):
         rec = run_strategy(StrategySpec(SORTED_PM), config16,
@@ -1444,18 +1465,17 @@ class TestWindowedBisection:
         monkeypatch.setattr(strat, "_bisection_rule", stepwise_bisection())
         assert self.run(kind, config, seeds) == windowed
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rows", [1, N], ids=["lone_row", "block"])
-    def test_fixed_level_at_subnormal_variance_adds_on_its_mask(self, rows):
-        # at sigma2 = 1e-309 a level's ratio overflows to +-inf; added on
-        # the mask alone, the probed cell holds +-inf and the other 0.0, so
-        # at M = 2 every row takes its target's cell in its one level
-        # (mask * inf would put NaN on the other cell and send a row whose
-        # ratio is +inf to it)
+    def test_fixed_level_at_subnormal_variance_is_refused(self, rows):
+        # at sigma2 = 1e-309 a level's ratio overflows to +-inf: the config
+        # is refused before any draw, as at every other kind
         config = new_config(2, 1, 1e-309, 1e-4)
-        records, _ = self.run(NOISY_BINARY_FIXED, config,
-                              [trial_seed_for(515, i) for i in range(rows)])
-        assert [(tau, ok) for tau, _, ok, _ in records] == [(1, True)] * rows
+        rngs = [np.random.default_rng(trial_seed_for(515, i)) for i in range(rows)]
+        states = [g.bit_generator.state for g in rngs]
+        with pytest.raises(ValidationError, match="too small to simulate"):
+            run_rows(StrategySpec(NOISY_BINARY_FIXED), config, rngs)
+        assert [g.bit_generator.state for g in rngs] == states
 
     @pytest.mark.parametrize("kind", [NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE])
     def test_step_limit_inside_a_window_matches_stepwise_rule(self, kind,
