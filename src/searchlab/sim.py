@@ -286,12 +286,13 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     on does not size a block of rows that then step past the steps left.
     Of each run only its step count and the sums of its increments and of
     their squares are kept, and they are added up in run order: the memory
-    does not grow with n_steps.  The one run that the n_steps-th increment
-    falls in is counted up to it, from its sums if it stopped there, else
-    from a run of it alone cut there.  Sums past the floats, at a vanishing
-    variance, raise ValidationError after the block that reached them; a
-    prior at the threshold, 1/M >= 1 - eps, where no run steps, and a run
-    that cannot be made (`strategies.check_run`), before any draw.
+    does not grow with n_steps.  The run that the n_steps-th increment
+    falls in is counted up to it: a block cuts it there (`_drift_runs`),
+    unless a run before it still steps, and it is then the next block's
+    first run.  Sums past the floats, at a vanishing variance, raise
+    ValidationError after the block that reached them; a prior at the
+    threshold, 1/M >= 1 - eps (M = 1 among them), where no run steps, and
+    a run that cannot be made (`strategies.check_run`), before any draw.
 
     The report carries the matching capacity floor: C(q*, v(q*)) for fixed
     composition, C(1/2, v(M/2)) for sorted-PM.  Terminal increments are
@@ -304,8 +305,6 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
         raise ValidationError(f"n_steps must lie in [{MIN_DRIFT_STEPS}, {STEP_LIMIT}], "
                          f"got {n_steps}")
     m = config.M
-    if m < 2:
-        raise ValidationError("drift probe needs at least 2 cells")
     if not -math.log(m) < math.log1p(-config.epsilon):  # as _search starts a row
         raise ValidationError(f"drift probe needs 1/M < 1 - epsilon: at M={m}, "
                               f"epsilon={config.epsilon!r} no run takes a step")
@@ -318,28 +317,21 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
         floor = bawgn_capacity(0.5, config.variance_at(m / 2.0))
 
     total = total_sq = 0.0
-    # increments counted, whole runs, next run, runs of the last block
-    counted = whole = first = rows = 0
+    # increments counted, runs counted, runs of the last block
+    counted = first = rows = 0
     while counted < n_steps:
         left = n_steps - counted
         # the runs that left steps take at the mean length so far, rounded up
-        rows = 1 if whole == 0 else min(DRIFT_ROWS, _block_rows(m), 2 * rows,
-                                        -(-left * whole // counted))
-        taken, sums, squares = _drift_runs(kind, config, seed, first, rows, left)
-        for r, (t, a, b) in enumerate(zip(taken.tolist(), sums.tolist(),
-                                          squares.tolist())):
-            left = n_steps - counted
-            if left == 0:
-                break
-            if t <= left:  # a budget cut has t >= left; t == left ends the probe
-                whole += 1
-            else:  # it ran past the last increment read
-                _, (a,), (b,) = (x.tolist() for x in
-                                 _drift_runs(kind, config, seed, first + r, 1, left))
+        rows = 1 if first == 0 else min(DRIFT_ROWS, _block_rows(m), 2 * rows,
+                                        -(-left * first // counted))
+        for t, a, b in zip(*(x.tolist() for x in
+                             _drift_runs(kind, config, seed, first, rows, left))):
+            if counted + t > n_steps:  # cut past the last increment read
+                break  # it is the next block's first run, cut on that increment
             total += a
             total_sq += b
-            counted += min(t, left)
-        first += rows
+            counted += t
+            first += 1
         if not math.isfinite(total_sq):  # a sum past the floats puts a square past it
             raise ValidationError(f"the drift's sums at sigma2={config.sigma2!r} are "
                                   f"out of floating-point range")
@@ -354,29 +346,22 @@ def _drift_runs(kind: str, config: SearchConfig, seed: int, first: int,
     """Drift runs first..first+n-1 as the rows of one lockstep block of the
     engine (`strategies._search`) under the kind's probe rule, in windows
     of one step.  After every step a reader takes U of every live row from
-    its sums, and retires a row once the rows before it and its own steps
-    reach budget, as none of its later increments can then be read.
-    Returns per row its steps and the sums of its increments of U and of
-    their squares, each a float added to a row's sum one step at a time, as
-    the row gets alone."""
+    its sums, and cuts a row once its steps and those of the rows before it
+    reach budget, as none of its later increments can then be read: the
+    first row is cut on its budget-th increment.  Each row's steps, U and
+    sums are kept over the block's rows, at the live ids that the engine
+    passes.  Returns per row its steps and the sums of its increments of U
+    and of their squares, each a float added to a row's sum one step at a
+    time, as the row gets alone."""
     m = config.M
-    # per row: its steps as of the last retire, and its sums
+    # per row of the block, indexed by the engine's live ids: its steps, U
+    # and its sums
     taken = np.zeros(n, dtype=np.int64)
-    sums, squares = np.zeros(n), np.zeros(n)
-    # per live row: its index, U, and its sums so far
-    ids = np.arange(n)
     u_prev = np.full(n, u_log_probs(np.full(m, -math.log(m))))
-    acc, acc_sq = np.zeros(n), np.zeros(n)
-    retired = step = 0  # the retired rows' steps, and the live rows'
+    sums, squares = np.zeros(n), np.zeros(n)
 
     def read(live, lp, weights):
-        nonlocal ids, u_prev, acc, acc_sq, retired, step
-        if live.size < ids.size:  # rows retired at the last step
-            at = ids.searchsorted(live)
-            sums[ids], squares[ids], taken[ids] = acc, acc_sq, step
-            ids, u_prev, acc, acc_sq = live, u_prev[at], acc[at], acc_sq[at]
-            retired = int(taken.sum()) - step * ids.size
-        step += 1
+        taken[live] += 1
         shifted = lp - lp.max(axis=1, keepdims=True)
         if weights is None:
             weights = np.exp(shifted)
@@ -384,20 +369,18 @@ def _drift_runs(kind: str, config: SearchConfig, seed: int, first: int,
         # math.log per row, not np.log, which may differ from libm in the
         # last bit: a row's U must not depend on its block
         u = u_log_probs(shifted - np.array([math.log(x) for x in s.tolist()])[:, None])
-        d = u - u_prev
-        u_prev = u
+        d = u - u_prev[live]
+        u_prev[live] = u
         with np.errstate(over="ignore"):  # refused by drift_probe
-            acc += d
-            acc_sq += d * d
+            sums[live] += d
+            squares[live] += d * d
         # the steps of all rows bound those of the rows up to any live one
-        if retired + step * ids.size < budget:
+        if taken.sum() < budget:
             return None
-        taken[ids] = step
-        return np.cumsum(taken)[ids] >= budget
+        return np.cumsum(taken)[live] >= budget
 
     draws = Draws(trial_generators(seed, first, first + n),
                   picks=kind == FIXED_COMPOSITION, max_window=1)
-    steps, _, _ = _search(m, probe_rule(kind, config), draw_targets(draws.gens, m),
-                          config.epsilon, draws, kind, None, read)
-    sums[ids], squares[ids] = acc, acc_sq
-    return steps, sums, squares
+    _search(m, probe_rule(kind, config), draw_targets(draws.gens, m),
+            config.epsilon, draws, kind, None, read)
+    return taken, sums, squares

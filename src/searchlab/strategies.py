@@ -301,7 +301,8 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
     about +-1/(2v), overflows once v is subnormal, and a row's sums of up
     to STEP_LIMIT ratios stay finite only above it; two_stage's 1/alpha not
     dividing M raises InvalidAlpha; a stop that no trial can reach within
-    STEP_LIMIT steps raises StepLimitExceeded, as its first trial would.
+    STEP_LIMIT steps, or fixed bisection levels that can pass them, raise
+    StepLimitExceeded.
 
     A stop needs a lead of a row's top cell, or half, over another, and a
     step moves it by at most one ratio (1 + 2 sqrt(v) |z|)/(2v), |z| <=
@@ -321,8 +322,13 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
     With E = 16u(35 + log M), a lead short of
     G = -log(expm1(E - log1p(-s))) - |log(h1/h2)| - E < 34 keeps the test's
     terms below 34 + log M, so the test and the lead read within E of
-    their exact values, and the test fails.  A fixed bisection's levels
-    are refused by their counts (`_bisection_rule`)."""
+    their exact values, and the test fails.
+
+    A fixed bisection's level on L cells takes max(1, ceil(4 v(ceil(L/2))
+    z^2)) steps (`_level`).  v is non-decreasing in probe size, so the
+    levels through every larger half, lengths M, ceil(M/2), ..., 2, take
+    the most: a config where they pass STEP_LIMIT is refused, naming
+    v(ceil(M/2)), though trials through a smaller half might finish."""
     eps, m = config.epsilon, config.M
     v = config.noise_variance(1)
     if v * sys.float_info.max < STEP_LIMIT:
@@ -331,6 +337,17 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
             f"STEP_LIMIT/DBL_MAX, a trial's log-likelihood sums can overflow")
     if spec.kind == TWO_STAGE:
         sections_from_alpha(spec.alpha, m)
+    if spec.kind == NOISY_BINARY_FIXED and m > 1:
+        z, length, total = _fixed_z(config), m, 0
+        while length > 1:
+            total += _level(config, z, 0, length)[1]
+            length = (length + 1) // 2
+        if total > STEP_LIMIT:
+            probed = (m + 1) // 2
+            raise StepLimitExceeded(
+                f"noise variance v({probed}) = {config.noise_variance(probed)!r} is too "
+                f"large at epsilon={eps!r}: a trial's levels can take more than "
+                f"{STEP_LIMIT} steps")
     u = 2.0 ** -53
     if spec.kind == NOISY_BINARY_VARIABLE and m > 1:
         share = min(eps / math.log2(m), 0.5)
@@ -355,12 +372,6 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
         raise StepLimitExceeded(
             f"noise variance v({probed}) = {v!r} is too large: no trial can "
             f"{goal} within {STEP_LIMIT} steps")
-
-
-def _step_limit(label: str, first_trial: int | None = None,
-                row: int = 0) -> StepLimitExceeded:
-    where = "" if first_trial is None else f"trial {first_trial + row}: "
-    return StepLimitExceeded(f"{where}{label} exceeded {STEP_LIMIT} steps")
 
 
 class Draws:
@@ -518,14 +529,18 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     steps each takes in the window (one for all in a window of one step),
     dropping them from its state; its probe hands over the sets its rows
     start the window with.  A row's steps are its observations; a step
-    that would take a row past STEP_LIMIT raises before it is observed.
+    past STEP_LIMIT raises before it is observed, naming the lowest live
+    row.  A fixed bisection's levels never pass it: `check_run` refuses a
+    config whose levels can.
 
     A reader, under a threshold rule, is called after every fold, before
     any row retires, as reader(live, lp, weights) -> cut: the live rows'
     indices into targets, their sums lp, and the weights exp(c - max c) of
     a step of masks (None after a window).  cut, None or a boolean array
-    over them, retires rows at the window's end on the records of their
-    sums there, but for rows that their rule stops in the window.
+    over them, retires the cut rows at the window's end, and with them the
+    rows that their rule stops in it, each on the record of its sums there.
+    Every reader runs in windows of one step (`Draws`' max_window=1), where
+    that is the record the rule's own stop gives.
 
     A target outside [0, size) is never hit (a failed first stage): that
     row still stops, on a wrong cell.  Only a step of masks can carry such
@@ -558,14 +573,12 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
         weights = None  # read: not held while the fold makes the next
         if reps is None:  # every live row has observed once a step
             w = min(1 if probed.ndim == 2 else probed.shape[1], STEP_LIMIT - step)
-            over = 0 if w == 0 else None
-        else:
+        else:  # a fixed level: its count is bounded by `check_run`
             w = 1
             taken += reps
-            over = (int(np.argmax(taken > STEP_LIMIT))
-                    if taken.max() > STEP_LIMIT else None)
-        if over is not None:
-            raise _step_limit(label, first_trial, int(live[over]))
+        if w == 0:
+            where = "" if first_trial is None else f"trial {first_trial + live[0]}: "
+            raise StepLimitExceeded(f"{where}{label} exceeded {STEP_LIMIT} steps")
         norms = None  # the stopped rows' normalizers, if not those of lp now
         if settle is not None:
             done, ends = settle(lp, hit_cell, w, draws)
@@ -581,13 +594,8 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
                 lp, probed, observe(hit, noise, draws), limit)
         probed = None  # a view of the picks: not held while the next are drawn
         cut = None if reader is None else reader(live, lp, weights)
-        if cut is not None and cut.any():  # cut rows end with the window
-            at, row_norms, row_cells = (np.full(live.size, w), normalizers(lp),
-                                        lp.argmax(axis=1))
-            if done is not None:  # the rule's stops keep their records
-                at[done], row_norms[done], row_cells[done] = ends, norms, ended_cells
-                cut = cut | done
-            done, ends, norms, ended_cells = cut, at[cut], row_norms[cut], row_cells[cut]
+        if cut is not None and cut.any():  # every row retiring takes its sums' record
+            done, ends, norms = cut if done is None else cut | done, 1, None
         if done is not None and done.any():
             ended = live[done]
             steps[ended] = step + ends if reps is None else taken[done]
@@ -714,6 +722,13 @@ def _repeats(v: float, z: float | None) -> int:
     return STEP_LIMIT + 1 if count == math.inf else max(1, math.ceil(count))
 
 
+def _fixed_z(config: SearchConfig) -> float:
+    """A fixed level's z = Q^{-1}(eps/log2 M) >= 0; +inf where eps/log2 M is 0."""
+    share = config.epsilon / math.log2(config.M)
+    return max(0.0, gaussian_tail_inverse(share)) if share else math.inf
+
+
+@functools.cache
 def _level(config: SearchConfig, z: float | None, lo: int, hi: int) -> tuple:
     """A level on the window [lo, hi), uniform when the level starts: the
     end mid of its probed first half [lo, mid), that half's repetitions and
@@ -746,8 +761,8 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     sqrt(r/v) N(0, 1), the ratio of one observation of their mean at
     variance v/r, so a level reads one normal a row and counts r steps.  A
     level's terms (`_level`) depend on its window's length alone, but for
-    its mid, lo plus the first half's length, so the rule keeps them per
-    length.
+    its mid, lo plus the first half's length, so the rule reads them by
+    length, once a config (`_level`'s cache).
 
     Windows nest, the sums start at zero, and an update adds the same llr
     to every cell of a half, with no shift or clamp, so every cell of a
@@ -760,19 +775,9 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     if m == 1:  # no row starts (see _search): log2(M) and _level(0, 1) are undefined
         return None, None
     share = config.epsilon / math.log2(m)
-    z = max(0.0, gaussian_tail_inverse(share)) if fixed else None
+    z = _fixed_z(config) if fixed else None
     log_thresh = math.log1p(-min(share, 0.5))
-    levels = {}  # _level's terms of the window [0, length), by length
-
-    def level(length):
-        if length not in levels:
-            # a level past STEP_LIMIT raises before it is observed (_search),
-            # so its count is kept at STEP_LIMIT + 1, an int64 at any sigma^2
-            mid, r, *rest = _level(config, z, 0, length)
-            levels[length] = (mid, min(r, STEP_LIMIT + 1), *rest)
-        return levels[length]
-
-    half, r, *first = level(m)
+    half, r, *first = _level(config, z, 0, m)
     # per row, one allocation each for the integer and the float state
     # (retiring rows takes one index each): the window [lo, hi) and
     # _level's mid and repetitions; _level's v and log cell counts
@@ -797,7 +802,7 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         moved = rows[~done]
         if moved.size:
             w_lo = lo[moved]
-            terms = np.array([level(length) for length in
+            terms = np.array([_level(config, z, 0, length) for length in
                               (hi[moved] - w_lo).tolist()]).T
             ints[2:4, moved], flts[:, moved] = terms[:2], terms[2:]
             mid[moved] += w_lo  # the mid of [lo, hi) is lo + that of [0, hi - lo)

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import time
 import warnings
@@ -31,7 +32,7 @@ from searchlab.channel import optimal_composition, solve_a_eta
 from searchlab.cli import main
 from searchlab.model import new_config
 from searchlab.sim import MAX_TRIALS, drift_probe, trial_seed_for
-from searchlab.strategies import SORTED_PM, StrategySpec
+from searchlab.strategies import KINDS, SORTED_PM, StrategySpec
 
 VALIDATION = {"ValidationError", "ParseError", "InvalidEpsilon",
               "NonIntegerLocationCount", "InvalidNoiseModel",
@@ -601,13 +602,23 @@ def test_subnormal_variance_drift_probe_exits_two():
 # A point that a strategy cannot run at is refused before any output
 # directory is made, as bad input when two_stage's 1/alpha does not divide
 # M, as a runtime failure when no trial can reach its stop within
-# STEP_LIMIT steps.  The second point of the sweep is the one refused.
+# STEP_LIMIT steps or a fixed bisection's levels can pass them (at a large
+# variance, or where eps/log2 M underflows to 0).  The second point of the
+# sweep is the one refused.
 UNRUNNABLE = {
     "alpha": ({"kind": "two_stage", "alpha": 1 / 3}, "B", [12, 16], 2,
               "error: 1/alpha = 3 does not divide M = 16\n"),
     "unreachable": ({"kind": "sorted_pm"}, "sigma2", [0.25, 1e300], 3,
                     "error: noise variance v(1) = 1e+300 is too large: no "
                     "trial can reach its threshold within 10000000 steps\n"),
+    "fixed_levels": ({"kind": "noisy_binary_fixed"}, "sigma2", [0.25, 1e18], 3,
+                     "error: noise variance v(8) = 8e+18 is too large at "
+                     "epsilon=0.0001: a trial's levels can take more than "
+                     "10000000 steps\n"),
+    "fixed_share": ({"kind": "noisy_binary_fixed"}, "epsilon", [1e-4, 5e-324], 3,
+                    "error: noise variance v(8) = 2.0 is too large at "
+                    "epsilon=5e-324: a trial's levels can take more than "
+                    "10000000 steps\n"),
 }
 
 
@@ -629,6 +640,27 @@ def test_unrunnable_point_is_refused_before_any_output(tmp_path, case, verb):
                          "strategies": [strategy], "n_trials": 2}
     rc, err, made = _refusal(tmp_path, case, argv, doc)
     assert (rc, err, made) == (code, message, False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [2, 3, 4, 16])
+@pytest.mark.parametrize("kind", KINDS)
+def test_least_epsilon_runs_or_is_refused_before_any_output(tmp_path, kind, m):
+    # eps = 5e-324, the least float: eps/log2 M and two-stage's eps/2 can
+    # underflow to 0.  A run either writes its CSV or is refused by the
+    # package's pre-run gate, with no output directory; a fixed bisection
+    # at M = 4 and 16 raised a StatisticsError and left <id>.partial
+    argv = ["simulate", "--B", str(m), "--delta", "1", "--sigma2", "0.25",
+            "--epsilon", "5e-324", "--strategy", kind, "--trials", "2",
+            *(["--alpha", repr(1 / m)] if kind == "two_stage" else [])]
+    rc, err, made = _refusal(tmp_path, kind, argv)
+    if rc == 0:
+        assert (err, made) == ("", True)
+        assert list((tmp_path / kind / "out").glob("*.csv"))
+    else:
+        assert (rc, made) == (3, False)
+        assert re.fullmatch(r"error: noise variance v\(\d+\) = \S+ is too large"
+                            r"[^\n]* steps\n", err)
 
 
 def test_unreachable_drift_exits_three():

@@ -616,33 +616,37 @@ class TestCli:
     def test_fixed_bisection_level_past_step_limit_exits_three(self, tmp_path,
                                                                 capsys):
         # a first level of about 5e8 observations is refused before any
-        # draw, so its array of normals is never allocated
+        # draw and any output, so its array of normals is never allocated
+        out = tmp_path / "out"
         tracemalloc.start()
         try:
             rc = main(["simulate", "--B", "16", "--delta", "1", "--sigma2", "1e6",
                        "--epsilon", "1e-4", "--strategy", "noisy_binary_fixed",
-                       "--trials", "1", "--workers", "1", "--out", str(tmp_path)])
+                       "--trials", "1", "--workers", "1", "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rc == 3
-        err = capsys.readouterr().err
-        assert "exceeded" in err and "Traceback" not in err
-        assert not list(tmp_path.glob("*.csv"))
+        assert capsys.readouterr().err == (
+            "error: noise variance v(8) = 8000000.0 is too large at epsilon=0.0001: "
+            "a trial's levels can take more than 10000000 steps\n")
+        assert not out.exists()
         assert peak < 2 << 20
 
     @pytest.mark.parametrize("sigma2", ["1e18", "1e307"])
     def test_fixed_bisection_level_past_int64_exits_three(self, tmp_path, capsys,
                                                           sigma2):
-        # ceil(4 v z^2) passes 2**63, or 4 v z^2 overflows: the level is
-        # refused at the step limit, as a smaller one past it is
+        # ceil(4 v z^2) passes 2**63, or 4 v z^2 overflows: the config is
+        # refused before any output, as a smaller level past the limit is
+        out = tmp_path / "out"
         rc = main(["simulate", "--B", "16", "--delta", "1", "--sigma2", sigma2,
                    "--epsilon", "0.1", "--strategy", "noisy_binary_fixed",
-                   "--trials", "2", "--out", str(tmp_path)])
+                   "--trials", "2", "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == (
-            "error: trial 0: noisy_binary_fixed exceeded 10000000 steps\n")
-        assert not list(tmp_path.glob("*.csv"))
+            f"error: noise variance v(8) = {8 * float(sigma2)!r} is too large at "
+            f"epsilon=0.1: a trial's levels can take more than 10000000 steps\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["sorted_pm", "fixed_composition",
                                       "exhaustive", "two_stage"])

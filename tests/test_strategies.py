@@ -620,13 +620,17 @@ class TestDispatcherAndLimits:
                 for s in seeds]
         if kind == NOISY_BINARY_FIXED:
             # a fixed row takes 30 steps to a 3-cell window, and 6 more if
-            # its target lies in the 2-cell half: trials 5 and 9 finish on
-            # the limit, and trial 0, the lowest of the rest, passes it
-            limit, lowest = min(taus), 0
-        else:
-            limit, lowest = taus[0], 2  # trials 0 and 1 finish
+            # its target lies in the 2-cell half: below 36 steps, the
+            # longest path, a batch is refused before any trial, naming none
+            assert sorted(set(taus)) == [30, 36]
+            monkeypatch.setattr(strat, "STEP_LIMIT", 30)
+            self.assert_fixed_refused(config, 6)
+            with pytest.raises(StepLimitExceeded, match=r"^noise variance v\(6\) = "):
+                run_trials(spec, config, 12, 5)
+            return
+        limit = taus[0]  # trials 0 and 1 finish
         stuck = next(i for i, t in enumerate(taus) if t > limit)
-        assert stuck == lowest
+        assert stuck == 2
         monkeypatch.setattr(strat, "STEP_LIMIT", limit)
         rngs = [np.random.default_rng(s) for s in seeds]
         with pytest.raises(StepLimitExceeded,
@@ -636,17 +640,40 @@ class TestDispatcherAndLimits:
         with pytest.raises(StepLimitExceeded, match=rf"^trial {stuck}: {kind} "):
             run_trials(spec, config, 12, 5)
 
+    @staticmethod
+    def assert_fixed_refused(config, probed):
+        """run_rows refuses noisy_binary_fixed at config before any draw,
+        naming v(probed), and leaves its generators as they were."""
+        rngs = [np.random.default_rng(trial_seed_for(1, i)) for i in range(2)]
+        states = [g.bit_generator.state for g in rngs]
+        v = config.noise_variance(probed)
+        with pytest.raises(StepLimitExceeded, match="^" + re.escape(
+                f"noise variance v({probed}) = {v!r} is too large at "
+                f"epsilon={config.epsilon!r}: a trial's levels can take more "
+                f"than {strat.STEP_LIMIT} steps") + "$"):
+            run_rows(StrategySpec(NOISY_BINARY_FIXED), config, rngs, first_trial=7)
+        assert [g.bit_generator.state for g in rngs] == states
+
     @pytest.mark.parametrize("sigma2", [1e18, 1e307])
     def test_fixed_level_count_past_int64_raises_step_limit(self, sigma2):
         # the first level's ceil(4 v z^2) passes 2**63 (at 1e307 the float
-        # overflows to inf), and the level is refused before it is observed
-        config = new_config(16, 1, sigma2, 0.1)
-        spec = StrategySpec(NOISY_BINARY_FIXED)
-        rngs = [np.random.default_rng(trial_seed_for(1, i)) for i in range(2)]
-        with pytest.raises(StepLimitExceeded,
-                           match=rf"^trial 7: {NOISY_BINARY_FIXED} "
-                                 rf"exceeded {strat.STEP_LIMIT} steps$"):
-            run_rows(spec, config, rngs, first_trial=7)
+        # overflows to inf): the config is refused before any draw
+        self.assert_fixed_refused(new_config(16, 1, sigma2, 0.1), 8)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_fixed_level_at_underflowed_share_is_refused(self, m):
+        # eps/log2 M underflows to 0 at eps = 5e-324 and M = 4 or 16: z is
+        # +inf, where Q^{-1}(0) raised a StatisticsError; M = 2 and 3 run
+        self.assert_fixed_refused(new_config(m, 1, 0.25, 5e-324), m // 2)
+
+    def test_fixed_bisection_is_refused_by_its_longest_path(self, monkeypatch):
+        # M12_power's levels take 30 or 36 steps: a limit of 35 refuses the
+        # config, though trials through the 2-cell half would finish
+        config = GOLDEN_CONFIGS["M12_power"]
+        monkeypatch.setattr(strat, "STEP_LIMIT", 35)
+        self.assert_fixed_refused(config, 6)
+        monkeypatch.setattr(strat, "STEP_LIMIT", 36)
+        strat.check_run(StrategySpec(NOISY_BINARY_FIXED), config)
 
     @pytest.mark.parametrize("spec", [StrategySpec(SORTED_PM),
                                       StrategySpec(FIXED_COMPOSITION),
@@ -1350,8 +1377,7 @@ class TestSearchReader:
     @pytest.mark.parametrize("kind, window, with_a_stop", [
         (SORTED_PM, None, False), (SORTED_PM, None, True),
         (FIXED_COMPOSITION, 1, False), (FIXED_COMPOSITION, 1, True),
-        (FIXED_COMPOSITION, None, True),
-        (EXHAUSTIVE, 1, False), (EXHAUSTIVE, 1, True), (EXHAUSTIVE, None, True)])
+        (EXHAUSTIVE, 1, False), (EXHAUSTIVE, 1, True)])
     def test_retired_row_takes_the_record_of_its_sums(self, kind, window,
                                                       with_a_stop, monkeypatch):
         config = LOCKSTEP_CONFIGS["M16"]
