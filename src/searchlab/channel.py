@@ -12,7 +12,7 @@ m(y) = (1-q) G(y; 0, v) + q G(y; 1, v), by adaptive Simpson quadrature.
 Capacity has one batched adaptive-Simpson kernel: ``capacity_grid`` takes
 many (q, v) pairs per pass, in blocks of at most BLOCK_POINTS = 2**14
 integrand points, and gives every pair the float a lone evaluation gives,
-bit for bit; ``bawgn_capacity`` is its cached batch of one.
+bit for bit; ``bawgn_capacity`` is its batch of one.
 ``optimal_composition`` runs it only on the probe sizes whose Gaussian
 entropy bound min(H(q), log2(1 + q(1-q)/v) / 2) can still reach the best
 capacity found, so its argmax is the full scan's, bit for bit.
@@ -226,14 +226,13 @@ def capacity_grid(qs, variances) -> np.ndarray:
     return np.array(caps, dtype=float).reshape(q.shape)
 
 
-@lru_cache(maxsize=8192)
 def bawgn_capacity(q: float, variance: float) -> float:
     """Capacity-like rate C(q, v) of the binary-input AWGN observation in bits.
 
     C(q, v) = -int m(y) log2 m(y) dy - (1/2) log2(2 pi e v) with
     m(y) = (1-q) G(y; 0, v) + q G(y; 1, v).  The result is clamped into
     [0, H(q)]; quadrature is adaptive Simpson with absolute error well below
-    1e-8.  This is capacity_grid's batch of one.
+    1e-8.  This is capacity_grid's batch of one, and it is not cached.
     """
     return _capacities((q,), (variance,))[0]
 

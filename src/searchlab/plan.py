@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .channel import (bawgn_capacity, capacity_grid, optimal_composition,
                       solve_a_eta)
 from .errors import ParseError, ValidationError
 from .model import NoiseModel, SearchConfig, new_config
-from .sim import MAX_TRIALS, _check_seed, run_trials, trial_seed_for
+from .sim import MAX_TRIALS, _check_seed, _check_workers, run_trials, trial_seed_for
 from .strategies import StrategySpec, check_run
 
 PARAM_NAMES = ("B", "delta", "sigma2", "epsilon", "gamma", "q")
@@ -60,10 +60,13 @@ class ExperimentPlan:
 
     ``axes`` lists every parameter as (name, values), fixed parameters as
     singleton value tuples, in expansion order (fixed first, then sweeps as
-    declared).  Every field a CLI flag can set is checked on construction,
-    so plans from parse_plan, a CLI verb or dataclasses.replace are checked
-    alike before anything runs: ``id`` is UTF-8 text with no '/', '\\' or
-    NUL (it names the output files), ``eta_frac`` lies in (0, 1),
+    declared).  Every field is checked on construction, so plans from
+    parse_plan, a CLI verb, Python code or dataclasses.replace are checked
+    alike before anything runs: axes are PARAM_NAMES, each once, all of
+    CONFIG_PARAMS among them; a capacity table has q values in (0, 1] and
+    no strategies or bounds, and only a half_input one total variances, at
+    least one, positive and finite; ``id`` is UTF-8 text with no '/', '\\'
+    or NUL (it names the output files), ``eta_frac`` lies in (0, 1),
     ``n_trials`` is an int, not a bool, in [1, MAX_TRIALS], ``master_seed``
     is such an int in [0, 2**64) (`sim._check_seed`), ``bound_set`` names
     are BOUND_NAMES, each at most once (a strategy may repeat: each row has
@@ -88,6 +91,28 @@ class ExperimentPlan:
         # UTF-8 encodes every code point but a surrogate
         _require(not any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in self.id),
                  f"plan id must be UTF-8 text with no '/', '\\' or NUL, got {self.id!r}")
+        names = [name for name, _ in self.axes]
+        for i, name in enumerate(names):
+            _require(name in PARAM_NAMES, f"unknown parameter {name!r} "
+                     f"(expected one of {', '.join(PARAM_NAMES)})")
+            _require(name not in names[:i], f"parameter {name!r} given twice")
+        for name in CONFIG_PARAMS:
+            _require(name in names, f"parameter {name!r} missing (fix it or sweep it)")
+        mode, tvs = self.capacity_mode, self.total_variances
+        _require(mode is None or mode in CAPACITY_MODES,
+                 f"capacity_table mode must be one of {CAPACITY_MODES}, got {mode!r}")
+        _require(mode == "half_input" or not tvs,
+                 "total_variances only applies to half_input mode")
+        if mode == "half_input":
+            _require(tvs, "half_input mode needs a non-empty 'total_variances' list")
+            _require(all(0 < v < math.inf for v in tvs),
+                     "total variances must be positive and finite")
+        _require(("q" in names) == (mode is not None),
+                 "a 'q' sweep and a 'capacity_table' block go together")
+        _require(all(0.0 < v <= 1.0 for v in dict(self.axes).get("q", ())),
+                 "q values must lie in (0, 1]")
+        _require(mode is None or not (self.strategies or self.bound_set),
+                 "capacity-table plans take no strategies or bounds")
         _require(0.0 < self.eta_frac < 1.0,
                  f"eta_frac must lie in (0, 1), got {self.eta_frac}")
         n = self.n_trials
@@ -168,12 +193,10 @@ def parse_plan(text: str) -> ExperimentPlan:
         if name in doc:
             _require(name not in seen, f"parameter {name!r} given both fixed and swept")
             fixed_axes.append((name, (_as_number(doc[name], name),)))
-            seen.add(name)
-    for name in CONFIG_PARAMS:
-        _require(name in seen, f"parameter {name!r} missing (fix it or sweep it)")
     axes = tuple(fixed_axes + sweep_axes)
 
-    # capacity-table plans ride on a q axis and exclude sims and bounds
+    # ExperimentPlan reads a mode of None as no table and () as no variances:
+    # a block with no mode, or a composition block's variances key, is refused here
     table_doc = doc.get("capacity_table")
     capacity_mode = None
     total_variances: tuple[float, ...] = ()
@@ -183,23 +206,14 @@ def parse_plan(text: str) -> ExperimentPlan:
             _require(key in ("mode", "total_variances"),
                      f"unknown capacity_table key {key!r}")
         capacity_mode = table_doc.get("mode")
-        _require(capacity_mode in CAPACITY_MODES,
-                 f"capacity_table mode must be one of {CAPACITY_MODES}, got {capacity_mode!r}")
-        if capacity_mode == "half_input":
-            tv = table_doc.get("total_variances")
-            _require(isinstance(tv, list) and tv,
-                     "half_input mode needs a non-empty 'total_variances' list")
+        _require(capacity_mode is not None,
+                 f"capacity_table mode must be one of {CAPACITY_MODES}, got None")
+        tv = table_doc.get("total_variances")
+        if capacity_mode == "half_input" and isinstance(tv, list):
             total_variances = tuple(_as_number(v, "total variance") for v in tv)
-            _require(all(0 < v < math.inf for v in total_variances),
-                     "total variances must be positive and finite")
-        else:
+        elif capacity_mode == "composition":
             _require("total_variances" not in table_doc,
                      "total_variances only applies to half_input mode")
-    _require(("q" in seen) == (capacity_mode is not None),
-             "a 'q' sweep and a 'capacity_table' block go together")
-    if "q" in seen:
-        qvals = dict(axes)["q"]
-        _require(all(0.0 < v <= 1.0 for v in qvals), "q values must lie in (0, 1]")
 
     strategies_doc = doc.get("strategies", [])
     _require(isinstance(strategies_doc, list), "'strategies' must be a list")
@@ -215,16 +229,12 @@ def parse_plan(text: str) -> ExperimentPlan:
 
     bound_doc = doc.get("bound_set", [])
     _require(isinstance(bound_doc, list), "'bound_set' must be a list")
-    bound_set = tuple(bound_doc)
-    if capacity_mode is not None:
-        _require(not strategies and not bound_set,
-                 "capacity-table plans take no strategies or bounds")
 
     eta_frac = _as_number(doc.get("eta_frac", 0.1), "eta_frac")
     return ExperimentPlan(id=plan_id, axes=axes, strategies=tuple(strategies),
                           n_trials=doc.get("n_trials", 2000),
                           master_seed=doc.get("master_seed", 0),
-                          bound_set=bound_set,
+                          bound_set=tuple(bound_doc),
                           eta_frac=eta_frac, capacity_mode=capacity_mode,
                           total_variances=total_variances)
 
@@ -247,32 +257,32 @@ def _point_config(point: dict) -> SearchConfig:
                       point["epsilon"], noise=noise)
 
 
-def _points(plan: ExperimentPlan, skip=("q",)):
-    names = [n for n, _ in plan.axes if n not in skip]
-    value_lists = [vals for n, vals in plan.axes if n not in skip]
-    for combo in itertools.product(*value_lists):
+def _points(plan: ExperimentPlan):
+    names = [n for n, _ in plan.axes if n != "q"]
+    for combo in itertools.product(*(vals for n, vals in plan.axes if n != "q")):
         yield dict(zip(names, combo))
 
 
-def _gamma_of(point: dict[str, float]) -> float:
-    return point.get("gamma", 1.0)
+def _point_row(plan: ExperimentPlan, config: SearchConfig) -> dict:
+    """The columns every per-point row shares (gamma is 1.0 if linear)."""
+    return {"experiment_id": plan.id, "B": config.B, "delta": config.delta,
+            "sigma2": config.sigma2, "epsilon": config.epsilon,
+            "gamma": config.noise.gamma}
 
 
-def _capacity_rows(plan: ExperimentPlan) -> list[dict]:
-    """Capacity-table rows of a plan, every capacity from one capacity_grid
-    call."""
+def _capacity_rows(plan: ExperimentPlan, configs: list[SearchConfig]) -> list[dict]:
+    """Capacity-table rows over the configurations (composition) or the
+    total variances (half_input), every capacity from one capacity_grid call."""
     rows, qs, vs = [], [], []
     qvals = dict(plan.axes)["q"]
     if plan.capacity_mode == "composition":
-        for point in _points(plan):
-            config = _point_config(point)
+        for config in configs:
             for q in qvals:
                 k = int(round(q * config.M))
                 k = min(max(k, 1), config.M)
                 v = config.noise_variance(k)
-                rows.append({"experiment_id": plan.id, "gamma": _gamma_of(point),
-                             "sigma2_total": None, "q": q, "probe_count": k,
-                             "variance": v})
+                rows.append({**_point_row(plan, config), "sigma2_total": None,
+                             "q": q, "probe_count": k, "variance": v})
                 qs.append(q)
                 vs.append(v)
     else:
@@ -289,40 +299,28 @@ def _capacity_rows(plan: ExperimentPlan) -> list[dict]:
     return rows
 
 
-def _sim_rows(plan: ExperimentPlan, workers: int) -> list[dict]:
+def _sim_rows(plan: ExperimentPlan, configs: list[SearchConfig], workers: int) -> list[dict]:
+    """One row a (configuration, strategy) pair, in that order; row i's
+    batch seed is trial_seed_for(master_seed, i)."""
     rows = []
-    row_index = 0
-    for point in _points(plan):
-        config = _point_config(point)
-        for spec in plan.strategies:
-            batch_seed = trial_seed_for(plan.master_seed, row_index)
-            stats = run_trials(spec, config, plan.n_trials, batch_seed, workers)
-            rows.append({
-                "experiment_id": plan.id, "strategy": stats.strategy_id,
-                "B": config.B, "delta": config.delta, "sigma2": config.sigma2,
-                "gamma": _gamma_of(point), "epsilon": config.epsilon,
-                "n_trials": plan.n_trials, "mean_tau": stats.mean_tau,
-                "ci95_lo": stats.mean_tau - stats.ci95_half_width,
-                "ci95_hi": stats.mean_tau + stats.ci95_half_width,
-                "err_rate": stats.err_rate, "master_seed": plan.master_seed,
-            })
-            row_index += 1
+    for i, (config, spec) in enumerate(itertools.product(configs, plan.strategies)):
+        stats = run_trials(spec, config, plan.n_trials,
+                           trial_seed_for(plan.master_seed, i), workers)
+        rows.append({
+            **_point_row(plan, config), "strategy": stats.strategy_id,
+            "n_trials": plan.n_trials, "mean_tau": stats.mean_tau,
+            "ci95_lo": stats.mean_tau - stats.ci95_half_width,
+            "ci95_hi": stats.mean_tau + stats.ci95_half_width,
+            "err_rate": stats.err_rate, "master_seed": plan.master_seed,
+        })
     return rows
 
 
-def _bound_rows(plan: ExperimentPlan) -> list[dict]:
-    rows = []
+def _bound_rows(plan: ExperimentPlan, configs: list[SearchConfig]) -> list[dict]:
+    """Each pointwise bound at each configuration, then corollary2's ratios."""
+    rows, blank = [], dict.fromkeys(BOUND_COLUMNS)
     pointwise = [b for b in plan.bound_set if b != "corollary2"]
-    points = list(_points(plan))
-
-    def base_row(point, config):
-        return {"experiment_id": plan.id, "bound_name": None, "B": config.B,
-                "delta": config.delta, "sigma2": config.sigma2,
-                "gamma": _gamma_of(point), "epsilon": config.epsilon,
-                "eta": None, "alpha_star": None, "a_eta": None, "value": None}
-
-    for point in points:
-        config = _point_config(point)
+    for config in configs:
         eta = None
         # M = 1 has no composition to scan; the bounds that read eta raise
         # their own NoFeasibleAlpha, which names the input
@@ -332,8 +330,7 @@ def _bound_rows(plan: ExperimentPlan) -> list[dict]:
             eta = plan.eta_frac * c1
         reports = {}  # lemma2 and theorem1 read one report, theorem2 another
         for name in pointwise:
-            row = base_row(point, config)
-            row["bound_name"] = name
+            row = {**blank, **_point_row(plan, config), "bound_name": name}
             if name == "lemma1":
                 row["value"] = bounds_mod.nonadaptive_lower_bound(config)
             else:
@@ -354,13 +351,10 @@ def _bound_rows(plan: ExperimentPlan) -> list[dict]:
                      f"out of floating-point range")
             rows.append(row)
     if "corollary2" in plan.bound_set:
-        configs = [_point_config(p) for p in points]
-        for point, ratio in zip(points, bounds_mod.asymptotic_ratios(
+        for config, ratio in zip(configs, bounds_mod.asymptotic_ratios(
                 configs, eta_frac=plan.eta_frac)):
-            row = base_row(point, _point_config(point))
-            row["bound_name"] = "corollary2"
-            row["value"] = ratio.ratio
-            rows.append(row)
+            rows.append({**blank, **_point_row(plan, config),
+                         "bound_name": "corollary2", "value": ratio.ratio})
     return rows
 
 
@@ -405,33 +399,33 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
     Returns the written paths.  Every table is computed before the first
     file is written.  If execution fails partway, a '<id>.partial' marker
     file describing the failure is left in out_dir and the error
-    re-raised; a successful run removes a stale marker.  Every point's
-    configuration (a half_input table has none) is built, and each of the
-    plan's strategies checked at it (`strategies.check_run`), before
-    out_dir is made, so a point that cannot be configured, or that a
-    strategy cannot run at, is refused without output.
+    re-raised; a successful run removes a stale marker.  Before out_dir is
+    made, fmt and workers (`sim._check_workers`) are checked and the point
+    configurations are built, once for every table (a half_input table has
+    none), each of the plan's strategies checked at each
+    (`strategies.check_run`), so a bad point is refused without output.
     """
     if fmt not in ("csv", "json", "both"):
         raise ValidationError(f"format must be csv, json, or both, got {fmt!r}")
+    _check_workers(workers)
     _require(plan.strategies or plan.bound_set or plan.capacity_mode is not None,
              f"plan {plan.id!r} has nothing to run: it needs strategies, "
              f"a bound_set or a capacity_table")
-    if plan.capacity_mode != "half_input":  # refused before any output
-        for point in _points(plan):
-            config = _point_config(point)
-            for spec in plan.strategies:
-                check_run(spec, config)
+    configs = ([] if plan.capacity_mode == "half_input"
+               else [_point_config(point) for point in _points(plan)])
+    for config, spec in itertools.product(configs, plan.strategies):
+        check_run(spec, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / f"{plan.id}.partial"
     try:
         tables = []
         if plan.capacity_mode is not None:
-            tables.append(("capacity", CAPACITY_COLUMNS, _capacity_rows(plan)))
+            tables.append(("capacity", CAPACITY_COLUMNS, _capacity_rows(plan, configs)))
         if plan.strategies:
-            tables.append(("sim", SIM_COLUMNS, _sim_rows(plan, workers)))
+            tables.append(("sim", SIM_COLUMNS, _sim_rows(plan, configs, workers)))
         if plan.bound_set:
-            tables.append(("bounds", BOUND_COLUMNS, _bound_rows(plan)))
+            tables.append(("bounds", BOUND_COLUMNS, _bound_rows(plan, configs)))
         written = [path for suffix, columns, rows in tables
                    for path in _write_rows(out / f"{plan.id}_{suffix}", columns,
                                            rows, fmt)]

@@ -127,6 +127,13 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be below 2**64, got {seed}")
 
 
+def _check_workers(workers: int) -> None:
+    """A worker count is an int (or a numpy one), not a bool, of at least 1."""
+    if (isinstance(workers, bool) or not isinstance(workers, (int, np.integer))
+            or workers < 1):
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def trial_seed_for(master_seed: int, trial_index: int) -> int:
     """64-bit substream seed mixed from (master_seed, trial_index)."""
     _check_seed(master_seed)
@@ -243,8 +250,7 @@ def run_trials(spec: StrategySpec, config: SearchConfig, n_trials: int,
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     check_run(spec, config)
     chunks = min(workers, os.cpu_count() or 1, n_trials)
     if chunks == 1:

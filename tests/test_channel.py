@@ -190,7 +190,6 @@ class TestCapacityGolden:
 
     @pytest.mark.parametrize("qv", CAPACITY_HEX, ids=str)
     def test_capacity_bit_exact(self, qv):
-        bawgn_capacity.cache_clear()
         assert bawgn_capacity(*qv).hex() == CAPACITY_HEX[qv]
 
     @pytest.mark.parametrize("name", COMPOSITION_POINTS)
@@ -198,7 +197,6 @@ class TestCapacityGolden:
         b, delta, sigma2, eps, noise = COMPOSITION_POINTS[name]
         cfg = new_config(b, delta, sigma2, eps, noise=noise)
         optimal_composition.cache_clear()
-        bawgn_capacity.cache_clear()
         q_star, c1 = optimal_composition(cfg)
         assert (q_star.hex(), c1.hex()) == COMPOSITION_HEX[name]
 
@@ -418,7 +416,6 @@ class TestCapacityGrid:
         monkeypatch.setattr(channel, "MAX_PANELS", max_panels)
         with pytest.raises(QuadratureNonConvergence, match=match):
             capacity_grid([0.2, 0.37], [0.5, 0.33])
-        bawgn_capacity.cache_clear()
         with pytest.raises(QuadratureNonConvergence, match=match):
             bawgn_capacity(0.37, 0.33)
 
@@ -483,7 +480,6 @@ class TestCapacityMemory:
         # the smallest variance the quadrature takes needs 2^14 panels, one
         # block a pair; a smaller one is the noiseless limit, on no grid
         qs = [0.001, 0.1, 0.37, 0.5, 0.999]
-        bawgn_capacity.cache_clear()
         assert self._peak(lambda: capacity_grid(qs, v)) < self.LIMIT
 
     @pytest.mark.parametrize("argv", [

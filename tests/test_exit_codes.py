@@ -67,7 +67,7 @@ def test_classes_are_classified_by_their_base():
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
 def test_cli_exit_code_follows_the_class(tmp_path, monkeypatch, cls):
-    def fail(plan):
+    def fail(plan, configs):
         raise cls("raised on purpose")
 
     monkeypatch.setattr(plan_mod, "_bound_rows", fail)
@@ -82,7 +82,7 @@ def test_cli_exit_code_follows_the_class(tmp_path, monkeypatch, cls):
     (RuntimeError(), "error: RuntimeError"),
 ], ids=["ValueError", "KeyError", "empty-message"])
 def test_unintended_errors_exit_three(tmp_path, monkeypatch, exc, shown):
-    def fail(plan):
+    def fail(plan, configs):
         raise exc
 
     monkeypatch.setattr(plan_mod, "_bound_rows", fail)
@@ -175,9 +175,9 @@ def test_bound_rows_read_one_report_per_point(monkeypatch):
         id="t", axes=(("B", (16.0,)), ("delta", (1.0,)), ("sigma2", (0.25,)),
                       ("epsilon", (1e-4,))),
         bound_set=("lemma1", "lemma2", "theorem1"))
-    rows = {row["bound_name"]: row for row in plan_mod._bound_rows(plan)}
-    assert built == [True]
     config = new_config(16, 1, 0.25, 1e-4)
+    rows = {row["bound_name"]: row for row in plan_mod._bound_rows(plan, [config])}
+    assert built == [True]
     eta = 0.1 * optimal_composition(config)[1]
     lemma2 = rows["lemma2"]
     assert lemma2["eta"] == eta

@@ -162,6 +162,70 @@ class TestParsePlan:
                                    "epsilon": 0.01}))
 
 
+CONFIG_AXES = (("B", (16.0,)), ("delta", (1.0,)), ("sigma2", (0.25,)),
+               ("epsilon", (1e-4,)))
+
+
+class TestPlanChecksItself:
+    """A plan built in Python is checked as a plan file is, on construction,
+    so none of these gets as far as run_plan."""
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"axes": CONFIG_AXES[:3], "bound_set": ("lemma1",)},
+         "parameter 'epsilon' missing (fix it or sweep it)"),
+        ({"axes": CONFIG_AXES, "capacity_mode": "composition"},
+         "a 'q' sweep and a 'capacity_table' block go together"),
+        ({"axes": (*CONFIG_AXES, ("q", (2.0,))), "capacity_mode": "composition"},
+         "q values must lie in (0, 1]"),
+        ({"axes": (*CONFIG_AXES, ("bogus", (1.0, 2.0))), "bound_set": ("lemma1",)},
+         "unknown parameter 'bogus' (expected one of B, delta, sigma2, epsilon, "
+         "gamma, q)"),
+        ({"axes": (*CONFIG_AXES, ("B", (8.0,))), "bound_set": ("lemma1",)},
+         "parameter 'B' given twice"),
+        ({"axes": (*CONFIG_AXES, ("q", (0.5,))), "capacity_mode": "full"},
+         "capacity_table mode must be one of ('composition', 'half_input'), "
+         "got 'full'"),
+        ({"axes": (*CONFIG_AXES, ("q", (0.5,))), "capacity_mode": "half_input"},
+         "half_input mode needs a non-empty 'total_variances' list"),
+        ({"axes": (*CONFIG_AXES, ("q", (0.5,))), "capacity_mode": "half_input",
+          "total_variances": (0.0,)},
+         "total variances must be positive and finite"),
+        ({"axes": CONFIG_AXES, "bound_set": ("lemma1",), "total_variances": (1.0,)},
+         "total_variances only applies to half_input mode"),
+        ({"axes": (*CONFIG_AXES, ("q", (0.5,))), "capacity_mode": "composition",
+          "strategies": (StrategySpec("sorted_pm"),)},
+         "capacity-table plans take no strategies or bounds"),
+    ], ids=["no-epsilon", "table-without-q", "q-past-one", "unknown-axis",
+            "axis-twice", "unknown-mode", "half-input-without-variances",
+            "zero-variance", "variances-without-table", "table-with-strategy"])
+    def test_constructed_plan_is_refused(self, kwargs, message):
+        with pytest.raises(ValidationError) as err:
+            ExperimentPlan(id="x", **kwargs)
+        assert str(err.value) == message
+
+    def test_replace_that_drops_the_table_is_refused(self):
+        with pytest.raises(ValidationError, match="go together"):
+            dataclasses.replace(load_preset("fig3"), capacity_mode=None)
+
+    @pytest.mark.parametrize("table,message", [
+        ({}, "capacity_table mode must be one of ('composition', 'half_input'), "
+             "got None"),
+        ({"mode": "composition", "total_variances": []},
+         "total_variances only applies to half_input mode"),
+        ({"mode": "half_input"},
+         "half_input mode needs a non-empty 'total_variances' list"),
+        ({"mode": "half_input", "total_variances": 0.5},
+         "half_input mode needs a non-empty 'total_variances' list"),
+        ({"mode": "half_input", "total_variances": [1.0, -1.0]},
+         "total variances must be positive and finite"),
+    ], ids=["no-mode", "composition-with-empty-variances", "no-variances",
+            "variances-not-a-list", "negative-variance"])
+    def test_plan_file_table_refusals_keep_their_text(self, table, message):
+        with pytest.raises(ValidationError) as err:
+            parse_plan(plan_doc(sweeps=[["q", [0.5]]], capacity_table=table))
+        assert str(err.value) == message
+
+
 # SHA-256 of every file that run_plan(load_preset(name), out, workers=1)
 # writes: the presets' bytes are a contract, so a change to them must be
 # recorded here.  Recorded when a fixed bisection level became one
@@ -332,7 +396,7 @@ class TestRunPlan:
         assert a_b.read_bytes() == b_b.read_bytes()
 
     @staticmethod
-    def fail_sims(plan, workers):
+    def fail_sims(plan, configs, workers):
         """A runtime failure of a plan's batches, once out_dir exists."""
         raise StepLimitExceeded("trial 1: two_stage(alpha=1/4) stage 1 "
                                 "exceeded 10000000 steps")
@@ -364,6 +428,35 @@ class TestRunPlan:
         run_plan(plan, tmp_path)
         assert not (tmp_path / "redo.partial").exists()
         assert (tmp_path / "redo_sim.csv").exists()
+
+    def test_each_point_configuration_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return new_config(*args, **kwargs)
+
+        monkeypatch.setattr(plan_mod, "new_config", counted)
+        plan = ExperimentPlan(
+            id="once", axes=(("B", (8.0, 16.0)), *CONFIG_AXES[1:3],
+                             ("epsilon", (0.1,))),
+            strategies=(StrategySpec("sorted_pm"),), n_trials=2,
+            bound_set=("lemma1", "corollary2"))
+        paths = run_plan(plan, tmp_path)
+        assert built == [(8.0, 1.0, 0.25, 0.1), (16.0, 1.0, 0.25, 0.1)]
+        assert [p.name for p in paths] == ["once_sim.csv", "once_bounds.csv"]
+
+    @pytest.mark.parametrize("workers", [0, 1.5, True])
+    def test_bad_worker_count_refused_before_output(self, tmp_path, workers):
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="workers"):
+            run_plan(parse_plan(MINIMAL), out, workers=workers)
+        assert not out.exists()
+
+    def test_run_trials_refuses_a_fractional_worker_count(self):
+        with pytest.raises(ValidationError, match="workers"):
+            run_trials(StrategySpec("sorted_pm"), new_config(4, 1, 0.25, 0.01),
+                       2, 0, workers=1.5)
 
     def test_failed_write_leaves_no_data_file(self, tmp_path, monkeypatch):
         real_writer = plan_mod.csv.writer
