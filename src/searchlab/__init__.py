@@ -24,7 +24,6 @@ from .channel import (
     AEtaResult,
     bawgn_capacity,
     binary_entropy,
-    gaussian_pdf,
     gaussian_tail,
     gaussian_tail_inverse,
     optimal_composition,
@@ -121,7 +120,6 @@ __all__ = [
     "feasible_alphas",
     "fixed_b_limit_constant",
     "fixed_delta_limit_constant",
-    "gaussian_pdf",
     "gaussian_tail",
     "gaussian_tail_inverse",
     "general_f_bounds",

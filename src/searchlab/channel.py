@@ -57,14 +57,6 @@ PRUNE_MARGIN = 1e-8
 _STANDARD_NORMAL = NormalDist()
 
 
-def gaussian_pdf(y, mean: float, variance: float):
-    """Density of N(mean, variance) evaluated at y (scalar or array)."""
-    y = np.asarray(y, dtype=float)
-    out = np.exp(-((y - mean) ** 2) / (2.0 * variance))
-    out /= math.sqrt(2.0 * math.pi * variance)
-    return out if out.ndim else float(out)
-
-
 def gaussian_tail(x: float) -> float:
     """Q(x) = P(N(0,1) > x)."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
@@ -345,7 +337,6 @@ A_ETA_BRACKET_LO = 3.0 + 1e-6
 A_ETA_BRACKET_CAP = 1e9
 
 
-@lru_cache(maxsize=512)
 def solve_a_eta(eta: float, config) -> AEtaResult:
     """Solve (a/(a-3)) psi(a-3) = eta for a > 3 by bisection.
 

@@ -44,7 +44,8 @@ from .strategies import FIXED_COMPOSITION, KINDS, SORTED_PM, StrategySpec
 
 
 def _workers(args) -> int:
-    """--workers, else SEARCHLAB_WORKERS, else 1; below 1 is bad input."""
+    """--workers, else SEARCHLAB_WORKERS, else 1: a count of at least 1
+    (`sim._check_count`), refused under the name it came by."""
     if args.workers is not None:
         name, workers = "--workers", args.workers
     else:
@@ -54,9 +55,15 @@ def _workers(args) -> int:
         except ValueError:
             raise ValidationError(
                 f"SEARCHLAB_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValidationError(f"{name} must be at least 1, got {workers}")
+    sim._check_count(name, workers, 1)
     return workers
+
+
+def _report(paths) -> int:
+    """Name each written file; a verb that gets here succeeded."""
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -158,28 +165,22 @@ def _cmd_capacity(args) -> int:
             print(f"C(q={q!r}, v={v!r}) = {c!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for path in _write_rows(out / "cli_capacity", CAPACITY_COLUMNS, rows,
-                            args.format):
-        print(f"wrote {path}")
-    return 0
+    return _report(_write_rows(out / "cli_capacity", CAPACITY_COLUMNS, rows,
+                               args.format))
 
 
 def _cmd_bounds(args) -> int:
     names = tuple(s.strip() for s in args.bound_set.split(",") if s.strip())
     plan = _one_point_plan(args, "cli_bounds", bound_set=names,
                            eta_frac=args.eta_frac)
-    for path in run_plan(plan, args.out, fmt=args.format):
-        print(f"wrote {path}")
-    return 0
+    return _report(run_plan(plan, args.out, fmt=args.format))
 
 
 def _cmd_simulate(args) -> int:
     spec = StrategySpec(kind=args.strategy, alpha=args.alpha)
     plan = _one_point_plan(args, "cli_simulate", strategies=(spec,),
                            n_trials=args.trials, master_seed=args.seed)
-    for path in run_plan(plan, args.out, workers=_workers(args), fmt=args.format):
-        print(f"wrote {path}")
-    return 0
+    return _report(run_plan(plan, args.out, workers=_workers(args), fmt=args.format))
 
 
 def _cmd_sweep(args) -> int:
@@ -197,9 +198,7 @@ def _cmd_sweep(args) -> int:
                  "eta_frac": args.eta_frac}
     plan = dataclasses.replace(
         plan, **{k: v for k, v in overrides.items() if v is not None})
-    for path in run_plan(plan, args.out, workers=_workers(args), fmt=args.format):
-        print(f"wrote {path}")
-    return 0
+    return _report(run_plan(plan, args.out, workers=_workers(args), fmt=args.format))
 
 
 def _cmd_drift_probe(args) -> int:

@@ -26,7 +26,7 @@ from .channel import (bawgn_capacity, capacity_grid, optimal_composition,
                       solve_a_eta)
 from .errors import ParseError, ValidationError
 from .model import NoiseModel, SearchConfig, new_config
-from .sim import MAX_TRIALS, _check_seed, _check_workers, run_trials, trial_seed_for
+from .sim import MAX_TRIALS, _check_count, _check_seed, run_trials, trial_seed_for
 from .strategies import StrategySpec, check_run
 
 PARAM_NAMES = ("B", "delta", "sigma2", "epsilon", "gamma", "q")
@@ -34,12 +34,14 @@ CONFIG_PARAMS = ("B", "delta", "sigma2", "epsilon")
 BOUND_NAMES = ("lemma1", "lemma2", "theorem1", "theorem2", "corollary2")
 CAPACITY_MODES = ("composition", "half_input")
 PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
+FORMATS = {"csv": (".csv",), "json": (".json",), "both": (".csv", ".json")}
 
 # The most points a plan may expand to: its axes' lengths multiplied, q
 # and a half_input table's total variances included, so that no plan asks
 # for an unbounded list of points.  An 801-q table over 128 sizes (102,528
 # points) fits.
 MAX_POINTS = 1 << 17
+NAME_MAX = 255  # UTF-8 bytes of a file name on ext4, xfs, btrfs and tmpfs
 
 PLAN_KEYS = {"id", "B", "delta", "sigma2", "epsilon", "gamma", "sweeps",
              "strategies", "n_trials", "master_seed", "bound_set",
@@ -60,21 +62,23 @@ class ExperimentPlan:
 
     ``axes`` lists every parameter as (name, values), fixed parameters as
     singleton value tuples, in expansion order (fixed first, then sweeps as
-    declared).  Every field is checked on construction, so plans from
-    parse_plan, a CLI verb, Python code or dataclasses.replace are checked
-    alike before anything runs: axes are PARAM_NAMES, each once, all of
-    CONFIG_PARAMS among them; a capacity table has q values in (0, 1] and
-    no strategies or bounds, and only a half_input one total variances, at
-    least one, positive and finite; ``id`` is UTF-8 text with no '/', '\\'
-    or NUL (it names the output files), ``eta_frac`` lies in (0, 1),
-    ``n_trials`` is an int, not a bool, in [1, MAX_TRIALS], ``master_seed``
-    is such an int in [0, 2**64) (`sim._check_seed`), ``bound_set`` names
-    are BOUND_NAMES, each at most once (a strategy may repeat: each row has
-    its own seed), corollary2 needs exactly one swept parameter, B or
-    delta, and the plan expands to at most MAX_POINTS points.  Each
-    StrategySpec checks its kind and alpha.  Checks that depend on a sweep
-    point run with the plan: the configuration and each strategy's at it
-    (`run_plan`) before any output, bound feasibility as it runs.
+    declared).  It owns every rule of a plan's values, checked on
+    construction, so plans from parse_plan, a CLI verb, Python code or
+    dataclasses.replace are checked alike before anything runs: axes are
+    PARAM_NAMES, each once with at least one value, an int or float (not a
+    bool), all of CONFIG_PARAMS among them; a capacity table has q values in
+    (0, 1] and no strategies or bounds, and only a half_input one total
+    variances, at least one, positive and finite; ``id`` is non-empty UTF-8
+    text with no '/', '\\' or NUL (it names the output files), ``eta_frac``
+    lies in (0, 1), ``n_trials`` a count in [1, MAX_TRIALS]
+    (`sim._check_count`), ``master_seed`` an int in [0, 2**64)
+    (`sim._check_seed`), ``bound_set`` names are BOUND_NAMES, each at most
+    once (a strategy may repeat: each row has its own seed), corollary2
+    needs exactly one swept parameter, B or delta, and the plan expands to
+    at most MAX_POINTS points.  Each StrategySpec checks its kind and
+    alpha.  Checks that depend on a sweep point or the run are `run_plan`'s:
+    the configuration, each strategy's at it and the file names' length
+    before any output, bound feasibility as it runs.
     """
 
     id: str
@@ -88,14 +92,20 @@ class ExperimentPlan:
     total_variances: tuple[float, ...] = ()
 
     def __post_init__(self):
+        _require(isinstance(self.id, str) and self.id,
+                 f"plan needs a non-empty string 'id', got {self.id!r}")
         # UTF-8 encodes every code point but a surrogate
         _require(not any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in self.id),
                  f"plan id must be UTF-8 text with no '/', '\\' or NUL, got {self.id!r}")
         names = [name for name, _ in self.axes]
-        for i, name in enumerate(names):
+        for i, (name, values) in enumerate(self.axes):
             _require(name in PARAM_NAMES, f"unknown parameter {name!r} "
                      f"(expected one of {', '.join(PARAM_NAMES)})")
             _require(name not in names[:i], f"parameter {name!r} given twice")
+            _require(len(values) > 0, f"parameter {name!r} needs at least one value")
+            for v in values:
+                _require(isinstance(v, (int, float)) and not isinstance(v, bool),
+                         f"parameter {name!r} value must be a number, got {v!r}")
         for name in CONFIG_PARAMS:
             _require(name in names, f"parameter {name!r} missing (fix it or sweep it)")
         mode, tvs = self.capacity_mode, self.total_variances
@@ -115,10 +125,7 @@ class ExperimentPlan:
                  "capacity-table plans take no strategies or bounds")
         _require(0.0 < self.eta_frac < 1.0,
                  f"eta_frac must lie in (0, 1), got {self.eta_frac}")
-        n = self.n_trials
-        _require(isinstance(n, int) and not isinstance(n, bool)
-                 and 1 <= n <= MAX_TRIALS,
-                 f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n!r}")
+        _check_count("n_trials", self.n_trials, 1, MAX_TRIALS)
         _check_seed(self.master_seed)
         points = (math.prod(len(vals) for _, vals in self.axes)
                   * max(1, len(self.total_variances)))
@@ -152,7 +159,8 @@ def _as_number(value, what: str) -> float:
 
 
 def parse_plan(text: str) -> ExperimentPlan:
-    """Parse and validate a JSON plan document."""
+    """Parse a JSON plan document: its JSON shape only (keys, [name, values]
+    sweeps, numbers as floats); every rule of the values is ExperimentPlan's."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -168,30 +176,24 @@ def parse_plan(text: str) -> ExperimentPlan:
     _require(isinstance(doc, dict), "plan root must be a JSON object")
     for key in doc:
         _require(key in PLAN_KEYS, f"unknown plan key {key!r}")
-    plan_id = doc.get("id")
-    _require(isinstance(plan_id, str) and plan_id, "plan needs a non-empty string 'id'")
 
     # parameter axes: scalars and sweeps, each parameter from exactly one
     sweeps_doc = doc.get("sweeps", [])
     _require(isinstance(sweeps_doc, list), "'sweeps' must be a list of [name, values] pairs")
     sweep_axes: list[tuple[str, tuple[float, ...]]] = []
-    seen: set[str] = set()
     for entry in sweeps_doc:
         _require(isinstance(entry, (list, tuple)) and len(entry) == 2,
                  f"sweep entry {entry!r} must be a [name, values] pair")
         name, values = entry
-        _require(name in PARAM_NAMES,
-                 f"unknown sweep parameter {name!r} (expected one of {', '.join(PARAM_NAMES)})")
-        _require(name not in seen, f"parameter {name!r} swept twice")
-        _require(isinstance(values, list) and values,
-                 f"sweep {name!r} needs a non-empty value list")
-        vals = tuple(_as_number(v, f"sweep {name!r} value") for v in values)
-        seen.add(name)
-        sweep_axes.append((name, vals))
+        _require(isinstance(name, str), f"sweep name {name!r} must be a string")
+        _require(isinstance(values, list), f"sweep {name!r} needs a value list")
+        sweep_axes.append((name, tuple(_as_number(v, f"sweep {name!r} value")
+                                       for v in values)))
+    swept = {name for name, _ in sweep_axes}
     fixed_axes: list[tuple[str, tuple[float, ...]]] = []
     for name in ("B", "delta", "sigma2", "epsilon", "gamma"):
         if name in doc:
-            _require(name not in seen, f"parameter {name!r} given both fixed and swept")
+            _require(name not in swept, f"parameter {name!r} given both fixed and swept")
             fixed_axes.append((name, (_as_number(doc[name], name),)))
     axes = tuple(fixed_axes + sweep_axes)
 
@@ -231,7 +233,7 @@ def parse_plan(text: str) -> ExperimentPlan:
     _require(isinstance(bound_doc, list), "'bound_set' must be a list")
 
     eta_frac = _as_number(doc.get("eta_frac", 0.1), "eta_frac")
-    return ExperimentPlan(id=plan_id, axes=axes, strategies=tuple(strategies),
+    return ExperimentPlan(id=doc.get("id"), axes=axes, strategies=tuple(strategies),
                           n_trials=doc.get("n_trials", 2000),
                           master_seed=doc.get("master_seed", 0),
                           bound_set=tuple(bound_doc),
@@ -241,9 +243,8 @@ def parse_plan(text: str) -> ExperimentPlan:
 
 def load_preset(name: str) -> ExperimentPlan:
     """Load one of the bundled figure plans (fig3 .. fig8)."""
-    if name not in PRESET_NAMES:
-        raise ValidationError(
-            f"unknown preset {name!r} (expected one of {', '.join(PRESET_NAMES)})")
+    _require(name in PRESET_NAMES,
+             f"unknown preset {name!r} (expected one of {', '.join(PRESET_NAMES)})")
     text = resources.files("searchlab").joinpath(f"presets/{name}.json").read_text("utf-8")
     return parse_plan(text)
 
@@ -308,10 +309,10 @@ def _sim_rows(plan: ExperimentPlan, configs: list[SearchConfig], workers: int) -
                            trial_seed_for(plan.master_seed, i), workers)
         rows.append({
             **_point_row(plan, config), "strategy": stats.strategy_id,
-            "n_trials": plan.n_trials, "mean_tau": stats.mean_tau,
+            "n_trials": int(plan.n_trials), "mean_tau": stats.mean_tau,
             "ci95_lo": stats.mean_tau - stats.ci95_half_width,
             "ci95_hi": stats.mean_tau + stats.ci95_half_width,
-            "err_rate": stats.err_rate, "master_seed": plan.master_seed,
+            "err_rate": stats.err_rate, "master_seed": int(plan.master_seed),
         })
     return rows
 
@@ -384,12 +385,9 @@ def _write_rows(stem: Path, columns, rows: list[dict], fmt: str) -> list[Path]:
         json.dump([{c: row[c] for c in columns} for row in rows], fh, indent=2)
         fh.write("\n")
 
-    written = []
-    if fmt in ("csv", "both"):
-        written.append(_write_atomic(stem.with_suffix(".csv"), "", write_csv))
-    if fmt in ("json", "both"):
-        written.append(_write_atomic(stem.with_suffix(".json"), None, write_json))
-    return written
+    writers = {".csv": ("", write_csv), ".json": (None, write_json)}
+    return [_write_atomic(stem.with_suffix(ext), *writers[ext])
+            for ext in FORMATS[fmt]]
 
 
 def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
@@ -400,17 +398,25 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
     file is written.  If execution fails partway, a '<id>.partial' marker
     file describing the failure is left in out_dir and the error
     re-raised; a successful run removes a stale marker.  Before out_dir is
-    made, fmt and workers (`sim._check_workers`) are checked and the point
-    configurations are built, once for every table (a half_input table has
-    none), each of the plan's strategies checked at each
-    (`strategies.check_run`), so a bad point is refused without output.
+    made, fmt and workers (`sim._check_count`) are checked, the run's
+    longest file name, '<id>_<table>.<ext>.tmp', against NAME_MAX, and the
+    point configurations are built, once for every table (a half_input
+    table has none), each strategy checked at each (`strategies.check_run`),
+    so a bad point is refused without output.
     """
-    if fmt not in ("csv", "json", "both"):
-        raise ValidationError(f"format must be csv, json, or both, got {fmt!r}")
-    _check_workers(workers)
-    _require(plan.strategies or plan.bound_set or plan.capacity_mode is not None,
-             f"plan {plan.id!r} has nothing to run: it needs strategies, "
+    _require(isinstance(fmt, str) and fmt in FORMATS,
+             f"format must be csv, json, or both, got {fmt!r}")
+    _check_count("workers", workers, 1)
+    tables = [name for name, wanted in (
+        ("capacity", plan.capacity_mode is not None), ("sim", plan.strategies),
+        ("bounds", plan.bound_set)) if wanted]
+    _require(tables, f"plan {plan.id!r} has nothing to run: it needs strategies, "
              f"a bound_set or a capacity_table")
+    longest = max(len(f"{plan.id}_{name}{ext}.tmp".encode())
+                  for name in tables for ext in FORMATS[fmt])
+    _require(longest <= NAME_MAX,
+             f"plan id is too long: a file name it gives holds {longest} UTF-8 "
+             f"bytes, more than {NAME_MAX}")
     configs = ([] if plan.capacity_mode == "half_input"
                else [_point_config(point) for point in _points(plan)])
     for config, spec in itertools.product(configs, plan.strategies):
@@ -418,16 +424,13 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / f"{plan.id}.partial"
+    build = {"capacity": lambda: (CAPACITY_COLUMNS, _capacity_rows(plan, configs)),
+             "sim": lambda: (SIM_COLUMNS, _sim_rows(plan, configs, workers)),
+             "bounds": lambda: (BOUND_COLUMNS, _bound_rows(plan, configs))}
     try:
-        tables = []
-        if plan.capacity_mode is not None:
-            tables.append(("capacity", CAPACITY_COLUMNS, _capacity_rows(plan, configs)))
-        if plan.strategies:
-            tables.append(("sim", SIM_COLUMNS, _sim_rows(plan, configs, workers)))
-        if plan.bound_set:
-            tables.append(("bounds", BOUND_COLUMNS, _bound_rows(plan, configs)))
-        written = [path for suffix, columns, rows in tables
-                   for path in _write_rows(out / f"{plan.id}_{suffix}", columns,
+        computed = [(name, *build[name]()) for name in tables]
+        written = [path for name, columns, rows in computed
+                   for path in _write_rows(out / f"{plan.id}_{name}", columns,
                                            rows, fmt)]
     except Exception as exc:
         marker.write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")

@@ -44,8 +44,9 @@ from .model import SearchConfig, TrialRecord
 # here but stay bound: bench/tracer.py patches them.
 from .strategies import (FIXED_COMPOSITION, SORTED_PM, STEP_LIMIT, Draws,
                          StrategySpec, _search, check_run, draw_targets,
-                         probe_rule, random_composition_mask, run_rows,
-                         run_strategy, seed_words_type, sorted_pm_mask)
+                         prior_steps, probe_rule, random_composition_mask,
+                         run_rows, run_strategy, seed_words_type,
+                         sorted_pm_mask)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 LOW_SAMPLE_N = 100
@@ -127,11 +128,13 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be below 2**64, got {seed}")
 
 
-def _check_workers(workers: int) -> None:
-    """A worker count is an int (or a numpy one), not a bool, of at least 1."""
-    if (isinstance(workers, bool) or not isinstance(workers, (int, np.integer))
-            or workers < 1):
-        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
+def _check_count(name: str, value: int, lo: int, hi: int | None = None) -> None:
+    """Every count's check: an int (or a numpy one), not a bool, in
+    [lo, hi], with no upper end if hi is None."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or (hi is not None and value > hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValidationError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def trial_seed_for(master_seed: int, trial_index: int) -> int:
@@ -203,7 +206,9 @@ def trial_generators(master_seed: int, lo: int, hi: int) -> list:
 
 def run_single_trial(spec: StrategySpec, config: SearchConfig,
                      trial_seed: int) -> TrialRecord:
-    """One trial with its own generator, reproducible from the seed alone."""
+    """One trial with its own generator, reproducible from the seed alone
+    (`_check_seed`, then `strategies.check_run`)."""
+    _check_seed(trial_seed)
     rng = np.random.default_rng(trial_seed)
     return run_strategy(spec, config, rng, trial_seed)
 
@@ -245,12 +250,13 @@ def run_trials(spec: StrategySpec, config: SearchConfig, n_trials: int,
     trial gets half-width 0 and batches under 100 trials are flagged
     LowSample.  workers > 1 runs min(workers, cpu count, n_trials)
     contiguous chunks in processes; the reduction is in trial order either
-    way, so the output is identical to a serial run.  A run that cannot be
-    made (`strategies.check_run`) is refused before any worker starts.
+    way, so the output is identical to a serial run.  Counts, seed and run
+    (`_check_count`, `_check_seed`, `check_run`) are checked before any
+    worker starts.
     """
-    if not 1 <= n_trials <= MAX_TRIALS:
-        raise ValidationError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n_trials}")
-    _check_workers(workers)
+    _check_count("n_trials", n_trials, 1, MAX_TRIALS)
+    _check_count("workers", workers, 1)
+    _check_seed(master_seed)
     check_run(spec, config)
     chunks = min(workers, os.cpu_count() or 1, n_trials)
     if chunks == 1:
@@ -296,9 +302,9 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     falls in is counted up to it: a block cuts it there (`_drift_runs`),
     unless a run before it still steps, and it is then the next block's
     first run.  Sums past the floats, at a vanishing variance, raise
-    ValidationError after the block that reached them; a prior at the
-    threshold, 1/M >= 1 - eps (M = 1 among them), where no run steps, and
-    a run that cannot be made (`strategies.check_run`), before any draw.
+    ValidationError after the block that reached them; before any draw,
+    n_steps (`_check_count`), a prior where no run steps, 1/M >= 1 - eps
+    (`strategies.prior_steps`), the seed and the run (`check_run`).
 
     The report carries the matching capacity floor: C(q*, v(q*)) for fixed
     composition, C(1/2, v(M/2)) for sorted-PM.  Terminal increments are
@@ -307,11 +313,9 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     """
     if kind not in (FIXED_COMPOSITION, SORTED_PM):
         raise ValidationError(f"drift probe supports fixed_composition or sorted_pm, got {kind!r}")
-    if not MIN_DRIFT_STEPS <= n_steps <= STEP_LIMIT:
-        raise ValidationError(f"n_steps must lie in [{MIN_DRIFT_STEPS}, {STEP_LIMIT}], "
-                         f"got {n_steps}")
+    _check_count("n_steps", n_steps, MIN_DRIFT_STEPS, STEP_LIMIT)
     m = config.M
-    if not -math.log(m) < math.log1p(-config.epsilon):  # as _search starts a row
+    if not prior_steps(m, config.epsilon):
         raise ValidationError(f"drift probe needs 1/M < 1 - epsilon: at M={m}, "
                               f"epsilon={config.epsilon!r} no run takes a step")
     _check_seed(seed)

@@ -293,6 +293,11 @@ def sorted_pm_mask(weights: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     return mask, k
 
 
+def prior_steps(m: int, eps: float) -> bool:
+    """The one start test: a search over m cells steps from its prior."""
+    return -math.log(m) < math.log1p(-eps)
+
+
 def check_run(spec: StrategySpec, config: SearchConfig) -> None:
     """Refuse, before any draw, a run of spec at config that cannot be
     made: every refusal of a (spec, config) alone, run by each entry point
@@ -302,7 +307,8 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
     to STEP_LIMIT ratios stay finite only above it; two_stage's 1/alpha not
     dividing M raises InvalidAlpha; a stop that no trial can reach within
     STEP_LIMIT steps, or fixed bisection levels that can pass them, raise
-    StepLimitExceeded.
+    StepLimitExceeded.  Counts and seeds are checked by `sim`, the prior's
+    start by `prior_steps` and a plan's values by `plan.ExperimentPlan`.
 
     A stop needs a lead of a row's top cell, or half, over another, and a
     step moves it by at most one ratio (1 + 2 sqrt(v) |z|)/(2v), |z| <=
@@ -316,10 +322,10 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
     needs G = -log(limit - 1 + 4(M + 1)u): its normalizer, summed in floats
     over at most M + 1 terms each within u, must be at most limit.
     Two-stage's stages, at eps/2, need more, and a one-stage search whose
-    prior meets the threshold takes no step.  A sequential bisection's
-    first level probes h1 = ceil(M/2) cells at v(h1) and ends once a half
-    leads by log((1 - s)/s), s = eps/log2 M capped at 1/2, from log(h1/h2).
-    With E = 16u(35 + log M), a lead short of
+    prior meets the threshold (`prior_steps`) takes no step.  A sequential
+    bisection's first level probes h1 = ceil(M/2) cells at v(h1) and ends
+    once a half leads by log((1 - s)/s), s = eps/log2 M capped at 1/2, from
+    log(h1/h2).  With E = 16u(35 + log M), a lead short of
     G = -log(expm1(E - log1p(-s))) - |log(h1/h2)| - E < 34 keeps the test's
     terms below 34 + log M, so the test and the lead read within E of
     their exact values, and the test fails.
@@ -359,7 +365,7 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
         v = config.noise_variance(probed)
     elif spec.kind == TWO_STAGE or (
             spec.kind not in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE)
-            and m > 1 and -math.log(m) < math.log1p(-eps)):
+            and prior_steps(m, eps)):
         limit = normalizer_limit(math.log1p(-eps))
         lead = -math.log(limit - 1.0 + 4.0 * (m + 1) * u)
         probed, goal = 1, "reach its threshold"
@@ -551,14 +557,12 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     probe, settle = rule
     targets = np.asarray(targets, dtype=np.int64)
     n = targets.size
-    log_thresh = math.log1p(-eps)
-    start = -math.log(size)
     steps = np.zeros(n, dtype=np.int64)
     cells = np.zeros(n, dtype=np.int64)
-    top = np.full(n, start)
-    starts = size > 1 and (callable(settle) or start < log_thresh)
+    top = np.full(n, -math.log(size))
+    starts = prior_steps(size, eps) or (size > 1 and callable(settle))
     live = np.arange(n if starts else 0)
-    limit = normalizer_limit(log_thresh) if settle is None and starts else None
+    limit = normalizer_limit(math.log1p(-eps)) if settle is None and starts else None
     taken = np.zeros(n, dtype=np.int64)  # each live row's observations, with reps
     lp = np.zeros((n, size))
     # the uniform prior's weights, exp(0), without a copy a row

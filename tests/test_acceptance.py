@@ -24,7 +24,6 @@ from searchlab.bounds import (
 )
 from searchlab.channel import (
     bawgn_capacity,
-    gaussian_pdf,
     optimal_composition,
     psi,
     solve_a_eta,
@@ -66,12 +65,14 @@ def test_criterion_02_capacity_vs_monte_carlo(acceptance):
     n, chunk = 10_000_000, 1_000_000
     worst = 0.0
     for q, v in zip(qs, vs):
-        sd = math.sqrt(v)
+        sd, norm = math.sqrt(v), math.sqrt(2.0 * math.pi * v)
         total = 0.0
         for _ in range(n // chunk):
             x = (rng.random(chunk) < q).astype(float)
             y = x + sd * rng.standard_normal(chunk)
-            m = (1.0 - q) * gaussian_pdf(y, 0.0, v) + q * gaussian_pdf(y, 1.0, v)
+            # the two N(x, v) densities, inline: scipy's pdf is twice as slow
+            m = ((1.0 - q) * (np.exp(-(y ** 2) / (2.0 * v)) / norm)
+                 + q * (np.exp(-((y - 1.0) ** 2) / (2.0 * v)) / norm))
             total += np.log2(m).sum()
         mixture_entropy = -total / n
         estimate = mixture_entropy - 0.5 * math.log2(2.0 * math.pi * math.e * v)

@@ -696,9 +696,7 @@ def _psi_calls(monkeypatch, eta, cfg):
 
     with monkeypatch.context() as patch:
         patch.setattr(channel, "psi", counted_psi)
-        solve_a_eta.cache_clear()
         solve_a_eta(eta, cfg)
-        solve_a_eta.cache_clear()
         patch.setitem(globals(), "psi_component", counted_component)
         _reference_a_eta(eta, cfg)
     return solved, referred
@@ -743,7 +741,5 @@ class TestBisectionThroughPsi:
         assert psis[k + 1] / psis[k] - 1.0 > 1e-10
         h = xs[k] / (xs[k] - 3.0)
         eta = 0.5 * h * (psis[k] + psis[k + 1]) / (1.0 + 1e-8)
-        solve_a_eta.cache_clear()
         got = _a_eta_outcome(solve_a_eta, eta, cfg)
-        solve_a_eta.cache_clear()
         assert got == _a_eta_outcome(_reference_a_eta, eta, cfg)

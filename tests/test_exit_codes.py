@@ -31,7 +31,7 @@ from searchlab import bounds, errors
 from searchlab.channel import optimal_composition, solve_a_eta
 from searchlab.cli import main
 from searchlab.model import new_config
-from searchlab.sim import MAX_TRIALS, drift_probe, trial_seed_for
+from searchlab.sim import MAX_TRIALS, drift_probe, run_single_trial, trial_seed_for
 from searchlab.strategies import KINDS, SORTED_PM, StrategySpec
 
 VALIDATION = {"ValidationError", "ParseError", "InvalidEpsilon",
@@ -302,6 +302,36 @@ def test_plan_id_that_is_no_utf8_exits_two(tmp_path):
         plan_mod.ExperimentPlan(id="a\udfffb", axes=())
 
 
+@pytest.mark.parametrize("plan_id, fmt, rc", [
+    ("\u00e9" * 120, "csv", 0), ("\u00e9" * 120, "json", 2),
+    ("\u00e9" * 120 + "a", "csv", 2), ("a" * 300, "csv", 2)],
+    ids=["255-bytes", "256-bytes-json", "256-bytes", "300-bytes"])
+def test_plan_id_too_long_for_a_file_name_exits_two(tmp_path, plan_id, fmt, rc):
+    # '<id>_bounds.csv.tmp' is the run's longest file name; ext4, xfs, btrfs
+    # and tmpfs take at most 255 UTF-8 bytes.  A longer one failed after
+    # every table was computed (exit 3), and so did its .partial marker
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"id": plan_id, **BOUNDS_PLAN}), encoding="utf-8")
+    got, err = run(["sweep", "--plan", str(path), "--format", fmt,
+                    "--out", str(tmp_path / "out")])
+    assert (got, (tmp_path / "out").exists()) == (rc, rc == 0)
+    if rc == 2:
+        assert err.startswith("error: plan id is too long: a file name it "
+                              "gives holds ")
+
+
+@pytest.mark.parametrize("sweeps", [[[["B"], [4]]], [["B", 4]], [["B", []]],
+                                    [["B", [4]], ["B", [8]]], [["B", ["4"]]]],
+                         ids=["list-name", "values-not-a-list", "no-values",
+                              "swept-twice", "string-value"])
+def test_malformed_sweep_exits_two(tmp_path, sweeps):
+    doc = {"id": "t", "delta": 1, "sigma2": 0.25, "epsilon": 0.1,
+           "bound_set": ["lemma1"], "sweeps": sweeps}
+    rc, err, names = _sweep_plan(tmp_path, doc)
+    assert (rc, names) == (2, [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # master_seed is checked by the plan's seed check, whose message says seed
 BOOLEAN_REFUSAL = {"n_trials": "error: n_trials",
                    "master_seed": "error: seed must be a non-negative integer"}
@@ -424,6 +454,8 @@ SEED_ROUTES = {
     "trial_seed_for": lambda seed: trial_seed_for(seed, 0),
     "drift_probe": lambda seed: drift_probe(
         SORTED_PM, new_config(16, 1, 0.25, 1e-4), 10_000, seed),
+    "run_single_trial": lambda seed: run_single_trial(
+        StrategySpec(SORTED_PM), new_config(16, 1, 0.25, 1e-4), seed),
 }
 
 

@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import searchlab
@@ -195,12 +196,23 @@ class TestPlanChecksItself:
         ({"axes": (*CONFIG_AXES, ("q", (0.5,))), "capacity_mode": "composition",
           "strategies": (StrategySpec("sorted_pm"),)},
          "capacity-table plans take no strategies or bounds"),
+        ({"axes": (*CONFIG_AXES, ("gamma", ())), "bound_set": ("lemma1",)},
+         "parameter 'gamma' needs at least one value"),
+        ({"axes": (("B", ("16",)), *CONFIG_AXES[1:]), "bound_set": ("lemma1",)},
+         "parameter 'B' value must be a number, got '16'"),
+        ({"axes": (*CONFIG_AXES, ("gamma", (1.0, True))), "bound_set": ("lemma1",)},
+         "parameter 'gamma' value must be a number, got True"),
+        ({"id": "", "axes": CONFIG_AXES, "bound_set": ("lemma1",)},
+         "plan needs a non-empty string 'id', got ''"),
+        ({"id": 5, "axes": CONFIG_AXES, "bound_set": ("lemma1",)},
+         "plan needs a non-empty string 'id', got 5"),
     ], ids=["no-epsilon", "table-without-q", "q-past-one", "unknown-axis",
             "axis-twice", "unknown-mode", "half-input-without-variances",
-            "zero-variance", "variances-without-table", "table-with-strategy"])
+            "zero-variance", "variances-without-table", "table-with-strategy",
+            "empty-axis", "string-value", "bool-value", "empty-id", "int-id"])
     def test_constructed_plan_is_refused(self, kwargs, message):
         with pytest.raises(ValidationError) as err:
-            ExperimentPlan(id="x", **kwargs)
+            ExperimentPlan(**{"id": "x", **kwargs})
         assert str(err.value) == message
 
     def test_replace_that_drops_the_table_is_refused(self):
@@ -445,6 +457,16 @@ class TestRunPlan:
         paths = run_plan(plan, tmp_path)
         assert built == [(8.0, 1.0, 0.25, 0.1), (16.0, 1.0, 0.25, 0.1)]
         assert [p.name for p in paths] == ["once_sim.csv", "once_bounds.csv"]
+
+    def test_numpy_integer_counts_write_as_ints(self, tmp_path):
+        # numpy ints pass the count and seed checks; a JSON file of their
+        # rows failed with "Object of type int64 is not JSON serializable"
+        plan = parse_plan(MINIMAL)
+        want = run_plan(plan, tmp_path / "a", fmt="both")
+        got = run_plan(dataclasses.replace(plan, n_trials=np.int64(5),
+                                           master_seed=np.uint64(11)),
+                       tmp_path / "b", fmt="both")
+        assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
 
     @pytest.mark.parametrize("workers", [0, 1.5, True])
     def test_bad_worker_count_refused_before_output(self, tmp_path, workers):

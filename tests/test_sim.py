@@ -1,11 +1,16 @@
 """Seeded Monte Carlo batches, summaries, and drift probes."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import searchlab
 import searchlab.sim as sim
 import searchlab.strategies as strat
 from searchlab.channel import bawgn_capacity, optimal_composition
@@ -43,6 +48,12 @@ class TestSeeding:
         a = run_single_trial(spec, config16, 123456789)
         b = run_single_trial(spec, config16, 123456789)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 70])
+    def test_single_trial_refuses_a_seed_out_of_range(self, config16, seed):
+        # numpy failed -1 as a runtime error and took 2**70
+        with pytest.raises(ValidationError, match="^seed must be"):
+            run_single_trial(StrategySpec(SORTED_PM), config16, seed)
 
     def test_different_seeds_vary(self, config16):
         spec = StrategySpec(SORTED_PM)
@@ -130,6 +141,36 @@ class TestRunTrials:
     def test_nonpositive_trial_count_rejected(self, config16):
         with pytest.raises(ValueError):
             run_trials(StrategySpec(SORTED_PM), config16, 0, 7)
+
+    @pytest.mark.parametrize("n_trials", [2.5, 2.0, True])
+    def test_trial_count_that_is_not_an_int_is_refused(self, config16,
+                                                       monkeypatch, n_trials):
+        # 2.5 and 2.0 failed as TypeError, and True ran as one trial
+        monkeypatch.setattr(sim, "trial_generators", None)
+        with pytest.raises(ValidationError) as err:
+            run_trials(StrategySpec(SORTED_PM), config16, n_trials, 7)
+        assert str(err.value) == (f"n_trials must be an integer in "
+                                  f"[1, {MAX_TRIALS}], got {n_trials!r}")
+
+    def test_bad_seed_is_refused_before_the_pool_is_imported(self):
+        # the seed was refused in the workers, after the pool had started
+        path = [str(Path(searchlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, sys\n"
+             "from searchlab.model import new_config\n"
+             "from searchlab.sim import run_trials\n"
+             "from searchlab.strategies import StrategySpec\n"
+             "os.cpu_count = lambda: 2\n"
+             "try:\n"
+             "    run_trials(StrategySpec('sorted_pm'), new_config(4, 1, 0.25, 0.01),"
+             " 8, -1, workers=2)\n"
+             "except ValueError as exc:\n"
+             "    print(type(exc).__name__, exc, file=sys.stderr)\n"
+             "print('concurrent.futures.process' in sys.modules, file=sys.stderr)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+        assert proc.stderr.splitlines() == [
+            "ValidationError seed must be a non-negative integer, got -1", "False"]
 
     def test_parallel_matches_serial_exactly(self, config16):
         spec = StrategySpec(FIXED_COMPOSITION)
@@ -345,6 +386,14 @@ class TestDriftProbe:
         with pytest.raises(ValueError):
             drift_probe(FIXED_COMPOSITION, config16, 9_999, 3)
 
+    @pytest.mark.parametrize("n_steps", [10_000.5, 16_384.0])
+    def test_step_count_that_is_not_an_int_is_refused(self, config16, n_steps):
+        # both failed as TypeError
+        with pytest.raises(ValidationError) as err:
+            drift_probe(SORTED_PM, config16, n_steps, 3)
+        assert str(err.value) == (f"n_steps must be an integer in [10000, "
+                                  f"10000000], got {n_steps!r}")
+
     def test_unsupported_kind_rejected(self, config16):
         with pytest.raises(ValueError):
             drift_probe(TWO_STAGE, config16, 10_000, 3)
@@ -361,6 +410,25 @@ class TestDriftProbe:
         monkeypatch.setattr(sim, "trial_generators", None)
         with pytest.raises(ValidationError, match="1/M < 1 - epsilon"):
             drift_probe(kind, new_config(m, 1, 0.05, eps), 10_000, 0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 10])
+    @pytest.mark.parametrize("toward", [0.0, None, 1.0],
+                             ids=["below", "at", "above"])
+    def test_refused_exactly_where_a_trial_takes_no_step(self, m, toward):
+        # the probe and the engine share one start test: at epsilon = 1 -
+        # 1/M and its float neighbours the probe is refused just where a
+        # trial stops at tau = 0, which is at 1 - 1/M and above
+        eps = 1.0 - 1.0 / m
+        if toward is not None:
+            eps = math.nextafter(eps, toward)
+        config = new_config(m, 1, 0.25, eps)
+        no_step = run_trials(StrategySpec(SORTED_PM), config, 1, 0).mean_tau == 0
+        assert no_step == (toward != 0.0)
+        if no_step:
+            with pytest.raises(ValidationError, match="1/M < 1 - epsilon"):
+                drift_probe(SORTED_PM, config, 10_000, 0)
+        else:
+            assert drift_probe(SORTED_PM, config, 10_000, 0).n_steps == 10_000
 
     def test_probe_reproducible(self, config16):
         a = drift_probe(SORTED_PM, config16, 10_000, 21)
