@@ -35,7 +35,7 @@ from .channel import (
     solve_a_eta,
 )
 from .errors import EtaTooLarge, NoFeasibleAlpha, ValidationError
-from .model import SearchConfig, sections_from_alpha
+from .model import SearchConfig
 
 VACUOUS = "Vacuous"
 ASYMPTOTIC = "Asymptotic"
@@ -88,10 +88,15 @@ def _loglog2(x: float) -> float:
     return math.log2(math.log2(x)) if x >= 2.0 else 0.0
 
 
+def _section_counts(m: int) -> list[int]:
+    """Every divisor s of m with 2 <= s <= m, in increasing order."""
+    return [s for s in range(2, m + 1) if m % s == 0]
+
+
 def feasible_alphas(config: SearchConfig) -> list[float]:
     """Section fractions 1/s for every divisor s of M with 2 <= s <= M,
     in decreasing order of alpha."""
-    return [1.0 / s for s in range(2, config.M + 1) if config.M % s == 0]
+    return [1.0 / s for s in _section_counts(config.M)]
 
 
 def _coarse_c1(config: SearchConfig) -> float:
@@ -122,9 +127,9 @@ def _refine_capacities(config: SearchConfig,
     call: each the float bawgn_capacity gives, and the first refused
     variance in the order of ams raises what bawgn_capacity raises.  v is
     non-decreasing and ams falls along the feasible alphas, so a
-    variance_at that raises does so at the first.  Cached, so a second
+    noise_variance that raises does so at the first.  Cached, so a second
     report at the config reads the same C2 without quadrature."""
-    variances = [config.variance_at(am / 2.0) for am in ams]
+    variances = [config.noise_variance(am / 2.0) for am in ams]
     return tuple(capacity_grid(0.5, variances).tolist())
 
 
@@ -147,8 +152,8 @@ def _report(config: SearchConfig, eta: float, constants: bool) -> BoundReport:
     probe has composition 1/2, where the binary-input capacity peaks, and
     variance v(1/2) below every v(k), k >= 1, so C2(1/M) >= C1 > eta.
     """
-    alphas = feasible_alphas(config)
-    if not alphas:
+    sections = _section_counts(config.M)
+    if not sections:
         raise NoFeasibleAlpha(f"M = {config.M} admits no section fraction")
     q_star, c1 = optimal_composition(config)
     if not 0.0 < eta < c1:
@@ -159,9 +164,9 @@ def _report(config: SearchConfig, eta: float, constants: bool) -> BoundReport:
     log_2eps = math.log2(2.0 / eps)
     capacity_terms = {"C1": c1}
     alpha_terms: dict[float, dict[str, float]] = {}
-    ams = tuple(config.M // sections_from_alpha(alpha) for alpha in alphas)
-    for alpha, am, c2 in zip(alphas, ams, _refine_capacities(config, ams)):
-        s = config.M // am
+    ams = tuple(config.M // s for s in sections)
+    for s, am, c2 in zip(sections, ams, _refine_capacities(config, ams)):
+        alpha = 1.0 / s
         if not eta < c2:
             continue
         capacity_terms[f"C2[alpha=1/{s}]"] = c2

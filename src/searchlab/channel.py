@@ -37,6 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NoRootInBracket, QuadratureNonConvergence, ValidationError
+from .model import probe_variances
 
 LOG2E = math.log2(math.e)
 
@@ -275,13 +276,6 @@ def psi_component(a: float, variance):
     with np.errstate(over="ignore"):  # z * z is inf only where phi(z) is 0
         out = np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * v) - 0.5 * qz / v
     return out if out.ndim else float(out)
-
-
-@lru_cache(maxsize=512)
-def probe_variances(config) -> np.ndarray:
-    """noise_variance(k) for k = 1..M; shared by the cache, never mutated.
-    Each is f(k) * delta * sigma2 in the scalar's order, so the same float."""
-    return config.noise.multipliers(config.M) * config.delta * config.sigma2
 
 
 @lru_cache(maxsize=512)

@@ -165,7 +165,7 @@ def _cmd_capacity(args) -> int:
             print(f"C(q={q!r}, v={v!r}) = {c!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return _report(_write_rows(out / "cli_capacity", CAPACITY_COLUMNS, rows,
+    return _report(_write_rows(out, "cli", "capacity", CAPACITY_COLUMNS, rows,
                                args.format))
 
 

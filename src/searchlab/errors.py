@@ -34,7 +34,7 @@ class NonMonotoneNoise(ValidationError):
 
 
 class ProbeCountOutOfRange(ValidationError):
-    """Probe count outside [1, M]."""
+    """Probe width outside (0, M], or past a noise table's last entry."""
 
 
 class QuadratureNonConvergence(SearchLabError):

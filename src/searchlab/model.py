@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,12 +36,13 @@ TABLE = "table"
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Variance growth law f mapping probe count k to a variance multiplier.
+    """Variance growth law f mapping a probe width x to a variance multiplier.
 
-    The observation noise for a k-cell probe has variance
-    ``f(k) * delta * sigma2``.  ``linear`` is ``f(k) = k`` (variance
-    proportional to probed width), ``power`` is ``f(k) = k**gamma``, and
-    ``table`` looks k up in an explicit positive non-decreasing table.
+    The observation noise for a probe of x cells has variance
+    ``f(x) * delta * sigma2``.  ``linear`` is ``f(x) = x`` (variance
+    proportional to probed width), ``power`` is ``f(x) = x**gamma``, and
+    ``table`` reads an explicit positive non-decreasing table of f(1),
+    f(2), ..., linear between sizes.
     """
 
     kind: str = LINEAR
@@ -71,15 +73,18 @@ class NoiseModel:
     def from_table(cls, entries) -> "NoiseModel":
         return cls(TABLE, table=tuple(float(v) for v in entries))
 
-    def multiplier(self, k: int) -> float:
-        """Multiplier f(k) at integer probe count k >= 1."""
+    def multiplier(self, x: float) -> float:
+        """Multiplier f(x) at a probe width of x > 0 cells.  A table is
+        linear between the knots (0, 0), (1, t[0]), ..., (n, t[n-1]), so
+        f(k) = t[k-1] exactly at an integer k, and has no value past n."""
         if self.kind == LINEAR:
-            return float(k)
+            return float(x)
         if self.kind == POWER:
-            return float(k) ** self.gamma
-        if k > len(self.table):
-            raise ProbeCountOutOfRange(f"noise table has no entry for probe count {k}")
-        return self.table[k - 1]
+            return float(x) ** self.gamma
+        if x > len(self.table):
+            raise ProbeCountOutOfRange(f"noise table has no entry for probe count {x}")
+        knots = np.arange(len(self.table) + 1, dtype=float)
+        return float(np.interp(x, knots, (0.0, *self.table)))
 
     def multipliers(self, m: int) -> np.ndarray:
         """f(1), ..., f(m) as an array, each the float multiplier(k) gives.
@@ -93,20 +98,6 @@ class NoiseModel:
             raise ProbeCountOutOfRange(
                 f"noise table has no entry for probe count {len(self.table) + 1}")
         return np.array(self.table[:m], dtype=float)
-
-    def multiplier_real(self, x: float) -> float:
-        """Continuous extension of f for bound formulas (x need not be integer).
-
-        Table models are linearly interpolated on the knots (0, 0), (1, t[0]),
-        ..., (n, t[n-1]) and held constant beyond the last knot.
-        """
-        if self.kind == LINEAR:
-            return float(x)
-        if self.kind == POWER:
-            return float(x) ** self.gamma
-        knots = np.arange(len(self.table) + 1, dtype=float)
-        values = np.concatenate(([0.0], np.asarray(self.table, dtype=float)))
-        return float(np.interp(x, knots, values))
 
 
 @dataclass(frozen=True)
@@ -137,18 +128,19 @@ class SearchConfig:
     noise: NoiseModel = field(default_factory=NoiseModel.linear)
     M: int = 0
 
-    def noise_variance(self, k: int) -> float:
-        """Observation variance for a probe of k cells."""
-        if not 1 <= k <= self.M:
-            raise ProbeCountOutOfRange(f"probe count {k} outside [1, {self.M}]")
-        return self.noise.multiplier(k) * self.delta * self.sigma2
-
-    def variance_at(self, x: float) -> float:
-        """Continuous-argument variance, used by bound formulas where the
-        probe count enters as a real number (e.g. alpha*M/2)."""
+    def noise_variance(self, x: float) -> float:
+        """Observation variance f(x) * delta * sigma2 of a probe of width x
+        cells, 0 < x <= M; bound formulas take real widths (e.g. alpha*M/2)."""
         if not 0 < x <= self.M:
             raise ProbeCountOutOfRange(f"probe width {x} outside (0, {self.M}]")
-        return self.noise.multiplier_real(x) * self.delta * self.sigma2
+        return self.noise.multiplier(x) * self.delta * self.sigma2
+
+
+@lru_cache(maxsize=512)
+def probe_variances(config: SearchConfig) -> np.ndarray:
+    """noise_variance(k) for k = 1..M; shared by the cache, never mutated.
+    Each is f(k) * delta * sigma2 in the scalar's order, so the same float."""
+    return config.noise.multipliers(config.M) * config.delta * config.sigma2
 
 
 def new_config(width: float, resolution: float, sigma2: float, epsilon: float,
@@ -181,16 +173,17 @@ def new_config(width: float, resolution: float, sigma2: float, epsilon: float,
     if noise.kind == TABLE and len(noise.table) < m:
         raise InvalidNoiseModel(
             f"noise table has {len(noise.table)} entries but M = {m}")
-    # NoiseModel keeps f positive and non-decreasing, so f(M) bounds them all
+    config = SearchConfig(B=float(width), delta=float(resolution),
+                          sigma2=float(sigma2), epsilon=float(epsilon),
+                          noise=noise, M=m)
+    # NoiseModel keeps f positive and non-decreasing, so v(M) bounds them all
     try:
-        v_max = noise.multiplier(m) * resolution * sigma2
+        v_max = config.noise_variance(m)
     except OverflowError:
         v_max = math.inf
     if not math.isfinite(v_max):
         raise InvalidNoiseModel(f"noise variance of an M = {m} cell probe overflows")
-    return SearchConfig(B=float(width), delta=float(resolution),
-                        sigma2=float(sigma2), epsilon=float(epsilon),
-                        noise=noise, M=m)
+    return config
 
 
 def sections_from_alpha(alpha: float, m: int | None = None) -> int:

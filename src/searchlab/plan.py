@@ -373,7 +373,13 @@ def _write_atomic(path: Path, newline: str | None, write) -> Path:
     return path
 
 
-def _write_rows(stem: Path, columns, rows: list[dict], fmt: str) -> list[Path]:
+def _table_name(plan_id: str, table: str, ext: str) -> str:
+    """'<id>_<table><ext>', the file name of a plan's table."""
+    return f"{plan_id}_{table}{ext}"
+
+
+def _write_rows(out: Path, plan_id: str, table: str, columns, rows: list[dict],
+                fmt: str) -> list[Path]:
     def write_csv(fh):
         # csv writes None as "" and a float by its repr
         writer = csv.writer(fh, lineterminator="\n")
@@ -386,7 +392,7 @@ def _write_rows(stem: Path, columns, rows: list[dict], fmt: str) -> list[Path]:
         fh.write("\n")
 
     writers = {".csv": ("", write_csv), ".json": (None, write_json)}
-    return [_write_atomic(stem.with_suffix(ext), *writers[ext])
+    return [_write_atomic(out / _table_name(plan_id, table, ext), *writers[ext])
             for ext in FORMATS[fmt]]
 
 
@@ -412,7 +418,7 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
         ("bounds", plan.bound_set)) if wanted]
     _require(tables, f"plan {plan.id!r} has nothing to run: it needs strategies, "
              f"a bound_set or a capacity_table")
-    longest = max(len(f"{plan.id}_{name}{ext}.tmp".encode())
+    longest = max(len(f"{_table_name(plan.id, name, ext)}.tmp".encode())
                   for name in tables for ext in FORMATS[fmt])
     _require(longest <= NAME_MAX,
              f"plan id is too long: a file name it gives holds {longest} UTF-8 "
@@ -430,8 +436,7 @@ def run_plan(plan: ExperimentPlan, out_dir, workers: int = 1,
     try:
         computed = [(name, *build[name]()) for name in tables]
         written = [path for name, columns, rows in computed
-                   for path in _write_rows(out / f"{plan.id}_{name}", columns,
-                                           rows, fmt)]
+                   for path in _write_rows(out, plan.id, name, columns, rows, fmt)]
     except Exception as exc:
         marker.write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
         raise

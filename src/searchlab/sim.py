@@ -324,7 +324,7 @@ def drift_probe(kind: str, config: SearchConfig, n_steps: int,
     if kind == FIXED_COMPOSITION:
         _, floor = optimal_composition(config)
     else:
-        floor = bawgn_capacity(0.5, config.variance_at(m / 2.0))
+        floor = bawgn_capacity(0.5, config.noise_variance(m / 2.0))
 
     total = total_sq = 0.0
     # increments counted, runs counted, runs of the last block

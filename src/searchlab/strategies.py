@@ -86,13 +86,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import gaussian_tail_inverse, optimal_composition, probe_variances
+from .channel import gaussian_tail_inverse, optimal_composition
 from .errors import StepLimitExceeded, ValidationError
 # bench/tracer.py patches renormalize_log_probs and update_log_probs here.
 from .inference import (fold_step, fold_sums, log_ratios,
                         normalizer_limit, normalizers, renormalize_log_probs,
                         update_log_probs)
-from .model import SearchConfig, TrialRecord, sections_from_alpha
+from .model import SearchConfig, TrialRecord, probe_variances, sections_from_alpha
 
 STEP_LIMIT = 10_000_000
 # numpy's standard normal, a ziggurat, returns |z| < r = 3.6541528853610088

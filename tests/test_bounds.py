@@ -543,7 +543,7 @@ class TestPassInvariants:
         # the half probe of a one-cell section is the least noisy probe at
         # the best composition, so its alpha = 1/M is never skipped
         cfg = new_config(m, 1, sigma2, 1e-4, noise=noise)
-        assert (bawgn_capacity(0.5, cfg.variance_at(0.5))
+        assert (bawgn_capacity(0.5, cfg.noise_variance(0.5))
                 >= optimal_composition(cfg)[1])
 
 
@@ -623,7 +623,7 @@ class TestOnePassConstants:
         want = {}
         for alpha in feasible_alphas(cfg):
             s = round(1.0 / alpha)
-            c2 = bawgn_capacity(0.5, cfg.variance_at((cfg.M // s) / 2.0))
+            c2 = bawgn_capacity(0.5, cfg.noise_variance((cfg.M // s) / 2.0))
             if eta < c2:
                 want[f"C2[alpha=1/{s}]"] = c2.hex()
         for rep in reports:
@@ -637,7 +637,7 @@ class TestOnePassConstants:
         with pytest.raises(ValidationError) as want:
             for alpha in feasible_alphas(cfg):
                 am = cfg.M // round(1.0 / alpha)
-                bawgn_capacity(0.5, cfg.variance_at(am / 2.0))
+                bawgn_capacity(0.5, cfg.noise_variance(am / 2.0))
         for build in (adaptivity_gain_lower_bound, general_f_bounds):
             with pytest.raises(ValidationError) as got:
                 build(cfg, 0.1)

@@ -219,6 +219,9 @@ def cold_composition(clear_package_caches):
 
 # a staircase table, so runs of probe sizes share a variance
 STAIR_TABLE = NoiseModel.from_table(1.0 + np.arange(1024) // 8 * 0.75)
+# a random table whose entries span 1e-3 to 1e200
+RANDOM_TABLE = NoiseModel.from_table(np.sort(
+    10.0 ** np.random.default_rng(2017).uniform(-3.0, 200.0, 1024)))
 
 
 class TestProbeVariances:
@@ -226,8 +229,10 @@ class TestProbeVariances:
     each the float of noise_variance(k)."""
 
     @pytest.mark.parametrize("noise", [None, NoiseModel.power(0.5),
-                                       NoiseModel.power(2.0), STAIR_TABLE],
-                             ids=["linear", "gamma=0.5", "gamma=2", "table"])
+                                       NoiseModel.power(2.0), STAIR_TABLE,
+                                       RANDOM_TABLE],
+                             ids=["linear", "gamma=0.5", "gamma=2", "table",
+                                  "random-table"])
     @pytest.mark.parametrize("m", [1, 2, 3, 16, 1024])
     def test_matches_scalar_variances(self, m, noise):
         for delta, sigma2 in ((1.0, 0.25), (0.1, 3.3), (0.37, 1e-7), (1.0, 1e8)):

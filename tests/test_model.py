@@ -96,12 +96,12 @@ class TestNoiseModel:
     def test_linear_multiplier_is_identity(self):
         f = NoiseModel.linear()
         assert f.multiplier(1) == 1.0 and f.multiplier(7) == 7.0
-        assert f.multiplier_real(2.5) == 2.5
+        assert f.multiplier(2.5) == 2.5
 
     def test_power_multiplier(self):
         f = NoiseModel.power(2.0)
         assert f.multiplier(3) == 9.0
-        assert f.multiplier_real(1.5) == pytest.approx(1.5**2, rel=1e-15)
+        assert f.multiplier(1.5) == pytest.approx(1.5**2, rel=1e-15)
 
     def test_power_requires_positive_exponent(self):
         with pytest.raises(InvalidNoiseModel):
@@ -113,14 +113,25 @@ class TestNoiseModel:
         f = NoiseModel.from_table([2.0, 2.0, 8.0])
         assert f.multiplier(1) == 2.0 and f.multiplier(3) == 8.0
         # interpolation knots: (0,0), (1,2), (2,2), (3,8)
-        assert f.multiplier_real(0.5) == pytest.approx(1.0)
-        assert f.multiplier_real(2.5) == pytest.approx(5.0)
-        assert f.multiplier_real(10.0) == 8.0
+        assert f.multiplier(0.5) == pytest.approx(1.0)
+        assert f.multiplier(2.5) == pytest.approx(5.0)
+        with pytest.raises(ProbeCountOutOfRange, match="probe count 10.0"):
+            f.multiplier(10.0)
 
     def test_table_out_of_range_probe(self):
         f = NoiseModel.from_table([1.0, 2.0])
         with pytest.raises(ProbeCountOutOfRange):
             f.multiplier(3)
+
+    @given(st.lists(st.floats(1e-3, 1e200), min_size=1, max_size=300))
+    def test_table_reads_its_entries_exactly(self, values):
+        # interpolation meets every integer size on its entry, bit for bit,
+        # which lets one evaluator serve integer and real widths
+        t = sorted(values)
+        f = NoiseModel.from_table(t)
+        assert [f.multiplier(k) for k in range(1, len(t) + 1)] == t
+        with pytest.raises(ProbeCountOutOfRange):
+            f.multiplier(len(t) + 0.5)
 
     def test_table_must_be_positive_nondecreasing(self):
         with pytest.raises(NonMonotoneNoise):
@@ -152,11 +163,12 @@ class TestVariance:
 
     def test_continuous_extension_matches_integer_grid(self, config16):
         for k in range(1, 17):
-            assert config16.variance_at(float(k)) == pytest.approx(
-                config16.noise_variance(k), rel=1e-12)
-        assert config16.variance_at(0.5) == pytest.approx(0.125)
+            assert config16.noise_variance(float(k)) == config16.noise_variance(k)
+        assert config16.noise_variance(0.5) == pytest.approx(0.125)
         with pytest.raises(ProbeCountOutOfRange):
-            config16.variance_at(0.0)
+            config16.noise_variance(0.0)
+        with pytest.raises(ProbeCountOutOfRange):
+            config16.noise_variance(16.5)
 
 
 class TestRecords:

@@ -358,6 +358,19 @@ class TestRunPlan:
         assert bound_rows[0]["bound_name"] == "lemma1"
         assert bound_rows[0]["eta"] == ""  # lemma1 takes no slack
 
+    def test_dotted_id_keeps_every_table(self, tmp_path):
+        plan = parse_plan(plan_doc(id="run.v2", strategies=[{"kind": "sorted_pm"}],
+                                   bound_set=["lemma1"], n_trials=8,
+                                   master_seed=5))
+        paths = run_plan(plan, tmp_path, fmt="both")
+        assert [p.name for p in paths] == [
+            "run.v2_sim.csv", "run.v2_sim.json",
+            "run.v2_bounds.csv", "run.v2_bounds.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in paths)
+        assert read_csv(paths[0])[0]["strategy"] == "sorted_pm"
+        assert read_csv(paths[2])[0]["bound_name"] == "lemma1"
+
     def test_sim_row_matches_direct_batch(self, tmp_path):
         plan = parse_plan(plan_doc(strategies=[{"kind": "sorted_pm"}],
                                    n_trials=12, master_seed=9))

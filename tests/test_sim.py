@@ -379,7 +379,7 @@ class TestDriftProbe:
 
     def test_sorted_pm_floor_is_half_mass_capacity(self, config16):
         rep = drift_probe(SORTED_PM, config16, 10_000, 3)
-        want = bawgn_capacity(0.5, config16.variance_at(8.0))
+        want = bawgn_capacity(0.5, config16.noise_variance(8.0))
         assert rep.capacity_floor == pytest.approx(want, abs=1e-12)
 
     def test_short_probes_rejected(self, config16):
