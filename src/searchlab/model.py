@@ -102,7 +102,13 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Immutable problem instance.
+    """Immutable problem instance, checked on construction, so a config
+    built directly or by `dataclasses.replace` is refused as `new_config`
+    refuses its arguments: B and delta positive and finite, B/delta an
+    integer to within a relative tolerance of 1e-9 (snapped to the nearest
+    integer) and at most MAX_CELLS, sigma2 positive and finite, epsilon
+    strictly inside (0, 1), a table noise law covering M, and the variance
+    of an M-cell probe finite.
 
     Attributes
     ----------
@@ -118,7 +124,8 @@ class SearchConfig:
     noise : NoiseModel
         Variance growth law in the probe count.
     M : int
-        Number of cells (derived, snapped to integer).
+        Number of cells, derived from B/delta on construction (not an
+        argument: `replace` derives it again).
     """
 
     B: float
@@ -126,7 +133,39 @@ class SearchConfig:
     sigma2: float
     epsilon: float
     noise: NoiseModel = field(default_factory=NoiseModel.linear)
-    M: int = 0
+    M: int = field(init=False)
+
+    def __post_init__(self):
+        if not 0 < self.B < math.inf:
+            raise ValidationError(f"interval width must be positive and finite, got {self.B}")
+        if not 0 < self.delta < math.inf:
+            raise ValidationError(f"resolution must be positive and finite, got {self.delta}")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValidationError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not 0 < self.epsilon < 1:
+            raise InvalidEpsilon(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        m_real = self.B / self.delta
+        if not math.isfinite(m_real):
+            raise ValidationError(f"B/delta = {m_real!r} overflows")
+        m = int(round(m_real))
+        if m < 1 or abs(m_real - m) > M_SNAP_RTOL * max(1.0, abs(m_real)):
+            raise NonIntegerLocationCount(
+                f"B/delta = {m_real!r} is not an integer cell count")
+        if m > MAX_CELLS:
+            raise ValidationError(f"B/delta = {m} cells exceeds the cap of {MAX_CELLS}")
+        if self.noise.kind == TABLE and len(self.noise.table) < m:
+            raise InvalidNoiseModel(
+                f"noise table has {len(self.noise.table)} entries but M = {m}")
+        for name in ("B", "delta", "sigma2", "epsilon"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "M", m)
+        # NoiseModel keeps f positive and non-decreasing, so v(M) bounds them all
+        try:
+            v_max = self.noise_variance(m)
+        except OverflowError:
+            v_max = math.inf
+        if not math.isfinite(v_max):
+            raise InvalidNoiseModel(f"noise variance of an M = {m} cell probe overflows")
 
     def noise_variance(self, x: float) -> float:
         """Observation variance f(x) * delta * sigma2 of a probe of width x
@@ -145,45 +184,10 @@ def probe_variances(config: SearchConfig) -> np.ndarray:
 
 def new_config(width: float, resolution: float, sigma2: float, epsilon: float,
                noise: NoiseModel | None = None) -> SearchConfig:
-    """Validate parameters and build a SearchConfig.
-
-    B/delta must be an integer to within a relative tolerance of 1e-9 (it is
-    snapped to the nearest integer) and at most MAX_CELLS; epsilon must lie
-    strictly inside (0, 1); the variance of an M-cell probe must be finite.
-    """
-    if not 0 < width < math.inf:
-        raise ValidationError(f"interval width must be positive and finite, got {width}")
-    if not 0 < resolution < math.inf:
-        raise ValidationError(f"resolution must be positive and finite, got {resolution}")
-    if not 0 < sigma2 < math.inf:
-        raise ValidationError(f"sigma2 must be positive and finite, got {sigma2}")
-    if not 0 < epsilon < 1:
-        raise InvalidEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
-    m_real = width / resolution
-    if not math.isfinite(m_real):
-        raise ValidationError(f"B/delta = {m_real!r} overflows")
-    m = int(round(m_real))
-    if m < 1 or abs(m_real - m) > M_SNAP_RTOL * max(1.0, abs(m_real)):
-        raise NonIntegerLocationCount(
-            f"B/delta = {m_real!r} is not an integer cell count")
-    if m > MAX_CELLS:
-        raise ValidationError(f"B/delta = {m} cells exceeds the cap of {MAX_CELLS}")
-    if noise is None:
-        noise = NoiseModel.linear()
-    if noise.kind == TABLE and len(noise.table) < m:
-        raise InvalidNoiseModel(
-            f"noise table has {len(noise.table)} entries but M = {m}")
-    config = SearchConfig(B=float(width), delta=float(resolution),
-                          sigma2=float(sigma2), epsilon=float(epsilon),
-                          noise=noise, M=m)
-    # NoiseModel keeps f positive and non-decreasing, so v(M) bounds them all
-    try:
-        v_max = config.noise_variance(m)
-    except OverflowError:
-        v_max = math.inf
-    if not math.isfinite(v_max):
-        raise InvalidNoiseModel(f"noise variance of an M = {m} cell probe overflows")
-    return config
+    """The SearchConfig of B = width, delta = resolution, sigma2, epsilon
+    and a noise law (default linear), which checks itself (`SearchConfig`)."""
+    return SearchConfig(width, resolution, sigma2, epsilon,
+                        NoiseModel.linear() if noise is None else noise)
 
 
 def sections_from_alpha(alpha: float, m: int | None = None) -> int:

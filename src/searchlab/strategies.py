@@ -311,27 +311,48 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
     start by `prior_steps` and a plan's values by `plan.ExperimentPlan`.
 
     A stop needs a lead of a row's top cell, or half, over another, and a
-    step moves it by at most one ratio (1 + 2 sqrt(v) |z|)/(2v), |z| <=
-    NORMAL_BOUND.  A lead is the difference of two float sums of ratios,
-    each off by at most STEP_LIMIT u (u = 2^-53) times the sum of its terms'
-    sizes, so STEP_LIMIT steps build at most STEP_LIMIT (1 + 2 sqrt(v) Z)
-    /(2v) (1 + 4 STEP_LIMIT u), the ratios' own rounding included.  A config
-    where that falls short of the lead G is refused.
+    step of a probe of k cells moves it by at most one ratio rho(k) =
+    (1 + 2 sqrt(v(k)) |z|)/(2 v(k)), |z| <= NORMAL_BOUND.  A lead is the
+    difference of two float sums of ratios, each off by at most STEP_LIMIT
+    u (u = 2^-53) times the sum of its terms' sizes, so STEP_LIMIT steps of
+    one probe size k build at most STEP_LIMIT rho(k) (1 + 4 STEP_LIMIT u),
+    the ratios' own rounding included.  A config where that falls short of
+    the lead G is refused, naming v(k).  Exhaustive search probes k = 1
+    cell, fixed composition its k* (`_composition_size`), two-stage's
+    first stage k units of M/s cells, and a sequential bisection's first
+    level h1 = ceil(M/2).
 
-    A threshold stop, from a uniform prior at the least variance v(1),
-    needs G = -log(limit - 1 + 4(M + 1)u): its normalizer, summed in floats
-    over at most M + 1 terms each within u, must be at most limit.
-    Two-stage's stages, at eps/2, need more, and a one-stage search whose
-    prior meets the threshold (`prior_steps`) takes no step.  A sequential
-    bisection's first level probes h1 = ceil(M/2) cells at v(h1) and ends
-    once a half leads by log((1 - s)/s), s = eps/log2 M capped at 1/2, from
-    log(h1/h2).  With E = 16u(35 + log M), a lead short of
-    G = -log(expm1(E - log1p(-s))) - |log(h1/h2)| - E < 34 keeps the test's
-    terms below 34 + log M, so the test and the lead read within E of
-    their exact values, and the test fails.
+    Sorted-PM over m cells (two-stage's second stage: m = M/s) probes a
+    size that the span d of a row's sums bounds.  While d < D, every weight
+    exp(c - max c) is at least e^-D, and none exceeds 1, so the total
+    T >= 1 + (m - 1) e^-D, and the prefix whose mass is closest to T/2
+    holds at least T/2 - 1/2 of it, so k >= (m - 1) e^-D / 2 cells: k >= j
+    while d < D_j = log((m - 1)/(2(j - 1))).  rho is non-increasing in k,
+    since v is non-decreasing, and a step widens d by at most 2 rho(k): a
+    float sum moves by at most twice its term (the nearest float to c + r
+    is no farther from c + r than c is), and every probed cell moves the
+    same way.  So d grows through the band [D_(j+1), D_j) at a rate of at
+    most 2 rho(j - 1), one cell taken off for the weights' and prefix sums'
+    rounding.  The rate only grows with d, so a step adds at most 1 to the
+    sum, below d, of the bands' widths over their rates, and a stop, which
+    needs d >= G, takes at least that sum below G: a config where it passes
+    STEP_LIMIT (1 + 4 STEP_LIMIT u) is refused, naming the size whose band
+    takes the most.  A run that this lets through may still meet the
+    engine's STEP_LIMIT.
+
+    A threshold stop, from a uniform prior, needs G = -log(limit - 1 +
+    4(M + 1)u): its normalizer, summed in floats over at most M + 1 terms
+    each within u, must be at most limit.  Two-stage's stages, at eps/2
+    over fewer cells, need more, and a one-stage search whose prior meets
+    the threshold (`prior_steps`) takes no step.  A sequential bisection's
+    first level ends once a half leads by log((1 - s)/s), s = eps/log2 M
+    capped at 1/2, from log(h1/h2).  With E = 16u(35 + log M), a lead short
+    of G = -log(expm1(E - log1p(-s))) - |log(h1/h2)| - E < 34 keeps the
+    test's terms below 34 + log M, so the test and the lead read within E
+    of their exact values, and the test fails.
 
     A fixed bisection's level on L cells takes max(1, ceil(4 v(ceil(L/2))
-    z^2)) steps (`_level`).  v is non-decreasing in probe size, so the
+    z^2)) steps (`_levels`).  v is non-decreasing in probe size, so the
     levels through every larger half, lengths M, ceil(M/2), ..., 2, take
     the most: a config where they pass STEP_LIMIT is refused, naming
     v(ceil(M/2)), though trials through a smaller half might finish."""
@@ -342,12 +363,13 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
             f"noise variance v(1) = {v!r} is too small to simulate: below "
             f"STEP_LIMIT/DBL_MAX, a trial's log-likelihood sums can overflow")
     if spec.kind == TWO_STAGE:
-        sections_from_alpha(spec.alpha, m)
+        section = m // sections_from_alpha(spec.alpha, m)
     if spec.kind == NOISY_BINARY_FIXED and m > 1:
-        z, length, total = _fixed_z(config), m, 0
-        while length > 1:
-            total += _level(config, z, 0, length)[1]
-            length = (length + 1) // 2
+        lengths, halves, (reps, *_) = _levels(config, _fixed_z(config))
+        length, total = m, 0.0
+        while length > 1:  # the longest path, M, ceil(M/2), ..., 2
+            at = lengths.searchsorted(length)
+            total, length = total + reps[at], halves[at]
         if total > STEP_LIMIT:
             probed = (m + 1) // 2
             raise StepLimitExceeded(
@@ -361,23 +383,38 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
         slack = 16.0 * u * (35.0 + math.log(m))
         lead = (-math.log(math.expm1(slack - math.log1p(-share)))
                 - abs(math.log(probed / (m - probed))) - slack)
-        goal = "pass its first level"
-        v = config.noise_variance(probed)
+        goal, probes, searched = "pass its first level", [probed], 1
     elif spec.kind == TWO_STAGE or (
             spec.kind not in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE)
             and prior_steps(m, eps)):
         limit = normalizer_limit(math.log1p(-eps))
         lead = -math.log(limit - 1.0 + 4.0 * (m + 1) * u)
-        probed, goal = 1, "reach its threshold"
+        # the sizes of one-size probes, and the cells sorted-PM searches
+        goal, probes, searched = "reach its threshold", [], m
+        if spec.kind == TWO_STAGE:
+            probes, searched = [_composition_size(config, m // section) * section], section
+        elif spec.kind != SORTED_PM:
+            probes, searched = [1 if spec.kind == EXHAUSTIVE
+                                else _composition_size(config, m)], 1
     else:
         return
-    # STEP_LIMIT (1 + 2 sqrt(v) Z) / (2v) < G, with the sums' rounding; an
-    # overflow of 2v G reads as refused
-    if STEP_LIMIT * (1.0 + 2.0 * math.sqrt(v) * NORMAL_BOUND) \
-            * (1.0 + 4.0 * STEP_LIMIT * u) < 2.0 * v * lead:
-        raise StepLimitExceeded(
-            f"noise variance v({probed}) = {v!r} is too large: no trial can "
-            f"{goal} within {STEP_LIMIT} steps")
+    # per stage: its probe sizes, the band of span below the lead each
+    # holds over (all of it, for one size), their v, and the ratios a step
+    # can move the span by
+    rules = [(np.array([k]), np.array([lead]), np.array([config.noise_variance(k)]), 1.0)
+             for k in probes]
+    if searched > 1:  # sorted-PM's bands, [D_(j+1), D_j) at size max(1, j - 1)
+        edges = np.log((searched - 1) / (2.0 * np.arange(1, searched // 2 + 1)))
+        edges = np.clip(np.concatenate(([lead], edges)), 0.0, lead)
+        sizes = np.maximum(np.arange(searched // 2), 1)
+        rules.append((sizes, edges[:-1] - edges[1:], probe_variances(config)[sizes - 1], 2.0))
+    for sizes, widths, v, moves in rules:
+        steps = widths / (0.5 / v + NORMAL_BOUND / np.sqrt(v))  # width / rho(k)
+        if steps.sum() > moves * STEP_LIMIT * (1.0 + 4.0 * STEP_LIMIT * u):
+            probed = int(sizes[steps.argmax()])
+            raise StepLimitExceeded(
+                f"noise variance v({probed}) = {config.noise_variance(probed)!r} is "
+                f"too large: no trial can {goal} within {STEP_LIMIT} steps")
 
 
 class Draws:
@@ -621,14 +658,20 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     return steps, cells, np.array([math.exp(t) for t in top.tolist()])
 
 
+def _composition_size(config: SearchConfig, grid: int) -> int:
+    """Units a composition probe over `grid` units takes: round(q* grid),
+    clamped to [1, grid-1], and 1 for grid = 1."""
+    if grid == 1:
+        return 1
+    q_star, _ = optimal_composition(config)
+    return min(max(int(round(q_star * grid)), 1), grid - 1)
+
+
 def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
     """Non-adaptive rule over `grid` units of cells_per_unit cells each: a
-    uniformly random set of round(q* grid) units, clamped to [1, grid-1].
-    Never probed for grid = 1: one unit is found before any probe."""
-    k = 1
-    if grid > 1:
-        q_star, _ = optimal_composition(config)
-        k = min(max(int(round(q_star * grid)), 1), grid - 1)
+    uniformly random set of `_composition_size` units.  Never probed for
+    grid = 1: one unit is found before any probe."""
+    k = _composition_size(config, grid)
     noise = probe_noise(config.noise_variance(k * cells_per_unit))
 
     def probe(weights, step, draws):
@@ -732,14 +775,24 @@ def _fixed_z(config: SearchConfig) -> float:
     return max(0.0, gaussian_tail_inverse(share)) if share else math.inf
 
 
-@functools.cache
-def _level(config: SearchConfig, z: float | None, lo: int, hi: int) -> tuple:
-    """A level on the window [lo, hi), uniform when the level starts: the
-    end mid of its probed first half [lo, mid), that half's repetitions and
-    v, and the log cell counts of the two halves."""
-    h1 = (hi - lo + 1) // 2
-    v = config.noise_variance(h1)
-    return lo + h1, _repeats(v, z), v, math.log(h1), math.log(hi - lo - h1)
+def _levels(config: SearchConfig, z: float | None) -> tuple:
+    """A bisection's level terms, one table a rule, by the length L of a
+    window, uniform when its level starts: the lengths L > 1 that halving M
+    reaches, ascending (a window's column is its length's index); each
+    one's first half of h1 = ceil(L/2) cells; and rows of floats: the
+    repetitions (`_repeats`, a float's ceil, so held exactly), v(h1), log h1
+    and log(L - h1).  Halving L gives ceil(L/2) and floor(L/2), so a depth
+    holds at most two lengths, the table at most 2 ceil(log2 M)."""
+    reach, lengths = {config.M} - {1}, set()
+    while reach:
+        lengths |= reach
+        reach = {h for n in reach for h in ((n + 1) // 2, n // 2) if h > 1}
+    lengths = sorted(lengths)
+    halves = [(n + 1) // 2 for n in lengths]
+    columns = [(_repeats(v, z), v, math.log(h), math.log(n - h))
+               for n, h in zip(lengths, halves) for v in [config.noise_variance(h)]]
+    return (np.array(lengths), np.array(halves),
+            np.array(columns, dtype=float).reshape(-1, 4).T)
 
 
 def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
@@ -764,9 +817,8 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     most epsilon/log2 M.  Their ratios sum to r(2 hit - 1)/(2v) +
     sqrt(r/v) N(0, 1), the ratio of one observation of their mean at
     variance v/r, so a level reads one normal a row and counts r steps.  A
-    level's terms (`_level`) depend on its window's length alone, but for
-    its mid, lo plus the first half's length, so the rule reads them by
-    length, once a config (`_level`'s cache).
+    row holds only its window: its level's terms, but for mid = lo + h1,
+    are its length's column of the rule's table (`_levels`).
 
     Windows nest, the sums start at zero, and an update adds the same llr
     to every cell of a half, with no shift or clamp, so every cell of a
@@ -776,95 +828,86 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     row's shift, is its first cell plus log(cells); the level's test
     compares the two halves, so it does not depend on the shift."""
     m = config.M
-    if m == 1:  # no row starts (see _search): log2(M) and _level(0, 1) are undefined
+    if m == 1:  # no row starts (see _search): log2(M) and the table are undefined
         return None, None
     share = config.epsilon / math.log2(m)
-    z = _fixed_z(config) if fixed else None
     log_thresh = math.log1p(-min(share, 0.5))
-    half, r, *first = _level(config, z, 0, m)
-    # per row, one allocation each for the integer and the float state
-    # (retiring rows takes one index each): the window [lo, hi) and
-    # _level's mid and repetitions; _level's v and log cell counts
-    ints = np.array([[0], [m], [half], [r]]).repeat(n, 1)
-    flts = np.array(first)[:, None].repeat(n, 1)
-    masks = np.zeros((n, m), dtype=bool)
-    masks[:, :half] = True
+    lengths, halves, terms = _levels(config, _fixed_z(config) if fixed else None)
+    windows = np.array([[0], [m]]).repeat(n, 1)  # each live row's [lo, hi)
     cols = np.arange(m)
 
+    def level(rows):
+        """The rows' lo and mid, each's probed half's mask, and its
+        level's terms (repetitions, v, log h1, log h2)."""
+        lo, hi = windows[:, rows]
+        at = lengths.searchsorted(hi - lo)
+        mid = lo + halves[at]
+        return lo, mid, (cols >= lo[:, None]) & (cols < mid[:, None]), terms[:, at]
+
     def probe(weights, step, draws):
-        w = 1 if fixed else draws.window(1)
-        sets = np.broadcast_to(masks[:, None], (masks.shape[0], w, m))
-        return sets, None, ints[3] if fixed else None  # settle observes
+        # settle observes: the engine reads these sets' w alone, and each
+        # fixed level's repetitions
+        if not fixed:
+            return np.broadcast_to(True, (windows.shape[1], draws.window(1), m)), None, None
+        reps = terms[0, lengths.searchsorted(windows[1] - windows[0])]
+        return np.broadcast_to(True, (reps.size, 1, m)), None, reps.astype(np.int64)
 
-    def end_levels(rows, to_first):
+    def end_levels(rows, to_first, lo, mid):
         """Move the windows of these rows into the half that holds more
-        mass and start their next levels; returns which reach one cell."""
-        lo, hi, mid = ints[:3]
-        lo[rows] = np.where(to_first, lo[rows], mid[rows])
-        hi[rows] = np.where(to_first, mid[rows], hi[rows])
-        done = hi[rows] - lo[rows] == 1
-        moved = rows[~done]
-        if moved.size:
-            w_lo = lo[moved]
-            terms = np.array([_level(config, z, 0, length) for length in
-                              (hi[moved] - w_lo).tolist()]).T
-            ints[2:4, moved], flts[:, moved] = terms[:2], terms[2:]
-            mid[moved] += w_lo  # the mid of [lo, hi) is lo + that of [0, hi - lo)
-            masks[moved] = (cols >= w_lo[:, None]) & (cols < mid[moved][:, None])
-        return done
+        mass; returns which reach one cell."""
+        windows[:, rows] = lo, hi = np.where(to_first, (lo, mid), (mid, windows[1, rows]))
+        return hi - lo == 1
 
-    def fold_level(lp, rows, llr, first_step):
-        """Fold each row's ratios llr (w, rows) over the window into its
-        probed half from its first_step on; returns the step at which its
-        level ends (the last step if it does not), whether it does, and
-        whether the first half then holds more mass."""
-        lo, _, mid = ints[:3]
-        _, log_h1, log_h2 = flts[:, rows]
+    def fold_level(lp, rows, t, normals, first_step):
+        """Fold each row's ratios over the window, of its target's cell t
+        and its normals (w, rows), into its probed half from its
+        first_step on; returns the step at which its level ends (the last
+        step if it does not), whether it does, whether the first half then
+        holds more mass, and its lo and mid."""
+        lo, mid, mask, (_, v, log_h1, log_h2) = level(rows)
+        llr = log_ratios((lo <= t) & (t < mid), probe_noise(v), normals)
         unread = np.arange(llr.shape[0])[:, None] < first_step
         np.copyto(llr, 0.0, where=unread)
-        llr[0] += lp[rows, lo[rows]]
+        llr[0] += lp[rows, lo]
         c = np.cumsum(llr, axis=0)
         first = c + log_h1
-        second = lp[rows, mid[rows]] + log_h2
+        second = lp[rows, mid] + log_h2
         passed = np.maximum(first, second) - np.logaddexp(first, second) >= log_thresh
         passed &= ~unread
         ended = passed.any(axis=0)
         at = np.where(ended, passed.argmax(axis=0), llr.shape[0] - 1)
         k = np.arange(rows.size)
-        lp[rows] = np.where(masks[rows], c[at, k][:, None], lp[rows])
-        return at, ended, first[at, k] >= second
+        lp[rows] = np.where(mask, c[at, k][:, None], lp[rows])
+        return at, ended, first[at, k] >= second, lo, mid
 
     def settle(lp, hit_cell, w, draws):
-        nonlocal ints, flts, masks
-        lo, _, mid, reps = ints
-        rows = np.arange(lo.size)
+        nonlocal windows
+        rows = np.arange(windows.shape[1])
         if fixed:  # every level ends after its one step
-            llr = observe(masks[rows, hit_cell][None], probe_noise(flts[0] / reps),
-                          draws)
+            lo, mid, mask, (reps, v, log_h1, log_h2) = level(rows)
+            llr = observe(((lo <= hit_cell) & (hit_cell < mid))[None],
+                          probe_noise(v / reps), draws)
             # a masked add, not fold_step's mask * ratio: an infinite ratio,
             # which `check_run` keeps out, would be NaN off the mask
-            np.add(lp, llr[0, :, None], out=lp, where=masks)
-            to_first = lp[rows, lo] + flts[1] >= lp[rows, mid] + flts[2]
-            done, ends = end_levels(rows, to_first), 1
+            np.add(lp, llr[0, :, None], out=lp, where=mask)
+            to_first = lp[rows, lo] + log_h1 >= lp[rows, mid] + log_h2
+            done, ends = end_levels(rows, to_first, lo, mid), 1
         else:
             normals = draws.ahead(w)
             read = np.zeros(rows.size, dtype=np.int64)
             ends = np.zeros(rows.size, dtype=np.int64)
             while rows.size:  # rows with steps of the window left to read
-                t = hit_cell[rows]
-                hit = (lo[rows] <= t) & (t < mid[rows])
-                llr = log_ratios(hit, probe_noise(flts[0, rows]), normals[:, rows])
-                at, ended, to_first = fold_level(lp, rows, llr, read[rows])
+                at, ended, to_first, lo, mid = fold_level(
+                    lp, rows, hit_cell[rows], normals[:, rows], read[rows])
                 read[rows] = at + 1
                 rows, at = rows[ended], at[ended]
-                done = end_levels(rows, to_first[ended])
+                done = end_levels(rows, to_first[ended], lo[ended], mid[ended])
                 ends[rows[done]] = at[done] + 1
                 rows = rows[~done & (at + 1 < w)]
             done = ends > 0
             ends = ends[done]
         if done.any():
-            keep = ~done
-            ints, flts, masks = ints[:, keep], flts[:, keep], masks[keep]
+            windows = windows[:, ~done]
         return done, ends
     return probe, settle
 

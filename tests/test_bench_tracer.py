@@ -5,12 +5,14 @@ the name each listed caller module imported; a caller that stops importing
 a name breaks `bench/run.py --trace 1`.  This loads the tracer by path and
 checks the names without running anything.  A module's other imports must
 be used: with no linter in the toolchain, an import the tracer does not
-patch and the module does not read is caught here.
+patch and the module does not read is caught here, as is a functools cache
+with no size bound on a function that takes arguments.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,31 @@ def test_module_imports_are_used_or_patched(module):
 
 def test_package_imports_are_exported():
     assert _imported(PACKAGE / "__init__.py") - set(searchlab.__all__) == set()
+
+
+def _caches() -> dict:
+    """Every functools cache wrapper at the top level of a searchlab module
+    or in one of its classes, by module and name."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "searchlab" if path.stem == "__init__" else f"searchlab.{path.stem}")
+        owners = [module, *(cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                            if cls.__module__ == module.__name__)]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                if callable(getattr(value, "cache_parameters", None)):
+                    found[f"{path.stem}.{name}"] = value
+    return found
+
+
+def test_package_caches_are_bounded():
+    # a cache keyed on its arguments grows with every distinct call: a
+    # process-wide cache of bisection levels, keyed on the configuration,
+    # held 200,000 entries after 20,000 configurations
+    caches = _caches()
+    assert {"model.probe_variances", "cli.build_parser"} <= set(caches)
+    unbounded = [name for name, fn in caches.items()
+                 if fn.cache_parameters()["maxsize"] is None
+                 and inspect.signature(fn).parameters]
+    assert unbounded == []

@@ -707,6 +707,37 @@ def test_unreachable_drift_exits_three():
                    "steps\n")
 
 
+# At B=16, delta=1, sigma2=0.25, eps=1e-4 and gamma=40 no trial of these
+# probe rules can reach its threshold within STEP_LIMIT steps: each is
+# refused by the probe sizes it takes, where sorted-PM ran on past 20 s
+# and two_stage(alpha=1/4) failed after 12.8 s in its first stage
+HOPELESS = ["--B", "16", "--delta", "1", "--sigma2", "0.25", "--epsilon", "1e-4",
+            "--gamma", "40"]
+
+
+@pytest.mark.parametrize("argv, probed, v", [
+    (["simulate", "--strategy", "sorted_pm", "--trials", "3"], 7,
+     "1.591701440227257e+33"),
+    (["simulate", "--strategy", "two_stage", "--alpha", "0.25", "--trials", "3"],
+     4, "3.022314549036573e+23"),
+    (["drift-probe", "--strategy", "sorted_pm"], 7, "1.591701440227257e+33"),
+], ids=["sorted_pm", "two_stage", "drift-probe"])
+def test_unreachable_probe_sizes_exit_three_before_any_output(tmp_path, argv,
+                                                              probed, v):
+    out = tmp_path / "out"
+    if argv[0] == "simulate":  # drift-probe writes no file, only its report
+        argv = [*argv, "--out", str(out)]
+    shown, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(shown), redirect_stderr(err):
+        rc = main([*argv, *HOPELESS])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, shown.getvalue(), out.exists()) == (3, "", False)
+    assert err.getvalue() == (f"error: noise variance v({probed}) = {v} is too "
+                              f"large: no trial can reach its threshold within "
+                              f"10000000 steps\n")
+
+
 @pytest.mark.parametrize("b, epsilon", [("4", "0.9"), ("2", "0.5"), ("2", "0.6"),
                                         ("2", "0.9")])
 def test_drift_from_a_prior_at_its_threshold_exits_two(b, epsilon):

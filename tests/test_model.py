@@ -1,9 +1,13 @@
 """Configuration, noise models, and record types."""
 
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from searchlab.bounds import nonadaptive_lower_bound
 from searchlab.errors import (
     InvalidAlpha,
     InvalidEpsilon,
@@ -11,10 +15,12 @@ from searchlab.errors import (
     NonIntegerLocationCount,
     NonMonotoneNoise,
     ProbeCountOutOfRange,
+    ValidationError,
 )
 from searchlab.model import (
     MAX_CELLS,
     NoiseModel,
+    SearchConfig,
     TrialRecord,
     new_config,
     sections_from_alpha,
@@ -77,6 +83,39 @@ class TestNewConfig:
     def test_exact_ratio_always_snaps(self, m, scale):
         cfg = new_config(m * scale, scale, 0.25, 1e-3)
         assert cfg.M == m
+
+    def test_replace_derives_cell_count_again(self):
+        # M is derived, not an argument: a replaced B is a 32-cell config,
+        # where M = 16 was kept and lemma1 read 28.51 at B = 32
+        cfg = dataclasses.replace(new_config(16, 1, 0.25, 1e-4), B=32.0)
+        assert cfg == new_config(32, 1, 0.25, 1e-4)
+        assert cfg.M == 32
+        assert nonadaptive_lower_bound(cfg) == nonadaptive_lower_bound(
+            new_config(32, 1, 0.25, 1e-4))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(cfg, M=16)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sigma2", -1.0, "sigma2 must be positive and finite, got -1.0"),
+        ("epsilon", 1.5, "epsilon must lie in (0, 1), got 1.5"),
+        ("delta", 0.3, "B/delta = 53.333333333333336 is not an integer cell count"),
+    ])
+    def test_replace_is_checked_as_new_config(self, field, value, message):
+        cfg = new_config(16, 1, 0.25, 1e-4)
+        args = {"width": 16, "resolution": 1, "sigma2": 0.25, "epsilon": 1e-4}
+        args[{"delta": "resolution"}.get(field, field)] = value
+        with pytest.raises(ValidationError) as want:
+            new_config(**args)
+        assert str(want.value) == message
+        with pytest.raises(type(want.value), match=f"^{re.escape(message)}$"):
+            dataclasses.replace(cfg, **{field: value})
+
+    def test_direct_construction_derives_and_converts(self):
+        cfg = SearchConfig(8, 0.5, 1, 0.01)
+        assert (cfg.B, cfg.delta, cfg.sigma2, cfg.epsilon, cfg.M) == (8.0, 0.5, 1.0,
+                                                                      0.01, 16)
+        assert all(type(x) is float for x in (cfg.B, cfg.delta, cfg.sigma2, cfg.epsilon))
+        assert cfg.noise == NoiseModel.linear()
 
 
 class TestSectionsFromAlpha:

@@ -782,17 +782,21 @@ class TestCli:
                                                        kind):
         # a ratio at v(1) = 1e300 moves a posterior sum by about 1e-149, so
         # no trial can reach its threshold within STEP_LIMIT steps: the
-        # batch is refused before it runs, where it ran for minutes
+        # batch is refused before it runs, where it ran for minutes.  The
+        # refusal names the probe size the rule takes: fixed composition's
+        # k* = 14, two-stage's first stage one section of 8 cells, and a
+        # cell where sorted-PM takes the most steps
         argv = ["simulate", "--B", "16", "--delta", "1", "--sigma2", "1e300",
                 "--epsilon", "0.1", "--strategy", kind, "--trials", "2",
                 "--out", str(tmp_path)]
+        probed = {"fixed_composition": 14, "two_stage": 8}.get(kind, 1)
         start = time.perf_counter()
         rc = main(argv + (["--alpha", "0.5"] if kind == "two_stage" else []))
         assert time.perf_counter() - start < 10.0
         assert rc == 3
         assert capsys.readouterr().err == (
-            "error: noise variance v(1) = 1e+300 is too large: no trial can "
-            "reach its threshold within 10000000 steps\n")
+            f"error: noise variance v({probed}) = {probed * 1e300!r} is too large: "
+            f"no trial can reach its threshold within 10000000 steps\n")
         assert not list(tmp_path.glob("*.csv"))
 
     def test_unreachable_first_bisection_level_exits_three_at_once(self, tmp_path,

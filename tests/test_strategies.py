@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import searchlab.inference as inference
+import searchlab.plan as plan_mod
 import searchlab.strategies as strat
 from searchlab.errors import InvalidAlpha, StepLimitExceeded, ValidationError
 from searchlab.model import MAX_CELLS, NoiseModel, new_config
@@ -446,8 +447,9 @@ class TestNoisyBinaryFixed:
         # does, and its tau is the sum of the levels' r
         cfg = new_config(m, 1, 0.25, eps)
         z = max(0.0, strat.gaussian_tail_inverse(eps / math.log2(m)))
-        levels = [strat._level(cfg, z, 0, m >> depth)[1:3]
-                  for depth in range(int(math.log2(m)))]
+        # the table's lengths are m, m/2, ..., 2: every level a trial takes
+        _, _, (reps, v, *_) = strat._levels(cfg, z)
+        levels = list(zip(reps.tolist(), v.tolist()))
         exact = 1.0 - math.prod(1.0 - scipy.stats.norm.sf(math.sqrt(r / (4.0 * v)))
                                 for r, v in levels)
         n = 20_000
@@ -494,10 +496,72 @@ class TestNoisyBinaryFixed:
                     (1e-6, 1e-3, 0.05, 0.5, 0.9)):
                 cfg = new_config(m, 1, sigma2, eps, noise=noise)
                 z = max(0.0, strat.gaussian_tail_inverse(eps / math.log2(m)))
-                reps.extend(strat._level(cfg, z, lo, hi)[1] for lo, hi in spans)
+                lengths, _, (r, *_) = strat._levels(cfg, z)
+                reps.extend(int(r[lengths.searchsorted(hi - lo)]) for lo, hi in spans)
         assert len(reps) == 301_320
         digest = hashlib.sha256(repr(reps).encode()).hexdigest()
         assert digest == LEVEL_REPS_DIGEST
+
+
+def _preset_cell_counts() -> list[int]:
+    """Every M a bundled preset builds a configuration at."""
+    return sorted({plan_mod._point_config(point).M
+                   for name in plan_mod.PRESET_NAMES
+                   for plan in [plan_mod.load_preset(name)]
+                   if plan.capacity_mode != "half_input"
+                   for point in plan_mod._points(plan)})
+
+
+PRESET_CELL_COUNTS = _preset_cell_counts()
+
+
+class TestLevelTable:
+    """A bisection's level terms, one table a rule (`strategies._levels`)."""
+
+    @staticmethod
+    def old_level(config, z, lo, hi):
+        """A level's terms on the window [lo, hi), as a cached per-window
+        function gave them before the table: mid, repetitions, v and the
+        two halves' log cell counts."""
+        h1 = (hi - lo + 1) // 2
+        v = config.noise_variance(h1)
+        return lo + h1, strat._repeats(v, z), v, math.log(h1), math.log(hi - lo - h1)
+
+    def test_presets_have_cell_counts(self):
+        assert PRESET_CELL_COUNTS and 128 in PRESET_CELL_COUNTS
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, MAX_CELLS) | st.sampled_from(PRESET_CELL_COUNTS),
+           sigma2=st.sampled_from([1e-6, 0.25, 3.0, 1e6]),
+           gamma=st.sampled_from([None, 0.5, 1.0, 2.0]),
+           eps=st.sampled_from([1e-12, 1e-4, 0.1, 0.9]),
+           fixed=st.booleans())
+    def test_table_holds_each_reachable_length_once(self, m, sigma2, gamma, eps,
+                                                   fixed):
+        noise = NoiseModel.linear() if gamma is None else NoiseModel.power(gamma)
+        cfg = new_config(m, 1, sigma2, eps, noise=noise)
+        z = strat._fixed_z(cfg) if fixed and m > 1 else None
+        lengths, halves, terms = strat._levels(cfg, z)
+        # halving by ceil and floor reaches, at depth d, ceil(m/2^d) and
+        # floor(m/2^d) alone
+        depths = range(m.bit_length() + 1)
+        want = sorted({n for d in depths for n in (m >> d, -(-m >> d)) if n > 1})
+        assert lengths.tolist() == want
+        assert len(want) <= 2 * math.ceil(math.log2(m)) if m > 1 else not want
+        for n, h1, (reps, v, log_h1, log_h2) in zip(lengths.tolist(), halves.tolist(),
+                                                    terms.T.tolist()):
+            mid, *old = self.old_level(cfg, z, 0, n)
+            assert h1 == mid
+            assert [int(reps), v, log_h1, log_h2] == old
+            assert all(type(x) is float for x in old[1:])
+
+    def test_terms_keep_their_bits_past_int64(self):
+        # a refused fixed level's repetitions pass 2^63: the table holds the
+        # float's ceil exactly, and check_run sums it
+        cfg = new_config(16, 1, 1e18, 0.1)
+        z = strat._fixed_z(cfg)
+        _, _, (reps, *_) = strat._levels(cfg, z)
+        assert int(reps[-1]) == self.old_level(cfg, z, 0, 16)[1] > 2 ** 63
 
 
 class TestNoisyBinaryVariable:
@@ -686,12 +750,14 @@ class TestDispatcherAndLimits:
         # past the variance at which STEP_LIMIT steps of the largest ratio
         # can build the lead a stop needs, a batch is refused before any
         # draw; just short of it, it runs, here into the engine's own limit.
-        # A sequential bisection's stop is its first level's test, on a
-        # probe of 8 cells
+        # The refusal names the probe size it is made at: a sequential
+        # bisection's stop is its first level's test, on a probe of 8 cells;
+        # two-stage's first stage probes one section of 8 cells; fixed
+        # composition probes its k*; sorted-PM at a linear law takes the
+        # most steps where it probes a cell
         monkeypatch.setattr(strat, "STEP_LIMIT", 1000)
-        probed, goal = ((8, "pass its first level")
-                        if spec.kind == NOISY_BINARY_VARIABLE
-                        else (1, "reach its threshold"))
+        goal = ("pass its first level" if spec.kind == NOISY_BINARY_VARIABLE
+                else "reach its threshold")
 
         def refused(sigma2):
             try:
@@ -705,6 +771,9 @@ class TestDispatcherAndLimits:
         while hi > lo * (1.0 + 1e-9):
             mid = math.sqrt(lo * hi)
             lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+        probed = {NOISY_BINARY_VARIABLE: 8, TWO_STAGE: 8,
+                  FIXED_COMPOSITION: strat._composition_size(
+                      new_config(16, 1, hi, 0.1), 16)}.get(spec.kind, 1)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(StepLimitExceeded,
@@ -1107,13 +1176,14 @@ def stepwise_bisection(floored=None):
         log_thresh = -math.inf if fixed else math.log1p(-min(share, 0.5))
         windows = np.array([[0, m]] * n)  # each live row's [lo, hi)
         cols = np.arange(m)
+        lengths, halves, terms = strat._levels(config, z)
 
         def level():
             """Each row's probed set, repetitions, variance and half sizes."""
-            lo = windows[:, 0]
-            mid, reps, v, log_h1, log_h2 = np.array(
-                [strat._level(config, z, a, b) for a, b in windows.tolist()]).T
-            mid = mid.astype(np.int64)
+            lo, hi = windows.T
+            at = lengths.searchsorted(hi - lo)
+            mid = lo + halves[at]
+            reps, v, log_h1, log_h2 = terms[:, at]
             masks = (cols >= lo[:, None]) & (cols < mid[:, None])
             return masks, reps.astype(np.int64) if fixed else None, v, (lo, mid, log_h1, log_h2)
 
