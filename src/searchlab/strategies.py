@@ -320,7 +320,9 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
     the lead G is refused, naming v(k).  Exhaustive search probes k = 1
     cell, fixed composition its k* (`_composition_size`), two-stage's
     first stage k units of M/s cells, and a sequential bisection's first
-    level h1 = ceil(M/2).
+    level h1 = ceil(M/2).  Sorted-PM's probes vary in size, but hold at
+    least one cell, so no step moves its lead by more than rho(1): it is
+    tested at k = 1 as well as by its bands below.
 
     Sorted-PM over m cells (two-stage's second stage: m = M/s) probes a
     size that the span d of a row's sums bounds.  While d < D, every weight
@@ -337,8 +339,10 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
     sum, below d, of the bands' widths over their rates, and a stop, which
     needs d >= G, takes at least that sum below G: a config where it passes
     STEP_LIMIT (1 + 4 STEP_LIMIT u) is refused, naming the size whose band
-    takes the most.  A run that this lets through may still meet the
-    engine's STEP_LIMIT.
+    takes the most.  Where the bands fall at small sizes, as at M = 2 or 3,
+    the factor 2 leaves this bound weaker than the test at k = 1, so a
+    config is refused where either passes.  A run that both let through may
+    still meet the engine's STEP_LIMIT.
 
     A threshold stop, from a uniform prior, needs G = -log(limit - 1 +
     4(M + 1)u): its normalizer, summed in floats over at most M + 1 terms
@@ -365,11 +369,10 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
     if spec.kind == TWO_STAGE:
         section = m // sections_from_alpha(spec.alpha, m)
     if spec.kind == NOISY_BINARY_FIXED and m > 1:
-        lengths, halves, (reps, *_) = _levels(config, _fixed_z(config))
+        lengths, (reps, *_) = _levels(config, _fixed_z(config))
         length, total = m, 0.0
         while length > 1:  # the longest path, M, ceil(M/2), ..., 2
-            at = lengths.searchsorted(length)
-            total, length = total + reps[at], halves[at]
+            total, length = total + reps[lengths.searchsorted(length)], (length + 1) // 2
         if total > STEP_LIMIT:
             probed = (m + 1) // 2
             raise StepLimitExceeded(
@@ -390,7 +393,7 @@ def check_run(spec: StrategySpec, config: SearchConfig) -> None:
         limit = normalizer_limit(math.log1p(-eps))
         lead = -math.log(limit - 1.0 + 4.0 * (m + 1) * u)
         # the sizes of one-size probes, and the cells sorted-PM searches
-        goal, probes, searched = "reach its threshold", [], m
+        goal, probes, searched = "reach its threshold", [1], m
         if spec.kind == TWO_STAGE:
             probes, searched = [_composition_size(config, m // section) * section], section
         elif spec.kind != SORTED_PM:
@@ -777,9 +780,9 @@ def _fixed_z(config: SearchConfig) -> float:
 
 def _levels(config: SearchConfig, z: float | None) -> tuple:
     """A bisection's level terms, one table a rule, by the length L of a
-    window, uniform when its level starts: the lengths L > 1 that halving M
-    reaches, ascending (a window's column is its length's index); each
-    one's first half of h1 = ceil(L/2) cells; and rows of floats: the
+    window, uniform when its level starts, whose first half holds h1 =
+    ceil(L/2) cells: the lengths L > 1 that halving M reaches, ascending (a
+    window's column is its length's index), and rows of floats: the
     repetitions (`_repeats`, a float's ceil, so held exactly), v(h1), log h1
     and log(L - h1).  Halving L gives ceil(L/2) and floor(L/2), so a depth
     holds at most two lengths, the table at most 2 ceil(log2 M)."""
@@ -788,11 +791,9 @@ def _levels(config: SearchConfig, z: float | None) -> tuple:
         lengths |= reach
         reach = {h for n in reach for h in ((n + 1) // 2, n // 2) if h > 1}
     lengths = sorted(lengths)
-    halves = [(n + 1) // 2 for n in lengths]
     columns = [(_repeats(v, z), v, math.log(h), math.log(n - h))
-               for n, h in zip(lengths, halves) for v in [config.noise_variance(h)]]
-    return (np.array(lengths), np.array(halves),
-            np.array(columns, dtype=float).reshape(-1, 4).T)
+               for n in lengths for h in [(n + 1) // 2] for v in [config.noise_variance(h)]]
+    return np.array(lengths), np.array(columns, dtype=float).reshape(-1, 4).T
 
 
 def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
@@ -817,8 +818,8 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     most epsilon/log2 M.  Their ratios sum to r(2 hit - 1)/(2v) +
     sqrt(r/v) N(0, 1), the ratio of one observation of their mean at
     variance v/r, so a level reads one normal a row and counts r steps.  A
-    row holds only its window: its level's terms, but for mid = lo + h1,
-    are its length's column of the rule's table (`_levels`).
+    row holds only its window: mid = lo + ceil((hi - lo)/2), and its
+    level's terms are its length's column of the rule's table (`_levels`).
 
     Windows nest, the sums start at zero, and an update adds the same llr
     to every cell of a half, with no shift or clamp, so every cell of a
@@ -832,24 +833,26 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         return None, None
     share = config.epsilon / math.log2(m)
     log_thresh = math.log1p(-min(share, 0.5))
-    lengths, halves, terms = _levels(config, _fixed_z(config) if fixed else None)
+    lengths, terms = _levels(config, _fixed_z(config) if fixed else None)
     windows = np.array([[0], [m]]).repeat(n, 1)  # each live row's [lo, hi)
     cols = np.arange(m)
 
+    def column(lo, hi):
+        """The level terms (repetitions, v, log h1, log h2) of windows [lo, hi)."""
+        return terms[:, lengths.searchsorted(hi - lo)]
+
     def level(rows):
-        """The rows' lo and mid, each's probed half's mask, and its
-        level's terms (repetitions, v, log h1, log h2)."""
+        """The rows' lo and mid, their probed halves' mask, and level terms."""
         lo, hi = windows[:, rows]
-        at = lengths.searchsorted(hi - lo)
-        mid = lo + halves[at]
-        return lo, mid, (cols >= lo[:, None]) & (cols < mid[:, None]), terms[:, at]
+        mid = lo + (hi - lo + 1) // 2
+        return lo, mid, (cols >= lo[:, None]) & (cols < mid[:, None]), column(lo, hi)
 
     def probe(weights, step, draws):
         # settle observes: the engine reads these sets' w alone, and each
         # fixed level's repetitions
         if not fixed:
             return np.broadcast_to(True, (windows.shape[1], draws.window(1), m)), None, None
-        reps = terms[0, lengths.searchsorted(windows[1] - windows[0])]
+        reps = column(*windows)[0]
         return np.broadcast_to(True, (reps.size, 1, m)), None, reps.astype(np.int64)
 
     def end_levels(rows, to_first, lo, mid):

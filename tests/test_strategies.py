@@ -448,7 +448,7 @@ class TestNoisyBinaryFixed:
         cfg = new_config(m, 1, 0.25, eps)
         z = max(0.0, strat.gaussian_tail_inverse(eps / math.log2(m)))
         # the table's lengths are m, m/2, ..., 2: every level a trial takes
-        _, _, (reps, v, *_) = strat._levels(cfg, z)
+        _, (reps, v, *_) = strat._levels(cfg, z)
         levels = list(zip(reps.tolist(), v.tolist()))
         exact = 1.0 - math.prod(1.0 - scipy.stats.norm.sf(math.sqrt(r / (4.0 * v)))
                                 for r, v in levels)
@@ -496,7 +496,7 @@ class TestNoisyBinaryFixed:
                     (1e-6, 1e-3, 0.05, 0.5, 0.9)):
                 cfg = new_config(m, 1, sigma2, eps, noise=noise)
                 z = max(0.0, strat.gaussian_tail_inverse(eps / math.log2(m)))
-                lengths, _, (r, *_) = strat._levels(cfg, z)
+                lengths, (r, *_) = strat._levels(cfg, z)
                 reps.extend(int(r[lengths.searchsorted(hi - lo)]) for lo, hi in spans)
         assert len(reps) == 301_320
         digest = hashlib.sha256(repr(reps).encode()).hexdigest()
@@ -519,13 +519,13 @@ class TestLevelTable:
     """A bisection's level terms, one table a rule (`strategies._levels`)."""
 
     @staticmethod
-    def old_level(config, z, lo, hi):
-        """A level's terms on the window [lo, hi), as a cached per-window
-        function gave them before the table: mid, repetitions, v and the
-        two halves' log cell counts."""
-        h1 = (hi - lo + 1) // 2
+    def old_level(config, z, n):
+        """A level's terms on a window of n cells, as a cached per-window
+        function gave them before the table: repetitions, v and the two
+        halves' log cell counts."""
+        h1 = (n + 1) // 2
         v = config.noise_variance(h1)
-        return lo + h1, strat._repeats(v, z), v, math.log(h1), math.log(hi - lo - h1)
+        return [strat._repeats(v, z), v, math.log(h1), math.log(n - h1)]
 
     def test_presets_have_cell_counts(self):
         assert PRESET_CELL_COUNTS and 128 in PRESET_CELL_COUNTS
@@ -541,17 +541,15 @@ class TestLevelTable:
         noise = NoiseModel.linear() if gamma is None else NoiseModel.power(gamma)
         cfg = new_config(m, 1, sigma2, eps, noise=noise)
         z = strat._fixed_z(cfg) if fixed and m > 1 else None
-        lengths, halves, terms = strat._levels(cfg, z)
+        lengths, terms = strat._levels(cfg, z)
         # halving by ceil and floor reaches, at depth d, ceil(m/2^d) and
         # floor(m/2^d) alone
         depths = range(m.bit_length() + 1)
         want = sorted({n for d in depths for n in (m >> d, -(-m >> d)) if n > 1})
         assert lengths.tolist() == want
         assert len(want) <= 2 * math.ceil(math.log2(m)) if m > 1 else not want
-        for n, h1, (reps, v, log_h1, log_h2) in zip(lengths.tolist(), halves.tolist(),
-                                                    terms.T.tolist()):
-            mid, *old = self.old_level(cfg, z, 0, n)
-            assert h1 == mid
+        for n, (reps, v, log_h1, log_h2) in zip(lengths.tolist(), terms.T.tolist()):
+            old = self.old_level(cfg, z, n)
             assert [int(reps), v, log_h1, log_h2] == old
             assert all(type(x) is float for x in old[1:])
 
@@ -560,8 +558,8 @@ class TestLevelTable:
         # float's ceil exactly, and check_run sums it
         cfg = new_config(16, 1, 1e18, 0.1)
         z = strat._fixed_z(cfg)
-        _, _, (reps, *_) = strat._levels(cfg, z)
-        assert int(reps[-1]) == self.old_level(cfg, z, 0, 16)[1] > 2 ** 63
+        _, (reps, *_) = strat._levels(cfg, z)
+        assert int(reps[-1]) == self.old_level(cfg, z, 16)[0] > 2 ** 63
 
 
 class TestNoisyBinaryVariable:
@@ -784,6 +782,28 @@ class TestDispatcherAndLimits:
         with pytest.raises(StepLimitExceeded,
                            match=r"^trial 0: .+ exceeded 1000 steps$"):
             run_trials(spec, new_config(16, 1, lo, 0.1), 2, 0)
+
+    @pytest.mark.parametrize("m", [2, 3, 16])
+    def test_sorted_pm_is_refused_where_one_cell_cannot_reach_the_lead(self, m):
+        # a probe holds at least one cell, so STEP_LIMIT steps move a lead
+        # by at most STEP_LIMIT rho(1): at a v(1) where that falls 1% short
+        # of the lead, sorted-PM is refused as exhaustive search is, though
+        # its span bands, at twice the rate, would let it through; 1% past
+        # it, check_run lets it through
+        eps, u = 0.1, 2.0 ** -53
+        limit = inference.normalizer_limit(math.log1p(-eps))
+        lead = -math.log(limit - 1.0 + 4.0 * (m + 1) * u)
+        steps = strat.STEP_LIMIT * (1.0 + 4.0 * strat.STEP_LIMIT * u)
+
+        def config(share):
+            # v(1) at which a step moves the lead by rho(1) = share lead/steps
+            x = math.sqrt(strat.NORMAL_BOUND ** 2 + 2.0 * share * lead / steps)
+            return new_config(m, 1, (x - strat.NORMAL_BOUND) ** -2, eps)
+
+        for spec in (StrategySpec(SORTED_PM), StrategySpec(EXHAUSTIVE)):
+            with pytest.raises(StepLimitExceeded, match=r"^noise variance v\(1\) = "):
+                strat.check_run(spec, config(0.99))
+            strat.check_run(spec, config(1.01))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("width", [2, 8])
@@ -1176,14 +1196,13 @@ def stepwise_bisection(floored=None):
         log_thresh = -math.inf if fixed else math.log1p(-min(share, 0.5))
         windows = np.array([[0, m]] * n)  # each live row's [lo, hi)
         cols = np.arange(m)
-        lengths, halves, terms = strat._levels(config, z)
+        lengths, terms = strat._levels(config, z)
 
         def level():
             """Each row's probed set, repetitions, variance and half sizes."""
             lo, hi = windows.T
-            at = lengths.searchsorted(hi - lo)
-            mid = lo + halves[at]
-            reps, v, log_h1, log_h2 = terms[:, at]
+            mid = lo + (hi - lo + 1) // 2
+            reps, v, log_h1, log_h2 = terms[:, lengths.searchsorted(hi - lo)]
             masks = (cols >= lo[:, None]) & (cols < mid[:, None])
             return masks, reps.astype(np.int64) if fixed else None, v, (lo, mid, log_h1, log_h2)
 
