@@ -120,16 +120,17 @@ def nonadaptive_lower_bound(config: SearchConfig) -> float:
 
 
 @lru_cache(maxsize=512)
-def _refine_capacities(config: SearchConfig,
-                       ams: tuple[int, ...]) -> tuple[float, ...]:
-    """C2 = C(1/2, v(am/2)) of each am-cell section, from the continuous
-    variance extension even for singleton sections, in one capacity_grid
-    call: each the float bawgn_capacity gives, and the first refused
-    variance in the order of ams raises what bawgn_capacity raises.  v is
-    non-decreasing and ams falls along the feasible alphas, so a
-    noise_variance that raises does so at the first.  Cached, so a second
-    report at the config reads the same C2 without quadrature."""
-    variances = [config.noise_variance(am / 2.0) for am in ams]
+def _refine_capacities(config: SearchConfig) -> tuple[float, ...]:
+    """C2 = C(1/2, v(am/2)) of each section of am = M/s cells, s in the
+    order of `_section_counts`, from the continuous variance extension
+    even for singleton sections, in one capacity_grid call: each the float
+    bawgn_capacity gives, and the first refused variance in that order
+    raises what bawgn_capacity raises.  v is non-decreasing and am falls
+    along the feasible alphas, so a noise_variance that raises does so at
+    the first.  Cached, so a second report at the config reads the same C2
+    without quadrature."""
+    variances = [config.noise_variance(config.M // s / 2.0)
+                 for s in _section_counts(config.M)]
     return tuple(capacity_grid(0.5, variances).tolist())
 
 
@@ -164,9 +165,8 @@ def _report(config: SearchConfig, eta: float, constants: bool) -> BoundReport:
     log_2eps = math.log2(2.0 / eps)
     capacity_terms = {"C1": c1}
     alpha_terms: dict[float, dict[str, float]] = {}
-    ams = tuple(config.M // s for s in sections)
-    for s, am, c2 in zip(sections, ams, _refine_capacities(config, ams)):
-        alpha = 1.0 / s
+    for s, c2 in zip(sections, _refine_capacities(config)):
+        alpha, am = 1.0 / s, config.M // s
         if not eta < c2:
             continue
         capacity_terms[f"C2[alpha=1/{s}]"] = c2

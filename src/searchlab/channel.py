@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NoRootInBracket, QuadratureNonConvergence, ValidationError
-from .model import probe_variances
+from .model import SIZE_CACHE, probe_variances
 
 LOG2E = math.log2(math.e)
 
@@ -278,7 +278,7 @@ def psi_component(a: float, variance):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=SIZE_CACHE)
 def _psi_terms(config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """v = probe_variances(config), sqrt(v) and sqrt(2 pi v): the per-size
     terms of every psi evaluation at the config, shared and never mutated."""

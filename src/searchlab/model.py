@@ -28,6 +28,9 @@ from .errors import (
 M_SNAP_RTOL = 1e-9
 # Largest cell count new_config accepts; presets stop at M = 128.
 MAX_CELLS = 1 << 20
+# Configs a per-size cache keeps: every hit comes from the config being
+# computed, and an entry holds up to MAX_CELLS floats.
+SIZE_CACHE = 4
 
 LINEAR = "linear"
 POWER = "power"
@@ -175,7 +178,7 @@ class SearchConfig:
         return self.noise.multiplier(x) * self.delta * self.sigma2
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=SIZE_CACHE)
 def probe_variances(config: SearchConfig) -> np.ndarray:
     """noise_variance(k) for k = 1..M; shared by the cache, never mutated.
     Each is f(k) * delta * sigma2 in the scalar's order, so the same float."""

@@ -4,23 +4,25 @@ Each runner simulates one full search: draw the target, take measurements
 until the stopping rule fires, and report the stopping time tau together
 with whether the final estimate found the target.
 
-Every strategy runs on one engine, `_search`: a rule maps the posterior,
-and its own per-row state, to probed sets and their noise (sqrt(v), 2v),
-which it builds once (`probe_noise`), each observation is folded in by
-Bayes' rule, and the rule's stop retires a row; fixed composition,
-sorted-PM and exhaustive search stop once one cell holds posterior mass
-1 - eps.  The engine runs trials in lockstep: `run_rows` takes one
-generator per trial, keeps their posteriors as the rows of one (rows,
-size) array, advances every live row a step or a window of steps at a
-time and retires rows as they stop.  Every row's posterior is carried as
-running sums of log-likelihood ratios from zero, the uniform prior, never
-renormalized: every rule reads only the order of the sums and ratios of
-cell masses, which a shift leaves alone, and each step's normalizer
-sum(exp(c - max c)) is taken only to test the stop.  An adaptive rule
-(sorted-PM, alone or as two-stage's second stage) hands over one step's
-masks, and one call (`fold_step`) takes each row's hit from its mask, its
-ratio from its next normal and its probe's noise, adds mask * ratio,
-takes the normalizers and tests the stop, leaving the weights
+Every strategy runs on one engine, `_search`, under one of two kinds of
+rule.  A threshold rule (fixed composition, sorted-PM, exhaustive search)
+maps the posterior, and its own per-row state, to probed sets and their
+noise (sqrt(v), 2v), which it builds once (`probe_noise`); the engine
+folds each observation in by Bayes' rule and stops a row once one cell
+holds posterior mass 1 - eps.  A settling rule (the two bisections)
+observes and folds a window of steps itself and retires its rows with
+their counts of observations.  The engine runs trials in lockstep:
+`run_rows` takes one generator per trial, keeps their posteriors as the
+rows of one (rows, size) array, advances every live row a step or a
+window of steps at a time and retires rows as they stop.  Every row's
+posterior is carried as running sums of log-likelihood ratios from zero,
+the uniform prior, never renormalized: every rule reads only the order of
+the sums and ratios of cell masses, which a shift leaves alone, and each
+step's normalizer sum(exp(c - max c)) is taken only to test the stop.  An
+adaptive rule (sorted-PM, alone or as two-stage's second stage) hands over
+one step's masks, and one call (`fold_step`) takes each row's hit from its
+mask, its ratio from its next normal and its probe's noise, adds mask *
+ratio, takes the normalizers and tests the stop, leaving the weights
 exp(c - max c) that the next probe reads; a step at which no row stops
 takes no retire.  Sorted-PM finds its masks with no permutation: one sort
 of the weights' values gives the prefix sums, and a threshold at the k-th
@@ -37,7 +39,7 @@ of a trial run alone, so a record depends only on its trial's draws, not
 on the window, the chunk, the block or the tile.  `run_strategy` is the
 batch of one, a one-row block, and a block's last live row stays a row of
 it, so the engine has one code path.  Two-stage search chains two
-searches.  The two bisection strategies are one stateful rule,
+searches.  The two bisection strategies are one settling rule,
 `_bisection_rule`: each row narrows its own window of the posterior,
 reads each half's mass from one cell, since every cell of a half holds
 the same value, and stops level by level.  A sequential level folds a
@@ -543,41 +545,44 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
 
     A rule is a pair (probe, settle), the one extension point for a new
     kind, stateless or with per-row state (a balanced design's round, a
-    sort order carried between steps, a bisection window).  Every row is
-    carried as running sums c of log-likelihood ratios from zero, the
-    uniform prior, never renormalized: its log posterior up to a shift.
-    probe(weights, step, draws) -> (probed, noise, reps) maps the live
-    rows' posterior weights exp(c - max c) (rows, size), as the fold of a
-    step of masks left them (None after cells, or under a rule with its own
-    settle: neither reads them), and the rule's own per-row state, to the
-    probed sets of the next step or window and their noise (sqrt(v), 2v)
-    (`probe_noise`), one pair for all rows or one a row, which a rule
-    builds once (per probe size, for a rule whose sizes vary).  probed is
-    one step's boolean masks (rows, size), from an adaptive threshold rule;
-    or, from a non-adaptive threshold rule, the cells it probes over a
-    window of w steps (rows, w, k), k distinct cells a row a step; or, from
-    a rule with its own settle, sets (rows, w, size) whose w alone the
-    engine reads.  reps is None for one observation per row a step, else
-    each row's count of the observations its one step stands for.
+    sort order carried between steps, a bisection window), of one of two
+    kinds.  Every row is carried as running sums c of log-likelihood
+    ratios from zero, the uniform prior, never renormalized: its log
+    posterior up to a shift.
 
-    settle None is the threshold stop: a row retires once one cell holds
-    posterior mass 1 - eps, tested on each step's normalizer; it starts
-    only if the uniform prior holds less.  A step of masks goes to the
-    stop in one call (`fold_step`), given each row's hit cell as an index
-    into the flattened masks and its next normal, and leaves the weights
-    the next probe reads; a step at which no row stops skips the retire.
-    A window of cells, as many steps as draws allow (`Draws.window`; the
-    rule reads each live row's picks from draws), is observed and folded
-    (`fold_sums`).  A rule with its own settle starts every row when size
-    > 1: settle(lp, hit_cell, w, draws) -> (done, ends) observes the live
-    rows' window of w steps itself, given their targets' cells, folds it
-    into the sums lp (rows, size) and returns which rows retire, with the
-    steps each takes in the window (one for all in a window of one step),
-    dropping them from its state; its probe hands over the sets its rows
-    start the window with.  A row's steps are its observations; a step
-    past STEP_LIMIT raises before it is observed, naming the lowest live
-    row.  A fixed bisection's levels never pass it: `check_run` refuses a
-    config whose levels can.
+    A threshold rule, (probe, None), retires a row once one cell holds
+    posterior mass 1 - eps, tested on each step's normalizer; a row starts
+    only if the uniform prior holds less.  probe(weights, step, draws) ->
+    (probed, noise) maps the live rows' posterior weights exp(c - max c)
+    (rows, size), as the fold of a step of masks left them (None after
+    cells, which no rule that probes cells reads), and the rule's own
+    per-row state, to the probed sets of the next step or window and their
+    noise (sqrt(v), 2v) (`probe_noise`), one pair for all rows or one a
+    row, which a rule builds once (per probe size, for a rule whose sizes
+    vary).  probed is one step's boolean masks (rows, size), from an
+    adaptive rule, or, from a non-adaptive rule, the cells it probes over a
+    window of w steps (rows, w, k), k distinct cells a row a step.  A step
+    of masks goes to the stop in one call (`fold_step`), given each row's
+    hit cell as an index into the flattened masks and its next normal, and
+    leaves the weights the next probe reads; a step at which no row stops
+    skips the retire.  A window of cells, as many steps as draws allow
+    (`Draws.window`; the rule reads each live row's picks from draws), is
+    observed and folded (`fold_sums`).  A row's steps are its
+    observations.
+
+    A settling rule, (None, settle), starts every row when size > 1:
+    settle(lp, hit_cell, left, draws) -> (w, done, ends, taus) observes
+    the live rows' next window of w <= left steps itself, given their
+    targets' cells, folds it into the sums lp (rows, size), and returns
+    which rows retire, the steps each takes in the window (one for all in
+    a window of one step) and each one's count of observations, its tau;
+    it drops them from its own state, which it may size from lp's rows on
+    its first call.
+
+    A step past STEP_LIMIT raises before it is observed, naming the lowest
+    live row, and no window runs past it: left = STEP_LIMIT - step.  A
+    fixed bisection's level is one step of r observations, and its levels
+    never pass the limit: `check_run` refuses a config whose levels can.
 
     A reader, under a threshold rule, is called after every fold, before
     any row retires, as reader(live, lp, weights) -> cut: the live rows'
@@ -600,10 +605,9 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     steps = np.zeros(n, dtype=np.int64)
     cells = np.zeros(n, dtype=np.int64)
     top = np.full(n, -math.log(size))
-    starts = prior_steps(size, eps) or (size > 1 and callable(settle))
+    starts = prior_steps(size, eps) or (size > 1 and settle is not None)
     live = np.arange(n if starts else 0)
     limit = normalizer_limit(math.log1p(-eps)) if settle is None and starts else None
-    taken = np.zeros(n, dtype=np.int64)  # each live row's observations, with reps
     lp = np.zeros((n, size))
     # the uniform prior's weights, exp(0), without a copy a row
     weights = np.broadcast_to(1.0, (n, size)) if settle is None else None
@@ -613,42 +617,41 @@ def _search(size: int, rule, targets, eps: float, draws: Draws, label: str,
     hits = hit_cell + np.arange(0, n * size, size)  # in a step's flat masks
     step = 0
     while live.size:
-        probed, noise, reps = probe(weights, step, draws)
-        weights = None  # read: not held while the fold makes the next
-        if reps is None:  # every live row has observed once a step
-            w = min(1 if probed.ndim == 2 else probed.shape[1], STEP_LIMIT - step)
-        else:  # a fixed level: its count is bounded by `check_run`
-            w = 1
-            taken += reps
-        if w == 0:
+        if step == STEP_LIMIT:
             where = "" if first_trial is None else f"trial {first_trial + live[0]}: "
             raise StepLimitExceeded(f"{where}{label} exceeded {STEP_LIMIT} steps")
-        norms = None  # the stopped rows' normalizers, if not those of lp now
+        # the stopped rows' normalizers, if not those of lp now, and their
+        # steps, if not step + ends
+        norms = taus = None
         if settle is not None:
-            done, ends = settle(lp, hit_cell, w, draws)
-        elif probed.ndim == 2:  # one step of masks
-            done, norms, ended_cells, weights = fold_step(
-                lp, probed, hits, on_grid if off_grid else None, draws.ahead(1)[0],
-                noise, limit)
-            ends = 1
-        else:  # a window of cells
-            probed = probed[:, :w]
-            hit = (probed == hit_cell[:, None, None]).any(axis=2).T  # (w, rows)
-            done, ends, norms, ended_cells = fold_sums(
-                lp, probed, observe(hit, noise, draws), limit)
-        probed = None  # a view of the picks: not held while the next are drawn
+            w, done, ends, taus = settle(lp, hit_cell, STEP_LIMIT - step, draws)
+        else:
+            probed, noise = probe(weights, step, draws)
+            weights = None  # read: not held while the fold makes the next
+            if probed.ndim == 2:  # one step of masks
+                w, ends = 1, 1
+                done, norms, ended_cells, weights = fold_step(
+                    lp, probed, hits, on_grid if off_grid else None, draws.ahead(1)[0],
+                    noise, limit)
+            else:  # a window of cells
+                w = min(probed.shape[1], STEP_LIMIT - step)
+                probed = probed[:, :w]
+                hit = (probed == hit_cell[:, None, None]).any(axis=2).T  # (w, rows)
+                done, ends, norms, ended_cells = fold_sums(
+                    lp, probed, observe(hit, noise, draws), limit)
+            probed = None  # a view of the picks: not held while the next are drawn
         cut = None if reader is None else reader(live, lp, weights)
         if cut is not None and cut.any():  # every row retiring takes its sums' record
             done, ends, norms = cut if done is None else cut | done, 1, None
         if done is not None and done.any():
             ended = live[done]
-            steps[ended] = step + ends if reps is None else taken[done]
+            steps[ended] = step + ends if taus is None else taus
             if norms is None:
                 norms, ended_cells = normalizers(lp[done]), lp[done].argmax(axis=1)
             top[ended] = [-math.log(s) for s in norms.tolist()]
             cells[ended] = ended_cells
             keep = ~done
-            live, lp, taken = live[keep], lp[keep], taken[keep]
+            live, lp = live[keep], lp[keep]
             if weights is not None:
                 weights = weights[keep]
             hit_cell, on_grid = hit_cell[keep], on_grid[keep]
@@ -678,7 +681,7 @@ def _composition_rule(config: SearchConfig, grid: int, cells_per_unit: int):
     noise = probe_noise(config.noise_variance(k * cells_per_unit))
 
     def probe(weights, step, draws):
-        return draws.pick(grid, k), noise, None
+        return draws.pick(grid, k), noise
     return probe, None
 
 
@@ -690,7 +693,7 @@ def _sorted_pm_rule(config: SearchConfig):
 
     def probe(weights, step, draws):
         masks, k = sorted_pm_mask(weights)
-        return masks, (sd[k], twice_v[k]), None
+        return masks, (sd[k], twice_v[k])
     return probe, None
 
 
@@ -704,32 +707,25 @@ def _round_robin_rule(config: SearchConfig):
         # at most CHUNK_CELLS cells of one row's posterior over the window
         w = min(draws.window(1), max(1, CHUNK_CELLS // m))
         cells = (step + np.arange(w)) % m
-        return np.broadcast_to(cells[:, None], (len(draws.gens), w, 1)), noise, None
+        return np.broadcast_to(cells[:, None], (len(draws.gens), w, 1)), noise
     return probe, None
 
 
 def probe_rule(kind: str, config: SearchConfig):
-    """The (probe, settle) rule of a threshold kind (fixed_composition,
-    sorted_pm or exhaustive) over all M cells."""
+    """The rule of a one-stage kind over all M cells: (probe, None) for a
+    threshold kind (fixed_composition, sorted_pm, exhaustive), (None,
+    settle) for a bisection (noisy_binary_fixed, noisy_binary_variable)."""
     if kind == FIXED_COMPOSITION:
         return _composition_rule(config, config.M, 1)
     if kind == SORTED_PM:
         return _sorted_pm_rule(config)
+    if kind in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE):
+        return _bisection_rule(config, kind == NOISY_BINARY_FIXED)
     return _round_robin_rule(config)
 
 
 # Per-row outcome of a batch: (tau, tau_stage1, success, final_max_prob).
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _one_stage(config: SearchConfig, rule, draws: Draws, label: str,
-               first_trial: int | None) -> Rows:
-    """Draw each row's target uniformly from [0, M), then search all M
-    cells at the config's epsilon."""
-    targets = draw_targets(draws.gens, config.M)
-    steps, cells, pmax = _search(config.M, rule, targets, config.epsilon, draws,
-                                 label, first_trial)
-    return steps, np.zeros_like(steps), cells == targets, pmax
 
 
 def _two_stage_rows(config: SearchConfig, spec: StrategySpec, rngs: list,
@@ -796,10 +792,10 @@ def _levels(config: SearchConfig, z: float | None) -> tuple:
     return np.array(lengths), np.array(columns, dtype=float).reshape(-1, 4).T
 
 
-def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
-    """Bisection over n rows, each narrowing a window [lo, hi) of its
-    posterior from [0, M) to one cell; the engine then reports the MAP
-    cell.  A level probes the window's first half [lo, mid), which takes
+def _bisection_rule(config: SearchConfig, fixed: bool):
+    """The settling rule of a bisection: each row narrows a window [lo, hi)
+    of its posterior from [0, M) to one cell; the engine then reports the
+    MAP cell.  A level probes the window's first half [lo, mid), which takes
     the odd cell, and ends by moving the window into the half that holds
     more mass, the first on ties.
 
@@ -818,7 +814,9 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     most epsilon/log2 M.  Their ratios sum to r(2 hit - 1)/(2v) +
     sqrt(r/v) N(0, 1), the ratio of one observation of their mean at
     variance v/r, so a level reads one normal a row and counts r steps.  A
-    row holds only its window: mid = lo + ceil((hi - lo)/2), and its
+    row holds only its window and its count of observations, a fixed
+    level's r or the normals a sequential window's levels read, sized from
+    the sums' rows on the first call: mid = lo + ceil((hi - lo)/2), and its
     level's terms are its length's column of the rule's table (`_levels`).
 
     Windows nest, the sums start at zero, and an update adds the same llr
@@ -834,26 +832,16 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
     share = config.epsilon / math.log2(m)
     log_thresh = math.log1p(-min(share, 0.5))
     lengths, terms = _levels(config, _fixed_z(config) if fixed else None)
-    windows = np.array([[0], [m]]).repeat(n, 1)  # each live row's [lo, hi)
     cols = np.arange(m)
-
-    def column(lo, hi):
-        """The level terms (repetitions, v, log h1, log h2) of windows [lo, hi)."""
-        return terms[:, lengths.searchsorted(hi - lo)]
+    windows = counts = None  # each live row's [lo, hi) and observations
 
     def level(rows):
-        """The rows' lo and mid, their probed halves' mask, and level terms."""
+        """The rows' lo and mid, their probed halves' mask, and level terms
+        (repetitions, v, log h1, log h2)."""
         lo, hi = windows[:, rows]
         mid = lo + (hi - lo + 1) // 2
-        return lo, mid, (cols >= lo[:, None]) & (cols < mid[:, None]), column(lo, hi)
-
-    def probe(weights, step, draws):
-        # settle observes: the engine reads these sets' w alone, and each
-        # fixed level's repetitions
-        if not fixed:
-            return np.broadcast_to(True, (windows.shape[1], draws.window(1), m)), None, None
-        reps = column(*windows)[0]
-        return np.broadcast_to(True, (reps.size, 1, m)), None, reps.astype(np.int64)
+        return (lo, mid, (cols >= lo[:, None]) & (cols < mid[:, None]),
+                terms[:, lengths.searchsorted(hi - lo)])
 
     def end_levels(rows, to_first, lo, mid):
         """Move the windows of these rows into the half that holds more
@@ -883,9 +871,12 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
         lp[rows] = np.where(mask, c[at, k][:, None], lp[rows])
         return at, ended, first[at, k] >= second, lo, mid
 
-    def settle(lp, hit_cell, w, draws):
-        nonlocal windows
-        rows = np.arange(windows.shape[1])
+    def settle(lp, hit_cell, left, draws):
+        nonlocal windows, counts
+        rows = np.arange(lp.shape[0])
+        if windows is None:
+            windows = np.array([[0], [m]]).repeat(rows.size, 1)
+            counts = np.zeros(rows.size, dtype=np.int64)
         if fixed:  # every level ends after its one step
             lo, mid, mask, (reps, v, log_h1, log_h2) = level(rows)
             llr = observe(((lo <= hit_cell) & (hit_cell < mid))[None],
@@ -894,8 +885,10 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
             # which `check_run` keeps out, would be NaN off the mask
             np.add(lp, llr[0, :, None], out=lp, where=mask)
             to_first = lp[rows, lo] + log_h1 >= lp[rows, mid] + log_h2
-            done, ends = end_levels(rows, to_first, lo, mid), 1
+            counts += reps.astype(np.int64)  # bounded by `check_run`
+            w, done, ends = 1, end_levels(rows, to_first, lo, mid), 1
         else:
+            w = min(draws.window(1), left)
             normals = draws.ahead(w)
             read = np.zeros(rows.size, dtype=np.int64)
             ends = np.zeros(rows.size, dtype=np.int64)
@@ -908,11 +901,13 @@ def _bisection_rule(config: SearchConfig, fixed: bool, n: int):
                 ends[rows[done]] = at[done] + 1
                 rows = rows[~done & (at + 1 < w)]
             done = ends > 0
+            counts += np.where(done, ends, w)
             ends = ends[done]
+        taus = counts[done]
         if done.any():
-            windows = windows[:, ~done]
-        return done, ends
-    return probe, settle
+            windows, counts = windows[:, ~done], counts[~done]
+        return w, done, ends, taus
+    return None, settle
 
 
 def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
@@ -926,15 +921,14 @@ def run_rows(spec: StrategySpec, config: SearchConfig, rngs: list,
     check_run(spec, config)
     if spec.kind == TWO_STAGE:
         return _two_stage_rows(config, spec, rngs, first_trial)
-    if spec.kind in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE):
-        rule = _bisection_rule(config, spec.kind == NOISY_BINARY_FIXED, len(rngs))
-    else:
-        rule = probe_rule(spec.kind, config)
     # a sequential bisection window runs to the end of the normal chunk:
     # longer chunks take fewer windows, each of about 15 fixed calls
     draws = Draws(rngs, picks=spec.kind == FIXED_COMPOSITION,
                   normal_chunk=2 * CHUNK if spec.kind == NOISY_BINARY_VARIABLE else None)
-    return _one_stage(config, rule, draws, spec.kind, first_trial)
+    targets = draw_targets(draws.gens, config.M)
+    steps, cells, pmax = _search(config.M, probe_rule(spec.kind, config), targets,
+                                 config.epsilon, draws, spec.kind, first_trial)
+    return steps, np.zeros_like(steps), cells == targets, pmax
 
 
 def run_strategy(spec: StrategySpec, config: SearchConfig,

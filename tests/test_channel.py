@@ -26,6 +26,7 @@ from searchlab.cli import main
 from searchlab.errors import (ProbeCountOutOfRange, QuadratureNonConvergence,
                               ValidationError)
 from searchlab.model import NoiseModel, new_config
+from searchlab.strategies import SORTED_PM, StrategySpec, check_run
 
 # Frozen quadrature goldens; independently cross-checked against a
 # Monte Carlo mixture-entropy estimator before being pinned here.
@@ -250,6 +251,25 @@ class TestProbeVariances:
         with pytest.raises(ProbeCountOutOfRange) as got:
             noise.multipliers(8)
         assert str(got.value) == str(want.value)
+
+    def test_per_size_caches_keep_few_large_configs(self, clear_package_caches):
+        # a plan checks every point (`check_run`) before it runs one: 8
+        # distinct configs at the largest M leave at most 4 configs' v,
+        # sqrt(v) and sqrt(2 pi v) behind, where 8 would hold 192 MiB
+        m = 1 << 20
+        per_config = 3 * m * np.dtype(float).itemsize
+        clear_package_caches()
+        tracemalloc.start()
+        try:
+            for i in range(8):
+                cfg = new_config(m, 1, 0.25 * (i + 1), 1e-4)
+                check_run(StrategySpec(SORTED_PM), cfg)
+                channel._psi_terms(cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            clear_package_caches()
+        assert retained < 5 * per_config
 
 
 class TestCompositionPruning:

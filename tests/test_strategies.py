@@ -276,7 +276,7 @@ class TestSortedPMMask:
     def test_first_probe_from_zero_sums_covers_half(self, m):
         probe, _ = strat._sorted_pm_rule(new_config(m, 1, 0.25, 1e-4))
         # the weights exp(c - max c) of zero sums, as the engine starts
-        masks, _, _ = probe(np.broadcast_to(1.0, (3, m)), 0, None)
+        masks, _ = probe(np.broadcast_to(1.0, (3, m)), 0, None)
         assert masks.shape == (3, m)  # one step's masks
         assert masks.sum(axis=1).tolist() == [m // 2] * 3
 
@@ -1182,21 +1182,21 @@ def renormalizing_window(floored):
 
 def stepwise_bisection(floored=None):
     """A maker of the bisection rule that takes one observation, or one
-    fixed level, a step and settles every row after it, as the rule ran
-    before its sequential levels took windows: the reference for the
-    windowed rule.  With floored, the block is renormalized before each
-    test, as every rule's rows once were, and whether the clamp moved a
-    cell is appended to it."""
-    def make(config, fixed, n):
+    fixed level, a step and settles every row after it, counting each
+    row's observations itself, as the rule ran before its sequential
+    levels took windows: the reference for the windowed rule.  With
+    floored, the block is renormalized before each test, as every rule's
+    rows once were, and whether the clamp moved a cell is appended to it."""
+    def make(config, fixed):
         m = config.M
         if m == 1:  # no row starts
             return None, None
         share = config.epsilon / math.log2(m)
         z = max(0.0, strat.gaussian_tail_inverse(share)) if fixed else None
         log_thresh = -math.inf if fixed else math.log1p(-min(share, 0.5))
-        windows = np.array([[0, m]] * n)  # each live row's [lo, hi)
         cols = np.arange(m)
         lengths, terms = strat._levels(config, z)
+        windows = taken = None  # each live row's [lo, hi) and observations
 
         def level():
             """Each row's probed set, repetitions, variance and half sizes."""
@@ -1206,13 +1206,12 @@ def stepwise_bisection(floored=None):
             masks = (cols >= lo[:, None]) & (cols < mid[:, None])
             return masks, reps.astype(np.int64) if fixed else None, v, (lo, mid, log_h1, log_h2)
 
-        def probe(weights, step, draws):
-            masks, reps, v, _ = level()
-            return masks[:, None], v, reps
-
-        def settle(lp, hit_cell, w, draws):
-            nonlocal windows
-            assert w == 1
+        def settle(lp, hit_cell, left, draws):
+            nonlocal windows, taken
+            assert left >= 1
+            if windows is None:  # every row starts at [0, M)
+                windows = np.array([[0, m]] * lp.shape[0])
+                taken = np.zeros(lp.shape[0], dtype=np.int64)
             masks, reps, v, (lo, mid, log_h1, log_h2) = level()
             at = np.arange(lo.size)
             # a fixed level observes the mean of its r at variance v/r
@@ -1220,6 +1219,7 @@ def stepwise_bisection(floored=None):
                                 strat.probe_noise(v if reps is None else v / reps),
                                 draws)
             np.add(lp, llr[0, :, None], out=lp, where=masks)
+            taken += 1 if reps is None else reps
             if floored is not None:
                 renormalize(lp, floored)
             first = lp[at, lo] + log_h1
@@ -1229,9 +1229,10 @@ def stepwise_bisection(floored=None):
             lo = np.where(ends & ~to_first, mid, lo)
             hi = np.where(ends & to_first, mid, windows[:, 1])
             done = hi - lo == 1
-            windows = np.stack([lo, hi], axis=1)[~done]
-            return done, 1
-        return probe, settle
+            taus = taken[done]
+            windows, taken = np.stack([lo, hi], axis=1)[~done], taken[~done]
+            return 1, done, 1, taus
+        return None, settle
     return make
 
 
@@ -1432,6 +1433,64 @@ def searched(kind, config, reader=None, max_window=None, n=20):
 def records(result):
     steps, cells, pmax = result
     return steps.tolist(), cells.tolist(), [p.hex() for p in pmax.tolist()]
+
+
+class TestRuleContract:
+    """The engine's two kinds of rule: a threshold rule's probe returns
+    (probed, noise); a settling rule observes its own windows and reports
+    each retiring row's observations."""
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != TWO_STAGE])
+    def test_probe_rule_gives_one_kind_of_rule(self, kind):
+        config = new_config(16, 1, 0.25, 1e-4)
+        probe, settle = strat.probe_rule(kind, config)
+        if kind in (NOISY_BINARY_FIXED, NOISY_BINARY_VARIABLE):
+            assert probe is None and callable(settle)
+            return
+        assert callable(probe) and settle is None
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        draws = strat.Draws(rngs, picks=kind == FIXED_COMPOSITION)
+        assert len(probe(np.broadcast_to(1.0, (3, config.M)), 0, draws)) == 2
+
+    def test_settling_rule_records_its_own_taus(self):
+        targets = [5, 1, 7, 2]
+        calls = []
+
+        def settle(lp, hit_cell, left, draws):
+            # windows of 3 steps; the lowest live row retires at the second
+            # step of each, on its target, having made 100 + window
+            # observations
+            calls.append(lp.shape[0])
+            draws.ahead(3)
+            done = np.arange(lp.shape[0]) == 0
+            lp[0, hit_cell[0]] = 1.0
+            return 3, done, 2, np.array([100 + len(calls)])
+
+        draws = strat.Draws([np.random.default_rng(i) for i in range(len(targets))])
+        steps, cells, _ = strat._search(8, (None, settle), targets, 1e-4, draws,
+                                        "toy", None)
+        assert calls == [4, 3, 2, 1]
+        # the engine's own count would read 2, 5, 8 and 11
+        assert steps.tolist() == [101, 102, 103, 104]
+        assert cells.tolist() == targets
+
+    def test_settling_rule_at_step_limit_raises_before_it_observes(self, monkeypatch):
+        monkeypatch.setattr(strat, "STEP_LIMIT", 6)
+        lefts = []
+
+        def settle(lp, hit_cell, left, draws):
+            # windows of at most 4 steps; row 0 retires in the first
+            lefts.append(left)
+            w = min(4, left)
+            draws.ahead(w)
+            done = np.arange(lp.shape[0]) == (0 if len(lefts) == 1 else -1)
+            return w, done, 1, np.ones(done.sum(), dtype=np.int64)
+
+        draws = strat.Draws([np.random.default_rng(i) for i in range(3)])
+        with pytest.raises(StepLimitExceeded, match=r"^trial 11: toy exceeded 6 steps$"):
+            strat._search(8, (None, settle), [0, 1, 2], 1e-4, draws, "toy", 10)
+        # a window of 4, one of the 2 steps left, and no third call
+        assert lefts == [6, 2]
 
 
 class TestSearchReader:
