@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 # bench/tracer.py patches bawgn_capacity here.
 from .channel import (
@@ -119,19 +118,17 @@ def nonadaptive_lower_bound(config: SearchConfig) -> float:
     return max(0.0, val)
 
 
-@lru_cache(maxsize=512)
-def _refine_capacities(config: SearchConfig) -> tuple[float, ...]:
+def _refine_capacities(config: SearchConfig) -> list[float]:
     """C2 = C(1/2, v(am/2)) of each section of am = M/s cells, s in the
     order of `_section_counts`, from the continuous variance extension
     even for singleton sections, in one capacity_grid call: each the float
     bawgn_capacity gives, and the first refused variance in that order
     raises what bawgn_capacity raises.  v is non-decreasing and am falls
     along the feasible alphas, so a noise_variance that raises does so at
-    the first.  Cached, so a second report at the config reads the same C2
-    without quadrature."""
+    the first.  Not cached: a report runs it once."""
     variances = [config.noise_variance(config.M // s / 2.0)
                  for s in _section_counts(config.M)]
-    return tuple(capacity_grid(0.5, variances).tolist())
+    return capacity_grid(0.5, variances).tolist()
 
 
 def _stage_time(n: float, eps: float, a_eta: float, c: float,

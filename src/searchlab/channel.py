@@ -87,16 +87,13 @@ _LO, _HI, _WIDTH, _NEG_2V, _HALF_LOG, _LOG_W = 0, 1, 2, 3, 4, slice(5, 7)
 _MEANS = np.array([0.0, 1.0])[:, None]
 
 
-def _grid(c: np.ndarray, n: int, odd: bool) -> np.ndarray:
+def _grid(c: np.ndarray, n: int) -> np.ndarray:
     """Points of np.linspace(lo, hi, n + 1), one C-contiguous row per pair
     of c, bit for bit: k * ((hi - lo) / n) + lo with the last point set to
-    hi.  ``odd`` keeps only the odd k, the points that doubling adds; the
-    even points of 2n panels are the n-panel points exactly."""
-    k = np.arange(1, n, 2, dtype=float) if odd else np.arange(n + 1, dtype=float)
-    x = k * (c[:, _WIDTH, None] / n)
+    hi.  The even points of 2n panels are the n-panel points exactly."""
+    x = np.arange(n + 1, dtype=float) * (c[:, _WIDTH, None] / n)
     x += c[:, _LO, None]
-    if not odd:
-        x[:, -1] = c[:, _HI]
+    x[:, -1] = c[:, _HI]
     return x
 
 
@@ -126,38 +123,40 @@ def _simpson_rows(f: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     return c[:, _WIDTH] / (3.0 * n) * [np.dot(w, row) for row in f]
 
 
-def _converge(idx, c, n, f, s_half, h):
-    """Store in h (at rows idx) the Simpson sum S_n of each pair of c whose
-    values on n panels are f and whose Richardson estimate |S_n - S_n/2|/15,
-    with s_half = S_n/2, is within CAPACITY_TOL.  The others are doubled up
-    to MAX_PANELS, evaluating only the new odd points, BLOCK_POINTS values
-    at a time, so memory stays bounded."""
-    s = _simpson_rows(f, c, n)
-    done = np.abs(s - s_half) <= 15.0 * CAPACITY_TOL
-    h[idx[done]] = s[done]
-    if done.all():
-        return
-    keep = ~done
-    idx, c, f, s = idx[keep], c[keep], f[keep], s[keep]
-    if n > MAX_PANELS:
-        raise QuadratureNonConvergence(
-            f"quadrature on [{c[0, _LO]}, {c[0, _HI]}] still above "
-            f"tol={CAPACITY_TOL} at {n} panels")
-    rows = max(1, BLOCK_POINTS // (2 * n + 1))
+def _converge(idx, c, n, s_half, h):
+    """Store in h (at rows idx) the Simpson sum S_n on n panels of each pair
+    of c whose Richardson estimate |S_n - S_n/2|/15 is within CAPACITY_TOL,
+    and double the others up to MAX_PANELS.  S_n/2 is s_half, the sums of
+    the pass before, or on a first pass (s_half None) the sums over the
+    grid's even points.  Every pass evaluates its whole grid, BLOCK_POINTS
+    values at a time, so memory stays bounded."""
+    rows = max(1, BLOCK_POINTS // (n + 1))
     for i in range(0, idx.size, rows):
         b = slice(i, i + rows)
         cb = c[b]
-        fine = np.empty((len(cb), 2 * n + 1))
-        fine[:, ::2] = f[b]
-        fine[:, 1::2] = _integrand(_grid(cb, 2 * n, True), cb)
-        _converge(idx[b], cb, 2 * n, fine, s[b], h)
+        f = _integrand(_grid(cb, n), cb)
+        s = _simpson_rows(f, cb, n)
+        if s_half is None:
+            half = _simpson_rows(np.ascontiguousarray(f[:, ::2]), cb, n // 2)
+        else:
+            half = s_half[b]
+        done = np.abs(s - half) <= 15.0 * CAPACITY_TOL
+        h[idx[b][done]] = s[done]
+        if done.all():
+            continue
+        keep = ~done
+        if n > MAX_PANELS:
+            raise QuadratureNonConvergence(
+                f"quadrature on [{cb[keep][0, _LO]}, {cb[keep][0, _HI]}] still "
+                f"above tol={CAPACITY_TOL} at {n} panels")
+        _converge(idx[b][keep], cb[keep], 2 * n, s[keep], h)
 
 
 def _capacities(qs, variances) -> list[float]:
     """C(q, v) in bits for each pair of the float sequences qs, variances:
     validation, adaptive Simpson over every pair, clamp.  Pairs are grouped
-    by starting panel count; each group's grid is evaluated a block of
-    pairs at a time, and a doubling evaluates only the new odd points."""
+    by starting panel count, and each group converges in one `_converge`
+    call."""
     groups: dict[int, tuple[list, array]] = {}
     out = [0.0] * len(qs)
     for i, (q, variance) in enumerate(zip(qs, variances)):
@@ -191,16 +190,11 @@ def _capacities(qs, variances) -> list[float]:
                        0.5 * math.log(2.0 * math.pi * variance),
                        math.log(1.0 - q), math.log(q)))
     for n0, (pairs, consts) in groups.items():
-        # Every pair takes at least one doubling, so the first block goes
+        # Every pair takes at least one doubling, so the first pass goes
         # straight to 2 n0 panels; its even points are the n0-panel grid.
-        c = np.frombuffer(consts).reshape(len(pairs), 7)
         h = np.empty(len(pairs))
-        rows = max(1, BLOCK_POINTS // (2 * n0 + 1))
-        for i in range(0, len(pairs), rows):
-            cb = c[i:i + rows]
-            f = _integrand(_grid(cb, 2 * n0, False), cb)
-            coarse = _simpson_rows(np.ascontiguousarray(f[:, ::2]), cb, n0)
-            _converge(np.arange(i, i + len(cb)), cb, 2 * n0, f, coarse, h)
+        _converge(np.arange(len(pairs)),
+                  np.frombuffer(consts).reshape(len(pairs), 7), 2 * n0, None, h)
         for i, h_y in zip(pairs, h.tolist()):
             cap = h_y - 0.5 * math.log2(2.0 * math.pi * math.e * variances[i])
             out[i] = min(max(cap, 0.0), binary_entropy(qs[i]))

@@ -60,8 +60,9 @@ the target draw without drawing from it: the PCG64 jump of the trial
 state, a copy of it advanced by JUMP, as `bit_generator.jumped()` gives it
 (`picks_streams`).  It draws them a chunk
 of 4 CHUNK steps at a time (`pick_cells`).  A probe set is a partial
-Fisher-Yates shuffle, and one whose swap targets are pairwise distinct has
-its targets as its cells: a single cell is its target, a pair whose two
+Fisher-Yates shuffle; every probe size draws its swap targets the same
+way, one bound a swap, and a shuffle whose targets are pairwise distinct
+has its targets as its cells: a single cell is its target, a pair whose two
 targets j0 are equal has the cells (j0, 0), and three or more cells run
 the shuffle on every step.  A window ends where a chunk does, so a record
 does not depend on the chunk or the window.
@@ -154,20 +155,17 @@ def pick_cells(gens: list, grid: int, k: int, steps: int) -> np.ndarray:
 
     A shuffle whose targets are pairwise distinct swaps an untouched entry
     into place at every swap, so its cells are its targets: the draws are
-    the picks.  One rule a probe size: k = 1 cannot repeat, and draws each
-    row's steps under one scalar bound, the same values and state as an
-    array of equal bounds; a pair repeats just when j0 == j1, and its first
-    swap has then put entry 0 in place j0, so its cells are (j0, 0); k >= 3
-    runs the shuffle on every step (`_shuffle_table`)."""
-    if k == 1:
-        cells = np.stack([g.integers(0, grid, size=steps) for g in gens])
-        return cells[..., None]
+    the picks.  One rule a probe size: k = 1 cannot repeat; a pair repeats
+    just when j0 == j1, and its first swap has then put entry 0 in place j0,
+    so its cells are (j0, 0); k >= 3 runs the shuffle on every step
+    (`_shuffle_table`)."""
     highs = np.tile(grid - np.arange(k), steps)  # one bound a draw, in order
     j = np.stack([g.integers(0, highs) for g in gens]).reshape(-1, k)
     j += np.arange(k)                     # swap i exchanges entries i and j >= i
     if k > 2:
         return _shuffle_table(j).reshape(len(gens), steps, k)
-    j[j[:, 0] == j[:, 1], 1] = 0  # the second swap takes entry 0 from j0
+    if k == 2:
+        j[j[:, 0] == j[:, 1], 1] = 0  # the second swap takes entry 0 from j0
     return j.reshape(len(gens), steps, k)
 
 

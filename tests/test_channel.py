@@ -426,6 +426,91 @@ class TestCapacityGrid:
             bawgn_capacity(0.37, 0.33)
 
 
+def _mutual_information(q: float, v: float) -> float:
+    """C(q, v) as I(X; Y) = sum_x p(x) int G(y; x, v) log2(G(y; x, v) / m(y))
+    dy by scipy quad, clamped as bawgn_capacity clamps: a sum of two
+    relative entropies, with no cancellation between h(Y) and h(Z)."""
+    s = math.sqrt(v)
+    lw = (math.log(1.0 - q), math.log(q))
+
+    def term(y, x):
+        llr = (2.0 * y - 1.0) / (2.0 * v)  # log G(y; 1, v) / G(y; 0, v)
+        log_ratio = x * llr - np.logaddexp(lw[0], lw[1] + llr)
+        return scipy.stats.norm.pdf(y, loc=x, scale=s) * log_ratio / math.log(2.0)
+
+    cap = sum(w * scipy.integrate.quad(term, x - 12.0 * s, x + 12.0 * s, args=(x,),
+                                       epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+              for x, w in ((0, 1.0 - q), (1, q)))
+    return min(max(cap, 0.0), binary_entropy(q))
+
+
+class TestForcedDoubling:
+    """Below the default tolerance, pairs take more than the first doubling
+    past their starting grid, which no preset or benchmark pair needs: the
+    doubled values are lone calls', independent of the block cap, and the
+    mixture's mutual information to 1e-12."""
+
+    PAIRS = _random_pairs(3000, 20261022)
+    # index -> C(q, v).hex(), recorded before the kernel lost its odd-point
+    # doubling; every pinned pair doubles at least DOUBLINGS[tol] times
+    PINNED = {
+        1e-14: {20: "0x1.558c8365f96d0p-4", 332: "0x1.fc8a1ef878bd0p-1",
+                674: "0x1.fae74367b3317p-1", 971: "0x1.ef72279020520p-1",
+                1234: "0x1.102e89fe175bcp-3", 1469: "0x1.a6bd222d14507p-2",
+                1780: "0x1.ef82456af1cf0p-1", 2096: "0x1.d8bed27d1c6eap-1",
+                2451: "0x1.e1ab2890c7b1cp-1", 2710: "0x1.580ad80cba1a0p-1"},
+        1e-16: {95: "0x1.1c9bc57336000p-11", 243: "0x1.f8b40a5d20000p-13",
+                564: "0x1.e9ef0100c0000p-16", 1046: "0x1.622d22c082c60p-3",
+                1205: "0x1.a165190160000p-14", 1320: "0x1.74370c95e7104p-1",
+                1413: "0x1.4da3b15c98000p-12", 1610: "0x1.1924dc3a95000p-9",
+                1921: "0x1.9a8d20efe8000p-13", 2416: "0x1.3f01a54d08000p-13"}}
+    DOUBLINGS = {1e-14: 1, 1e-16: 2}
+
+    @pytest.fixture(params=sorted(PINNED), ids=str)
+    def tol(self, request, monkeypatch):
+        monkeypatch.setattr(channel, "CAPACITY_TOL", request.param)
+        return request.param
+
+    @pytest.fixture
+    def grid_rows(self, monkeypatch):
+        """Counter of the pair rows every grid evaluation holds: a pair's
+        first grid and each of its doublings add one."""
+        rows = [0]
+        grid = channel._grid
+
+        def counting(c, *args):
+            rows[0] += len(c)
+            return grid(c, *args)
+
+        monkeypatch.setattr(channel, "_grid", counting)
+        return rows
+
+    def test_doubles_many_pairs(self, tol, grid_rows):
+        q, v = self.PAIRS
+        capacity_grid(q, v)
+        assert grid_rows[0] - np.count_nonzero((q > 0.0) & (q < 1.0)) > 100
+
+    def test_pinned_values_and_doublings(self, tol, grid_rows):
+        q, v = self.PAIRS
+        for i, want in self.PINNED[tol].items():
+            grid_rows[0] = 0
+            assert bawgn_capacity(q[i], v[i]).hex() == want, i
+            assert grid_rows[0] >= 1 + self.DOUBLINGS[tol], i
+
+    def test_matches_lone_calls_at_any_block_cap(self, tol, monkeypatch):
+        q, v = self.PAIRS
+        lone = np.array([bawgn_capacity(a, b) for a, b in zip(q.tolist(), v.tolist())])
+        for cap in (1, 1 << 14, 1 << 40):
+            monkeypatch.setattr(channel, "BLOCK_POINTS", cap)
+            assert np.array_equal(capacity_grid(q, v), lone), cap
+
+    def test_pinned_values_match_mutual_information(self, tol):
+        q, v = self.PAIRS
+        for i in self.PINNED[tol]:
+            got = bawgn_capacity(q[i], v[i])
+            assert abs(got - _mutual_information(q[i], v[i])) <= 1e-12, i
+
+
 class TestCapacityEdges:
     """Past the variances the quadrature takes, C(q, v) is its closed-form
     limit, within the quadrature's tolerance of it at each edge."""
